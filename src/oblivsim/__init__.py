@@ -29,7 +29,6 @@ from .blockcrypto import (
     seal_block,
 )
 from .blockfs import (
-    FLAG_DONOR,
     FLAG_DUMMY,
     FLAG_REGULAR,
     BlockFs,
@@ -49,8 +48,10 @@ from .engine import (
     Engine,
     EngineConfig,
     ImageBundle,
+    Mounted,
     NetLink,
     build_image,
+    mount,
     run_workload,
     trace_fingerprint,
 )
@@ -84,7 +85,6 @@ from .hostiface import (
     HostInterface,
     SignalInfo,
     SimClock,
-    WallClock,
 )
 from .pagecache import Intent, Outcome, PageCache, default_capacity
 from .rng import Rng, RngTree

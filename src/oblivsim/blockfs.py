@@ -6,10 +6,10 @@ is the physical layout, which is randomized: every allocation draws a
 uniformly random free block, so logical adjacency says nothing about
 physical adjacency from the moment an image is created.
 
-Three file roles exist: regular files carry data, donor files are
-scratch targets for the layout shuffle, and dummy-pad files reserve the
-blocks that padding traffic reads and writes. Dummy-pad files are
-created at format time from a configurable fraction of the disk.
+Two file roles exist: regular files carry data, and dummy-pad files
+reserve the blocks that padding traffic reads and writes; they are
+created at format time from a configurable fraction of the disk. The
+shuffle's scratch blocks (donors) are plain lists with no inode.
 
 On-disk layout (inside the data region of the image container, all
 little endian):
@@ -45,7 +45,6 @@ FS_MAGIC = b"OBFS1"
 UNMAPPED = 0xFFFFFFFF
 
 FLAG_REGULAR = 0
-FLAG_DONOR = 1
 FLAG_DUMMY = 2
 
 _SB = struct.Struct("<5sQIIIIIIQ")
@@ -79,7 +78,6 @@ class FsStats:
     metadata_blocks: int
     free_blocks: int
     regular_files: int
-    donor_files: int
     dummy_files: int
     dummy_blocks: int
 
@@ -287,10 +285,6 @@ class BlockFs:
         ino.size = 0
         ino.block_map = None
 
-    def unlink_all(self, fds) -> None:
-        for fd in fds:
-            self.unlink(fd)
-
     def phys_of(self, fd: int, lblk: int) -> int:
         ino = self._inode(fd)
         if not (0 <= lblk < self.max_file_blocks) or ino.block_map[lblk] is None:
@@ -314,7 +308,6 @@ class BlockFs:
             metadata_blocks=self.metadata_blocks,
             free_blocks=self.free_blocks,
             regular_files=len(self.files_with_flag(FLAG_REGULAR)),
-            donor_files=len(self.files_with_flag(FLAG_DONOR)),
             dummy_files=len(self.files_with_flag(FLAG_DUMMY)),
             dummy_blocks=len(self.dummy_blocks()),
         )
@@ -374,25 +367,26 @@ class BlockFs:
 
     # Shuffle support ------------------------------------------------------
 
-    def move_extent(self, fd_a: int, fd_b: int, lblk: int) -> None:
-        """Exchange the physical blocks mapped at the same logical index."""
-        ina, inb = self._inode(fd_a), self._inode(fd_b)
-        if not (0 <= lblk < self.max_file_blocks):
-            raise RangeError(f"logical block {lblk} out of range")
-        if ina.block_map[lblk] is None or inb.block_map[lblk] is None:
-            raise RangeError(f"logical block {lblk} not mapped in both files")
-        ina.block_map[lblk], inb.block_map[lblk] = (
-            inb.block_map[lblk], ina.block_map[lblk])
+    def move_extent(self, fd: int, donor: list[int], lblk: int) -> None:
+        """Exchange file ``fd``'s physical block at ``lblk`` with ``donor[lblk]``."""
+        phys = self.phys_of(fd, lblk)
+        if not 0 <= lblk < len(donor):
+            raise RangeError(f"donor has no block {lblk}")
+        self.inodes[fd].block_map[lblk], donor[lblk] = donor[lblk], phys
 
-    def create_donors(self, count: int, size_blocks: int) -> list[int]:
+    def create_donors(self, count: int, size_blocks: int) -> list[list[int]]:
+        """``count`` donors of ``size_blocks`` fresh blocks each, held
+        outside the inode table until ``unlink_all`` frees them."""
         if count * size_blocks > self.free_blocks:
             raise SpaceError("not enough free blocks for donors")
-        fds = []
-        for _ in range(count):
-            fd = self.create_file(FLAG_DONOR)
-            self._map_fresh_blocks(fd, size_blocks)
-            fds.append(fd)
-        return fds
+        return [[self.allocate_block() for _ in range(size_blocks)]
+                for _ in range(count)]
+
+    def unlink_all(self, donors) -> None:
+        """Return every donor block to the free pool, donor by donor."""
+        for donor in donors:
+            for phys in donor:
+                self.free_block(phys)
 
     # Consistency ------------------------------------------------------------
 

@@ -29,8 +29,8 @@ from .adversary import (
     rate_report,
     uniformity_test,
 )
-from .blockcrypto import BlockStore, ProtectionMode
-from .blockfs import FLAG_DUMMY, FLAG_REGULAR, BlockFs
+from .blockcrypto import ProtectionMode
+from .blockfs import FLAG_DUMMY, FLAG_REGULAR
 from .channel import (
     Endpoint,
     PeerIdentity,
@@ -44,15 +44,12 @@ from .engine import (
     Engine,
     EngineConfig,
     build_image,
+    mount,
     run_workload,
-    trace_fingerprint,
 )
 from .errors import InsufficientDataError, ModeError, SimError
-from .hostiface import Host, HostInterface, SimClock
-from .rng import RngTree
 from .sched import DEFAULT_ROUND_INTERVAL_NS, RoundConfig
 from .shaper import ShapingClass
-from .trace import HostTrace
 from .workload import parse_workload
 
 MODE_BY_NAME = {
@@ -89,10 +86,8 @@ def cmd_create_image(args) -> int:
 
     # Report from a fresh mount, so every created image is proven
     # mountable before the command returns success.
-    host = Host(bytearray(bundle.image), SimClock())
-    store = BlockStore.mount(HostInterface(host), key=bundle.key,
-                             trusted_root=bundle.verity_root)
-    fs = BlockFs.load(store, RngTree(args.seed).stream("layout"))
+    fs = mount(bundle.image, key=bundle.key, verity_root=bundle.verity_root,
+               seed=args.seed, oblivious=False).fs
     st = fs.stats()
     print(f"image: {args.out}")
     print(f"mode: {args.mode}")
@@ -113,32 +108,25 @@ def cmd_create_image(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_engine(args, rcfg: RoundConfig):
-    image = bytearray(Path(args.image).read_bytes())
-    host = Host(image, SimClock())
-    trace = HostTrace(meta=trace_fingerprint(rcfg, host.mtu))
-    iface = HostInterface(host, trace)
-    store = BlockStore.mount(
-        iface, key=_hex_or_none(args.key),
-        trusted_root=_hex_or_none(args.verity_root))
-    oblivious = args.mode == "oblivious"
-    if oblivious and store.mode is not ProtectionMode.CRYPT_INTEGRITY:
-        raise ModeError(
-            "the protected path needs a crypt-integrity image; "
-            f"this one is {store.mode.name.lower()}")
-    rng = RngTree(args.seed)
-    fs = BlockFs.load(store, rng.stream("layout"))
     cfg = EngineConfig(round=rcfg, cache_capacity=args.cache_k,
                        eager_shuffle_at=args.eager_shuffle_at)
-    engine = Engine(iface, store, fs, rng, cfg, oblivious=oblivious)
+    oblivious = args.mode == "oblivious"
+    m = mount(Path(args.image).read_bytes(), key=_hex_or_none(args.key),
+              verity_root=_hex_or_none(args.verity_root), seed=args.seed,
+              config=cfg, oblivious=oblivious)
+    if oblivious and m.store.mode is not ProtectionMode.CRYPT_INTEGRITY:
+        raise ModeError(
+            "the protected path needs a crypt-integrity image; "
+            f"this one is {m.store.mode.name.lower()}")
     for i, rate in enumerate(args.peer or []):
         local = StaticIdentity.generate()
         remote = StaticIdentity.generate()
         enclave_session = establish(local, PeerIdentity(remote.public_bytes))
         peer_session = establish(remote, PeerIdentity(local.public_bytes))
         shaping = ShapingClass(rate_bps=rate)
-        engine.add_link(i, enclave_session, shaping)
-        engine.add_external_pump(EchoPeer(host, i, peer_session, shaping))
-    return engine, trace
+        m.engine.add_link(i, enclave_session, shaping)
+        m.engine.add_external_pump(EchoPeer(m.host, i, peer_session, shaping))
+    return m.engine, m.trace
 
 
 def _run_once(args, rcfg, workload_text: str, target: int | None):
@@ -252,25 +240,20 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_shuffle(args) -> int:
-    image = bytearray(Path(args.image).read_bytes())
-    host = Host(image, SimClock())
-    iface = HostInterface(host)
-    store = BlockStore.mount(iface, key=_hex_or_none(args.key))
-    if not store.mode.encrypted:
+    m = mount(Path(args.image).read_bytes(), key=_hex_or_none(args.key),
+              seed=args.seed)
+    if not m.store.mode.encrypted:
         raise ModeError("shuffling re-encrypts blocks; the image must be "
                         "crypt or crypt-integrity")
-    rng = RngTree(args.seed)
-    fs = BlockFs.load(store, rng.stream("layout"))
-    engine = Engine(iface, store, fs, rng, oblivious=True)
-    stats = engine.shuffle_now()
-    fs.persist(store)
-    store.persist_metadata()
+    stats = m.engine.shuffle_now()
+    m.fs.persist(m.store)
+    m.store.persist_metadata()
     out = args.out_image or args.image
-    Path(out).write_bytes(bytes(host.image))
+    Path(out).write_bytes(bytes(m.host.image))
     print(f"image: {out}")
     print(f"moved: {stats.swaps} blocks across {stats.plan.num_donors} donors "
           f"(max file {stats.plan.max_blk} blocks)")
-    print(f"rounds: {engine.rounds_done}  donor slot reuses: {stats.donor_reuses}")
+    print(f"rounds: {m.engine.rounds_done}  donor slot reuses: {stats.donor_reuses}")
     return 0
 
 
@@ -279,14 +262,10 @@ def cmd_shuffle(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fsck(args) -> int:
-    image = bytearray(Path(args.image).read_bytes())
-    host = Host(image, SimClock())
-    iface = HostInterface(host)
-    store = BlockStore.mount(
-        iface, key=_hex_or_none(args.key),
-        trusted_root=_hex_or_none(args.verity_root))
-    rng = RngTree(args.seed)
-    fs = BlockFs.load(store, rng.stream("layout"))
+    m = mount(Path(args.image).read_bytes(), key=_hex_or_none(args.key),
+              verity_root=_hex_or_none(args.verity_root), seed=args.seed,
+              oblivious=False)
+    store, fs = m.store, m.fs
     problems = fs.fsck()
     if args.deep:
         for fd in (fs.files_with_flag(FLAG_REGULAR)
@@ -297,8 +276,8 @@ def cmd_fsck(args) -> int:
                 except SimError as exc:
                     problems.append(f"fd {fd} block {lblk}: {exc}")
     st = fs.stats()
-    print(f"files: {st.regular_files} data, {st.donor_files} donor, "
-          f"{st.dummy_files} dummy-pad; free blocks: {fs.free_blocks}")
+    print(f"files: {st.regular_files} data, {st.dummy_files} dummy-pad; "
+          f"free blocks: {fs.free_blocks}")
     if problems:
         for p in problems:
             print(f"problem: {p}")

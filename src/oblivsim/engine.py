@@ -58,6 +58,7 @@ from .rng import RngTree
 from .sched import RoundConfig, RoundScheduler
 from .shaper import PeerShaper, ShapingClass
 from .shuffle import ShuffleStats, oblivious_shuffle
+from .trace import HostTrace
 
 DEFAULT_PASSTHROUGH_LATENCY_NS = 10_000
 
@@ -406,7 +407,7 @@ class Engine:
 
     def regular_fd(self, index: int) -> int:
         """Workloads address data files by position, skipping the
-        dummy-pad and donor files that share the descriptor space."""
+        dummy-pad files that share the descriptor space."""
         fds = self.fs.files_with_flag(FLAG_REGULAR)
         if not 0 <= index < len(fds):
             raise DescriptorError(
@@ -496,6 +497,34 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
                 store.write_block(phys, os.urandom(BLOCK_SIZE))
         store.persist_metadata()
     return ImageBundle(bytes(host.image), key, root, tuple(fds))
+
+
+@dataclass
+class Mounted:
+    """One mounted image, every layer of the stack within reach."""
+
+    host: Host
+    iface: HostInterface
+    trace: HostTrace
+    store: BlockStore
+    fs: BlockFs
+    engine: Engine
+
+
+def mount(image: bytes, *, key: bytes | None = None,
+          verity_root: bytes | None = None, seed: int = 0,
+          config: EngineConfig | None = None, oblivious: bool = True) -> Mounted:
+    """Host -> HostInterface -> BlockStore -> BlockFs -> Engine over an
+    in-memory copy of ``image``, with the trace fingerprint of ``config``."""
+    config = config if config is not None else EngineConfig()
+    host = Host(bytearray(image), SimClock())
+    trace = HostTrace(meta=trace_fingerprint(config.round, host.mtu))
+    iface = HostInterface(host, trace)
+    store = BlockStore.mount(iface, key=key, trusted_root=verity_root)
+    rng = RngTree(seed)
+    fs = BlockFs.load(store, rng.stream("layout"))
+    engine = Engine(iface, store, fs, rng, config, oblivious=oblivious)
+    return Mounted(host, iface, trace, store, fs, engine)
 
 
 def run_workload(engine: Engine, workload, target_rounds: int | None = None) -> bool:

@@ -70,7 +70,7 @@ class RangeError(SimError):
 
 
 class ShuffleImpossibleError(SimError):
-    """Shuffle preconditions cannot be met (no donor space)."""
+    """Fewer free blocks than the largest file to shuffle has."""
 
 
 class InsufficientDataError(SimError):

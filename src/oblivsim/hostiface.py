@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import enum
 import hashlib as _hashlib
-import time as _time
 from collections import deque
 from dataclasses import dataclass
 
@@ -59,17 +58,6 @@ class SimClock:
         if ts_ns < self.now_ns:
             raise ParameterError("simulated clock cannot move backwards")
         self.now_ns = ts_ns
-
-
-class WallClock:
-    """Real time base for benchmark runs."""
-
-    def now(self) -> int:
-        return _time.monotonic_ns()
-
-    def advance_to(self, ts_ns: int) -> None:
-        # Nothing to do; real time advances on its own.
-        return
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .blockcrypto import BlockStore
-from .errors import BackpressureError, ParameterError
+from .errors import BackpressureError, ParameterError, SimError
 from .rng import Rng
 
 DEFAULT_ROUND_INTERVAL_NS = 100_000  # 0.1 ms
@@ -113,17 +113,24 @@ class RoundScheduler:
         return self.dummy_targets[self.rng.randbelow(len(self.dummy_targets))]
 
     def run_round(self, now_ns: int) -> None:
-        """One batch: reads first, then writes, all stamped at now_ns."""
+        """One batch: reads first, then writes, all stamped at now_ns.
+        A failed read (say, it does not authenticate) leaves the queue
+        uncompleted; the round still runs every slot and counts, so the
+        cadence holds, and then raises the first such error."""
         if self.last_round_ns is not None \
                 and now_ns < self.last_round_ns + self.config.interval_ns:
             raise ParameterError(
                 f"round at {now_ns} before the interval elapsed")
+        error: SimError | None = None
         with self.store.iface.scheduled_time(now_ns):
             for _ in range(self.config.reads_per_round):
                 if self._reads:
                     req = self._reads.popleft()
-                    req.completion.data = self.store.read_block(req.phys)
-                    req.completion.done = True
+                    try:
+                        req.completion.data = self.store.read_block(req.phys)
+                        req.completion.done = True
+                    except SimError as exc:
+                        error = error or exc
                     self.real_reads += 1
                 else:
                     self.store.dummy_read(self._dummy_block())
@@ -139,3 +146,5 @@ class RoundScheduler:
                     self.dummy_writes += 1
         self.last_round_ns = now_ns
         self.rounds += 1
+        if error is not None:
+            raise error

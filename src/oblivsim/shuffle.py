@@ -12,13 +12,13 @@ batched round cadence:
 * the write slot lands the block, freshly re-encrypted, at its new
   home.
 
-New homes come from donor files: scratch files allocated at uniformly
-random free blocks, one donor per ``max_blk`` free blocks. A donor is
-picked uniformly among those with an untouched slot at the needed
-logical index (falling back to reuse when files outnumber donors; the
-swapped-out block a reused slot holds has already been rehomed, so the
-chain stays consistent). Donors are unlinked afterwards, returning
-their final physical blocks to the free pool.
+New homes come from donors: groups of ``max_blk`` blocks allocated at
+uniformly random free blocks, one per ``max_blk`` free blocks, held in
+memory and never in the inode table. A donor is picked uniformly among
+those with an untouched slot at the needed logical index (falling back
+to reuse when files outnumber donors; the swapped-out block a reused
+slot holds has already been rehomed, so the chain stays consistent).
+The donors' final blocks return to the free pool, even on failure.
 
 Each source block is read at most once, and the observable pattern is a
 function of (num_shuff_blk, num_donors, cache occupancy) only, never of
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .blockfs import FLAG_REGULAR, BlockFs
-from .errors import ShuffleImpossibleError, SpaceError
+from .errors import ShuffleImpossibleError
 from .rng import Rng
 
 
@@ -95,60 +95,58 @@ def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
     if fs.free_blocks < plan.max_blk:
         raise ShuffleImpossibleError(
             f"{fs.free_blocks} free blocks cannot host a {plan.max_blk}-block donor")
+    donors = fs.create_donors(plan.num_donors, plan.max_blk)
     try:
-        donors = fs.create_donors(plan.num_donors, plan.max_blk)
-    except SpaceError as exc:
-        raise ShuffleImpossibleError(
-            f"cannot create {plan.num_donors} donor files: {exc}") from exc
+        sources = [(fd, b) for fd in plan.fds
+                   for b in range(fs.file_blocks(fd))]
+        order = fisher_yates(sources, rng)
+        # Per logical index, the donors whose slot there is untouched.
+        untouched = [list(range(len(donors))) for _ in range(plan.max_blk)]
+        buffered: dict[tuple[int, int], bytes] = {}
+        # Blocks read, buffered or swapped already.
+        consumed: set[tuple[int, int]] = set()
+        cursor = 0
 
-    sources = [(fd, b) for fd in plan.fds for b in range(fs.file_blocks(fd))]
-    order = fisher_yates(sources, rng)
-    spares = {d: [True] * plan.max_blk for d in donors}
-    buffered: dict[tuple[int, int], bytes] = {}
-    consumed: set[tuple[int, int]] = set()  # read, buffered or swapped already
-    cursor = 0
+        def next_prefetch() -> tuple[int, int] | None:
+            nonlocal cursor
+            while cursor < len(order):
+                cand = order[cursor]
+                if cand not in consumed and io.peek_cache(*cand) is None:
+                    return cand
+                cursor += 1
+            return None
 
-    def next_prefetch() -> tuple[int, int] | None:
-        nonlocal cursor
-        while cursor < len(order):
-            cand = order[cursor]
-            if cand not in consumed and io.peek_cache(*cand) is None:
-                return cand
-            cursor += 1
-        return None
-
-    for fd, b in order:
-        data = buffered.pop((fd, b), None)
-        if data is None:
-            cached = io.peek_cache(fd, b)
-            if cached is not None:
-                data = cached
-                stats.served_from_cache += 1
-        if data is None:
-            data = io.read_phys(fs.phys_of(fd, b))
-            stats.real_reads += 1
-        else:
-            # This step's read slot still has to happen somewhere.
-            consumed.add((fd, b))
-            cand = next_prefetch()
-            if cand is not None:
-                buffered[cand] = io.read_phys(fs.phys_of(*cand))
+        for fd, b in order:
+            data = buffered.pop((fd, b), None)
+            if data is None:
+                cached = io.peek_cache(fd, b)
+                if cached is not None:
+                    data = cached
+                    stats.served_from_cache += 1
+            if data is None:
+                data = io.read_phys(fs.phys_of(fd, b))
                 stats.real_reads += 1
-                consumed.add(cand)
             else:
-                io.pump_dummy_read()
-                stats.dummy_reads += 1
-        consumed.add((fd, b))
-        eligible = [d for d in donors if spares[d][b]]
-        if eligible:
-            donor = eligible[rng.randbelow(len(eligible))]
-        else:
-            donor = donors[rng.randbelow(len(donors))]
-            stats.donor_reuses += 1
-        spares[donor][b] = False
-        fs.move_extent(fd, donor, b)
-        io.write_phys(fs.phys_of(fd, b), data)
-        stats.swaps += 1
-
-    fs.unlink_all(donors)
+                # This step's read slot still has to happen somewhere.
+                consumed.add((fd, b))
+                cand = next_prefetch()
+                if cand is not None:
+                    buffered[cand] = io.read_phys(fs.phys_of(*cand))
+                    stats.real_reads += 1
+                    consumed.add(cand)
+                else:
+                    io.pump_dummy_read()
+                    stats.dummy_reads += 1
+            consumed.add((fd, b))
+            eligible = untouched[b]
+            if eligible:
+                d = eligible.pop(rng.randbelow(len(eligible)))
+            else:
+                d = rng.randbelow(len(donors))
+                stats.donor_reuses += 1
+            fs.move_extent(fd, donors[d], b)
+            io.write_phys(fs.phys_of(fd, b), data)
+            stats.swaps += 1
+    finally:
+        fs.unlink_all(donors)
     return stats

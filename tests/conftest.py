@@ -3,51 +3,25 @@ acceptance summary printed at the end of the run."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import pytest
 
 from oblivsim import (
-    BlockFs,
-    BlockStore,
-    Engine,
     EngineConfig,
-    Host,
-    HostInterface,
-    HostTrace,
     ImageBundle,
+    Mounted,
     ProtectionMode,
-    RngTree,
-    SimClock,
     build_image,
-    trace_fingerprint,
+    engine,
 )
 
 DEFAULT_KEY = bytes(range(32))
 
 
-@dataclass
-class Mounted:
-    host: Host
-    iface: HostInterface
-    trace: HostTrace
-    store: BlockStore
-    fs: BlockFs
-    engine: Engine
-
-
 def mount(bundle: ImageBundle, *, seed: int = 0, oblivious: bool = True,
           config: EngineConfig | None = None) -> Mounted:
-    host = Host(bytearray(bundle.image), SimClock())
-    rcfg = (config or EngineConfig()).round
-    trace = HostTrace(meta=trace_fingerprint(rcfg, host.mtu))
-    iface = HostInterface(host, trace)
-    store = BlockStore.mount(iface, key=bundle.key,
-                             trusted_root=bundle.verity_root)
-    rng = RngTree(seed)
-    fs = BlockFs.load(store, rng.stream("layout"))
-    engine = Engine(iface, store, fs, rng, config, oblivious=oblivious)
-    return Mounted(host, iface, trace, store, fs, engine)
+    return engine.mount(bundle.image, key=bundle.key,
+                        verity_root=bundle.verity_root, seed=seed,
+                        config=config, oblivious=oblivious)
 
 
 @pytest.fixture(scope="session")

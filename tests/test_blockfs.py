@@ -8,7 +8,6 @@ from oblivsim import (
     BlockFs,
     BlockStore,
     DescriptorError,
-    FLAG_DONOR,
     FLAG_DUMMY,
     FLAG_REGULAR,
     Host,
@@ -181,27 +180,34 @@ def test_move_extent_swaps_physical_homes():
     fs = make_fs(64)
     io = DictIo()
     a = fs.create_file()
-    b = fs.create_file(FLAG_DONOR)
     fs.file_write(io, a, 0, b"\x01" * BLOCK_SIZE)
-    fs._map_fresh_blocks(b, 1)
-    pa, pb = fs.phys_of(a, 0), fs.phys_of(b, 0)
-    fs.move_extent(a, b, 0)
-    assert fs.phys_of(a, 0) == pb
-    assert fs.phys_of(b, 0) == pa
-    assert fs.fsck() == []
+    [donor] = fs.create_donors(1, 1)
+    pa, pd = fs.phys_of(a, 0), donor[0]
+    fs.move_extent(a, donor, 0)
+    assert fs.phys_of(a, 0) == pd
+    assert donor == [pa]
     with pytest.raises(RangeError):
-        fs.move_extent(a, b, 1)
+        fs.move_extent(a, donor, 1)  # the file has no block 1
+    fs.file_write(io, a, BLOCK_SIZE, b"\x02" * BLOCK_SIZE)
+    with pytest.raises(RangeError):
+        fs.move_extent(a, donor, 1)  # the donor has no block 1
+    fs.unlink_all([donor])
+    assert fs.fsck() == []
 
 
 def test_create_donors_and_unlink_all():
     fs = make_fs(64)
     free0 = fs.free_blocks
+    inodes0 = [ino.used for ino in fs.inodes]
     donors = fs.create_donors(3, 2)
-    assert len(donors) == 3
-    assert all(fs.file_blocks(d) == 2 for d in donors)
+    assert [len(d) for d in donors] == [2, 2, 2]
+    assert len({p for d in donors for p in d}) == 6
+    assert all(fs._bit(p) for d in donors for p in d)
     assert fs.free_blocks == free0 - 6
+    assert [ino.used for ino in fs.inodes] == inodes0  # no inode spent
     fs.unlink_all(donors)
     assert fs.free_blocks == free0
+    assert fs.fsck() == []
     with pytest.raises(SpaceError):
         fs.create_donors(100, 10)
 

@@ -18,7 +18,6 @@ from oblivsim import (
     SignalInfo,
     SimClock,
     SizeError,
-    WallClock,
     WouldBlock,
 )
 from oblivsim.hostiface import SignalDisposition
@@ -157,13 +156,6 @@ def test_sim_clock_rejects_backwards():
         clock.advance_to(9)
     clock.advance_to(10)
     assert clock.now() == 10
-
-
-def test_wall_clock_monotone():
-    clock = WallClock()
-    a = clock.now()
-    clock.advance_to(0)  # no-op
-    assert clock.now() >= a
 
 
 def test_signal_memory_fault_needs_plausible_address():

@@ -10,6 +10,7 @@ from oblivsim import (
     Host,
     HostInterface,
     HostTrace,
+    IntegrityError,
     ParameterError,
     ProtectionMode,
     RngTree,
@@ -148,3 +149,23 @@ def test_rounds_respect_the_interval():
         sched.run_round(42 + sched.config.interval_ns - 1)
     sched.run_round(42 + sched.config.interval_ns)
     assert sched.rounds == 2
+
+
+def test_failed_read_still_completes_its_round():
+    store, sched = make_sched()
+    store.write_block(5, b"\x42" * BLOCK_SIZE)
+    store.iface.host.image[store.layout.data_offset(5)] ^= 0x01
+    store.iface.trace.reset()
+    comp = sched.submit_read(5)
+    wcomp = sched.submit_write(6, b"\x43" * BLOCK_SIZE)
+    with pytest.raises(IntegrityError):
+        run_rounds(sched, 1)
+    assert not comp.done and wcomp.done
+    assert sched.rounds == 1 and sched.pending_reads == 0
+    run_rounds(sched, 3)
+    interval = sched.config.interval_ns
+    assert [(e.ts, e.kind) for e in store.iface.trace.events] == [
+        (i * interval, kind) for i in range(4)
+        for kind in (CallKind.DISK_READ, CallKind.DISK_WRITE)]
+    assert sched.real_reads + sched.dummy_reads == 4
+    assert sched.real_writes + sched.dummy_writes == 4

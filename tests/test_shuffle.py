@@ -5,12 +5,17 @@ from itertools import permutations
 import pytest
 from scipy import stats as sstats
 
+from conftest import DEFAULT_KEY, mount
 from oblivsim import (
+    BLOCK_SIZE,
     BlockFs,
     FLAG_REGULAR,
+    IntegrityError,
+    ProtectionMode,
     RngTree,
     ShuffleImpossibleError,
     ShufflePlan,
+    build_image,
     build_plan,
     oblivious_shuffle,
 )
@@ -158,11 +163,50 @@ def test_shuffle_without_room_fails_loudly():
         oblivious_shuffle(fs, io, RngTree(0).stream("shuffle"), fds)
 
 
-def test_shuffle_without_inode_room_fails_loudly():
+def test_shuffle_succeeds_with_a_full_inode_table():
     fs, io, fds = make_world(sizes=(2, 2, 2), n=64, max_files=4)
     assert all(ino.used for ino in fs.inodes)
-    with pytest.raises(ShuffleImpossibleError):
-        oblivious_shuffle(fs, io, RngTree(0).stream("shuffle"), fds)
+    free_before = fs.free_blocks
+    stats = oblivious_shuffle(fs, io, RngTree(0).stream("shuffle"), fds)
+    assert stats.swaps == 6
+    for fd in fds:
+        for b in range(2):
+            assert io.pages[fs.phys_of(fd, b)] == token(fd, b)
+    assert fs.free_blocks == free_before
+    assert fs.fsck() == []
+
+
+def test_one_block_file_shuffles_on_a_default_geometry_image():
+    # Every free block becomes a one-block donor: far more donors than
+    # the inode table has entries.
+    data = bytes(range(256)) * (BLOCK_SIZE // 256)
+    bundle = build_image(4096, ProtectionMode.CRYPT_INTEGRITY, [data],
+                         seed=3, key=DEFAULT_KEY)
+    m = mount(bundle, seed=3)
+    assert m.fs.free_blocks > m.fs.max_files
+    fd = m.engine.regular_fd(0)
+    before = m.fs.phys_of(fd, 0)
+    stats = m.engine.shuffle_now()
+    assert stats.plan.num_donors == m.fs.free_blocks
+    assert m.fs.phys_of(fd, 0) != before
+    assert m.engine.read_file(fd, 0, BLOCK_SIZE) == data
+    assert m.fs.fsck() == []
+
+
+def test_tampered_read_mid_shuffle_returns_the_donors(small):
+    fd = small.engine.regular_fd(0)
+    phys = small.fs.phys_of(fd, 5)
+    small.host.image[small.store.layout.data_offset(phys)] ^= 0x01
+    free_before = small.fs.free_blocks
+    assert small.fs.fsck() == []
+    with pytest.raises(IntegrityError):
+        small.engine.shuffle_now()
+    assert small.fs.free_blocks == free_before
+    assert small.fs.fsck() == []
+    # Free space is intact, so a retry meets the same tampered block
+    # rather than a shortage of donor space.
+    with pytest.raises(IntegrityError):
+        small.engine.shuffle_now()
 
 
 def test_shuffle_of_nothing_is_a_noop():
