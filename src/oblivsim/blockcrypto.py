@@ -13,13 +13,8 @@ write counter rides in the low 8 bytes of the 24-byte nonce; a counter
 that disagrees with the in-memory freshness table is reported as a
 replay, distinct from a tag failure.
 
-Image container layout (little endian, all regions padded to 4096):
-
-    block 0            header: magic "OBLV1", block_size u32,
-                       n_blocks u64, mode u8, aead_id u8, hash_id u8
-    slot region        n_blocks x 40-byte slots {nonce[24], tag[16]}
-    verity region      serialized hash tree (VERITY mode only)
-    data region        n_blocks x 4096 payload blocks
+The image container layout (header, slot region, verity region, data
+region) is specified in FORMATS.md.
 """
 
 from __future__ import annotations
@@ -219,10 +214,6 @@ class VerityTree:
 
     def serialized_size(self) -> int:
         return 16 + 32 * sum(len(lv) for lv in self.levels)
-
-
-def build_verity(blocks) -> VerityTree:
-    return VerityTree.build(blocks)
 
 
 def verify_verity(tree: VerityTree, trusted_root: bytes, phys: int,

@@ -11,19 +11,8 @@ reserve the blocks that padding traffic reads and writes; they are
 created at format time from a configurable fraction of the disk. The
 shuffle's scratch blocks (donors) are plain lists with no inode.
 
-On-disk layout (inside the data region of the image container, all
-little endian):
-
-    block 0              superblock: magic "OBFS1", n_blocks u64,
-                         bitmap_start u32, bitmap_blocks u32,
-                         itab_start u32, itab_blocks u32,
-                         max_files u32, max_file_blocks u32,
-                         free_blocks u64
-    bitmap blocks        bit per physical block, set = allocated
-    inode table          max_files entries, each:
-                         used u8, flags u8, size u64, nblocks u32,
-                         then max_file_blocks x u32 physical indices
-                         (0xFFFFFFFF = unmapped)
+The on-disk layout (superblock, bitmap, inode table) and the geometry
+rule ``load`` enforces are specified in FORMATS.md.
 """
 
 from __future__ import annotations
@@ -48,7 +37,6 @@ FLAG_REGULAR = 0
 FLAG_DUMMY = 2
 
 _SB = struct.Struct("<5sQIIIIIIQ")
-_INODE_HEAD = struct.Struct("<BBQI")
 
 
 class BlockIo(Protocol):
@@ -82,13 +70,25 @@ class FsStats:
     dummy_blocks: int
 
 
+def _inode_struct(max_file_blocks: int) -> struct.Struct:
+    """One inode-table entry: used, flags, size, nblocks, block map."""
+    return struct.Struct(f"<BBQI{max_file_blocks}I")
+
+
+def _blocks_for(nbytes: int) -> int:
+    return (nbytes + BLOCK_SIZE - 1) // BLOCK_SIZE
+
+
+def _padded(data: bytes, blocks: int) -> bytes:
+    return data + b"\x00" * (blocks * BLOCK_SIZE - len(data))
+
+
 def _bitmap_blocks(n_blocks: int) -> int:
-    return ((n_blocks + 7) // 8 + BLOCK_SIZE - 1) // BLOCK_SIZE
+    return _blocks_for((n_blocks + 7) // 8)
 
 
 def _itab_blocks(max_files: int, max_file_blocks: int) -> int:
-    entry = _INODE_HEAD.size + 4 * max_file_blocks
-    return (max_files * entry + BLOCK_SIZE - 1) // BLOCK_SIZE
+    return _blocks_for(max_files * _inode_struct(max_file_blocks).size)
 
 
 def metadata_block_count(n_blocks: int, max_files: int, max_file_blocks: int) -> int:
@@ -194,39 +194,28 @@ class BlockFs:
             ino.block_map[lblk] = self.allocate_block()
         ino.size = count * BLOCK_SIZE
 
-    def serialize_block(self, phys: int) -> bytes:
-        """Metadata block ``phys`` (< metadata_blocks) as bytes."""
-        bmb = _bitmap_blocks(self.n_blocks)
-        if phys == 0:
-            raw = _SB.pack(FS_MAGIC, self.n_blocks, 1, bmb, 1 + bmb,
-                           _itab_blocks(self.max_files, self.max_file_blocks),
-                           self.max_files, self.max_file_blocks,
-                           self.free_blocks)
-            return raw + b"\x00" * (BLOCK_SIZE - len(raw))
-        if phys <= bmb:
-            start = (phys - 1) * BLOCK_SIZE
-            chunk = bytes(self.bitmap[start:start + BLOCK_SIZE])
-            return chunk + b"\x00" * (BLOCK_SIZE - len(chunk))
-        itab = self._pack_inodes()
-        start = (phys - 1 - bmb) * BLOCK_SIZE
-        chunk = itab[start:start + BLOCK_SIZE]
-        return chunk + b"\x00" * (BLOCK_SIZE - len(chunk))
-
-    def _pack_inodes(self) -> bytes:
-        parts = []
-        for ino in self.inodes:
-            parts.append(_INODE_HEAD.pack(int(ino.used), ino.flags, ino.size,
-                                          ino.nblocks))
-            bm = ino.block_map or []
-            for lblk in range(self.max_file_blocks):
-                phys = bm[lblk] if lblk < len(bm) and bm[lblk] is not None else None
-                parts.append(struct.pack(
-                    "<I", UNMAPPED if phys is None else phys))
-        return b"".join(parts)
-
     def persist(self, store) -> None:
+        """Encode the metadata region once (superblock, bitmap and inode
+        table, each zero-padded to whole blocks) and write it to blocks
+        ``0 .. metadata_blocks-1`` in order."""
+        bmb = _bitmap_blocks(self.n_blocks)
+        itb = _itab_blocks(self.max_files, self.max_file_blocks)
+        entry = _inode_struct(self.max_file_blocks)
+        no_map = [None] * self.max_file_blocks
+        itab = b"".join(
+            entry.pack(int(ino.used), ino.flags, ino.size, ino.nblocks,
+                       *(UNMAPPED if p is None else p
+                         for p in ino.block_map or no_map))
+            for ino in self.inodes)
+        region = b"".join((
+            _padded(_SB.pack(FS_MAGIC, self.n_blocks, 1, bmb, 1 + bmb, itb,
+                             self.max_files, self.max_file_blocks,
+                             self.free_blocks), 1),
+            _padded(self.bitmap, bmb),
+            _padded(itab, itb),
+        ))
         for phys in range(self.metadata_blocks):
-            store.write_block(phys, self.serialize_block(phys))
+            store.write_block(phys, region[phys * BLOCK_SIZE:(phys + 1) * BLOCK_SIZE])
 
     @classmethod
     def load(cls, store, rng: Rng) -> "BlockFs":
@@ -235,22 +224,29 @@ class BlockFs:
             max_file_blocks, free_blocks = _SB.unpack_from(sb, 0)
         if magic != FS_MAGIC:
             raise ParameterError("no filesystem on this image")
+        # Check the geometry before the constructor sizes anything by it.
+        if n_blocks != store.n_blocks:
+            raise ParameterError("superblock block count disagrees with the image")
+        want_bmb = _bitmap_blocks(n_blocks)
+        if (bitmap_start, bmb, itab_start, itb) != (
+                1, want_bmb, 1 + want_bmb,
+                _itab_blocks(max_files, max_file_blocks)):
+            raise ParameterError("superblock region geometry is inconsistent")
+        if metadata_block_count(n_blocks, max_files, max_file_blocks) >= n_blocks:
+            raise ParameterError("filesystem metadata does not fit the image")
         fs = cls(n_blocks, max_files, max_file_blocks, rng)
-        bitmap = b"".join(store.read_block(bitmap_start + i) for i in range(bmb))
-        fs.bitmap = bytearray(bitmap[:(n_blocks + 7) // 8])
-        itab = b"".join(store.read_block(itab_start + i) for i in range(itb))
-        entry_size = _INODE_HEAD.size + 4 * max_file_blocks
-        for idx in range(max_files):
-            off = idx * entry_size
-            used, flags, size, _nblocks = _INODE_HEAD.unpack_from(itab, off)
-            ino = fs.inodes[idx]
+        region = b"".join(store.read_block(phys)
+                          for phys in range(1, fs.metadata_blocks))
+        fs.bitmap = bytearray(region[:(n_blocks + 7) // 8])
+        entry = _inode_struct(max_file_blocks)
+        itab = region[bmb * BLOCK_SIZE:bmb * BLOCK_SIZE + max_files * entry.size]
+        for ino, (used, flags, size, _nblocks, *block_map) in zip(
+                fs.inodes, entry.iter_unpack(itab)):
             ino.used = bool(used)
             ino.flags = flags
             ino.size = size
             if ino.used:
-                raw = struct.unpack_from(f"<{max_file_blocks}I", itab,
-                                         off + _INODE_HEAD.size)
-                ino.block_map = [None if p == UNMAPPED else p for p in raw]
+                ino.block_map = [None if p == UNMAPPED else p for p in block_map]
         for phys in range(n_blocks):
             if not fs._bit(phys):
                 fs._free_pos[phys] = len(fs._free)

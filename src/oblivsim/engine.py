@@ -294,7 +294,6 @@ class Engine:
             raise RoundBudgetExhausted(f"round budget of {self.round_target} spent")
         t = self.rounds_done * self.config.round.interval_ns
         self._run_net_until(t)
-        self.clock.advance_to(t)
         self.sched.run_round(t)
 
     def run_rounds(self, n: int) -> None:

@@ -16,7 +16,6 @@ reads.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import hashlib as _hashlib
 from collections import deque
@@ -144,28 +143,10 @@ class HostInterface:
         self.trace = trace if trace is not None else HostTrace()
         self.ignore_user_signals = ignore_user_signals
         self._last_monotonic: int | None = None
-        self._ts_override: int | None = None
-
-    # Timestamping ----------------------------------------------------
-
-    def _now(self) -> int:
-        if self._ts_override is not None:
-            return self._ts_override
-        return self.host.clock.now()
-
-    @contextlib.contextmanager
-    def scheduled_time(self, ts_ns: int):
-        """Stamp events at the scheduled instant (batched rounds use
-        this so trace timestamps stay exact even under wall clocks)."""
-        prev = self._ts_override
-        self._ts_override = ts_ns
-        try:
-            yield
-        finally:
-            self._ts_override = prev
 
     def _record(self, kind: CallKind, offset: int, length: int, dummy: bool) -> None:
-        self.trace.record(HostCallEvent(self._now(), kind, offset, length, dummy))
+        self.trace.record(
+            HostCallEvent(self.host.clock.now(), kind, offset, length, dummy))
 
     # Disk ------------------------------------------------------------
 

@@ -6,7 +6,9 @@ the layout shuffle depends on: within an epoch each physical block may
 be fetched from the host at most once. The cache remembers which
 physical blocks it fetched this epoch; a request for a block that was
 fetched and has since been evicted cannot be served again without
-revealing a repeat, so the caller is told to reshuffle first.
+revealing a repeat, so the caller is told to reshuffle first. An
+epoch ends only when the caller, after its shuffle, calls ``flush``
+and then ``end_epoch``.
 
 Capacity defaults to ceil(sqrt(n_blocks)) pages, sized so epochs and
 shuffles balance.
@@ -49,15 +51,13 @@ class PageCache:
     def __init__(self, capacity: int,
                  phys_of: Callable[[int, int], int],
                  fetch: Callable[[int], bytes],
-                 writeback: Callable[[int, bytes], None],
-                 track_epochs: bool = True):
+                 writeback: Callable[[int, bytes], None]):
         if capacity < 1:
             raise ParameterError("cache needs at least one page")
         self.capacity = capacity
         self._phys_of = phys_of
         self._fetch = fetch
         self._writeback = writeback
-        self.track_epochs = track_epochs
         self._pages: OrderedDict[tuple[int, int], bytearray] = OrderedDict()
         self._dirty: set[tuple[int, int]] = set()
         self.epoch_fetched: set[int] = set()
@@ -90,13 +90,12 @@ class PageCache:
             self.hits += 1
             return bytes(page), Outcome.HIT
         phys = self._phys_of(fd, lblk)
-        if self.track_epochs and phys in self.epoch_fetched:
+        if phys in self.epoch_fetched:
             # Fetched earlier this epoch and evicted since; serving it
             # again would repeat a host read of the same block.
             return None, Outcome.SHUFFLE_REQUIRED
         data = self._fetch(phys)
-        if self.track_epochs:
-            self.epoch_fetched.add(phys)
+        self.epoch_fetched.add(phys)
         self.fetches += 1
         self._admit(key, bytearray(data), dirty=(intent is Intent.WRITE))
         return data, Outcome.FETCHED
@@ -130,7 +129,7 @@ class PageCache:
 
     # Flush and epochs ------------------------------------------------------
 
-    def flush(self, epoch_end: bool = False) -> int:
+    def flush(self) -> int:
         """Write out all dirty pages (in LRU order, deterministic).
         Returns the number of pages written."""
         written = 0
@@ -138,18 +137,9 @@ class PageCache:
             self._writeback(self._phys_of(*key), bytes(self._pages[key]))
             self._dirty.discard(key)
             written += 1
-        if epoch_end:
-            self.end_epoch()
         return written
 
     def end_epoch(self) -> None:
         if self._dirty:
             raise ParameterError("dirty pages must be flushed before epoch end")
         self.epoch_fetched.clear()
-
-    def drop_all(self) -> None:
-        """Forget every resident page (testing aid; dirty pages must be
-        flushed first)."""
-        if self._dirty:
-            raise ParameterError("dirty pages would be lost")
-        self._pages.clear()

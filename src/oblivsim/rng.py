@@ -1,8 +1,7 @@
 """Randomness sources.
 
-Two backends behind one interface: an HMAC-SHA256 deterministic bit
-generator for seeded (reproducible) runs, and SystemRandom otherwise.
-The seeded generator is still a cryptographically strong construction;
+Every stream is an HMAC-SHA256 deterministic bit generator keyed from
+an integer seed. It is still a cryptographically strong construction;
 what makes a run reproducible is the caller supplying the seed, not a
 weaker algorithm.
 
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import random
 
 
 class HmacDrbg:
@@ -48,27 +46,18 @@ class HmacDrbg:
 
 
 class Rng:
-    """Uniform sampling helpers over either backend."""
+    """Uniform sampling helpers over one seeded generator."""
 
-    def __init__(self, seed_material: bytes | None = None):
-        if seed_material is None:
-            self._sys: random.SystemRandom | None = random.SystemRandom()
-            self._drbg = None
-        else:
-            self._sys = None
-            self._drbg = HmacDrbg(seed_material)
+    def __init__(self, seed_material: bytes):
+        self._drbg = HmacDrbg(seed_material)
 
     def random_bytes(self, n: int) -> bytes:
-        if self._drbg is not None:
-            return self._drbg.random_bytes(n)
-        return self._sys.randbytes(n)  # type: ignore[union-attr]
+        return self._drbg.random_bytes(n)
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n). Rejection sampling, no modulo bias."""
         if n <= 0:
             raise ValueError("randbelow needs n >= 1")
-        if self._sys is not None:
-            return self._sys.randrange(n)
         nbytes = (n.bit_length() + 7) // 8
         limit = (256**nbytes // n) * n
         while True:
@@ -85,17 +74,14 @@ class Rng:
 class RngTree:
     """Master seed fanned out into independent named streams."""
 
-    def __init__(self, seed: int | None = None):
+    def __init__(self, seed: int):
         self.seed = seed
         self._streams: dict[str, Rng] = {}
 
     def stream(self, name: str) -> Rng:
         if name not in self._streams:
-            if self.seed is None:
-                self._streams[name] = Rng(None)
-            else:
-                material = hashlib.sha256(
-                    self.seed.to_bytes(16, "big", signed=True) + b"/" + name.encode()
-                ).digest()
-                self._streams[name] = Rng(material)
+            material = hashlib.sha256(
+                self.seed.to_bytes(16, "big", signed=True) + b"/" + name.encode()
+            ).digest()
+            self._streams[name] = Rng(material)
         return self._streams[name]

@@ -113,7 +113,8 @@ class RoundScheduler:
         return self.dummy_targets[self.rng.randbelow(len(self.dummy_targets))]
 
     def run_round(self, now_ns: int) -> None:
-        """One batch: reads first, then writes, all stamped at now_ns.
+        """One batch at now_ns: the simulated clock moves there, then
+        reads run first and writes after, all stamped at now_ns.
         A failed read (say, it does not authenticate) leaves the queue
         uncompleted; the round still runs every slot and counts, so the
         cadence holds, and then raises the first such error."""
@@ -121,29 +122,29 @@ class RoundScheduler:
                 and now_ns < self.last_round_ns + self.config.interval_ns:
             raise ParameterError(
                 f"round at {now_ns} before the interval elapsed")
+        self.store.iface.host.clock.advance_to(now_ns)
         error: SimError | None = None
-        with self.store.iface.scheduled_time(now_ns):
-            for _ in range(self.config.reads_per_round):
-                if self._reads:
-                    req = self._reads.popleft()
-                    try:
-                        req.completion.data = self.store.read_block(req.phys)
-                        req.completion.done = True
-                    except SimError as exc:
-                        error = error or exc
-                    self.real_reads += 1
-                else:
-                    self.store.dummy_read(self._dummy_block())
-                    self.dummy_reads += 1
-            for _ in range(self.config.writes_per_round):
-                if self._writes:
-                    req = self._writes.popleft()
-                    self.store.write_block(req.phys, req.data)
+        for _ in range(self.config.reads_per_round):
+            if self._reads:
+                req = self._reads.popleft()
+                try:
+                    req.completion.data = self.store.read_block(req.phys)
                     req.completion.done = True
-                    self.real_writes += 1
-                else:
-                    self.store.dummy_write(self._dummy_block())
-                    self.dummy_writes += 1
+                except SimError as exc:
+                    error = error or exc
+                self.real_reads += 1
+            else:
+                self.store.dummy_read(self._dummy_block())
+                self.dummy_reads += 1
+        for _ in range(self.config.writes_per_round):
+            if self._writes:
+                req = self._writes.popleft()
+                self.store.write_block(req.phys, req.data)
+                req.completion.done = True
+                self.real_writes += 1
+            else:
+                self.store.dummy_write(self._dummy_block())
+                self.dummy_writes += 1
         self.last_round_ns = now_ns
         self.rounds += 1
         if error is not None:

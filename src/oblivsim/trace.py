@@ -59,18 +59,13 @@ class HostTrace:
 
     meta: dict = field(default_factory=dict)
     events: list[HostCallEvent] = field(default_factory=list)
-    recording: bool = True
 
     def record(self, event: HostCallEvent) -> None:
-        if self.recording:
-            self.events.append(event)
+        self.events.append(event)
 
     def reset(self) -> None:
         """Drop everything recorded so far (e.g. after image setup)."""
         self.events.clear()
-
-    def stop(self) -> None:
-        self.recording = False
 
     def __len__(self) -> int:
         return len(self.events)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +21,9 @@ from oblivsim import (
     RngTree,
     SimClock,
     SpaceError,
+    build_image,
     layout_for,
+    mount,
     new_image,
 )
 
@@ -229,6 +234,66 @@ def test_persist_load_roundtrip():
     assert [again.phys_of(fd, i) for i in range(3)] \
         == [fs.phys_of(fd, i) for i in range(3)]
     assert again.dummy_blocks() == fs.dummy_blocks()
+
+
+def test_plain_image_bytes_are_pinned():
+    # Any change to the on-disk format or to seeded placement shows here.
+    bundle = build_image(64, ProtectionMode.PLAIN,
+                         [bytes(range(256)) * 16 * 8, b"\xab" * BLOCK_SIZE * 3],
+                         seed=3)
+    assert hashlib.sha256(bundle.image).hexdigest() == (
+        "e5988b54f56375e8bc4a53bc01be63849485baae786d4d66975134fe1d1a5101")
+
+
+def test_persist_load_roundtrip_full_inode_table():
+    layout = layout_for(256, ProtectionMode.PLAIN)
+    host = Host(new_image(256, ProtectionMode.PLAIN), SimClock())
+    store = BlockStore(HostInterface(host), layout, None, [None] * 256)
+    fs = make_fs(256, seed=9, max_files=8, max_file_blocks=6)
+    io = DictIo()
+    while True:
+        try:
+            fd = fs.create_file()
+        except SpaceError:
+            break
+        fs.file_write(io, fd, 0, bytes([fd]) * (fd * BLOCK_SIZE // 2 + 3))
+    gone = fs.files_with_flag(FLAG_REGULAR)[1]
+    fs.inodes[gone].flags = FLAG_DUMMY  # a stale flag must survive unlink
+    fs.unlink(gone)
+    assert all(ino.used for fd, ino in enumerate(fs.inodes) if fd != gone)
+    fs.persist(store)
+
+    again = BlockFs.load(store, RngTree(9).stream("layout"))
+    assert (again.n_blocks, again.max_files, again.max_file_blocks) == (256, 8, 6)
+    assert again.bitmap == fs.bitmap
+    assert again.free_blocks == fs.free_blocks
+    assert [(i.used, i.flags, i.size, i.block_map) for i in again.inodes] \
+        == [(i.used, i.flags, i.size, i.block_map) for i in fs.inodes]
+    assert again.inodes[gone].flags == FLAG_DUMMY
+    assert again.fsck() == []
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("itab_blocks", 0, "geometry"),
+    ("n_blocks", 128, "block count"),
+    ("max_files", 100_000, "geometry"),
+    ("max_files+itab_blocks", 100_000, "does not fit"),
+])
+def test_mount_rejects_hostile_superblock(field, value, reason):
+    # Refused from the superblock alone, before anything is sized by it.
+    offsets = {"n_blocks": (5, "<Q"), "itab_blocks": (25, "<I"),
+               "max_files": (29, "<I")}
+    image = bytearray(build_image(64, ProtectionMode.PLAIN, [b"x"], seed=1).image)
+    sb = layout_for(64, ProtectionMode.PLAIN).data_offset(0)
+    for name in field.split("+"):
+        off, fmt = offsets[name]
+        struct.pack_into(fmt, image, sb + off, value)
+    if field == "max_files+itab_blocks":
+        # Self-consistent region geometry that no 64-block image can hold.
+        entry = 14 + 4 * struct.unpack_from("<I", image, sb + 33)[0]
+        struct.pack_into("<I", image, sb + 25, -(-value * entry // BLOCK_SIZE))
+    with pytest.raises(ParameterError, match=reason):
+        mount(bytes(image), oblivious=False)
 
 
 def test_load_rejects_foreign_contents():

@@ -76,14 +76,6 @@ def test_dummy_flag_rides_into_trace():
     assert [e.dummy for e in iface.trace.events] == [True, False]
 
 
-def test_scheduled_time_stamps_events():
-    iface = make_iface()
-    with iface.scheduled_time(123_456):
-        iface.disk_read(0)
-    iface.disk_read(0)
-    assert [e.ts for e in iface.trace.events] == [123_456, 0]
-
-
 def test_net_write_enforces_mtu():
     iface = make_iface()
     with pytest.raises(SizeError):

@@ -92,12 +92,6 @@ def test_choice_draws_members_and_rejects_empty():
         rng.choice([])
 
 
-def test_system_backed_rng_works_unseeded():
-    rng = Rng(None)
-    assert len(rng.random_bytes(16)) == 16
-    assert 0 <= rng.randbelow(5) < 5
-
-
 def test_tree_streams_are_independent():
     one = RngTree(42)
     two = RngTree(42)
@@ -120,9 +114,3 @@ def test_tree_seeds_and_names_separate_streams():
 def test_tree_negative_seed_is_valid():
     t = RngTree(-7)
     assert len(t.stream("s").random_bytes(4)) == 4
-
-
-def test_unseeded_tree_gives_fresh_streams():
-    a = RngTree(None).stream("s").random_bytes(16)
-    b = RngTree(None).stream("s").random_bytes(16)
-    assert a != b

@@ -68,9 +68,10 @@ def test_idle_rounds_emit_full_padding():
     assert len({e.offset for e in trace.events}) > 1
 
 
-def test_events_stamped_at_scheduled_time():
+def test_events_stamped_at_round_time():
     store, sched = make_sched()
     run_rounds(sched, 5)
+    assert store.iface.host.clock.now() == 4 * sched.config.interval_ns
     by_ts = {}
     for e in store.iface.trace.events:
         by_ts.setdefault(e.ts, []).append(e.kind)
