@@ -9,7 +9,8 @@ physical adjacency from the moment an image is created.
 Two file roles exist: regular files carry data, and dummy-pad files
 reserve the blocks that padding traffic reads and writes; they are
 created at format time from a configurable fraction of the disk. The
-shuffle's scratch blocks (donors) are plain lists with no inode.
+shuffle's scratch space (donors) is plain lists of slots with no inode,
+each homed at a random free block when first used.
 
 The on-disk layout (superblock, bitmap, inode table) and the geometry
 rule ``load`` enforces are specified in FORMATS.md.
@@ -240,13 +241,30 @@ class BlockFs:
         fs.bitmap = bytearray(region[:(n_blocks + 7) // 8])
         entry = _inode_struct(max_file_blocks)
         itab = region[bmb * BLOCK_SIZE:bmb * BLOCK_SIZE + max_files * entry.size]
+        meta = fs.metadata_blocks
+        claimed: set[int] = set()
         for ino, (used, flags, size, _nblocks, *block_map) in zip(
                 fs.inodes, entry.iter_unpack(itab)):
             ino.used = bool(used)
             ino.flags = flags
             ino.size = size
-            if ino.used:
-                ino.block_map = [None if p == UNMAPPED else p for p in block_map]
+            if not ino.used:
+                continue
+            ino.block_map = [None if p == UNMAPPED else p for p in block_map]
+            # A used inode may map only data blocks that the bitmap marks
+            # used and that no other entry maps.
+            for p in block_map:
+                if p == UNMAPPED:
+                    continue
+                if not meta <= p < n_blocks:
+                    raise ParameterError(
+                        f"inode table maps block {p} outside the data region")
+                if p in claimed:
+                    raise ParameterError(f"inode table maps block {p} twice")
+                if not fs._bit(p):
+                    raise ParameterError(
+                        f"inode table maps block {p}, which the bitmap marks free")
+                claimed.add(p)
         for phys in range(n_blocks):
             if not fs._bit(phys):
                 fs._free_pos[phys] = len(fs._free)
@@ -363,26 +381,33 @@ class BlockFs:
 
     # Shuffle support ------------------------------------------------------
 
-    def move_extent(self, fd: int, donor: list[int], lblk: int) -> None:
-        """Exchange file ``fd``'s physical block at ``lblk`` with ``donor[lblk]``."""
+    def move_extent(self, fd: int, donor: list[int | None], lblk: int) -> None:
+        """Exchange file ``fd``'s physical block at ``lblk`` with
+        ``donor[lblk]``, first drawing that slot's home with
+        ``allocate_block`` if it has none yet."""
         phys = self.phys_of(fd, lblk)
         if not 0 <= lblk < len(donor):
             raise RangeError(f"donor has no block {lblk}")
+        if donor[lblk] is None:
+            donor[lblk] = self.allocate_block()
         self.inodes[fd].block_map[lblk], donor[lblk] = donor[lblk], phys
 
-    def create_donors(self, count: int, size_blocks: int) -> list[list[int]]:
-        """``count`` donors of ``size_blocks`` fresh blocks each, held
-        outside the inode table until ``unlink_all`` frees them."""
+    def create_donors(self, count: int, size_blocks: int) -> list[list[int | None]]:
+        """``count`` donors of ``size_blocks`` unhomed slots (``None``)
+        each. Nothing is allocated here: ``move_extent`` draws a slot's
+        home on first use, so only the slots a shuffle touches cost a
+        draw. The free pool must still be able to home every slot."""
         if count * size_blocks > self.free_blocks:
             raise SpaceError("not enough free blocks for donors")
-        return [[self.allocate_block() for _ in range(size_blocks)]
-                for _ in range(count)]
+        return [[None] * size_blocks for _ in range(count)]
 
     def unlink_all(self, donors) -> None:
-        """Return every donor block to the free pool, donor by donor."""
+        """Return every homed donor slot's block to the free pool, donor
+        by donor."""
         for donor in donors:
             for phys in donor:
-                self.free_block(phys)
+                if phys is not None:
+                    self.free_block(phys)
 
     # Consistency ------------------------------------------------------------
 

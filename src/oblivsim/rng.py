@@ -6,7 +6,14 @@ what makes a run reproducible is the caller supplying the seed, not a
 weaker algorithm.
 
 Layout, dummy-target, and shuffle decisions draw from named substreams
-so that adding draws to one subsystem never perturbs another. AEAD
+so that adding draws to one subsystem never perturbs another. An ``Rng``
+serves its draws from a byte buffer: when a request outruns it, the
+rest of the buffer is followed by one ``generate`` of ``_CHUNK`` bytes
+(or of what the request still lacks, if that is more). A stream of
+requests no larger than ``_CHUNK`` thus reads the concatenated outputs
+of ``generate(_CHUNK)``, and a draw costs a slice, not three HMACs.
+``_CHUNK`` is 8192 bits, far below SP 800-90A's 2**19-bit limit per
+request. AEAD
 nonces deliberately do NOT come from here; they are always fresh OS
 randomness, so two runs with the same seed produce identical traces but
 different ciphertexts.
@@ -45,14 +52,28 @@ class HmacDrbg:
         return out[:n]
 
 
+_CHUNK = 1024  # bytes per buffered generate
+
+
 class Rng:
     """Uniform sampling helpers over one seeded generator."""
 
     def __init__(self, seed_material: bytes):
         self._drbg = HmacDrbg(seed_material)
+        self._buf = b""
+        self._pos = 0
+
+    def _take(self, n: int) -> bytes:
+        if self._pos + n > len(self._buf):
+            head = self._buf[self._pos:]
+            self._buf = head + self._drbg.random_bytes(max(n - len(head), _CHUNK))
+            self._pos = 0
+        out = self._buf[self._pos:self._pos + n]
+        self._pos += n
+        return out
 
     def random_bytes(self, n: int) -> bytes:
-        return self._drbg.random_bytes(n)
+        return self._take(n)
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n). Rejection sampling, no modulo bias."""
@@ -61,7 +82,7 @@ class Rng:
         nbytes = (n.bit_length() + 7) // 8
         limit = (256**nbytes // n) * n
         while True:
-            x = int.from_bytes(self._drbg.random_bytes(nbytes), "big")
+            x = int.from_bytes(self._take(nbytes), "big")
             if x < limit:
                 return x % n
 

@@ -12,13 +12,24 @@ batched round cadence:
 * the write slot lands the block, freshly re-encrypted, at its new
   home.
 
-New homes come from donors: groups of ``max_blk`` blocks allocated at
-uniformly random free blocks, one per ``max_blk`` free blocks, held in
-memory and never in the inode table. A donor is picked uniformly among
-those with an untouched slot at the needed logical index (falling back
-to reuse when files outnumber donors; the swapped-out block a reused
-slot holds has already been rehomed, so the chain stays consistent).
-The donors' final blocks return to the free pool, even on failure.
+New homes come from donors: groups of ``max_blk`` slots, one per
+``max_blk`` free blocks, held in memory and never in the inode table. A
+donor is picked uniformly among those with an untouched slot at the
+needed logical index (falling back to reuse when files outnumber
+donors; the swapped-out block a reused slot holds has already been
+rehomed, so the chain stays consistent). The donors' final blocks
+return to the free pool, even on failure.
+
+Homes are drawn on first use: a slot gets its uniformly random free
+block only when a swap first touches it, so a shuffle makes one layout
+draw per swap that is not a donor reuse, not one per donor slot. The
+placement distribution is the one eager homes would give. Eagerly, the
+touched slots hold a uniform sample without replacement from the free
+pool at shuffle start. Lazily, each first touch draws uniformly from
+that same pool minus the homes already drawn (vacated blocks sit in
+their donor slot, not in the pool, until the donors are freed), which
+is the same sample drawn one element at a time. The shuffle stream's
+draws do not depend on the homes, so the slot sequence is unchanged.
 
 Each source block is read at most once, and the observable pattern is a
 function of (num_shuff_blk, num_donors, cache occupancy) only, never of

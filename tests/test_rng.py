@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oblivsim import Rng, RngTree
-from oblivsim.rng import HmacDrbg
+from oblivsim.rng import _CHUNK, HmacDrbg
 
 
 class _DrbgOracle:
@@ -48,6 +48,43 @@ def test_drbg_matches_independent_transcript():
     oracle = _DrbgOracle(seed)
     for n in (1, 32, 33, 100, 7):
         assert drbg.random_bytes(n) == oracle.generate(n)
+
+
+def test_buffered_draws_read_the_chunked_generate_stream():
+    # Rng serves draws from buffered generate(_CHUNK) calls: odd-sized
+    # requests and randbelow draws that straddle a chunk boundary must
+    # read the oracle's concatenated chunks byte for byte.
+    seed = b"chunked stream seed"
+    rng = Rng(seed)
+    oracle = _DrbgOracle(seed)
+    stream = bytearray()
+    pos = 0
+
+    def take(n):
+        nonlocal pos
+        while len(stream) < pos + n:
+            stream.extend(oracle.generate(_CHUNK))
+        pos += n
+        return bytes(stream[pos - n:pos])
+
+    for n in (1, 7, 333, 1000, 3, 511, 77, 13):
+        assert rng.random_bytes(n) == take(n)
+    # randbelow(n) with n just above 2**23 reads 3 bytes per try and
+    # rejects about half of them; 3 does not divide _CHUNK, so tries
+    # cross chunk boundaries mid-draw.
+    n = 2**23 + 1
+    limit = (256**3 // n) * n
+    for _ in range(1500):
+        while (x := int.from_bytes(take(3), "big")) >= limit:
+            pass
+        assert rng.randbelow(n) == x % n
+    assert pos > 4 * _CHUNK
+    # A request larger than a chunk drains the buffer, then gets one
+    # generate of its own size; the chunked stream resumes after it.
+    head = take(len(stream) - pos)
+    big = len(head) + 2 * _CHUNK + 5
+    assert rng.random_bytes(big) == head + oracle.generate(big - len(head))
+    assert rng.random_bytes(9) == oracle.generate(_CHUNK)[:9]
 
 
 def test_drbg_is_deterministic_and_seed_sensitive():

@@ -193,6 +193,38 @@ def test_one_block_file_shuffles_on_a_default_geometry_image():
     assert m.fs.fsck() == []
 
 
+def _count_allocations(fs):
+    calls = []
+    allocate = fs.allocate_block
+
+    def counted():
+        calls.append(None)
+        return allocate()
+
+    fs.allocate_block = counted
+    return calls
+
+
+def test_shuffle_draws_one_home_per_fresh_donor_slot():
+    # Homes are drawn on first use, so only swaps into untouched slots
+    # cost a layout draw, however many donors the plan holds.
+    fs, io, fds = make_world(sizes=(4, 4), filler=41)
+    calls = _count_allocations(fs)
+    stats = oblivious_shuffle(fs, io, RngTree(6).stream("shuffle"), fds)
+    assert (stats.swaps, stats.donor_reuses) == (8, 4)
+    assert len(calls) == stats.swaps - stats.donor_reuses
+
+    bundle = build_image(4096, ProtectionMode.CRYPT_INTEGRITY, [b"x"],
+                         seed=3, key=DEFAULT_KEY)
+    m = mount(bundle, seed=3)
+    calls = _count_allocations(m.fs)
+    stats = m.engine.shuffle_now()
+    assert stats.plan.num_donors > 3000
+    assert (stats.swaps, stats.donor_reuses) == (1, 0)
+    assert len(calls) == 1
+    assert m.fs.fsck() == []
+
+
 def test_tampered_read_mid_shuffle_returns_the_donors(small):
     fd = small.engine.regular_fd(0)
     phys = small.fs.phys_of(fd, 5)
