@@ -20,6 +20,7 @@ region) is specified in FORMATS.md.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import os
 import struct
@@ -44,6 +45,7 @@ HASH_NONE = 0
 HASH_SHA256 = 1
 
 _HEADER = struct.Struct("<5sIQBBB")
+_ZERO_BLOCK = bytes(BLOCK_SIZE)
 
 
 class ProtectionMode(enum.Enum):
@@ -94,6 +96,13 @@ def _aad(phys: int, version: int) -> bytes:
     return struct.pack(">QQ", phys, version)
 
 
+@functools.lru_cache(maxsize=8)
+def _cipher(key: bytes) -> AESGCM:
+    """One AEAD object per key: building ``AESGCM(key)`` costs as much
+    as sealing a block. A mount uses one key, so a few entries suffice."""
+    return AESGCM(key)
+
+
 def seal_block(key: bytes, phys: int, plaintext: bytes,
                freshness: FreshnessTable) -> EncryptedBlock:
     """Encrypt one block for physical slot ``phys``.
@@ -108,7 +117,7 @@ def seal_block(key: bytes, phys: int, plaintext: bytes,
         raise SizeError("plaintext must be exactly one block")
     version = freshness.bump(phys)
     nonce = os.urandom(NONCE_RANDOM) + version.to_bytes(NONCE_SIZE - NONCE_RANDOM, "big")
-    sealed = AESGCM(key).encrypt(nonce, plaintext, _aad(phys, version))
+    sealed = _cipher(key).encrypt(nonce, plaintext, _aad(phys, version))
     return EncryptedBlock(nonce, sealed[:-TAG_SIZE], sealed[-TAG_SIZE:])
 
 
@@ -130,7 +139,7 @@ def open_block(key: bytes, phys: int, enc: EncryptedBlock,
         raise ReplayError(
             f"block {phys}: version {version} != expected {freshness.version_of(phys)}")
     try:
-        return AESGCM(key).decrypt(
+        return _cipher(key).decrypt(
             enc.nonce, enc.ciphertext + enc.tag, _aad(phys, version))
     except InvalidTag as exc:
         raise IntegrityError(f"block {phys}: tag check failed") from exc
@@ -402,8 +411,15 @@ class BlockStore:
         self.iface.disk_read(self.layout.data_offset(phys), dummy=True)
 
     def dummy_write(self, phys: int) -> None:
-        """Overwrite a sacrificial block with fresh sealed noise."""
-        self.write_block(phys, os.urandom(BLOCK_SIZE), dummy=True)
+        """Overwrite a sacrificial block with a freshly sealed zero block.
+
+        On encrypted images each seal draws a fresh nonce and bumps the
+        block's version, and under AES-256-GCM the sealed zeros cannot be
+        told from sealed noise, so nothing is lost by skipping the random
+        plaintext. On PLAIN images the pad block then holds zeros; PLAIN
+        hides nothing, and oblivious runs refuse it.
+        """
+        self.write_block(phys, _ZERO_BLOCK, dummy=True)
 
     # Sealing and persistence -------------------------------------------
 

@@ -243,17 +243,25 @@ class BlockFs:
         itab = region[bmb * BLOCK_SIZE:bmb * BLOCK_SIZE + max_files * entry.size]
         meta = fs.metadata_blocks
         claimed: set[int] = set()
-        for ino, (used, flags, size, _nblocks, *block_map) in zip(
-                fs.inodes, entry.iter_unpack(itab)):
+        for fd, (ino, (used, flags, size, _nblocks, *block_map)) in enumerate(zip(
+                fs.inodes, entry.iter_unpack(itab))):
             ino.used = bool(used)
             ino.flags = flags
             ino.size = size
             if not ino.used:
                 continue
             ino.block_map = [None if p == UNMAPPED else p for p in block_map]
-            # A used inode may map only data blocks that the bitmap marks
-            # used and that no other entry maps.
-            for p in block_map:
+            # Files have no holes (file_write refuses them): a used inode
+            # maps exactly its first ceil(size / BLOCK_SIZE) entries, each
+            # a data block that the bitmap marks used and that no other
+            # entry maps.
+            nblocks = ino.nblocks
+            if nblocks > max_file_blocks:
+                raise ParameterError(f"file {fd}: size exceeds the per-file block limit")
+            for lblk, p in enumerate(block_map):
+                if (p == UNMAPPED) != (lblk >= nblocks):
+                    raise ParameterError(
+                        f"file {fd}: size disagrees with the block map at block {lblk}")
                 if p == UNMAPPED:
                     continue
                 if not meta <= p < n_blocks:

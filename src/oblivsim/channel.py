@@ -12,11 +12,13 @@ Every frame on the wire is exactly MTU bytes::
 
 The counter is associated data (and feeds the nonce); inner_len and the
 payload are encrypted, so observable length is always the MTU. Padding
-frames carry inner_len 0 and random pad bytes; receivers decrypt,
-notice the empty payload and drop them. Received counters pass a
-64-wide sliding replay window: duplicates inside the window and
-counters that fell off the back are both rejected, each with its own
-error.
+frames carry inner_len 0 and a zero pad inside the AEAD, as real frames
+pad short payloads. Each frame has its own counter and so its own
+nonce, so a padding frame is as unreadable and as distinct on the wire
+as a real one. Receivers decrypt, notice the empty payload and drop
+them. Received counters pass a 64-wide sliding replay window:
+duplicates inside the window and counters that fell off the back are
+both rejected, each with its own error.
 
 Provisioning: the first established session is the trust root. A
 provisioning record (disk key, verity root, peer list, command line)
@@ -26,7 +28,6 @@ is stubbed; anything provisioned is marked "unverified".
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -164,9 +165,9 @@ class PeerSession:
         return self._seal(len(payload), body)
 
     def seal_dummy(self) -> bytes:
-        """Padding frame: empty payload, random filler."""
+        """Padding frame: empty payload, zero filler under the AEAD."""
         self.sent_dummy += 1
-        return self._seal(0, os.urandom(max_payload(self.mtu)))
+        return self._seal(0, bytes(max_payload(self.mtu)))
 
     def open_packet(self, frame: bytes) -> bytes:
         if len(frame) != self.mtu:
@@ -236,8 +237,12 @@ class ProvisioningSecrets:
 
     @classmethod
     def decode(cls, raw: bytes) -> "ProvisioningSecrets":
+        """Inverse of ``encode``; any malformed record raises
+        ParameterError."""
         if raw[:4] != PROV_MAGIC:
             raise ParameterError("not a provisioning record")
+        if len(raw) < 5:
+            raise ParameterError("truncated provisioning record")
         if raw[4] != PROV_VERSION:
             raise ParameterError(f"unsupported record version {raw[4]}")
         pos = 5
@@ -253,18 +258,24 @@ class ProvisioningSecrets:
         def lv() -> bytes:
             return take(struct.unpack(">H", take(2))[0])
 
+        def text() -> str:
+            try:
+                return lv().decode()
+            except UnicodeDecodeError as exc:
+                raise ParameterError("provisioning record text is not UTF-8") from exc
+
         disk_key = lv() or None
         root = lv() or None
         n_peers = struct.unpack(">H", take(2))[0]
         peers = []
         for _ in range(n_peers):
             pub = take(32)
-            addr = lv().decode()
+            addr = text()
             rate = struct.unpack(">Q", take(8))[0]
             peers.append(PeerIdentity(pub, addr, rate))
-        exec_path = lv().decode()
+        exec_path = text()
         n_args = struct.unpack(">H", take(2))[0]
-        args = tuple(lv().decode() for _ in range(n_args))
+        args = tuple(text() for _ in range(n_args))
         return cls(disk_key, root, tuple(peers), exec_path, args)
 
 

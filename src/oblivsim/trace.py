@@ -1,11 +1,13 @@
 """Host-call trace: the adversary's view of the enclave.
 
-Every crossing of the host boundary appends one event. An event carries
-only what an observer on the untrusted side can see: when the call
-happened, which of the seven calls it was, the disk offset (or peer
-endpoint index for network calls), and the payload length. The
-``dummy`` flag is ground truth for tests and is never considered part
-of the observable record; export omits it unless explicitly asked.
+Every crossing of the host boundary appends one event, an immutable
+``NamedTuple`` (cheaper to build than a frozen dataclass, and this runs
+on every host call). An event carries only what an observer on the
+untrusted side can see: when the call happened, which of the seven
+calls it was, the disk offset (or peer endpoint index for network
+calls), and the payload length. The ``dummy`` flag is ground truth for
+tests and is never considered part of the observable record; export
+omits it unless explicitly asked.
 
 Export format (one event per line, fixed field order)::
 
@@ -18,6 +20,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from .errors import ParameterError
 
 
 class CallKind(enum.Enum):
@@ -33,8 +38,7 @@ class CallKind(enum.Enum):
 _KIND_BY_NAME = {k.value: k for k in CallKind}
 
 
-@dataclass(frozen=True)
-class HostCallEvent:
+class HostCallEvent(NamedTuple):
     ts: int  # simulated nanoseconds
     kind: CallKind
     offset: int  # disk byte offset; peer endpoint index for net calls
@@ -85,7 +89,8 @@ class HostTrace:
 def parse_trace(text: str, meta: dict | None = None) -> HostTrace:
     """Parse an exported trace back into a HostTrace.
 
-    Accepts both the plain and the ground-truth form.
+    Accepts both the plain and the ground-truth form. A malformed line
+    raises ParameterError.
     """
     trace = HostTrace(meta=dict(meta or {}))
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -94,12 +99,17 @@ def parse_trace(text: str, meta: dict | None = None) -> HostTrace:
             continue
         parts = line.split(",")
         if len(parts) not in (4, 5):
-            raise ValueError(f"trace line {lineno}: expected 4 or 5 fields")
+            raise ParameterError(f"trace line {lineno}: expected 4 or 5 fields")
         kind = _KIND_BY_NAME.get(parts[1])
         if kind is None:
-            raise ValueError(f"trace line {lineno}: unknown call kind {parts[1]!r}")
+            raise ParameterError(
+                f"trace line {lineno}: unknown call kind {parts[1]!r}")
+        if len(parts) == 5 and parts[4] not in ("0", "1"):
+            raise ParameterError(f"trace line {lineno}: dummy flag must be 0 or 1")
+        try:
+            ts, offset, length = int(parts[0]), int(parts[2]), int(parts[3])
+        except ValueError as exc:
+            raise ParameterError(f"trace line {lineno}: non-integer field") from exc
         dummy = len(parts) == 5 and parts[4] == "1"
-        trace.events.append(
-            HostCallEvent(int(parts[0]), kind, int(parts[2]), int(parts[3]), dummy)
-        )
+        trace.events.append(HostCallEvent(ts, kind, offset, length, dummy))
     return trace

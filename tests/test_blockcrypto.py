@@ -4,6 +4,7 @@ independently computed ciphertexts and roots."""
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 
 import pytest
@@ -30,6 +31,7 @@ from oblivsim import (
     open_block,
     seal_block,
 )
+from oblivsim import blockcrypto
 from oblivsim.blockcrypto import (
     NONCE_RANDOM,
     NONCE_SIZE,
@@ -304,6 +306,34 @@ def test_dummy_traffic_shape():
     assert all(e.dummy for e in store.iface.trace.events)
     assert len(store.iface.trace.of_kind(CallKind.DISK_READ)) == 1
     assert len(store.iface.trace.of_kind(CallKind.DISK_WRITE)) == 1
+
+
+def test_dummy_writes_seal_zeros_under_fresh_nonces():
+    store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
+    off = store.layout.data_offset(3)
+    seen = []
+    for _ in range(2):
+        store.dummy_write(3)
+        seen.append((bytes(host.image[off:off + BLOCK_SIZE]), store.slots[3]))
+    (first_ct, first_slot), (second_ct, second_slot) = seen
+    assert first_ct != second_ct and first_slot != second_slot
+    assert store.freshness.version_of(3) == 2
+    assert store.read_block(3) == bytes(BLOCK_SIZE)
+
+
+def test_one_aead_object_per_key(monkeypatch):
+    built = []
+
+    def counting(key):
+        built.append(key)
+        return AESGCM(key)
+
+    monkeypatch.setattr(blockcrypto, "AESGCM", counting)
+    key = os.urandom(32)  # never used before, so nothing is cached for it
+    fresh = FreshnessTable()
+    for phys in range(50):
+        assert open_block(key, phys, seal_block(key, phys, PLAIN, fresh), fresh) == PLAIN
+    assert built == [key]
 
 
 def test_verity_seal_and_verify_cycle():

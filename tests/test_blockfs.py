@@ -319,14 +319,17 @@ def test_mount_rejects_hostile_superblock(field, value, reason):
         mount(bytes(image), oblivious=False)
 
 
-def _itab_pos(image, store, fd, lblk):
-    """Image offset of the map entry for ``(fd, lblk)`` in the inode table."""
+_SIZE_AT = 2  # byte offsets within an inode-table entry
+_MAP_AT = 14
+
+
+def _itab_pos(image, store, fd, at):
+    """Image offset of byte ``at`` of file ``fd``'s inode-table entry."""
     sb = store.layout.data_offset(0)
     itab_start, = struct.unpack_from("<I", image, sb + 21)
     max_file_blocks, = struct.unpack_from("<I", image, sb + 33)
-    entry = 14 + 4 * max_file_blocks
-    blk, within = divmod(itab_start * BLOCK_SIZE + fd * entry + 14 + 4 * lblk,
-                         BLOCK_SIZE)
+    entry = _MAP_AT + 4 * max_file_blocks
+    blk, within = divmod(itab_start * BLOCK_SIZE + fd * entry + at, BLOCK_SIZE)
     return store.layout.data_offset(blk) + within
 
 
@@ -344,7 +347,24 @@ def test_mount_rejects_hostile_inode_table(target, reason):
     phys = {"other file": m.fs.phys_of(one, 0), "superblock": 0,
             "past the end": 64, "free block": m.fs._free[0]}[target]
     image = bytearray(bundle.image)
-    struct.pack_into("<I", image, _itab_pos(image, m.store, two, 0), phys)
+    struct.pack_into("<I", image, _itab_pos(image, m.store, two, _MAP_AT), phys)
+    with pytest.raises(ParameterError, match=reason):
+        mount(bytes(image), oblivious=False)
+
+
+@pytest.mark.parametrize("blocks, reason", [
+    (5, "size disagrees"), (0, "size disagrees"), (65, "per-file block limit"),
+])
+def test_mount_rejects_size_that_disagrees_with_the_block_map(blocks, reason):
+    # File 2 maps one block; a size claiming more would make every later
+    # shuffle fail on the unmapped tail, a size of 0 hides a mapped block.
+    bundle = build_image(64, ProtectionMode.PLAIN,
+                         [b"\x01" * BLOCK_SIZE, b"\x02" * BLOCK_SIZE], seed=4)
+    m = mount(bundle.image, oblivious=False)
+    two = m.engine.regular_fd(1)
+    image = bytearray(bundle.image)
+    struct.pack_into("<Q", image, _itab_pos(image, m.store, two, _SIZE_AT),
+                     blocks * BLOCK_SIZE)
     with pytest.raises(ParameterError, match=reason):
         mount(bytes(image), oblivious=False)
 

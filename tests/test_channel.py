@@ -102,6 +102,17 @@ def test_dummy_frames_are_decrypted_and_dropped():
     assert b2a.window.max_seen == 2
 
 
+def test_dummy_frames_are_zero_padded_and_distinct_on_the_wire():
+    a2b, b2a = pair()
+    ab_key, _ = reference_keys()
+    first, second = a2b.seal_dummy(), a2b.seal_dummy()
+    assert first != second and first[8:] != second[8:]
+    for frame in (first, second):
+        inner = AESGCM(ab_key).decrypt(b"\x00" * 4 + frame[:8], frame[8:], frame[:8])
+        assert inner == bytes(2 + max_payload())  # inner_len 0, zero pad
+    assert b2a.open_packet(first) == b"" and b2a.open_packet(second) == b""
+
+
 def test_replayed_frame_is_rejected():
     a2b, b2a = pair()
     frame = a2b.seal_packet(b"once")
@@ -242,6 +253,23 @@ def test_provisioning_record_rejects_garbage():
         ProvisioningSecrets.decode(good[:-3])
     with pytest.raises(ParameterError):
         ProvisioningSecrets(peers=(PeerIdentity(b"tiny"),)).encode()
+
+
+def test_provisioning_record_cut_after_its_magic_is_rejected():
+    with pytest.raises(ParameterError, match="truncated"):
+        ProvisioningSecrets.decode(b"OBPV")
+
+
+@pytest.mark.parametrize("field", ["address", "exec_path", "exec_args"])
+def test_provisioning_record_rejects_text_that_is_not_utf8(field):
+    text = {"address": "", "exec_path": "", "exec_args": ""}
+    text[field] = "\u00e9"  # UTF-8 c3 a9, patched below to ff fe
+    record = ProvisioningSecrets(
+        peers=(PeerIdentity(b"\x01" * 32, text["address"]),),
+        exec_path=text["exec_path"], exec_args=(text["exec_args"],)).encode()
+    assert record.count(b"\xc3\xa9") == 1
+    with pytest.raises(ParameterError, match="UTF-8"):
+        ProvisioningSecrets.decode(record.replace(b"\xc3\xa9", b"\xff\xfe"))
 
 
 def test_provisioning_only_from_the_first_peer():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from oblivsim import CallKind, HostCallEvent, HostTrace, parse_trace
+from oblivsim import CallKind, HostCallEvent, HostTrace, ParameterError, parse_trace
 
 kinds = st.sampled_from(list(CallKind))
 events = st.builds(
@@ -20,6 +20,15 @@ def test_line_format():
     e = HostCallEvent(100_000, CallKind.DISK_READ, 8192, 4096, dummy=True)
     assert e.line() == "100000,disk_read,8192,4096"
     assert e.line(ground_truth=True) == "100000,disk_read,8192,4096,1"
+
+
+def test_events_are_immutable_and_keep_their_line_format():
+    e = HostCallEvent(7, CallKind.NET_WRITE, 2, 1500)
+    with pytest.raises(AttributeError):
+        e.ts = 8
+    assert e.ts == 7 and e.dummy is False
+    assert e.line() == "7,net_write,2,1500"
+    assert e.line(ground_truth=True) == "7,net_write,2,1500,0"
 
 
 def test_record_respects_stop_and_reset():
@@ -73,9 +82,19 @@ def test_parse_skips_blank_lines_and_keeps_meta():
 
 
 def test_parse_rejects_malformed_lines():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         parse_trace("0,disk_read,0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         parse_trace("0,disk_levitate,0,4096\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         parse_trace("0,disk_read,0,4096,1,9\n")
+    with pytest.raises(ParameterError, match="dummy flag"):
+        parse_trace("0,disk_read,0,4096,2\n")
+
+
+@pytest.mark.parametrize("line", [
+    "x,disk_read,0,4096", "0,disk_read,0x10,4096", "0,disk_read,0,4.5",
+])
+def test_parse_rejects_non_integer_fields(line):
+    with pytest.raises(ParameterError, match="non-integer"):
+        parse_trace(line + "\n")
