@@ -22,7 +22,6 @@ from .blockcrypto import (
     BlockStore,
     FreshnessTable,
     ProtectionMode,
-    VerityTree,
     layout_for,
     new_image,
     open_block,

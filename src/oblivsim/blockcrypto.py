@@ -1,9 +1,8 @@
 """Block protection and the image container format.
 
 Four protection modes cover the usual storage trust levels: PLAIN
-(nothing), VERITY (read-only integrity from a hash tree whose root
-lives in trusted memory), CRYPT (confidentiality) and CRYPT_INTEGRITY
-(confidentiality plus tamper and replay detection).
+(nothing), VERITY (read-only integrity), CRYPT (confidentiality) and
+CRYPT_INTEGRITY (confidentiality plus tamper and replay detection).
 
 Encrypted blocks use an AEAD (AES-256-GCM) with a fresh random nonce
 per write, so two writes of the same plaintext never repeat on disk,
@@ -11,10 +10,15 @@ and with the physical block index bound as associated data, so a
 ciphertext presented at the wrong slot fails to open. The per-block
 write counter rides in the low 8 bytes of the 24-byte nonce; a counter
 that disagrees with the in-memory freshness table is reported as a
-replay, distinct from a tag failure.
+replay, distinct from a tag failure. A VERITY block's slot holds the
+SHA-256 of its plaintext instead.
 
-The image container layout (header, slot region, verity region, data
-region) is specified in FORMATS.md.
+Both integrity modes rest on one trusted root, the SHA-256 of the
+header block and the whole slot region: ``persist_metadata`` returns
+it, and a mount given it refuses any other header or slot region, so
+neither a stale slot nor another image's metadata gets past it.
+
+The container layout (header, slot region, data) is in FORMATS.md.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
+import hmac
 import os
 import struct
 from dataclasses import dataclass
@@ -46,6 +51,7 @@ HASH_SHA256 = 1
 
 _HEADER = struct.Struct("<5sIQBBB")
 _ZERO_BLOCK = bytes(BLOCK_SIZE)
+_ZERO_SLOT = bytes(SLOT_SIZE)
 
 
 class ProtectionMode(enum.Enum):
@@ -146,92 +152,6 @@ def open_block(key: bytes, phys: int, enc: EncryptedBlock,
 
 
 # ---------------------------------------------------------------------------
-# Read-only integrity: hash tree over plaintext blocks.
-# ---------------------------------------------------------------------------
-
-_ZERO_DIGEST = b"\x00" * 32
-
-
-class VerityTree:
-    """Binary SHA-256 tree over the data blocks.
-
-    Leaves are padded to a power of two with zero digests. Only the
-    root needs trusted storage; the full node set lives in the image
-    (untrusted) and is used to recompute a path on every read.
-    """
-
-    def __init__(self, levels: list[list[bytes]], n_blocks: int):
-        self.levels = levels
-        self.n_blocks = n_blocks
-
-    @property
-    def root(self) -> bytes:
-        return self.levels[-1][0]
-
-    @classmethod
-    def build(cls, blocks) -> "VerityTree":
-        leaves = [hashlib.sha256(b).digest() for b in blocks]
-        n = len(leaves)
-        padded = 1
-        while padded < max(n, 1):
-            padded *= 2
-        leaves += [_ZERO_DIGEST] * (padded - n)
-        levels = [leaves]
-        while len(levels[-1]) > 1:
-            prev = levels[-1]
-            levels.append([
-                hashlib.sha256(prev[i] + prev[i + 1]).digest()
-                for i in range(0, len(prev), 2)
-            ])
-        return cls(levels, n)
-
-    def path_root(self, index: int, block: bytes) -> bytes:
-        """Root implied by ``block`` at leaf ``index`` and the stored
-        sibling nodes."""
-        if not (0 <= index < len(self.levels[0])):
-            raise ParameterError(f"leaf {index} out of range")
-        digest = hashlib.sha256(block).digest()
-        for level in self.levels[:-1]:
-            sibling = level[index ^ 1]
-            if index % 2 == 0:
-                digest = hashlib.sha256(digest + sibling).digest()
-            else:
-                digest = hashlib.sha256(sibling + digest).digest()
-            index //= 2
-        return digest
-
-    def serialize(self) -> bytes:
-        out = [struct.pack("<QQ", self.n_blocks, len(self.levels[0]))]
-        for level in self.levels:
-            out.extend(level)
-        return b"".join(out)
-
-    @classmethod
-    def deserialize(cls, data: bytes) -> "VerityTree":
-        n_blocks, padded = struct.unpack_from("<QQ", data, 0)
-        pos = 16
-        levels = []
-        width = padded
-        while True:
-            level = [data[pos + 32 * i:pos + 32 * (i + 1)] for i in range(width)]
-            pos += 32 * width
-            levels.append(level)
-            if width == 1:
-                break
-            width //= 2
-        return cls(levels, n_blocks)
-
-    def serialized_size(self) -> int:
-        return 16 + 32 * sum(len(lv) for lv in self.levels)
-
-
-def verify_verity(tree: VerityTree, trusted_root: bytes, phys: int,
-                  block: bytes) -> None:
-    if tree.path_root(phys, block) != trusted_root:
-        raise IntegrityError(f"block {phys}: hash path does not reach trusted root")
-
-
-# ---------------------------------------------------------------------------
 # Image container.
 # ---------------------------------------------------------------------------
 
@@ -239,18 +159,9 @@ def _blocks_for(nbytes: int) -> int:
     return (nbytes + BLOCK_SIZE - 1) // BLOCK_SIZE
 
 
-def _verity_tree_bytes(n_blocks: int) -> int:
-    padded = 1
-    while padded < max(n_blocks, 1):
-        padded *= 2
-    total = 0
-    width = padded
-    while True:
-        total += width
-        if width == 1:
-            break
-        width //= 2
-    return 16 + 32 * total
+def _verity_slot(block: bytes) -> bytes:
+    """A VERITY block's slot: its SHA-256, then zeros."""
+    return hashlib.sha256(block).digest() + bytes(SLOT_SIZE - 32)
 
 
 @dataclass(frozen=True)
@@ -258,11 +169,10 @@ class ImageLayout:
     n_blocks: int
     mode: ProtectionMode
     slot_blocks: int
-    verity_blocks: int
 
     @property
     def data_start_block(self) -> int:
-        return 1 + self.slot_blocks + self.verity_blocks
+        return 1 + self.slot_blocks
 
     @property
     def total_bytes(self) -> int:
@@ -271,75 +181,69 @@ class ImageLayout:
     def slot_region_offset(self) -> int:
         return BLOCK_SIZE
 
-    def verity_region_offset(self) -> int:
-        return (1 + self.slot_blocks) * BLOCK_SIZE
-
     def data_offset(self, phys: int) -> int:
         if not (0 <= phys < self.n_blocks):
             raise ParameterError(f"physical block {phys} out of range")
         return (self.data_start_block + phys) * BLOCK_SIZE
 
+    def header_block(self) -> bytes:
+        """The header block exactly as written: fields, then zeros."""
+        aead = AEAD_AES256GCM if self.mode.encrypted else AEAD_NONE
+        hashid = HASH_SHA256 if self.mode is ProtectionMode.VERITY else HASH_NONE
+        fields = _HEADER.pack(MAGIC, BLOCK_SIZE, self.n_blocks, self.mode.value,
+                              aead, hashid)
+        return fields + bytes(BLOCK_SIZE - len(fields))
+
 
 def layout_for(n_blocks: int, mode: ProtectionMode) -> ImageLayout:
-    slot_blocks = _blocks_for(n_blocks * SLOT_SIZE)
-    verity_blocks = 0
-    if mode is ProtectionMode.VERITY:
-        verity_blocks = _blocks_for(_verity_tree_bytes(n_blocks))
-    return ImageLayout(n_blocks, mode, slot_blocks, verity_blocks)
+    return ImageLayout(n_blocks, mode, _blocks_for(n_blocks * SLOT_SIZE))
 
 
 def new_image(n_blocks: int, mode: ProtectionMode) -> bytearray:
     """Fresh zeroed image with a written header."""
     layout = layout_for(n_blocks, mode)
     image = bytearray(layout.total_bytes)
-    aead = AEAD_AES256GCM if mode.encrypted else AEAD_NONE
-    hashid = HASH_SHA256 if mode is ProtectionMode.VERITY else HASH_NONE
-    _HEADER.pack_into(image, 0, MAGIC, BLOCK_SIZE, n_blocks, mode.value, aead, hashid)
+    image[:BLOCK_SIZE] = layout.header_block()
     return image
 
 
 def parse_header(block: bytes) -> ImageLayout:
-    magic, bs, n_blocks, mode_v, aead, hashid = _HEADER.unpack_from(block, 0)
+    magic, _bs, n_blocks, mode_v, _aead, _hash = _HEADER.unpack_from(block, 0)
     if magic != MAGIC:
         raise ParameterError("not a recognized image (bad magic)")
-    if bs != BLOCK_SIZE:
-        raise ParameterError(f"unsupported block size {bs}")
     try:
         mode = ProtectionMode(mode_v)
     except ValueError as exc:
         raise ParameterError(f"unknown protection mode {mode_v}") from exc
-    if mode.encrypted and aead != AEAD_AES256GCM:
-        raise ParameterError(f"unknown AEAD id {aead}")
-    if mode is ProtectionMode.VERITY and hashid != HASH_SHA256:
-        raise ParameterError(f"unknown hash id {hashid}")
-    return layout_for(n_blocks, mode)
+    layout = layout_for(n_blocks, mode)
+    if block != layout.header_block():
+        raise ParameterError(f"header fields or padding do not fit a {mode.name} image")
+    return layout
 
 
 class BlockStore:
     """A mounted image: typed block reads/writes over the host boundary.
 
-    Holds the key, the slot cache, the freshness table and (for verity)
-    the trusted root. All byte traffic with the image goes through the
-    host interface; per-block metadata is cached in trusted memory and
-    persisted in bulk by persist_metadata().
+    Holds the key, the slot cache and the freshness table. All byte
+    traffic with the image goes through the host interface; per-block
+    metadata is cached in trusted memory and persisted in bulk by
+    persist_metadata(), which returns the image's trusted root.
     """
 
     def __init__(self, iface: HostInterface, layout: ImageLayout,
                  key: bytes | None, slots: list[bytes | None],
-                 verity: VerityTree | None = None,
-                 trusted_root: bytes | None = None):
+                 sealed: bool = False):
         self.iface = iface
         self.layout = layout
         self.key = key
         self.slots = slots
-        self.verity = verity
-        self.trusted_root = trusted_root
         self.freshness = FreshnessTable()
-        self.sealed = verity is not None
-        for phys, slot in enumerate(slots):
-            if slot is not None:
-                version = int.from_bytes(slot[NONCE_RANDOM:NONCE_SIZE], "big")
-                self.freshness.restore(phys, version)
+        self.sealed = sealed
+        if layout.mode.encrypted:
+            for phys, slot in enumerate(slots):
+                if slot is not None:
+                    version = int.from_bytes(slot[NONCE_RANDOM:NONCE_SIZE], "big")
+                    self.freshness.restore(phys, version)
 
     @property
     def mode(self) -> ProtectionMode:
@@ -354,27 +258,33 @@ class BlockStore:
     @classmethod
     def mount(cls, iface: HostInterface, key: bytes | None = None,
               trusted_root: bytes | None = None) -> "BlockStore":
-        layout = parse_header(iface.disk_read(0))
+        """Mount the image behind ``iface``.
+
+        Given ``trusted_root``, whatever mode the header claims, the
+        header and the slot region must hash to it before any slot is
+        used; a mismatch means the host presented other or older
+        metadata and raises ReplayError. VERITY images require a root.
+        """
+        header = iface.disk_read(0)
+        layout = parse_header(header)
         if layout.mode.encrypted and (key is None or len(key) != KEY_SIZE):
             raise ParameterError("this image requires a 32-byte key")
+        if layout.mode is ProtectionMode.VERITY and trusted_root is None:
+            raise ParameterError("verity images require the trusted root hash")
         raw = b"".join(
             iface.disk_read(layout.slot_region_offset() + i * BLOCK_SIZE)
             for i in range(layout.slot_blocks)
         )
+        if trusted_root is not None and not hmac.compare_digest(
+                hashlib.sha256(header + raw).digest(), trusted_root):
+            raise ReplayError(
+                "image header and slot region do not match the trusted root")
         slots: list[bytes | None] = []
         for phys in range(layout.n_blocks):
             slot = raw[phys * SLOT_SIZE:(phys + 1) * SLOT_SIZE]
-            slots.append(None if slot == b"\x00" * SLOT_SIZE else slot)
-        verity = None
-        if layout.mode is ProtectionMode.VERITY:
-            blob = b"".join(
-                iface.disk_read(layout.verity_region_offset() + i * BLOCK_SIZE)
-                for i in range(layout.verity_blocks)
-            )
-            verity = VerityTree.deserialize(blob)
-            if trusted_root is None:
-                raise ParameterError("verity images require the trusted root hash")
-        return cls(iface, layout, key, slots, verity, trusted_root)
+            slots.append(None if slot == _ZERO_SLOT else slot)
+        return cls(iface, layout, key, slots,
+                   sealed=layout.mode is ProtectionMode.VERITY)
 
     # Data path --------------------------------------------------------
 
@@ -383,7 +293,8 @@ class BlockStore:
         if self.mode is ProtectionMode.PLAIN:
             return raw
         if self.mode is ProtectionMode.VERITY:
-            verify_verity(self.verity, self.trusted_root, phys, raw)
+            if self.slots[phys] != _verity_slot(raw):
+                raise IntegrityError(f"block {phys}: digest does not match its slot")
             return raw
         slot = self.slots[phys]
         if slot is None:
@@ -424,36 +335,23 @@ class BlockStore:
     # Sealing and persistence -------------------------------------------
 
     def seal_readonly(self) -> bytes:
-        """Build the hash tree over current contents; returns the root."""
+        """Record each block's SHA-256 in its slot, refuse writes from
+        now on, and persist; returns the trusted root."""
         if self.mode is not ProtectionMode.VERITY:
             raise ModeError("only verity images are sealed read-only")
-        blocks = (
-            self.iface.disk_read(self.layout.data_offset(p))
-            for p in range(self.n_blocks)
-        )
-        self.verity = VerityTree.build(blocks)
-        self.trusted_root = self.verity.root
+        for phys in range(self.n_blocks):
+            self.slots[phys] = _verity_slot(
+                self.iface.disk_read(self.layout.data_offset(phys)))
         self.sealed = True
-        self._persist_verity()
-        return self.trusted_root
+        return self.persist_metadata()
 
-    def _persist_verity(self) -> None:
-        blob = self.verity.serialize()
-        blob += b"\x00" * (self.layout.verity_blocks * BLOCK_SIZE - len(blob))
-        for i in range(self.layout.verity_blocks):
-            self.iface.disk_write(
-                self.layout.verity_region_offset() + i * BLOCK_SIZE,
-                blob[i * BLOCK_SIZE:(i + 1) * BLOCK_SIZE])
-
-    def persist_metadata(self) -> None:
-        """Flush slot cache (and verity tree) back into the image."""
-        raw = b"".join(
-            (s if s is not None else b"\x00" * SLOT_SIZE) for s in self.slots
-        )
-        raw += b"\x00" * (self.layout.slot_blocks * BLOCK_SIZE - len(raw))
+    def persist_metadata(self) -> bytes:
+        """Write the slot cache back whole; returns the trusted root
+        over the header and the slot region as written."""
+        raw = b"".join(_ZERO_SLOT if s is None else s for s in self.slots)
+        raw += bytes(self.layout.slot_blocks * BLOCK_SIZE - len(raw))
         for i in range(self.layout.slot_blocks):
             self.iface.disk_write(
                 self.layout.slot_region_offset() + i * BLOCK_SIZE,
                 raw[i * BLOCK_SIZE:(i + 1) * BLOCK_SIZE])
-        if self.verity is not None:
-            self._persist_verity()
+        return hashlib.sha256(self.layout.header_block() + raw).digest()

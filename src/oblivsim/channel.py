@@ -18,12 +18,15 @@ nonce, so a padding frame is as unreadable and as distinct on the wire
 as a real one. Receivers decrypt, notice the empty payload and drop
 them. Received counters pass a 64-wide sliding replay window:
 duplicates inside the window and counters that fell off the back are
-both rejected, each with its own error.
+both rejected, each with its own error, before any decryption. The
+window moves only once a frame has authenticated.
 
 Provisioning: the first established session is the trust root. A
 provisioning record (disk key, verity root, peer list, command line)
-is accepted exactly once and only over that first session. Attestation
-is stubbed; anything provisioned is marked "unverified".
+is accepted exactly once and only over that first session. The verity
+root is the image's trusted root (see ``blockcrypto``) and serves both
+integrity modes, VERITY and CRYPT_INTEGRITY. Attestation is stubbed;
+anything provisioned is marked "unverified".
 """
 
 from __future__ import annotations
@@ -112,21 +115,28 @@ class ReplayWindow:
 
     def check(self, counter: int) -> None:
         """Accept exactly-once; mutates state only on acceptance."""
+        self.verify(counter)
+        self.accept(counter)
+
+    def verify(self, counter: int) -> None:
+        """Raise if ``counter`` is stale or already accepted; changes nothing."""
         if counter < 1:
             raise StaleCounterError("counters start at 1")
-        if counter > self.max_seen:
-            shift = counter - self.max_seen
-            self._bits = (self._bits << shift) & ((1 << self.width) - 1)
-            self._bits |= 1
-            self.max_seen = counter
-            return
         age = self.max_seen - counter
         if age >= self.width:
             raise StaleCounterError(
                 f"counter {counter} fell behind the window (max {self.max_seen})")
-        if self._bits & (1 << age):
+        if age >= 0 and self._bits >> age & 1:
             raise ReplayError(f"counter {counter} already accepted")
-        self._bits |= 1 << age
+
+    def accept(self, counter: int) -> None:
+        """Record a verified counter; a jump of a whole window or more
+        clears the bitmap instead of shifting it that far."""
+        if counter > self.max_seen:
+            shift = min(counter - self.max_seen, self.width)
+            self._bits = (self._bits << shift) & ((1 << self.width) - 1)
+            self.max_seen = counter
+        self._bits |= 1 << (self.max_seen - counter)
 
 
 class PeerSession:
@@ -174,11 +184,12 @@ class PeerSession:
             raise SizeError("frame is not MTU-sized")
         header = frame[:COUNTER_BYTES]
         counter = struct.unpack(">Q", header)[0]
-        self.window.check(counter)
+        self.window.verify(counter)
         try:
             inner = self._recv.decrypt(self._nonce(counter), frame[COUNTER_BYTES:], header)
         except InvalidTag as exc:
             raise IntegrityError("frame failed authentication") from exc
+        self.window.accept(counter)  # a forged counter moves nothing
         inner_len = struct.unpack(">H", inner[:LEN_BYTES])[0]
         if inner_len > max_payload(self.mtu):
             raise SizeError("inner length field exceeds the frame")
@@ -276,6 +287,8 @@ class ProvisioningSecrets:
         exec_path = text()
         n_args = struct.unpack(">H", take(2))[0]
         args = tuple(text() for _ in range(n_args))
+        if pos != len(raw):
+            raise ParameterError("trailing bytes after the provisioning record")
         return cls(disk_key, root, tuple(peers), exec_path, args)
 
 

@@ -247,10 +247,12 @@ def cmd_shuffle(args) -> int:
                         "crypt or crypt-integrity")
     stats = m.engine.shuffle_now()
     m.fs.persist(m.store)
-    m.store.persist_metadata()
+    root = m.store.persist_metadata()
     out = args.out_image or args.image
     Path(out).write_bytes(bytes(m.host.image))
     print(f"image: {out}")
+    if m.store.mode is ProtectionMode.CRYPT_INTEGRITY:
+        print(f"verity root: {root.hex()}")
     print(f"moved: {stats.swaps} blocks across {stats.plan.num_donors} donors "
           f"(max file {stats.plan.max_blk} blocks)")
     print(f"rounds: {m.engine.rounds_done}  donor slot reuses: {stats.donor_reuses}")

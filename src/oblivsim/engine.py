@@ -466,7 +466,8 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     On encrypted images every block left untouched by the files is
     filled with sealed noise; an image whose content distinguished
     data blocks from padding would leak the layout before the first
-    mount. Verity images are sealed read-only instead.
+    mount. Verity images are sealed read-only instead. Both integrity
+    modes get their trusted root in ``verity_root``; others get None.
     """
     layout = layout_for(n_blocks, mode)
     host = Host(new_image(n_blocks, mode), SimClock())
@@ -494,7 +495,9 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
         for phys in range(n_blocks):
             if store.slots[phys] is None:
                 store.write_block(phys, os.urandom(BLOCK_SIZE))
-        store.persist_metadata()
+        root = store.persist_metadata()
+        if mode is not ProtectionMode.CRYPT_INTEGRITY:
+            root = None
     return ImageBundle(bytes(host.image), key, root, tuple(fds))
 
 

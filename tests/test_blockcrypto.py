@@ -1,5 +1,5 @@
-"""Sealing, the hash tree and the image container, checked against
-independently computed ciphertexts and roots."""
+"""Sealing, the trusted root and the image container, checked against
+independently computed ciphertexts and digests."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from oblivsim import (
     ReplayError,
     SimClock,
     SizeError,
-    VerityTree,
     layout_for,
     new_image,
     open_block,
@@ -38,7 +37,6 @@ from oblivsim.blockcrypto import (
     SLOT_SIZE,
     EncryptedBlock,
     parse_header,
-    verify_verity,
 )
 
 KEY = bytes(range(32))
@@ -130,52 +128,6 @@ def test_freshness_restore_ignores_zero():
 
 
 # ---------------------------------------------------------------------------
-# Hash tree.
-# ---------------------------------------------------------------------------
-
-def _oracle_root(blocks: list[bytes]) -> bytes:
-    """Pair-and-hash reduction written from scratch."""
-    level = [hashlib.sha256(b).digest() for b in blocks]
-    width = 1
-    while width < max(len(level), 1):
-        width *= 2
-    level += [b"\x00" * 32] * (width - len(level))
-    while len(level) > 1:
-        level = [hashlib.sha256(level[i] + level[i + 1]).digest()
-                 for i in range(0, len(level), 2)]
-    return level[0]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
-def test_verity_root_matches_oracle(n):
-    blocks = [bytes([i]) * BLOCK_SIZE for i in range(n)]
-    tree = VerityTree.build(blocks)
-    assert tree.root == _oracle_root(blocks)
-
-
-def test_verity_paths_reach_root_and_reject_tampering():
-    blocks = [bytes([i]) * BLOCK_SIZE for i in range(6)]
-    tree = VerityTree.build(blocks)
-    for i, b in enumerate(blocks):
-        assert tree.path_root(i, b) == tree.root
-    assert tree.path_root(2, b"\xff" * BLOCK_SIZE) != tree.root
-    with pytest.raises(IntegrityError):
-        verify_verity(tree, tree.root, 2, b"\xff" * BLOCK_SIZE)
-    with pytest.raises(ParameterError):
-        tree.path_root(99, blocks[0])
-
-
-def test_verity_serialize_roundtrip():
-    blocks = [bytes([i * 3]) * BLOCK_SIZE for i in range(5)]
-    tree = VerityTree.build(blocks)
-    back = VerityTree.deserialize(tree.serialize())
-    assert back.root == tree.root
-    assert back.n_blocks == tree.n_blocks
-    assert back.levels == tree.levels
-    assert len(tree.serialize()) == tree.serialized_size()
-
-
-# ---------------------------------------------------------------------------
 # Container layout.
 # ---------------------------------------------------------------------------
 
@@ -184,10 +136,8 @@ def test_layout_regions_do_not_overlap():
         for mode in ProtectionMode:
             lay = layout_for(n, mode)
             assert lay.slot_region_offset() == BLOCK_SIZE
-            assert lay.verity_region_offset() >= lay.slot_region_offset() \
+            assert lay.data_offset(0) >= lay.slot_region_offset() \
                 + lay.slot_blocks * BLOCK_SIZE
-            assert lay.data_offset(0) >= lay.verity_region_offset() \
-                + lay.verity_blocks * BLOCK_SIZE
             assert lay.data_offset(n - 1) + BLOCK_SIZE == lay.total_bytes
             assert lay.slot_blocks * BLOCK_SIZE >= n * SLOT_SIZE
     with pytest.raises(ParameterError):
@@ -213,6 +163,47 @@ def test_header_roundtrip_and_rejections():
     bad_aead[18] = 7
     with pytest.raises(ParameterError):
         parse_header(bytes(bad_aead))
+
+    # Bytes past the fields are zero, so the root hashes one encoding.
+    trailing = bytearray(image[:BLOCK_SIZE])
+    trailing[BLOCK_SIZE - 1] = 1
+    with pytest.raises(ParameterError):
+        parse_header(bytes(trailing))
+
+
+# ---------------------------------------------------------------------------
+# Trusted root.
+# ---------------------------------------------------------------------------
+
+def _oracle_root(n: int, mode: ProtectionMode, slots: list[bytes]) -> bytes:
+    """SHA-256 over the header block and the zero-padded slot region,
+    written from FORMATS.md alone."""
+    aead = 1 if mode.encrypted else 0
+    hashid = 1 if mode is ProtectionMode.VERITY else 0
+    header = struct.pack("<5sIQBBB", b"OBLV1", BLOCK_SIZE, n, mode.value, aead, hashid)
+    region = b"".join(slots)
+    region_blocks = -(-n * SLOT_SIZE // BLOCK_SIZE)
+    return hashlib.sha256(
+        header.ljust(BLOCK_SIZE, b"\0") + region.ljust(region_blocks * BLOCK_SIZE, b"\0")
+    ).digest()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+def test_verity_root_matches_oracle(n):
+    store, _ = fresh_store(ProtectionMode.VERITY, n)
+    blocks = [bytes([i]) * BLOCK_SIZE for i in range(n)]
+    for phys, block in enumerate(blocks):
+        store.write_block(phys, block)
+    slots = [hashlib.sha256(b).digest() + bytes(8) for b in blocks]
+    assert store.seal_readonly() == _oracle_root(n, ProtectionMode.VERITY, slots)
+
+
+def test_crypt_integrity_root_matches_oracle():
+    store, _ = fresh_store(ProtectionMode.CRYPT_INTEGRITY, 5)
+    store.write_block(1, PLAIN)
+    slots = [bytes(SLOT_SIZE), store.slots[1]] + [bytes(SLOT_SIZE)] * 3
+    assert store.persist_metadata() == _oracle_root(
+        5, ProtectionMode.CRYPT_INTEGRITY, slots)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +336,7 @@ def test_verity_seal_and_verify_cycle():
     with pytest.raises(ModeError):
         store.write_block(0, PLAIN)
 
-    # Remount from the persisted tree; then tamper.
+    # Remount from the persisted digests; then tamper with a data block.
     iface = HostInterface(Host(bytearray(host.image), SimClock()))
     again = BlockStore.mount(iface, trusted_root=root)
     assert again.read_block(1) == b"\x11" * BLOCK_SIZE
@@ -373,3 +364,55 @@ def test_persist_metadata_survives_remount():
     for p in range(8):
         assert again.read_block(p) == bytes([p]) * BLOCK_SIZE
     assert again.slots[8:] == [None] * 8
+
+
+def _remount(image, **kw) -> BlockStore:
+    return BlockStore.mount(HostInterface(Host(bytearray(image), SimClock())), **kw)
+
+
+def test_rollback_of_block_and_slot_is_refused_at_mount():
+    store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
+    off = store.layout.data_offset(2)
+    slot_off = store.layout.slot_region_offset() + 2 * SLOT_SIZE
+    store.write_block(2, b"AAAA" * 1024)
+    store.persist_metadata()
+    old_block = bytes(host.image[off:off + BLOCK_SIZE])
+    old_slot = bytes(host.image[slot_off:slot_off + SLOT_SIZE])
+    store.write_block(2, b"BBBB" * 1024)
+    root = store.persist_metadata()
+    host.image[off:off + BLOCK_SIZE] = old_block
+    host.image[slot_off:slot_off + SLOT_SIZE] = old_slot
+    with pytest.raises(ReplayError):
+        _remount(host.image, key=KEY, trusted_root=root)
+    # Without the root the stale pair is self-consistent and opens:
+    # exactly what the root is there to stop.
+    assert _remount(host.image, key=KEY).read_block(2) == b"AAAA" * 1024
+
+
+def test_plain_image_mounted_with_a_verity_root_is_refused():
+    verity, _ = fresh_store(ProtectionMode.VERITY)
+    root = verity.seal_readonly()
+    plain, host = fresh_store(ProtectionMode.PLAIN)
+    plain.write_block(0, b"EVIL" * 1024)
+    with pytest.raises(ReplayError):
+        _remount(host.image, trusted_root=root)
+
+
+def test_verity_slot_byte_flip_fails_at_mount():
+    store, host = fresh_store(ProtectionMode.VERITY)
+    store.write_block(3, PLAIN)
+    root = store.seal_readonly()
+    host.image[store.layout.slot_region_offset() + 3 * SLOT_SIZE] ^= 0x01
+    with pytest.raises(ReplayError):
+        _remount(host.image, trusted_root=root)
+
+
+def test_root_tracks_every_persist():
+    store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
+    first = store.persist_metadata()
+    store.write_block(0, PLAIN)
+    second = store.persist_metadata()
+    assert first != second
+    with pytest.raises(ReplayError):
+        _remount(host.image, key=KEY, trusted_root=first)
+    assert _remount(host.image, key=KEY, trusted_root=second).read_block(0) == PLAIN

@@ -180,6 +180,30 @@ def test_forged_counter_fails_authentication():
         b2a.open_packet(bytes(frame))
 
 
+@pytest.mark.parametrize("counter", [1000, 2**63, 2**64 - 1])
+def test_forged_far_counter_leaves_the_window_alone(counter):
+    a2b, b2a = pair()
+    assert b2a.open_packet(a2b.seal_packet(b"one")) == b"one"
+    genuine = a2b.seal_packet(b"two")
+    forged = counter.to_bytes(8, "big") + genuine[8:]
+    with pytest.raises(IntegrityError):
+        b2a.open_packet(forged)
+    assert b2a.window.max_seen == 1
+    assert b2a.open_packet(genuine) == b"two"
+
+
+def test_window_jump_past_its_width_keeps_only_the_new_counter():
+    win = ReplayWindow()
+    win.check(5)
+    win.check(2**64 - 1)
+    assert win.max_seen == 2**64 - 1
+    with pytest.raises(ReplayError):
+        win.check(2**64 - 1)
+    win.check(2**64 - 2)
+    with pytest.raises(StaleCounterError):
+        win.check(5)
+
+
 def test_frame_size_is_checked_before_anything_else():
     a2b, b2a = pair()
     frame = a2b.seal_packet(b"x")

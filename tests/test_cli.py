@@ -54,7 +54,9 @@ def test_create_image_reports_the_remounted_layout(tmp_path, capsys):
     assert "files: 1 data" in out
     assert f"data file 0: fd 1, 5000 bytes, from {src}" in out
     assert f"key: {KEY_HEX}" in out
-    assert "verity root" not in out
+    root = bytes.fromhex(out.split("verity root: ")[1].strip())
+    m = open_image(img, key=DEFAULT_KEY, root=root)
+    assert m.engine.read_file(m.engine.regular_fd(0), 0, 5000) == b"hello" * 1000
 
 
 def test_create_image_verity_prints_the_root(tmp_path, capsys):
@@ -235,6 +237,29 @@ def test_shuffle_preserves_content_and_passes_fsck(image, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert rc == 0
     assert "clean" in stdout
+
+
+def test_pre_shuffle_image_is_refused_under_the_new_root(image, tmp_path, capsys):
+    shuffled = tmp_path / "shuffled.img"
+    rc = cli("shuffle", "--image", image, "--key", KEY_HEX, "--seed", 1,
+             "--out-image", shuffled)
+    stdout = capsys.readouterr().out
+    assert rc == 0
+    root = stdout.split("verity root: ")[1].split()[0]
+
+    rc = cli("fsck", "--image", shuffled, "--key", KEY_HEX, "--verity-root", root)
+    assert rc == 0 and "clean" in capsys.readouterr().out
+
+    # The host hands back the whole image as it was before the shuffle.
+    rc = cli("fsck", "--image", image, "--key", KEY_HEX, "--verity-root", root)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: " in err and "trusted root" in err
+    rc = cli("run", "--image", image, "--key", KEY_HEX, "--verity-root", root,
+             "--workload", "idle(5)", "--out", tmp_path / "run")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: " in err and "trusted root" in err
 
 
 def test_shuffle_refuses_plain_images(tmp_path, capsys):

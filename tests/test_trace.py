@@ -31,7 +31,7 @@ def test_events_are_immutable_and_keep_their_line_format():
     assert e.line(ground_truth=True) == "7,net_write,2,1500,0"
 
 
-def test_record_respects_stop_and_reset():
+def test_record_respects_reset():
     t = HostTrace()
     t.record(HostCallEvent(0, CallKind.NET_POLL, 0, 0))
     t.record(HostCallEvent(1, CallKind.NET_POLL, 0, 0))
