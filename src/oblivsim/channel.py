@@ -112,6 +112,7 @@ class ReplayWindow:
         self.width = width
         self.max_seen = 0
         self._bits = 0
+        self._mask = (1 << width) - 1
 
     def check(self, counter: int) -> None:
         """Accept exactly-once; mutates state only on acceptance."""
@@ -133,10 +134,15 @@ class ReplayWindow:
         """Record a verified counter; a jump of a whole window or more
         clears the bitmap instead of shifting it that far."""
         if counter > self.max_seen:
-            shift = min(counter - self.max_seen, self.width)
-            self._bits = (self._bits << shift) & ((1 << self.width) - 1)
+            shift = counter - self.max_seen
+            self._bits = (self._bits << shift) & self._mask if shift < self.width else 0
             self.max_seen = counter
         self._bits |= 1 << (self.max_seen - counter)
+
+
+_COUNTER = struct.Struct(">Q")
+_NONCE = struct.Struct(">4xQ")  # 4 zero bytes, then the counter
+_INNER_LEN = struct.Struct(">H")
 
 
 class PeerSession:
@@ -148,6 +154,9 @@ class PeerSession:
         self._send = AESGCM(send_key)
         self._recv = AESGCM(recv_key)
         self.mtu = mtu
+        self.payload_limit = max_payload(mtu)
+        # A padding frame's plaintext: inner_len 0 and a zero pad.
+        self._zero_inner = bytes(LEN_BYTES + self.payload_limit)
         self.send_counter = 0
         self.window = ReplayWindow()
         self.sent_real = 0
@@ -155,43 +164,38 @@ class PeerSession:
         self.received_real = 0
         self.received_dummy = 0
 
-    @staticmethod
-    def _nonce(counter: int) -> bytes:
-        return b"\x00\x00\x00\x00" + struct.pack(">Q", counter)
-
-    def _seal(self, inner_len: int, body: bytes) -> bytes:
+    def _seal(self, inner: bytes) -> bytes:
         self.send_counter += 1
-        header = struct.pack(">Q", self.send_counter)
-        inner = struct.pack(">H", inner_len) + body
-        sealed = self._send.encrypt(self._nonce(self.send_counter), inner, header)
-        return header + sealed
+        counter = self.send_counter
+        header = _COUNTER.pack(counter)
+        return header + self._send.encrypt(_NONCE.pack(counter), inner, header)
 
     def seal_packet(self, payload: bytes) -> bytes:
-        limit = max_payload(self.mtu)
-        if len(payload) > limit:
-            raise SizeError(f"payload exceeds {limit} bytes")
-        body = payload + b"\x00" * (limit - len(payload))
+        n = len(payload)
+        if n > self.payload_limit:
+            raise SizeError(f"payload exceeds {self.payload_limit} bytes")
         self.sent_real += 1
-        return self._seal(len(payload), body)
+        return self._seal(_INNER_LEN.pack(n) + payload
+                          + self._zero_inner[LEN_BYTES + n:])
 
     def seal_dummy(self) -> bytes:
         """Padding frame: empty payload, zero filler under the AEAD."""
         self.sent_dummy += 1
-        return self._seal(0, bytes(max_payload(self.mtu)))
+        return self._seal(self._zero_inner)
 
     def open_packet(self, frame: bytes) -> bytes:
         if len(frame) != self.mtu:
             raise SizeError("frame is not MTU-sized")
-        header = frame[:COUNTER_BYTES]
-        counter = struct.unpack(">Q", header)[0]
+        counter = _COUNTER.unpack_from(frame)[0]
         self.window.verify(counter)
         try:
-            inner = self._recv.decrypt(self._nonce(counter), frame[COUNTER_BYTES:], header)
+            inner = self._recv.decrypt(_NONCE.pack(counter), frame[COUNTER_BYTES:],
+                                       frame[:COUNTER_BYTES])
         except InvalidTag as exc:
             raise IntegrityError("frame failed authentication") from exc
         self.window.accept(counter)  # a forged counter moves nothing
-        inner_len = struct.unpack(">H", inner[:LEN_BYTES])[0]
-        if inner_len > max_payload(self.mtu):
+        inner_len = _INNER_LEN.unpack_from(inner)[0]
+        if inner_len > self.payload_limit:
             raise SizeError("inner length field exceeds the frame")
         if inner_len == 0:
             self.received_dummy += 1

@@ -221,7 +221,7 @@ def cmd_bench(args) -> int:
         samples = []
         for i in range(args.repeat):
             ns = argparse.Namespace(
-                image=args.image, key=args.key, verity_root=None,
+                image=args.image, key=args.key, verity_root=args.verity_root,
                 mode=mode, seed=args.seed + i, rounds=None,
                 cache_k=None, eager_shuffle_at=None, peer=[])
             engine, _trace, _done, wall_s = _run_once(ns, rcfg, args.workload, None)
@@ -241,7 +241,7 @@ def cmd_bench(args) -> int:
 
 def cmd_shuffle(args) -> int:
     m = mount(Path(args.image).read_bytes(), key=_hex_or_none(args.key),
-              seed=args.seed)
+              verity_root=_hex_or_none(args.verity_root), seed=args.seed)
     if not m.store.mode.encrypted:
         raise ModeError("shuffling re-encrypts blocks; the image must be "
                         "crypt or crypt-integrity")
@@ -396,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="compare wall-clock throughput of both paths")
     be.add_argument("--image", required=True)
     be.add_argument("--key", help="image key as hex")
+    be.add_argument("--verity-root", help="trusted root hash as hex")
     be.add_argument("--workload", default="seqread(0,0)")
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--repeat", type=int, default=3)
@@ -406,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     sh = sub.add_parser("shuffle", help="re-randomize an image's layout")
     sh.add_argument("--image", required=True)
     sh.add_argument("--key", required=True)
+    sh.add_argument("--verity-root", help="trusted root hash as hex")
     sh.add_argument("--seed", type=int, default=0)
     sh.add_argument("--out-image", default=None,
                     help="write here instead of back to --image")

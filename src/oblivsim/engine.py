@@ -13,21 +13,40 @@ Two I/O personalities implement the filesystem's block interface:
   no batching. It exists as the unprotected baseline.
 
 Time is the simulated clock. Each call to ``run_one_round`` first
-processes every network emission instant due before the round's
-scheduled time (peers deliver, links emit, ingress is drained), then
-fires the disk round itself. Network instants live on their own exact
-grid derived from the token bucket, so round interval and link rate
-need not divide each other.
+processes every network emission instant due by the round's scheduled
+time, then fires the disk round itself. Network instants live on each
+link's own exact grid derived from the token bucket, so round interval
+and link rate need not divide each other.
+
+The net loop is event-driven. Every link and every external pump sits
+in one heap keyed by (due time, pumps before links, insertion order).
+At each instant the loop pops everything due then, in that order: the
+pumps (peers pick up what the enclave sent them and deliver their own
+frames), then the links (each emits its due frames through
+``net_write``). Each actor goes back on the heap at its new due time,
+and if any link emitted, ingress is drained once. Actors that are not
+due are never polled; with many links an instant costs a heap operation
+more, not a scan of every link.
+
+The pump contract: a pump has ``pump(now_ns)`` and ``next_due_ns()``.
+``next_due_ns()`` is read once after ``add_external_pump`` and once
+after each ``pump``, never in between, so it must already be current
+then. It only moves forward: after ``pump(t)`` it is later than ``t``
+(the loop raises ``ParameterError`` otherwise), or None, which retires
+the pump. Links follow the same rule through ``PeerShaper``.
 
 ``EchoPeer`` models the remote end of a link: it is environment code,
-touches the untrusted ``Host`` directly, emits on the same constant
-grid as the enclave side, and echoes real payloads back. Runs that
-compare trace shapes attach the same peers to both runs; the peer's
-cadence, like ours, is workload-independent.
+touches the untrusted ``Host`` directly (it drains its own endpoint's
+egress queue), emits on the same constant grid as the enclave side,
+and echoes real payloads back. Runs that compare trace shapes attach
+the same peers to both runs; the peer's cadence, like ours, is
+workload-independent.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -42,6 +61,7 @@ from .blockcrypto import (
 from .blockfs import FLAG_REGULAR, BlockFs
 from .channel import PeerSession
 from .errors import (
+    BackpressureError,
     DescriptorError,
     IntegrityError,
     ModeError,
@@ -61,6 +81,7 @@ from .shuffle import ShuffleStats, oblivious_shuffle
 from .trace import HostTrace
 
 DEFAULT_PASSTHROUGH_LATENCY_NS = 10_000
+_PUMP, _LINK = 0, 1  # at one instant pumps run before links
 
 
 def trace_fingerprint(round_cfg: RoundConfig, mtu: int) -> dict:
@@ -181,19 +202,12 @@ class EchoPeer:
         return self.shaper.next_due_ns()
 
     def pump(self, now_ns: int) -> None:
-        self._collect_egress()
-        for frame, _real in self.shaper.tick(now_ns):
-            self.host.deliver_frame(self.endpoint, frame)
-
-    def _collect_egress(self) -> None:
-        rest = deque()
-        while self.host.egress:
-            ep, frame = self.host.egress.popleft()
-            if ep != self.endpoint:
-                rest.append((ep, frame))
-                continue
+        """Open what the enclave sent this peer, queue the echoes, then
+        emit whatever slots are due."""
+        queue = self.host.egress[self.endpoint]
+        while queue:
             try:
-                payload = self.session.open_packet(frame)
+                payload = self.session.open_packet(queue.popleft())
             except (IntegrityError, ReplayError, StaleCounterError, SizeError):
                 self.rx_errors += 1
                 continue
@@ -203,10 +217,11 @@ class EchoPeer:
             self.received_real += 1
             try:
                 self.shaper.enqueue(payload)
-            except Exception:
+            except BackpressureError:
                 # A real network would drop under overload; so do we.
                 self.dropped += 1
-        self.host.egress.extend(rest)
+        for frame, _real in self.shaper.tick(now_ns):
+            self.host.deliver_frame(self.endpoint, frame)
 
 
 class Engine:
@@ -228,8 +243,10 @@ class Engine:
         self.payload_bytes = 0
         self.links: list[NetLink] = []
         self._links_by_endpoint: dict[int, NetLink] = {}
-        self.external_pumps: list = []
         self.unknown_frames = 0
+        # Emission instants: (due_ns, _PUMP or _LINK, insertion order, actor).
+        self._net_due: list = []
+        self._net_order = itertools.count()
 
         if oblivious:
             self.sched = RoundScheduler(
@@ -290,9 +307,10 @@ class Engine:
     def run_one_round(self) -> None:
         if self.sched is None:
             raise ModeError("batched rounds exist only on the protected path")
-        if self.round_target is not None and self.rounds_done >= self.round_target:
+        done = self.sched.rounds
+        if self.round_target is not None and done >= self.round_target:
             raise RoundBudgetExhausted(f"round budget of {self.round_target} spent")
-        t = self.rounds_done * self.config.round.interval_ns
+        t = done * self.config.round.interval_ns
         self._run_net_until(t)
         self.sched.run_round(t)
 
@@ -334,11 +352,17 @@ class Engine:
         link = NetLink(endpoint, session, PeerShaper(shaping, session, start_ns))
         self.links.append(link)
         self._links_by_endpoint[endpoint] = link
+        self._schedule(link.shaper.next_due_ns(), _LINK, link)
         return link
 
     def add_external_pump(self, pump) -> None:
-        """Environment actors (peers) advanced on their own grid."""
-        self.external_pumps.append(pump)
+        """Environment actors (peers) advanced on their own grid; see the
+        pump contract in the module docstring."""
+        self._schedule(pump.next_due_ns(), _PUMP, pump)
+
+    def _schedule(self, due_ns: int | None, kind: int, actor) -> None:
+        if due_ns is not None:
+            heapq.heappush(self._net_due, (due_ns, kind, next(self._net_order), actor))
 
     def net_send(self, endpoint: int, payload: bytes) -> None:
         self.link(endpoint).shaper.enqueue(payload)
@@ -350,57 +374,57 @@ class Engine:
             raise ParameterError(f"no link at endpoint {endpoint}") from None
 
     def _run_net_until(self, t_ns: int) -> None:
-        if not self.links and not self.external_pumps:
-            return
-        while True:
-            due = None
-            for pump in self.external_pumps:
-                d = pump.next_due_ns()
-                if d is not None and (due is None or d < due):
-                    due = d
-            for link in self.links:
-                d = link.shaper.next_due_ns()
-                if due is None or d < due:
-                    due = d
-            if due is None or due > t_ns:
-                return
+        """Run every emission instant due by ``t_ns``, in time order. At
+        one instant the pumps due run first, then the links due, each in
+        the order they were added; ingress is drained once if a link
+        emitted. Each actor goes back on the heap at its next due time."""
+        heap = self._net_due
+        while heap and heap[0][0] <= t_ns:
+            due = heap[0][0]
             self.clock.advance_to(due)
-            for pump in self.external_pumps:
-                if pump.next_due_ns() == due:
-                    pump.pump(due)
             emitted = False
-            for link in self.links:
-                if link.shaper.next_due_ns() == due:
-                    for frame, real in link.shaper.tick(due):
-                        self.iface.net_write(link.endpoint, frame, dummy=not real)
+            while heap and heap[0][0] == due:
+                _due, kind, order, actor = heap[0]
+                if kind == _LINK:
+                    for frame, real in actor.shaper.tick(due):
+                        self.iface.net_write(actor.endpoint, frame, dummy=not real)
                     emitted = True
+                    next_due = actor.shaper.next_due_ns()
+                else:
+                    actor.pump(due)
+                    next_due = actor.next_due_ns()
+                if next_due is None:
+                    heapq.heappop(heap)
+                elif next_due > due:
+                    heapq.heapreplace(heap, (next_due, kind, order, actor))
+                else:
+                    raise ParameterError(
+                        f"net actor due again at {next_due} ns after running at {due} ns")
             if emitted:
                 self._service_ingress()
 
     def _service_ingress(self) -> None:
+        iface, links = self.iface, self._links_by_endpoint
         while True:
-            readable, _writable = self.iface.net_poll()
+            readable, _writable = iface.net_poll()
             if not readable:
                 return
             try:
-                endpoint, frame = self.iface.net_read()
+                endpoint, frame = iface.net_read()
             except WouldBlock:
                 return
-            self._dispatch(endpoint, frame)
-
-    def _dispatch(self, endpoint: int, frame: bytes) -> None:
-        link = self._links_by_endpoint.get(endpoint)
-        if link is None:
-            self.unknown_frames += 1
-            return
-        try:
-            payload = link.session.open_packet(frame)
-        except (IntegrityError, ReplayError, StaleCounterError, SizeError):
-            link.rx_errors += 1
-            return
-        if payload:
-            link.inbox.append(payload)
-            link.rx_payload_bytes += len(payload)
+            link = links.get(endpoint)
+            if link is None:
+                self.unknown_frames += 1
+                continue
+            try:
+                payload = link.session.open_packet(frame)
+            except (IntegrityError, ReplayError, StaleCounterError, SizeError):
+                link.rx_errors += 1
+                continue
+            if payload:
+                link.inbox.append(payload)
+                link.rx_payload_bytes += len(payload)
 
     # File-level helpers ---------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import hashlib as _hashlib
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -81,7 +81,14 @@ class SignalOutcome:
 class Host:
     """Untrusted host state. Mutated only through HostInterface calls
     and the environment helpers (frame arrival / wire pickup), which
-    model the network itself rather than the enclave."""
+    model the network itself rather than the enclave.
+
+    Frames arriving for the enclave share one FIFO ``ingress`` of
+    (endpoint, frame) pairs, read in arrival order by ``net_read``.
+    Frames the enclave writes go to one FIFO per endpoint in
+    ``egress``, so the far end of a link picks up its own frames
+    (``pop_egress(endpoint)``) without walking anyone else's.
+    """
 
     def __init__(
         self,
@@ -99,7 +106,7 @@ class Host:
         self.current_instruction = enclave_range[0] + 0x1000
         self.realtime_epoch_ns = 1_700_000_000 * 1_000_000_000
         self.ingress: deque[tuple[int, bytes]] = deque()
-        self.egress: deque[tuple[int, bytes]] = deque()
+        self.egress: defaultdict[int, deque[bytes]] = defaultdict(deque)
         self.boundary_mutations = 0
         # Fault injection knobs (an adversarial host):
         self.poll_script: list[tuple[bool, bool]] = []
@@ -114,8 +121,12 @@ class Host:
             raise SizeError("delivered frame must be MTU-sized")
         self.ingress.append((endpoint, frame))
 
-    def pop_egress(self) -> tuple[int, bytes]:
-        return self.egress.popleft()
+    def pop_egress(self, endpoint: int) -> bytes:
+        """Oldest frame the enclave wrote to ``endpoint``."""
+        queue = self.egress.get(endpoint)
+        if not queue:
+            raise WouldBlock(f"no frame queued for endpoint {endpoint}")
+        return queue.popleft()
 
     def raw_time(self, clock_id: ClockId) -> int:
         script = self.clock_script.get(clock_id)
@@ -130,7 +141,7 @@ class Host:
         return (
             _hashlib.sha256(self.image).hexdigest(),
             len(self.ingress),
-            len(self.egress),
+            sum(map(len, self.egress.values())),
         )
 
 
@@ -144,10 +155,6 @@ class HostInterface:
         self.ignore_user_signals = ignore_user_signals
         self._last_monotonic: int | None = None
 
-    def _record(self, kind: CallKind, offset: int, length: int, dummy: bool) -> None:
-        self.trace.record(
-            HostCallEvent(self.host.clock.now(), kind, offset, length, dummy))
-
     # Disk ------------------------------------------------------------
 
     def disk_read(self, offset: int, dummy: bool = False) -> bytes:
@@ -156,7 +163,8 @@ class HostInterface:
         if offset < 0 or offset + BLOCK_SIZE > len(self.host.image):
             raise BoundsError(f"read offset {offset} outside image")
         data = bytes(self.host.image[offset:offset + BLOCK_SIZE])
-        self._record(CallKind.DISK_READ, offset, BLOCK_SIZE, dummy)
+        self.trace.record(HostCallEvent(
+            self.host.clock.now(), CallKind.DISK_READ, offset, BLOCK_SIZE, dummy))
         return data
 
     def disk_write(self, offset: int, block: bytes, dummy: bool = False) -> None:
@@ -168,27 +176,32 @@ class HostInterface:
             raise SizeError("disk writes must be exactly one block")
         self.host.image[offset:offset + BLOCK_SIZE] = block
         self.host.boundary_mutations += 1
-        self._record(CallKind.DISK_WRITE, offset, BLOCK_SIZE, dummy)
+        self.trace.record(HostCallEvent(
+            self.host.clock.now(), CallKind.DISK_WRITE, offset, BLOCK_SIZE, dummy))
 
     # Network ---------------------------------------------------------
 
     def net_write(self, endpoint: int, frame: bytes, dummy: bool = False) -> None:
-        if len(frame) != self.host.mtu:
+        host = self.host
+        if len(frame) != host.mtu:
             raise SizeError("frames on the wire are exactly MTU-sized")
-        self.host.egress.append((endpoint, bytes(frame)))
-        self.host.boundary_mutations += 1
-        self._record(CallKind.NET_WRITE, endpoint, self.host.mtu, dummy)
+        host.egress[endpoint].append(bytes(frame))
+        host.boundary_mutations += 1
+        self.trace.record(HostCallEvent(
+            host.clock.now(), CallKind.NET_WRITE, endpoint, host.mtu, dummy))
 
     def net_read(self) -> tuple[int, bytes]:
-        if not self.host.ingress:
+        host = self.host
+        if not host.ingress:
             raise WouldBlock("no frame queued")
-        endpoint, frame = self.host.ingress.popleft()
-        if self.host.ingress_corrupter is not None:
-            frame = self.host.ingress_corrupter(frame)
-            if len(frame) != self.host.mtu:
-                frame = (frame + b"\x00" * self.host.mtu)[:self.host.mtu]
-        self.host.boundary_mutations += 1
-        self._record(CallKind.NET_READ, endpoint, self.host.mtu, False)
+        endpoint, frame = host.ingress.popleft()
+        if host.ingress_corrupter is not None:
+            frame = host.ingress_corrupter(frame)
+            if len(frame) != host.mtu:
+                frame = (frame + b"\x00" * host.mtu)[:host.mtu]
+        host.boundary_mutations += 1
+        self.trace.record(HostCallEvent(
+            host.clock.now(), CallKind.NET_READ, endpoint, host.mtu))
         return endpoint, frame
 
     def net_poll(self) -> tuple[bool, bool]:
@@ -196,7 +209,7 @@ class HostInterface:
             readable, writable = self.host.poll_script.pop(0)
         else:
             readable, writable = bool(self.host.ingress), True
-        self._record(CallKind.NET_POLL, 0, 0, False)
+        self.trace.record(HostCallEvent(self.host.clock.now(), CallKind.NET_POLL, 0, 0))
         return readable, writable
 
     # Time ------------------------------------------------------------
@@ -205,7 +218,7 @@ class HostInterface:
         if not isinstance(clock_id, ClockId):
             raise ParameterError(f"unknown clock {clock_id!r}")
         raw = self.host.raw_time(clock_id)
-        self._record(CallKind.TIME_READ, 0, 0, False)
+        self.trace.record(HostCallEvent(self.host.clock.now(), CallKind.TIME_READ, 0, 0))
         if clock_id is ClockId.MONOTONIC:
             # The host may lie; never let time run backwards.
             if self._last_monotonic is not None and raw < self._last_monotonic:
@@ -218,7 +231,8 @@ class HostInterface:
     def forward_signal(self, info: SignalInfo) -> SignalOutcome:
         if not (1 <= info.number <= 64):
             raise ParameterError(f"signal number {info.number} out of range")
-        self._record(CallKind.FORWARD_SIGNAL, 0, 0, False)
+        self.trace.record(
+            HostCallEvent(self.host.clock.now(), CallKind.FORWARD_SIGNAL, 0, 0))
         lo, hi = self.host.enclave_range
         if info.number in SIG_MEMORY_FAULT:
             if not (lo <= info.addr < hi):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .channel import PeerSession, max_payload
+from .channel import PeerSession
 from .errors import BackpressureError, ParameterError, SizeError
 
 NS_PER_S = 1_000_000_000
@@ -52,11 +52,12 @@ class PeerShaper:
         self.last_tick_ns = start_ns
         self._epoch_ns = start_ns
         self._next_k = 0
+        self._due_ns = start_ns  # the first burst is due at the epoch
         self.queue: deque[bytes] = deque()
         self.emitted = 0
 
     def enqueue(self, payload: bytes) -> None:
-        if len(payload) > max_payload(self.session.mtu):
+        if len(payload) > self.session.payload_limit:
             raise SizeError("payload exceeds one frame")
         if len(self.queue) >= self.shaping.queue_frames:
             raise BackpressureError("send queue is full")
@@ -67,22 +68,9 @@ class PeerShaper:
         return len(self.queue)
 
     def next_due_ns(self) -> int:
-        """Time at which the next emission slot opens.
-
-        Emission k sits at epoch + ceil((k - burst + 1) * cost / rate);
-        the first ``burst`` emissions are all due at the epoch itself.
-        """
-        over = self._next_k - (self.shaping.burst_frames - 1)
-        if over <= 0:
-            return self._epoch_ns
-        rate = self.shaping.rate_bps
-        return self._epoch_ns + (over * self.frame_cost + rate - 1) // rate
-
-    def _emit(self) -> tuple[bytes, bool]:
-        self.emitted += 1
-        if self.queue:
-            return self.session.seal_packet(self.queue.popleft()), True
-        return self.session.seal_dummy(), False
+        """Time at which the next emission slot opens. ``tick`` keeps it
+        current; it only moves forward."""
+        return self._due_ns
 
     def tick(self, now_ns: int) -> list[tuple[bytes, bool]]:
         """Emit every slot due by ``now_ns``.
@@ -94,7 +82,8 @@ class PeerShaper:
             raise ParameterError("shaper clock moved backwards")
         self.last_tick_ns = now_ns
         burst = self.shaping.burst_frames
-        q = (now_ns - self._epoch_ns) * self.shaping.rate_bps // self.frame_cost
+        rate = self.shaping.rate_bps
+        q = (now_ns - self._epoch_ns) * rate // self.frame_cost
         available = burst + q - self._next_k
         if available <= 0:
             return []
@@ -102,7 +91,22 @@ class PeerShaper:
             # Slots were skipped while nobody ticked; forfeit them and
             # restart the grid here instead of bursting to catch up.
             self._epoch_ns = now_ns
+            available = burst
             self._next_k = burst
-            return [self._emit() for _ in range(burst)]
-        self._next_k += available
-        return [self._emit() for _ in range(available)]
+        else:
+            self._next_k += available
+        # Emission k sits at epoch + ceil((k - burst + 1) * cost / rate);
+        # the first ``burst`` are all due at the epoch, and after any
+        # emission the next one lies past them.
+        over = self._next_k - burst + 1
+        self._due_ns = self._epoch_ns + (over * self.frame_cost + rate - 1) // rate
+        # Oldest queued payload first; an empty queue sends padding.
+        queue, session = self.queue, self.session
+        self.emitted += available
+        out = []
+        for _ in range(available):
+            if queue:
+                out.append((session.seal_packet(queue.popleft()), True))
+            else:
+                out.append((session.seal_dummy(), False))
+        return out

@@ -262,6 +262,30 @@ def test_pre_shuffle_image_is_refused_under_the_new_root(image, tmp_path, capsys
     assert "error: " in err and "trusted root" in err
 
 
+def test_shuffle_of_a_superseded_image_is_refused_under_the_new_root(tmp_path, capsys):
+    a, b = tmp_path / "a.img", tmp_path / "b.img"
+    rc = cli("create-image", "--out", a, "--blocks", 64, "--key", KEY_HEX,
+             "--seed", 1, "--blank", BLANK_LEN)
+    root_a = capsys.readouterr().out.split("verity root: ")[1].split()[0]
+    assert rc == 0
+    rc = cli("shuffle", "--image", a, "--key", KEY_HEX, "--verity-root", root_a,
+             "--out-image", b)
+    root_b = capsys.readouterr().out.split("verity root: ")[1].split()[0]
+    assert rc == 0 and root_b != root_a
+
+    # The host hands back a.img, which b.img superseded.
+    before = a.read_bytes()
+    for argv in (("shuffle", "--image", a, "--key", KEY_HEX, "--verity-root", root_b),
+                 ("bench", "--image", a, "--key", KEY_HEX, "--verity-root", root_b,
+                  "--repeat", 1, "--workload", "idle(2)")):
+        rc = cli(*argv)
+        captured = capsys.readouterr()
+        assert rc == 2, argv[0]
+        assert "error: " in captured.err and "trusted root" in captured.err
+        assert "verity root: " not in captured.out
+    assert a.read_bytes() == before
+
+
 def test_shuffle_refuses_plain_images(tmp_path, capsys):
     img = tmp_path / "p.img"
     cli("create-image", "--out", img, "--blocks", 16, "--mode", "plain")

@@ -3,6 +3,8 @@ triggers, the shaped net loop, and whole-run determinism."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from conftest import DEFAULT_KEY, mount
@@ -240,6 +242,141 @@ def test_net_writes_stay_on_the_shaper_grid(small_bundle):
     assert all(e.ts % 60_000 == 0 for e in writes)
     deltas = [b.ts - a.ts for a, b in zip(writes, writes[1:])]
     assert all(d == 60_000 for d in deltas)
+
+
+# (endpoint, link rate, burst, peer rate): mixed rates, bursts and a peer
+# slower or faster than its link.
+MIXED_LINKS = [(0, 200_000_000, 1, 200_000_000), (1, 100_000_000, 1, 100_000_000),
+               (2, 150_000_000, 2, 150_000_000), (3, 50_000_000, 1, 80_000_000),
+               (4, 333_333_333, 1, 333_333_333), (5, 200_000_000, 3, 120_000_000),
+               (6, 75_000_000, 1, 75_000_000)]
+LATE_LINK = (7, 120_000_000, 1, 240_000_000)
+# SHA-256 of the ground-truth export of ``_run_mixed_links`` and of its echo
+# log, fixed when the net loop polled every actor at every instant; the
+# event-driven loop must reproduce both byte for byte. The trace pins the
+# order of the enclave's calls; the echo log pins when each payload came
+# back, which moves if peers and links swap turns within an instant.
+MIXED_LINKS_TRACE_SHA256 = \
+    "05a886a9a9567926477af622c5d66889c782c0a907128437c61c95659bbab64a"
+MIXED_LINKS_ECHO_SHA256 = \
+    "04c085e935456cb27b064cfe6e604d5841297b772cb2b431f52b5e6008bb2bdd"
+
+
+def _run_mixed_links(bundle):
+    """Seven links, an eighth added at round 20 mid-interval, sends on a
+    fixed schedule; 60 observed rounds. Returns the mount, the peers by
+    endpoint and one ``round,endpoint,payload`` line per echo received."""
+    m = mount(bundle, seed=3)
+    peers = {}
+    echoes = []
+
+    def attach(spec, start_ns):
+        ep, rate, burst, peer_rate = spec
+        a = StaticIdentity.from_private_bytes(bytes([ep]) * 31 + b"\x01")
+        b = StaticIdentity.from_private_bytes(bytes([ep]) * 31 + b"\x02")
+        m.engine.add_link(ep, establish(a, PeerIdentity(b.public_bytes)),
+                          ShapingClass(rate, burst), start_ns)
+        peers[ep] = EchoPeer(m.host, ep, establish(b, PeerIdentity(a.public_bytes)),
+                             ShapingClass(peer_rate, burst), start_ns)
+        m.engine.add_external_pump(peers[ep])
+
+    for spec in MIXED_LINKS:
+        attach(spec, 0)
+    m.engine.start_observation()
+    for r in range(60):
+        if r == 20:
+            attach(LATE_LINK, m.engine.rounds_done * 100_000 + 12_345)
+        for link in m.engine.links:
+            if (r + link.endpoint) % 3 == 0:
+                m.engine.net_send(link.endpoint,
+                                  bytes([r, link.endpoint]) * (8 + link.endpoint))
+        m.engine.run_one_round()
+        for link in m.engine.links:
+            while link.inbox:
+                echoes.append(f"{r},{link.endpoint},{link.inbox.popleft().hex()}\n")
+    return m, peers, echoes
+
+
+def test_mixed_link_event_order_is_pinned(small_bundle):
+    m, _peers, echoes = _run_mixed_links(small_bundle)
+    text = m.trace.export(ground_truth=True)
+    assert len(m.trace) == 2268
+    assert hashlib.sha256(text.encode()).hexdigest() == MIXED_LINKS_TRACE_SHA256
+    assert len(echoes) == 152
+    assert hashlib.sha256("".join(echoes).encode()).hexdigest() == \
+        MIXED_LINKS_ECHO_SHA256
+
+
+def test_every_frame_sent_is_received_or_still_queued(small_bundle):
+    m, peers, _echoes = _run_mixed_links(small_bundle)
+    in_flight = {}
+    for ep, _frame in m.host.ingress:
+        in_flight[ep] = in_flight.get(ep, 0) + 1
+    for link in m.engine.links:
+        peer = peers[link.endpoint]
+        out, back = link.session, peer.session
+        assert out.sent_real + out.sent_dummy > 0
+        # Enclave -> peer: opened by the peer, rejected, or on the wire.
+        assert out.sent_real + out.sent_dummy == (
+            peer.received_real + peer.received_dummy + peer.rx_errors
+            + len(m.host.egress[link.endpoint]))
+        # Peer -> enclave, the same.
+        assert back.sent_real + back.sent_dummy == (
+            out.received_real + out.received_dummy + link.rx_errors
+            + in_flight.get(link.endpoint, 0))
+        assert peer.rx_errors == link.rx_errors == peer.dropped == 0
+
+
+def test_echo_peer_drops_a_burst_beyond_its_queue_and_keeps_echoing(small_bundle):
+    m = mount(small_bundle)
+    enclave, remote = net_pair()
+    link = m.engine.add_link(7, enclave, ShapingClass(burst_frames=4))
+    peer = EchoPeer(m.host, 7, remote, ShapingClass(queue_frames=1))
+    m.engine.add_external_pump(peer)
+    for i in range(4):
+        m.engine.net_send(7, b"burst %d" % i)
+    m.engine.run_rounds(3)
+    assert peer.received_real == 4
+    assert peer.dropped == 3
+    assert list(link.inbox) == [b"burst 0"]
+
+    m.engine.net_send(7, b"after")
+    m.engine.run_rounds(3)
+    assert peer.dropped == 3
+    assert list(link.inbox) == [b"burst 0", b"after"]
+
+
+class _ScriptedPump:
+    """Due at each time in ``dues`` in turn, then retired (None)."""
+
+    def __init__(self, dues):
+        self.dues = list(dues)
+        self.ran = []
+        self.reads = 0
+
+    def next_due_ns(self):
+        self.reads += 1
+        return self.dues[0] if self.dues else None
+
+    def pump(self, now_ns):
+        self.ran.append(now_ns)
+        self.dues.pop(0)
+
+
+def test_pump_due_time_is_read_after_adding_and_after_each_pump(small_bundle):
+    m = mount(small_bundle)
+    pump = _ScriptedPump([0, 50_000, 150_000])
+    m.engine.add_external_pump(pump)
+    m.engine.run_rounds(5)
+    assert pump.ran == [0, 50_000, 150_000]
+    assert pump.reads == 1 + len(pump.ran)  # the last read returned None
+
+
+def test_pump_that_does_not_move_forward_is_refused(small_bundle):
+    m = mount(small_bundle)
+    m.engine.add_external_pump(_ScriptedPump([0, 40_000, 40_000]))
+    with pytest.raises(ParameterError):
+        m.engine.run_rounds(2)
 
 
 def test_duplicate_endpoint_rejected(small_bundle):

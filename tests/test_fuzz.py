@@ -224,7 +224,7 @@ def _authentic(a2b, counter: int, inner_len: int, body: bytes) -> bytes:
     header = struct.pack(">Q", counter)
     body = body.ljust(max_payload(DEFAULT_MTU), b"\0")[:max_payload(DEFAULT_MTU)]
     return header + a2b._send.encrypt(
-        a2b._nonce(counter), struct.pack(">H", inner_len) + body, header)
+        b"\0" * 4 + header, struct.pack(">H", inner_len) + body, header)
 
 
 frame_specs = st.one_of(

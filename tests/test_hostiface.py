@@ -90,8 +90,21 @@ def test_net_frames_queue_fifo():
     host.deliver_frame(9, b"\x02" * host.mtu)
     assert iface.net_read() == (4, b"\x01" * host.mtu)
     assert iface.net_read() == (9, b"\x02" * host.mtu)
-    iface.net_write(7, b"\x03" * host.mtu)
-    assert host.pop_egress() == (7, b"\x03" * host.mtu)
+    # Egress is FIFO per endpoint, and endpoints never see each other's frames.
+    for i in range(3):
+        iface.net_write(7, bytes([0x70 + i]) * host.mtu)
+        iface.net_write(8, bytes([0x80 + i]) * host.mtu)
+    assert host.state_digest()[2] == 6
+    assert host.pop_egress(8) == b"\x80" * host.mtu
+    assert [host.pop_egress(7) for _ in range(3)] == \
+        [bytes([0x70 + i]) * host.mtu for i in range(3)]
+    with pytest.raises(WouldBlock):
+        host.pop_egress(7)
+    assert [host.pop_egress(8) for _ in range(2)] == \
+        [bytes([0x80 + i]) * host.mtu for i in (1, 2)]
+    with pytest.raises(WouldBlock):
+        host.pop_egress(3)
+    assert host.state_digest()[2] == 0
 
 
 def test_deliver_frame_checks_size():
