@@ -30,6 +30,7 @@ import hmac
 import os
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -65,8 +66,7 @@ class ProtectionMode(enum.Enum):
         return self in (ProtectionMode.CRYPT, ProtectionMode.CRYPT_INTEGRITY)
 
 
-@dataclass(frozen=True)
-class EncryptedBlock:
+class EncryptedBlock(NamedTuple):
     nonce: bytes
     ciphertext: bytes
     tag: bytes
@@ -98,8 +98,7 @@ class FreshnessTable:
             self._versions[phys] = version
 
 
-def _aad(phys: int, version: int) -> bytes:
-    return struct.pack(">QQ", phys, version)
+_aad = struct.Struct(">QQ").pack  # (phys, version) -> associated data
 
 
 @functools.lru_cache(maxsize=8)
@@ -239,6 +238,11 @@ class BlockStore:
         self.slots = slots
         self.freshness = FreshnessTable()
         self.sealed = sealed
+        # Fixed for the mount, so the data path works them out once.
+        self._data_base = layout.data_start_block * BLOCK_SIZE
+        self._encrypted = layout.mode.encrypted
+        self._open_freshness = (
+            self.freshness if layout.mode is ProtectionMode.CRYPT_INTEGRITY else None)
         if layout.mode.encrypted:
             for phys, slot in enumerate(slots):
                 if slot is not None:
@@ -289,33 +293,33 @@ class BlockStore:
     # Data path --------------------------------------------------------
 
     def read_block(self, phys: int) -> bytes:
-        raw = self.iface.disk_read(self.layout.data_offset(phys))
-        if self.mode is ProtectionMode.PLAIN:
-            return raw
-        if self.mode is ProtectionMode.VERITY:
-            if self.slots[phys] != _verity_slot(raw):
-                raise IntegrityError(f"block {phys}: digest does not match its slot")
-            return raw
+        if not 0 <= phys < self.layout.n_blocks:
+            raise ParameterError(f"physical block {phys} out of range")
+        raw = self.iface.disk_read(self._data_base + phys * BLOCK_SIZE)
         slot = self.slots[phys]
-        if slot is None:
-            raise IntegrityError(f"block {phys} was never written")
-        enc = EncryptedBlock(slot[:NONCE_SIZE], raw, slot[NONCE_SIZE:])
-        freshness = (
-            self.freshness if self.mode is ProtectionMode.CRYPT_INTEGRITY else None
-        )
-        return open_block(self.key, phys, enc, freshness)
+        if self._encrypted:
+            if slot is None:
+                raise IntegrityError(f"block {phys} was never written")
+            enc = EncryptedBlock(slot[:NONCE_SIZE], raw, slot[NONCE_SIZE:])
+            return open_block(self.key, phys, enc, self._open_freshness)
+        if self.layout.mode is ProtectionMode.VERITY and slot != _verity_slot(raw):
+            raise IntegrityError(f"block {phys}: digest does not match its slot")
+        return raw
 
     def write_block(self, phys: int, plaintext: bytes, dummy: bool = False) -> None:
         if self.sealed:
             raise ModeError("image is sealed read-only")
-        if self.mode in (ProtectionMode.PLAIN, ProtectionMode.VERITY):
-            if len(plaintext) != BLOCK_SIZE:
-                raise SizeError("plaintext must be exactly one block")
-            self.iface.disk_write(self.layout.data_offset(phys), plaintext, dummy)
+        if not 0 <= phys < self.layout.n_blocks:
+            raise ParameterError(f"physical block {phys} out of range")
+        offset = self._data_base + phys * BLOCK_SIZE
+        if self._encrypted:
+            enc = seal_block(self.key, phys, plaintext, self.freshness)
+            self.iface.disk_write(offset, enc.ciphertext, dummy)
+            self.slots[phys] = enc.slot()
             return
-        enc = seal_block(self.key, phys, plaintext, self.freshness)
-        self.iface.disk_write(self.layout.data_offset(phys), enc.ciphertext, dummy)
-        self.slots[phys] = enc.slot()
+        if len(plaintext) != BLOCK_SIZE:
+            raise SizeError("plaintext must be exactly one block")
+        self.iface.disk_write(offset, plaintext, dummy)
 
     def dummy_read(self, phys: int) -> None:
         """Fetch and discard; padding traffic never decrypts."""

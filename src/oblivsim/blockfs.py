@@ -113,7 +113,6 @@ class BlockFs:
         self.bitmap = bytearray((n_blocks + 7) // 8)
         self.inodes = [Inode() for _ in range(max_files)]
         self._free: list[int] = []
-        self._free_pos: dict[int, int] = {}
 
     # Bitmap and allocation --------------------------------------------
 
@@ -139,21 +138,18 @@ class BlockFs:
         """Uniformly random free block; this is what randomizes layout."""
         if not self._free:
             raise SpaceError("no free blocks")
-        i = self.rng.randbelow(len(self._free))
-        phys = self._free[i]
-        last = self._free[-1]
-        self._free[i] = last
-        self._free_pos[last] = i
-        self._free.pop()
-        del self._free_pos[phys]
-        self._set_bit(phys, True)
+        free = self._free
+        i = self.rng.randbelow(len(free))
+        phys = free[i]
+        free[i] = free[-1]
+        free.pop()
+        self.bitmap[phys // 8] |= 1 << (phys % 8)
         return phys
 
     def free_block(self, phys: int) -> None:
         if self._bit(phys) is False:
             raise ParameterError(f"block {phys} already free")
         self._set_bit(phys, False)
-        self._free_pos[phys] = len(self._free)
         self._free.append(phys)
 
     # Formatting and (de)serialization ----------------------------------
@@ -174,9 +170,7 @@ class BlockFs:
             raise SpaceError("filesystem metadata does not fit")
         for phys in range(meta):
             fs._set_bit(phys, True)
-        for phys in range(meta, n_blocks):
-            fs._free_pos[phys] = len(fs._free)
-            fs._free.append(phys)
+        fs._free.extend(range(meta, n_blocks))
         dummy_total = int(n_blocks * dummy_fraction)
         while dummy_total > 0:
             chunk = min(dummy_total, max_file_blocks)
@@ -275,7 +269,6 @@ class BlockFs:
                 claimed.add(p)
         for phys in range(n_blocks):
             if not fs._bit(phys):
-                fs._free_pos[phys] = len(fs._free)
                 fs._free.append(phys)
         if fs.free_blocks != free_blocks:
             raise ParameterError("superblock free count disagrees with bitmap")

@@ -31,9 +31,10 @@ more, not a scan of every link.
 The pump contract: a pump has ``pump(now_ns)`` and ``next_due_ns()``.
 ``next_due_ns()`` is read once after ``add_external_pump`` and once
 after each ``pump``, never in between, so it must already be current
-then. It only moves forward: after ``pump(t)`` it is later than ``t``
-(the loop raises ``ParameterError`` otherwise), or None, which retires
-the pump. Links follow the same rule through ``PeerShaper``.
+then. It only moves forward: it is not before the simulated clock when
+the pump is added, after ``pump(t)`` it is later than ``t`` (both are
+refused with ``ParameterError``), or None, which retires the pump.
+Links follow the same rule through ``PeerShaper``.
 
 ``EchoPeer`` models the remote end of a link: it is environment code,
 touches the untrusted ``Host`` directly (it drains its own endpoint's
@@ -345,14 +346,18 @@ class Engine:
     # Network ------------------------------------------------------------
 
     def add_link(self, endpoint: int, session: PeerSession,
-                 shaping: ShapingClass | None = None, start_ns: int = 0) -> NetLink:
+                 shaping: ShapingClass | None = None,
+                 start_ns: int | None = None) -> NetLink:
+        """Link ``endpoint``; its emission grid starts at ``start_ns``,
+        by default the current simulated time."""
         if endpoint in self._links_by_endpoint:
             raise ParameterError(f"endpoint {endpoint} already linked")
         shaping = shaping if shaping is not None else ShapingClass()
+        start_ns = self.clock.now() if start_ns is None else start_ns
         link = NetLink(endpoint, session, PeerShaper(shaping, session, start_ns))
+        self._schedule(link.shaper.next_due_ns(), _LINK, link)
         self.links.append(link)
         self._links_by_endpoint[endpoint] = link
-        self._schedule(link.shaper.next_due_ns(), _LINK, link)
         return link
 
     def add_external_pump(self, pump) -> None:
@@ -361,8 +366,14 @@ class Engine:
         self._schedule(pump.next_due_ns(), _PUMP, pump)
 
     def _schedule(self, due_ns: int | None, kind: int, actor) -> None:
-        if due_ns is not None:
-            heapq.heappush(self._net_due, (due_ns, kind, next(self._net_order), actor))
+        """Put a new actor on the heap; one due before the simulated
+        clock could never run, so it is refused."""
+        if due_ns is None:
+            return
+        if due_ns < self.clock.now():
+            raise ParameterError(
+                f"net actor due at {due_ns} ns, before the clock at {self.clock.now()} ns")
+        heapq.heappush(self._net_due, (due_ns, kind, next(self._net_order), actor))
 
     def net_send(self, endpoint: int, payload: bytes) -> None:
         self.link(endpoint).shaper.enqueue(payload)

@@ -158,26 +158,28 @@ class HostInterface:
     # Disk ------------------------------------------------------------
 
     def disk_read(self, offset: int, dummy: bool = False) -> bytes:
+        host = self.host
         if offset % BLOCK_SIZE != 0:
             raise AlignmentError(f"read offset {offset} not block-aligned")
-        if offset < 0 or offset + BLOCK_SIZE > len(self.host.image):
+        if offset < 0 or offset + BLOCK_SIZE > len(host.image):
             raise BoundsError(f"read offset {offset} outside image")
-        data = bytes(self.host.image[offset:offset + BLOCK_SIZE])
+        data = bytes(host.image[offset:offset + BLOCK_SIZE])
         self.trace.record(HostCallEvent(
-            self.host.clock.now(), CallKind.DISK_READ, offset, BLOCK_SIZE, dummy))
+            host.clock.now_ns, CallKind.DISK_READ, offset, BLOCK_SIZE, dummy))
         return data
 
     def disk_write(self, offset: int, block: bytes, dummy: bool = False) -> None:
+        host = self.host
         if offset % BLOCK_SIZE != 0:
             raise AlignmentError(f"write offset {offset} not block-aligned")
-        if offset < 0 or offset + BLOCK_SIZE > len(self.host.image):
+        if offset < 0 or offset + BLOCK_SIZE > len(host.image):
             raise BoundsError(f"write offset {offset} outside image")
         if len(block) != BLOCK_SIZE:
             raise SizeError("disk writes must be exactly one block")
-        self.host.image[offset:offset + BLOCK_SIZE] = block
-        self.host.boundary_mutations += 1
+        host.image[offset:offset + BLOCK_SIZE] = block
+        host.boundary_mutations += 1
         self.trace.record(HostCallEvent(
-            self.host.clock.now(), CallKind.DISK_WRITE, offset, BLOCK_SIZE, dummy))
+            host.clock.now_ns, CallKind.DISK_WRITE, offset, BLOCK_SIZE, dummy))
 
     # Network ---------------------------------------------------------
 

@@ -82,7 +82,13 @@ class Rng:
         nbytes = (n.bit_length() + 7) // 8
         limit = (256**nbytes // n) * n
         while True:
-            x = int.from_bytes(self._take(nbytes), "big")
+            pos = self._pos
+            end = pos + nbytes
+            if end <= len(self._buf):  # in the buffer: no refill to consider
+                x = int.from_bytes(self._buf[pos:end], "big")
+                self._pos = end
+            else:
+                x = int.from_bytes(self._take(nbytes), "big")
             if x < limit:
                 return x % n
 

@@ -13,12 +13,11 @@ the scheduled round time, so the recorded pattern is bit-reproducible.
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass
 
-from .blockcrypto import BlockStore
-from .errors import BackpressureError, ParameterError, SimError
+from .blockcrypto import BLOCK_SIZE, BlockStore
+from .errors import BackpressureError, ParameterError, SimError, SizeError
 from .rng import Rng
 
 DEFAULT_ROUND_INTERVAL_NS = 100_000  # 0.1 ms
@@ -37,23 +36,10 @@ class RoundConfig:
             raise ParameterError("invalid round configuration")
 
 
-class IoKind(enum.Enum):
-    READ = "read"
-    WRITE = "write"
-
-
 @dataclass
 class Completion:
     done: bool = False
     data: bytes | None = None
-
-
-@dataclass
-class IoRequest:
-    kind: IoKind
-    phys: int
-    data: bytes | None = None
-    completion: Completion | None = None
 
 
 class RoundScheduler:
@@ -65,8 +51,9 @@ class RoundScheduler:
             raise ParameterError("padding needs at least one dummy-file block")
         self.rng = rng
         self.config = config if config is not None else RoundConfig()
-        self._reads: deque[IoRequest] = deque()
-        self._writes: deque[IoRequest] = deque()
+        # Queued requests: (phys, completion) reads, (phys, data, completion) writes.
+        self._reads: deque[tuple[int, Completion]] = deque()
+        self._writes: deque[tuple[int, bytes, Completion]] = deque()
         self.last_round_ns: int | None = None
         self.rounds = 0
         self.real_reads = 0
@@ -80,23 +67,25 @@ class RoundScheduler:
         if len(self._reads) >= self.config.queue_capacity:
             raise BackpressureError("read queue full")
         comp = Completion()
-        self._reads.append(IoRequest(IoKind.READ, phys, completion=comp))
+        self._reads.append((phys, comp))
         return comp
 
     def submit_write(self, phys: int, data: bytes) -> Completion:
+        if len(data) != BLOCK_SIZE:
+            raise SizeError("a queued write must be exactly one block")
         if len(self._writes) >= self.config.queue_capacity:
             raise BackpressureError("write queue full")
         comp = Completion()
-        self._writes.append(IoRequest(IoKind.WRITE, phys, bytes(data), comp))
+        self._writes.append((phys, bytes(data), comp))
         return comp
 
     def pending_write_for(self, phys: int) -> bytes | None:
         """Newest queued write aimed at ``phys``, if any. Readers must
         coalesce against this; a queued write has not reached the host
         image yet and rounds run reads before writes."""
-        for req in reversed(self._writes):
-            if req.phys == phys:
-                return req.data
+        for target, data, _comp in reversed(self._writes):
+            if target == phys:
+                return data
         return None
 
     @property
@@ -109,41 +98,41 @@ class RoundScheduler:
 
     # Execution -----------------------------------------------------------
 
-    def _dummy_block(self) -> int:
-        return self.dummy_targets[self.rng.randbelow(len(self.dummy_targets))]
-
     def run_round(self, now_ns: int) -> None:
         """One batch at now_ns: the simulated clock moves there, then
         reads run first and writes after, all stamped at now_ns.
         A failed read (say, it does not authenticate) leaves the queue
         uncompleted; the round still runs every slot and counts, so the
         cadence holds, and then raises the first such error."""
+        config = self.config
         if self.last_round_ns is not None \
-                and now_ns < self.last_round_ns + self.config.interval_ns:
+                and now_ns < self.last_round_ns + config.interval_ns:
             raise ParameterError(
                 f"round at {now_ns} before the interval elapsed")
-        self.store.iface.host.clock.advance_to(now_ns)
+        store, reads, writes = self.store, self._reads, self._writes
+        targets, randbelow = self.dummy_targets, self.rng.randbelow
+        store.iface.host.clock.advance_to(now_ns)
         error: SimError | None = None
-        for _ in range(self.config.reads_per_round):
-            if self._reads:
-                req = self._reads.popleft()
+        for _ in range(config.reads_per_round):
+            if reads:
+                phys, comp = reads.popleft()
                 try:
-                    req.completion.data = self.store.read_block(req.phys)
-                    req.completion.done = True
+                    comp.data = store.read_block(phys)
+                    comp.done = True
                 except SimError as exc:
                     error = error or exc
                 self.real_reads += 1
             else:
-                self.store.dummy_read(self._dummy_block())
+                store.dummy_read(targets[randbelow(len(targets))])
                 self.dummy_reads += 1
-        for _ in range(self.config.writes_per_round):
-            if self._writes:
-                req = self._writes.popleft()
-                self.store.write_block(req.phys, req.data)
-                req.completion.done = True
+        for _ in range(config.writes_per_round):
+            if writes:
+                phys, data, comp = writes.popleft()
+                store.write_block(phys, data)
+                comp.done = True
                 self.real_writes += 1
             else:
-                self.store.dummy_write(self._dummy_block())
+                store.dummy_write(targets[randbelow(len(targets))])
                 self.dummy_writes += 1
         self.last_round_ns = now_ns
         self.rounds += 1

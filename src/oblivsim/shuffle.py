@@ -5,12 +5,21 @@ The shuffle walks every block of the selected files in a uniformly
 random order. Each step claims one read slot and one write slot of the
 batched round cadence:
 
-* the read slot fetches the block being moved, unless it is already
-  resident in the page cache, in which case some other not-yet-read
-  block is prefetched instead (and if every remaining block is already
-  in hand, the slot is spent on padding);
-* the write slot lands the block, freshly re-encrypted, at its new
-  home.
+* the read slot serves the shuffle's read stream: the sources the page
+  cache does not hold, in shuffle order, listed once when the shuffle
+  starts. Step *i* reads the stream's *i*-th entry; once the stream runs
+  out, the read slot is padding;
+* the write slot lands the step's block, freshly re-encrypted, at its
+  new home. The block comes from the cache if it is resident there, and
+  otherwise from the stream, read at this step or ahead of it.
+
+The stream is read no later than it is needed. Among the first *i* + 1
+steps at most *i* + 1 sources are uncached, so an uncached source at
+step *i* sits at stream index *k* <= *i* and was read at step *k*. The
+earlier rule, which read the step's own block when it was uncached and
+unread and otherwise prefetched the earliest unread uncached source,
+reads the same sequence: its reads so far are always a prefix of the
+stream, one per step, so each read is the stream's next entry.
 
 New homes come from donors: groups of ``max_blk`` slots, one per
 ``max_blk`` free blocks, held in memory and never in the inode table. A
@@ -111,52 +120,31 @@ def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
         sources = [(fd, b) for fd in plan.fds
                    for b in range(fs.file_blocks(fd))]
         order = fisher_yates(sources, rng)
+        stream = [src for src in order if io.peek_cache(*src) is None]
+        stats.real_reads = len(stream)
+        stats.dummy_reads = stats.served_from_cache = len(order) - len(stream)
         # Per logical index, the donors whose slot there is untouched.
         untouched = [list(range(len(donors))) for _ in range(plan.max_blk)]
-        buffered: dict[tuple[int, int], bytes] = {}
-        # Blocks read, buffered or swapped already.
-        consumed: set[tuple[int, int]] = set()
-        cursor = 0
-
-        def next_prefetch() -> tuple[int, int] | None:
-            nonlocal cursor
-            while cursor < len(order):
-                cand = order[cursor]
-                if cand not in consumed and io.peek_cache(*cand) is None:
-                    return cand
-                cursor += 1
-            return None
-
-        for fd, b in order:
-            data = buffered.pop((fd, b), None)
-            if data is None:
-                cached = io.peek_cache(fd, b)
-                if cached is not None:
-                    data = cached
-                    stats.served_from_cache += 1
-            if data is None:
-                data = io.read_phys(fs.phys_of(fd, b))
-                stats.real_reads += 1
+        # Stream blocks read, at their own step or ahead of it.
+        fetched: dict[tuple[int, int], bytes] = {}
+        phys_of, randbelow = fs.phys_of, rng.randbelow
+        for step, (fd, b) in enumerate(order):
+            if step < len(stream):
+                src = stream[step]
+                fetched[src] = io.read_phys(phys_of(*src))
             else:
-                # This step's read slot still has to happen somewhere.
-                consumed.add((fd, b))
-                cand = next_prefetch()
-                if cand is not None:
-                    buffered[cand] = io.read_phys(fs.phys_of(*cand))
-                    stats.real_reads += 1
-                    consumed.add(cand)
-                else:
-                    io.pump_dummy_read()
-                    stats.dummy_reads += 1
-            consumed.add((fd, b))
+                io.pump_dummy_read()
+            data = fetched.pop((fd, b), None)
+            if data is None:
+                data = io.peek_cache(fd, b)
             eligible = untouched[b]
             if eligible:
-                d = eligible.pop(rng.randbelow(len(eligible)))
+                d = eligible.pop(randbelow(len(eligible)))
             else:
-                d = rng.randbelow(len(donors))
+                d = randbelow(len(donors))
                 stats.donor_reuses += 1
             fs.move_extent(fd, donors[d], b)
-            io.write_phys(fs.phys_of(fd, b), data)
+            io.write_phys(phys_of(fd, b), data)
             stats.swaps += 1
     finally:
         fs.unlink_all(donors)

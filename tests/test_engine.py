@@ -379,6 +379,45 @@ def test_pump_that_does_not_move_forward_is_refused(small_bundle):
         m.engine.run_rounds(2)
 
 
+def test_link_added_after_rounds_starts_at_the_current_time(small_bundle):
+    m = mount(small_bundle)
+    m.engine.run_rounds(5)
+    now = m.engine.clock.now()
+    enclave, _remote = net_pair()
+    link = m.engine.add_link(0, enclave)
+    m.engine.run_rounds(2)
+    assert m.engine.rounds_done == 7
+    writes = m.trace.of_kind(CallKind.NET_WRITE)
+    assert link.shaper.emitted == len(writes) > 0
+    assert writes[0].ts == now
+
+
+def test_link_starting_before_the_clock_is_refused(small_bundle):
+    m = mount(small_bundle)
+    m.engine.run_rounds(5)
+    enclave, _remote = net_pair()
+    with pytest.raises(ParameterError):
+        m.engine.add_link(0, enclave, start_ns=m.engine.clock.now() - 1)
+    assert m.engine.links == []
+    m.engine.add_link(0, enclave, start_ns=m.engine.clock.now())
+    m.engine.run_rounds(2)
+    assert m.engine.rounds_done == 7
+
+
+def test_pump_already_due_in_the_past_is_refused(small_bundle):
+    m = mount(small_bundle)
+    m.engine.run_rounds(5)
+    _enclave, remote = net_pair()
+    pump = _ScriptedPump([m.engine.clock.now() - 1])
+    with pytest.raises(ParameterError):
+        m.engine.add_external_pump(pump)
+    with pytest.raises(ParameterError):
+        m.engine.add_external_pump(EchoPeer(m.host, 0, remote, ShapingClass()))
+    m.engine.run_rounds(2)
+    assert m.engine.rounds_done == 7
+    assert pump.ran == []
+
+
 def test_duplicate_endpoint_rejected(small_bundle):
     m = mount(small_bundle)
     enclave, _remote = net_pair()

@@ -17,6 +17,7 @@ from oblivsim import (
     RoundConfig,
     RoundScheduler,
     SimClock,
+    SizeError,
     layout_for,
     new_image,
 )
@@ -170,3 +171,17 @@ def test_failed_read_still_completes_its_round():
         for kind in (CallKind.DISK_READ, CallKind.DISK_WRITE)]
     assert sched.real_reads + sched.dummy_reads == 4
     assert sched.real_writes + sched.dummy_writes == 4
+
+
+def test_write_that_is_not_one_block_is_refused_before_queueing():
+    store, sched = make_sched()
+    for payload in (b"short", b"\x00" * (BLOCK_SIZE + 1)):
+        with pytest.raises(SizeError):
+            sched.submit_write(5, payload)
+    assert sched.pending_writes == 0
+    store.iface.trace.reset()
+    run_rounds(sched, 2)
+    assert sched.rounds == 2
+    assert [e.kind for e in store.iface.trace.events] == \
+        [CallKind.DISK_READ, CallKind.DISK_WRITE] * 2
+    assert [e.ts for e in store.iface.trace.events] == [0, 0, 100_000, 100_000]

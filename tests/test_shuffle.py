@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from itertools import permutations
 
 import pytest
@@ -30,18 +33,22 @@ class FakeIo:
         self.read_log: list[int] = []
         self.write_log: list[int] = []
         self.dummy_pumps = 0
+        self.slot_log: list[str] = []  # every host slot, in order
         self.resident = dict(resident or {})
 
     def read_phys(self, phys):
         self.read_log.append(phys)
+        self.slot_log.append(f"r{phys}")
         return self.pages[phys]
 
     def write_phys(self, phys, data):
         self.write_log.append(phys)
+        self.slot_log.append(f"w{phys}")
         self.pages[phys] = bytes(data)
 
     def pump_dummy_read(self):
         self.dummy_pumps += 1
+        self.slot_log.append("p")
 
     def peek_cache(self, fd, lblk):
         return self.resident.get((fd, lblk))
@@ -262,3 +269,30 @@ def test_default_selection_is_regular_files_only():
     dummy_before = fs.dummy_blocks()
     oblivious_shuffle(fs, io, RngTree(9).stream("shuffle"))
     assert fs.dummy_blocks() == dummy_before
+
+
+def _host_io_digest(io, fs, fds, stats) -> str:
+    maps = [[fd, b, phys] for (fd, b), phys in sorted(placements(fs, fds).items())]
+    record = {"reads": io.read_log, "writes": io.write_log, "slots": io.slot_log,
+              "maps": maps, "stats": dataclasses.asdict(stats)}
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+def test_shuffle_host_io_is_pinned():
+    # Cache-resident sources, donor reuse and padding reads in one world:
+    # three files of 4, 4 and 2 blocks over 10 free blocks (2 donors of 4
+    # slots), with four sources held in the cache. The digest covers the
+    # ordered read and write phys lists, the final block maps, the
+    # stats, and the order of reads, writes and padding reads among them;
+    # it was fixed before the shuffle's read stream was rewritten.
+    fs, io, fds = make_world(sizes=(4, 4, 2), filler=34)
+    io.resident = {key: token(*key) for key in
+                   ((fds[0], 1), (fds[1], 3), (fds[2], 0), (fds[2], 1))}
+    stats = oblivious_shuffle(fs, io, RngTree(21).stream("shuffle"), fds)
+    assert stats.served_from_cache == 4
+    assert stats.donor_reuses > 0 and stats.dummy_reads > 0
+    for fd in fds:
+        for b in range(fs.file_blocks(fd)):
+            assert io.pages[fs.phys_of(fd, b)] == token(fd, b)
+    assert _host_io_digest(io, fs, fds, stats) == (
+        "40173619914df83e3fb55ac1898779b151962069c50a133af581e9cc5c99f839")
