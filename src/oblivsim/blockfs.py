@@ -12,8 +12,10 @@ created at format time from a configurable fraction of the disk. The
 shuffle's scratch space (donors) is plain lists of slots with no inode,
 each homed at a random free block when first used.
 
-The on-disk layout (superblock, bitmap, inode table) and the geometry
-rule ``load`` enforces are specified in FORMATS.md.
+The on-disk layout (superblock, bitmap, inode table), the geometry rule
+and the one consistency rule are specified in FORMATS.md. ``fsck`` is
+the only statement of that rule; ``load`` refuses any image that breaks
+it, because the host stores the image between mounts.
 """
 
 from __future__ import annotations
@@ -235,43 +237,21 @@ class BlockFs:
         fs.bitmap = bytearray(region[:(n_blocks + 7) // 8])
         entry = _inode_struct(max_file_blocks)
         itab = region[bmb * BLOCK_SIZE:bmb * BLOCK_SIZE + max_files * entry.size]
-        meta = fs.metadata_blocks
-        claimed: set[int] = set()
-        for fd, (ino, (used, flags, size, _nblocks, *block_map)) in enumerate(zip(
-                fs.inodes, entry.iter_unpack(itab))):
+        for ino, (used, flags, size, _nblocks, *block_map) in zip(
+                fs.inodes, entry.iter_unpack(itab)):
             ino.used = bool(used)
             ino.flags = flags
             ino.size = size
-            if not ino.used:
-                continue
-            ino.block_map = [None if p == UNMAPPED else p for p in block_map]
-            # Files have no holes (file_write refuses them): a used inode
-            # maps exactly its first ceil(size / BLOCK_SIZE) entries, each
-            # a data block that the bitmap marks used and that no other
-            # entry maps.
-            nblocks = ino.nblocks
-            if nblocks > max_file_blocks:
-                raise ParameterError(f"file {fd}: size exceeds the per-file block limit")
-            for lblk, p in enumerate(block_map):
-                if (p == UNMAPPED) != (lblk >= nblocks):
-                    raise ParameterError(
-                        f"file {fd}: size disagrees with the block map at block {lblk}")
-                if p == UNMAPPED:
-                    continue
-                if not meta <= p < n_blocks:
-                    raise ParameterError(
-                        f"inode table maps block {p} outside the data region")
-                if p in claimed:
-                    raise ParameterError(f"inode table maps block {p} twice")
-                if not fs._bit(p):
-                    raise ParameterError(
-                        f"inode table maps block {p}, which the bitmap marks free")
-                claimed.add(p)
+            if ino.used:
+                ino.block_map = [None if p == UNMAPPED else p for p in block_map]
         for phys in range(n_blocks):
             if not fs._bit(phys):
                 fs._free.append(phys)
         if fs.free_blocks != free_blocks:
             raise ParameterError("superblock free count disagrees with bitmap")
+        problems = fs.fsck()
+        if problems:
+            raise ParameterError(problems[0])
         return fs
 
     # Files --------------------------------------------------------------
@@ -413,38 +393,51 @@ class BlockFs:
     # Consistency ------------------------------------------------------------
 
     def fsck(self) -> list[str]:
-        """Returns a list of inconsistencies; empty means clean."""
+        """Check the filesystem's consistency rule; returns the problems
+        found, empty when clean. ``load`` refuses an image on the first
+        one, so every mounted filesystem obeys it:
+
+        * a used inode maps exactly its first ceil(size / BLOCK_SIZE)
+          entries (files have no holes), at most ``max_file_blocks``;
+        * each mapped block lies in the data region and is mapped once;
+        * the bitmap marks allocated exactly the metadata blocks and the
+          mapped blocks, and no bit past ``n_blocks``;
+        * the free list holds one entry per clear bit.
+        """
         problems = []
-        claimed: dict[int, int] = {}
+        n, meta, limit = self.n_blocks, self.metadata_blocks, self.max_file_blocks
+        implied = bytearray(len(self.bitmap))
+        for p in range(meta):
+            implied[p >> 3] |= 1 << (p & 7)
         for fd, ino in enumerate(self.inodes):
             if not ino.used:
                 continue
-            if ino.block_map is None:
-                problems.append(f"inode {fd}: used but has no block map")
-                continue
-            mapped = [p for p in ino.block_map if p is not None]
-            if len(mapped) != ino.nblocks:
-                problems.append(f"inode {fd}: size disagrees with mapped blocks")
-            for phys in mapped:
-                if not (0 <= phys < self.n_blocks):
-                    problems.append(f"inode {fd}: block {phys} out of range")
+            nblocks, block_map = ino.nblocks, ino.block_map
+            if nblocks > limit:
+                problems.append(f"file {fd}: size exceeds the per-file block limit")
+            elif (None in block_map[:nblocks]
+                  or block_map[nblocks:].count(None) != len(block_map) - nblocks):
+                problems.append(f"file {fd}: size disagrees with its block map")
+            for p in block_map:
+                if p is None:
                     continue
-                if phys < self.metadata_blocks:
-                    problems.append(f"inode {fd}: claims metadata block {phys}")
-                if phys in claimed:
-                    problems.append(
-                        f"block {phys} claimed by inodes {claimed[phys]} and {fd}")
-                claimed[phys] = fd
-                if not self._bit(phys):
-                    problems.append(f"block {phys} mapped but marked free")
-        for phys in range(self.n_blocks):
-            expected = phys < self.metadata_blocks or phys in claimed
-            if self._bit(phys) != expected:
-                problems.append(
-                    f"block {phys}: bitmap={int(self._bit(phys))} "
-                    f"expected={int(expected)}")
-        zero_bits = sum(1 for p in range(self.n_blocks) if not self._bit(p))
-        if zero_bits != self.free_blocks:
+                if not meta <= p < n:
+                    problems.append(f"file {fd}: block {p} is outside the data region")
+                elif implied[p >> 3] & 1 << (p & 7):
+                    problems.append(f"file {fd}: block {p} is mapped twice")
+                else:
+                    implied[p >> 3] |= 1 << (p & 7)
+        if implied != self.bitmap:
+            for p in range(8 * len(implied)):
+                want = implied[p >> 3] >> (p & 7) & 1
+                got = self.bitmap[p >> 3] >> (p & 7) & 1
+                if want and not got:
+                    problems.append(f"bitmap marks free block {p}, which is in use")
+                elif got and not want:
+                    why = "past the end" if p >= n else "which nothing maps"
+                    problems.append(f"bitmap marks used block {p}, {why}")
+        used = (int.from_bytes(self.bitmap, "little") & ((1 << n) - 1)).bit_count()
+        if self.free_blocks != n - used:
             problems.append(
-                f"free count {self.free_blocks} != bitmap free bits {zero_bits}")
+                f"free count {self.free_blocks} != bitmap free bits {n - used}")
         return problems

@@ -74,7 +74,7 @@ from .errors import (
     WouldBlock,
 )
 from .hostiface import Host, HostInterface, SimClock
-from .pagecache import Intent, Outcome, PageCache, default_capacity
+from .pagecache import Outcome, PageCache, default_capacity
 from .rng import RngTree
 from .sched import RoundConfig, RoundScheduler
 from .shaper import PeerShaper, ShapingClass
@@ -101,7 +101,6 @@ class EngineConfig:
     round: RoundConfig = field(default_factory=RoundConfig)
     cache_capacity: int | None = None  # None: ceil(sqrt(data blocks))
     eager_shuffle_at: int | None = None  # epoch fetches that trigger an early shuffle
-    passthrough_latency_ns: int = DEFAULT_PASSTHROUGH_LATENCY_NS
 
 
 class CachedIo:
@@ -111,22 +110,19 @@ class CachedIo:
         self.engine = engine
 
     def read_block(self, fd: int, lblk: int) -> bytes:
-        return self._get(fd, lblk, Intent.READ)
-
-    def write_block(self, fd: int, lblk: int, data: bytes) -> None:
-        # Whole-page install; never needs the old content.
-        self.engine.cache.put_block(fd, lblk, data)
-
-    def _get(self, fd: int, lblk: int, intent: Intent) -> bytes:
         engine = self.engine
         while True:
-            data, outcome = engine.cache.get_block(fd, lblk, intent)
+            data, outcome = engine.cache.get_block(fd, lblk)
             if outcome is Outcome.SHUFFLE_REQUIRED:
                 engine.shuffle_now()
                 continue
             if outcome is Outcome.FETCHED:
                 engine.maybe_eager_shuffle()
             return data
+
+    def write_block(self, fd: int, lblk: int, data: bytes) -> None:
+        # Whole-page install; never needs the old content.
+        self.engine.cache.put_block(fd, lblk, data)
 
 
 class DirectIo:
@@ -137,7 +133,7 @@ class DirectIo:
 
     def _tick(self) -> None:
         clock = self.engine.clock
-        clock.advance_to(clock.now() + self.engine.config.passthrough_latency_ns)
+        clock.advance_to(clock.now() + DEFAULT_PASSTHROUGH_LATENCY_NS)
 
     def read_block(self, fd: int, lblk: int) -> bytes:
         self._tick()
@@ -194,8 +190,6 @@ class EchoPeer:
         self.endpoint = endpoint
         self.session = session
         self.shaper = PeerShaper(shaping, session, start_ns)
-        self.received_real = 0
-        self.received_dummy = 0
         self.rx_errors = 0
         self.dropped = 0
 
@@ -213,9 +207,7 @@ class EchoPeer:
                 self.rx_errors += 1
                 continue
             if not payload:
-                self.received_dummy += 1
                 continue
-            self.received_real += 1
             try:
                 self.shaper.enqueue(payload)
             except BackpressureError:
@@ -240,7 +232,6 @@ class Engine:
         self.clock = iface.host.clock
         self.round_target: int | None = None
         self.shuffles = 0
-        self.last_shuffle: ShuffleStats | None = None
         self.payload_bytes = 0
         self.links: list[NetLink] = []
         self._links_by_endpoint: dict[int, NetLink] = {}
@@ -335,7 +326,6 @@ class Engine:
         self._drain()
         self.cache.end_epoch()
         self.shuffles += 1
-        self.last_shuffle = stats
         return stats
 
     def maybe_eager_shuffle(self) -> None:

@@ -28,11 +28,6 @@ def default_capacity(n_blocks: int) -> int:
     return max(1, math.isqrt(n_blocks - 1) + 1 if n_blocks > 1 else 1)
 
 
-class Intent(enum.Enum):
-    READ = "read"
-    WRITE = "write"
-
-
 class Outcome(enum.Enum):
     HIT = "hit"
     FETCHED = "fetched"
@@ -79,14 +74,11 @@ class PageCache:
 
     # Main entry ----------------------------------------------------------
 
-    def get_block(self, fd: int, lblk: int,
-                  intent: Intent = Intent.READ) -> tuple[bytes | None, Outcome]:
+    def get_block(self, fd: int, lblk: int) -> tuple[bytes | None, Outcome]:
         key = (fd, lblk)
         page = self._pages.get(key)
         if page is not None:
             self._pages.move_to_end(key)
-            if intent is Intent.WRITE:
-                self._dirty.add(key)
             self.hits += 1
             return bytes(page), Outcome.HIT
         phys = self._phys_of(fd, lblk)
@@ -97,7 +89,7 @@ class PageCache:
         data = self._fetch(phys)
         self.epoch_fetched.add(phys)
         self.fetches += 1
-        self._admit(key, bytearray(data), dirty=(intent is Intent.WRITE))
+        self._admit(key, bytearray(data))
         return data, Outcome.FETCHED
 
     def put_block(self, fd: int, lblk: int, page: bytes) -> None:
@@ -108,18 +100,15 @@ class PageCache:
             self._pages[key][:] = page
             self._pages.move_to_end(key)
         else:
-            self._admit(key, bytearray(page), dirty=True)
-            return
+            self._admit(key, bytearray(page))
         self._dirty.add(key)
 
     # Internals -----------------------------------------------------------
 
-    def _admit(self, key: tuple[int, int], page: bytearray, dirty: bool) -> None:
+    def _admit(self, key: tuple[int, int], page: bytearray) -> None:
         while len(self._pages) >= self.capacity:
             self._evict_lru()
         self._pages[key] = page
-        if dirty:
-            self._dirty.add(key)
 
     def _evict_lru(self) -> None:
         key, page = self._pages.popitem(last=False)

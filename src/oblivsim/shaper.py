@@ -54,7 +54,6 @@ class PeerShaper:
         self._next_k = 0
         self._due_ns = start_ns  # the first burst is due at the epoch
         self.queue: deque[bytes] = deque()
-        self.emitted = 0
 
     def enqueue(self, payload: bytes) -> None:
         if len(payload) > self.session.payload_limit:
@@ -102,7 +101,6 @@ class PeerShaper:
         self._due_ns = self._epoch_ns + (over * self.frame_cost + rate - 1) // rate
         # Oldest queued payload first; an empty queue sends padding.
         queue, session = self.queue, self.session
-        self.emitted += available
         out = []
         for _ in range(available):
             if queue:

@@ -369,6 +369,28 @@ def test_mount_rejects_size_that_disagrees_with_the_block_map(blocks, reason):
         mount(bytes(image), oblivious=False)
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("metadata block", "marks free block 1, which is in use"),
+    ("unmapped data block", "which nothing maps"),
+    ("past the end", "marks used block 60, past the end"),
+])
+def test_mount_rejects_hostile_bitmap(target, reason):
+    # 60 blocks, so the bitmap's last byte holds bits past n_blocks. The
+    # superblock's free count follows the flipped bit: only the bitmap
+    # is wrong.
+    bundle = build_image(60, ProtectionMode.PLAIN, [b"\x01" * BLOCK_SIZE], seed=4)
+    m = mount(bundle.image, oblivious=False)
+    phys = {"metadata block": 1, "unmapped data block": m.fs._free[0],
+            "past the end": 60}[target]
+    image = bytearray(bundle.image)
+    sb, bitmap = m.store.layout.data_offset(0), m.store.layout.data_offset(1)
+    image[bitmap + phys // 8] ^= 1 << (phys % 8)
+    free = sum(not image[bitmap + p // 8] >> (p % 8) & 1 for p in range(60))
+    struct.pack_into("<Q", image, sb + 37, free)
+    with pytest.raises(ParameterError, match=reason):
+        mount(bytes(image), oblivious=False)
+
+
 def test_load_rejects_foreign_contents():
     layout = layout_for(64, ProtectionMode.PLAIN)
     host = Host(new_image(64, ProtectionMode.PLAIN), SimClock())
@@ -385,13 +407,13 @@ def test_fsck_catches_corruption():
     fs.file_write(io, fd, 0, b"\x01" * BLOCK_SIZE)
     phys = fs.phys_of(fd, 0)
     fs._set_bit(phys, False)  # mapped but marked free
-    assert any("marked free" in p for p in fs.fsck())
+    assert any("marks free" in p for p in fs.fsck())
     fs._set_bit(phys, True)
     assert fs.fsck() == []
     other = fs.create_file()
     fs._map_fresh_blocks(other, 1)
     fs.inodes[other].block_map[0] = phys  # double claim
-    assert any("claimed by inodes" in p for p in fs.fsck())
+    assert any("mapped twice" in p for p in fs.fsck())
 
 
 def test_dummy_blocks_sorted_and_flagged():

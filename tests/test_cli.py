@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import csv
+import struct
 from pathlib import Path
 
 import pytest
 
 from conftest import DEFAULT_KEY, mount
-from oblivsim import ImageBundle, ProvisioningSecrets, StaticIdentity
+from oblivsim import (
+    ImageBundle,
+    ProtectionMode,
+    ProvisioningSecrets,
+    StaticIdentity,
+    layout_for,
+)
 from oblivsim.cli import SUMMARY_COLUMNS, main
 
 KEY_HEX = DEFAULT_KEY.hex()
@@ -313,6 +320,32 @@ def test_fsck_deep_catches_a_flipped_byte(image, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert rc == 1
     assert "problem: " in stdout
+
+
+def test_metadata_marked_free_is_refused_by_fsck_and_run(tmp_path, capsys):
+    img = tmp_path / "p.img"
+    rc = cli("create-image", "--out", img, "--blocks", 64, "--mode", "plain",
+             "--blank", BLANK_LEN)
+    assert rc == 0
+    capsys.readouterr()
+    # The host marks the bitmap and inode-table blocks free and keeps the
+    # superblock's free count in step; allocation would then hand them out.
+    fs = open_image(img).fs
+    layout = layout_for(64, ProtectionMode.PLAIN)
+    sb, bitmap = layout.data_offset(0), layout.data_offset(1)
+    image = bytearray(img.read_bytes())
+    for phys in range(1, fs.metadata_blocks):
+        image[bitmap + phys // 8] &= ~(1 << (phys % 8))
+    struct.pack_into("<Q", image, sb + 37, fs.free_blocks + fs.metadata_blocks - 1)
+    img.write_bytes(bytes(image))
+
+    for argv in (("fsck", "--image", img),
+                 ("run", "--image", img, "--mode", "passthrough",
+                  "--workload", "idle(5)", "--out", tmp_path / "run")):
+        rc = cli(*argv)
+        err = capsys.readouterr().err
+        assert rc == 2, argv[0]
+        assert "error: bitmap marks free block 1" in err
 
 
 # --- provision -------------------------------------------------------------------

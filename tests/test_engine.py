@@ -221,7 +221,7 @@ def test_echo_peer_roundtrip(small_bundle):
     m.engine.net_send(7, b"ping")
     m.engine.run_rounds(2)
 
-    assert peer.received_real == 1
+    assert peer.session.received_real == 1
     assert list(link.inbox) == [b"ping"]
     assert link.rx_payload_bytes == 4
     assert link.rx_errors == 0
@@ -318,7 +318,7 @@ def test_every_frame_sent_is_received_or_still_queued(small_bundle):
         assert out.sent_real + out.sent_dummy > 0
         # Enclave -> peer: opened by the peer, rejected, or on the wire.
         assert out.sent_real + out.sent_dummy == (
-            peer.received_real + peer.received_dummy + peer.rx_errors
+            back.received_real + back.received_dummy + peer.rx_errors
             + len(m.host.egress[link.endpoint]))
         # Peer -> enclave, the same.
         assert back.sent_real + back.sent_dummy == (
@@ -336,7 +336,7 @@ def test_echo_peer_drops_a_burst_beyond_its_queue_and_keeps_echoing(small_bundle
     for i in range(4):
         m.engine.net_send(7, b"burst %d" % i)
     m.engine.run_rounds(3)
-    assert peer.received_real == 4
+    assert peer.session.received_real == 4
     assert peer.dropped == 3
     assert list(link.inbox) == [b"burst 0"]
 
@@ -388,7 +388,7 @@ def test_link_added_after_rounds_starts_at_the_current_time(small_bundle):
     m.engine.run_rounds(2)
     assert m.engine.rounds_done == 7
     writes = m.trace.of_kind(CallKind.NET_WRITE)
-    assert link.shaper.emitted == len(writes) > 0
+    assert link.session.sent_real + link.session.sent_dummy == len(writes) > 0
     assert writes[0].ts == now
 
 

@@ -139,6 +139,7 @@ SB_FIELDS = [(5, "<Q"), (13, "<I"), (17, "<I"), (21, "<I"), (25, "<I"),
 
 def _load_and_read(image: bytes):
     m = mount(image, seed=1, oblivious=False)
+    assert m.fs.fsck() == []
     for fd in m.fs.files_with_flag(FLAG_REGULAR):
         m.engine.read_file(fd, 0, m.fs.file_size(fd))
     return m

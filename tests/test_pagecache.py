@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oblivsim import Intent, Outcome, PageCache, ParameterError, default_capacity
+from oblivsim import Outcome, PageCache, ParameterError, default_capacity
 
 PAGE = 4  # cache is size-agnostic; tiny pages keep the tests light
 
@@ -55,7 +55,7 @@ def test_resident_hits_cost_no_host_reads():
 def test_lru_eviction_writes_back_dirty_only():
     h = Harness(2)
     h.cache.get_block(0, 0)
-    h.cache.get_block(0, 1, Intent.WRITE)
+    h.cache.put_block(0, 1, bytes([1]) * PAGE)
     h.cache.get_block(0, 2)  # evicts 0, clean
     assert h.write_log == []
     h.cache.get_block(0, 3)  # evicts 1, dirty
@@ -93,15 +93,6 @@ def test_peek_does_not_refresh_lru():
     assert h.cache.peek(0, 7) is None
 
 
-def test_write_hit_marks_page_dirty():
-    h = Harness(4)
-    h.cache.get_block(0, 1)
-    h.cache.get_block(0, 1, Intent.WRITE)
-    assert h.cache.flush() == 1
-    assert h.write_log == [1]
-    assert h.cache.flush() == 0  # clean after flush
-
-
 def test_refetch_within_epoch_demands_shuffle():
     h = Harness(1)
     h.cache.get_block(0, 0)
@@ -129,7 +120,7 @@ def test_end_epoch_requires_clean_cache():
 def test_writeback_targets_current_placement():
     # A page dirtied before its block moved must land at the new home.
     h = Harness(1)
-    h.cache.get_block(0, 0, Intent.WRITE)
+    h.cache.put_block(0, 0, bytes([0]) * PAGE)
     h.placement[0] = 7
     h.cache.get_block(0, 1)
     assert h.write_log == [7]
@@ -137,7 +128,7 @@ def test_writeback_targets_current_placement():
 
 
 @settings(max_examples=60)
-@given(st.lists(st.tuples(st.sampled_from(["read", "write", "put"]),
+@given(st.lists(st.tuples(st.sampled_from(["read", "put"]),
                           st.integers(min_value=0, max_value=7),
                           st.integers(min_value=0, max_value=255)),
                 max_size=40))
@@ -150,13 +141,12 @@ def test_cache_is_transparent(ops):
             h.cache.put_block(0, lblk, page)
             expected[lblk] = page
         else:
-            intent = Intent.WRITE if op == "write" else Intent.READ
-            data, outcome = h.cache.get_block(0, lblk, intent)
+            data, outcome = h.cache.get_block(0, lblk)
             if outcome is Outcome.SHUFFLE_REQUIRED:
                 # What the engine does around a shuffle: flush, new epoch.
                 h.cache.flush()
                 h.cache.end_epoch()
-                data, outcome = h.cache.get_block(0, lblk, intent)
+                data, outcome = h.cache.get_block(0, lblk)
             assert data == expected[lblk]
             assert outcome in (Outcome.HIT, Outcome.FETCHED)
         assert len(h.cache) <= 3

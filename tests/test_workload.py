@@ -264,7 +264,7 @@ def test_netecho_splits_at_frame_capacity(small_bundle):
     peer = echo_setup(m)
     nbytes = max_payload(m.host.mtu) + 1
     run_workload(m.engine, parse_workload(f"netecho(4,{nbytes})"))
-    assert peer.received_real == 2
+    assert peer.session.received_real == 2
 
 
 def test_netecho_needs_the_protected_path(small_bundle):
