@@ -7,11 +7,15 @@ CRYPT_INTEGRITY (confidentiality plus tamper and replay detection).
 Encrypted blocks use an AEAD (AES-256-GCM) with a fresh random nonce
 per write, so two writes of the same plaintext never repeat on disk,
 and with the physical block index bound as associated data, so a
-ciphertext presented at the wrong slot fails to open. The per-block
-write counter rides in the low 8 bytes of the 24-byte nonce; a counter
-that disagrees with the in-memory freshness table is reported as a
-replay, distinct from a tag failure. A VERITY block's slot holds the
-SHA-256 of its plaintext instead.
+ciphertext presented at the wrong slot fails to open. The nonce's 16
+leading bytes are OS randomness, each prefix used once in the process:
+one ``os.urandom`` call fills a pool of ``_POOL_PREFIXES`` prefixes and
+a forked child starts with an empty pool, so parent and child never
+share one. The per-block write counter rides in the low 8 bytes of the
+24-byte nonce; a counter that disagrees with the in-memory freshness
+table is reported as a replay, distinct from a tag failure. Padding is
+sealed zeros: under a fresh nonce they cannot be told from sealed
+noise. A VERITY block's slot holds the SHA-256 of its plaintext instead.
 
 Both integrity modes rest on one trusted root, the SHA-256 of the
 header block and the whole slot region: ``persist_metadata`` returns
@@ -49,6 +53,8 @@ AEAD_NONE = 0
 AEAD_AES256GCM = 1
 HASH_NONE = 0
 HASH_SHA256 = 1
+
+_POOL_PREFIXES = 256  # nonce prefixes per os.urandom call
 
 _HEADER = struct.Struct("<5sIQBBB")
 _ZERO_BLOCK = bytes(BLOCK_SIZE)
@@ -100,6 +106,22 @@ class FreshnessTable:
 
 _aad = struct.Struct(">QQ").pack  # (phys, version) -> associated data
 
+# Unused nonce prefixes. ``list.pop`` is atomic, so no prefix is handed
+# out twice, and a forked child drops what it inherited.
+_prefix_pool: list[bytes] = []
+os.register_at_fork(after_in_child=_prefix_pool.clear)
+
+
+def _nonce_prefix() -> bytes:
+    """16 fresh OS-random bytes, never returned before in this process."""
+    try:
+        return _prefix_pool.pop()
+    except IndexError:
+        raw = os.urandom(NONCE_RANDOM * _POOL_PREFIXES)
+        _prefix_pool.extend(raw[i:i + NONCE_RANDOM]
+                            for i in range(NONCE_RANDOM, len(raw), NONCE_RANDOM))
+        return raw[:NONCE_RANDOM]
+
 
 @functools.lru_cache(maxsize=8)
 def _cipher(key: bytes) -> AESGCM:
@@ -112,16 +134,16 @@ def seal_block(key: bytes, phys: int, plaintext: bytes,
                freshness: FreshnessTable) -> EncryptedBlock:
     """Encrypt one block for physical slot ``phys``.
 
-    Every call draws a fresh random nonce and advances the block's
-    write counter, so sealing is probabilistic: equal plaintexts never
-    produce equal ciphertexts.
+    Every call takes a fresh random nonce prefix from the pool and
+    advances the block's write counter, so sealing is probabilistic:
+    equal plaintexts never produce equal ciphertexts.
     """
     if len(key) != KEY_SIZE:
         raise ParameterError("key must be 32 bytes")
     if len(plaintext) != BLOCK_SIZE:
         raise SizeError("plaintext must be exactly one block")
     version = freshness.bump(phys)
-    nonce = os.urandom(NONCE_RANDOM) + version.to_bytes(NONCE_SIZE - NONCE_RANDOM, "big")
+    nonce = _nonce_prefix() + version.to_bytes(NONCE_SIZE - NONCE_RANDOM, "big")
     sealed = _cipher(key).encrypt(nonce, plaintext, _aad(phys, version))
     return EncryptedBlock(nonce, sealed[:-TAG_SIZE], sealed[-TAG_SIZE:])
 
@@ -230,12 +252,11 @@ class BlockStore:
     """
 
     def __init__(self, iface: HostInterface, layout: ImageLayout,
-                 key: bytes | None, slots: list[bytes | None],
-                 sealed: bool = False):
+                 key: bytes | None, sealed: bool = False):
         self.iface = iface
         self.layout = layout
         self.key = key
-        self.slots = slots
+        self.slots: list[bytes | None] = [None] * layout.n_blocks  # None: never written
         self.freshness = FreshnessTable()
         self.sealed = sealed
         # Fixed for the mount, so the data path works them out once.
@@ -243,11 +264,6 @@ class BlockStore:
         self._encrypted = layout.mode.encrypted
         self._open_freshness = (
             self.freshness if layout.mode is ProtectionMode.CRYPT_INTEGRITY else None)
-        if layout.mode.encrypted:
-            for phys, slot in enumerate(slots):
-                if slot is not None:
-                    version = int.from_bytes(slot[NONCE_RANDOM:NONCE_SIZE], "big")
-                    self.freshness.restore(phys, version)
 
     @property
     def mode(self) -> ProtectionMode:
@@ -283,12 +299,15 @@ class BlockStore:
                 hashlib.sha256(header + raw).digest(), trusted_root):
             raise ReplayError(
                 "image header and slot region do not match the trusted root")
-        slots: list[bytes | None] = []
+        store = cls(iface, layout, key, sealed=layout.mode is ProtectionMode.VERITY)
+        slots, restore = store.slots, store.freshness.restore
         for phys in range(layout.n_blocks):
             slot = raw[phys * SLOT_SIZE:(phys + 1) * SLOT_SIZE]
-            slots.append(None if slot == _ZERO_SLOT else slot)
-        return cls(iface, layout, key, slots,
-                   sealed=layout.mode is ProtectionMode.VERITY)
+            if slot != _ZERO_SLOT:
+                slots[phys] = slot
+                if store._encrypted:
+                    restore(phys, int.from_bytes(slot[NONCE_RANDOM:NONCE_SIZE], "big"))
+        return store
 
     # Data path --------------------------------------------------------
 
@@ -328,11 +347,13 @@ class BlockStore:
     def dummy_write(self, phys: int) -> None:
         """Overwrite a sacrificial block with a freshly sealed zero block.
 
-        On encrypted images each seal draws a fresh nonce and bumps the
-        block's version, and under AES-256-GCM the sealed zeros cannot be
-        told from sealed noise, so nothing is lost by skipping the random
-        plaintext. On PLAIN images the pad block then holds zeros; PLAIN
-        hides nothing, and oblivious runs refuse it.
+        On encrypted images each seal takes a fresh nonce prefix and bumps
+        the block's version, and under AES-256-GCM the sealed zeros cannot
+        be told from sealed noise, so nothing is lost by skipping the
+        random plaintext. The image builder pads every block no file uses
+        this way, and a run's padding writes do the same. On PLAIN images
+        the pad block then holds zeros; PLAIN hides nothing, and oblivious
+        runs refuse it.
         """
         self.write_block(phys, _ZERO_BLOCK, dummy=True)
 

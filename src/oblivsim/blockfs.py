@@ -397,6 +397,7 @@ class BlockFs:
         found, empty when clean. ``load`` refuses an image on the first
         one, so every mounted filesystem obeys it:
 
+        * a used inode carries a known flag (regular or dummy-pad);
         * a used inode maps exactly its first ceil(size / BLOCK_SIZE)
           entries (files have no holes), at most ``max_file_blocks``;
         * each mapped block lies in the data region and is mapped once;
@@ -412,6 +413,8 @@ class BlockFs:
         for fd, ino in enumerate(self.inodes):
             if not ino.used:
                 continue
+            if ino.flags not in (FLAG_REGULAR, FLAG_DUMMY):
+                problems.append(f"file {fd}: unknown flag {ino.flags}")
             nblocks, block_map = ino.nblocks, ino.block_map
             if nblocks > limit:
                 problems.append(f"file {fd}: size exceeds the per-file block limit")

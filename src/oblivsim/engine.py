@@ -53,7 +53,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .blockcrypto import (
-    BLOCK_SIZE,
     BlockStore,
     ProtectionMode,
     layout_for,
@@ -473,9 +472,12 @@ class Engine:
 
 @dataclass(frozen=True)
 class ImageBundle:
-    """A freshly built image plus everything needed to mount it."""
+    """A freshly built image plus everything needed to mount it.
 
-    image: bytes
+    ``build_image`` hands over its image buffer uncopied, as a read-only
+    view: whoever holds the bundle can copy or hash it, not change it."""
+
+    image: bytes | memoryview
     key: bytes | None
     verity_root: bytes | None
     data_fds: tuple[int, ...]
@@ -488,19 +490,21 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     """Format a new image in memory and store ``files`` (one bytes
     object each) as data files.
 
-    On encrypted images every block left untouched by the files is
-    filled with sealed noise; an image whose content distinguished
-    data blocks from padding would leak the layout before the first
-    mount. Verity images are sealed read-only instead. Both integrity
-    modes get their trusted root in ``verity_root``; others get None.
+    On encrypted images every block left untouched by the files gets a
+    sealed zero block, a slot and a version, as padding writes do: under
+    a fresh nonce it cannot be told from sealed data, while an image
+    whose content distinguished data blocks from padding would leak the
+    layout before the first mount. Verity images are sealed read-only
+    instead. Both integrity modes get their trusted root in
+    ``verity_root``; others get None. The image comes back as a
+    read-only view of the buffer it was built in, not a copy.
     """
     layout = layout_for(n_blocks, mode)
     host = Host(new_image(n_blocks, mode), SimClock())
     iface = HostInterface(host)
     if mode.encrypted and key is None:
         key = os.urandom(32)
-    store = BlockStore(iface, layout, key if mode.encrypted else None,
-                       [None] * n_blocks)
+    store = BlockStore(iface, layout, key if mode.encrypted else None)
     rng = RngTree(seed)
     fs = BlockFs.format(n_blocks, rng.stream("layout"), max_files=max_files,
                         max_file_blocks=max_file_blocks,
@@ -519,11 +523,11 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     elif mode.encrypted:
         for phys in range(n_blocks):
             if store.slots[phys] is None:
-                store.write_block(phys, os.urandom(BLOCK_SIZE))
+                store.dummy_write(phys)
         root = store.persist_metadata()
         if mode is not ProtectionMode.CRYPT_INTEGRITY:
             root = None
-    return ImageBundle(bytes(host.image), key, root, tuple(fds))
+    return ImageBundle(memoryview(host.image).toreadonly(), key, root, tuple(fds))
 
 
 @dataclass

@@ -13,10 +13,11 @@ rest of the buffer is followed by one ``generate`` of ``_CHUNK`` bytes
 requests no larger than ``_CHUNK`` thus reads the concatenated outputs
 of ``generate(_CHUNK)``, and a draw costs a slice, not three HMACs.
 ``_CHUNK`` is 8192 bits, far below SP 800-90A's 2**19-bit limit per
-request. AEAD
-nonces deliberately do NOT come from here; they are always fresh OS
-randomness, so two runs with the same seed produce identical traces but
-different ciphertexts.
+request. Block AEAD nonces deliberately do NOT come from here; their
+16-byte prefixes are always fresh OS randomness, drawn by
+``blockcrypto`` in pools of ``_POOL_PREFIXES`` per ``os.urandom`` call
+and each used once, so two runs with the same seed produce identical
+traces but different ciphertexts.
 """
 
 from __future__ import annotations

@@ -215,7 +215,7 @@ def fresh_store(mode: ProtectionMode, n: int = 16):
     host = Host(new_image(n, mode), SimClock())
     iface = HostInterface(host)
     key = KEY if mode.encrypted else None
-    return BlockStore(iface, layout, key, [None] * n), host
+    return BlockStore(iface, layout, key), host
 
 
 @pytest.mark.parametrize("mode", [ProtectionMode.PLAIN, ProtectionMode.CRYPT,
@@ -310,6 +310,47 @@ def test_dummy_writes_seal_zeros_under_fresh_nonces():
     assert first_ct != second_ct and first_slot != second_slot
     assert store.freshness.version_of(3) == 2
     assert store.read_block(3) == bytes(BLOCK_SIZE)
+
+
+def test_nonce_prefixes_come_from_one_urandom_call_per_refill(monkeypatch):
+    calls = []
+
+    def counting(n, _real=os.urandom):
+        calls.append(n)
+        return _real(n)
+
+    blockcrypto._prefix_pool.clear()  # start on a refill
+    monkeypatch.setattr(blockcrypto.os, "urandom", counting)
+    fresh = FreshnessTable()
+    seals = 3 * blockcrypto._POOL_PREFIXES
+    prefixes = {seal_block(KEY, 0, PLAIN, fresh).nonce[:NONCE_RANDOM]
+                for _ in range(seals)}
+    assert len(prefixes) == seals
+    assert calls == [NONCE_RANDOM * blockcrypto._POOL_PREFIXES] * 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_never_uses_a_parent_prefix():
+    seal_block(KEY, 0, PLAIN, FreshnessTable())
+    pending = list(blockcrypto._prefix_pool)  # what the child inherits
+    assert pending
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(r)
+            os.write(w, seal_block(KEY, 0, PLAIN, FreshnessTable()).nonce[:NONCE_RANDOM])
+        finally:
+            os._exit(0)
+    os.close(w)
+    with os.fdopen(r, "rb") as pipe:
+        child = pipe.read()
+    os.waitpid(pid, 0)
+    fresh = FreshnessTable()
+    parent = {seal_block(KEY, 0, PLAIN, fresh).nonce[:NONCE_RANDOM]
+              for _ in range(len(pending))}
+    assert len(child) == NONCE_RANDOM
+    assert child not in parent and child not in pending
 
 
 def test_one_aead_object_per_key(monkeypatch):

@@ -241,7 +241,7 @@ def test_create_donors_and_unlink_all():
 def test_persist_load_roundtrip():
     layout = layout_for(64, ProtectionMode.PLAIN)
     host = Host(new_image(64, ProtectionMode.PLAIN), SimClock())
-    store = BlockStore(HostInterface(host), layout, None, [None] * 64)
+    store = BlockStore(HostInterface(host), layout, None)
     fs = make_fs(64, seed=5)
     fd = fs.create_file()
     io = DictIo()
@@ -271,7 +271,7 @@ def test_plain_image_bytes_are_pinned():
 def test_persist_load_roundtrip_full_inode_table():
     layout = layout_for(256, ProtectionMode.PLAIN)
     host = Host(new_image(256, ProtectionMode.PLAIN), SimClock())
-    store = BlockStore(HostInterface(host), layout, None, [None] * 256)
+    store = BlockStore(HostInterface(host), layout, None)
     fs = make_fs(256, seed=9, max_files=8, max_file_blocks=6)
     io = DictIo()
     while True:
@@ -319,7 +319,8 @@ def test_mount_rejects_hostile_superblock(field, value, reason):
         mount(bytes(image), oblivious=False)
 
 
-_SIZE_AT = 2  # byte offsets within an inode-table entry
+_FLAGS_AT = 1  # byte offsets within an inode-table entry
+_SIZE_AT = 2
 _MAP_AT = 14
 
 
@@ -369,6 +370,20 @@ def test_mount_rejects_size_that_disagrees_with_the_block_map(blocks, reason):
         mount(bytes(image), oblivious=False)
 
 
+@pytest.mark.parametrize("flag", [1, 9])
+def test_mount_rejects_unknown_inode_flag(flag):
+    # An unknown flag would hide file 2 from every files_with_flag caller
+    # while its block stays allocated.
+    bundle = build_image(64, ProtectionMode.PLAIN,
+                         [b"\x01" * BLOCK_SIZE, b"\x02" * BLOCK_SIZE], seed=4)
+    m = mount(bundle.image, oblivious=False)
+    two = m.engine.regular_fd(1)
+    image = bytearray(bundle.image)
+    image[_itab_pos(image, m.store, two, _FLAGS_AT)] = flag
+    with pytest.raises(ParameterError, match=f"file {two}: unknown flag {flag}"):
+        mount(bytes(image), oblivious=False)
+
+
 @pytest.mark.parametrize("target, reason", [
     ("metadata block", "marks free block 1, which is in use"),
     ("unmapped data block", "which nothing maps"),
@@ -394,7 +409,7 @@ def test_mount_rejects_hostile_bitmap(target, reason):
 def test_load_rejects_foreign_contents():
     layout = layout_for(64, ProtectionMode.PLAIN)
     host = Host(new_image(64, ProtectionMode.PLAIN), SimClock())
-    store = BlockStore(HostInterface(host), layout, None, [None] * 64)
+    store = BlockStore(HostInterface(host), layout, None)
     store.write_block(0, b"\x00" * BLOCK_SIZE)
     with pytest.raises(ParameterError):
         BlockFs.load(store, RngTree(0).stream("layout"))

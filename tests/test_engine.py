@@ -25,6 +25,7 @@ from oblivsim import (
     parse_workload,
     run_workload,
 )
+from oblivsim.blockcrypto import SLOT_SIZE
 
 FILE_A = bytes(range(256)) * 16 * 8
 FILE_B = b"\xab" * 4096 * 3
@@ -81,13 +82,34 @@ def test_verity_image_is_sealed_read_only():
 
 
 def test_encrypted_image_leaves_no_unsealed_blocks(small_bundle):
-    # Blocks never touched by a file must be indistinguishable noise,
-    # not zeroes the host could use to map the layout offline.
+    # Blocks never touched by a file must look to the host like every
+    # other block, not zeroes it could use to map the layout offline:
+    # the raw image holds distinct ciphertext in every data block and a
+    # set slot for each. Inside, the padding is sealed zeros.
     m = mount(small_bundle, oblivious=False)
     assert all(v is not None for v in m.store.slots)
     pages = [m.store.read_block(p) for p in range(64)]
     assert all(len(p) == BLOCK_SIZE for p in pages)
-    assert sum(1 for p in pages if p == bytes(BLOCK_SIZE)) == 0
+
+    image, layout = small_bundle.image, m.store.layout
+    raw = [bytes(image[layout.data_offset(p):layout.data_offset(p) + BLOCK_SIZE])
+           for p in range(64)]
+    assert bytes(BLOCK_SIZE) not in raw
+    assert len(set(raw)) == 64
+    slots = image[layout.slot_region_offset():layout.data_offset(0)]
+    assert all(slots[i * SLOT_SIZE:(i + 1) * SLOT_SIZE] != bytes(SLOT_SIZE)
+               for i in range(64))
+
+    used = set(range(m.fs.metadata_blocks))
+    for fd in small_bundle.data_fds:
+        used.update(m.fs.phys_of(fd, i) for i in range(m.fs.file_blocks(fd)))
+    padding = set(range(64)) - used
+    assert padding and all(pages[p] == bytes(BLOCK_SIZE) for p in padding)
+
+
+def test_built_image_cannot_be_written_through(small_bundle):
+    with pytest.raises(TypeError):
+        small_bundle.image[0] = 0
 
 
 def test_same_seed_same_layout_fresh_ciphertext():

@@ -30,7 +30,7 @@ def make_sched(config=None, dummies=DUMMIES, n=16, seed=3):
     mode = ProtectionMode.CRYPT_INTEGRITY
     host = Host(new_image(n, mode), SimClock())
     iface = HostInterface(host, HostTrace(meta={}))
-    store = BlockStore(iface, layout_for(n, mode), KEY, [None] * n)
+    store = BlockStore(iface, layout_for(n, mode), KEY)
     sched = RoundScheduler(store, dummies, RngTree(seed).stream("dummy"),
                            config)
     return store, sched
