@@ -14,7 +14,7 @@ from .adversary import (
     TraceVerdict,
     UniformityResult,
     compare_traces,
-    dummy_disk_offsets,
+    disk_offsets_within,
     rate_report,
     uniformity_test,
 )

@@ -1,12 +1,14 @@
 """What an untrusted observer can and cannot learn from a trace.
 
-Three checks, all standing on the observable projection of a trace
-(timestamp, call kind, payload length):
+Everything here reads only the four observable fields of each event
+(timestamp, call kind, offset, payload length); the module imports
+nothing from the package but the trace and its errors, so it has no
+ground truth to lean on. Three checks:
 
 * shape comparison: two runs under the same configuration should be
-  indistinguishable event for event;
-* target uniformity: a chi-square test that padding traffic hits its
-  candidate blocks uniformly, so offsets carry no signal;
+  indistinguishable event for event (timestamp, kind, length);
+* target uniformity: a chi-square test that disk traffic inside a given
+  set of offsets (the padding domain) hits it uniformly;
 * rate accounting: per-endpoint bytes per time window, which should sit
   at the shaped rate regardless of workload.
 
@@ -116,11 +118,12 @@ def uniformity_test(samples, domain, min_samples: int = MIN_UNIFORMITY_SAMPLES
     return UniformityResult(float(p), n, len(observed))
 
 
-def dummy_disk_offsets(trace: HostTrace) -> list[int]:
-    """Ground-truth helper: offsets of padding disk traffic. Only
-    calibration code may use this; the flag is not observable."""
-    return [e.offset for e in trace.events
-            if e.dummy and e.kind in (CallKind.DISK_READ, CallKind.DISK_WRITE)]
+def disk_offsets_within(trace: HostTrace, offsets) -> list[int]:
+    """Offsets of the disk reads and writes that land inside ``offsets``,
+    in trace order."""
+    inside = set(offsets)
+    disk = (CallKind.DISK_READ, CallKind.DISK_WRITE)
+    return [e.offset for e in trace.events if e.kind in disk and e.offset in inside]
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ class BlockStore:
             raise IntegrityError(f"block {phys}: digest does not match its slot")
         return raw
 
-    def write_block(self, phys: int, plaintext: bytes, dummy: bool = False) -> None:
+    def write_block(self, phys: int, plaintext: bytes) -> None:
         if self.sealed:
             raise ModeError("image is sealed read-only")
         if not 0 <= phys < self.layout.n_blocks:
@@ -333,16 +333,17 @@ class BlockStore:
         offset = self._data_base + phys * BLOCK_SIZE
         if self._encrypted:
             enc = seal_block(self.key, phys, plaintext, self.freshness)
-            self.iface.disk_write(offset, enc.ciphertext, dummy)
+            self.iface.disk_write(offset, enc.ciphertext)
             self.slots[phys] = enc.slot()
             return
         if len(plaintext) != BLOCK_SIZE:
             raise SizeError("plaintext must be exactly one block")
-        self.iface.disk_write(offset, plaintext, dummy)
+        self.iface.disk_write(offset, plaintext)
 
     def dummy_read(self, phys: int) -> None:
-        """Fetch and discard; padding traffic never decrypts."""
-        self.iface.disk_read(self.layout.data_offset(phys), dummy=True)
+        """Fetch and discard; padding traffic never decrypts. The host
+        sees the same call a real read of ``phys`` makes."""
+        self.iface.disk_read(self.layout.data_offset(phys))
 
     def dummy_write(self, phys: int) -> None:
         """Overwrite a sacrificial block with a freshly sealed zero block.
@@ -351,11 +352,13 @@ class BlockStore:
         the block's version, and under AES-256-GCM the sealed zeros cannot
         be told from sealed noise, so nothing is lost by skipping the
         random plaintext. The image builder pads every block no file uses
-        this way, and a run's padding writes do the same. On PLAIN images
-        the pad block then holds zeros; PLAIN hides nothing, and oblivious
-        runs refuse it.
+        this way, and a run's padding writes do the same. The host sees
+        the same call a real write of ``phys`` makes; which writes were
+        padding is counted by the caller, not recorded in the trace. On
+        PLAIN images the pad block then holds zeros; PLAIN hides nothing,
+        and oblivious runs refuse it.
         """
-        self.write_block(phys, _ZERO_BLOCK, dummy=True)
+        self.write_block(phys, _ZERO_BLOCK)
 
     # Sealing and persistence -------------------------------------------
 

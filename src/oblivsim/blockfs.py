@@ -8,7 +8,7 @@ physical adjacency from the moment an image is created.
 
 Two file roles exist: regular files carry data, and dummy-pad files
 reserve the blocks that padding traffic reads and writes; they are
-created at format time from a configurable fraction of the disk. The
+created at format time from ``DUMMY_FRACTION`` of the disk. The
 shuffle's scratch space (donors) is plain lists of slots with no inode,
 each homed at a random free block when first used.
 
@@ -38,6 +38,7 @@ UNMAPPED = 0xFFFFFFFF
 
 FLAG_REGULAR = 0
 FLAG_DUMMY = 2
+DUMMY_FRACTION = 0.10  # share of the disk given to dummy-pad files
 
 _SB = struct.Struct("<5sQIIIIIIQ")
 
@@ -158,8 +159,7 @@ class BlockFs:
 
     @classmethod
     def format(cls, n_blocks: int, rng: Rng, *, max_files: int | None = None,
-               max_file_blocks: int | None = None,
-               dummy_fraction: float = 0.10) -> "BlockFs":
+               max_file_blocks: int | None = None) -> "BlockFs":
         if n_blocks < 8:
             raise ParameterError("filesystem needs at least 8 blocks")
         df_files, df_blocks = default_geometry(n_blocks)
@@ -173,7 +173,7 @@ class BlockFs:
         for phys in range(meta):
             fs._set_bit(phys, True)
         fs._free.extend(range(meta, n_blocks))
-        dummy_total = int(n_blocks * dummy_fraction)
+        dummy_total = int(n_blocks * DUMMY_FRACTION)
         while dummy_total > 0:
             chunk = min(dummy_total, max_file_blocks)
             fd = fs.create_file(FLAG_DUMMY)

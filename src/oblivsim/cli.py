@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .adversary import (
     compare_traces,
-    dummy_disk_offsets,
+    disk_offsets_within,
     rate_report,
     uniformity_test,
 )
@@ -78,8 +78,7 @@ def cmd_create_image(args) -> int:
     sources += [("<blank>", b"\x00" * n) for n in args.blank or []]
     bundle = build_image(
         args.blocks, mode, [data for _, data in sources],
-        seed=args.seed, key=_hex_or_none(args.key),
-        dummy_fraction=args.dummy_fraction, max_files=args.max_files,
+        seed=args.seed, key=_hex_or_none(args.key), max_files=args.max_files,
         max_file_blocks=args.max_file_blocks)
     Path(args.out).write_bytes(bundle.image)
 
@@ -107,8 +106,7 @@ def cmd_create_image(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_engine(args, rcfg: RoundConfig):
-    cfg = EngineConfig(round=rcfg, cache_capacity=args.cache_k,
-                       eager_shuffle_at=args.eager_shuffle_at)
+    cfg = EngineConfig(round=rcfg, cache_capacity=args.cache_k)
     oblivious = args.mode == "oblivious"
     m = mount(Path(args.image).read_bytes(), key=_hex_or_none(args.key),
               verity_root=_hex_or_none(args.verity_root), seed=args.seed,
@@ -154,7 +152,7 @@ def cmd_run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     engine, trace, completed, wall_s = _run_once(args, rcfg, args.workload, None)
-    (outdir / "trace.log").write_text(trace.export(ground_truth=args.ground_truth))
+    (outdir / "trace.log").write_text(trace.export())
     row = _summary_row(engine)
     with open(outdir / "summary.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
@@ -184,8 +182,7 @@ def cmd_run(args) -> int:
     base_target = engine.rounds_done
     base_engine, base_trace, _, _ = _run_once(
         args, rcfg, f"idle({base_target})", base_target)
-    (outdir / "baseline.log").write_text(
-        base_trace.export(ground_truth=args.ground_truth))
+    (outdir / "baseline.log").write_text(base_trace.export())
     verdict = compare_traces(trace, base_trace)
     lines = []
     if verdict.shape_equal:
@@ -193,10 +190,9 @@ def cmd_run(args) -> int:
     else:
         lines.append(f"FAIL shape: {verdict.detail}")
     try:
-        offsets = dummy_disk_offsets(trace)
         domain = [engine.store.layout.data_offset(p)
                   for p in engine.fs.dummy_blocks()]
-        result = uniformity_test(offsets, domain)
+        result = uniformity_test(disk_offsets_within(trace, domain), domain)
         lines.append(
             f"INFO padding-target uniformity: p={result.p_value:.4f} "
             f"over {result.n_samples} samples, {result.n_bins} bins")
@@ -222,7 +218,7 @@ def cmd_bench(args) -> int:
             ns = argparse.Namespace(
                 image=args.image, key=args.key, verity_root=args.verity_root,
                 mode=mode, seed=args.seed + i, rounds=None,
-                cache_k=None, eager_shuffle_at=None, peer=[])
+                cache_k=None, peer=[])
             engine, _trace, _done, wall_s = _run_once(ns, rcfg, args.workload, None)
             samples.append(engine.payload_bytes / wall_s if wall_s > 0 else 0.0)
         medians[mode] = statistics.median(samples)
@@ -363,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="store this file's contents (repeatable)")
     ci.add_argument("--blank", action="append", type=int, metavar="BYTES",
                     help="add a zero-filled data file (repeatable)")
-    ci.add_argument("--dummy-fraction", type=float, default=0.10,
-                    help="fraction of blocks reserved for padding targets")
     ci.add_argument("--max-files", type=int, default=None)
     ci.add_argument("--max-file-blocks", type=int, default=None)
     ci.set_defaults(func=cmd_create_image)
@@ -384,13 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
                     default=DEFAULT_ROUND_INTERVAL_NS, metavar="NS")
     rn.add_argument("--cache-k", type=int, default=None,
                     help="page cache capacity (default: ceil(sqrt(blocks)))")
-    rn.add_argument("--eager-shuffle-at", type=int, default=None,
-                    help="shuffle when this many blocks were fetched this epoch")
     rn.add_argument("--peer", action="append", type=int, metavar="RATE_BPS",
                     help="attach a shaped echo peer at this rate (repeatable)")
     rn.add_argument("--out", default=".", help="output directory")
-    rn.add_argument("--ground-truth", action="store_true",
-                    help="append the dummy flag to trace lines")
     rn.add_argument("--assert-oblivious", action="store_true",
                     help="also run an idle baseline and compare trace shapes")
     rn.set_defaults(func=cmd_run)

@@ -10,7 +10,9 @@ Two I/O personalities implement the filesystem's block interface:
   layout shuffle and retries.
 * ``DirectIo`` is the passthrough path. Every block operation is a
   single immediate host call with a small fixed latency, no padding,
-  no batching. It exists as the unprotected baseline.
+  no batching. It exists as the unprotected baseline, and
+  ``build_image`` writes files through it. It holds the store, the
+  filesystem and the clock, not an engine.
 
 Time is the simulated clock. Each call to ``run_one_round`` first
 processes every network emission instant due by the round's scheduled
@@ -99,7 +101,6 @@ def trace_fingerprint(round_cfg: RoundConfig, mtu: int) -> dict:
 class EngineConfig:
     round: RoundConfig = field(default_factory=RoundConfig)
     cache_capacity: int | None = None  # None: ceil(sqrt(data blocks))
-    eager_shuffle_at: int | None = None  # epoch fetches that trigger an early shuffle
 
 
 class CachedIo:
@@ -112,12 +113,9 @@ class CachedIo:
         engine = self.engine
         while True:
             data, outcome = engine.cache.get_block(fd, lblk)
-            if outcome is Outcome.SHUFFLE_REQUIRED:
-                engine.shuffle_now()
-                continue
-            if outcome is Outcome.FETCHED:
-                engine.maybe_eager_shuffle()
-            return data
+            if outcome is not Outcome.SHUFFLE_REQUIRED:
+                return data
+            engine.shuffle_now()
 
     def write_block(self, fd: int, lblk: int, data: bytes) -> None:
         # Whole-page install; never needs the old content.
@@ -127,20 +125,22 @@ class CachedIo:
 class DirectIo:
     """Unprotected baseline: immediate host calls, fixed latency each."""
 
-    def __init__(self, engine: "Engine"):
-        self.engine = engine
+    def __init__(self, store: BlockStore, fs: BlockFs, clock: SimClock):
+        self.store = store
+        self.fs = fs
+        self.clock = clock
 
     def _tick(self) -> None:
-        clock = self.engine.clock
+        clock = self.clock
         clock.advance_to(clock.now() + DEFAULT_PASSTHROUGH_LATENCY_NS)
 
     def read_block(self, fd: int, lblk: int) -> bytes:
         self._tick()
-        return self.engine.store.read_block(self.engine.fs.phys_of(fd, lblk))
+        return self.store.read_block(self.fs.phys_of(fd, lblk))
 
     def write_block(self, fd: int, lblk: int, data: bytes) -> None:
         self._tick()
-        self.engine.store.write_block(self.engine.fs.phys_of(fd, lblk), data)
+        self.store.write_block(self.fs.phys_of(fd, lblk), data)
 
 
 class _ShuffleIo:
@@ -256,7 +256,7 @@ class Engine:
         else:
             self.sched = None
             self.cache = None
-            self.io = DirectIo(self)
+            self.io = DirectIo(store, fs, self.clock)
 
     # Observation window ----------------------------------------------
 
@@ -327,11 +327,6 @@ class Engine:
         self.shuffles += 1
         return stats
 
-    def maybe_eager_shuffle(self) -> None:
-        at = self.config.eager_shuffle_at
-        if at is not None and len(self.cache.epoch_fetched) >= at:
-            self.shuffle_now()
-
     # Network ------------------------------------------------------------
 
     def add_link(self, endpoint: int, session: PeerSession,
@@ -386,8 +381,8 @@ class Engine:
             while heap and heap[0][0] == due:
                 _due, kind, order, actor = heap[0]
                 if kind == _LINK:
-                    for frame, real in actor.shaper.tick(due):
-                        self.iface.net_write(actor.endpoint, frame, dummy=not real)
+                    for frame, _real in actor.shaper.tick(due):
+                        self.iface.net_write(actor.endpoint, frame)
                     emitted = True
                     next_due = actor.shaper.next_due_ns()
                 else:
@@ -485,7 +480,7 @@ class ImageBundle:
 
 def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
                 seed: int = 0, key: bytes | None = None,
-                dummy_fraction: float = 0.10, max_files: int | None = None,
+                max_files: int | None = None,
                 max_file_blocks: int | None = None) -> ImageBundle:
     """Format a new image in memory and store ``files`` (one bytes
     object each) as data files.
@@ -497,7 +492,9 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     layout before the first mount. Verity images are sealed read-only
     instead. Both integrity modes get their trusted root in
     ``verity_root``; others get None. The image comes back as a
-    read-only view of the buffer it was built in, not a copy.
+    read-only view of the buffer it was built in, not a copy. No engine
+    is built, so nothing left behind refers to that buffer once the
+    bundle is dropped.
     """
     layout = layout_for(n_blocks, mode)
     host = Host(new_image(n_blocks, mode), SimClock())
@@ -505,16 +502,14 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     if mode.encrypted and key is None:
         key = os.urandom(32)
     store = BlockStore(iface, layout, key if mode.encrypted else None)
-    rng = RngTree(seed)
-    fs = BlockFs.format(n_blocks, rng.stream("layout"), max_files=max_files,
-                        max_file_blocks=max_file_blocks,
-                        dummy_fraction=dummy_fraction)
-    engine = Engine(iface, store, fs, rng, oblivious=False)
+    fs = BlockFs.format(n_blocks, RngTree(seed).stream("layout"),
+                        max_files=max_files, max_file_blocks=max_file_blocks)
+    io = DirectIo(store, fs, host.clock)
     fds = []
     for data in files:
         fd = fs.create_file(FLAG_REGULAR)
         if data:
-            engine.write_file(fd, 0, data)
+            fs.file_write(io, fd, 0, data)
         fds.append(fd)
     fs.persist(store)
     root = None

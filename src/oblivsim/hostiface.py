@@ -11,7 +11,9 @@ and sanitizes what comes back (clock clamping, signal address rules).
 Events record completed transfers only; a call rejected before any
 host state changed (bad alignment, would-block) leaves no event, which
 keeps the trace an exact record of backend mutations and observable
-reads.
+reads. A call carries nothing beyond what the host is handed: padding
+and real traffic take the same call with the same arguments, so no
+event can say which it was.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ class HostInterface:
 
     # Disk ------------------------------------------------------------
 
-    def disk_read(self, offset: int, dummy: bool = False) -> bytes:
+    def disk_read(self, offset: int) -> bytes:
         host = self.host
         if offset % BLOCK_SIZE != 0:
             raise AlignmentError(f"read offset {offset} not block-aligned")
@@ -165,10 +167,10 @@ class HostInterface:
             raise BoundsError(f"read offset {offset} outside image")
         data = bytes(host.image[offset:offset + BLOCK_SIZE])
         self.trace.record(HostCallEvent(
-            host.clock.now_ns, CallKind.DISK_READ, offset, BLOCK_SIZE, dummy))
+            host.clock.now_ns, CallKind.DISK_READ, offset, BLOCK_SIZE))
         return data
 
-    def disk_write(self, offset: int, block: bytes, dummy: bool = False) -> None:
+    def disk_write(self, offset: int, block: bytes) -> None:
         host = self.host
         if offset % BLOCK_SIZE != 0:
             raise AlignmentError(f"write offset {offset} not block-aligned")
@@ -179,18 +181,18 @@ class HostInterface:
         host.image[offset:offset + BLOCK_SIZE] = block
         host.boundary_mutations += 1
         self.trace.record(HostCallEvent(
-            host.clock.now_ns, CallKind.DISK_WRITE, offset, BLOCK_SIZE, dummy))
+            host.clock.now_ns, CallKind.DISK_WRITE, offset, BLOCK_SIZE))
 
     # Network ---------------------------------------------------------
 
-    def net_write(self, endpoint: int, frame: bytes, dummy: bool = False) -> None:
+    def net_write(self, endpoint: int, frame: bytes) -> None:
         host = self.host
         if len(frame) != host.mtu:
             raise SizeError("frames on the wire are exactly MTU-sized")
         host.egress[endpoint].append(bytes(frame))
         host.boundary_mutations += 1
         self.trace.record(HostCallEvent(
-            host.clock.now(), CallKind.NET_WRITE, endpoint, host.mtu, dummy))
+            host.clock.now(), CallKind.NET_WRITE, endpoint, host.mtu))
 
     def net_read(self) -> tuple[int, bytes]:
         host = self.host

@@ -5,15 +5,14 @@ Every crossing of the host boundary appends one event, an immutable
 on every host call). An event carries only what an observer on the
 untrusted side can see: when the call happened, which of the seven
 calls it was, the disk offset (or peer endpoint index for network
-calls), and the payload length. The ``dummy`` flag is ground truth for
-tests and is never considered part of the observable record; export
-omits it unless explicitly asked.
+calls), and the payload length, and nothing else. Whether a call was
+padding is ground truth the trusted side keeps in its own counters
+(``RoundScheduler``, ``PeerSession``) and layout (``BlockFs.dummy_blocks``),
+never in the trace, so nothing that reads a trace can use it.
 
 Export format (one event per line, fixed field order)::
 
     ts,kind,offset,len
-
-With ground truth enabled a fifth field ``dummy`` (0/1) is appended.
 """
 
 from __future__ import annotations
@@ -43,13 +42,9 @@ class HostCallEvent(NamedTuple):
     kind: CallKind
     offset: int  # disk byte offset; peer endpoint index for net calls
     payload_len: int
-    dummy: bool = False  # ground truth only, not observable
 
-    def line(self, ground_truth: bool = False) -> str:
-        base = f"{self.ts},{self.kind.value},{self.offset},{self.payload_len}"
-        if ground_truth:
-            return base + f",{int(self.dummy)}"
-        return base
+    def line(self) -> str:
+        return f"{self.ts},{self.kind.value},{self.offset},{self.payload_len}"
 
 
 @dataclass
@@ -82,34 +77,28 @@ class HostTrace:
         """The observable projection compared for obliviousness."""
         return [(e.ts, e.kind.value, e.payload_len) for e in self.events]
 
-    def export(self, ground_truth: bool = False) -> str:
-        return "".join(e.line(ground_truth) + "\n" for e in self.events)
+    def export(self) -> str:
+        return "".join(e.line() + "\n" for e in self.events)
 
 
 def parse_trace(text: str, meta: dict | None = None) -> HostTrace:
-    """Parse an exported trace back into a HostTrace.
-
-    Accepts both the plain and the ground-truth form. A malformed line
-    raises ParameterError.
-    """
+    """Parse an exported trace back into a HostTrace. A malformed line,
+    including one with a field past ``len``, raises ParameterError."""
     trace = HostTrace(meta=dict(meta or {}))
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) not in (4, 5):
-            raise ParameterError(f"trace line {lineno}: expected 4 or 5 fields")
+        if len(parts) != 4:
+            raise ParameterError(f"trace line {lineno}: expected 4 fields")
         kind = _KIND_BY_NAME.get(parts[1])
         if kind is None:
             raise ParameterError(
                 f"trace line {lineno}: unknown call kind {parts[1]!r}")
-        if len(parts) == 5 and parts[4] not in ("0", "1"):
-            raise ParameterError(f"trace line {lineno}: dummy flag must be 0 or 1")
         try:
             ts, offset, length = int(parts[0]), int(parts[2]), int(parts[3])
         except ValueError as exc:
             raise ParameterError(f"trace line {lineno}: non-integer field") from exc
-        dummy = len(parts) == 5 and parts[4] == "1"
-        trace.events.append(HostCallEvent(ts, kind, offset, length, dummy))
+        trace.events.append(HostCallEvent(ts, kind, offset, length))
     return trace

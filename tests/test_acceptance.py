@@ -34,7 +34,7 @@ from oblivsim import (
     parse_workload,
     run_workload,
 )
-from oblivsim.adversary import compare_traces, dummy_disk_offsets, uniformity_test
+from oblivsim.adversary import compare_traces, disk_offsets_within, uniformity_test
 from oblivsim.cli import main as cli_main
 
 MTU = 1500
@@ -67,6 +67,7 @@ def test_disk_traces_indistinguishable_across_workloads():
 
     traces = {}
     uniform_passes = {w: 0 for w in WORKLOADS}
+    exact_counts = 0
     domain = None
     for spec in WORKLOADS:
         for seed in SEEDS:
@@ -77,7 +78,13 @@ def test_disk_traces_indistinguishable_across_workloads():
             if domain is None:
                 domain = [m.store.layout.data_offset(p)
                           for p in m.fs.dummy_blocks()]
-            p = uniformity_test(dummy_disk_offsets(m.trace), domain).p_value
+            # The observable accesses inside the padding domain must be
+            # exactly the padding the scheduler issued: no real access
+            # lands on a pad block and no padding lands outside.
+            padding = disk_offsets_within(m.trace, domain)
+            sched = m.engine.sched
+            exact_counts += len(padding) == sched.dummy_reads + sched.dummy_writes
+            p = uniformity_test(padding, domain).p_value
             uniform_passes[spec] += p > ALPHA
 
     rng = random.Random(20260819)
@@ -89,10 +96,12 @@ def test_disk_traces_indistinguishable_across_workloads():
 
     elapsed = time.perf_counter() - t0
     majorities = sum(1 for w in WORKLOADS if uniform_passes[w] >= 3)
-    ok = equal_pairs == 20 and majorities == len(WORKLOADS) and elapsed < 120
+    ok = (equal_pairs == 20 and majorities == len(WORKLOADS)
+          and exact_counts == len(traces) and elapsed < 120)
     verdict(1, "disk-trace-indistinguishability", ok,
             f"{equal_pairs}/20 pairs shape-equal, uniformity majority in "
-            f"{majorities}/{len(WORKLOADS)} workloads, {elapsed:.1f}s")
+            f"{majorities}/{len(WORKLOADS)} workloads, padding count exact in "
+            f"{exact_counts}/{len(traces)} runs, {elapsed:.1f}s")
 
 
 # --- 2: the idle cadence is exact ----------------------------------------------
@@ -126,7 +135,9 @@ def test_repeated_reads_touch_disk_once(small_bundle):
     m = mount(small_bundle)
     m.engine.start_observation()
     run_workload(m.engine, parse_workload("reread(0,100)"))
-    real = [e for e in m.trace.of_kind(CallKind.DISK_READ) if not e.dummy]
+    padding = {m.store.layout.data_offset(p) for p in m.fs.dummy_blocks()}
+    real = [e for e in m.trace.of_kind(CallKind.DISK_READ)
+            if e.offset not in padding]
     c = m.engine.counters()
     ok = len(real) == 1 and c["real_reads"] == 1 and c["cache_hits"] == 99
     verdict(3, "at-most-once-fetch", ok,
@@ -319,21 +330,24 @@ def test_trace_log_bit_identical_across_runs(tmp_path, capsys):
     assert rc == 0
 
     logs = []
+    summaries = []
     for i in range(3):
         out = tmp_path / f"run{i}"
         rc = cli_main(["run", "--image", str(img), "--key", DEFAULT_KEY.hex(),
                        "--seed", "5", "--workload", "netecho(0,30000)",
                        "--peer", str(RATE), "--rounds", "400",
-                       "--ground-truth", "--out", str(out)])
+                       "--out", str(out)])
         assert rc == 0
         logs.append((out / "trace.log").read_bytes())
+        summaries.append((out / "summary.csv").read_bytes())
     capsys.readouterr()
 
     nontrivial = len(logs[0].splitlines()) > 800 and b"net_write" in logs[0]
     identical = logs[0] == logs[1] == logs[2]
-    verdict(8, "deterministic-replay", identical and nontrivial,
+    same_summary = summaries[0] == summaries[1] == summaries[2]
+    verdict(8, "deterministic-replay", identical and same_summary and nontrivial,
             f"3 runs, {len(logs[0].splitlines())} trace lines each, "
-            f"byte-identical={identical}")
+            f"byte-identical={identical}, summaries identical={same_summary}")
 
 
 # --- 9: protection costs what the bench says ----------------------------------------

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+from oblivsim import adversary
 from oblivsim import (
     CallKind,
     HostCallEvent,
@@ -12,7 +16,7 @@ from oblivsim import (
     TraceConfigMismatch,
     UniformityResult,
     compare_traces,
-    dummy_disk_offsets,
+    disk_offsets_within,
     rate_report,
     uniformity_test,
 )
@@ -27,8 +31,8 @@ def trace_of(events, meta=META):
     return t
 
 
-def ev(ts, kind, offset=0, length=4096, dummy=False):
-    return HostCallEvent(ts, kind, offset, length, dummy)
+def ev(ts, kind, offset=0, length=4096):
+    return HostCallEvent(ts, kind, offset, length)
 
 
 # Uniformity -----------------------------------------------------------
@@ -89,14 +93,14 @@ def test_uniform_at_is_a_strict_threshold():
 
 def test_identical_shapes_compare_equal():
     a = trace_of([ev(0, CallKind.DISK_READ, offset=4096),
-                  ev(0, CallKind.DISK_WRITE, offset=8192, dummy=True)])
-    b = trace_of([ev(0, CallKind.DISK_READ, offset=12288, dummy=True),
+                  ev(0, CallKind.DISK_WRITE, offset=8192)])
+    b = trace_of([ev(0, CallKind.DISK_READ, offset=12288),
                   ev(0, CallKind.DISK_WRITE, offset=4096)])
     verdict = compare_traces(a, b)
     assert verdict and verdict.shape_equal
     assert verdict.first_divergence is None
-    # Offsets and ground-truth flags are not part of the observable
-    # projection, so they may differ freely.
+    # Offsets are not part of the shape projection, so they may differ
+    # freely; the uniformity test judges them.
 
 
 def test_shape_divergence_is_located():
@@ -124,14 +128,32 @@ def test_different_configurations_refuse_to_compare():
         compare_traces(a, b)
 
 
-def test_dummy_disk_offsets_filters_ground_truth():
+def test_disk_offsets_within_keeps_disk_events_in_the_set():
     t = trace_of([
-        ev(0, CallKind.DISK_READ, offset=4096, dummy=True),
+        ev(0, CallKind.DISK_READ, offset=4096),
         ev(0, CallKind.DISK_READ, offset=8192),
-        ev(0, CallKind.NET_WRITE, offset=0, length=1500, dummy=True),
-        ev(100, CallKind.DISK_WRITE, offset=12288, dummy=True),
+        ev(0, CallKind.NET_WRITE, offset=0, length=1500),  # endpoint 0, not disk
+        ev(100, CallKind.DISK_WRITE, offset=12288),
+        ev(200, CallKind.DISK_READ, offset=4096),
     ])
-    assert dummy_disk_offsets(t) == [4096, 12288]
+    assert disk_offsets_within(t, [0, 4096, 12288]) == [4096, 12288, 4096]
+    assert disk_offsets_within(t, []) == []
+
+
+def test_the_analyzer_imports_only_the_trace_and_its_errors():
+    # Blind by construction: the analyzer cannot reach trusted-side state
+    # (scheduler counters, the filesystem's padding set) because it never
+    # imports the modules that hold it.
+    tree = ast.parse(inspect.getsource(adversary))
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or 0) > 0:
+            local.add(node.module)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) \
+                else [node.module]
+            assert not any(n.split(".")[0] == "oblivsim" for n in names)
+    assert local == {"trace", "errors"}
 
 
 # Rate accounting ------------------------------------------------------
@@ -140,7 +162,7 @@ def test_dummy_disk_offsets_filters_ground_truth():
 def test_rate_report_buckets_by_endpoint_and_window():
     t = trace_of([
         ev(0, CallKind.NET_WRITE, offset=0, length=1500),
-        ev(100, CallKind.NET_WRITE, offset=0, length=1500, dummy=True),
+        ev(100, CallKind.NET_WRITE, offset=0, length=1500),
         ev(1_000_000_005, CallKind.NET_WRITE, offset=0, length=1500),
         ev(2_200_000_000, CallKind.NET_WRITE, offset=1, length=1500),
         ev(50, CallKind.DISK_WRITE, offset=4096),  # not network traffic

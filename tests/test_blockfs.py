@@ -52,7 +52,7 @@ def make_fs(n_blocks=64, seed=1, **kw) -> BlockFs:
 
 
 def test_format_reserves_metadata_and_dummy_share():
-    fs = make_fs(64, dummy_fraction=0.10)
+    fs = make_fs(64)
     assert fs.fsck() == []
     st_ = fs.stats()
     assert st_.dummy_blocks == 6  # 10% of 64, rounded down
@@ -68,7 +68,7 @@ def test_format_rejects_tiny_disks():
 
 
 def test_dummy_files_split_at_per_file_limit():
-    fs = make_fs(256, max_file_blocks=8, dummy_fraction=0.10)
+    fs = make_fs(256, max_file_blocks=8)
     dummies = fs.files_with_flag(FLAG_DUMMY)
     assert sum(fs.file_blocks(fd) for fd in dummies) == 25
     assert max(fs.file_blocks(fd) for fd in dummies) <= 8

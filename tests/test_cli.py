@@ -151,6 +151,19 @@ def test_assert_oblivious_flags_the_passthrough_path(image, tmp_path, capsys):
     assert (out / "verdict.txt").read_text().startswith("FAIL shape")
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--image", "{img}", "--workload", "idle(1)", "--ground-truth"),
+    ("run", "--image", "{img}", "--workload", "idle(1)", "--eager-shuffle-at", 2),
+    ("create-image", "--out", "{img}", "--blocks", 64, "--dummy-fraction", 0.2),
+])
+def test_retired_options_are_refused(argv, tmp_path, capsys):
+    img = tmp_path / "x.img"
+    with pytest.raises(SystemExit) as exc:
+        cli(*(str(a).format(img=img) for a in argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_run_oblivious_rejects_weaker_images(tmp_path, capsys):
     img = tmp_path / "c.img"
     cli("create-image", "--out", img, "--blocks", 32, "--mode", "crypt",

@@ -3,7 +3,9 @@ triggers, the shaped net loop, and whole-run determinism."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -112,6 +114,26 @@ def test_built_image_cannot_be_written_through(small_bundle):
         small_bundle.image[0] = 0
 
 
+def test_dropping_a_bundle_frees_the_image_at_once():
+    # Nothing build_image leaves behind may sit in a reference cycle with
+    # the image buffer: with the cyclic collector off, the buffer must go
+    # the moment the bundle does.
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        bundle = build_image(4096, ProtectionMode.CRYPT_INTEGRITY,
+                             [b"x" * BLOCK_SIZE], seed=1, key=DEFAULT_KEY)
+        held = tracemalloc.get_traced_memory()[0]
+        del bundle
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held > 4096 * BLOCK_SIZE
+    assert left < 64 * BLOCK_SIZE
+
+
 def test_same_seed_same_layout_fresh_ciphertext():
     kw = dict(files=[b"d" * 9000], seed=11, key=DEFAULT_KEY)
     one = build_image(32, ProtectionMode.CRYPT_INTEGRITY, **kw)
@@ -141,7 +163,9 @@ def test_idle_rounds_sit_on_the_interval_grid(small_bundle):
     m.engine.run_rounds(10)
     disk = m.trace.of_kind(CallKind.DISK_READ, CallKind.DISK_WRITE)
     assert len(disk) == 20
-    assert all(e.dummy for e in disk)
+    padding = {m.store.layout.data_offset(p) for p in m.fs.dummy_blocks()}
+    assert {e.offset for e in disk} <= padding
+    assert m.engine.sched.dummy_reads == m.engine.sched.dummy_writes == 10
     for i in range(10):
         read, write = disk[2 * i], disk[2 * i + 1]
         assert read.kind is CallKind.DISK_READ
@@ -179,17 +203,6 @@ def test_refetch_after_evict_forces_a_shuffle(small_bundle):
     assert eng.read_file(fd, 0, 1) == b"\x00"
     assert eng.shuffles == 1
     assert m.fs.phys_of(fd, 0) != before
-
-
-def test_eager_shuffle_threshold(small_bundle):
-    m = mount(small_bundle, config=EngineConfig(eager_shuffle_at=2))
-    eng = m.engine
-    fd = eng.regular_fd(0)
-    eng.read_file(fd, 0, 1)
-    assert eng.shuffles == 0
-    eng.read_file(fd, BLOCK_SIZE, 1)
-    assert eng.shuffles == 1
-    assert len(eng.cache.epoch_fetched) == 0
 
 
 def test_passthrough_refuses_protected_operations(small_bundle):
@@ -273,15 +286,22 @@ MIXED_LINKS = [(0, 200_000_000, 1, 200_000_000), (1, 100_000_000, 1, 100_000_000
                (4, 333_333_333, 1, 333_333_333), (5, 200_000_000, 3, 120_000_000),
                (6, 75_000_000, 1, 75_000_000)]
 LATE_LINK = (7, 120_000_000, 1, 240_000_000)
-# SHA-256 of the ground-truth export of ``_run_mixed_links`` and of its echo
-# log, fixed when the net loop polled every actor at every instant; the
-# event-driven loop must reproduce both byte for byte. The trace pins the
-# order of the enclave's calls; the echo log pins when each payload came
-# back, which moves if peers and links swap turns within an instant.
+# SHA-256 of the export of ``_run_mixed_links`` and of its echo log; the
+# echo digest was fixed when the net loop polled every actor at every
+# instant, and the event-driven loop reproduces both byte for byte. The
+# trace pins the order of the enclave's calls; the echo log pins when each
+# payload came back, which moves if peers and links swap turns within an
+# instant. Which frames were padding is pinned from the sessions' own
+# counters: (endpoint, sent_real, sent_dummy) per link and (endpoint,
+# received_real, received_dummy) per peer.
 MIXED_LINKS_TRACE_SHA256 = \
-    "05a886a9a9567926477af622c5d66889c782c0a907128437c61c95659bbab64a"
+    "43a077fd88558478dd7a307d973f87cfc509195dcb2569cfdb98389280a40c88"
 MIXED_LINKS_ECHO_SHA256 = \
     "04c085e935456cb27b064cfe6e604d5841297b772cb2b431f52b5e6008bb2bdd"
+MIXED_LINKS_SENT = [(0, 20, 79), (1, 20, 30), (2, 20, 55), (3, 20, 5),
+                    (4, 20, 144), (5, 20, 81), (6, 20, 17), (7, 14, 25)]
+MIXED_LINKS_RECEIVED = [(0, 20, 78), (1, 19, 30), (2, 20, 54), (3, 20, 5),
+                        (4, 20, 143), (5, 20, 81), (6, 19, 17), (7, 14, 25)]
 
 
 def _run_mixed_links(bundle):
@@ -320,10 +340,14 @@ def _run_mixed_links(bundle):
 
 
 def test_mixed_link_event_order_is_pinned(small_bundle):
-    m, _peers, echoes = _run_mixed_links(small_bundle)
-    text = m.trace.export(ground_truth=True)
+    m, peers, echoes = _run_mixed_links(small_bundle)
+    text = m.trace.export()
     assert len(m.trace) == 2268
     assert hashlib.sha256(text.encode()).hexdigest() == MIXED_LINKS_TRACE_SHA256
+    assert [(l.endpoint, l.session.sent_real, l.session.sent_dummy)
+            for l in m.engine.links] == MIXED_LINKS_SENT
+    assert [(ep, p.session.received_real, p.session.received_dummy)
+            for ep, p in sorted(peers.items())] == MIXED_LINKS_RECEIVED
     assert len(echoes) == 152
     assert hashlib.sha256("".join(echoes).encode()).hexdigest() == \
         MIXED_LINKS_ECHO_SHA256
@@ -502,7 +526,7 @@ def test_same_seed_same_trace(small_bundle):
         m = mount(small_bundle, seed=5)
         run_workload(m.engine, parse_workload("randread(0,40)"),
                      target_rounds=60)
-        exports.append(m.trace.export(ground_truth=True))
+        exports.append((m.trace.export(), m.engine.counters()))
     assert exports[0] == exports[1]
 
 

@@ -188,8 +188,8 @@ def test_provisioning_record_decoder_only_raises_sim_errors(raw):
 # ---------------------------------------------------------------------------
 
 TRACE_TEXT = ("0,disk_read,4096,4096\n"
-              "100000,disk_write,8192,4096,1\n"
-              "100000,net_write,0,1500,0\n")
+              "100000,disk_write,8192,4096\n"
+              "100000,net_write,0,1500\n")
 
 
 @FUZZ
@@ -202,7 +202,7 @@ TRACE_TEXT = ("0,disk_read,4096,4096\n"
 def test_trace_decoder_only_raises_sim_errors(text):
     trace = decode_or_refuse(parse_trace, text)
     if trace is not None:
-        again = parse_trace(trace.export(ground_truth=True))
+        again = parse_trace(trace.export())
         assert again.events == trace.events
 
 

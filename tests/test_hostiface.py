@@ -69,13 +69,6 @@ def test_every_mutation_is_traced():
     assert len(iface.trace) == 3
 
 
-def test_dummy_flag_rides_into_trace():
-    iface = make_iface()
-    iface.disk_read(0, dummy=True)
-    iface.disk_write(0, b"\x00" * BLOCK_SIZE, dummy=False)
-    assert [e.dummy for e in iface.trace.events] == [True, False]
-
-
 def test_net_write_enforces_mtu():
     iface = make_iface()
     with pytest.raises(SizeError):

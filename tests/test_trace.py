@@ -12,23 +12,27 @@ events = st.builds(
     kind=kinds,
     offset=st.integers(min_value=0, max_value=10**12),
     payload_len=st.integers(min_value=0, max_value=10**6),
-    dummy=st.booleans(),
 )
 
 
 def test_line_format():
-    e = HostCallEvent(100_000, CallKind.DISK_READ, 8192, 4096, dummy=True)
+    e = HostCallEvent(100_000, CallKind.DISK_READ, 8192, 4096)
     assert e.line() == "100000,disk_read,8192,4096"
-    assert e.line(ground_truth=True) == "100000,disk_read,8192,4096,1"
 
 
 def test_events_are_immutable_and_keep_their_line_format():
     e = HostCallEvent(7, CallKind.NET_WRITE, 2, 1500)
     with pytest.raises(AttributeError):
         e.ts = 8
-    assert e.ts == 7 and e.dummy is False
+    assert e.ts == 7
     assert e.line() == "7,net_write,2,1500"
-    assert e.line(ground_truth=True) == "7,net_write,2,1500,0"
+
+
+def test_an_event_holds_only_the_observable_fields():
+    # The record is the host's view: nothing else can ride along.
+    assert HostCallEvent._fields == ("ts", "kind", "offset", "payload_len")
+    with pytest.raises(TypeError):
+        HostCallEvent(0, CallKind.DISK_READ, 0, 4096, True)
 
 
 def test_record_respects_reset():
@@ -51,28 +55,21 @@ def test_of_kind_filters():
 
 def test_shape_excludes_offset_and_dummy():
     # Offsets are judged statistically, not by equality; shape carries
-    # only what must match event-for-event.
-    a = HostCallEvent(5, CallKind.DISK_READ, 4096, 4096, dummy=False)
-    b = HostCallEvent(5, CallKind.DISK_READ, 8192, 4096, dummy=True)
-    t = HostTrace(events=[a, b])
+    # only what must match event-for-event. A real read (a data block)
+    # and a padding read (a pad block) differ in offset alone.
+    real = HostCallEvent(5, CallKind.DISK_READ, 4096, 4096)
+    padding = HostCallEvent(5, CallKind.DISK_READ, 8192, 4096)
+    t = HostTrace(events=[real, padding])
     assert t.shape() == [(5, "disk_read", 4096), (5, "disk_read", 4096)]
 
 
 @given(st.lists(events, max_size=50))
-def test_export_parse_roundtrip_with_ground_truth(evs):
+def test_export_parse_roundtrip(evs):
     t = HostTrace(events=list(evs))
-    back = parse_trace(t.export(ground_truth=True))
+    text = t.export()
+    assert all(line.count(",") == 3 for line in text.splitlines())
+    back = parse_trace(text)
     assert back.events == t.events
-
-
-@given(st.lists(events, max_size=50))
-def test_plain_export_drops_dummy_flag(evs):
-    t = HostTrace(events=list(evs))
-    back = parse_trace(t.export())
-    assert [
-        (e.ts, e.kind, e.offset, e.payload_len) for e in back.events
-    ] == [(e.ts, e.kind, e.offset, e.payload_len) for e in evs]
-    assert all(not e.dummy for e in back.events)
 
 
 def test_parse_skips_blank_lines_and_keeps_meta():
@@ -88,8 +85,13 @@ def test_parse_rejects_malformed_lines():
         parse_trace("0,disk_levitate,0,4096\n")
     with pytest.raises(ParameterError):
         parse_trace("0,disk_read,0,4096,1,9\n")
-    with pytest.raises(ParameterError, match="dummy flag"):
-        parse_trace("0,disk_read,0,4096,2\n")
+
+
+@pytest.mark.parametrize("flag", ["0", "1"])
+def test_parse_refuses_a_fifth_field(flag):
+    # The retired ground-truth column: a trace carries four fields only.
+    with pytest.raises(ParameterError, match="expected 4 fields"):
+        parse_trace(f"0,net_poll,0,0\n100000,disk_read,8192,4096,{flag}\n")
 
 
 @pytest.mark.parametrize("line", [

@@ -120,7 +120,7 @@ def test_randread_stays_in_bounds_and_replays(small_bundle):
         m = mount(small_bundle, seed=6)
         run_workload(m.engine, parse_workload("randread(0,25)"))
         assert m.engine.payload_bytes == 25 * BLOCK_SIZE
-        exports.append(m.trace.export(ground_truth=True))
+        exports.append((m.trace.export(), m.engine.counters()))
     assert exports[0] == exports[1]
 
 
