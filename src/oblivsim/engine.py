@@ -4,15 +4,25 @@ page cache, the shuffle and the shaped network links.
 Two I/O personalities implement the filesystem's block interface:
 
 * ``CachedIo`` is the protected path. Reads and writes go through the
-  page cache; misses become scheduler submissions and the engine pumps
-  batched rounds until the data lands. When the cache reports that a
-  block would need a repeat host read this epoch, the engine runs a
-  layout shuffle and retries.
+  page cache. A miss calls ``Engine.read_phys``, which the shuffle uses
+  for its reads too: a block still in the write queue is served from
+  there, and otherwise the read is submitted to the scheduler and the
+  engine pumps batched rounds until it lands. Dirty pages the cache
+  evicts or flushes go straight to the scheduler's write queue. When
+  the cache reports that a block would need a repeat host read this
+  epoch, the engine runs a layout shuffle and retries.
 * ``DirectIo`` is the passthrough path. Every block operation is a
   single immediate host call with a small fixed latency, no padding,
   no batching. It exists as the unprotected baseline, and
   ``build_image`` writes files through it. It holds the store, the
   filesystem and the clock, not an engine.
+
+The engine itself implements the shuffle's ``ShuffleIo`` protocol and
+passes itself to ``oblivious_shuffle`` for the length of one shuffle.
+Nothing the engine owns refers back to it: the page cache is handed
+its fetch per call, and a ``CachedIo`` is built per file call. So a
+dropped mount, with its image copy, is freed by reference counting
+alone, without waiting for the cyclic collector.
 
 Time is the simulated clock. Each call to ``run_one_round`` first
 processes every network emission instant due by the round's scheduled
@@ -104,7 +114,8 @@ class EngineConfig:
 
 
 class CachedIo:
-    """Block path through the page cache and the batched rounds."""
+    """Block path through the page cache and the batched rounds. Built
+    per file call; kept on the engine, it would refer back to it."""
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
@@ -112,7 +123,7 @@ class CachedIo:
     def read_block(self, fd: int, lblk: int) -> bytes:
         engine = self.engine
         while True:
-            data, outcome = engine.cache.get_block(fd, lblk)
+            data, outcome = engine.cache.get_block(fd, lblk, engine.read_phys)
             if outcome is not Outcome.SHUFFLE_REQUIRED:
                 return data
             engine.shuffle_now()
@@ -141,30 +152,6 @@ class DirectIo:
     def write_block(self, fd: int, lblk: int, data: bytes) -> None:
         self._tick()
         self.store.write_block(self.fs.phys_of(fd, lblk), data)
-
-
-class _ShuffleIo:
-    """Routes shuffle traffic through the scheduler. Writes are queued
-    so the following read slot's round carries them; the shuffle's own
-    pumping keeps the queue depth at one."""
-
-    def __init__(self, engine: "Engine"):
-        self.engine = engine
-
-    def read_phys(self, phys: int) -> bytes:
-        comp = self.engine.sched.submit_read(phys)
-        while not comp.done:
-            self.engine.run_one_round()
-        return comp.data
-
-    def write_phys(self, phys: int, data: bytes) -> None:
-        self.engine.sched.submit_write(phys, data)
-
-    def pump_dummy_read(self) -> None:
-        self.engine.run_one_round()
-
-    def peek_cache(self, fd: int, lblk: int) -> bytes | None:
-        return self.engine.cache.peek(fd, lblk)
 
 
 @dataclass
@@ -212,7 +199,7 @@ class EchoPeer:
             except BackpressureError:
                 # A real network would drop under overload; so do we.
                 self.dropped += 1
-        for frame, _real in self.shaper.tick(now_ns):
+        for frame in self.shaper.tick(now_ns):
             self.host.deliver_frame(self.endpoint, frame)
 
 
@@ -245,18 +232,12 @@ class Engine:
             capacity = self.config.cache_capacity
             if capacity is None:
                 capacity = default_capacity(store.n_blocks)
-            self.cache = PageCache(
-                capacity,
-                phys_of=fs.phys_of,
-                fetch=self._fetch_phys,
-                writeback=self._queue_writeback,
-            )
-            self.io = CachedIo(self)
-            self._shuffle_io = _ShuffleIo(self)
+            self.cache = PageCache(capacity, phys_of=fs.phys_of,
+                                   writeback=self.sched.submit_write)
         else:
             self.sched = None
             self.cache = None
-            self.io = DirectIo(store, fs, self.clock)
+            self._direct_io = DirectIo(store, fs, self.clock)
 
     # Observation window ----------------------------------------------
 
@@ -276,9 +257,9 @@ class Engine:
             return self.rounds_done * self.config.round.interval_ns
         return self.clock.now()
 
-    # Cache plumbing ----------------------------------------------------
+    # The protected disk path: cache misses and the shuffle's ShuffleIo --
 
-    def _fetch_phys(self, phys: int) -> bytes:
+    def read_phys(self, phys: int) -> bytes:
         queued = self.sched.pending_write_for(phys)
         if queued is not None:
             # The freshest content is still in the write queue; rounds
@@ -290,8 +271,16 @@ class Engine:
             self.run_one_round()
         return comp.data
 
-    def _queue_writeback(self, phys: int, data: bytes) -> None:
+    def write_phys(self, phys: int, data: bytes) -> None:
+        # Queued, so the following read slot's round carries it; the
+        # shuffle's own pumping keeps the queue depth at one.
         self.sched.submit_write(phys, data)
+
+    def pump_dummy_read(self) -> None:
+        self.run_one_round()
+
+    def peek_cache(self, fd: int, lblk: int) -> bytes | None:
+        return self.cache.peek(fd, lblk)
 
     # Rounds -------------------------------------------------------------
 
@@ -315,13 +304,12 @@ class Engine:
 
     # Shuffle ------------------------------------------------------------
 
-    def shuffle_now(self, fds=None) -> ShuffleStats:
+    def shuffle_now(self) -> ShuffleStats:
         if not self.oblivious:
             raise ModeError("the passthrough path never shuffles")
         self.cache.flush()
         self._drain()
-        stats = oblivious_shuffle(self.fs, self._shuffle_io,
-                                  self.rng.stream("shuffle"), fds)
+        stats = oblivious_shuffle(self.fs, self, self.rng.stream("shuffle"))
         self._drain()
         self.cache.end_epoch()
         self.shuffles += 1
@@ -381,7 +369,7 @@ class Engine:
             while heap and heap[0][0] == due:
                 _due, kind, order, actor = heap[0]
                 if kind == _LINK:
-                    for frame, _real in actor.shaper.tick(due):
+                    for frame in actor.shaper.tick(due):
                         self.iface.net_write(actor.endpoint, frame)
                     emitted = True
                     next_due = actor.shaper.next_due_ns()
@@ -432,13 +420,16 @@ class Engine:
                 f"data file {index} does not exist ({len(fds)} present)")
         return fds[index]
 
+    def _io(self) -> CachedIo | DirectIo:
+        return CachedIo(self) if self.oblivious else self._direct_io
+
     def read_file(self, fd: int, offset: int, length: int) -> bytes:
-        data = self.fs.file_read(self.io, fd, offset, length)
+        data = self.fs.file_read(self._io(), fd, offset, length)
         self.payload_bytes += len(data)
         return data
 
     def write_file(self, fd: int, offset: int, data: bytes) -> None:
-        self.fs.file_write(self.io, fd, offset, data)
+        self.fs.file_write(self._io(), fd, offset, data)
         self.payload_bytes += len(data)
 
     # Reporting -------------------------------------------------------------

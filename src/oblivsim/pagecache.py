@@ -35,25 +35,25 @@ class Outcome(enum.Enum):
 
 
 class PageCache:
-    """LRU page cache keyed by (fd, logical block).
+    """LRU page cache keyed by (fd, logical block). Pages are immutable
+    ``bytes``; installing a page replaces it.
 
-    Collaborators are injected: ``phys_of`` resolves the current
-    physical placement, ``fetch`` performs a real host read (pumping
-    rounds until the data arrives), ``writeback`` persists a dirty page
-    (pumping rounds until the write lands).
+    Two collaborators are injected: ``phys_of`` resolves the current
+    physical placement, ``writeback`` persists a dirty page (the engine
+    queues it for a later round). The fetch that performs a real host
+    read is passed to each ``get_block`` call instead of being stored,
+    so the cache holds no reference back to whoever fetches.
     """
 
     def __init__(self, capacity: int,
                  phys_of: Callable[[int, int], int],
-                 fetch: Callable[[int], bytes],
                  writeback: Callable[[int, bytes], None]):
         if capacity < 1:
             raise ParameterError("cache needs at least one page")
         self.capacity = capacity
         self._phys_of = phys_of
-        self._fetch = fetch
         self._writeback = writeback
-        self._pages: OrderedDict[tuple[int, int], bytearray] = OrderedDict()
+        self._pages: OrderedDict[tuple[int, int], bytes] = OrderedDict()
         self._dirty: set[tuple[int, int]] = set()
         self.epoch_fetched: set[int] = set()
         self.hits = 0
@@ -69,43 +69,45 @@ class PageCache:
 
     def peek(self, fd: int, lblk: int) -> bytes | None:
         """Read a resident page without touching LRU order."""
-        page = self._pages.get((fd, lblk))
-        return bytes(page) if page is not None else None
+        return self._pages.get((fd, lblk))
 
     # Main entry ----------------------------------------------------------
 
-    def get_block(self, fd: int, lblk: int) -> tuple[bytes | None, Outcome]:
+    def get_block(self, fd: int, lblk: int,
+                  fetch: Callable[[int], bytes]) -> tuple[bytes | None, Outcome]:
+        """The page, from the cache or else from ``fetch(phys)``, a real
+        host read that pumps rounds until the data arrives."""
         key = (fd, lblk)
         page = self._pages.get(key)
         if page is not None:
             self._pages.move_to_end(key)
             self.hits += 1
-            return bytes(page), Outcome.HIT
+            return page, Outcome.HIT
         phys = self._phys_of(fd, lblk)
         if phys in self.epoch_fetched:
             # Fetched earlier this epoch and evicted since; serving it
             # again would repeat a host read of the same block.
             return None, Outcome.SHUFFLE_REQUIRED
-        data = self._fetch(phys)
+        data = fetch(phys)
         self.epoch_fetched.add(phys)
         self.fetches += 1
-        self._admit(key, bytearray(data))
+        self._admit(key, data)
         return data, Outcome.FETCHED
 
     def put_block(self, fd: int, lblk: int, page: bytes) -> None:
         """Install a full page without reading the host (whole-block
         overwrites and freshly allocated blocks)."""
-        key = (fd, lblk)
+        key, page = (fd, lblk), bytes(page)  # never alias the caller's buffer
         if key in self._pages:
-            self._pages[key][:] = page
+            self._pages[key] = page
             self._pages.move_to_end(key)
         else:
-            self._admit(key, bytearray(page))
+            self._admit(key, page)
         self._dirty.add(key)
 
     # Internals -----------------------------------------------------------
 
-    def _admit(self, key: tuple[int, int], page: bytearray) -> None:
+    def _admit(self, key: tuple[int, int], page: bytes) -> None:
         while len(self._pages) >= self.capacity:
             self._evict_lru()
         self._pages[key] = page
@@ -114,7 +116,7 @@ class PageCache:
         key, page = self._pages.popitem(last=False)
         if key in self._dirty:
             self._dirty.discard(key)
-            self._writeback(self._phys_of(*key), bytes(page))
+            self._writeback(self._phys_of(*key), page)
 
     # Flush and epochs ------------------------------------------------------
 
@@ -123,7 +125,7 @@ class PageCache:
         Returns the number of pages written."""
         written = 0
         for key in [k for k in self._pages if k in self._dirty]:
-            self._writeback(self._phys_of(*key), bytes(self._pages[key]))
+            self._writeback(self._phys_of(*key), self._pages[key])
             self._dirty.discard(key)
             written += 1
         return written

@@ -51,9 +51,10 @@ class RoundScheduler:
             raise ParameterError("padding needs at least one dummy-file block")
         self.rng = rng
         self.config = config if config is not None else RoundConfig()
-        # Queued requests: (phys, completion) reads, (phys, data, completion) writes.
+        # Queued requests: (phys, completion) reads, (phys, data) writes.
+        # Nothing waits on a write, so writes carry no completion.
         self._reads: deque[tuple[int, Completion]] = deque()
-        self._writes: deque[tuple[int, bytes, Completion]] = deque()
+        self._writes: deque[tuple[int, bytes]] = deque()
         self.last_round_ns: int | None = None
         self.rounds = 0
         self.real_reads = 0
@@ -70,20 +71,18 @@ class RoundScheduler:
         self._reads.append((phys, comp))
         return comp
 
-    def submit_write(self, phys: int, data: bytes) -> Completion:
+    def submit_write(self, phys: int, data: bytes) -> None:
         if len(data) != BLOCK_SIZE:
             raise SizeError("a queued write must be exactly one block")
         if len(self._writes) >= self.config.queue_capacity:
             raise BackpressureError("write queue full")
-        comp = Completion()
-        self._writes.append((phys, bytes(data), comp))
-        return comp
+        self._writes.append((phys, bytes(data)))
 
     def pending_write_for(self, phys: int) -> bytes | None:
         """Newest queued write aimed at ``phys``, if any. Readers must
         coalesce against this; a queued write has not reached the host
         image yet and rounds run reads before writes."""
-        for target, data, _comp in reversed(self._writes):
+        for target, data in reversed(self._writes):
             if target == phys:
                 return data
         return None
@@ -127,9 +126,8 @@ class RoundScheduler:
                 self.dummy_reads += 1
         for _ in range(config.writes_per_round):
             if writes:
-                phys, data, comp = writes.popleft()
+                phys, data = writes.popleft()
                 store.write_block(phys, data)
-                comp.done = True
                 self.real_writes += 1
             else:
                 store.dummy_write(targets[randbelow(len(targets))])

@@ -71,12 +71,10 @@ class PeerShaper:
         current; it only moves forward."""
         return self._due_ns
 
-    def tick(self, now_ns: int) -> list[tuple[bytes, bool]]:
-        """Emit every slot due by ``now_ns``.
-
-        Returns (frame, real) pairs; the flag is ground truth for the
-        caller's bookkeeping and is invisible on the wire.
-        """
+    def tick(self, now_ns: int) -> list[bytes]:
+        """Emit every slot due by ``now_ns`` and return the sealed frames.
+        How many were real and how many padding is counted by the
+        session (``sent_real``, ``sent_dummy``), not told per frame."""
         if now_ns < self.last_tick_ns:
             raise ParameterError("shaper clock moved backwards")
         self.last_tick_ns = now_ns
@@ -104,7 +102,7 @@ class PeerShaper:
         out = []
         for _ in range(available):
             if queue:
-                out.append((session.seal_packet(queue.popleft()), True))
+                out.append(session.seal_packet(queue.popleft()))
             else:
-                out.append((session.seal_dummy(), False))
+                out.append(session.seal_dummy())
         return out

@@ -230,6 +230,8 @@ def test_sealing_detects_tampering_and_replay():
 
 
 def _shaped_run(offer_every_ns: int | None, horizon_ns: int):
+    """(time, frame size) per emission up to the horizon, and how many of
+    them were padding by the sending session's own count."""
     a = StaticIdentity.from_private_bytes(bytes(range(32)))
     b = StaticIdentity.from_private_bytes(bytes(range(32, 64)))
     shaper = PeerShaper(ShapingClass(rate_bps=RATE),
@@ -240,7 +242,7 @@ def _shaped_run(offer_every_ns: int | None, horizon_ns: int):
     while True:
         due = shaper.next_due_ns()
         if due > horizon_ns:
-            return emissions
+            return emissions, shaper.session.sent_dummy
         if offer_every_ns:
             while offer_t <= due:
                 try:
@@ -248,8 +250,8 @@ def _shaped_run(offer_every_ns: int | None, horizon_ns: int):
                 except BackpressureError:
                     pass
                 offer_t += offer_every_ns
-        for frame, real in shaper.tick(due):
-            emissions.append((due, real, len(frame)))
+        for frame in shaper.tick(due):
+            emissions.append((due, len(frame)))
 
 
 def test_shaper_rate_exact_under_all_loads():
@@ -263,13 +265,12 @@ def test_shaper_rate_exact_under_all_loads():
     dummies_at_double = None
     details = []
     for label, every in offers.items():
-        emissions = _shaped_run(every, horizon)
-        sizes_ok &= all(size == MTU for _, _, size in emissions)
+        emissions, dummies = _shaped_run(every, horizon)
+        sizes_ok &= all(size == MTU for _, size in emissions)
         per_window = [0] * (horizon // window)
-        for ts, _real, size in emissions:
+        for ts, size in emissions:
             per_window[ts // window] += size
         windows_ok &= all(abs(w - target) <= MTU for w in per_window)
-        dummies = sum(1 for _, real, _ in emissions if not real)
         if label == "double":
             dummies_at_double = dummies
         details.append(f"{label}: {sum(per_window)}B, {dummies} dummies")

@@ -134,6 +134,35 @@ def test_dropping_a_bundle_frees_the_image_at_once():
     assert left < 64 * BLOCK_SIZE
 
 
+def test_dropping_an_oblivious_mount_frees_the_image_at_once():
+    # Nothing the engine owns may refer back to it, whatever the mount
+    # did: with the cyclic collector off, its image copy must go the
+    # moment the mount does.
+    bundle = build_image(4096, ProtectionMode.CRYPT_INTEGRITY,
+                         [b"x" * 3 * BLOCK_SIZE], seed=1, key=DEFAULT_KEY)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        m = mount(bundle)
+        eng = m.engine
+        assert eng.read_file(eng.regular_fd(0), 0, 8) == b"x" * 8
+        eng.shuffle_now()
+        enclave, remote = net_pair()
+        eng.add_link(3, enclave)
+        eng.add_external_pump(EchoPeer(m.host, 3, remote, ShapingClass(),
+                                       start_ns=m.host.clock.now()))
+        eng.run_rounds(2)
+        held = tracemalloc.get_traced_memory()[0]
+        del m, eng
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held > 4096 * BLOCK_SIZE
+    assert left < 64 * BLOCK_SIZE
+
+
 def test_same_seed_same_layout_fresh_ciphertext():
     kw = dict(files=[b"d" * 9000], seed=11, key=DEFAULT_KEY)
     one = build_image(32, ProtectionMode.CRYPT_INTEGRITY, **kw)
@@ -203,6 +232,49 @@ def test_refetch_after_evict_forces_a_shuffle(small_bundle):
     assert eng.read_file(fd, 0, 1) == b"\x00"
     assert eng.shuffles == 1
     assert m.fs.phys_of(fd, 0) != before
+
+
+# Whole-block writes (w), partial writes (p) and 64-byte reads (r) by
+# (data file index, block). With two cache pages they evict dirty pages,
+# serve a miss from the write queue and force a shuffle.
+PINNED_OPS = [("w", 0, 0), ("w", 0, 1), ("w", 1, 0), ("r", 0, 0), ("r", 0, 1),
+              ("p", 1, 2), ("r", 0, 5), ("r", 0, 5), ("w", 0, 6), ("r", 0, 0),
+              ("r", 1, 0), ("p", 0, 3), ("r", 0, 6), ("r", 1, 1), ("w", 0, 7),
+              ("r", 0, 1)]
+PINNED_TRACE_SHA256 = "e3c4a181acf53e1822febe209ba7328bbd7a6c0f59366750a355120494cba380"
+PINNED_COUNTERS = {"rounds": 40, "real_reads": 27, "dummy_reads": 13, "real_writes": 29,
+                   "dummy_writes": 11, "shuffles": 2, "cache_hits": 2,
+                   "net_real": 0, "net_dummy": 0}
+
+
+def test_protected_disk_path_is_pinned(small_bundle):
+    m = mount(small_bundle, seed=3, config=EngineConfig(cache_capacity=2))
+    eng, sched, cache = m.engine, m.engine.sched, m.engine.cache
+    eng.start_observation()
+    writebacks = queue_served = 0
+    for kind, index, blk in PINNED_OPS:
+        fd = eng.regular_fd(index)
+        pending, fetches, reads, shuffles = (
+            sched.pending_writes, cache.fetches, sched.real_reads, eng.shuffles)
+        if kind == "w":
+            eng.write_file(fd, blk * BLOCK_SIZE, bytes([16 * index + blk]) * BLOCK_SIZE)
+        elif kind == "p":
+            eng.write_file(fd, blk * BLOCK_SIZE + 100, b"partial")
+        else:
+            eng.read_file(fd, blk * BLOCK_SIZE, 64)
+        if eng.shuffles == shuffles:
+            # Outside a shuffle only a dirty eviction queues a write, and
+            # a miss that spends no read was served from the write queue.
+            writebacks += sched.pending_writes > pending
+            queue_served += cache.fetches > fetches and sched.real_reads == reads
+    eng.shuffle_now()
+    a, b = eng.regular_fd(0), eng.regular_fd(1)
+    assert eng.read_file(a, 7 * BLOCK_SIZE, 4) == b"\x07" * 4
+    assert eng.read_file(b, 2 * BLOCK_SIZE + 100, 7) == b"partial"
+    eng.run_rounds(3)
+    assert writebacks > 0 and queue_served > 0 and eng.shuffles >= 2
+    digest = hashlib.sha256(m.trace.export().encode()).hexdigest()
+    assert (digest, eng.counters()) == (PINNED_TRACE_SHA256, PINNED_COUNTERS)
 
 
 def test_passthrough_refuses_protected_operations(small_bundle):

@@ -18,9 +18,9 @@ class Harness:
         self.write_log: list[int] = []
         self.cache = PageCache(capacity,
                                lambda fd, lblk: self.placement[lblk],
-                               self._fetch, self._writeback)
+                               self._writeback)
 
-    def _fetch(self, phys):
+    def fetch(self, phys):
         self.fetch_log.append(phys)
         return self.disk[phys]
 
@@ -38,15 +38,15 @@ def test_default_capacity_is_sqrt_ceiling():
 
 def test_capacity_must_be_positive():
     with pytest.raises(ParameterError):
-        PageCache(0, lambda fd, lblk: lblk, lambda p: b"", lambda p, d: None)
+        PageCache(0, lambda fd, lblk: lblk, lambda p, d: None)
 
 
 def test_resident_hits_cost_no_host_reads():
     h = Harness(4)
-    data, outcome = h.cache.get_block(0, 3)
+    data, outcome = h.cache.get_block(0, 3, h.fetch)
     assert (data, outcome) == (bytes([3]) * PAGE, Outcome.FETCHED)
     for _ in range(10):
-        data, outcome = h.cache.get_block(0, 3)
+        data, outcome = h.cache.get_block(0, 3, h.fetch)
         assert (data, outcome) == (bytes([3]) * PAGE, Outcome.HIT)
     assert h.fetch_log == [3]
     assert (h.cache.hits, h.cache.fetches) == (10, 1)
@@ -54,11 +54,11 @@ def test_resident_hits_cost_no_host_reads():
 
 def test_lru_eviction_writes_back_dirty_only():
     h = Harness(2)
-    h.cache.get_block(0, 0)
+    h.cache.get_block(0, 0, h.fetch)
     h.cache.put_block(0, 1, bytes([1]) * PAGE)
-    h.cache.get_block(0, 2)  # evicts 0, clean
+    h.cache.get_block(0, 2, h.fetch)  # evicts 0, clean
     assert h.write_log == []
-    h.cache.get_block(0, 3)  # evicts 1, dirty
+    h.cache.get_block(0, 3, h.fetch)  # evicts 1, dirty
     assert h.write_log == [1]
     assert not h.cache.resident(0, 0) and not h.cache.resident(0, 1)
 
@@ -72,11 +72,21 @@ def test_put_block_installs_without_fetch():
     assert h.disk[5] == b"\xaa" * PAGE
 
 
+def test_put_block_keeps_no_alias_of_the_callers_buffer():
+    h = Harness(4)
+    page = bytearray(b"\xaa" * PAGE)
+    h.cache.put_block(0, 5, page)
+    page[:] = b"\xbb" * PAGE
+    assert h.cache.get_block(0, 5, h.fetch) == (b"\xaa" * PAGE, Outcome.HIT)
+    h.cache.flush()
+    assert h.disk[5] == b"\xaa" * PAGE
+
+
 def test_put_block_over_resident_clean_page():
     h = Harness(4)
-    h.cache.get_block(0, 2)
+    h.cache.get_block(0, 2, h.fetch)
     h.cache.put_block(0, 2, b"\xbb" * PAGE)
-    data, outcome = h.cache.get_block(0, 2)
+    data, outcome = h.cache.get_block(0, 2, h.fetch)
     assert (data, outcome) == (b"\xbb" * PAGE, Outcome.HIT)
     assert h.cache.flush() == 1
     assert h.disk[2] == b"\xbb" * PAGE
@@ -84,10 +94,10 @@ def test_put_block_over_resident_clean_page():
 
 def test_peek_does_not_refresh_lru():
     h = Harness(2)
-    h.cache.get_block(0, 0)
-    h.cache.get_block(0, 1)
+    h.cache.get_block(0, 0, h.fetch)
+    h.cache.get_block(0, 1, h.fetch)
     assert h.cache.peek(0, 0) == bytes([0]) * PAGE
-    h.cache.get_block(0, 2)
+    h.cache.get_block(0, 2, h.fetch)
     assert not h.cache.resident(0, 0)
     assert h.cache.resident(0, 1)
     assert h.cache.peek(0, 7) is None
@@ -95,20 +105,20 @@ def test_peek_does_not_refresh_lru():
 
 def test_refetch_within_epoch_demands_shuffle():
     h = Harness(1)
-    h.cache.get_block(0, 0)
-    h.cache.get_block(0, 1)  # evicts 0
-    data, outcome = h.cache.get_block(0, 0)
+    h.cache.get_block(0, 0, h.fetch)
+    h.cache.get_block(0, 1, h.fetch)  # evicts 0
+    data, outcome = h.cache.get_block(0, 0, h.fetch)
     assert (data, outcome) == (None, Outcome.SHUFFLE_REQUIRED)
     assert h.fetch_log == [0, 1]  # the repeat never reached the host
     h.cache.flush()
     h.cache.end_epoch()
-    data, outcome = h.cache.get_block(0, 0)
+    data, outcome = h.cache.get_block(0, 0, h.fetch)
     assert (data, outcome) == (bytes([0]) * PAGE, Outcome.FETCHED)
 
 
 def test_end_epoch_requires_clean_cache():
     h = Harness(4)
-    h.cache.get_block(0, 2)
+    h.cache.get_block(0, 2, h.fetch)
     h.cache.put_block(0, 1, b"\x01" * PAGE)
     with pytest.raises(ParameterError):
         h.cache.end_epoch()
@@ -122,7 +132,7 @@ def test_writeback_targets_current_placement():
     h = Harness(1)
     h.cache.put_block(0, 0, bytes([0]) * PAGE)
     h.placement[0] = 7
-    h.cache.get_block(0, 1)
+    h.cache.get_block(0, 1, h.fetch)
     assert h.write_log == [7]
     assert h.disk[7] == bytes([0]) * PAGE
 
@@ -141,12 +151,12 @@ def test_cache_is_transparent(ops):
             h.cache.put_block(0, lblk, page)
             expected[lblk] = page
         else:
-            data, outcome = h.cache.get_block(0, lblk)
+            data, outcome = h.cache.get_block(0, lblk, h.fetch)
             if outcome is Outcome.SHUFFLE_REQUIRED:
                 # What the engine does around a shuffle: flush, new epoch.
                 h.cache.flush()
                 h.cache.end_epoch()
-                data, outcome = h.cache.get_block(0, lblk)
+                data, outcome = h.cache.get_block(0, lblk, h.fetch)
             assert data == expected[lblk]
             assert outcome in (Outcome.HIT, Outcome.FETCHED)
         assert len(h.cache) <= 3

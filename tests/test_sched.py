@@ -94,11 +94,11 @@ def test_real_requests_take_the_slots():
     store.write_block(5, b"\x42" * BLOCK_SIZE)
     store.iface.trace.reset()
     comp = sched.submit_read(5)
-    wcomp = sched.submit_write(6, b"\x43" * BLOCK_SIZE)
-    assert not comp.done and not wcomp.done
+    assert sched.submit_write(6, b"\x43" * BLOCK_SIZE) is None
+    assert not comp.done and sched.pending_writes == 1
     sched.run_round(0)
     assert comp.done and comp.data == b"\x42" * BLOCK_SIZE
-    assert wcomp.done
+    assert sched.pending_writes == 0
     assert sched.real_reads == 1 and sched.real_writes == 1
     assert sched.dummy_reads == 0 and sched.dummy_writes == 0
     events = store.iface.trace.events
@@ -160,10 +160,10 @@ def test_failed_read_still_completes_its_round():
     store.iface.host.image[store.layout.data_offset(5)] ^= 0x01
     store.iface.trace.reset()
     comp = sched.submit_read(5)
-    wcomp = sched.submit_write(6, b"\x43" * BLOCK_SIZE)
+    sched.submit_write(6, b"\x43" * BLOCK_SIZE)
     with pytest.raises(IntegrityError):
         run_rounds(sched, 1)
-    assert not comp.done and wcomp.done
+    assert not comp.done and sched.pending_writes == 0
     assert sched.rounds == 1 and sched.pending_reads == 0
     run_rounds(sched, 3)
     interval = sched.config.interval_ns
@@ -172,6 +172,7 @@ def test_failed_read_still_completes_its_round():
         for kind in (CallKind.DISK_READ, CallKind.DISK_WRITE)]
     assert sched.real_reads + sched.dummy_reads == 4
     assert sched.real_writes + sched.dummy_writes == 4
+    assert store.read_block(6) == b"\x43" * BLOCK_SIZE  # padding never aims at 6
 
 
 def test_write_that_is_not_one_block_is_refused_before_queueing():
