@@ -335,6 +335,23 @@ def test_fsck_deep_catches_a_flipped_byte(image, tmp_path, capsys):
     assert "problem: " in stdout
 
 
+def test_fsck_deep_reads_the_padding_blocks(image, tmp_path, capsys):
+    # Padding blocks belong to no data file, but they are sealed like
+    # data and a deep check opens them too.
+    m = open_image(image, key=DEFAULT_KEY)
+    offset = m.store.layout.data_offset(m.fs.dummy_blocks()[0])
+
+    broken = bytearray(image.read_bytes())
+    broken[offset + 100] ^= 0xFF
+    target = tmp_path / "broken.img"
+    target.write_bytes(bytes(broken))
+
+    rc = cli("fsck", "--image", target, "--key", KEY_HEX, "--seed", 1, "--deep")
+    stdout = capsys.readouterr().out
+    assert rc == 1
+    assert "problem: " in stdout
+
+
 def test_metadata_marked_free_is_refused_by_fsck_and_run(tmp_path, capsys):
     img = tmp_path / "p.img"
     rc = cli("create-image", "--out", img, "--blocks", 64, "--mode", "plain",

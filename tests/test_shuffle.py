@@ -272,9 +272,15 @@ def test_default_selection_is_regular_files_only():
 
 
 def _host_io_digest(io, fs, fds, stats) -> str:
-    maps = [[fd, b, phys] for (fd, b), phys in sorted(placements(fs, fds).items())]
+    # Files are named by their index in ``fds``, not by descriptor, so the
+    # digest does not depend on which inode entries the files landed in.
+    index = {fd: i for i, fd in enumerate(fds)}
+    maps = sorted([index[fd], b, phys]
+                  for (fd, b), phys in placements(fs, fds).items())
+    shape = dataclasses.asdict(stats)
+    shape["plan"]["fds"] = [index[fd] for fd in stats.plan.fds]
     record = {"reads": io.read_log, "writes": io.write_log, "slots": io.slot_log,
-              "maps": maps, "stats": dataclasses.asdict(stats)}
+              "maps": maps, "stats": shape}
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
@@ -295,4 +301,4 @@ def test_shuffle_host_io_is_pinned():
         for b in range(fs.file_blocks(fd)):
             assert io.pages[fs.phys_of(fd, b)] == token(fd, b)
     assert _host_io_digest(io, fs, fds, stats) == (
-        "40173619914df83e3fb55ac1898779b151962069c50a133af581e9cc5c99f839")
+        "455ff96ff07f61ce5b6b706511d9854d8db60f368849d193ff9a331cc3a50819")
