@@ -28,7 +28,6 @@ from .blockcrypto import (
     seal_block,
 )
 from .blockfs import (
-    FLAG_DUMMY,
     FLAG_REGULAR,
     BlockFs,
 )

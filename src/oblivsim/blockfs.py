@@ -6,11 +6,12 @@ is the physical layout, which is randomized: every allocation draws a
 uniformly random free block, so logical adjacency says nothing about
 physical adjacency from the moment an image is created.
 
-Two file roles exist: regular files carry data, and dummy-pad files
-reserve the blocks that padding traffic reads and writes; they are
-created at format time from ``DUMMY_FRACTION`` of the disk. The
-shuffle's scratch space (donors) is plain lists of slots with no inode,
-each homed at a random free block when first used.
+Every file carries data. The blocks that padding traffic reads and
+writes (the padding domain) belong to no file: ``format`` draws
+``DUMMY_FRACTION`` of the disk for them before any file exists, and
+``load`` finds them again as the allocated data blocks that no file
+maps. The shuffle's scratch space (donors) is plain lists of slots with
+no inode either, each homed at a random free block when first used.
 
 The on-disk layout (superblock, bitmap, inode table), the geometry rule
 and the one consistency rule are specified in FORMATS.md. ``fsck`` is
@@ -37,8 +38,7 @@ FS_MAGIC = b"OBFS1"
 UNMAPPED = 0xFFFFFFFF
 
 FLAG_REGULAR = 0
-FLAG_DUMMY = 2
-DUMMY_FRACTION = 0.10  # share of the disk given to dummy-pad files
+DUMMY_FRACTION = 0.10  # share of the disk drawn as the padding domain
 
 _SB = struct.Struct("<5sQIIIIIIQ")
 
@@ -62,16 +62,6 @@ class Inode:
     @property
     def nblocks(self) -> int:
         return (self.size + BLOCK_SIZE - 1) // BLOCK_SIZE
-
-
-@dataclass(frozen=True)
-class FsStats:
-    n_blocks: int
-    metadata_blocks: int
-    free_blocks: int
-    regular_files: int
-    dummy_files: int
-    dummy_blocks: int
 
 
 def _inode_struct(max_file_blocks: int) -> struct.Struct:
@@ -116,6 +106,7 @@ class BlockFs:
         self.bitmap = bytearray((n_blocks + 7) // 8)
         self.inodes = [Inode() for _ in range(max_files)]
         self._free: list[int] = []
+        self._padding: list[int] = []
 
     # Bitmap and allocation --------------------------------------------
 
@@ -173,23 +164,9 @@ class BlockFs:
         for phys in range(meta):
             fs._set_bit(phys, True)
         fs._free.extend(range(meta, n_blocks))
-        dummy_total = int(n_blocks * DUMMY_FRACTION)
-        while dummy_total > 0:
-            chunk = min(dummy_total, max_file_blocks)
-            fd = fs.create_file(FLAG_DUMMY)
-            fs._map_fresh_blocks(fd, chunk)
-            dummy_total -= chunk
+        fs._padding = sorted(fs.allocate_block()
+                             for _ in range(int(n_blocks * DUMMY_FRACTION)))
         return fs
-
-    def _map_fresh_blocks(self, fd: int, count: int) -> None:
-        ino = self._inode(fd)
-        if count > self.max_file_blocks:
-            raise RangeError("file would exceed the per-file block limit")
-        if count > self.free_blocks:
-            raise SpaceError("not enough free blocks")
-        for lblk in range(count):
-            ino.block_map[lblk] = self.allocate_block()
-        ino.size = count * BLOCK_SIZE
 
     def persist(self, store) -> None:
         """Encode the metadata region once (superblock, bitmap and inode
@@ -244,9 +221,13 @@ class BlockFs:
             ino.size = size
             if ino.used:
                 ino.block_map = [None if p == UNMAPPED else p for p in block_map]
+        mapped = {p for ino in fs.inodes if ino.used for p in ino.block_map}
+        meta = fs.metadata_blocks
         for phys in range(n_blocks):
             if not fs._bit(phys):
                 fs._free.append(phys)
+            elif phys >= meta and phys not in mapped:
+                fs._padding.append(phys)
         if fs.free_blocks != free_blocks:
             raise ParameterError("superblock free count disagrees with bitmap")
         problems = fs.fsck()
@@ -291,21 +272,8 @@ class BlockFs:
                 if ino.used and ino.flags == flags]
 
     def dummy_blocks(self) -> list[int]:
-        out = []
-        for fd in self.files_with_flag(FLAG_DUMMY):
-            out.extend(p for p in self.inodes[fd].block_map if p is not None)
-        out.sort()
-        return out
-
-    def stats(self) -> FsStats:
-        return FsStats(
-            n_blocks=self.n_blocks,
-            metadata_blocks=self.metadata_blocks,
-            free_blocks=self.free_blocks,
-            regular_files=len(self.files_with_flag(FLAG_REGULAR)),
-            dummy_files=len(self.files_with_flag(FLAG_DUMMY)),
-            dummy_blocks=len(self.dummy_blocks()),
-        )
+        """The padding domain, in ascending block order."""
+        return list(self._padding)
 
     # Data path ----------------------------------------------------------
 
@@ -397,12 +365,15 @@ class BlockFs:
         found, empty when clean. ``load`` refuses an image on the first
         one, so every mounted filesystem obeys it:
 
-        * a used inode carries a known flag (regular or dummy-pad);
+        * a used inode carries the one known flag, regular;
         * a used inode maps exactly its first ceil(size / BLOCK_SIZE)
           entries (files have no holes), at most ``max_file_blocks``;
         * each mapped block lies in the data region and is mapped once;
-        * the bitmap marks allocated exactly the metadata blocks and the
-          mapped blocks, and no bit past ``n_blocks``;
+        * the bitmap marks allocated exactly the metadata blocks, the
+          mapped blocks and the padding blocks, and no bit past
+          ``n_blocks``;
+        * ``int(n_blocks * DUMMY_FRACTION)`` allocated data blocks are
+          mapped by no file: the padding domain;
         * the free list holds one entry per clear bit.
         """
         problems = []
@@ -413,7 +384,7 @@ class BlockFs:
         for fd, ino in enumerate(self.inodes):
             if not ino.used:
                 continue
-            if ino.flags not in (FLAG_REGULAR, FLAG_DUMMY):
+            if ino.flags != FLAG_REGULAR:
                 problems.append(f"file {fd}: unknown flag {ino.flags}")
             nblocks, block_map = ino.nblocks, ino.block_map
             if nblocks > limit:
@@ -430,6 +401,10 @@ class BlockFs:
                     problems.append(f"file {fd}: block {p} is mapped twice")
                 else:
                     implied[p >> 3] |= 1 << (p & 7)
+        for p in self._padding:
+            if implied[p >> 3] & 1 << (p & 7):
+                problems.append(f"padding block {p} is mapped by a file")
+            implied[p >> 3] |= 1 << (p & 7)
         if implied != self.bitmap:
             for p in range(8 * len(implied)):
                 want = implied[p >> 3] >> (p & 7) & 1
@@ -439,6 +414,11 @@ class BlockFs:
                 elif got and not want:
                     why = "past the end" if p >= n else "which nothing maps"
                     problems.append(f"bitmap marks used block {p}, {why}")
+        want = int(n * DUMMY_FRACTION)
+        if len(self._padding) != want:
+            problems.append(
+                f"{len(self._padding)} data blocks are marked used, which "
+                f"nothing maps; the padding domain has {want}")
         used = (int.from_bytes(self.bitmap, "little") & ((1 << n) - 1)).bit_count()
         if self.free_blocks != n - used:
             problems.append(

@@ -30,6 +30,7 @@ from .adversary import (
     uniformity_test,
 )
 from .blockcrypto import ProtectionMode
+from .blockfs import FLAG_REGULAR
 from .channel import (
     Endpoint,
     PeerIdentity,
@@ -86,12 +87,11 @@ def cmd_create_image(args) -> int:
     # mountable before the command returns success.
     fs = mount(bundle.image, key=bundle.key, verity_root=bundle.verity_root,
                seed=args.seed, oblivious=False).fs
-    st = fs.stats()
     print(f"image: {args.out}")
     print(f"mode: {args.mode}")
     print(f"blocks: {args.blocks} data, {len(bundle.image)} bytes on disk")
     print(f"dummy blocks: {len(fs.dummy_blocks())}  free blocks: {fs.free_blocks}")
-    print(f"files: {st.regular_files} data, {st.dummy_files} dummy-pad")
+    print(f"files: {len(fs.files_with_flag(FLAG_REGULAR))} data")
     for i, (fd, (origin, data)) in enumerate(zip(bundle.data_fds, sources)):
         print(f"  data file {i}: fd {fd}, {len(data)} bytes, from {origin}")
     if bundle.key is not None:
@@ -267,18 +267,18 @@ def cmd_fsck(args) -> int:
     # to open.
     store, fs = m.store, m.fs
     problems = []
+    fds = fs.files_with_flag(FLAG_REGULAR)
     if args.deep:
-        for fd, ino in enumerate(fs.inodes):
-            if not ino.used:
-                continue
-            for lblk in range(ino.nblocks):
-                try:
-                    store.read_block(ino.block_map[lblk])
-                except SimError as exc:
-                    problems.append(f"fd {fd} block {lblk}: {exc}")
-    st = fs.stats()
-    print(f"files: {st.regular_files} data, {st.dummy_files} dummy-pad; "
-          f"free blocks: {fs.free_blocks}")
+        # Every file block, then the padding blocks, which no file maps.
+        targets = [(f"fd {fd} block {lblk}", fs.phys_of(fd, lblk))
+                   for fd in fds for lblk in range(fs.file_blocks(fd))]
+        targets += [(f"padding block {p}", p) for p in fs.dummy_blocks()]
+        for name, phys in targets:
+            try:
+                store.read_block(phys)
+            except SimError as exc:
+                problems.append(f"{name}: {exc}")
+    print(f"files: {len(fds)} data; free blocks: {fs.free_blocks}")
     if problems:
         for p in problems:
             print(f"problem: {p}")

@@ -412,8 +412,8 @@ class Engine:
     # File-level helpers ---------------------------------------------------
 
     def regular_fd(self, index: int) -> int:
-        """Workloads address data files by position, skipping the
-        dummy-pad files that share the descriptor space."""
+        """The descriptor of the ``index``-th data file, counting used
+        inodes in table order; workloads address files this way."""
         fds = self.fs.files_with_flag(FLAG_REGULAR)
         if not 0 <= index < len(fds):
             raise DescriptorError(

@@ -4,8 +4,10 @@ All disk traffic is reshaped into rounds at a fixed interval (default
 0.1 ms of simulated time). Every round performs exactly the configured
 number of reads followed by the configured number of writes; slots with
 no real request queued are filled with padding traffic against
-uniformly random dummy-file blocks. An observer therefore sees the same
-call sequence, lengths and timing no matter what the workload does.
+uniformly random blocks of the padding domain, the allocated blocks no
+file maps (``BlockFs.dummy_blocks``). An observer therefore sees the
+same call sequence, lengths and timing no matter what the workload
+does.
 
 Reads always run before writes within a round, and trace timestamps are
 the scheduled round time, so the recorded pattern is bit-reproducible.
@@ -48,7 +50,7 @@ class RoundScheduler:
         self.store = store
         self.dummy_targets = list(dummy_targets)
         if not self.dummy_targets:
-            raise ParameterError("padding needs at least one dummy-file block")
+            raise ParameterError("padding needs at least one padding block")
         self.rng = rng
         self.config = config if config is not None else RoundConfig()
         # Queued requests: (phys, completion) reads, (phys, data) writes.

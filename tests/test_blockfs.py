@@ -11,7 +11,6 @@ from oblivsim import (
     BlockFs,
     BlockStore,
     DescriptorError,
-    FLAG_DUMMY,
     FLAG_REGULAR,
     Host,
     HostInterface,
@@ -55,10 +54,9 @@ def make_fs(n_blocks=64, seed=1, **kw) -> BlockFs:
 def test_format_reserves_metadata_and_dummy_share():
     fs = make_fs(64)
     assert fs.fsck() == []
-    st_ = fs.stats()
-    assert st_.dummy_blocks == 6  # 10% of 64, rounded down
-    assert st_.regular_files == 0
-    assert st_.free_blocks == 64 - fs.metadata_blocks - 6
+    assert len(fs.dummy_blocks()) == 6  # 10% of 64, rounded down
+    assert fs.files_with_flag(FLAG_REGULAR) == []
+    assert fs.free_blocks == 64 - fs.metadata_blocks - 6
     for phys in range(fs.metadata_blocks):
         assert fs._bit(phys)
 
@@ -68,11 +66,17 @@ def test_format_rejects_tiny_disks():
         make_fs(4)
 
 
-def test_dummy_files_split_at_per_file_limit():
-    fs = make_fs(256, max_file_blocks=8)
-    dummies = fs.files_with_flag(FLAG_DUMMY)
-    assert sum(fs.file_blocks(fd) for fd in dummies) == 25
-    assert max(fs.file_blocks(fd) for fd in dummies) <= 8
+def test_padding_domain_ignores_the_per_file_limit():
+    # The padding domain is a set of blocks, not files: its size does not
+    # depend on the per-file limit, and format spends no inode on it.
+    for max_file_blocks in (1, 8, 64):
+        fs = make_fs(256, max_file_blocks=max_file_blocks)
+        padding = fs.dummy_blocks()
+        assert len(padding) == int(256 * 0.10) == 25
+        assert len(set(padding)) == 25
+        assert all(fs._bit(p) and p >= fs.metadata_blocks for p in padding)
+        assert not any(ino.used for ino in fs.inodes)
+        assert fs.fsck() == []
 
 
 def test_allocation_is_unique_and_exhaustible():
@@ -251,11 +255,12 @@ def test_persist_load_roundtrip():
 
     again = BlockFs.load(store, RngTree(5).stream("layout"))
     assert again.fsck() == []
-    assert again.stats() == fs.stats()
+    assert again.dummy_blocks() == fs.dummy_blocks()
+    assert again.free_blocks == fs.free_blocks
+    assert again.files_with_flag(FLAG_REGULAR) == fs.files_with_flag(FLAG_REGULAR)
     assert again.file_size(fd) == 2 * BLOCK_SIZE + 17
     assert [again.phys_of(fd, i) for i in range(3)] \
         == [fs.phys_of(fd, i) for i in range(3)]
-    assert again.dummy_blocks() == fs.dummy_blocks()
 
 
 def test_plain_image_bytes_are_pinned():
@@ -273,7 +278,7 @@ def test_plain_image_bytes_are_pinned():
     digests = [hashlib.sha256(part).hexdigest()
                for part in (bundle.image[:cut], bundle.image[cut:])]
     assert digests == [
-        "b0c660afeb56528f4b3a4b6f6fd7c149d205d83812239488f976a5513fa5f869",
+        "46cad6a17815f12aea64a09387fe462eebbf09226ab524b41e5595b67e56c1a4",
         "273ef9262e014ad6647a135f58861e3fc2ba81696418311fb0f8fc18381777e9"]
 
 
@@ -290,7 +295,7 @@ def test_persist_load_roundtrip_full_inode_table():
             break
         fs.file_write(io, fd, 0, bytes([fd]) * (fd * BLOCK_SIZE // 2 + 3))
     gone = fs.files_with_flag(FLAG_REGULAR)[1]
-    fs.inodes[gone].flags = FLAG_DUMMY  # a stale flag must survive unlink
+    fs.inodes[gone].flags = 2  # a stale flag must survive unlink
     fs.unlink(gone)
     assert all(ino.used for fd, ino in enumerate(fs.inodes) if fd != gone)
     fs.persist(store)
@@ -301,7 +306,7 @@ def test_persist_load_roundtrip_full_inode_table():
     assert again.free_blocks == fs.free_blocks
     assert [(i.used, i.flags, i.size, i.block_map) for i in again.inodes] \
         == [(i.used, i.flags, i.size, i.block_map) for i in fs.inodes]
-    assert again.inodes[gone].flags == FLAG_DUMMY
+    assert again.inodes[gone].flags == 2
     assert again.fsck() == []
 
 
@@ -379,10 +384,11 @@ def test_mount_rejects_size_that_disagrees_with_the_block_map(blocks, reason):
         mount(bytes(image), oblivious=False)
 
 
-@pytest.mark.parametrize("flag", [1, 9])
+@pytest.mark.parametrize("flag", [1, 2, 9])
 def test_mount_rejects_unknown_inode_flag(flag):
     # An unknown flag would hide file 2 from every files_with_flag caller
-    # while its block stays allocated.
+    # while its block stays allocated. Flags 1 (donor) and 2 (dummy-pad)
+    # are retired, so an image that still carries them is refused.
     bundle = build_image(64, ProtectionMode.PLAIN,
                          [b"\x01" * BLOCK_SIZE, b"\x02" * BLOCK_SIZE], seed=4)
     m = mount(bundle.image, oblivious=False)
@@ -397,15 +403,18 @@ def test_mount_rejects_unknown_inode_flag(flag):
     ("metadata block", "marks free block 1, which is in use"),
     ("unmapped data block", "which nothing maps"),
     ("past the end", "marks used block 60, past the end"),
+    ("padding block", "5 data blocks are marked used, which nothing maps; "
+                      "the padding domain has 6"),
 ])
 def test_mount_rejects_hostile_bitmap(target, reason):
     # 60 blocks, so the bitmap's last byte holds bits past n_blocks. The
     # superblock's free count follows the flipped bit: only the bitmap
-    # is wrong.
+    # is wrong. A padding block marked free would shrink the padding
+    # domain and hand that block to the next file.
     bundle = build_image(60, ProtectionMode.PLAIN, [b"\x01" * BLOCK_SIZE], seed=4)
     m = mount(bundle.image, oblivious=False)
     phys = {"metadata block": 1, "unmapped data block": m.fs._free[0],
-            "past the end": 60}[target]
+            "past the end": 60, "padding block": m.fs.dummy_blocks()[0]}[target]
     image = bytearray(bundle.image)
     sb, bitmap = m.store.layout.data_offset(0), m.store.layout.data_offset(1)
     image[bitmap + phys // 8] ^= 1 << (phys % 8)
@@ -435,7 +444,7 @@ def test_fsck_catches_corruption():
     fs._set_bit(phys, True)
     assert fs.fsck() == []
     other = fs.create_file()
-    fs._map_fresh_blocks(other, 1)
+    fs.file_write(io, other, 0, b"\x02" * BLOCK_SIZE)
     fs.inodes[other].block_map[0] = phys  # double claim
     assert any("mapped twice" in p for p in fs.fsck())
 
@@ -449,3 +458,18 @@ def test_dummy_blocks_sorted_and_flagged():
     io = DictIo()
     fs.file_write(io, regular, 0, b"x")
     assert fs.phys_of(regular, 0) not in fs.dummy_blocks()
+
+
+def test_data_files_can_use_every_inode():
+    # The padding domain takes no inode, so a four-entry table holds four
+    # data files, and the padding blocks stay where format drew them.
+    bundle = build_image(64, ProtectionMode.PLAIN, [b"x" * BLOCK_SIZE] * 4,
+                         seed=4, max_files=4)
+    m = mount(bundle.image, oblivious=False)
+    fds = m.fs.files_with_flag(FLAG_REGULAR)
+    assert fds == list(bundle.data_fds) == [0, 1, 2, 3]
+    assert m.fs.dummy_blocks() == [6, 10, 15, 36, 40, 45]
+    mapped = {m.fs.phys_of(fd, 0) for fd in fds}
+    assert mapped.isdisjoint(m.fs.dummy_blocks())
+    for fd in fds:
+        assert m.engine.read_file(fd, 0, BLOCK_SIZE) == b"x" * BLOCK_SIZE

@@ -58,8 +58,8 @@ def test_create_image_reports_the_remounted_layout(tmp_path, capsys):
     assert img.stat().st_size > 32 * 4096
     assert f"image: {img}" in out
     assert "mode: crypt-integrity" in out
-    assert "files: 1 data" in out
-    assert f"data file 0: fd 1, 5000 bytes, from {src}" in out
+    assert "\ndummy blocks: 3  free blocks: 24\nfiles: 1 data\n" in out
+    assert f"data file 0: fd 0, 5000 bytes, from {src}" in out
     assert f"key: {KEY_HEX}" in out
     root = bytes.fromhex(out.split("verity root: ")[1].strip())
     m = open_image(img, key=DEFAULT_KEY, root=root)

@@ -58,19 +58,27 @@ def token(fd, b):
     return f"{fd}:{b}".encode()
 
 
+class _Discard:
+    """Block interface that drops what ``file_write`` sends; the world's
+    pages are seeded by physical block instead."""
+
+    def write_block(self, fd, lblk, page):
+        pass
+
+
 def make_world(sizes=(5, 3, 1), n=64, seed=11, filler=0, **fmt):
     fs = BlockFs.format(n, RngTree(seed).stream("layout"), **fmt)
     io = FakeIo()
     fds = []
     for size in sizes:
         fd = fs.create_file(FLAG_REGULAR)
-        fs._map_fresh_blocks(fd, size)
+        fs.file_write(_Discard(), fd, 0, bytes(size * BLOCK_SIZE))
         fds.append(fd)
         for b in range(size):
             io.pages[fs.phys_of(fd, b)] = token(fd, b)
     if filler:
         hold = fs.create_file(FLAG_REGULAR)
-        fs._map_fresh_blocks(hold, filler)
+        fs.file_write(_Discard(), hold, 0, bytes(filler * BLOCK_SIZE))
     return fs, io, fds
 
 
@@ -171,11 +179,11 @@ def test_shuffle_without_room_fails_loudly():
 
 
 def test_shuffle_succeeds_with_a_full_inode_table():
-    fs, io, fds = make_world(sizes=(2, 2, 2), n=64, max_files=4)
+    fs, io, fds = make_world(sizes=(2, 2, 2, 2), n=64, max_files=4)
     assert all(ino.used for ino in fs.inodes)
     free_before = fs.free_blocks
     stats = oblivious_shuffle(fs, io, RngTree(0).stream("shuffle"), fds)
-    assert stats.swaps == 6
+    assert stats.swaps == 8
     for fd in fds:
         for b in range(2):
             assert io.pages[fs.phys_of(fd, b)] == token(fd, b)
