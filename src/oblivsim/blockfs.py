@@ -242,11 +242,12 @@ class BlockFs:
             raise DescriptorError(f"no such file {fd}")
         return self.inodes[fd]
 
-    def create_file(self, flags: int = FLAG_REGULAR) -> int:
+    def create_file(self) -> int:
+        """A new empty regular file, the only kind there is."""
         for fd, ino in enumerate(self.inodes):
             if not ino.used:
                 ino.used = True
-                ino.flags = flags
+                ino.flags = FLAG_REGULAR
                 ino.size = 0
                 ino.block_map = [None] * self.max_file_blocks
                 return fd

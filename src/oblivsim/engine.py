@@ -8,9 +8,11 @@ Two I/O personalities implement the filesystem's block interface:
   for its reads too: a block still in the write queue is served from
   there, and otherwise the read is submitted to the scheduler and the
   engine pumps batched rounds until it lands. Dirty pages the cache
-  evicts or flushes go straight to the scheduler's write queue. When
-  the cache reports that a block would need a repeat host read this
-  epoch, the engine runs a layout shuffle and retries.
+  evicts go straight to the scheduler's write queue. When the cache
+  reports that a block would need a repeat host read this epoch, the
+  engine runs a layout shuffle and retries. The shuffle lands the dirty
+  pages itself: its pass writes every resident page to the page's new
+  home, so no flush precedes it (see ``Engine.shuffle_now``).
 * ``DirectIo`` is the passthrough path. Every block operation is a
   single immediate host call with a small fixed latency, no padding,
   no batching. It exists as the unprotected baseline, and
@@ -305,11 +307,29 @@ class Engine:
     # Shuffle ------------------------------------------------------------
 
     def shuffle_now(self) -> ShuffleStats:
+        """Re-home every data block and start a new cache epoch.
+
+        Dirty pages are not flushed first: the pass writes every resident
+        page of the files it re-homes from the cache, at the page's new
+        home, so once its writes have drained those pages are on disk and
+        are marked clean. Evictions queued before the pass land first, as
+        before. A page still dirty after that is flushed, and
+        ``end_epoch`` refuses any left over, so none is dropped unwritten.
+
+        On the file paths here none is left over. Every dirty page lies
+        inside its file's extent, which the pass walks: ``file_write``
+        reads (and so can trigger a shuffle) only blocks below the file's
+        old end, and it allocates blocks past that end only after its
+        reads, so no page beyond the extent is dirty when a shuffle runs.
+        """
         if not self.oblivious:
             raise ModeError("the passthrough path never shuffles")
-        self.cache.flush()
         self._drain()
         stats = oblivious_shuffle(self.fs, self, self.rng.stream("shuffle"))
+        self._drain()
+        extent = {fd: self.fs.file_blocks(fd) for fd in stats.plan.fds}
+        self.cache.mark_clean(lambda fd, lblk: lblk < extent.get(fd, 0))
+        self.cache.flush()
         self._drain()
         self.cache.end_epoch()
         self.shuffles += 1
@@ -498,7 +518,7 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     io = DirectIo(store, fs, host.clock)
     fds = []
     for data in files:
-        fd = fs.create_file(FLAG_REGULAR)
+        fd = fs.create_file()
         if data:
             fs.file_write(io, fd, 0, data)
         fds.append(fd)

@@ -6,9 +6,24 @@ the layout shuffle depends on: within an epoch each physical block may
 be fetched from the host at most once. The cache remembers which
 physical blocks it fetched this epoch; a request for a block that was
 fetched and has since been evicted cannot be served again without
-revealing a repeat, so the caller is told to reshuffle first. An
-epoch ends only when the caller, after its shuffle, calls ``flush``
-and then ``end_epoch``.
+revealing a repeat, so the caller is told to reshuffle first.
+
+An epoch ends at a shuffle. The pass writes every resident page of the
+files it re-homes, from the cache, so the caller marks those pages
+clean (``mark_clean``), flushes whatever is still dirty and calls
+``end_epoch``, which refuses dirty pages: no page is dropped unwritten.
+
+Eviction spares what the epoch fetched. A *spare* page is a resident
+page whose block this epoch has not fetched: it was carried over from
+before the last shuffle, or ``put_block`` installed it without a fetch
+over a block the epoch has not fetched either. Dropping a spare page costs at most one later read, while dropping a
+fetched page means the next access to it needs a shuffle, so eviction
+takes the least recently used spare page, and the least recently used
+page of all only when none is spare. ``end_epoch`` makes every resident
+page spare again, in LRU order. A second ordered map keeps the spare
+pages in LRU order, so each operation stays O(1). Evictions reach the
+host only as dirty writebacks, and the fetch rule is the same whichever
+page goes, so the order leaks nothing the writebacks did not.
 
 Capacity defaults to ceil(sqrt(n_blocks)) pages, sized so epochs and
 shuffles balance.
@@ -35,8 +50,9 @@ class Outcome(enum.Enum):
 
 
 class PageCache:
-    """LRU page cache keyed by (fd, logical block). Pages are immutable
-    ``bytes``; installing a page replaces it.
+    """Page cache keyed by (fd, logical block) that evicts spare pages
+    first, each kind in LRU order. Pages are immutable ``bytes``;
+    installing a page replaces it.
 
     Two collaborators are injected: ``phys_of`` resolves the current
     physical placement, ``writeback`` persists a dirty page (the engine
@@ -54,6 +70,8 @@ class PageCache:
         self._phys_of = phys_of
         self._writeback = writeback
         self._pages: OrderedDict[tuple[int, int], bytes] = OrderedDict()
+        # The spare pages, in the same relative (LRU) order as _pages.
+        self._spare: OrderedDict[tuple[int, int], None] = OrderedDict()
         self._dirty: set[tuple[int, int]] = set()
         self.epoch_fetched: set[int] = set()
         self.hits = 0
@@ -81,6 +99,8 @@ class PageCache:
         page = self._pages.get(key)
         if page is not None:
             self._pages.move_to_end(key)
+            if key in self._spare:
+                self._spare.move_to_end(key)
             self.hits += 1
             return page, Outcome.HIT
         phys = self._phys_of(fd, lblk)
@@ -101,19 +121,28 @@ class PageCache:
         if key in self._pages:
             self._pages[key] = page
             self._pages.move_to_end(key)
+            if key in self._spare:
+                self._spare.move_to_end(key)
         else:
             self._admit(key, page)
+            if self._phys_of(*key) not in self.epoch_fetched:
+                self._spare[key] = None
         self._dirty.add(key)
 
     # Internals -----------------------------------------------------------
 
     def _admit(self, key: tuple[int, int], page: bytes) -> None:
         while len(self._pages) >= self.capacity:
-            self._evict_lru()
+            self._evict()
         self._pages[key] = page
 
-    def _evict_lru(self) -> None:
-        key, page = self._pages.popitem(last=False)
+    def _evict(self) -> None:
+        """Drop the LRU spare page, or the LRU page if none is spare."""
+        if self._spare:
+            key, _ = self._spare.popitem(last=False)
+            page = self._pages.pop(key)
+        else:
+            key, page = self._pages.popitem(last=False)
         if key in self._dirty:
             self._dirty.discard(key)
             self._writeback(self._phys_of(*key), page)
@@ -130,7 +159,15 @@ class PageCache:
             written += 1
         return written
 
+    def mark_clean(self, landed: Callable[[int, int], bool]) -> None:
+        """Forget that a page is dirty wherever ``landed(fd, lblk)``
+        holds: its current bytes reached the disk another way (the
+        shuffle pass writes every resident page it re-homes)."""
+        self._dirty = {key for key in self._dirty if not landed(*key)}
+
     def end_epoch(self) -> None:
+        """Start a new epoch: nothing fetched yet, every page spare."""
         if self._dirty:
             raise ParameterError("dirty pages must be flushed before epoch end")
         self.epoch_fetched.clear()
+        self._spare = OrderedDict.fromkeys(self._pages)

@@ -13,6 +13,11 @@ batched round cadence:
   new home. The block comes from the cache if it is resident there, and
   otherwise from the stream, read at this step or ahead of it.
 
+So the pass persists every resident page of the files it walks, with
+the bytes the cache holds, dirty or not: the cache does not change while
+the pass runs. The engine therefore flushes no dirty page before a
+shuffle; once the pass's writes have drained, those pages are clean.
+
 The stream is read no later than it is needed. Among the first *i* + 1
 steps at most *i* + 1 sources are uncached, so an uncached source at
 step *i* sits at stream index *k* <= *i* and was read at step *k*. The

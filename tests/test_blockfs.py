@@ -105,7 +105,7 @@ def test_allocation_spread_is_layout_randomizing():
 def test_create_unlink_recycles_blocks():
     fs = make_fs(64)
     free0 = fs.free_blocks
-    fd = fs.create_file(FLAG_REGULAR)
+    fd = fs.create_file()
     io = DictIo()
     fs.file_write(io, fd, 0, b"\x01" * (3 * BLOCK_SIZE))
     assert fs.free_blocks == free0 - 3
@@ -456,7 +456,7 @@ def test_dummy_blocks_sorted_and_flagged():
     blocks = fs.dummy_blocks()
     assert blocks == sorted(blocks)
     assert len(blocks) == len(set(blocks))
-    regular = fs.create_file(FLAG_REGULAR)
+    regular = fs.create_file()
     io = DictIo()
     fs.file_write(io, regular, 0, b"x")
     assert fs.phys_of(regular, 0) not in fs.dummy_blocks()

@@ -54,13 +54,61 @@ def test_resident_hits_cost_no_host_reads():
 
 def test_lru_eviction_writes_back_dirty_only():
     h = Harness(2)
-    h.cache.get_block(0, 0, h.fetch)
     h.cache.put_block(0, 1, bytes([1]) * PAGE)
-    h.cache.get_block(0, 2, h.fetch)  # evicts 0, clean
-    assert h.write_log == []
-    h.cache.get_block(0, 3, h.fetch)  # evicts 1, dirty
+    h.cache.get_block(0, 0, h.fetch)
+    h.cache.get_block(0, 2, h.fetch)  # evicts 1, spare and dirty
+    assert h.write_log == [1]
+    h.cache.get_block(0, 3, h.fetch)  # evicts 0, the LRU page, clean
     assert h.write_log == [1]
     assert not h.cache.resident(0, 0) and not h.cache.resident(0, 1)
+
+
+def test_carried_over_page_is_evicted_before_a_fetched_one():
+    h = Harness(2)
+    h.cache.get_block(0, 0, h.fetch)
+    h.cache.end_epoch()  # 0 is carried over: spare
+    h.cache.get_block(0, 1, h.fetch)
+    assert h.cache.get_block(0, 0, h.fetch)[1] is Outcome.HIT  # 1 is now LRU
+    h.cache.get_block(0, 2, h.fetch)
+    assert h.cache.resident(0, 1) and not h.cache.resident(0, 0)
+    # Block 0 was not fetched this epoch, so it comes back for one read.
+    assert h.cache.get_block(0, 0, h.fetch) == (bytes([0]) * PAGE, Outcome.FETCHED)
+    assert h.fetch_log == [0, 1, 2, 0]
+
+
+def test_put_page_never_fetched_is_evicted_before_a_fetched_one():
+    h = Harness(2)
+    h.cache.put_block(0, 1, b"\x11" * PAGE)
+    h.cache.get_block(0, 0, h.fetch)
+    assert h.cache.get_block(0, 1, h.fetch)[1] is Outcome.HIT  # 0 is now LRU
+    h.cache.get_block(0, 2, h.fetch)
+    assert h.cache.resident(0, 0) and not h.cache.resident(0, 1)
+    assert h.write_log == [1] and h.disk[1] == b"\x11" * PAGE
+
+
+def test_put_over_a_block_fetched_this_epoch_is_not_spare():
+    h = Harness(2)
+    for lblk in (0, 1, 2):  # 2 evicts 0, which stays fetched this epoch
+        h.cache.get_block(0, lblk, h.fetch)
+    h.cache.put_block(0, 0, b"\x10" * PAGE)
+    h.cache.get_block(0, 3, h.fetch)  # evicts 2, the LRU page
+    assert h.cache.resident(0, 0) and not h.cache.resident(0, 2)
+    assert h.cache.get_block(0, 0, h.fetch) == (b"\x10" * PAGE, Outcome.HIT)
+
+
+def test_eviction_is_lru_once_no_page_is_spare():
+    h = Harness(3)
+    h.cache.get_block(0, 0, h.fetch)
+    h.cache.get_block(0, 1, h.fetch)
+    h.cache.put_block(0, 5, b"\x55" * PAGE)
+    h.cache.get_block(0, 0, h.fetch)  # LRU order: 1, 5, 0
+    h.cache.get_block(0, 2, h.fetch)  # evicts 5, the one spare page
+    assert not h.cache.resident(0, 5) and h.write_log == [5]
+    h.cache.get_block(0, 3, h.fetch)  # none spare: evicts 1, the LRU page
+    assert not h.cache.resident(0, 1)
+    h.cache.get_block(0, 4, h.fetch)  # then 0
+    assert [lblk for lblk in range(8) if h.cache.resident(0, lblk)] == [2, 3, 4]
+    assert h.write_log == [5]
 
 
 def test_put_block_installs_without_fetch():
@@ -116,6 +164,18 @@ def test_refetch_within_epoch_demands_shuffle():
     assert (data, outcome) == (bytes([0]) * PAGE, Outcome.FETCHED)
 
 
+def test_mark_clean_forgets_only_landed_pages():
+    h = Harness(4)
+    for lblk in (1, 2, 3):
+        h.cache.put_block(0, lblk, bytes([0x30 + lblk]) * PAGE)
+    h.cache.mark_clean(lambda fd, lblk: lblk != 2)
+    with pytest.raises(ParameterError):
+        h.cache.end_epoch()  # 2 is still dirty
+    assert h.cache.flush() == 1
+    assert h.write_log == [2] and h.disk[2] == b"\x32" * PAGE
+    h.cache.end_epoch()
+
+
 def test_end_epoch_requires_clean_cache():
     h = Harness(4)
     h.cache.get_block(0, 2, h.fetch)
@@ -145,6 +205,7 @@ def test_writeback_targets_current_placement():
 def test_cache_is_transparent(ops):
     h = Harness(3, n_blocks=8)
     expected = dict(h.disk)
+    epoch_fetches = 0
     for op, lblk, v in ops:
         if op == "put":
             page = bytes([v]) * PAGE
@@ -153,12 +214,23 @@ def test_cache_is_transparent(ops):
         else:
             data, outcome = h.cache.get_block(0, lblk, h.fetch)
             if outcome is Outcome.SHUFFLE_REQUIRED:
-                # What the engine does around a shuffle: flush, new epoch.
+                # The engine's hand-off at a shuffle: the pass writes the
+                # resident pages it re-homes (here blocks 0-5) from the
+                # cache, they are marked clean, the rest are flushed, and
+                # a new epoch starts.
+                for b in range(6):
+                    page = h.cache.peek(0, b)
+                    if page is not None:
+                        h.disk[h.placement[b]] = page
+                h.cache.mark_clean(lambda fd, b: b < 6)
                 h.cache.flush()
                 h.cache.end_epoch()
+                epoch_fetches = len(h.fetch_log)
                 data, outcome = h.cache.get_block(0, lblk, h.fetch)
             assert data == expected[lblk]
             assert outcome in (Outcome.HIT, Outcome.FETCHED)
         assert len(h.cache) <= 3
+        fetched = h.fetch_log[epoch_fetches:]
+        assert len(set(fetched)) == len(fetched)  # at most once per epoch
     h.cache.flush()
     assert h.disk == expected

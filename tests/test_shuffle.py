@@ -71,13 +71,13 @@ def make_world(sizes=(5, 3, 1), n=64, seed=11, filler=0, **fmt):
     io = FakeIo()
     fds = []
     for size in sizes:
-        fd = fs.create_file(FLAG_REGULAR)
+        fd = fs.create_file()
         fs.file_write(_Discard(), fd, 0, bytes(size * BLOCK_SIZE))
         fds.append(fd)
         for b in range(size):
             io.pages[fs.phys_of(fd, b)] = token(fd, b)
     if filler:
-        hold = fs.create_file(FLAG_REGULAR)
+        hold = fs.create_file()
         fs.file_write(_Discard(), hold, 0, bytes(filler * BLOCK_SIZE))
     return fs, io, fds
 
@@ -108,7 +108,7 @@ def test_fisher_yates_is_uniform_over_permutations():
 
 def test_build_plan_counts_and_skips_empty_files():
     fs, io, fds = make_world(sizes=(5, 3, 1))
-    empty = fs.create_file(FLAG_REGULAR)
+    empty = fs.create_file()
     plan = build_plan(fs, fds + [empty])
     assert plan == ShufflePlan(tuple(fds), 5, 9, fs.free_blocks // 5)
     assert build_plan(fs, [empty]) == ShufflePlan((), 0, 0, 0)
