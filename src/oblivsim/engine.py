@@ -312,9 +312,9 @@ class Engine:
         Dirty pages are not flushed first: the pass writes every resident
         page of the files it re-homes from the cache, at the page's new
         home, so once its writes have drained those pages are on disk and
-        are marked clean. Evictions queued before the pass land first, as
-        before. A page still dirty after that is flushed, and
-        ``end_epoch`` refuses any left over, so none is dropped unwritten.
+        are marked clean. Evictions queued before the pass land first. A
+        page still dirty after that is flushed, and ``end_epoch`` refuses
+        any left over, so none is dropped unwritten.
 
         On the file paths here none is left over. Every dirty page lies
         inside its file's extent, which the pass walks: ``file_write``

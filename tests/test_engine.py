@@ -142,7 +142,6 @@ def test_dropping_an_oblivious_mount_frees_the_image_at_once():
     # moment the mount does.
     bundle = build_image(4096, ProtectionMode.CRYPT_INTEGRITY,
                          [b"x" * 3 * BLOCK_SIZE], seed=1, key=DEFAULT_KEY)
-    enclave, remote = net_pair()  # its first call imports key-exchange modules
     gc.collect()
     gc.disable()
     tracemalloc.start()
@@ -151,6 +150,7 @@ def test_dropping_an_oblivious_mount_frees_the_image_at_once():
         eng = m.engine
         assert eng.read_file(eng.regular_fd(0), 0, 8) == b"x" * 8
         eng.shuffle_now()
+        enclave, remote = net_pair()
         eng.add_link(3, enclave)
         eng.add_external_pump(EchoPeer(m.host, 3, remote, ShapingClass(),
                                        start_ns=m.host.clock.now()))
@@ -244,8 +244,8 @@ def test_shuffle_lands_dirty_pages_without_a_flush(small_bundle):
     for blk, page in pages.items():
         eng.write_file(fd, blk * BLOCK_SIZE, page)
     eng.write_file(fd, 2 * BLOCK_SIZE + 9, b"partial")  # fetched, then dirtied
-    pages[2] = bytes(range(256)) * 16
-    pages[2] = pages[2][:9] + b"partial" + pages[2][16:]
+    old = FILE_A[2 * BLOCK_SIZE:3 * BLOCK_SIZE]
+    pages[2] = old[:9] + b"partial" + old[16:]
     assert eng.sched.pending_writes == 0  # all four pages are resident
     homes = [m.store.layout.data_offset(m.fs.phys_of(fd, blk)) for blk in pages]
     eng.start_observation()
