@@ -69,6 +69,14 @@ def _hex_or_none(value: str | None) -> bytes | None:
     return bytes.fromhex(value) if value else None
 
 
+def _open(args, seed: int | None = None, **kw):
+    """Mount an in-memory copy of ``--image`` under ``--key`` and
+    ``--verity-root``, seeded by ``seed`` or else ``--seed``."""
+    return mount(Path(args.image).read_bytes(), key=_hex_or_none(args.key),
+                 verity_root=_hex_or_none(args.verity_root),
+                 seed=args.seed if seed is None else seed, **kw)
+
+
 # ---------------------------------------------------------------------------
 # create-image
 # ---------------------------------------------------------------------------
@@ -105,17 +113,14 @@ def cmd_create_image(args) -> int:
 # run
 # ---------------------------------------------------------------------------
 
-def _build_engine(args, rcfg: RoundConfig):
-    cfg = EngineConfig(round=rcfg, cache_capacity=args.cache_k)
-    oblivious = args.mode == "oblivious"
-    m = mount(Path(args.image).read_bytes(), key=_hex_or_none(args.key),
-              verity_root=_hex_or_none(args.verity_root), seed=args.seed,
-              config=cfg, oblivious=oblivious)
+def _run_once(args, workload_text: str, target: int | None, *, oblivious: bool,
+              seed: int, config: EngineConfig | None = None, peers=()):
+    m = _open(args, seed=seed, config=config, oblivious=oblivious)
     if oblivious and m.store.mode is not ProtectionMode.CRYPT_INTEGRITY:
         raise ModeError(
             "the protected path needs a crypt-integrity image; "
             f"this one is {m.store.mode.name.lower()}")
-    for i, rate in enumerate(args.peer or []):
+    for i, rate in enumerate(peers):
         local = StaticIdentity.generate()
         remote = StaticIdentity.generate()
         enclave_session = establish(local, PeerIdentity(remote.public_bytes))
@@ -123,19 +128,14 @@ def _build_engine(args, rcfg: RoundConfig):
         shaping = ShapingClass(rate_bps=rate)
         m.engine.add_link(i, enclave_session, shaping)
         m.engine.add_external_pump(EchoPeer(m.host, i, peer_session, shaping))
-    return m.engine, m.trace
-
-
-def _run_once(args, rcfg, workload_text: str, target: int | None):
-    engine, trace = _build_engine(args, rcfg)
     wl = parse_workload(workload_text)
     if target is None:
-        target = args.rounds if args.rounds else wl.default_rounds()
-    engine.start_observation()
+        target = wl.default_rounds()
+    m.engine.start_observation()
     t0 = time.perf_counter()
-    completed = run_workload(engine, wl, target)
+    completed = run_workload(m.engine, wl, target)
     wall_s = time.perf_counter() - t0
-    return engine, trace, completed, wall_s
+    return m.engine, m.trace, completed, wall_s
 
 
 def _summary_row(engine: Engine) -> dict:
@@ -147,11 +147,14 @@ def _summary_row(engine: Engine) -> dict:
 
 
 def cmd_run(args) -> int:
-    rcfg = RoundConfig(interval_ns=args.round_interval)
+    kw = dict(oblivious=args.mode == "oblivious", seed=args.seed,
+              config=EngineConfig(round=RoundConfig(interval_ns=args.round_interval),
+                                  cache_capacity=args.cache_k),
+              peers=args.peer or ())
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    engine, trace, completed, wall_s = _run_once(args, rcfg, args.workload, None)
+    engine, trace, completed, wall_s = _run_once(args, args.workload, args.rounds, **kw)
     (outdir / "trace.log").write_text(trace.export())
     row = _summary_row(engine)
     with open(outdir / "summary.csv", "w", newline="") as fh:
@@ -181,7 +184,7 @@ def cmd_run(args) -> int:
     # same length. Anything workload-dependent in the trace shows up here.
     base_target = engine.rounds_done
     base_engine, base_trace, _, _ = _run_once(
-        args, rcfg, f"idle({base_target})", base_target)
+        args, f"idle({base_target})", base_target, **kw)
     (outdir / "baseline.log").write_text(base_trace.export())
     verdict = compare_traces(trace, base_trace)
     lines = []
@@ -210,16 +213,13 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     """Same workload down both paths; wall-clock throughput ratio."""
-    rcfg = RoundConfig(interval_ns=args.round_interval)
     medians = {}
     for mode in ("passthrough", "oblivious"):
         samples = []
         for i in range(args.repeat):
-            ns = argparse.Namespace(
-                image=args.image, key=args.key, verity_root=args.verity_root,
-                mode=mode, seed=args.seed + i, rounds=None,
-                cache_k=None, peer=[])
-            engine, _trace, _done, wall_s = _run_once(ns, rcfg, args.workload, None)
+            engine, _trace, _done, wall_s = _run_once(
+                args, args.workload, None, oblivious=mode == "oblivious",
+                seed=args.seed + i)
             samples.append(engine.payload_bytes / wall_s if wall_s > 0 else 0.0)
         medians[mode] = statistics.median(samples)
         print(f"{mode}_wall_bytes_per_s: {medians[mode]:.1f} "
@@ -235,8 +235,7 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_shuffle(args) -> int:
-    m = mount(Path(args.image).read_bytes(), key=_hex_or_none(args.key),
-              verity_root=_hex_or_none(args.verity_root), seed=args.seed)
+    m = _open(args)
     if not m.store.mode.encrypted:
         raise ModeError("shuffling re-encrypts blocks; the image must be "
                         "crypt or crypt-integrity")
@@ -259,9 +258,7 @@ def cmd_shuffle(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fsck(args) -> int:
-    m = mount(Path(args.image).read_bytes(), key=_hex_or_none(args.key),
-              verity_root=_hex_or_none(args.verity_root), seed=args.seed,
-              oblivious=False)
+    m = _open(args, oblivious=False)
     # The mount has already refused metadata that breaks the filesystem's
     # consistency rule; what is left to find is a data block that fails
     # to open.
@@ -340,6 +337,13 @@ def cmd_provision(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="oblivsim",
@@ -347,6 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "block stack: encrypted images, batched padded I/O, "
                     "layout shuffles and shaped network links.")
     sub = p.add_subparsers(dest="command", required=True)
+
+    # The image arguments of every subcommand that opens an existing image.
+    image = argparse.ArgumentParser(add_help=False)
+    image.add_argument("--image", required=True)
+    image.add_argument("--key", help="image key as hex")
+    image.add_argument("--verity-root", help="trusted root hash as hex")
+    image.add_argument("--seed", type=int, default=0)
 
     ci = sub.add_parser("create-image", help="build and populate an image file")
     ci.add_argument("--out", required=True, help="image file to write")
@@ -363,16 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--max-file-blocks", type=int, default=None)
     ci.set_defaults(func=cmd_create_image)
 
-    rn = sub.add_parser("run", help="drive a workload against an image copy")
-    rn.add_argument("--image", required=True)
-    rn.add_argument("--key", help="image key as hex")
-    rn.add_argument("--verity-root", help="trusted root hash as hex")
+    rn = sub.add_parser("run", parents=[image],
+                        help="drive a workload against an image copy")
     rn.add_argument("--mode", choices=["oblivious", "passthrough"],
                     default="oblivious")
     rn.add_argument("--workload", required=True,
                     help="e.g. 'seqread(0,0)', 'randread(0,500)', 'idle(1000)'")
-    rn.add_argument("--seed", type=int, default=0)
-    rn.add_argument("--rounds", type=int, default=None,
+    rn.add_argument("--rounds", type=_positive, default=None,
                     help="run exactly this many rounds (truncate or pad)")
     rn.add_argument("--round-interval", type=int,
                     default=DEFAULT_ROUND_INTERVAL_NS, metavar="NS")
@@ -385,32 +393,19 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also run an idle baseline and compare trace shapes")
     rn.set_defaults(func=cmd_run)
 
-    be = sub.add_parser("bench",
+    be = sub.add_parser("bench", parents=[image],
                         help="compare wall-clock throughput of both paths")
-    be.add_argument("--image", required=True)
-    be.add_argument("--key", help="image key as hex")
-    be.add_argument("--verity-root", help="trusted root hash as hex")
     be.add_argument("--workload", default="seqread(0,0)")
-    be.add_argument("--seed", type=int, default=0)
-    be.add_argument("--repeat", type=int, default=3)
-    be.add_argument("--round-interval", type=int,
-                    default=DEFAULT_ROUND_INTERVAL_NS, metavar="NS")
+    be.add_argument("--repeat", type=_positive, default=3)
     be.set_defaults(func=cmd_bench)
 
-    sh = sub.add_parser("shuffle", help="re-randomize an image's layout")
-    sh.add_argument("--image", required=True)
-    sh.add_argument("--key", required=True)
-    sh.add_argument("--verity-root", help="trusted root hash as hex")
-    sh.add_argument("--seed", type=int, default=0)
+    sh = sub.add_parser("shuffle", parents=[image],
+                        help="re-randomize an image's layout")
     sh.add_argument("--out-image", default=None,
                     help="write here instead of back to --image")
     sh.set_defaults(func=cmd_shuffle)
 
-    fs = sub.add_parser("fsck", help="consistency-check an image")
-    fs.add_argument("--image", required=True)
-    fs.add_argument("--key")
-    fs.add_argument("--verity-root")
-    fs.add_argument("--seed", type=int, default=0)
+    fs = sub.add_parser("fsck", parents=[image], help="consistency-check an image")
     fs.add_argument("--deep", action="store_true",
                     help="also read and verify every mapped block")
     fs.set_defaults(func=cmd_fsck)

@@ -574,8 +574,7 @@ def run_workload(engine: Engine, workload, target_rounds: int | None = None) -> 
     engine.round_target = target_rounds
     completed = True
     try:
-        for _ in workload.steps(engine):
-            pass
+        workload.run(engine)
     except RoundBudgetExhausted:
         completed = False
     if engine.oblivious and target_rounds is not None:

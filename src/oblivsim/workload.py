@@ -10,16 +10,20 @@ A workload is named by a single call-style expression::
     netecho(endpoint, n)    bounce n payload bytes off a peer
     idle(rounds)            do nothing for that many rounds
 
-Each workload is a generator of steps; the engine's run harness drives
-it and may cut it off when the round budget is spent. Random choices
-draw from the engine's seeded stream, so a given (seed, workload)
-replays identically.
+Each form is a plain function ``form(engine, *args)`` in one table,
+``FORMS``, which also gives the type of each argument; the parser reads
+the table and refuses a negative integer. A form runs to its end unless
+the engine's round budget is spent first, in which case
+``run_one_round`` raises ``RoundBudgetExhausted`` out of it and
+``run_workload`` stops there. Random choices draw from the engine's
+seeded stream, so a given (seed, workload) replays identically.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from dataclasses import dataclass
 
 from .channel import max_payload
 from .errors import ModeError, ParameterError, RangeError
@@ -31,93 +35,43 @@ NET_BACKLOG_CAP = 32
 ECHO_FILL = b"\xa5"
 
 
-class Workload:
-    def __init__(self, spec_text: str):
-        self.spec_text = spec_text
-
-    def steps(self, engine):
-        raise NotImplementedError
-
-    def default_rounds(self) -> int | None:
-        """Round budget implied by the workload itself, if any."""
-        return None
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.spec_text}>"
+def seqread(engine, fd: int, length: int) -> None:
+    fd = engine.regular_fd(fd)
+    size = engine.fs.file_size(fd)
+    length = size if length == 0 else min(length, size)
+    for pos in range(0, length, BLOCK_SIZE):
+        engine.read_file(fd, pos, min(BLOCK_SIZE, length - pos))
 
 
-class SeqRead(Workload):
-    def __init__(self, spec_text, fd: int, length: int):
-        super().__init__(spec_text)
-        self.fd = fd
-        self.length = length
-
-    def steps(self, engine):
-        fd = engine.regular_fd(self.fd)
-        size = engine.fs.file_size(fd)
-        length = size if self.length == 0 else min(self.length, size)
-        pos = 0
-        while pos < length:
-            n = min(BLOCK_SIZE, length - pos)
-            engine.read_file(fd, pos, n)
-            pos += n
-            yield
+def seqwrite(engine, fd: int, length: int) -> None:
+    fd = engine.regular_fd(fd)
+    rng = engine.rng.stream("workload")
+    for pos in range(0, length, BLOCK_SIZE):
+        engine.write_file(fd, pos, rng.random_bytes(min(BLOCK_SIZE, length - pos)))
 
 
-class SeqWrite(Workload):
-    def __init__(self, spec_text, fd: int, length: int):
-        super().__init__(spec_text)
-        self.fd = fd
-        self.length = length
-
-    def steps(self, engine):
-        fd = engine.regular_fd(self.fd)
-        rng = engine.rng.stream("workload")
-        pos = 0
-        while pos < self.length:
-            n = min(BLOCK_SIZE, self.length - pos)
-            engine.write_file(fd, pos, rng.random_bytes(n))
-            pos += n
-            yield
+def randread(engine, fd: int, count: int) -> None:
+    fd = engine.regular_fd(fd)
+    rng = engine.rng.stream("workload")
+    size = engine.fs.file_size(fd)
+    nblocks = engine.fs.file_blocks(fd)
+    if nblocks == 0:
+        return
+    for _ in range(count):
+        lblk = rng.randbelow(nblocks)
+        n = min(BLOCK_SIZE, size - lblk * BLOCK_SIZE)
+        engine.read_file(fd, lblk * BLOCK_SIZE, n)
 
 
-class RandRead(Workload):
-    def __init__(self, spec_text, fd: int, count: int):
-        super().__init__(spec_text)
-        self.fd = fd
-        self.count = count
-
-    def steps(self, engine):
-        fd = engine.regular_fd(self.fd)
-        rng = engine.rng.stream("workload")
-        size = engine.fs.file_size(fd)
-        nblocks = engine.fs.file_blocks(fd)
-        if nblocks == 0:
-            return
-        for _ in range(self.count):
-            lblk = rng.randbelow(nblocks)
-            n = min(BLOCK_SIZE, size - lblk * BLOCK_SIZE)
-            engine.read_file(fd, lblk * BLOCK_SIZE, n)
-            yield
-
-
-class ReRead(Workload):
-    def __init__(self, spec_text, lblk: int, count: int, fd: int = 0):
-        super().__init__(spec_text)
-        self.fd = fd
-        self.lblk = lblk
-        self.count = count
-
-    def steps(self, engine):
-        fd = engine.regular_fd(self.fd)
-        size = engine.fs.file_size(fd)
-        off = self.lblk * BLOCK_SIZE
-        if off >= size:
-            raise RangeError("block beyond end of file")
-        n = min(BLOCK_SIZE, size - off)
-        for _ in range(self.count):
-            engine.read_file(fd, off, n)
-            yield
+def reread(engine, lblk: int, count: int) -> None:
+    fd = engine.regular_fd(0)
+    size = engine.fs.file_size(fd)
+    off = lblk * BLOCK_SIZE
+    if off >= size:
+        raise RangeError("block beyond end of file")
+    n = min(BLOCK_SIZE, size - off)
+    for _ in range(count):
+        engine.read_file(fd, off, n)
 
 
 # ---------------------------------------------------------------------------
@@ -180,92 +134,97 @@ class KvStore:
         raise ParameterError("probe limit hit; store too full")
 
 
-class KvTrace(Workload):
-    def __init__(self, spec_text, ops_path: str, fd: int = 0):
-        super().__init__(spec_text)
-        self.ops_path = ops_path
-        self.fd = fd
-
-    @staticmethod
-    def parse_ops(text: str) -> list[tuple]:
-        ops = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "put" and len(parts) == 3:
-                ops.append(("put", parts[1].encode(), parts[2].encode()))
-            elif parts[0] == "get" and len(parts) == 2:
-                ops.append(("get", parts[1].encode()))
-            else:
-                raise ParameterError(f"ops line {lineno}: cannot parse {line!r}")
-        return ops
-
-    def steps(self, engine):
-        with open(self.ops_path, "r", encoding="utf-8") as fh:
-            ops = self.parse_ops(fh.read())
-        store = KvStore(engine, engine.regular_fd(self.fd))
-        for op in ops:
-            if op[0] == "put":
-                store.put(op[1], op[2])
-            else:
-                store.get(op[1])
-            yield
+def parse_ops(text: str) -> list[tuple]:
+    ops = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "put" and len(parts) == 3:
+            ops.append(("put", parts[1].encode(), parts[2].encode()))
+        elif parts[0] == "get" and len(parts) == 2:
+            ops.append(("get", parts[1].encode()))
+        else:
+            raise ParameterError(f"ops line {lineno}: cannot parse {line!r}")
+    return ops
 
 
-class NetEcho(Workload):
-    def __init__(self, spec_text, endpoint: int, nbytes: int):
-        super().__init__(spec_text)
-        self.endpoint = endpoint
-        self.nbytes = nbytes
-
-    def steps(self, engine):
-        if not engine.oblivious:
-            raise ModeError("echo traffic rides the round cadence; "
-                            "run it on the protected path")
-        link = engine.link(self.endpoint)
-        chunk = max_payload(link.session.mtu)
-        sent = 0
-        received = 0
-        while received < self.nbytes:
-            while sent < self.nbytes and link.shaper.backlog < NET_BACKLOG_CAP:
-                n = min(chunk, self.nbytes - sent)
-                engine.net_send(self.endpoint, ECHO_FILL * n)
-                sent += n
-            while link.inbox:
-                back = link.inbox.popleft()
-                received += len(back)
-                engine.payload_bytes += len(back)
-            engine.run_one_round()
-            yield
+def kvtrace(engine, ops_path: str) -> None:
+    with open(ops_path, "r", encoding="utf-8") as fh:
+        ops = parse_ops(fh.read())
+    store = KvStore(engine, engine.regular_fd(0))
+    for op in ops:
+        if op[0] == "put":
+            store.put(op[1], op[2])
+        else:
+            store.get(op[1])
 
 
-class Idle(Workload):
-    def __init__(self, spec_text, rounds: int):
-        super().__init__(spec_text)
-        self.rounds = rounds
+def netecho(engine, endpoint: int, nbytes: int) -> None:
+    if not engine.oblivious:
+        raise ModeError("echo traffic rides the round cadence; "
+                        "run it on the protected path")
+    link = engine.link(endpoint)
+    chunk = max_payload(link.session.mtu)
+    sent = 0
+    received = 0
+    while received < nbytes:
+        while sent < nbytes and link.shaper.backlog < NET_BACKLOG_CAP:
+            n = min(chunk, nbytes - sent)
+            engine.net_send(endpoint, ECHO_FILL * n)
+            sent += n
+        while link.inbox:
+            back = link.inbox.popleft()
+            received += len(back)
+            engine.payload_bytes += len(back)
+        engine.run_one_round()
+
+
+def idle(engine, rounds: int) -> None:
+    if not engine.oblivious:
+        return
+    for _ in range(rounds):
+        engine.run_one_round()
+
+
+# ---------------------------------------------------------------------------
+# The table and its parser.
+# ---------------------------------------------------------------------------
+
+FORMS = {
+    "seqread": (seqread, (int, int)),
+    "seqwrite": (seqwrite, (int, int)),
+    "randread": (randread, (int, int)),
+    "reread": (reread, (int, int)),
+    "kvtrace": (kvtrace, (str,)),
+    "netecho": (netecho, (int, int)),
+    "idle": (idle, (int,)),
+}
+
+
+@dataclass(frozen=True)
+class Workload:
+    spec_text: str
+    name: str
+    args: tuple
+
+    def run(self, engine) -> None:
+        FORMS[self.name][0](engine, *self.args)
 
     def default_rounds(self) -> int | None:
-        return self.rounds
+        """Round budget implied by the workload itself, if any."""
+        return self.args[0] if self.name == "idle" else None
 
-    def steps(self, engine):
-        if not engine.oblivious:
-            return
-        for _ in range(self.rounds):
-            engine.run_one_round()
-            yield
-
-
-# ---------------------------------------------------------------------------
-# Parsing.
-# ---------------------------------------------------------------------------
 
 def _int_arg(name: str, raw: str) -> int:
     try:
-        return int(raw, 0)
+        value = int(raw, 0)
     except ValueError:
         raise ParameterError(f"{name}: expected an integer, got {raw!r}") from None
+    if value < 0:
+        raise ParameterError(f"{name}: expected a non-negative integer, got {raw!r}")
+    return value
 
 
 def parse_workload(text: str) -> Workload:
@@ -274,30 +233,11 @@ def parse_workload(text: str) -> Workload:
         raise ParameterError(f"cannot parse workload {text!r}")
     name, argstr = m.group(1), m.group(2)
     args = [a.strip() for a in argstr.split(",")] if argstr else []
-
-    def want(n: int):
-        if len(args) != n:
-            raise ParameterError(f"{name} takes {n} argument(s), got {len(args)}")
-
-    if name == "seqread":
-        want(2)
-        return SeqRead(text, _int_arg(name, args[0]), _int_arg(name, args[1]))
-    if name == "seqwrite":
-        want(2)
-        return SeqWrite(text, _int_arg(name, args[0]), _int_arg(name, args[1]))
-    if name == "randread":
-        want(2)
-        return RandRead(text, _int_arg(name, args[0]), _int_arg(name, args[1]))
-    if name == "reread":
-        want(2)
-        return ReRead(text, _int_arg(name, args[0]), _int_arg(name, args[1]))
-    if name == "kvtrace":
-        want(1)
-        return KvTrace(text, args[0])
-    if name == "netecho":
-        want(2)
-        return NetEcho(text, _int_arg(name, args[0]), _int_arg(name, args[1]))
-    if name == "idle":
-        want(1)
-        return Idle(text, _int_arg(name, args[0]))
-    raise ParameterError(f"unknown workload {name!r}")
+    if name not in FORMS:
+        raise ParameterError(f"unknown workload {name!r}")
+    types = FORMS[name][1]
+    if len(args) != len(types):
+        raise ParameterError(f"{name} takes {len(types)} argument(s), got {len(args)}")
+    values = tuple(raw if kind is str else _int_arg(name, raw)
+                   for kind, raw in zip(types, args))
+    return Workload(text, name, values)

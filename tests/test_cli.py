@@ -155,6 +155,7 @@ def test_assert_oblivious_flags_the_passthrough_path(image, tmp_path, capsys):
     ("run", "--image", "{img}", "--workload", "idle(1)", "--ground-truth"),
     ("run", "--image", "{img}", "--workload", "idle(1)", "--eager-shuffle-at", 2),
     ("create-image", "--out", "{img}", "--blocks", 64, "--dummy-fraction", 0.2),
+    ("bench", "--image", "{img}", "--round-interval", 200_000),
 ])
 def test_retired_options_are_refused(argv, tmp_path, capsys):
     img = tmp_path / "x.img"
@@ -162,6 +163,55 @@ def test_retired_options_are_refused(argv, tmp_path, capsys):
         cli(*(str(a).format(img=img) for a in argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--workload", "idle(5)", "--rounds", -3, "--out", "{out}"),
+    ("run", "--workload", "idle(5)", "--rounds", 0, "--out", "{out}"),
+    ("bench", "--workload", "idle(5)", "--repeat", 0),
+])
+def test_counts_must_be_positive(argv, image, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli(*(str(a).format(out=tmp_path) for a in argv),
+            "--image", image, "--key", KEY_HEX)
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_negative_workload_argument_is_refused(image, tmp_path, capsys):
+    rc = cli("run", "--image", image, "--key", KEY_HEX,
+             "--workload", "seqread(0,-5)", "--out", tmp_path)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error: " in captured.err and "non-negative" in captured.err
+    assert "completed" not in captured.out
+
+
+def test_round_interval_scales_the_timestamps(image, tmp_path, capsys):
+    stamps = []
+    for interval in ([], ["--round-interval", 200_000]):
+        out = tmp_path / f"run{len(stamps)}"
+        rc = cli("run", "--image", image, "--key", KEY_HEX, "--seed", 1,
+                 "--workload", "idle(20)", *interval, "--out", out)
+        assert rc == 0
+        stamps.append([int(l.split(",")[0])
+                       for l in (out / "trace.log").read_text().splitlines()])
+    capsys.readouterr()
+    assert len(stamps[0]) == 40 and max(stamps[0]) > 0
+    assert stamps[1] == [2 * ts for ts in stamps[0]]
+
+
+def test_smaller_cache_shuffles_more(image, tmp_path, capsys):
+    shuffles = []
+    for cache in ([], ["--cache-k", 2]):
+        out = tmp_path / f"run{len(shuffles)}"
+        rc = cli("run", "--image", image, "--key", KEY_HEX, "--seed", 1,
+                 "--workload", "randread(0,40)", *cache, "--out", out)
+        assert rc == 0
+        with open(out / "summary.csv") as fh:
+            shuffles.append(int(next(csv.DictReader(fh))["shuffles"]))
+    capsys.readouterr()
+    assert shuffles[0] < shuffles[1]
 
 
 def test_run_oblivious_rejects_weaker_images(tmp_path, capsys):
@@ -314,6 +364,22 @@ def test_shuffle_refuses_plain_images(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "error: " in captured.err
+
+
+def test_shuffle_without_a_key_is_refused_at_mount(image, tmp_path, capsys):
+    rc = cli("shuffle", "--image", image, "--out-image", tmp_path / "s.img")
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "requires a 32-byte key" in captured.err
+    assert not (tmp_path / "s.img").exists()
+
+    plain = tmp_path / "p.img"
+    cli("create-image", "--out", plain, "--blocks", 16, "--mode", "plain")
+    capsys.readouterr()
+    rc = cli("shuffle", "--image", plain)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "must be crypt or crypt-integrity" in captured.err
 
 
 def test_fsck_deep_catches_a_flipped_byte(image, tmp_path, capsys):
