@@ -28,7 +28,6 @@ The container layout (header, slot region, data) is in FORMATS.md.
 from __future__ import annotations
 
 import enum
-import functools
 import hashlib
 import hmac
 import os
@@ -105,6 +104,9 @@ class FreshnessTable:
 
 
 _aad = struct.Struct(">QQ").pack  # (phys, version) -> associated data
+_nonce = struct.Struct(f">{NONCE_RANDOM}sQ").pack  # (prefix, version) -> nonce
+_split_prefixes = struct.Struct(f"{NONCE_RANDOM}s" * _POOL_PREFIXES).unpack
+_new_block = tuple.__new__  # EncryptedBlock without its Python-level __new__
 
 # Unused nonce prefixes. ``list.pop`` is atomic, so no prefix is handed
 # out twice, and a forked child drops what it inherited.
@@ -117,17 +119,21 @@ def _nonce_prefix() -> bytes:
     try:
         return _prefix_pool.pop()
     except IndexError:
-        raw = os.urandom(NONCE_RANDOM * _POOL_PREFIXES)
-        _prefix_pool.extend(raw[i:i + NONCE_RANDOM]
-                            for i in range(NONCE_RANDOM, len(raw), NONCE_RANDOM))
-        return raw[:NONCE_RANDOM]
+        first, *rest = _split_prefixes(os.urandom(NONCE_RANDOM * _POOL_PREFIXES))
+        _prefix_pool.extend(rest)
+        return first
 
 
-@functools.lru_cache(maxsize=8)
-def _cipher(key: bytes) -> AESGCM:
-    """One AEAD object per key: building ``AESGCM(key)`` costs as much
-    as sealing a block. A mount uses one key, so a few entries suffice."""
-    return AESGCM(key)
+# One AEAD object per key: building ``AESGCM(key)`` costs as much as
+# sealing a block. A mount uses one key, so a few entries suffice.
+_ciphers: dict[bytes, AESGCM] = {}
+
+
+def _new_cipher(key: bytes) -> AESGCM:
+    if len(_ciphers) >= 8:
+        _ciphers.clear()
+    cipher = _ciphers[key] = AESGCM(key)
+    return cipher
 
 
 def seal_block(key: bytes, phys: int, plaintext: bytes,
@@ -143,9 +149,10 @@ def seal_block(key: bytes, phys: int, plaintext: bytes,
     if len(plaintext) != BLOCK_SIZE:
         raise SizeError("plaintext must be exactly one block")
     version = freshness.bump(phys)
-    nonce = _nonce_prefix() + version.to_bytes(NONCE_SIZE - NONCE_RANDOM, "big")
-    sealed = _cipher(key).encrypt(nonce, plaintext, _aad(phys, version))
-    return EncryptedBlock(nonce, sealed[:-TAG_SIZE], sealed[-TAG_SIZE:])
+    nonce = _nonce(_nonce_prefix(), version)
+    sealed = (_ciphers.get(key) or _new_cipher(key)).encrypt(
+        nonce, plaintext, _aad(phys, version))
+    return _new_block(EncryptedBlock, (nonce, sealed[:-TAG_SIZE], sealed[-TAG_SIZE:]))
 
 
 def open_block(key: bytes, phys: int, enc: EncryptedBlock,
@@ -161,13 +168,14 @@ def open_block(key: bytes, phys: int, enc: EncryptedBlock,
         raise ParameterError("key must be 32 bytes")
     if len(enc.nonce) != NONCE_SIZE or len(enc.tag) != TAG_SIZE:
         raise SizeError("malformed sealed block")
-    version = enc.version
+    nonce = enc.nonce
+    version = int.from_bytes(nonce[NONCE_RANDOM:], "big")
     if freshness is not None and version != freshness.version_of(phys):
         raise ReplayError(
             f"block {phys}: version {version} != expected {freshness.version_of(phys)}")
     try:
-        return _cipher(key).decrypt(
-            enc.nonce, enc.ciphertext + enc.tag, _aad(phys, version))
+        return (_ciphers.get(key) or _new_cipher(key)).decrypt(
+            nonce, enc.ciphertext + enc.tag, _aad(phys, version))
     except InvalidTag as exc:
         raise IntegrityError(f"block {phys}: tag check failed") from exc
 
@@ -319,7 +327,7 @@ class BlockStore:
         if self._encrypted:
             if slot is None:
                 raise IntegrityError(f"block {phys} was never written")
-            enc = EncryptedBlock(slot[:NONCE_SIZE], raw, slot[NONCE_SIZE:])
+            enc = _new_block(EncryptedBlock, (slot[:NONCE_SIZE], raw, slot[NONCE_SIZE:]))
             return open_block(self.key, phys, enc, self._open_freshness)
         if self.layout.mode is ProtectionMode.VERITY and slot != _verity_slot(raw):
             raise IntegrityError(f"block {phys}: digest does not match its slot")
@@ -332,9 +340,9 @@ class BlockStore:
             raise ParameterError(f"physical block {phys} out of range")
         offset = self._data_base + phys * BLOCK_SIZE
         if self._encrypted:
-            enc = seal_block(self.key, phys, plaintext, self.freshness)
-            self.iface.disk_write(offset, enc.ciphertext)
-            self.slots[phys] = enc.slot()
+            nonce, ciphertext, tag = seal_block(self.key, phys, plaintext, self.freshness)
+            self.iface.disk_write(offset, ciphertext)
+            self.slots[phys] = nonce + tag
             return
         if len(plaintext) != BLOCK_SIZE:
             raise SizeError("plaintext must be exactly one block")

@@ -141,9 +141,10 @@ class BlockFs:
         return phys
 
     def free_block(self, phys: int) -> None:
-        if self._bit(phys) is False:
+        byte, mask = phys >> 3, 1 << (phys & 7)
+        if not self.bitmap[byte] & mask:
             raise ParameterError(f"block {phys} already free")
-        self._set_bit(phys, False)
+        self.bitmap[byte] &= ~mask
         self._free.append(phys)
 
     # Formatting and (de)serialization ----------------------------------
@@ -331,16 +332,18 @@ class BlockFs:
 
     # Shuffle support ------------------------------------------------------
 
-    def move_extent(self, fd: int, donor: list[int | None], lblk: int) -> None:
+    def move_extent(self, fd: int, donor: list[int | None], lblk: int) -> int:
         """Exchange file ``fd``'s physical block at ``lblk`` with
         ``donor[lblk]``, first drawing that slot's home with
-        ``allocate_block`` if it has none yet."""
+        ``allocate_block`` if it has none yet; returns the new home."""
         phys = self.phys_of(fd, lblk)
         if not 0 <= lblk < len(donor):
             raise RangeError(f"donor has no block {lblk}")
-        if donor[lblk] is None:
-            donor[lblk] = self.allocate_block()
-        self.inodes[fd].block_map[lblk], donor[lblk] = donor[lblk], phys
+        home = donor[lblk]
+        if home is None:
+            home = self.allocate_block()
+        self.inodes[fd].block_map[lblk], donor[lblk] = home, phys
+        return home
 
     def create_donors(self, count: int, size_blocks: int) -> list[list[int | None]]:
         """``count`` donors of ``size_blocks`` unhomed slots (``None``)

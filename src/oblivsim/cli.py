@@ -47,7 +47,7 @@ from .engine import (
     mount,
     run_workload,
 )
-from .errors import InsufficientDataError, ModeError, SimError
+from .errors import InsufficientDataError, ModeError, ParameterError, SimError
 from .sched import DEFAULT_ROUND_INTERVAL_NS, RoundConfig
 from .shaper import ShapingClass
 from .workload import parse_workload
@@ -83,6 +83,8 @@ def _open(args, seed: int | None = None, **kw):
 
 def cmd_create_image(args) -> int:
     mode = MODE_BY_NAME[args.mode]
+    if any(n < 0 for n in args.blank or []):
+        raise ParameterError("--blank takes a byte count, not a negative number")
     sources = [(path, Path(path).read_bytes()) for path in args.add or []]
     sources += [("<blank>", b"\x00" * n) for n in args.blank or []]
     bundle = build_image(
@@ -121,13 +123,11 @@ def _run_once(args, workload_text: str, target: int | None, *, oblivious: bool,
             "the protected path needs a crypt-integrity image; "
             f"this one is {m.store.mode.name.lower()}")
     for i, rate in enumerate(peers):
-        local = StaticIdentity.generate()
-        remote = StaticIdentity.generate()
-        enclave_session = establish(local, PeerIdentity(remote.public_bytes))
-        peer_session = establish(remote, PeerIdentity(local.public_bytes))
+        local, remote = StaticIdentity.generate(), StaticIdentity.generate()
         shaping = ShapingClass(rate_bps=rate)
-        m.engine.add_link(i, enclave_session, shaping)
-        m.engine.add_external_pump(EchoPeer(m.host, i, peer_session, shaping))
+        m.engine.add_link(i, establish(local, PeerIdentity(remote.public_bytes)), shaping)
+        m.engine.add_external_pump(EchoPeer(
+            m.host, i, establish(remote, PeerIdentity(local.public_bytes)), shaping))
     wl = parse_workload(workload_text)
     if target is None:
         target = wl.default_rounds()
@@ -187,11 +187,7 @@ def cmd_run(args) -> int:
         args, f"idle({base_target})", base_target, **kw)
     (outdir / "baseline.log").write_text(base_trace.export())
     verdict = compare_traces(trace, base_trace)
-    lines = []
-    if verdict.shape_equal:
-        lines.append(f"PASS shape: {verdict.detail}")
-    else:
-        lines.append(f"FAIL shape: {verdict.detail}")
+    lines = [f"{'PASS' if verdict.shape_equal else 'FAIL'} shape: {verdict.detail}"]
     try:
         domain = [engine.store.layout.data_offset(p)
                   for p in engine.fs.dummy_blocks()]

@@ -6,11 +6,11 @@ Two I/O personalities implement the filesystem's block interface:
 * ``CachedIo`` is the protected path. Reads and writes go through the
   page cache. A miss calls ``Engine.read_phys``, which the shuffle uses
   for its reads too: a block still in the write queue is served from
-  there, and otherwise the read is submitted to the scheduler and the
-  engine pumps batched rounds until it lands. Dirty pages the cache
-  evicts go straight to the scheduler's write queue. When the cache
-  reports that a block would need a repeat host read this epoch, the
-  engine runs a layout shuffle and retries. The shuffle lands the dirty
+  there, and otherwise the read is queued and the next batched round
+  serves it, one round per read. Dirty pages the cache evicts go
+  straight to the scheduler's write queue. When the cache reports that
+  a block would need a repeat host read this epoch, the engine runs a
+  layout shuffle and retries. The shuffle lands the dirty
   pages itself: its pass writes every resident page to the page's new
   home, so no flush precedes it (see ``Engine.shuffle_now``).
 * ``DirectIo`` is the passthrough path. Every block operation is a
@@ -262,16 +262,18 @@ class Engine:
     # The protected disk path: cache misses and the shuffle's ShuffleIo --
 
     def read_phys(self, phys: int) -> bytes:
-        queued = self.sched.pending_write_for(phys)
+        sched = self.sched
+        queued = sched.pending_write_for(phys)
         if queued is not None:
             # The freshest content is still in the write queue; rounds
             # run reads before writes, so a host read now would return
             # stale bytes. Serve from the queue and spend no read.
             return queued
-        comp = self.sched.submit_read(phys)
-        while not comp.done:
-            self.run_one_round()
-        return comp.data
+        # No other read is ever queued and every round has a read slot, so
+        # the next round serves it. None is queued for a round past budget.
+        if self.round_target is None or sched.rounds < self.round_target:
+            sched.submit_read(phys)
+        return self.run_one_round()[0]
 
     def write_phys(self, phys: int, data: bytes) -> None:
         # Queued, so the following read slot's round carries it; the
@@ -286,15 +288,18 @@ class Engine:
 
     # Rounds -------------------------------------------------------------
 
-    def run_one_round(self) -> None:
+    def run_one_round(self) -> list[bytes]:
+        """The net instants due by the next round's time, then the round."""
         if self.sched is None:
             raise ModeError("batched rounds exist only on the protected path")
         done = self.sched.rounds
         if self.round_target is not None and done >= self.round_target:
             raise RoundBudgetExhausted(f"round budget of {self.round_target} spent")
         t = done * self.config.round.interval_ns
-        self._run_net_until(t)
-        self.sched.run_round(t)
+        heap = self._net_due
+        if heap and heap[0][0] <= t:
+            self._run_net_until(t)
+        return self.sched.run_round(t)
 
     def run_rounds(self, n: int) -> None:
         for _ in range(n):
@@ -455,25 +460,16 @@ class Engine:
     # Reporting -------------------------------------------------------------
 
     def counters(self) -> dict:
-        out = {
+        sched = self.sched
+        return {
             "rounds": self.rounds_done,
-            "real_reads": 0,
-            "dummy_reads": 0,
-            "real_writes": 0,
-            "dummy_writes": 0,
+            **{name: getattr(sched, name) if sched is not None else 0
+               for name in ("real_reads", "dummy_reads", "real_writes", "dummy_writes")},
             "shuffles": self.shuffles,
             "cache_hits": self.cache.hits if self.cache is not None else 0,
             "net_real": sum(l.session.sent_real for l in self.links),
             "net_dummy": sum(l.session.sent_dummy for l in self.links),
         }
-        if self.sched is not None:
-            out.update(
-                real_reads=self.sched.real_reads,
-                dummy_reads=self.sched.dummy_reads,
-                real_writes=self.sched.real_writes,
-                dummy_writes=self.sched.dummy_writes,
-            )
-        return out
 
 
 @dataclass(frozen=True)
@@ -507,14 +503,15 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     is built, so nothing left behind refers to that buffer once the
     bundle is dropped.
     """
+    # Format first: it refuses a block count below 8 before a buffer is sized.
+    fs = BlockFs.format(n_blocks, RngTree(seed).stream("layout"),
+                        max_files=max_files, max_file_blocks=max_file_blocks)
     layout = layout_for(n_blocks, mode)
     host = Host(new_image(n_blocks, mode), SimClock())
     iface = HostInterface(host)
     if mode.encrypted and key is None:
         key = os.urandom(32)
     store = BlockStore(iface, layout, key if mode.encrypted else None)
-    fs = BlockFs.format(n_blocks, RngTree(seed).stream("layout"),
-                        max_files=max_files, max_file_blocks=max_file_blocks)
     io = DirectIo(store, fs, host.clock)
     fds = []
     for data in files:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import hashlib as _hashlib
+import struct
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
@@ -34,6 +35,12 @@ from .trace import CallKind, HostCallEvent, HostTrace
 
 BLOCK_SIZE = 4096
 DEFAULT_MTU = 1500
+
+# Bound once for the disk path: enum member lookups and the NamedTuple's
+# own ``__new__`` (``tuple.__new__`` skips it) each cost a Python step.
+_DISK_READ, _DISK_WRITE = CallKind.DISK_READ, CallKind.DISK_WRITE
+_event = tuple.__new__
+_copy_block = struct.Struct(f"{BLOCK_SIZE}s").unpack_from
 
 # Signal numbers follow the usual Linux layout.
 SIG_MEMORY_FAULT = frozenset({7, 11})  # SIGBUS, SIGSEGV: address must be plausible
@@ -165,9 +172,9 @@ class HostInterface:
             raise AlignmentError(f"read offset {offset} not block-aligned")
         if offset < 0 or offset + BLOCK_SIZE > len(host.image):
             raise BoundsError(f"read offset {offset} outside image")
-        data = bytes(host.image[offset:offset + BLOCK_SIZE])
-        self.trace.record(HostCallEvent(
-            host.clock.now_ns, CallKind.DISK_READ, offset, BLOCK_SIZE))
+        data, = _copy_block(host.image, offset)  # one copy, not two
+        self.trace.record(_event(HostCallEvent, (
+            host.clock.now_ns, _DISK_READ, offset, BLOCK_SIZE)))
         return data
 
     def disk_write(self, offset: int, block: bytes) -> None:
@@ -180,8 +187,8 @@ class HostInterface:
             raise SizeError("disk writes must be exactly one block")
         host.image[offset:offset + BLOCK_SIZE] = block
         host.boundary_mutations += 1
-        self.trace.record(HostCallEvent(
-            host.clock.now_ns, CallKind.DISK_WRITE, offset, BLOCK_SIZE))
+        self.trace.record(_event(HostCallEvent, (
+            host.clock.now_ns, _DISK_WRITE, offset, BLOCK_SIZE)))
 
     # Network ---------------------------------------------------------
 

@@ -93,8 +93,8 @@ class PageCache:
 
     def get_block(self, fd: int, lblk: int,
                   fetch: Callable[[int], bytes]) -> tuple[bytes | None, Outcome]:
-        """The page, from the cache or else from ``fetch(phys)``, a real
-        host read that pumps rounds until the data arrives."""
+        """The page, from the cache or else from ``fetch(phys)``, which
+        costs one round when it reads the host."""
         key = (fd, lblk)
         page = self._pages.get(key)
         if page is not None:

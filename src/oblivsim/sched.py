@@ -33,15 +33,10 @@ class RoundConfig:
     queue_capacity: int = 1024
 
     def __post_init__(self):
-        if self.interval_ns <= 0 or self.reads_per_round < 0 \
-                or self.writes_per_round < 0 or self.queue_capacity < 1:
+        # Without a read or a write slot, that queue would never drain.
+        if self.interval_ns <= 0 or self.reads_per_round < 1 \
+                or self.writes_per_round < 1 or self.queue_capacity < 1:
             raise ParameterError("invalid round configuration")
-
-
-@dataclass
-class Completion:
-    done: bool = False
-    data: bytes | None = None
 
 
 class RoundScheduler:
@@ -53,9 +48,9 @@ class RoundScheduler:
             raise ParameterError("padding needs at least one padding block")
         self.rng = rng
         self.config = config if config is not None else RoundConfig()
-        # Queued requests: (phys, completion) reads, (phys, data) writes.
-        # Nothing waits on a write, so writes carry no completion.
-        self._reads: deque[tuple[int, Completion]] = deque()
+        # Queued requests: phys reads, (phys, data) writes. A read's
+        # plaintext comes back from the round that serves it.
+        self._reads: deque[int] = deque()
         self._writes: deque[tuple[int, bytes]] = deque()
         self.last_round_ns: int | None = None
         self.rounds = 0
@@ -66,12 +61,10 @@ class RoundScheduler:
 
     # Submission ----------------------------------------------------------
 
-    def submit_read(self, phys: int) -> Completion:
+    def submit_read(self, phys: int) -> None:
         if len(self._reads) >= self.config.queue_capacity:
             raise BackpressureError("read queue full")
-        comp = Completion()
-        self._reads.append((phys, comp))
-        return comp
+        self._reads.append(phys)
 
     def submit_write(self, phys: int, data: bytes) -> None:
         if len(data) != BLOCK_SIZE:
@@ -99,12 +92,15 @@ class RoundScheduler:
 
     # Execution -----------------------------------------------------------
 
-    def run_round(self, now_ns: int) -> None:
+    def run_round(self, now_ns: int) -> list[bytes]:
         """One batch at now_ns: the simulated clock moves there, then
         reads run first and writes after, all stamped at now_ns.
-        A failed read (say, it does not authenticate) leaves the queue
-        uncompleted; the round still runs every slot and counts, so the
-        cadence holds, and then raises the first such error."""
+
+        Returns the plaintexts of the queued reads it served, in slot
+        order, so a read queued alone comes back as element 0. A failed
+        read (say, it does not authenticate) leaves the queue all the
+        same; the round still runs every slot and counts, so the cadence
+        holds, and then raises the first such error."""
         config = self.config
         if self.last_round_ns is not None \
                 and now_ns < self.last_round_ns + config.interval_ns:
@@ -114,12 +110,11 @@ class RoundScheduler:
         targets, randbelow = self.dummy_targets, self.rng.randbelow
         store.iface.host.clock.advance_to(now_ns)
         error: SimError | None = None
+        served = []
         for _ in range(config.reads_per_round):
             if reads:
-                phys, comp = reads.popleft()
                 try:
-                    comp.data = store.read_block(phys)
-                    comp.done = True
+                    served.append(store.read_block(reads.popleft()))
                 except SimError as exc:
                     error = error or exc
                 self.real_reads += 1
@@ -138,3 +133,4 @@ class RoundScheduler:
         self.rounds += 1
         if error is not None:
             raise error
+        return served

@@ -20,11 +20,7 @@ shuffle; once the pass's writes have drained, those pages are clean.
 
 The stream is read no later than it is needed. Among the first *i* + 1
 steps at most *i* + 1 sources are uncached, so an uncached source at
-step *i* sits at stream index *k* <= *i* and was read at step *k*. The
-earlier rule, which read the step's own block when it was uncached and
-unread and otherwise prefetched the earliest unread uncached source,
-reads the same sequence: its reads so far are always a prefix of the
-stream, one per step, so each read is the stream's next entry.
+step *i* sits at stream index *k* <= *i* and was read at step *k*.
 
 New homes come from donors: groups of ``max_blk`` slots, one per
 ``max_blk`` free blocks, held in memory and never in the inode table. A
@@ -139,17 +135,14 @@ def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
                 fetched[src] = io.read_phys(phys_of(*src))
             else:
                 io.pump_dummy_read()
-            data = fetched.pop((fd, b), None)
-            if data is None:
-                data = io.peek_cache(fd, b)
+            data = fetched.pop((fd, b), None) or io.peek_cache(fd, b)
             eligible = untouched[b]
             if eligible:
                 d = eligible.pop(randbelow(len(eligible)))
             else:
                 d = randbelow(len(donors))
                 stats.donor_reuses += 1
-            fs.move_extent(fd, donors[d], b)
-            io.write_phys(phys_of(fd, b), data)
+            io.write_phys(fs.move_extent(fd, donors[d], b), data)
             stats.swaps += 1
     finally:
         fs.unlink_all(donors)

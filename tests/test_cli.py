@@ -178,6 +178,20 @@ def test_counts_must_be_positive(argv, image, tmp_path, capsys):
     assert "expected a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--blocks", -4), "at least 8 blocks"),
+    (("--blocks", 0), "at least 8 blocks"),
+    (("--blocks", 64, "--blank", -5), "not a negative number"),
+])
+def test_create_image_refuses_negative_sizes(argv, message, tmp_path, capsys):
+    img = tmp_path / "x.img"
+    rc = cli("create-image", "--out", img, *argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error: " in captured.err and message in captured.err
+    assert not img.exists()
+
+
 def test_negative_workload_argument_is_refused(image, tmp_path, capsys):
     rc = cli("run", "--image", image, "--key", KEY_HEX,
              "--workload", "seqread(0,-5)", "--out", tmp_path)

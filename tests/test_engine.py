@@ -20,6 +20,7 @@ from oblivsim import (
     ParameterError,
     PeerIdentity,
     ProtectionMode,
+    RoundBudgetExhausted,
     ShapingClass,
     StaticIdentity,
     build_image,
@@ -327,6 +328,17 @@ def test_protected_disk_path_is_pinned(small_bundle):
     assert (digest, eng.counters()) == (PINNED_TRACE_SHA256, PINNED_COUNTERS)
 
 
+def test_a_miss_refused_by_the_budget_leaves_no_read_queued(small_bundle):
+    eng = mount(small_bundle).engine
+    eng.round_target = 0
+    with pytest.raises(RoundBudgetExhausted):
+        eng.read_file(eng.regular_fd(0), 0, 4)
+    assert eng.sched.pending_reads == 0 and eng.rounds_done == 0
+    eng.round_target = None
+    assert eng.read_file(eng.regular_fd(1), 0, 4) == FILE_B[:4]
+    assert eng.read_file(eng.regular_fd(0), 0, 4) == FILE_A[:4]
+
+
 def test_passthrough_refuses_protected_operations(small_bundle):
     eng = mount(small_bundle, oblivious=False).engine
     with pytest.raises(ModeError):
@@ -473,6 +485,47 @@ def test_mixed_link_event_order_is_pinned(small_bundle):
     assert len(echoes) == 152
     assert hashlib.sha256("".join(echoes).encode()).hexdigest() == \
         MIXED_LINKS_ECHO_SHA256
+
+
+# A shuffle pass whose rounds share the clock with one live link. At 50
+# Mbit/s the link and its peer are due every 240 us, so some rounds
+# have net instants before them and some have none. Pinned: the export's
+# SHA-256, the engine's counters and, per session, (sent_real,
+# sent_dummy, received_real, received_dummy).
+LIVE_LINK_SHUFFLE_SHA256 = \
+    "9a77ee9f1d498914b2350dbbe78eddafd11432a2ab2e77ec4d69dfdef504aa5e"
+LIVE_LINK_SHUFFLE_COUNTERS = {"rounds": 26, "real_reads": 10, "dummy_reads": 16,
+                              "real_writes": 11, "dummy_writes": 15, "shuffles": 1,
+                              "cache_hits": 1, "net_real": 5, "net_dummy": 6}
+LIVE_LINK_SHUFFLE_SESSIONS = [(5, 6, 5, 6), (5, 6, 5, 5)]
+
+
+def test_shuffle_with_a_live_link_is_pinned(small_bundle):
+    m = mount(small_bundle, seed=5)
+    eng = m.engine
+    enclave, remote = net_pair()
+    shaping = ShapingClass(50_000_000)
+    link = eng.add_link(3, enclave, shaping)
+    peer = EchoPeer(m.host, 3, remote, shaping)
+    eng.add_external_pump(peer)
+    eng.start_observation()
+    for i in range(4):
+        eng.net_send(3, bytes([i]) * (10 + i))
+        eng.run_rounds(2)
+    a = eng.regular_fd(0)
+    eng.write_file(a, BLOCK_SIZE, b"\x5a" * BLOCK_SIZE)
+    assert eng.read_file(a, 0, 4) == FILE_A[:4]
+    stats = eng.shuffle_now()
+    eng.net_send(3, b"after")
+    eng.run_rounds(5)
+    assert stats.swaps == 11 and eng.shuffles == 1
+    assert list(link.inbox) == [bytes([i]) * (10 + i) for i in range(4)] + [b"after"]
+    assert eng.read_file(a, BLOCK_SIZE, 4) == b"\x5a" * 4
+    sessions = [(s.sent_real, s.sent_dummy, s.received_real, s.received_dummy)
+                for s in (link.session, peer.session)]
+    digest = hashlib.sha256(m.trace.export().encode()).hexdigest()
+    assert (digest, eng.counters(), sessions) == (
+        LIVE_LINK_SHUFFLE_SHA256, LIVE_LINK_SHUFFLE_COUNTERS, LIVE_LINK_SHUFFLE_SESSIONS)
 
 
 def test_every_frame_sent_is_received_or_still_queued(small_bundle):

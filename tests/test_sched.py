@@ -54,6 +54,14 @@ def test_config_validation():
         RoundScheduler(*make_sched()[:1], [], RngTree(0).stream("dummy"))
 
 
+@pytest.mark.parametrize("slots", [dict(reads_per_round=0), dict(writes_per_round=0)])
+def test_a_round_without_a_read_or_a_write_slot_is_refused(slots):
+    # A queued read needs a read slot to land, and the write queue a
+    # write slot to drain.
+    with pytest.raises(ParameterError):
+        RoundConfig(**slots)
+
+
 def test_idle_rounds_emit_full_padding():
     store, sched = make_sched()
     run_rounds(sched, 20)
@@ -93,12 +101,11 @@ def test_real_requests_take_the_slots():
     store, sched = make_sched()
     store.write_block(5, b"\x42" * BLOCK_SIZE)
     store.iface.trace.reset()
-    comp = sched.submit_read(5)
+    assert sched.submit_read(5) is None
     assert sched.submit_write(6, b"\x43" * BLOCK_SIZE) is None
-    assert not comp.done and sched.pending_writes == 1
-    sched.run_round(0)
-    assert comp.done and comp.data == b"\x42" * BLOCK_SIZE
-    assert sched.pending_writes == 0
+    assert sched.pending_reads == 1 and sched.pending_writes == 1
+    assert sched.run_round(0) == [b"\x42" * BLOCK_SIZE]
+    assert sched.pending_reads == 0 and sched.pending_writes == 0
     assert sched.real_reads == 1 and sched.real_writes == 1
     assert sched.dummy_reads == 0 and sched.dummy_writes == 0
     events = store.iface.trace.events
@@ -106,6 +113,17 @@ def test_real_requests_take_the_slots():
         (CallKind.DISK_READ, store.layout.data_offset(5)),
         (CallKind.DISK_WRITE, store.layout.data_offset(6))]
     assert store.read_block(6) == b"\x43" * BLOCK_SIZE
+
+
+def test_a_round_returns_what_it_read_in_slot_order():
+    store, sched = make_sched(RoundConfig(reads_per_round=2))
+    for phys in (5, 6, 7):
+        store.write_block(phys, bytes([phys]) * BLOCK_SIZE)
+        sched.submit_read(phys)
+    assert sched.run_round(0) == [b"\x05" * BLOCK_SIZE, b"\x06" * BLOCK_SIZE]
+    assert sched.run_round(100_000) == [b"\x07" * BLOCK_SIZE]
+    assert sched.run_round(200_000) == []
+    assert sched.real_reads == 3 and sched.dummy_reads == 3
 
 
 def test_busy_and_idle_rounds_share_a_shape():
@@ -159,13 +177,14 @@ def test_failed_read_still_completes_its_round():
     store.write_block(5, b"\x42" * BLOCK_SIZE)
     store.iface.host.image[store.layout.data_offset(5)] ^= 0x01
     store.iface.trace.reset()
-    comp = sched.submit_read(5)
+    sched.submit_read(5)
     sched.submit_write(6, b"\x43" * BLOCK_SIZE)
     with pytest.raises(IntegrityError):
         run_rounds(sched, 1)
-    assert not comp.done and sched.pending_writes == 0
+    assert sched.pending_writes == 0
     assert sched.rounds == 1 and sched.pending_reads == 0
-    run_rounds(sched, 3)
+    assert sched.run_round(sched.config.interval_ns) == []
+    run_rounds(sched, 2)
     interval = sched.config.interval_ns
     assert [(e.ts, e.kind) for e in store.iface.trace.events] == [
         (i * interval, kind) for i in range(4)
