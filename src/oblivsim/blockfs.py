@@ -10,8 +10,10 @@ Every file carries data. The blocks that padding traffic reads and
 writes (the padding domain) belong to no file: ``format`` draws
 ``DUMMY_FRACTION`` of the disk for them before any file exists, and
 ``load`` finds them again as the allocated data blocks that no file
-maps. The shuffle's scratch space (donors) is plain lists of slots with
-no inode either, each homed at a random free block when first used.
+maps. A shuffle pass draws each block's new home like any allocation;
+the homes it vacates (its donor, a plain list with no inode) stay
+allocated until the pass ends, so every new home comes from the pool
+as it stood at the start (``shuffle`` gives the argument).
 
 The on-disk layout (superblock, bitmap, inode table), the geometry rule
 and the one consistency rule are specified in FORMATS.md. ``fsck`` is
@@ -29,6 +31,7 @@ from .errors import (
     DescriptorError,
     ParameterError,
     RangeError,
+    ShuffleImpossibleError,
     SpaceError,
 )
 from .hostiface import BLOCK_SIZE
@@ -158,6 +161,9 @@ class BlockFs:
         max_files = max_files if max_files is not None else df_files
         max_file_blocks = (max_file_blocks if max_file_blocks is not None
                            else df_blocks)
+        if min(max_files, max_file_blocks) < 1:
+            raise ParameterError(f"max_files {max_files}, max_file_blocks "
+                                 f"{max_file_blocks}: each must be at least 1")
         fs = cls(n_blocks, max_files, max_file_blocks, rng)
         meta = fs.metadata_blocks
         if meta >= n_blocks:
@@ -332,35 +338,32 @@ class BlockFs:
 
     # Shuffle support ------------------------------------------------------
 
-    def move_extent(self, fd: int, donor: list[int | None], lblk: int) -> int:
-        """Exchange file ``fd``'s physical block at ``lblk`` with
-        ``donor[lblk]``, first drawing that slot's home with
-        ``allocate_block`` if it has none yet; returns the new home."""
-        phys = self.phys_of(fd, lblk)
-        if not 0 <= lblk < len(donor):
-            raise RangeError(f"donor has no block {lblk}")
-        home = donor[lblk]
-        if home is None:
+    def create_donors(self, size_blocks: int) -> list[int]:
+        """A shuffle pass's donor: the homes it vacates, none yet. Refused
+        when the free pool cannot re-home a ``size_blocks``-block file."""
+        if self.free_blocks < size_blocks:
+            raise ShuffleImpossibleError(
+                f"{self.free_blocks} free blocks cannot re-home a "
+                f"{size_blocks}-block file")
+        return []
+
+    def move_extent(self, fd: int, lblk: int, donor: list[int]) -> int:
+        """Re-home file ``fd``'s block ``lblk`` at an ``allocate_block``
+        draw or, once the pool is empty, at a random block taken out of
+        ``donor``; append the old home to ``donor``. Returns the new home."""
+        old = self.phys_of(fd, lblk)
+        if self._free or not donor:
             home = self.allocate_block()
-        self.inodes[fd].block_map[lblk], donor[lblk] = home, phys
+        else:
+            home = donor.pop(self.rng.randbelow(len(donor)))
+        self.inodes[fd].block_map[lblk] = home
+        donor.append(old)
         return home
 
-    def create_donors(self, count: int, size_blocks: int) -> list[list[int | None]]:
-        """``count`` donors of ``size_blocks`` unhomed slots (``None``)
-        each. Nothing is allocated here: ``move_extent`` draws a slot's
-        home on first use, so only the slots a shuffle touches cost a
-        draw. The free pool must still be able to home every slot."""
-        if count * size_blocks > self.free_blocks:
-            raise SpaceError("not enough free blocks for donors")
-        return [[None] * size_blocks for _ in range(count)]
-
-    def unlink_all(self, donors) -> None:
-        """Return every homed donor slot's block to the free pool, donor
-        by donor."""
-        for donor in donors:
-            for phys in donor:
-                if phys is not None:
-                    self.free_block(phys)
+    def unlink_all(self, donor: list[int]) -> None:
+        """Free the homes a pass vacated, in the order it vacated them."""
+        for phys in donor:
+            self.free_block(phys)
 
     # Consistency ------------------------------------------------------------
 

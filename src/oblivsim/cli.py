@@ -65,15 +65,19 @@ SUMMARY_COLUMNS = [
 ]
 
 
-def _hex_or_none(value: str | None) -> bytes | None:
-    return bytes.fromhex(value) if value else None
+def _hex_or_none(value: str | None, option: str) -> bytes | None:
+    try:
+        return bytes.fromhex(value) if value else None
+    except ValueError:
+        raise ParameterError(f"{option} takes hex, not {value!r}") from None
 
 
 def _open(args, seed: int | None = None, **kw):
     """Mount an in-memory copy of ``--image`` under ``--key`` and
     ``--verity-root``, seeded by ``seed`` or else ``--seed``."""
-    return mount(Path(args.image).read_bytes(), key=_hex_or_none(args.key),
-                 verity_root=_hex_or_none(args.verity_root),
+    return mount(Path(args.image).read_bytes(),
+                 key=_hex_or_none(args.key, "--key"),
+                 verity_root=_hex_or_none(args.verity_root, "--verity-root"),
                  seed=args.seed if seed is None else seed, **kw)
 
 
@@ -89,8 +93,8 @@ def cmd_create_image(args) -> int:
     sources += [("<blank>", b"\x00" * n) for n in args.blank or []]
     bundle = build_image(
         args.blocks, mode, [data for _, data in sources],
-        seed=args.seed, key=_hex_or_none(args.key), max_files=args.max_files,
-        max_file_blocks=args.max_file_blocks)
+        seed=args.seed, key=_hex_or_none(args.key, "--key"),
+        max_files=args.max_files, max_file_blocks=args.max_file_blocks)
     Path(args.out).write_bytes(bundle.image)
 
     # Report from a fresh mount, so every created image is proven
@@ -243,9 +247,8 @@ def cmd_shuffle(args) -> int:
     print(f"image: {out}")
     if m.store.mode is ProtectionMode.CRYPT_INTEGRITY:
         print(f"verity root: {root.hex()}")
-    print(f"moved: {stats.swaps} blocks across {stats.plan.num_donors} donors "
-          f"(max file {stats.plan.max_blk} blocks)")
-    print(f"rounds: {m.engine.rounds_done}  donor slot reuses: {stats.donor_reuses}")
+    print(f"moved: {stats.swaps} blocks (max file {stats.plan.max_blk} blocks)")
+    print(f"rounds: {m.engine.rounds_done}  vacated homes reused: {stats.donor_reuses}")
     return 0
 
 
@@ -286,17 +289,19 @@ def cmd_fsck(args) -> int:
 
 def _parse_peer_spec(spec: str) -> PeerIdentity:
     parts = spec.split(",")
-    if len(parts) not in (2, 3):
-        raise SimError(f"peer spec {spec!r}: want PUBHEX,ADDR[,RATE]")
-    pub = bytes.fromhex(parts[0])
-    rate = int(parts[2]) if len(parts) == 3 else 200_000_000
-    return PeerIdentity(pub, parts[1], rate)
+    try:
+        if len(parts) in (2, 3):
+            rate = int(parts[2]) if len(parts) == 3 else 200_000_000
+            return PeerIdentity(bytes.fromhex(parts[0]), parts[1], rate)
+    except ValueError:
+        pass
+    raise ParameterError(f"--peer {spec!r}: want PUBHEX,ADDR[,RATE]")
 
 
 def cmd_provision(args) -> int:
     secrets = ProvisioningSecrets(
-        disk_key=_hex_or_none(args.key),
-        verity_root=_hex_or_none(args.verity_root),
+        disk_key=_hex_or_none(args.key, "--key"),
+        verity_root=_hex_or_none(args.verity_root, "--verity-root"),
         peers=tuple(_parse_peer_spec(s) for s in args.peer or []),
         exec_path=args.exec_path or "",
         exec_args=tuple(args.arg or []),

@@ -22,27 +22,26 @@ The stream is read no later than it is needed. Among the first *i* + 1
 steps at most *i* + 1 sources are uncached, so an uncached source at
 step *i* sits at stream index *k* <= *i* and was read at step *k*.
 
-New homes come from donors: groups of ``max_blk`` slots, one per
-``max_blk`` free blocks, held in memory and never in the inode table. A
-donor is picked uniformly among those with an untouched slot at the
-needed logical index (falling back to reuse when files outnumber
-donors; the swapped-out block a reused slot holds has already been
-rehomed, so the chain stays consistent). The donors' final blocks
-return to the free pool, even on failure.
+Each step re-homes its block with ``BlockFs.move_extent``: the new home
+is an ``allocate_block`` draw, uniform over the free pool, and the old
+home goes on the pass's one donor, the list of homes it has vacated.
+The donor is freed when the pass ends, in its ``finally``, so a pass
+that fails part way still returns every vacated block.
 
-Homes are drawn on first use: a slot gets its uniformly random free
-block only when a swap first touches it, so a shuffle makes one layout
-draw per swap that is not a donor reuse, not one per donor slot. The
-placement distribution is the one eager homes would give. Eagerly, the
-touched slots hold a uniform sample without replacement from the free
-pool at shuffle start. Lazily, each first touch draws uniformly from
-that same pool minus the homes already drawn (vacated blocks sit in
-their donor slot, not in the pool, until the donors are freed), which
-is the same sample drawn one element at a time. The shuffle stream's
-draws do not depend on the homes, so the slot sequence is unchanged.
+Vacated homes wait for the end of the pass rather than rejoining the
+pool at once. So while the pool lasts, the *k*-th step draws uniformly
+from the pool as it stood at the start of the pass minus the *k* - 1
+homes already drawn: the new homes are a uniform sample without
+replacement from that pool, drawn one element at a time. They are
+independent of where the blocks lived before, and no write lands on a
+home the pass reads. Only when the pool runs dry does a step take a
+uniformly random vacated home instead (a donor reuse). That write lands
+on a home the pass has read, so reuse is the fallback, never the rule.
+The shuffle stream's draws do not depend on the homes, so the slot
+sequence is the same either way.
 
 Each source block is read at most once, and the observable pattern is a
-function of (num_shuff_blk, num_donors, cache occupancy) only, never of
+function of (num_shuff_blk, free blocks, cache occupancy) only, never of
 file contents or of which file a block belongs to.
 """
 
@@ -52,7 +51,6 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .blockfs import FLAG_REGULAR, BlockFs
-from .errors import ShuffleImpossibleError
 from .rng import Rng
 
 
@@ -70,7 +68,6 @@ class ShufflePlan:
     fds: tuple[int, ...]
     max_blk: int
     num_shuff_blk: int
-    num_donors: int
 
 
 @dataclass
@@ -98,11 +95,8 @@ class ShuffleIo(Protocol):
 
 def build_plan(fs: BlockFs, fds) -> ShufflePlan:
     fds = tuple(fd for fd in fds if fs.file_blocks(fd) > 0)
-    if not fds:
-        return ShufflePlan((), 0, 0, 0)
-    max_blk = max(fs.file_blocks(fd) for fd in fds)
-    total = sum(fs.file_blocks(fd) for fd in fds)
-    return ShufflePlan(fds, max_blk, total, fs.free_blocks // max_blk)
+    sizes = [fs.file_blocks(fd) for fd in fds]
+    return ShufflePlan(fds, max(sizes, default=0), sum(sizes))
 
 
 def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
@@ -113,10 +107,7 @@ def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
     stats = ShuffleStats(plan)
     if plan.num_shuff_blk == 0:
         return stats
-    if fs.free_blocks < plan.max_blk:
-        raise ShuffleImpossibleError(
-            f"{fs.free_blocks} free blocks cannot host a {plan.max_blk}-block donor")
-    donors = fs.create_donors(plan.num_donors, plan.max_blk)
+    donor = fs.create_donors(plan.max_blk)
     try:
         sources = [(fd, b) for fd in plan.fds
                    for b in range(fs.file_blocks(fd))]
@@ -124,11 +115,9 @@ def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
         stream = [src for src in order if io.peek_cache(*src) is None]
         stats.real_reads = len(stream)
         stats.dummy_reads = stats.served_from_cache = len(order) - len(stream)
-        # Per logical index, the donors whose slot there is untouched.
-        untouched = [list(range(len(donors))) for _ in range(plan.max_blk)]
         # Stream blocks read, at their own step or ahead of it.
         fetched: dict[tuple[int, int], bytes] = {}
-        phys_of, randbelow = fs.phys_of, rng.randbelow
+        phys_of, move_extent = fs.phys_of, fs.move_extent
         for step, (fd, b) in enumerate(order):
             if step < len(stream):
                 src = stream[step]
@@ -136,14 +125,10 @@ def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
             else:
                 io.pump_dummy_read()
             data = fetched.pop((fd, b), None) or io.peek_cache(fd, b)
-            eligible = untouched[b]
-            if eligible:
-                d = eligible.pop(randbelow(len(eligible)))
-            else:
-                d = randbelow(len(donors))
+            if not fs.free_blocks:
                 stats.donor_reuses += 1
-            io.write_phys(fs.move_extent(fd, donors[d], b), data)
+            io.write_phys(move_extent(fd, b, donor), data)
             stats.swaps += 1
     finally:
-        fs.unlink_all(donors)
+        fs.unlink_all(donor)
     return stats

@@ -18,6 +18,7 @@ from oblivsim import (
     ProtectionMode,
     RangeError,
     RngTree,
+    ShuffleImpossibleError,
     SimClock,
     SpaceError,
     build_image,
@@ -189,29 +190,28 @@ def test_move_extent_swaps_physical_homes():
     fs = make_fs(64)
     io = DictIo()
     a = fs.create_file()
-    fs.file_write(io, a, 0, b"\x01" * BLOCK_SIZE)
-    [donor] = fs.create_donors(1, 1)
-    assert donor == [None]
+    fs.file_write(io, a, 0, b"\x01" * 2 * BLOCK_SIZE)
+    donor = fs.create_donors(2)
     free0, pool = fs.free_blocks, set(fs._free)
-    pa = fs.phys_of(a, 0)
-    # The first move at a slot draws its home from the free pool.
-    fs.move_extent(a, donor, 0)
-    pd = fs.phys_of(a, 0)
-    assert pd in pool and fs._bit(pd)
+    pa, pb = fs.phys_of(a, 0), fs.phys_of(a, 1)
+    # While the pool lasts, the new home is drawn from it and the old
+    # home stays allocated on the donor.
+    home = fs.move_extent(a, 0, donor)
+    assert home == fs.phys_of(a, 0) and home in pool and fs._bit(home)
     assert donor == [pa] and fs._bit(pa)
     assert fs.free_blocks == free0 - 1
-    # A second move at the same slot takes the block it vacated.
-    fs.move_extent(a, donor, 0)
-    assert fs.phys_of(a, 0) == pa
-    assert donor == [pd]
-    assert fs.free_blocks == free0 - 1
     with pytest.raises(RangeError):
-        fs.move_extent(a, donor, 1)  # the file has no block 1
-    fs.file_write(io, a, BLOCK_SIZE, b"\x02" * BLOCK_SIZE)
-    with pytest.raises(RangeError):
-        fs.move_extent(a, donor, 1)  # the donor has no block 1
-    fs.unlink_all([donor])
-    assert fs.free_blocks == free0 - 1  # only file a's second block is gone
+        fs.move_extent(a, 2, donor)  # the file has no block 2
+    # Once the pool is empty, the new home is taken out of the donor.
+    held = [fs.allocate_block() for _ in range(fs.free_blocks)]
+    with pytest.raises(SpaceError):
+        fs.move_extent(a, 1, [])  # no free block and nothing vacated
+    assert fs.move_extent(a, 1, donor) == pa
+    assert donor == [pb] and fs.phys_of(a, 1) == pa
+    for phys in held:
+        fs.free_block(phys)
+    fs.unlink_all(donor)
+    assert fs.free_blocks == free0
     assert fs.fsck() == []
 
 
@@ -222,23 +222,21 @@ def test_create_donors_and_unlink_all():
     fs.file_write(io, f, 0, b"\x03" * 2 * BLOCK_SIZE)
     free0 = fs.free_blocks
     inodes0 = [ino.used for ino in fs.inodes]
-    donors = fs.create_donors(3, 2)
-    assert donors == [[None, None]] * 3
-    assert fs.free_blocks == free0  # homes are drawn on first use
+    donor = fs.create_donors(2)
+    assert donor == [] and fs.free_blocks == free0  # nothing allocated up front
+    vacated = [fs.phys_of(f, 0), fs.phys_of(f, 1)]
+    fs.move_extent(f, 1, donor)
+    fs.move_extent(f, 0, donor)
+    assert donor == vacated[::-1]  # in the order the homes were vacated
     assert [ino.used for ino in fs.inodes] == inodes0  # no inode spent
-    fs.move_extent(f, donors[1], 0)
-    fs.move_extent(f, donors[2], 1)
     assert fs.free_blocks == free0 - 2
-    assert sum(p is not None for d in donors for p in d) == 2
-    fs.unlink_all(donors)
-    assert fs.free_blocks == free0
+    fs.unlink_all(donor)
+    assert fs.free_blocks == free0 and fs._free[-2:] == vacated[::-1]
     assert fs.fsck() == []
-    # Every slot must still fit in the free pool, homed or not.
-    assert fs.create_donors(1, free0) == [[None] * free0]
-    with pytest.raises(SpaceError):
-        fs.create_donors(1, free0 + 1)
-    with pytest.raises(SpaceError):
-        fs.create_donors(100, 10)
+    # The largest file must fit in the free pool.
+    assert fs.create_donors(free0) == []
+    with pytest.raises(ShuffleImpossibleError):
+        fs.create_donors(free0 + 1)
     assert fs.free_blocks == free0
 
 

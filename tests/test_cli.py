@@ -182,6 +182,8 @@ def test_counts_must_be_positive(argv, image, tmp_path, capsys):
     (("--blocks", -4), "at least 8 blocks"),
     (("--blocks", 0), "at least 8 blocks"),
     (("--blocks", 64, "--blank", -5), "not a negative number"),
+    (("--blocks", 64, "--max-files", -2), "max_files -2,"),
+    (("--blocks", 64, "--max-file-blocks", -3), "max_file_blocks -3:"),
 ])
 def test_create_image_refuses_negative_sizes(argv, message, tmp_path, capsys):
     img = tmp_path / "x.img"
@@ -190,6 +192,23 @@ def test_create_image_refuses_negative_sizes(argv, message, tmp_path, capsys):
     assert rc == 2
     assert "error: " in captured.err and message in captured.err
     assert not img.exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("fsck", "--image", "{image}", "--key", "zz"), "--key"),
+    (("create-image", "--out", "{out}", "--blocks", 64, "--key", "zz"), "--key"),
+    (("run", "--image", "{image}", "--key", KEY_HEX, "--verity-root", "0g",
+      "--workload", "idle(5)", "--out", "{out}"), "--verity-root"),
+    (("provision", "--peer", "zz,addr"), "--peer"),
+    (("provision", "--peer", "ab" * 32 + ",addr,fast"), "--peer"),
+])
+def test_malformed_hex_is_a_usage_error(argv, option, image, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli(*(str(a).format(image=image, out=out) for a in argv))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"error: {option}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_negative_workload_argument_is_refused(image, tmp_path, capsys):

@@ -292,7 +292,7 @@ PINNED_OPS = [("w", 0, 0), ("w", 0, 1), ("w", 1, 0), ("r", 0, 0), ("r", 0, 1),
               ("p", 1, 2), ("r", 0, 5), ("r", 0, 5), ("w", 0, 6), ("r", 0, 0),
               ("r", 1, 0), ("p", 0, 3), ("r", 0, 6), ("r", 1, 1), ("w", 0, 7),
               ("r", 0, 1)]
-PINNED_TRACE_SHA256 = "0863b2990a597e30282d330d4cdf9db951b8ce944fef0ed5bad7350401c93277"
+PINNED_TRACE_SHA256 = "1bf1aea8e1f47e9c30dc1422ace5a65764a7be75560c30c7ff23e1facec054f3"
 PINNED_COUNTERS = {"rounds": 40, "real_reads": 28, "dummy_reads": 12, "real_writes": 28,
                    "dummy_writes": 12, "shuffles": 2, "cache_hits": 1,
                    "net_real": 0, "net_dummy": 0}

@@ -110,8 +110,8 @@ def test_build_plan_counts_and_skips_empty_files():
     fs, io, fds = make_world(sizes=(5, 3, 1))
     empty = fs.create_file()
     plan = build_plan(fs, fds + [empty])
-    assert plan == ShufflePlan(tuple(fds), 5, 9, fs.free_blocks // 5)
-    assert build_plan(fs, [empty]) == ShufflePlan((), 0, 0, 0)
+    assert plan == ShufflePlan(tuple(fds), 5, 9)
+    assert build_plan(fs, [empty]) == ShufflePlan((), 0, 0)
 
 
 def test_shuffle_preserves_contents_and_moves_every_block():
@@ -127,7 +127,7 @@ def test_shuffle_preserves_contents_and_moves_every_block():
     assert len(set(after.values())) == 9
     assert fs.free_blocks == free_before
     assert fs.fsck() == []
-    assert len(fs.files_with_flag(FLAG_REGULAR)) == 3  # donors are gone
+    assert len(fs.files_with_flag(FLAG_REGULAR)) == 3  # no file was added
 
 
 def test_every_step_spends_exactly_one_read_slot():
@@ -156,18 +156,22 @@ def test_cache_resident_blocks_skip_their_own_read():
         assert before[key] not in io.read_log
 
 
-def test_donor_reuse_when_files_outnumber_donors():
-    # Two 4-block files with only 5 free blocks: a single donor must
-    # host both, reusing each logical slot once.
+def test_vacated_homes_are_reused_only_when_the_pool_runs_dry():
+    # Two 4-block files over 5 free blocks: the first five steps draw
+    # their homes from the pool, the last three take homes the pass
+    # itself vacated.
     fs, io, fds = make_world(sizes=(4, 4), filler=41)
-    plan = build_plan(fs, fds)
-    assert plan.num_donors == 1
+    pool, before = set(fs._free), placements(fs, fds)
+    assert len(pool) == 5
     stats = oblivious_shuffle(fs, io, RngTree(6).stream("shuffle"), fds)
-    assert stats.donor_reuses == 4
-    assert stats.swaps == 8
+    assert (stats.swaps, stats.donor_reuses) == (8, 3)
+    assert set(io.write_log[:5]) == pool
+    assert set(io.write_log[5:]) <= set(before.values())
     for fd in fds:
         for b in range(4):
             assert io.pages[fs.phys_of(fd, b)] == token(fd, b)
+    # The five homes left vacated go back to the pool.
+    assert fs.free_blocks == 5 and set(fs._free) <= set(before.values())
     assert fs.fsck() == []
 
 
@@ -192,19 +196,17 @@ def test_shuffle_succeeds_with_a_full_inode_table():
 
 
 def test_one_block_file_shuffles_on_a_default_geometry_image():
-    # Every free block becomes a one-block donor: far more donors than
-    # the inode table has entries.
     data = bytes(range(256)) * (BLOCK_SIZE // 256)
     bundle = build_image(4096, ProtectionMode.CRYPT_INTEGRITY, [data],
                          seed=3, key=DEFAULT_KEY)
     m = mount(bundle, seed=3)
-    assert m.fs.free_blocks > m.fs.max_files
     fd = m.engine.regular_fd(0)
-    before = m.fs.phys_of(fd, 0)
+    before, free_before = m.fs.phys_of(fd, 0), m.fs.free_blocks
     stats = m.engine.shuffle_now()
-    assert stats.plan.num_donors == m.fs.free_blocks
+    assert (stats.swaps, stats.donor_reuses) == (1, 0)
     assert m.fs.phys_of(fd, 0) != before
     assert m.engine.read_file(fd, 0, BLOCK_SIZE) == data
+    assert m.fs.free_blocks == free_before
     assert m.fs.fsck() == []
 
 
@@ -220,13 +222,12 @@ def _count_allocations(fs):
     return calls
 
 
-def test_shuffle_draws_one_home_per_fresh_donor_slot():
-    # Homes are drawn on first use, so only swaps into untouched slots
-    # cost a layout draw, however many donors the plan holds.
+def test_shuffle_draws_one_home_per_swap_until_the_pool_runs_dry():
+    # A reuse takes a vacated home and draws nothing from the pool.
     fs, io, fds = make_world(sizes=(4, 4), filler=41)
     calls = _count_allocations(fs)
     stats = oblivious_shuffle(fs, io, RngTree(6).stream("shuffle"), fds)
-    assert (stats.swaps, stats.donor_reuses) == (8, 4)
+    assert (stats.swaps, stats.donor_reuses) == (8, 3)
     assert len(calls) == stats.swaps - stats.donor_reuses
 
     bundle = build_image(4096, ProtectionMode.CRYPT_INTEGRITY, [b"x"],
@@ -234,13 +235,12 @@ def test_shuffle_draws_one_home_per_fresh_donor_slot():
     m = mount(bundle, seed=3)
     calls = _count_allocations(m.fs)
     stats = m.engine.shuffle_now()
-    assert stats.plan.num_donors > 3000
     assert (stats.swaps, stats.donor_reuses) == (1, 0)
     assert len(calls) == 1
     assert m.fs.fsck() == []
 
 
-def test_tampered_read_mid_shuffle_returns_the_donors(small):
+def test_tampered_read_mid_shuffle_returns_the_vacated_homes(small):
     fd = small.engine.regular_fd(0)
     phys = small.fs.phys_of(fd, 5)
     small.host.image[small.store.layout.data_offset(phys)] ^= 0x01
@@ -251,7 +251,7 @@ def test_tampered_read_mid_shuffle_returns_the_donors(small):
     assert small.fs.free_blocks == free_before
     assert small.fs.fsck() == []
     # Free space is intact, so a retry meets the same tampered block
-    # rather than a shortage of donor space.
+    # rather than a shortage of free blocks.
     with pytest.raises(IntegrityError):
         small.engine.shuffle_now()
 
@@ -279,34 +279,56 @@ def test_default_selection_is_regular_files_only():
     assert fs.dummy_blocks() == dummy_before
 
 
-def _host_io_digest(io, fs, fds, stats) -> str:
+def _host_io_digest(io, fs, fds, stats=None) -> str:
     # Files are named by their index in ``fds``, not by descriptor, so the
     # digest does not depend on which inode entries the files landed in.
     index = {fd: i for i, fd in enumerate(fds)}
     maps = sorted([index[fd], b, phys]
                   for (fd, b), phys in placements(fs, fds).items())
-    shape = dataclasses.asdict(stats)
-    shape["plan"]["fds"] = [index[fd] for fd in stats.plan.fds]
     record = {"reads": io.read_log, "writes": io.write_log, "slots": io.slot_log,
-              "maps": maps, "stats": shape}
+              "maps": maps}
+    if stats is not None:
+        record["stats"] = shape = dataclasses.asdict(stats)
+        shape["plan"]["fds"] = [index[fd] for fd in stats.plan.fds]
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
+def test_placement_is_pinned_while_the_pool_lasts():
+    # Three files of 4, 4 and 2 blocks over 14 free blocks, three sources
+    # held in the cache: the pool never runs dry, so every new home is an
+    # ``allocate_block`` draw in step order and no vacated home is reused.
+    # The digest covers the ordered read, write and slot logs and the
+    # final block maps, not the stats; it was fixed while homes still
+    # came from a grid of donor slots, which placed every block the same.
+    fs, io, fds = make_world(sizes=(4, 4, 2), filler=30)
+    assert fs.free_blocks == 14
+    io.resident = {key: token(*key) for key in
+                   ((fds[0], 2), (fds[1], 0), (fds[2], 1))}
+    stats = oblivious_shuffle(fs, io, RngTree(5).stream("shuffle"), fds)
+    assert (stats.swaps, stats.served_from_cache, stats.donor_reuses) == (10, 3, 0)
+    for fd in fds:
+        for b in range(fs.file_blocks(fd)):
+            assert io.pages[fs.phys_of(fd, b)] == token(fd, b)
+    assert _host_io_digest(io, fs, fds) == (
+        "5936c2095f0b3cde7b902abae22f97646f36f6bf4881c18de1bc5092fdac4df6")
+
+
 def test_shuffle_host_io_is_pinned():
-    # Cache-resident sources, donor reuse and padding reads in one world:
-    # three files of 4, 4 and 2 blocks over 10 free blocks (2 donors of 4
-    # slots), with four sources held in the cache. The digest covers the
-    # ordered read and write phys lists, the final block maps, the
-    # stats, and the order of reads, writes and padding reads among them;
-    # it was fixed before the shuffle's read stream was rewritten.
-    fs, io, fds = make_world(sizes=(4, 4, 2), filler=34)
+    # Cache-resident sources, reuse of vacated homes and padding reads in
+    # one world: three files of 4, 4 and 2 blocks over 7 free blocks, so
+    # the last three steps find the pool dry, with four sources held in
+    # the cache. The digest covers the ordered read and write phys lists,
+    # the final block maps, the stats, and the order of reads, writes and
+    # padding reads among them.
+    fs, io, fds = make_world(sizes=(4, 4, 2), filler=37)
+    assert fs.free_blocks == 7
     io.resident = {key: token(*key) for key in
                    ((fds[0], 1), (fds[1], 3), (fds[2], 0), (fds[2], 1))}
     stats = oblivious_shuffle(fs, io, RngTree(21).stream("shuffle"), fds)
     assert stats.served_from_cache == 4
-    assert stats.donor_reuses > 0 and stats.dummy_reads > 0
+    assert stats.donor_reuses == 3 and stats.dummy_reads > 0
     for fd in fds:
         for b in range(fs.file_blocks(fd)):
             assert io.pages[fs.phys_of(fd, b)] == token(fd, b)
     assert _host_io_digest(io, fs, fds, stats) == (
-        "455ff96ff07f61ce5b6b706511d9854d8db60f368849d193ff9a331cc3a50819")
+        "175035a7b65f0ab1ac81ddad013ec499f90226c8fa6bb6fdde8d71c516240e3c")

@@ -7,8 +7,20 @@ from __future__ import annotations
 
 import importlib.util
 import inspect
+import time
 import types
 from pathlib import Path
+
+from conftest import mount
+from oblivsim import (
+    BLOCK_SIZE,
+    EchoPeer,
+    EngineConfig,
+    PeerIdentity,
+    ShapingClass,
+    StaticIdentity,
+    establish,
+)
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
@@ -28,3 +40,68 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
         raw = inspect.getattr_static(owner, attr)
         assert isinstance(raw, (types.FunctionType, classmethod, staticmethod)), \
             f"{owner.__name__}.{attr}"
+
+
+class _Client:
+    """Stands in for the benchmark's workload class, whose ``op``,
+    ``finish`` and ``mount`` the tracer wraps as well."""
+
+    def op(self):
+        pass
+
+    def finish(self):
+        pass
+
+    def mount(self):
+        pass
+
+
+def test_the_tracer_hooks_read_live_attributes(small_bundle):
+    # A mount that misses, refetches an evicted page (so the cache asks
+    # for a shuffle), grows a file until a pass runs its pool dry, sends
+    # over a shaped link and runs rounds, all under the tracer. Each hook
+    # and each attribute ``layer_metrics`` reads must see the live value.
+    tracing = load_tracing()
+    m = mount(small_bundle, seed=1, config=EngineConfig(cache_capacity=2))
+    eng = m.engine
+    a = StaticIdentity.from_private_bytes(bytes(range(32)))
+    b = StaticIdentity.from_private_bytes(bytes(range(32, 64)))
+    link = eng.add_link(3, establish(a, PeerIdentity(b.public_bytes)))
+    peer = EchoPeer(m.host, 3, establish(b, PeerIdentity(a.public_bytes)),
+                    ShapingClass())
+    eng.add_external_pump(peer)
+    tracer = tracing.Tracer()
+    t0 = time.perf_counter_ns()
+    with tracer.installed(_Client):
+        fd_a, fd_b = eng.regular_fd(0), eng.regular_fd(1)
+        for blk in (0, 1, 2, 0):
+            eng.read_file(fd_a, blk * BLOCK_SIZE, 4)
+        # File b grows from 3 to 22 blocks, leaving 24 free blocks for a
+        # 30-block pass.
+        eng.write_file(fd_b, 3 * BLOCK_SIZE, bytes(19 * BLOCK_SIZE))
+        stats = eng.shuffle_now()
+        for payload in (b"ping", b"pong", b"again"):
+            eng.net_send(3, payload)
+        m.host.deliver_frame(3, bytes(m.host.mtu))  # a forged frame
+        eng.run_rounds(20)
+    wall_ns = time.perf_counter_ns() - t0
+    out = tracer.layer_metrics(types.SimpleNamespace(engine=eng, peer=peer), wall_ns, 0.0)
+    counts, sched, cache = tracer.counts, eng.sched, eng.cache
+
+    assert tracer.calls["engine.oblivious_shuffle"] >= 2
+    assert counts["pagecache.shuffle_required"] >= 1  # Outcome.SHUFFLE_REQUIRED
+    assert stats.donor_reuses == 6
+    assert out["shuffle.donor_reuses"] == counts["shuffle.donor_reuses"] >= 6
+    assert out["shaper.backlog_peak"] >= 1  # PeerShaper.backlog
+    assert 0 < out["sched.read_useful_frac"] < 1
+    assert out["sched.read_useful_frac"] == (
+        sched.real_reads / (sched.real_reads + sched.dummy_reads))
+    assert 0 < out["sched.write_useful_frac"] < 1
+    assert out["sched.write_useful_frac"] == (
+        sched.real_writes / (sched.real_writes + sched.dummy_writes))
+    assert out["pagecache.misses"] == cache.fetches > 0
+    assert out["pagecache.hit_ratio"] == cache.hits / (cache.hits + cache.fetches)
+    assert link.rx_errors == 1
+    assert out["channel.rx_errors"] == link.rx_errors + peer.rx_errors
+    assert out["engine.peer_drops"] == peer.dropped
+    assert peer.session.received_real == 3
