@@ -15,14 +15,18 @@ ground truth to lean on. Three checks:
 Comparing traces recorded under different configurations is refused
 outright; a shape difference between different configurations is
 expected and means nothing.
+
+scipy is needed only by the analyzer, which loads it on first use:
+``uniformity_test`` imports it in its body, never at module level. The
+package imports this module, and the runtime itself needs only
+``cryptography``; a new statistical test here that needs scipy imports
+it the same way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import stats as _scipy_stats
 
 from .errors import InsufficientDataError, ParameterError, TraceConfigMismatch
 from .trace import CallKind, HostTrace
@@ -85,6 +89,8 @@ def uniformity_test(samples, domain, min_samples: int = MIN_UNIFORMITY_SAMPLES
     bin expects at least five observations, the usual validity floor
     for the chi-square approximation.
     """
+    from scipy import stats
+
     domain = sorted(set(domain))
     if len(domain) < 2:
         raise ParameterError("uniformity needs a domain of at least two values")
@@ -114,7 +120,7 @@ def uniformity_test(samples, domain, min_samples: int = MIN_UNIFORMITY_SAMPLES
         raise ParameterError("domain pooled down to a single bin; "
                              "need more samples for this domain size")
     expected = [n * s / d for s in sizes]
-    _chi2, p = _scipy_stats.chisquare(observed, expected)
+    _chi2, p = stats.chisquare(observed, expected)
     return UniformityResult(float(p), n, len(observed))
 
 

@@ -292,15 +292,20 @@ def _parse_peer_spec(spec: str) -> PeerIdentity:
     try:
         if len(parts) in (2, 3):
             rate = int(parts[2]) if len(parts) == 3 else 200_000_000
-            return PeerIdentity(bytes.fromhex(parts[0]), parts[1], rate)
+            if 1 <= rate < 2**64:
+                return PeerIdentity(bytes.fromhex(parts[0]), parts[1], rate)
     except ValueError:
         pass
-    raise ParameterError(f"--peer {spec!r}: want PUBHEX,ADDR[,RATE]")
+    raise ParameterError(
+        f"--peer {spec!r}: want PUBHEX,ADDR[,RATE] with 1 <= RATE < 2**64")
 
 
 def cmd_provision(args) -> int:
+    key = _hex_or_none(args.key, "--key")
+    if key is not None and len(key) != 32:
+        raise ParameterError(f"--key must be 32 bytes, not {len(key)}")
     secrets = ProvisioningSecrets(
-        disk_key=_hex_or_none(args.key, "--key"),
+        disk_key=key,
         verity_root=_hex_or_none(args.verity_root, "--verity-root"),
         peers=tuple(_parse_peer_spec(s) for s in args.peer or []),
         exec_path=args.exec_path or "",

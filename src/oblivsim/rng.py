@@ -23,31 +23,47 @@ traces but different ciphertexts.
 from __future__ import annotations
 
 import hashlib
-import hmac
+
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 class HmacDrbg:
-    """Deterministic byte generator (HMAC_DRBG style, SHA-256)."""
+    """Deterministic byte generator (HMAC_DRBG style, SHA-256).
+
+    HMAC (RFC 2104) is computed by hand: the key's two padded blocks are
+    hashed once per key, and each MAC continues copies of those states.
+    The bytes equal ``hmac.new(key, data, hashlib.sha256).digest()``.
+    """
 
     def __init__(self, seed_material: bytes):
-        self._k = b"\x00" * 32
+        self._set_key(b"\x00" * 32)
         self._v = b"\x01" * 32
         self._update(seed_material)
 
-    def _hmac(self, key: bytes, data: bytes) -> bytes:
-        return hmac.new(key, data, hashlib.sha256).digest()
+    def _set_key(self, key: bytes) -> None:
+        key = key.ljust(64, b"\0")
+        self._inner = hashlib.sha256(key.translate(_IPAD))
+        self._outer = hashlib.sha256(key.translate(_OPAD))
+
+    def _hmac(self, data: bytes) -> bytes:
+        inner = self._inner.copy()
+        inner.update(data)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def _update(self, provided: bytes = b"") -> None:
-        self._k = self._hmac(self._k, self._v + b"\x00" + provided)
-        self._v = self._hmac(self._k, self._v)
+        self._set_key(self._hmac(self._v + b"\x00" + provided))
+        self._v = self._hmac(self._v)
         if provided:
-            self._k = self._hmac(self._k, self._v + b"\x01" + provided)
-            self._v = self._hmac(self._k, self._v)
+            self._set_key(self._hmac(self._v + b"\x01" + provided))
+            self._v = self._hmac(self._v)
 
     def random_bytes(self, n: int) -> bytes:
         out = b""
         while len(out) < n:
-            self._v = self._hmac(self._k, self._v)
+            self._v = self._hmac(self._v)
             out += self._v
         self._update()
         return out[:n]

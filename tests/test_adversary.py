@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import ast
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oblivsim
 from oblivsim import adversary
 from oblivsim import (
     CallKind,
@@ -154,6 +160,30 @@ def test_the_analyzer_imports_only_the_trace_and_its_errors():
                 else [node.module]
             assert not any(n.split(".")[0] == "oblivsim" for n in names)
     assert local == {"trace", "errors"}
+
+
+_IMPORT_PROBE = """
+import json, sys
+import oblivsim, oblivsim.cli, oblivsim.engine
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "numpy"))
+oblivsim.uniformity_test(list(range(10)) * 100, range(10))
+print(json.dumps([heavy, "scipy.stats" in sys.modules]))
+"""
+
+
+def test_the_runtime_imports_no_scipy_until_the_analyzer_runs():
+    # The runtime needs only cryptography; scipy (and the numpy under it)
+    # is the analyzer's, loaded by its first chi-square. A fresh
+    # interpreter keeps modules loaded by this suite out of the count.
+    src = str(Path(oblivsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    heavy, stats_loaded = json.loads(out)
+    assert heavy == []
+    assert stats_loaded
 
 
 # Rate accounting ------------------------------------------------------

@@ -201,8 +201,12 @@ def test_create_image_refuses_negative_sizes(argv, message, tmp_path, capsys):
       "--workload", "idle(5)", "--out", "{out}"), "--verity-root"),
     (("provision", "--peer", "zz,addr"), "--peer"),
     (("provision", "--peer", "ab" * 32 + ",addr,fast"), "--peer"),
+    (("provision", "--peer", "ab" * 32 + ",addr,-5"), "--peer"),
+    (("provision", "--peer", "ab" * 32 + ",addr,0"), "--peer"),
+    (("provision", "--peer", "ab" * 32 + f",addr,{2**64}"), "--peer"),
+    (("provision", "--key", "abcd"), "--key"),
 ])
-def test_malformed_hex_is_a_usage_error(argv, option, image, tmp_path, capsys):
+def test_malformed_option_is_a_usage_error(argv, option, image, tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli(*(str(a).format(image=image, out=out) for a in argv))
     captured = capsys.readouterr()

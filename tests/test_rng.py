@@ -50,6 +50,29 @@ def test_drbg_matches_independent_transcript():
         assert drbg.random_bytes(n) == oracle.generate(n)
 
 
+@pytest.mark.parametrize("seed", [b"", b"s", b"x" * 32, b"y" * 65, bytes(range(200))],
+                         ids=["empty", "1B", "32B", "65B", "200B"])
+def test_precomputed_hmac_states_equal_hmac_new(seed):
+    # The generator hashes its key's padded blocks once per key; every
+    # MAC must still equal hmac.new under the key the textbook transcript
+    # holds at that point, before and after each re-key by _update.
+    drbg = HmacDrbg(seed)
+    oracle = _DrbgOracle(seed)
+
+    def check():
+        for data in (b"", oracle.v, b"\x36" * 64, b"q" * 100):
+            assert drbg._hmac(data) == hmac.new(oracle.k, data, hashlib.sha256).digest()
+
+    for n in (1, 31, 32, 33, 64, 65, 97):
+        check()
+        assert drbg.random_bytes(n) == oracle.generate(n)
+    for provided in (b"", b"reseed"):
+        drbg._update(provided)
+        oracle._update(provided)
+        check()
+        assert drbg.random_bytes(33) == oracle.generate(33)
+
+
 def test_buffered_draws_read_the_chunked_generate_stream():
     # Rng serves draws from buffered generate(_CHUNK) calls: odd-sized
     # requests and randbelow draws that straddle a chunk boundary must
