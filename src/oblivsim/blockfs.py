@@ -351,12 +351,15 @@ class BlockFs:
         """Re-home file ``fd``'s block ``lblk`` at an ``allocate_block``
         draw or, once the pool is empty, at a random block taken out of
         ``donor``; append the old home to ``donor``. Returns the new home."""
-        old = self.phys_of(fd, lblk)
+        block_map = self._inode(fd).block_map
+        old = block_map[lblk] if 0 <= lblk < self.max_file_blocks else None
+        if old is None:
+            raise RangeError(f"file {fd} has no block {lblk}")
         if self._free or not donor:
             home = self.allocate_block()
         else:
             home = donor.pop(self.rng.randbelow(len(donor)))
-        self.inodes[fd].block_map[lblk] = home
+        block_map[lblk] = home
         donor.append(old)
         return home
 

@@ -230,24 +230,30 @@ class ProvisioningSecrets:
     exec_args: tuple[str, ...] = ()
 
     def encode(self) -> bytes:
-        """Length-prefixed binary record (versioned)."""
-        def lv(b: bytes) -> bytes:
-            return struct.pack(">H", len(b)) + b
+        """Length-prefixed binary record (versioned). Lengths and counts
+        are 16-bit; a larger one raises ParameterError."""
+        def u16(n: int, what: str) -> bytes:
+            if n > 0xFFFF:
+                raise ParameterError(f"{what} is {n}, over the record's limit of 65535")
+            return struct.pack(">H", n)
+
+        def lv(b: bytes, what: str) -> bytes:
+            return u16(len(b), what) + b
 
         out = [PROV_MAGIC, struct.pack(">B", PROV_VERSION)]
-        out.append(lv(self.disk_key or b""))
-        out.append(lv(self.verity_root or b""))
-        out.append(struct.pack(">H", len(self.peers)))
+        out.append(lv(self.disk_key or b"", "disk key length"))
+        out.append(lv(self.verity_root or b"", "verity root length"))
+        out.append(u16(len(self.peers), "peer count"))
         for p in self.peers:
             if len(p.public_key) != 32:
                 raise ParameterError("peer public keys are 32 bytes")
             out.append(p.public_key)
-            out.append(lv(p.address.encode()))
+            out.append(lv(p.address.encode(), "peer address length"))
             out.append(struct.pack(">Q", p.rate_bps))
-        out.append(lv(self.exec_path.encode()))
-        out.append(struct.pack(">H", len(self.exec_args)))
+        out.append(lv(self.exec_path.encode(), "exec path length"))
+        out.append(u16(len(self.exec_args), "exec arg count"))
         for a in self.exec_args:
-            out.append(lv(a.encode()))
+            out.append(lv(a.encode(), "exec arg length"))
         return b"".join(out)
 
     @classmethod

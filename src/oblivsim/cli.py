@@ -72,6 +72,13 @@ def _hex_or_none(value: str | None, option: str) -> bytes | None:
         raise ParameterError(f"{option} takes hex, not {value!r}") from None
 
 
+def _hex32_or_none(value: str | None, option: str) -> bytes | None:
+    raw = _hex_or_none(value, option)
+    if raw is not None and len(raw) != 32:
+        raise ParameterError(f"{option} must be 32 bytes, not {len(raw)}")
+    return raw
+
+
 def _open(args, seed: int | None = None, **kw):
     """Mount an in-memory copy of ``--image`` under ``--key`` and
     ``--verity-root``, seeded by ``seed`` or else ``--seed``."""
@@ -301,12 +308,9 @@ def _parse_peer_spec(spec: str) -> PeerIdentity:
 
 
 def cmd_provision(args) -> int:
-    key = _hex_or_none(args.key, "--key")
-    if key is not None and len(key) != 32:
-        raise ParameterError(f"--key must be 32 bytes, not {len(key)}")
     secrets = ProvisioningSecrets(
-        disk_key=key,
-        verity_root=_hex_or_none(args.verity_root, "--verity-root"),
+        disk_key=_hex32_or_none(args.key, "--key"),
+        verity_root=_hex32_or_none(args.verity_root, "--verity-root"),
         peers=tuple(_parse_peer_spec(s) for s in args.peer or []),
         exec_path=args.exec_path or "",
         exec_args=tuple(args.arg or []),

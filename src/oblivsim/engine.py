@@ -4,15 +4,15 @@ page cache, the shuffle and the shaped network links.
 Two I/O personalities implement the filesystem's block interface:
 
 * ``CachedIo`` is the protected path. Reads and writes go through the
-  page cache. A miss calls ``Engine.read_phys``, which the shuffle uses
-  for its reads too: a block still in the write queue is served from
-  there, and otherwise the read is queued and the next batched round
-  serves it, one round per read. Dirty pages the cache evicts go
-  straight to the scheduler's write queue. When the cache reports that
-  a block would need a repeat host read this epoch, the engine runs a
-  layout shuffle and retries. The shuffle lands the dirty
-  pages itself: its pass writes every resident page to the page's new
-  home, so no flush precedes it (see ``Engine.shuffle_now``).
+  page cache. A miss calls ``Engine.read_phys``: a block still in the
+  write queue is served from there, and otherwise the next batched
+  round reads it in its first read slot, one round per read. Dirty
+  pages the cache evicts go straight to the scheduler's write queue.
+  When the cache reports that a block would need a repeat host read
+  this epoch, the engine runs a layout shuffle and retries. The shuffle
+  lands the dirty pages itself: its pass writes every resident page to
+  the page's new home, so no flush precedes it (see
+  ``Engine.shuffle_now``).
 * ``DirectIo`` is the passthrough path. Every block operation is a
   single immediate host call with a small fixed latency, no padding,
   no batching. It exists as the unprotected baseline, and
@@ -20,17 +20,20 @@ Two I/O personalities implement the filesystem's block interface:
   filesystem and the clock, not an engine.
 
 The engine itself implements the shuffle's ``ShuffleIo`` protocol and
-passes itself to ``oblivious_shuffle`` for the length of one shuffle.
+passes itself to ``oblivious_shuffle`` for the length of one shuffle:
+each step of the pass is one ``shuffle_round`` carrying the step's read
+and the previous step's write, with no trip through the queues.
 Nothing the engine owns refers back to it: the page cache is handed
 its fetch per call, and a ``CachedIo`` is built per file call. So a
 dropped mount, with its image copy, is freed by reference counting
 alone, without waiting for the cyclic collector.
 
-Time is the simulated clock. Each call to ``run_one_round`` first
-processes every network emission instant due by the round's scheduled
-time, then fires the disk round itself. Network instants live on each
-link's own exact grid derived from the token bucket, so round interval
-and link rate need not divide each other.
+Time is the simulated clock. Each round (``shuffle_round``, which
+``run_one_round`` calls with nothing handed over) first processes every
+network emission instant due by the round's scheduled time, then fires
+the disk round itself. Network instants live on each link's own exact
+grid derived from the token bucket, so round interval and link rate
+need not divide each other.
 
 The net loop is event-driven. Every link and every external pump sits
 in one heap keyed by (due time, pumps before links, insertion order).
@@ -178,6 +181,7 @@ class EchoPeer:
         self.endpoint = endpoint
         self.session = session
         self.shaper = PeerShaper(shaping, session, start_ns)
+        self._egress = host.egress[endpoint]  # what the enclave sent this peer
         self.rx_errors = 0
         self.dropped = 0
 
@@ -187,7 +191,7 @@ class EchoPeer:
     def pump(self, now_ns: int) -> None:
         """Open what the enclave sent this peer, queue the echoes, then
         emit whatever slots are due."""
-        queue = self.host.egress[self.endpoint]
+        queue = self._egress
         while queue:
             try:
                 payload = self.session.open_packet(queue.popleft())
@@ -259,47 +263,49 @@ class Engine:
             return self.rounds_done * self.config.round.interval_ns
         return self.clock.now()
 
-    # The protected disk path: cache misses and the shuffle's ShuffleIo --
+    # The protected disk path: cache misses and the shuffle's rounds -----
 
     def read_phys(self, phys: int) -> bytes:
-        sched = self.sched
-        queued = sched.pending_write_for(phys)
+        """A cache miss's fetch of block ``phys``: one round reads it."""
+        queued = self.sched.pending_write_for(phys)
         if queued is not None:
             # The freshest content is still in the write queue; rounds
             # run reads before writes, so a host read now would return
             # stale bytes. Serve from the queue and spend no read.
             return queued
-        # No other read is ever queued and every round has a read slot, so
-        # the next round serves it. None is queued for a round past budget.
-        if self.round_target is None or sched.rounds < self.round_target:
-            sched.submit_read(phys)
-        return self.run_one_round()[0]
-
-    def write_phys(self, phys: int, data: bytes) -> None:
-        # Queued, so the following read slot's round carries it; the
-        # shuffle's own pumping keeps the queue depth at one.
-        self.sched.submit_write(phys, data)
-
-    def pump_dummy_read(self) -> None:
-        self.run_one_round()
+        return self.shuffle_round(phys)
 
     def peek_cache(self, fd: int, lblk: int) -> bytes | None:
         return self.cache.peek(fd, lblk)
 
     # Rounds -------------------------------------------------------------
 
-    def run_one_round(self) -> list[bytes]:
-        """The net instants due by the next round's time, then the round."""
-        if self.sched is None:
+    def shuffle_round(self, read: int | None = None,
+                      write: tuple[int, bytes] | None = None) -> bytes | None:
+        """The net instants due by the next round's time, then the round,
+        with ``read`` and ``write`` in its first slots; returns ``read``'s
+        plaintext. The shuffle's ``ShuffleIo`` step, and every other
+        round too. A round past the budget raises ``RoundBudgetExhausted``
+        and reads nothing, but ``write`` is queued first, so the next
+        round that runs still lands it."""
+        sched = self.sched
+        if sched is None:
             raise ModeError("batched rounds exist only on the protected path")
-        done = self.sched.rounds
+        done = sched.rounds
         if self.round_target is not None and done >= self.round_target:
+            if write is not None:
+                sched.submit_write(*write)
             raise RoundBudgetExhausted(f"round budget of {self.round_target} spent")
-        t = done * self.config.round.interval_ns
+        t = done * sched.config.interval_ns
         heap = self._net_due
         if heap and heap[0][0] <= t:
             self._run_net_until(t)
-        return self.sched.run_round(t)
+        served = sched.run_round(t, read, write)
+        return served[0] if read is not None else None
+
+    def run_one_round(self) -> None:
+        """One round with nothing handed to it: queued work or padding."""
+        self.shuffle_round()
 
     def run_rounds(self, n: int) -> None:
         for _ in range(n):
@@ -316,8 +322,8 @@ class Engine:
 
         Dirty pages are not flushed first: the pass writes every resident
         page of the files it re-homes from the cache, at the page's new
-        home, so once its writes have drained those pages are on disk and
-        are marked clean. Evictions queued before the pass land first. A
+        home, so once the pass has run those pages are on disk and are
+        marked clean. Evictions queued before the pass land first. A
         page still dirty after that is flushed, and ``end_epoch`` refuses
         any left over, so none is dropped unwritten.
 
@@ -331,7 +337,6 @@ class Engine:
             raise ModeError("the passthrough path never shuffles")
         self._drain()
         stats = oblivious_shuffle(self.fs, self, self.rng.stream("shuffle"))
-        self._drain()
         extent = {fd: self.fs.file_blocks(fd) for fd in stats.plan.fds}
         self.cache.mark_clean(lambda fd, lblk: lblk < extent.get(fd, 0))
         self.cache.flush()
@@ -387,15 +392,16 @@ class Engine:
         the order they were added; ingress is drained once if a link
         emitted. Each actor goes back on the heap at its next due time."""
         heap = self._net_due
+        advance_to, net_write = self.clock.advance_to, self.iface.net_write
         while heap and heap[0][0] <= t_ns:
             due = heap[0][0]
-            self.clock.advance_to(due)
+            advance_to(due)
             emitted = False
             while heap and heap[0][0] == due:
                 _due, kind, order, actor = heap[0]
                 if kind == _LINK:
                     for frame in actor.shaper.tick(due):
-                        self.iface.net_write(actor.endpoint, frame)
+                        net_write(actor.endpoint, frame)
                     emitted = True
                     next_due = actor.shaper.next_due_ns()
                 else:

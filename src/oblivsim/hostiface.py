@@ -36,9 +36,11 @@ from .trace import CallKind, HostCallEvent, HostTrace
 BLOCK_SIZE = 4096
 DEFAULT_MTU = 1500
 
-# Bound once for the disk path: enum member lookups and the NamedTuple's
-# own ``__new__`` (``tuple.__new__`` skips it) each cost a Python step.
+# Bound once for the disk and net paths: enum member lookups and the
+# NamedTuple's own ``__new__`` (``tuple.__new__`` skips it) each cost a
+# Python step.
 _DISK_READ, _DISK_WRITE = CallKind.DISK_READ, CallKind.DISK_WRITE
+_NET_WRITE, _NET_READ, _NET_POLL = CallKind.NET_WRITE, CallKind.NET_READ, CallKind.NET_POLL
 _event = tuple.__new__
 _copy_block = struct.Struct(f"{BLOCK_SIZE}s").unpack_from
 
@@ -198,8 +200,8 @@ class HostInterface:
             raise SizeError("frames on the wire are exactly MTU-sized")
         host.egress[endpoint].append(bytes(frame))
         host.boundary_mutations += 1
-        self.trace.record(HostCallEvent(
-            host.clock.now(), CallKind.NET_WRITE, endpoint, host.mtu))
+        self.trace.record(_event(HostCallEvent, (
+            host.clock.now_ns, _NET_WRITE, endpoint, host.mtu)))
 
     def net_read(self) -> tuple[int, bytes]:
         host = self.host
@@ -211,16 +213,17 @@ class HostInterface:
             if len(frame) != host.mtu:
                 frame = (frame + b"\x00" * host.mtu)[:host.mtu]
         host.boundary_mutations += 1
-        self.trace.record(HostCallEvent(
-            host.clock.now(), CallKind.NET_READ, endpoint, host.mtu))
+        self.trace.record(_event(HostCallEvent, (
+            host.clock.now_ns, _NET_READ, endpoint, host.mtu)))
         return endpoint, frame
 
     def net_poll(self) -> tuple[bool, bool]:
-        if self.host.poll_script:
-            readable, writable = self.host.poll_script.pop(0)
+        host = self.host
+        if host.poll_script:
+            readable, writable = host.poll_script.pop(0)
         else:
-            readable, writable = bool(self.host.ingress), True
-        self.trace.record(HostCallEvent(self.host.clock.now(), CallKind.NET_POLL, 0, 0))
+            readable, writable = bool(host.ingress), True
+        self.trace.record(_event(HostCallEvent, (host.clock.now_ns, _NET_POLL, 0, 0)))
         return readable, writable
 
     # Time ------------------------------------------------------------

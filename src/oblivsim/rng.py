@@ -96,16 +96,18 @@ class Rng:
         """Uniform integer in [0, n). Rejection sampling, no modulo bias."""
         if n <= 0:
             raise ValueError("randbelow needs n >= 1")
-        nbytes = (n.bit_length() + 7) // 8
-        limit = (256**nbytes // n) * n
+        nbytes = (n.bit_length() + 7) >> 3
+        limit = ((1 << (nbytes << 3)) // n) * n
+        buf = self._buf
         while True:
             pos = self._pos
             end = pos + nbytes
-            if end <= len(self._buf):  # in the buffer: no refill to consider
-                x = int.from_bytes(self._buf[pos:end], "big")
+            if end <= len(buf):  # in the buffer: no refill to consider
+                x = int.from_bytes(buf[pos:end], "big")
                 self._pos = end
             else:
                 x = int.from_bytes(self._take(nbytes), "big")
+                buf = self._buf
             if x < limit:
                 return x % n
 

@@ -47,7 +47,12 @@ class RoundScheduler:
         if not self.dummy_targets:
             raise ParameterError("padding needs at least one padding block")
         self.rng = rng
-        self.config = config if config is not None else RoundConfig()
+        self.config = config = config if config is not None else RoundConfig()
+        # Bound once: every round advances this clock over these slots.
+        self._interval_ns = config.interval_ns
+        self._advance = store.iface.host.clock.advance_to
+        self._read_slots = range(config.reads_per_round)
+        self._write_slots = range(config.writes_per_round)
         # Queued requests: phys reads, (phys, data) writes. A read's
         # plaintext comes back from the round that serves it.
         self._reads: deque[int] = deque()
@@ -92,26 +97,33 @@ class RoundScheduler:
 
     # Execution -----------------------------------------------------------
 
-    def run_round(self, now_ns: int) -> list[bytes]:
+    def run_round(self, now_ns: int, read: int | None = None,
+                  write: tuple[int, bytes] | None = None) -> list[bytes]:
         """One batch at now_ns: the simulated clock moves there, then
         reads run first and writes after, all stamped at now_ns.
 
-        Returns the plaintexts of the queued reads it served, in slot
-        order, so a read queued alone comes back as element 0. A failed
-        read (say, it does not authenticate) leaves the queue all the
-        same; the round still runs every slot and counts, so the cadence
-        holds, and then raises the first such error."""
-        config = self.config
-        if self.last_round_ns is not None \
-                and now_ns < self.last_round_ns + config.interval_ns:
+        ``read`` (a block) and ``write`` (a block and its plaintext, one
+        block long), when given, fill the round's first read and write
+        slots, ahead of anything queued. Returns the plaintexts of the
+        reads it served, in slot order, so a read handed over or queued
+        alone comes back as element 0. A failed read (say, it does not
+        authenticate) leaves the queue all the same; the round still runs
+        every slot and counts, so the cadence holds, and then raises the
+        first such error."""
+        last = self.last_round_ns
+        if last is not None and now_ns < last + self._interval_ns:
             raise ParameterError(
                 f"round at {now_ns} before the interval elapsed")
         store, reads, writes = self.store, self._reads, self._writes
         targets, randbelow = self.dummy_targets, self.rng.randbelow
-        store.iface.host.clock.advance_to(now_ns)
+        self._advance(now_ns)
+        if read is not None:
+            reads.appendleft(read)
+        if write is not None:
+            writes.appendleft(write)
         error: SimError | None = None
         served = []
-        for _ in range(config.reads_per_round):
+        for _ in self._read_slots:
             if reads:
                 try:
                     served.append(store.read_block(reads.popleft()))
@@ -121,7 +133,7 @@ class RoundScheduler:
             else:
                 store.dummy_read(targets[randbelow(len(targets))])
                 self.dummy_reads += 1
-        for _ in range(config.writes_per_round):
+        for _ in self._write_slots:
             if writes:
                 phys, data = writes.popleft()
                 store.write_block(phys, data)

@@ -48,6 +48,7 @@ class PeerShaper:
     def __init__(self, shaping: ShapingClass, session: PeerSession, start_ns: int = 0):
         self.shaping = shaping
         self.session = session
+        self._burst, self._rate = shaping.burst_frames, shaping.rate_bps
         self.frame_cost = session.mtu * 8 * NS_PER_S
         self.last_tick_ns = start_ns
         self._epoch_ns = start_ns
@@ -78,8 +79,7 @@ class PeerShaper:
         if now_ns < self.last_tick_ns:
             raise ParameterError("shaper clock moved backwards")
         self.last_tick_ns = now_ns
-        burst = self.shaping.burst_frames
-        rate = self.shaping.rate_bps
+        burst, rate = self._burst, self._rate
         q = (now_ns - self._epoch_ns) * rate // self.frame_cost
         available = burst + q - self._next_k
         if available <= 0:

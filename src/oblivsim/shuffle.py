@@ -2,31 +2,45 @@
 which blocks the workload cares about.
 
 The shuffle walks every block of the selected files in a uniformly
-random order. Each step claims one read slot and one write slot of the
-batched round cadence:
+random order. Each step is one round of the batched cadence, which the
+pass hands to ``ShuffleIo.shuffle_round`` with its first read slot and
+its first write slot already filled:
 
 * the read slot serves the shuffle's read stream: the sources the page
   cache does not hold, in shuffle order, listed once when the shuffle
   starts. Step *i* reads the stream's *i*-th entry; once the stream runs
   out, the read slot is padding;
-* the write slot lands the step's block, freshly re-encrypted, at its
-  new home. The block comes from the cache if it is resident there, and
-  otherwise from the stream, read at this step or ahead of it.
+* the write slot lands the previous step's block, freshly re-encrypted,
+  at its new home. A step's block comes from the cache if it is
+  resident there, and otherwise from the stream, read at this step or
+  ahead of it. A last round pads its read slot and lands the last
+  step's block, so a pass of *n* steps takes *n* + 1 rounds.
 
 So the pass persists every resident page of the files it walks, with
 the bytes the cache holds, dirty or not: the cache does not change while
 the pass runs. The engine therefore flushes no dirty page before a
-shuffle; once the pass's writes have drained, those pages are clean.
+shuffle; once the pass has run, those pages are on disk.
 
 The stream is read no later than it is needed. Among the first *i* + 1
 steps at most *i* + 1 sources are uncached, so an uncached source at
 step *i* sits at stream index *k* <= *i* and was read at step *k*.
 
+A stream read never needs the write queue's ``pending_write_for``. The
+engine drains the queue before the pass, and every step's write lands
+in the round after it, so the only write not yet on the host when step
+*i* reads is the one landing in that same round, after the read. It
+targets a fresh ``allocate_block`` draw, which no file maps, or a
+vacated home, whose block was stepped, and so read if uncached, before
+now. The source read at step *i* has not been stepped before step *i*
+(its stream index is at most its step), so it still sits at its
+pre-pass home: neither free nor vacated.
+
 Each step re-homes its block with ``BlockFs.move_extent``: the new home
 is an ``allocate_block`` draw, uniform over the free pool, and the old
-home goes on the pass's one donor, the list of homes it has vacated.
-The donor is freed when the pass ends, in its ``finally``, so a pass
-that fails part way still returns every vacated block.
+home joins the pass's list of vacated homes (``create_donors`` starts
+it empty). ``unlink_all`` frees the list when the pass ends, in its
+``finally``, so a pass that fails part way still returns every vacated
+block.
 
 Vacated homes wait for the end of the pass rather than rejoining the
 pool at once. So while the pool lasts, the *k*-th step draws uniformly
@@ -81,14 +95,15 @@ class ShuffleStats:
 
 
 class ShuffleIo(Protocol):
-    """Host traffic needed by the shuffle, routed through the batched
-    scheduler by the engine so shuffle rounds look like any other."""
+    """Host traffic needed by the shuffle: one batched round per call,
+    run by the engine so shuffle rounds look like any other."""
 
-    def read_phys(self, phys: int) -> bytes: ...
-
-    def write_phys(self, phys: int, data: bytes) -> None: ...
-
-    def pump_dummy_read(self) -> None: ...
+    def shuffle_round(self, read: int | None,
+                      write: tuple[int, bytes] | None) -> bytes | None:
+        """One round whose first read slot reads block ``read`` and whose
+        first write slot lands ``write``, a (block, plaintext) pair; None
+        leaves that slot to padding. Returns ``read``'s plaintext."""
+        ...
 
     def peek_cache(self, fd: int, lblk: int) -> bytes | None: ...
 
@@ -107,7 +122,7 @@ def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
     stats = ShuffleStats(plan)
     if plan.num_shuff_blk == 0:
         return stats
-    donor = fs.create_donors(plan.max_blk)
+    vacated = fs.create_donors(plan.max_blk)
     try:
         sources = [(fd, b) for fd in plan.fds
                    for b in range(fs.file_blocks(fd))]
@@ -115,20 +130,24 @@ def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
         stream = [src for src in order if io.peek_cache(*src) is None]
         stats.real_reads = len(stream)
         stats.dummy_reads = stats.served_from_cache = len(order) - len(stream)
+        # Vacated homes rejoin the pool only after the pass, so each step
+        # past the pool's size reuses one.
+        reuses = max(0, len(order) - fs.free_blocks)
         # Stream blocks read, at their own step or ahead of it.
         fetched: dict[tuple[int, int], bytes] = {}
         phys_of, move_extent = fs.phys_of, fs.move_extent
+        shuffle_round, peek_cache = io.shuffle_round, io.peek_cache
+        landing = None  # the previous step's (new home, block)
         for step, (fd, b) in enumerate(order):
             if step < len(stream):
                 src = stream[step]
-                fetched[src] = io.read_phys(phys_of(*src))
+                fetched[src] = shuffle_round(phys_of(*src), landing)
             else:
-                io.pump_dummy_read()
-            data = fetched.pop((fd, b), None) or io.peek_cache(fd, b)
-            if not fs.free_blocks:
-                stats.donor_reuses += 1
-            io.write_phys(move_extent(fd, b, donor), data)
-            stats.swaps += 1
+                shuffle_round(None, landing)
+            data = fetched.pop((fd, b), None) or peek_cache(fd, b)
+            landing = (move_extent(fd, b, vacated), data)
+        shuffle_round(None, landing)
+        stats.swaps, stats.donor_reuses = len(order), reuses
     finally:
-        fs.unlink_all(donor)
+        fs.unlink_all(vacated)
     return stats

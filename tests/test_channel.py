@@ -279,6 +279,27 @@ def test_provisioning_record_rejects_garbage():
         ProvisioningSecrets(peers=(PeerIdentity(b"tiny"),)).encode()
 
 
+_PUB = b"\x01" * 32
+
+
+@pytest.mark.parametrize("what, build", [
+    ("disk key length", lambda n: ProvisioningSecrets(disk_key=b"k" * n)),
+    ("verity root length", lambda n: ProvisioningSecrets(verity_root=b"r" * n)),
+    ("peer count", lambda n: ProvisioningSecrets(peers=(PeerIdentity(_PUB),) * n)),
+    ("peer address length",
+     lambda n: ProvisioningSecrets(peers=(PeerIdentity(_PUB, "a" * n),))),
+    ("exec path length", lambda n: ProvisioningSecrets(exec_path="p" * n)),
+    ("exec arg count", lambda n: ProvisioningSecrets(exec_args=("a",) * n)),
+    ("exec arg length", lambda n: ProvisioningSecrets(exec_args=("x" * n,))),
+])
+def test_provisioning_record_refuses_fields_over_16_bits(what, build):
+    # Each length or count at 65535 still encodes; one more is refused.
+    record = build(0xFFFF)
+    assert ProvisioningSecrets.decode(record.encode()) == record
+    with pytest.raises(ParameterError, match=f"{what} is 65536"):
+        build(0x10000).encode()
+
+
 def test_provisioning_record_cut_after_its_magic_is_rejected():
     with pytest.raises(ParameterError, match="truncated"):
         ProvisioningSecrets.decode(b"OBPV")

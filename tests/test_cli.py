@@ -205,6 +205,9 @@ def test_create_image_refuses_negative_sizes(argv, message, tmp_path, capsys):
     (("provision", "--peer", "ab" * 32 + ",addr,0"), "--peer"),
     (("provision", "--peer", "ab" * 32 + f",addr,{2**64}"), "--peer"),
     (("provision", "--key", "abcd"), "--key"),
+    (("provision", "--verity-root", "abcd"), "--verity-root"),
+    (("provision", "--arg", "x" * 70_000), "exec arg length"),
+    (("provision", "--exec-path", "x" * 70_000), "exec path length"),
 ])
 def test_malformed_option_is_a_usage_error(argv, option, image, tmp_path, capsys):
     out = tmp_path / "out"

@@ -21,6 +21,7 @@ from oblivsim import (
     PeerIdentity,
     ProtectionMode,
     RoundBudgetExhausted,
+    RoundConfig,
     ShapingClass,
     StaticIdentity,
     build_image,
@@ -337,6 +338,59 @@ def test_a_miss_refused_by_the_budget_leaves_no_read_queued(small_bundle):
     eng.round_target = None
     assert eng.read_file(eng.regular_fd(1), 0, 4) == FILE_B[:4]
     assert eng.read_file(eng.regular_fd(0), 0, 4) == FILE_A[:4]
+
+
+# The pass over small_bundle's 11 blocks takes 12 rounds: one per step,
+# then the round that lands the last step's write.
+@pytest.mark.parametrize("cut", [0, 1, 4, 7, 10, 11])
+def test_a_pass_cut_by_the_budget_loses_no_block(small_bundle, cut):
+    m = mount(small_bundle, seed=4, config=EngineConfig(cache_capacity=4))
+    eng = m.engine
+    a, b = eng.regular_fd(0), eng.regular_fd(1)
+    eng.write_file(a, 2 * BLOCK_SIZE, b"\x77" * BLOCK_SIZE)  # dirty and resident
+    assert eng.read_file(b, BLOCK_SIZE, 4) == FILE_B[:4]
+    eng.round_target = eng.rounds_done + cut
+    with pytest.raises(RoundBudgetExhausted):
+        eng.shuffle_now()
+    # Past the first round, the write the refused round would have
+    # carried is still queued.
+    assert eng.sched.pending_writes == (cut > 0)
+    eng.round_target = None
+    expected = FILE_A[:2 * BLOCK_SIZE] + b"\x77" * BLOCK_SIZE + FILE_A[3 * BLOCK_SIZE:]
+    assert eng.read_file(a, 0, len(FILE_A)) == expected
+    assert eng.read_file(b, 0, len(FILE_B)) == FILE_B
+    assert m.fs.fsck() == []
+
+
+# A pass under two read and two write slots per round: each step's read
+# and the previous step's write take the first slot of each kind, and
+# padding fills the rest. Pinned: the export's SHA-256 and the counters.
+MULTI_SLOT_SHUFFLE_SHA256 = \
+    "a896e96a14534e6ea6244202e221cd9dc0274daee0e6dad1deac50e9e494af22"
+MULTI_SLOT_SHUFFLE_COUNTERS = {"rounds": 18, "real_reads": 12, "dummy_reads": 24,
+                               "real_writes": 11, "dummy_writes": 25, "shuffles": 1,
+                               "cache_hits": 2, "net_real": 0, "net_dummy": 0}
+
+
+def test_shuffle_with_two_slots_of_each_kind_is_pinned(small_bundle):
+    config = EngineConfig(RoundConfig(reads_per_round=2, writes_per_round=2),
+                          cache_capacity=4)
+    m = mount(small_bundle, seed=6, config=config)
+    eng = m.engine
+    a, b = eng.regular_fd(0), eng.regular_fd(1)
+    eng.start_observation()
+    eng.write_file(a, 5 * BLOCK_SIZE, b"\x5e" * BLOCK_SIZE)
+    assert eng.read_file(a, 0, 4) == FILE_A[:4]
+    assert eng.read_file(b, 2 * BLOCK_SIZE, 4) == FILE_B[:4]
+    stats = eng.shuffle_now()
+    assert (stats.swaps, stats.served_from_cache) == (11, 3)
+    assert eng.read_file(a, 5 * BLOCK_SIZE, 4) == b"\x5e" * 4
+    assert eng.read_file(b, 0, len(FILE_B)) == FILE_B
+    eng.run_rounds(2)
+    assert m.fs.fsck() == []
+    digest = hashlib.sha256(m.trace.export().encode()).hexdigest()
+    assert (digest, eng.counters()) == (
+        MULTI_SLOT_SHUFFLE_SHA256, MULTI_SLOT_SHUFFLE_COUNTERS)
 
 
 def test_passthrough_refuses_protected_operations(small_bundle):

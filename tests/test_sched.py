@@ -126,6 +126,25 @@ def test_a_round_returns_what_it_read_in_slot_order():
     assert sched.real_reads == 3 and sched.dummy_reads == 3
 
 
+def test_a_handed_read_and_write_take_the_first_slots():
+    store, sched = make_sched(RoundConfig(reads_per_round=2, writes_per_round=2))
+    for phys in (5, 6):
+        store.write_block(phys, bytes([phys]) * BLOCK_SIZE)
+    sched.submit_read(6)
+    sched.submit_write(7, b"\x07" * BLOCK_SIZE)
+    store.iface.trace.reset()
+    assert sched.run_round(0, 5, (8, b"\x08" * BLOCK_SIZE)) == [
+        b"\x05" * BLOCK_SIZE, b"\x06" * BLOCK_SIZE]
+    assert [e.offset for e in store.iface.trace.events] == [
+        store.layout.data_offset(p) for p in (5, 6, 8, 7)]
+    assert sched.pending_reads == sched.pending_writes == 0
+    assert (sched.real_reads, sched.real_writes) == (2, 2)
+    # Handed over alone, they leave the other slots to padding.
+    assert sched.run_round(100_000, 6, (9, b"\x09" * BLOCK_SIZE)) == [b"\x06" * BLOCK_SIZE]
+    assert (sched.dummy_reads, sched.dummy_writes) == (1, 1)
+    assert store.read_block(9) == b"\x09" * BLOCK_SIZE
+
+
 def test_busy_and_idle_rounds_share_a_shape():
     store_a, sched_a = make_sched(seed=9)
     store_b, sched_b = make_sched(seed=9)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from itertools import permutations
 
 import pytest
@@ -26,29 +27,36 @@ from oblivsim.shuffle import fisher_yates
 
 
 class FakeIo:
-    """Shuffle traffic against a phys-keyed dict; logs every slot."""
+    """Shuffle rounds against a phys-keyed dict; logs every slot. A round
+    reads before it writes, as the engine's do."""
 
     def __init__(self, resident=None):
         self.pages: dict[int, bytes] = {}
         self.read_log: list[int] = []
         self.write_log: list[int] = []
-        self.dummy_pumps = 0
-        self.slot_log: list[str] = []  # every host slot, in order
+        self.rounds = 0
+        self.padding_reads = 0
+        # Every slot a round hands over, in order: "r<phys>" or "p" (a
+        # padding read), then "w<phys>" if the round lands a block.
+        self.slot_log: list[str] = []
         self.resident = dict(resident or {})
 
-    def read_phys(self, phys):
-        self.read_log.append(phys)
-        self.slot_log.append(f"r{phys}")
-        return self.pages[phys]
-
-    def write_phys(self, phys, data):
-        self.write_log.append(phys)
-        self.slot_log.append(f"w{phys}")
-        self.pages[phys] = bytes(data)
-
-    def pump_dummy_read(self):
-        self.dummy_pumps += 1
-        self.slot_log.append("p")
+    def shuffle_round(self, read, write):
+        self.rounds += 1
+        data = None
+        if read is None:
+            self.padding_reads += 1
+            self.slot_log.append("p")
+        else:
+            self.read_log.append(read)
+            self.slot_log.append(f"r{read}")
+            data = self.pages[read]
+        if write is not None:
+            phys, block = write
+            self.write_log.append(phys)
+            self.slot_log.append(f"w{phys}")
+            self.pages[phys] = bytes(block)
+        return data
 
     def peek_cache(self, fd, lblk):
         return self.resident.get((fd, lblk))
@@ -136,7 +144,12 @@ def test_every_step_spends_exactly_one_read_slot():
     assert stats.real_reads + stats.dummy_reads == stats.swaps
     assert len(io.read_log) == stats.real_reads
     assert len(io.write_log) == stats.swaps
-    assert io.dummy_pumps == stats.dummy_reads
+    # One round per step, then one that pads its read slot and lands the
+    # last step's block; each step's block rides in the next round.
+    assert io.rounds == stats.swaps + 1
+    assert io.padding_reads == stats.dummy_reads + 1
+    kinds = "".join(slot[0] for slot in io.slot_log)
+    assert re.fullmatch(r"[rp]([rp]w)*", kinds) and kinds.endswith("pw")
     assert len(set(io.read_log)) == len(io.read_log)  # at most once each
 
 
@@ -260,7 +273,7 @@ def test_shuffle_of_nothing_is_a_noop():
     fs, io, _ = make_world(sizes=())
     stats = oblivious_shuffle(fs, io, RngTree(0).stream("shuffle"))
     assert stats.swaps == 0 and stats.plan.num_shuff_blk == 0
-    assert io.read_log == [] and io.write_log == []
+    assert io.rounds == 0 and io.read_log == [] and io.write_log == []
 
 
 def test_shuffle_is_deterministic_under_a_fixed_seed():
@@ -298,8 +311,11 @@ def test_placement_is_pinned_while_the_pool_lasts():
     # held in the cache: the pool never runs dry, so every new home is an
     # ``allocate_block`` draw in step order and no vacated home is reused.
     # The digest covers the ordered read, write and slot logs and the
-    # final block maps, not the stats; it was fixed while homes still
-    # came from a grid of donor slots, which placed every block the same.
+    # final block maps, not the stats; the placement was fixed while
+    # homes still came from a grid of donor slots, which placed every
+    # block the same. The slot log is the one recorded when each step
+    # queued its own write, with every write moved into the next round
+    # and the closing round appended.
     fs, io, fds = make_world(sizes=(4, 4, 2), filler=30)
     assert fs.free_blocks == 14
     io.resident = {key: token(*key) for key in
@@ -310,7 +326,7 @@ def test_placement_is_pinned_while_the_pool_lasts():
         for b in range(fs.file_blocks(fd)):
             assert io.pages[fs.phys_of(fd, b)] == token(fd, b)
     assert _host_io_digest(io, fs, fds) == (
-        "5936c2095f0b3cde7b902abae22f97646f36f6bf4881c18de1bc5092fdac4df6")
+        "af804d5eb445f117cad6113d46e3f0a41e2b28fff732b36bd350361737845958")
 
 
 def test_shuffle_host_io_is_pinned():
@@ -319,7 +335,7 @@ def test_shuffle_host_io_is_pinned():
     # the last three steps find the pool dry, with four sources held in
     # the cache. The digest covers the ordered read and write phys lists,
     # the final block maps, the stats, and the order of reads, writes and
-    # padding reads among them.
+    # padding reads among them, as the rounds hand them over.
     fs, io, fds = make_world(sizes=(4, 4, 2), filler=37)
     assert fs.free_blocks == 7
     io.resident = {key: token(*key) for key in
@@ -331,4 +347,4 @@ def test_shuffle_host_io_is_pinned():
         for b in range(fs.file_blocks(fd)):
             assert io.pages[fs.phys_of(fd, b)] == token(fd, b)
     assert _host_io_digest(io, fs, fds, stats) == (
-        "175035a7b65f0ab1ac81ddad013ec499f90226c8fa6bb6fdde8d71c516240e3c")
+        "2e9948b948fdfc0f5d88684bf872f5f1963a0fda5ebb2fdedb4ccde8436da924")
