@@ -172,8 +172,9 @@ class PeerSession:
 
     def seal_packet(self, payload: bytes) -> bytes:
         n = len(payload)
-        if n > self.payload_limit:
-            raise SizeError(f"payload exceeds {self.payload_limit} bytes")
+        if not 0 < n <= self.payload_limit:
+            # inner_len 0 marks padding, so an empty payload is refused.
+            raise SizeError(f"payload must be 1 to {self.payload_limit} bytes")
         self.sent_real += 1
         return self._seal(_INNER_LEN.pack(n) + payload
                           + self._zero_inner[LEN_BYTES + n:])

@@ -54,7 +54,7 @@ class PolicyError(SimError):
 
 
 class BackpressureError(SimError):
-    """Queue is full; caller must retry after draining."""
+    """A shaped link's send queue is full; the frame was not queued."""
 
 
 class SpaceError(SimError):

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .blockcrypto import BLOCK_SIZE, BlockStore
-from .errors import BackpressureError, ParameterError, SimError, SizeError
+from .errors import ParameterError, SimError, SizeError
 from .rng import Rng
 
 DEFAULT_ROUND_INTERVAL_NS = 100_000  # 0.1 ms
@@ -30,12 +30,11 @@ class RoundConfig:
     interval_ns: int = DEFAULT_ROUND_INTERVAL_NS
     reads_per_round: int = 1
     writes_per_round: int = 1
-    queue_capacity: int = 1024
 
     def __post_init__(self):
         # Without a read or a write slot, that queue would never drain.
         if self.interval_ns <= 0 or self.reads_per_round < 1 \
-                or self.writes_per_round < 1 or self.queue_capacity < 1:
+                or self.writes_per_round < 1:
             raise ParameterError("invalid round configuration")
 
 
@@ -67,15 +66,14 @@ class RoundScheduler:
     # Submission ----------------------------------------------------------
 
     def submit_read(self, phys: int) -> None:
-        if len(self._reads) >= self.config.queue_capacity:
-            raise BackpressureError("read queue full")
+        """Never called from ``src/``; kept because ``benchmarks/tracing.py``
+        wraps it and ``kv_mixed`` reads ``pending_reads``."""
         self._reads.append(phys)
 
     def submit_write(self, phys: int, data: bytes) -> None:
+        """Queue one block write. No bound: each was held in memory already."""
         if len(data) != BLOCK_SIZE:
             raise SizeError("a queued write must be exactly one block")
-        if len(self._writes) >= self.config.queue_capacity:
-            raise BackpressureError("write queue full")
         self._writes.append((phys, bytes(data)))
 
     def pending_write_for(self, phys: int) -> bytes | None:

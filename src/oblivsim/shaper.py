@@ -57,8 +57,8 @@ class PeerShaper:
         self.queue: deque[bytes] = deque()
 
     def enqueue(self, payload: bytes) -> None:
-        if len(payload) > self.session.payload_limit:
-            raise SizeError("payload exceeds one frame")
+        if not 0 < len(payload) <= self.session.payload_limit:
+            raise SizeError("payload must be 1 byte to one frame")
         if len(self.queue) >= self.shaping.queue_frames:
             raise BackpressureError("send queue is full")
         self.queue.append(payload)

@@ -83,6 +83,10 @@ def test_every_frame_is_mtu_sized():
     assert len(a2b.seal_dummy()) == DEFAULT_MTU
     with pytest.raises(SizeError):
         a2b.seal_packet(b"w" * (limit + 1))
+    # inner_len 0 marks padding, so a real frame carries at least a byte.
+    with pytest.raises(SizeError):
+        a2b.seal_packet(b"")
+    assert a2b.sent_real == 3 and a2b.send_counter == 4
 
 
 @settings(max_examples=40)

@@ -23,6 +23,7 @@ from oblivsim import (
     RoundBudgetExhausted,
     RoundConfig,
     ShapingClass,
+    SizeError,
     StaticIdentity,
     build_image,
     establish,
@@ -225,6 +226,26 @@ def test_queued_write_serves_a_later_read(small_bundle):
         eng.run_one_round()
     assert m.store.read_block(m.fs.phys_of(fd, 0)) == b"Q" * BLOCK_SIZE
     assert m.store.read_block(m.fs.phys_of(fd, 1)) == b"R" * BLOCK_SIZE
+
+
+def test_a_write_run_longer_than_the_cache_loses_no_page():
+    # A whole-block write run far longer than the cache: every evicted
+    # page is queued and lands, and the 8 still cached land as the
+    # read-back evicts them.
+    n = 1100
+    bundle = build_image(2048, ProtectionMode.CRYPT_INTEGRITY, [bytes(n * BLOCK_SIZE)],
+                         seed=5, key=DEFAULT_KEY, max_file_blocks=n)
+    m = mount(bundle, config=EngineConfig(cache_capacity=8))
+    eng = m.engine
+    fd = eng.regular_fd(0)
+    pages = [blk.to_bytes(2, "big") * (BLOCK_SIZE // 2) for blk in range(n)]
+    for blk, page in enumerate(pages):
+        eng.write_file(fd, blk * BLOCK_SIZE, page)
+    eng.run_rounds(n)
+    for blk, page in enumerate(pages):
+        assert eng.read_file(fd, blk * BLOCK_SIZE, BLOCK_SIZE) == page
+    assert eng.sched.real_writes == n
+    assert m.fs.fsck() == []
 
 
 def test_refetch_after_evict_forces_a_shuffle(small_bundle):
@@ -450,6 +471,22 @@ def test_echo_peer_roundtrip(small_bundle):
     assert link.rx_errors == 0
     assert m.engine.counters()["net_real"] >= 1
     assert m.engine.counters()["net_dummy"] >= 1
+
+
+def test_an_empty_send_is_refused_and_counts_nothing(small_bundle):
+    # An empty payload would leave as a frame the peer counts as padding.
+    m = mount(small_bundle)
+    enclave, remote = net_pair()
+    link = m.engine.add_link(7, enclave)
+    peer = EchoPeer(m.host, 7, remote, ShapingClass())
+    m.engine.add_external_pump(peer)
+    before = m.engine.counters()
+    with pytest.raises(SizeError):
+        m.engine.net_send(7, b"")
+    assert link.shaper.backlog == 0
+    assert m.engine.counters() == before
+    m.engine.run_rounds(2)
+    assert enclave.sent_real == peer.session.received_real == 0
 
 
 def test_net_writes_stay_on_the_shaper_grid(small_bundle):

@@ -4,7 +4,6 @@ import pytest
 
 from oblivsim import (
     BLOCK_SIZE,
-    BackpressureError,
     BlockStore,
     CallKind,
     Host,
@@ -48,8 +47,6 @@ def test_config_validation():
         RoundConfig(interval_ns=0)
     with pytest.raises(ParameterError):
         RoundConfig(reads_per_round=-1)
-    with pytest.raises(ParameterError):
-        RoundConfig(queue_capacity=0)
     with pytest.raises(ParameterError):
         RoundScheduler(*make_sched()[:1], [], RngTree(0).stream("dummy"))
 
@@ -155,18 +152,6 @@ def test_busy_and_idle_rounds_share_a_shape():
     run_rounds(sched_a, 3)
     run_rounds(sched_b, 3)
     assert store_a.iface.trace.shape() == store_b.iface.trace.shape()
-
-
-def test_queue_capacity_pushes_back():
-    store, sched = make_sched(RoundConfig(queue_capacity=2))
-    sched.submit_read(5)
-    sched.submit_read(5)
-    with pytest.raises(BackpressureError):
-        sched.submit_read(5)
-    sched.submit_write(5, b"\x00" * BLOCK_SIZE)
-    sched.submit_write(5, b"\x00" * BLOCK_SIZE)
-    with pytest.raises(BackpressureError):
-        sched.submit_write(5, b"\x00" * BLOCK_SIZE)
 
 
 def test_pending_write_lookup_sees_newest():

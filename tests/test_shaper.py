@@ -106,6 +106,8 @@ def test_queue_limits_and_payload_size():
     shaper, _ = make_shaper(rate_bps=RATE, queue_frames=2)
     with pytest.raises(SizeError):
         shaper.enqueue(b"\x00" * (max_payload() + 1))
+    with pytest.raises(SizeError):
+        shaper.enqueue(b"")
     shaper.enqueue(b"a")
     shaper.enqueue(b"b")
     with pytest.raises(BackpressureError):
