@@ -5,9 +5,10 @@ Two I/O personalities implement the filesystem's block interface:
 
 * ``CachedIo`` is the protected path. Reads and writes go through the
   page cache. A miss calls ``Engine.read_phys``: a block still in the
-  write queue is served from there, and otherwise the next batched
-  round reads it in its first read slot, one round per read. Dirty
-  pages the cache evicts go straight to the scheduler's write queue.
+  write queue is served from there, and otherwise it is handed to the
+  next batched round, which reads it in its first read slot, one round
+  per read. Dirty pages the cache evicts go straight to the scheduler's
+  write queue.
   When the cache reports that a block would need a repeat host read
   this epoch, the engine runs a layout shuffle and retries. The shuffle
   lands the dirty pages itself: its pass writes every resident page to
@@ -22,7 +23,7 @@ Two I/O personalities implement the filesystem's block interface:
 The engine itself implements the shuffle's ``ShuffleIo`` protocol and
 passes itself to ``oblivious_shuffle`` for the length of one shuffle:
 each step of the pass is one ``shuffle_round`` carrying the step's read
-and the previous step's write, with no trip through the queues.
+and the previous step's write, with no trip through the write queue.
 Nothing the engine owns refers back to it: the page cache is handed
 its fetch per call, and a ``CachedIo`` is built per file call. So a
 dropped mount, with its image copy, is freed by reference counting
@@ -284,10 +285,10 @@ class Engine:
                       write: tuple[int, bytes] | None = None) -> bytes | None:
         """The net instants due by the next round's time, then the round,
         with ``read`` and ``write`` in its first slots; returns ``read``'s
-        plaintext. The shuffle's ``ShuffleIo`` step, and every other
-        round too. A round past the budget raises ``RoundBudgetExhausted``
-        and reads nothing, but ``write`` is queued first, so the next
-        round that runs still lands it."""
+        plaintext, or None. The shuffle's ``ShuffleIo`` step, and every
+        other round too. A round past the budget raises
+        ``RoundBudgetExhausted`` and reads nothing, but ``write`` is queued
+        first, so the next round that runs still lands it."""
         sched = self.sched
         if sched is None:
             raise ModeError("batched rounds exist only on the protected path")
@@ -300,11 +301,10 @@ class Engine:
         heap = self._net_due
         if heap and heap[0][0] <= t:
             self._run_net_until(t)
-        served = sched.run_round(t, read, write)
-        return served[0] if read is not None else None
+        return sched.run_round(t, read, write)
 
     def run_one_round(self) -> None:
-        """One round with nothing handed to it: queued work or padding."""
+        """One round with nothing handed to it: queued writes or padding."""
         self.shuffle_round()
 
     def run_rounds(self, n: int) -> None:
@@ -312,7 +312,7 @@ class Engine:
             self.run_one_round()
 
     def _drain(self) -> None:
-        while self.sched.pending_reads > 0 or self.sched.pending_writes > 0:
+        while self.sched.pending_writes:
             self.run_one_round()
 
     # Shuffle ------------------------------------------------------------

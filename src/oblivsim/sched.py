@@ -2,12 +2,12 @@
 
 All disk traffic is reshaped into rounds at a fixed interval (default
 0.1 ms of simulated time). Every round performs exactly the configured
-number of reads followed by the configured number of writes; slots with
-no real request queued are filled with padding traffic against
-uniformly random blocks of the padding domain, the allocated blocks no
-file maps (``BlockFs.dummy_blocks``). An observer therefore sees the
-same call sequence, lengths and timing no matter what the workload
-does.
+number of reads followed by the configured number of writes. A read
+handed to the round and the writes handed or queued take their slots;
+every other slot is padding traffic against uniformly random blocks of
+the padding domain, the allocated blocks no file maps
+(``BlockFs.dummy_blocks``). An observer therefore sees the same call
+sequence, lengths and timing no matter what the workload does.
 
 Reads always run before writes within a round, and trace timestamps are
 the scheduled round time, so the recorded pattern is bit-reproducible.
@@ -32,7 +32,8 @@ class RoundConfig:
     writes_per_round: int = 1
 
     def __post_init__(self):
-        # Without a read or a write slot, that queue would never drain.
+        # Without a read slot a handed read has nowhere to go, and
+        # without a write slot the write queue would never drain.
         if self.interval_ns <= 0 or self.reads_per_round < 1 \
                 or self.writes_per_round < 1:
             raise ParameterError("invalid round configuration")
@@ -50,11 +51,9 @@ class RoundScheduler:
         # Bound once: every round advances this clock over these slots.
         self._interval_ns = config.interval_ns
         self._advance = store.iface.host.clock.advance_to
-        self._read_slots = range(config.reads_per_round)
+        self._reads_per_round = config.reads_per_round
         self._write_slots = range(config.writes_per_round)
-        # Queued requests: phys reads, (phys, data) writes. A read's
-        # plaintext comes back from the round that serves it.
-        self._reads: deque[int] = deque()
+        # Queued write-backs, (phys, data); reads are handed to run_round.
         self._writes: deque[tuple[int, bytes]] = deque()
         self.last_round_ns: int | None = None
         self.rounds = 0
@@ -65,10 +64,12 @@ class RoundScheduler:
 
     # Submission ----------------------------------------------------------
 
+    # Kept only while ``benchmarks/`` names them: ``tracing.TARGETS`` wraps
+    # ``submit_read`` and the ``kv_mixed`` drain loop reads ``pending_reads``.
+    pending_reads = 0
+
     def submit_read(self, phys: int) -> None:
-        """Never called from ``src/``; kept because ``benchmarks/tracing.py``
-        wraps it and ``kv_mixed`` reads ``pending_reads``."""
-        self._reads.append(phys)
+        raise SimError("reads are not queued: hand the read to run_round")
 
     def submit_write(self, phys: int, data: bytes) -> None:
         """Queue one block write. No bound: each was held in memory already."""
@@ -86,55 +87,47 @@ class RoundScheduler:
         return None
 
     @property
-    def pending_reads(self) -> int:
-        return len(self._reads)
-
-    @property
     def pending_writes(self) -> int:
         return len(self._writes)
 
     # Execution -----------------------------------------------------------
 
     def run_round(self, now_ns: int, read: int | None = None,
-                  write: tuple[int, bytes] | None = None) -> list[bytes]:
+                  write: tuple[int, bytes] | None = None) -> bytes | None:
         """One batch at now_ns: the simulated clock moves there, then
         reads run first and writes after, all stamped at now_ns.
 
-        ``read`` (a block) and ``write`` (a block and its plaintext, one
-        block long), when given, fill the round's first read and write
-        slots, ahead of anything queued. Returns the plaintexts of the
-        reads it served, in slot order, so a read handed over or queued
-        alone comes back as element 0. A failed read (say, it does not
-        authenticate) leaves the queue all the same; the round still runs
-        every slot and counts, so the cadence holds, and then raises the
-        first such error."""
+        ``read`` (a block) takes the first read slot, and padding the
+        rest. ``write`` (a block and its plaintext, one block long)
+        takes the first write slot, ahead of the queued writes, which
+        fill the next slots before padding does. Returns ``read``'s
+        plaintext, or None. A failed read (say, it does not
+        authenticate) still runs every slot and counts, so the cadence
+        holds, and then raises."""
         last = self.last_round_ns
         if last is not None and now_ns < last + self._interval_ns:
             raise ParameterError(
                 f"round at {now_ns} before the interval elapsed")
-        store, reads, writes = self.store, self._reads, self._writes
+        store, writes = self.store, self._writes
         targets, randbelow = self.dummy_targets, self.rng.randbelow
         self._advance(now_ns)
-        if read is not None:
-            reads.appendleft(read)
-        if write is not None:
-            writes.appendleft(write)
         error: SimError | None = None
-        served = []
-        for _ in self._read_slots:
-            if reads:
-                try:
-                    served.append(store.read_block(reads.popleft()))
-                except SimError as exc:
-                    error = error or exc
-                self.real_reads += 1
-            else:
-                store.dummy_read(targets[randbelow(len(targets))])
-                self.dummy_reads += 1
+        served = None
+        padding = self._reads_per_round
+        if read is not None:
+            padding -= 1
+            try:
+                served = store.read_block(read)
+            except SimError as exc:
+                error = exc
+            self.real_reads += 1
+        for _ in range(padding):
+            store.dummy_read(targets[randbelow(len(targets))])
+            self.dummy_reads += 1
         for _ in self._write_slots:
-            if writes:
-                phys, data = writes.popleft()
-                store.write_block(phys, data)
+            if write is not None or writes:
+                store.write_block(*(write or writes.popleft()))
+                write = None
                 self.real_writes += 1
             else:
                 store.dummy_write(targets[randbelow(len(targets))])

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,21 @@ def image(tmp_path_factory) -> Path:
 
 
 # --- create-image ------------------------------------------------------------
+
+
+def test_python_dash_m_runs_the_cli_from_a_source_checkout(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH="src")
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "oblivsim", *argv], cwd=root,
+                              env=env, capture_output=True, text=True)
+
+    shown = run("--help")
+    assert shown.returncode == 0 and "create-image" in shown.stdout
+    # main()'s own return code comes back: 2 for an image it cannot open.
+    failed = run("fsck", "--image", str(tmp_path / "missing.img"))
+    assert failed.returncode == 2 and failed.stderr.startswith("error:")
 
 
 def test_create_image_reports_the_remounted_layout(tmp_path, capsys):

@@ -350,12 +350,14 @@ def test_protected_disk_path_is_pinned(small_bundle):
     assert (digest, eng.counters()) == (PINNED_TRACE_SHA256, PINNED_COUNTERS)
 
 
-def test_a_miss_refused_by_the_budget_leaves_no_read_queued(small_bundle):
-    eng = mount(small_bundle).engine
+def test_a_miss_refused_by_the_budget_makes_no_host_call(small_bundle):
+    m = mount(small_bundle)
+    eng = m.engine
+    eng.start_observation()
     eng.round_target = 0
     with pytest.raises(RoundBudgetExhausted):
         eng.read_file(eng.regular_fd(0), 0, 4)
-    assert eng.sched.pending_reads == 0 and eng.rounds_done == 0
+    assert len(m.trace.events) == 0 and eng.rounds_done == 0
     eng.round_target = None
     assert eng.read_file(eng.regular_fd(1), 0, 4) == FILE_B[:4]
     assert eng.read_file(eng.regular_fd(0), 0, 4) == FILE_A[:4]
@@ -444,7 +446,7 @@ def test_trace_records_every_boundary_mutation(small_bundle):
     m.engine.read_file(fd, 2 * BLOCK_SIZE, 64)
     m.engine.run_rounds(4)
     m.engine.cache.flush()
-    while m.engine.sched.pending_writes or m.engine.sched.pending_reads:
+    while m.engine.sched.pending_writes:
         m.engine.run_one_round()
 
     mutations = m.trace.of_kind(

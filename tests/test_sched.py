@@ -16,6 +16,7 @@ from oblivsim import (
     RoundConfig,
     RoundScheduler,
     SimClock,
+    SimError,
     SizeError,
     layout_for,
     new_image,
@@ -53,7 +54,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("slots", [dict(reads_per_round=0), dict(writes_per_round=0)])
 def test_a_round_without_a_read_or_a_write_slot_is_refused(slots):
-    # A queued read needs a read slot to land, and the write queue a
+    # A handed read needs a read slot to land, and the write queue a
     # write slot to drain.
     with pytest.raises(ParameterError):
         RoundConfig(**slots)
@@ -98,11 +99,10 @@ def test_real_requests_take_the_slots():
     store, sched = make_sched()
     store.write_block(5, b"\x42" * BLOCK_SIZE)
     store.iface.trace.reset()
-    assert sched.submit_read(5) is None
     assert sched.submit_write(6, b"\x43" * BLOCK_SIZE) is None
-    assert sched.pending_reads == 1 and sched.pending_writes == 1
-    assert sched.run_round(0) == [b"\x42" * BLOCK_SIZE]
-    assert sched.pending_reads == 0 and sched.pending_writes == 0
+    assert sched.pending_writes == 1
+    assert sched.run_round(0, 5) == b"\x42" * BLOCK_SIZE
+    assert sched.pending_writes == 0
     assert sched.real_reads == 1 and sched.real_writes == 1
     assert sched.dummy_reads == 0 and sched.dummy_writes == 0
     events = store.iface.trace.events
@@ -112,33 +112,24 @@ def test_real_requests_take_the_slots():
     assert store.read_block(6) == b"\x43" * BLOCK_SIZE
 
 
-def test_a_round_returns_what_it_read_in_slot_order():
-    store, sched = make_sched(RoundConfig(reads_per_round=2))
-    for phys in (5, 6, 7):
-        store.write_block(phys, bytes([phys]) * BLOCK_SIZE)
-        sched.submit_read(phys)
-    assert sched.run_round(0) == [b"\x05" * BLOCK_SIZE, b"\x06" * BLOCK_SIZE]
-    assert sched.run_round(100_000) == [b"\x07" * BLOCK_SIZE]
-    assert sched.run_round(200_000) == []
-    assert sched.real_reads == 3 and sched.dummy_reads == 3
-
-
 def test_a_handed_read_and_write_take_the_first_slots():
     store, sched = make_sched(RoundConfig(reads_per_round=2, writes_per_round=2))
     for phys in (5, 6):
         store.write_block(phys, bytes([phys]) * BLOCK_SIZE)
-    sched.submit_read(6)
     sched.submit_write(7, b"\x07" * BLOCK_SIZE)
     store.iface.trace.reset()
-    assert sched.run_round(0, 5, (8, b"\x08" * BLOCK_SIZE)) == [
-        b"\x05" * BLOCK_SIZE, b"\x06" * BLOCK_SIZE]
-    assert [e.offset for e in store.iface.trace.events] == [
-        store.layout.data_offset(p) for p in (5, 6, 8, 7)]
-    assert sched.pending_reads == sched.pending_writes == 0
-    assert (sched.real_reads, sched.real_writes) == (2, 2)
+    assert sched.run_round(0, 5, (8, b"\x08" * BLOCK_SIZE)) == b"\x05" * BLOCK_SIZE
+    # The handed read, padding, the handed write, then the queued one.
+    offsets = [e.offset for e in store.iface.trace.events]
+    assert offsets[0] == store.layout.data_offset(5)
+    assert offsets[1] in {store.layout.data_offset(p) for p in DUMMIES}
+    assert offsets[2:] == [store.layout.data_offset(p) for p in (8, 7)]
+    assert sched.pending_writes == 0
+    assert (sched.real_reads, sched.real_writes) == (1, 2)
+    assert (sched.dummy_reads, sched.dummy_writes) == (1, 0)
     # Handed over alone, they leave the other slots to padding.
-    assert sched.run_round(100_000, 6, (9, b"\x09" * BLOCK_SIZE)) == [b"\x06" * BLOCK_SIZE]
-    assert (sched.dummy_reads, sched.dummy_writes) == (1, 1)
+    assert sched.run_round(100_000, 6, (9, b"\x09" * BLOCK_SIZE)) == b"\x06" * BLOCK_SIZE
+    assert (sched.dummy_reads, sched.dummy_writes) == (2, 1)
     assert store.read_block(9) == b"\x09" * BLOCK_SIZE
 
 
@@ -147,10 +138,11 @@ def test_busy_and_idle_rounds_share_a_shape():
     store_b, sched_b = make_sched(seed=9)
     store_b.write_block(5, b"\x01" * BLOCK_SIZE)
     store_b.iface.trace.reset()
-    sched_b.submit_read(5)
     sched_b.submit_write(5, b"\x02" * BLOCK_SIZE)
     run_rounds(sched_a, 3)
-    run_rounds(sched_b, 3)
+    assert sched_b.run_round(0, 5) == b"\x01" * BLOCK_SIZE
+    run_rounds(sched_b, 2)
+    assert (sched_b.real_reads, sched_b.real_writes) == (1, 1)
     assert store_a.iface.trace.shape() == store_b.iface.trace.shape()
 
 
@@ -167,6 +159,17 @@ def test_pending_write_lookup_sees_newest():
     assert store.read_block(5) == new  # FIFO execution, newest lands last
 
 
+def test_reads_are_handed_over_never_queued():
+    store, sched = make_sched()
+    store.iface.trace.reset()
+    with pytest.raises(SimError, match="run_round"):
+        sched.submit_read(5)
+    assert sched.pending_reads == sched.pending_writes == 0
+    assert len(store.iface.trace.events) == 0
+    assert (sched.rounds, sched.real_reads, sched.dummy_reads,
+            sched.real_writes, sched.dummy_writes) == (0, 0, 0, 0, 0)
+
+
 def test_rounds_respect_the_interval():
     store, sched = make_sched()
     sched.run_round(42)  # first round may start anywhere
@@ -181,13 +184,12 @@ def test_failed_read_still_completes_its_round():
     store.write_block(5, b"\x42" * BLOCK_SIZE)
     store.iface.host.image[store.layout.data_offset(5)] ^= 0x01
     store.iface.trace.reset()
-    sched.submit_read(5)
     sched.submit_write(6, b"\x43" * BLOCK_SIZE)
     with pytest.raises(IntegrityError):
-        run_rounds(sched, 1)
+        sched.run_round(0, 5)
     assert sched.pending_writes == 0
-    assert sched.rounds == 1 and sched.pending_reads == 0
-    assert sched.run_round(sched.config.interval_ns) == []
+    assert sched.rounds == 1 and (sched.real_reads, sched.real_writes) == (1, 1)
+    assert sched.run_round(sched.config.interval_ns) is None
     run_rounds(sched, 2)
     interval = sched.config.interval_ns
     assert [(e.ts, e.kind) for e in store.iface.trace.events] == [
