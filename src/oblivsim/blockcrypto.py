@@ -33,6 +33,7 @@ import hmac
 import os
 import struct
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
@@ -98,12 +99,15 @@ class FreshnessTable:
         self._versions[phys] = v
         return v
 
-    def restore(self, phys: int, version: int) -> None:
-        if version:
-            self._versions[phys] = version
+    def restore(self, versions: list[int]) -> None:
+        """Take block ``phys``'s counter from ``versions[phys]``, for
+        every block at once; a 0 (never written) leaves it as it was."""
+        self._versions.update(compress(enumerate(versions), versions))
 
 
 _aad = struct.Struct(">QQ").pack  # (phys, version) -> associated data
+_slot = struct.Struct(f"{SLOT_SIZE}s")
+_slot_version = struct.Struct(f">{NONCE_RANDOM}xQ{TAG_SIZE}x")  # the nonce's counter
 _nonce = struct.Struct(f">{NONCE_RANDOM}sQ").pack  # (prefix, version) -> nonce
 _split_prefixes = struct.Struct(f"{NONCE_RANDOM}s" * _POOL_PREFIXES).unpack
 _new_block = tuple.__new__  # EncryptedBlock without its Python-level __new__
@@ -186,6 +190,13 @@ def open_block(key: bytes, phys: int, enc: EncryptedBlock,
 
 def _blocks_for(nbytes: int) -> int:
     return (nbytes + BLOCK_SIZE - 1) // BLOCK_SIZE
+
+
+def _root(header: bytes, slot_region: bytes) -> bytes:
+    """The trusted root: SHA-256 over the header block, then the slot region."""
+    root = hashlib.sha256(header)
+    root.update(slot_region)
+    return root.digest()
 
 
 def _verity_slot(block: bytes) -> bytes:
@@ -304,17 +315,16 @@ class BlockStore:
             for i in range(layout.slot_blocks)
         )
         if trusted_root is not None and not hmac.compare_digest(
-                hashlib.sha256(header + raw).digest(), trusted_root):
+                _root(header, raw), trusted_root):
             raise ReplayError(
                 "image header and slot region do not match the trusted root")
         store = cls(iface, layout, key, sealed=layout.mode is ProtectionMode.VERITY)
-        slots, restore = store.slots, store.freshness.restore
-        for phys in range(layout.n_blocks):
-            slot = raw[phys * SLOT_SIZE:(phys + 1) * SLOT_SIZE]
-            if slot != _ZERO_SLOT:
-                slots[phys] = slot
-                if store._encrypted:
-                    restore(phys, int.from_bytes(slot[NONCE_RANDOM:NONCE_SIZE], "big"))
+        region = memoryview(raw)[:layout.n_blocks * SLOT_SIZE]
+        store.slots = [None if slot == _ZERO_SLOT else slot
+                       for (slot,) in _slot.iter_unpack(region)]
+        if store._encrypted:
+            store.freshness.restore(
+                [version for (version,) in _slot_version.iter_unpack(region)])
         return store
 
     # Data path --------------------------------------------------------
@@ -384,10 +394,10 @@ class BlockStore:
     def persist_metadata(self) -> bytes:
         """Write the slot cache back whole; returns the trusted root
         over the header and the slot region as written."""
-        raw = b"".join(_ZERO_SLOT if s is None else s for s in self.slots)
+        raw = b"".join([_ZERO_SLOT if s is None else s for s in self.slots])
         raw += bytes(self.layout.slot_blocks * BLOCK_SIZE - len(raw))
         for i in range(self.layout.slot_blocks):
             self.iface.disk_write(
                 self.layout.slot_region_offset() + i * BLOCK_SIZE,
                 raw[i * BLOCK_SIZE:(i + 1) * BLOCK_SIZE])
-        return hashlib.sha256(self.layout.header_block() + raw).digest()
+        return _root(self.layout.header_block(), raw)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import compress
 from typing import Protocol
 
 from .errors import (
@@ -44,6 +45,9 @@ FLAG_REGULAR = 0
 DUMMY_FRACTION = 0.10  # share of the disk drawn as the padding domain
 
 _SB = struct.Struct("<5sQIIIIIIQ")
+_MAP_AT = 14  # an inode entry's block map follows used, flags, size, nblocks
+_BITS = [bytes(b >> k & 1 for k in range(8)) for b in range(256)]  # bitmap byte -> 8 flags
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 class BlockIo(Protocol):
@@ -182,12 +186,15 @@ class BlockFs:
         bmb = _bitmap_blocks(self.n_blocks)
         itb = _itab_blocks(self.max_files, self.max_file_blocks)
         entry = _inode_struct(self.max_file_blocks)
-        no_map = [None] * self.max_file_blocks
-        itab = b"".join(
-            entry.pack(int(ino.used), ino.flags, ino.size, ino.nblocks,
-                       *(UNMAPPED if p is None else p
-                         for p in ino.block_map or no_map))
-            for ino in self.inodes)
+        # An unused entry is its flag and zeros, so each distinct one is packed once.
+        no_map = [UNMAPPED] * self.max_file_blocks
+        unused = {flags: entry.pack(0, flags, 0, 0, *no_map)
+                  for flags in {ino.flags for ino in self.inodes if not ino.used}}
+        itab = b"".join([
+            entry.pack(1, ino.flags, ino.size, ino.nblocks,
+                       *[UNMAPPED if p is None else p for p in ino.block_map])
+            if ino.used else unused[ino.flags]
+            for ino in self.inodes])
         region = b"".join((
             _padded(_SB.pack(FS_MAGIC, self.n_blocks, 1, bmb, 1 + bmb, itb,
                              self.max_files, self.max_file_blocks,
@@ -220,21 +227,27 @@ class BlockFs:
                           for phys in range(1, fs.metadata_blocks))
         fs.bitmap = bytearray(region[:(n_blocks + 7) // 8])
         entry = _inode_struct(max_file_blocks)
-        itab = region[bmb * BLOCK_SIZE:bmb * BLOCK_SIZE + max_files * entry.size]
-        for ino, (used, flags, size, _nblocks, *block_map) in zip(
-                fs.inodes, entry.iter_unpack(itab)):
-            ino.used = bool(used)
-            ino.flags = flags
-            ino.size = size
+        itab = memoryview(region)[bmb * BLOCK_SIZE:bmb * BLOCK_SIZE + max_files * entry.size]
+        # used, flags and size of every entry; the block map of used ones only.
+        head = struct.Struct(f"<BBQ4x{4 * max_file_blocks}x")
+        block_map = struct.Struct(f"<{max_file_blocks}I").unpack_from
+        for fd, (used, flags, size) in enumerate(head.iter_unpack(itab)):
+            ino = fs.inodes[fd]
+            ino.flags, ino.size = flags, size
+            if used:
+                ino.used = True
+                ino.block_map = [None if p == UNMAPPED else p
+                                 for p in block_map(itab, fd * entry.size + _MAP_AT)]
+        # One byte per block, 1 where the bitmap marks it allocated.
+        allocated = bytearray(b"".join(map(_BITS.__getitem__, fs.bitmap))[:n_blocks])
+        fs._free = list(compress(range(n_blocks), allocated.translate(_FLIP)))
+        for ino in fs.inodes:
             if ino.used:
-                ino.block_map = [None if p == UNMAPPED else p for p in block_map]
-        mapped = {p for ino in fs.inodes if ino.used for p in ino.block_map}
+                for p in ino.block_map:
+                    if p is not None and p < n_blocks:
+                        allocated[p] = 0
         meta = fs.metadata_blocks
-        for phys in range(n_blocks):
-            if not fs._bit(phys):
-                fs._free.append(phys)
-            elif phys >= meta and phys not in mapped:
-                fs._padding.append(phys)
+        fs._padding = list(compress(range(meta, n_blocks), allocated[meta:]))
         if fs.free_blocks != free_blocks:
             raise ParameterError("superblock free count disagrees with bitmap")
         problems = fs.fsck()

@@ -222,6 +222,14 @@ def establish(local: StaticIdentity, peer: PeerIdentity,
 # Provisioning.
 # ---------------------------------------------------------------------------
 
+def record_u16(n: int, what: str) -> bytes:
+    """A provisioning record's 16-bit length or count; ``what`` names it
+    in the ParameterError that refuses one above 65535."""
+    if n > 0xFFFF:
+        raise ParameterError(f"{what} is {n}, over the record's limit of 65535")
+    return struct.pack(">H", n)
+
+
 @dataclass(frozen=True)
 class ProvisioningSecrets:
     disk_key: bytes | None = None
@@ -233,18 +241,13 @@ class ProvisioningSecrets:
     def encode(self) -> bytes:
         """Length-prefixed binary record (versioned). Lengths and counts
         are 16-bit; a larger one raises ParameterError."""
-        def u16(n: int, what: str) -> bytes:
-            if n > 0xFFFF:
-                raise ParameterError(f"{what} is {n}, over the record's limit of 65535")
-            return struct.pack(">H", n)
-
         def lv(b: bytes, what: str) -> bytes:
-            return u16(len(b), what) + b
+            return record_u16(len(b), what) + b
 
         out = [PROV_MAGIC, struct.pack(">B", PROV_VERSION)]
         out.append(lv(self.disk_key or b"", "disk key length"))
         out.append(lv(self.verity_root or b"", "verity root length"))
-        out.append(u16(len(self.peers), "peer count"))
+        out.append(record_u16(len(self.peers), "peer count"))
         for p in self.peers:
             if len(p.public_key) != 32:
                 raise ParameterError("peer public keys are 32 bytes")
@@ -252,7 +255,7 @@ class ProvisioningSecrets:
             out.append(lv(p.address.encode(), "peer address length"))
             out.append(struct.pack(">Q", p.rate_bps))
         out.append(lv(self.exec_path.encode(), "exec path length"))
-        out.append(u16(len(self.exec_args), "exec arg count"))
+        out.append(record_u16(len(self.exec_args), "exec arg count"))
         for a in self.exec_args:
             out.append(lv(a.encode(), "exec arg length"))
         return b"".join(out)

@@ -38,6 +38,7 @@ from .channel import (
     StaticIdentity,
     establish,
     max_payload,
+    record_u16,
 )
 from .engine import (
     EchoPeer,
@@ -433,8 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        # argparse takes time quadratic in a repeated option's count, so
+        # an arg count the record cannot hold is refused before parsing.
+        record_u16(sum(a == "--arg" or a.startswith("--arg=") for a in argv),
+                   "exec arg count")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (SimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

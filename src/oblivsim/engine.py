@@ -530,8 +530,8 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     if mode is ProtectionMode.VERITY:
         root = store.seal_readonly()
     elif mode.encrypted:
-        for phys in range(n_blocks):
-            if store.slots[phys] is None:
+        for phys, slot in enumerate(store.slots):
+            if slot is None:
                 store.dummy_write(phys)
         root = store.persist_metadata()
         if mode is not ProtectionMode.CRYPT_INTEGRITY:

@@ -73,7 +73,7 @@ def test_ciphertext_bound_to_physical_slot():
     fresh = FreshnessTable()
     enc = seal_block(KEY, 3, PLAIN, fresh)
     fresh2 = FreshnessTable()
-    fresh2.restore(4, enc.version)
+    fresh2.restore([0, 0, 0, 0, enc.version])
     with pytest.raises(IntegrityError):
         open_block(KEY, 4, enc, fresh2)
 
@@ -120,9 +120,11 @@ def test_seal_open_validate_arguments():
 
 def test_freshness_restore_ignores_zero():
     fresh = FreshnessTable()
-    fresh.restore(3, 0)
+    fresh.restore([0, 0, 0, 0])
     assert fresh.version_of(3) == 0
-    fresh.restore(3, 9)
+    fresh.restore([0, 0, 0, 9])
+    assert fresh.version_of(3) == 9
+    fresh.restore([0, 5, 0, 0])
     assert fresh.version_of(3) == 9
     assert fresh.bump(3) == 10
 

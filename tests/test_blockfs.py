@@ -4,7 +4,7 @@ import hashlib
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oblivsim import (
     BLOCK_SIZE,
@@ -26,7 +26,8 @@ from oblivsim import (
     mount,
     new_image,
 )
-from oblivsim.blockfs import default_geometry, metadata_block_count
+from oblivsim.blockcrypto import SLOT_SIZE
+from oblivsim.blockfs import UNMAPPED, default_geometry, metadata_block_count
 
 
 class DictIo:
@@ -305,6 +306,124 @@ def test_persist_load_roundtrip_full_inode_table():
         == [(i.used, i.flags, i.size, i.block_map) for i in fs.inodes]
     assert again.inodes[gone].flags == 2
     assert again.fsck() == []
+
+
+def _reference_metadata(store):
+    """The persisted metadata region decoded one entry and one bitmap bit
+    at a time, from FORMATS.md alone: every inode's (used, flags, size,
+    map; None for an unused entry's), the free blocks and the padding
+    blocks (allocated data blocks no used inode maps), both ascending."""
+    _, n, _, bmb, _, itb, max_files, max_file_blocks, _ = struct.unpack_from(
+        "<5sQIIIIIIQ", store.read_block(0))
+    region = b"".join(store.read_block(p) for p in range(1, 1 + bmb + itb))
+    inodes = []
+    for fd in range(max_files):
+        used, flags, size, _nblocks, *block_map = struct.unpack_from(
+            f"<BBQI{max_file_blocks}I", region,
+            bmb * BLOCK_SIZE + fd * (14 + 4 * max_file_blocks))
+        inodes.append((bool(used), flags, size,
+                       [None if p == UNMAPPED else p for p in block_map]
+                       if used else None))
+    mapped = {p for used, _, _, block_map in inodes if used for p in block_map}
+    free, padding = [], []
+    for p in range(n):
+        if not region[p // 8] >> (p % 8) & 1:
+            free.append(p)
+        elif p >= 1 + bmb + itb and p not in mapped:
+            padding.append(p)
+    return inodes, free, padding
+
+
+def _reference_slots(host, layout):
+    """The slot region decoded one slot at a time: each block's slot (None
+    when all zero) and its write counter (0 unless encrypted and written)."""
+    slots, versions = [], []
+    for p in range(layout.n_blocks):
+        at = layout.slot_region_offset() + p * SLOT_SIZE
+        slot = bytes(host.image[at:at + SLOT_SIZE])
+        written = slot != bytes(SLOT_SIZE)
+        slots.append(slot if written else None)
+        versions.append(int.from_bytes(slot[16:24], "big")
+                        if written and layout.mode.encrypted else 0)
+    return slots, versions
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(ProtectionMode),
+       n_blocks=st.integers(8, 160),
+       max_files=st.integers(1, 10),
+       max_file_blocks=st.integers(1, 20),
+       ops=st.lists(st.tuples(st.sampled_from(["create", "write", "unlink"]),
+                              st.integers(0, 9), st.integers(0, 20 * BLOCK_SIZE)),
+                    max_size=24),
+       data_writes=st.lists(st.integers(0, 159), max_size=24),
+       seed=st.integers(0, 3))
+def test_bulk_codecs_match_a_per_entry_reference(mode, n_blocks, max_files,
+                                                 max_file_blocks, ops,
+                                                 data_writes, seed):
+    # persist -> BlockStore.mount -> BlockFs.load gives what a per-entry
+    # decode of the same bytes gives, in every mode, on images where some
+    # blocks were written (some more than once) and others never were.
+    meta = metadata_block_count(n_blocks, max_files, max_file_blocks)
+    assume(meta < n_blocks)
+    fs = make_fs(n_blocks, seed=seed, max_files=max_files,
+                 max_file_blocks=max_file_blocks)
+    io = DictIo()
+    for op, pick, nbytes in ops:
+        used = fs.files_with_flag(FLAG_REGULAR)
+        if op == "create":
+            if len(used) < max_files:
+                fs.create_file()
+        elif used and op == "write":
+            fd = used[pick % len(used)]
+            room = min(max_file_blocks, fs.file_blocks(fd) + fs.free_blocks)
+            fs.file_write(io, fd, 0, b"\x05" * min(nbytes, room * BLOCK_SIZE))
+        elif used:
+            fd = used[pick % len(used)]
+            fs.inodes[fd].flags = pick % 3 + 1  # a stale flag survives unlink
+            fs.unlink(fd)
+    layout = layout_for(n_blocks, mode)
+    host = Host(new_image(n_blocks, mode), SimClock())
+    key = bytes(range(32)) if mode.encrypted else None
+    store = BlockStore(HostInterface(host), layout, key)
+    fs.persist(store)
+    written = set(range(meta))
+    for p in data_writes:
+        if meta <= p < n_blocks:
+            store.write_block(p, bytes([p % 251]) * BLOCK_SIZE)
+            written.add(p)
+    if mode is ProtectionMode.VERITY:
+        for p in written:
+            at = layout.data_offset(p)
+            store.slots[p] = (hashlib.sha256(host.image[at:at + BLOCK_SIZE]).digest()
+                              + bytes(SLOT_SIZE - 32))
+    root = store.persist_metadata()
+
+    mounted = BlockStore.mount(HostInterface(host), key=key, trusted_root=root)
+    slots, versions = _reference_slots(host, layout)
+    assert mounted.slots == slots == store.slots
+    assert [mounted.freshness.version_of(p) for p in range(n_blocks)] == versions
+    again = BlockFs.load(mounted, RngTree(seed).stream("layout"))
+    inodes, free, padding = _reference_metadata(mounted)
+    assert [(i.used, i.flags, i.size, i.block_map) for i in again.inodes] == inodes
+    assert again._free == free
+    assert again._padding == padding == fs.dummy_blocks()
+
+
+def test_unused_inode_entries_keep_only_their_flag():
+    # FORMATS.md: an unused entry is written with size 0, nblocks 0 and
+    # every index unmapped; only its flag stays. A stale size that the
+    # host left in one is not written back.
+    bundle = build_image(64, ProtectionMode.PLAIN, [b"\x01" * BLOCK_SIZE], seed=4)
+    image = bytearray(bundle.image)
+    m = mount(bundle.image, oblivious=False)
+    at = _itab_pos(image, m.store, 3, 0)
+    struct.pack_into("<BBQ", image, at, 0, 2, 12345)
+    m = mount(bytes(image), oblivious=False)
+    m.fs.persist(m.store)
+    max_file_blocks = m.fs.max_file_blocks
+    assert struct.unpack_from(f"<BBQI{max_file_blocks}I", m.host.image, at) \
+        == (0, 2, 0, 0) + (UNMAPPED,) * max_file_blocks
 
 
 @pytest.mark.parametrize("field, value, reason", [

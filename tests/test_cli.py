@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,7 @@ def test_create_image_refuses_negative_sizes(argv, message, tmp_path, capsys):
     (("provision", "--verity-root", "abcd"), "--verity-root"),
     (("provision", "--arg", "x" * 70_000), "exec arg length"),
     (("provision", "--exec-path", "x" * 70_000), "exec path length"),
+    (("provision", *["--arg", "a"] * 65_536), "exec arg count is 65536"),
 ])
 def test_malformed_option_is_a_usage_error(argv, option, image, tmp_path, capsys):
     out = tmp_path / "out"
@@ -234,6 +236,19 @@ def test_malformed_option_is_a_usage_error(argv, option, image, tmp_path, capsys
     assert rc == 2
     assert f"error: {option}" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_an_arg_count_over_the_record_limit_is_refused_before_parsing(capsys):
+    # argparse takes time quadratic in a repeated option's count: parsing
+    # 65 536 --arg flags took over a minute before the record refused them.
+    argv = ["provision", *["--arg=a"] * 3, *["--arg", "a"] * 65_533]
+    started = time.perf_counter()
+    rc = main(argv)
+    took = time.perf_counter() - started
+    assert rc == 2
+    assert ("error: exec arg count is 65536, over the record's limit of 65535"
+            in capsys.readouterr().err)
+    assert took < 0.5
 
 
 def test_negative_workload_argument_is_refused(image, tmp_path, capsys):

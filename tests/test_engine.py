@@ -307,6 +307,24 @@ def test_dirty_page_the_pass_did_not_write_is_flushed(small_bundle, monkeypatch)
     assert m.store.read_block(m.fs.phys_of(b, 0)) == b"\xb0" * BLOCK_SIZE
 
 
+# SHA-256 of the "kind,offset" lines a mount of the bundle below makes
+# before start_observation: the container header, the slot region, then
+# the superblock, bitmap and inode table, each read once and in order.
+MOUNT_VIEW_SHA256 = "64b73f2daffea03b6c5eb179eb25fd312cc04ad3b0f6f741677d42a5199f1537"
+
+
+@pytest.mark.parametrize("mode", list(ProtectionMode))
+def test_what_the_host_sees_at_mount_is_pinned(mode):
+    # However the mount decodes the metadata it reads, it reads the same
+    # offsets in the same order; the layout is the same in every mode.
+    bundle = build_image(1200, mode, [FILE_A, FILE_B], seed=7,
+                         key=DEFAULT_KEY if mode.encrypted else None)
+    m = mount(bundle, seed=7)
+    view = "".join(f"{e.kind.value},{e.offset}\n" for e in m.trace.events)
+    assert len(m.trace.events) == 24
+    assert hashlib.sha256(view.encode()).hexdigest() == MOUNT_VIEW_SHA256
+
+
 # Whole-block writes (w), partial writes (p) and 64-byte reads (r) by
 # (data file index, block). With two cache pages they evict dirty pages,
 # serve a miss from the write queue and force a shuffle.
