@@ -58,6 +58,7 @@ COUNTER_BYTES = 8
 LEN_BYTES = 2
 TAG_BYTES = 16
 REPLAY_WINDOW = 64
+_WINDOW_MASK = (1 << REPLAY_WINDOW) - 1
 
 PROV_MAGIC = b"OBPV"
 PROV_VERSION = 1
@@ -106,13 +107,11 @@ def _directional_key(secret: bytes, sender_pub: bytes, receiver_pub: bytes) -> b
 
 
 class ReplayWindow:
-    """Sliding acceptance window over frame counters (width 64)."""
+    """Sliding acceptance window over frame counters (``REPLAY_WINDOW``)."""
 
-    def __init__(self, width: int = REPLAY_WINDOW):
-        self.width = width
+    def __init__(self):
         self.max_seen = 0
         self._bits = 0
-        self._mask = (1 << width) - 1
 
     def check(self, counter: int) -> None:
         """Accept exactly-once; mutates state only on acceptance."""
@@ -124,7 +123,7 @@ class ReplayWindow:
         if counter < 1:
             raise StaleCounterError("counters start at 1")
         age = self.max_seen - counter
-        if age >= self.width:
+        if age >= REPLAY_WINDOW:
             raise StaleCounterError(
                 f"counter {counter} fell behind the window (max {self.max_seen})")
         if age >= 0 and self._bits >> age & 1:
@@ -135,7 +134,7 @@ class ReplayWindow:
         clears the bitmap instead of shifting it that far."""
         if counter > self.max_seen:
             shift = counter - self.max_seen
-            self._bits = (self._bits << shift) & self._mask if shift < self.width else 0
+            self._bits = (self._bits << shift) & _WINDOW_MASK if shift < REPLAY_WINDOW else 0
             self.max_seen = counter
         self._bits |= 1 << (self.max_seen - counter)
 

@@ -90,7 +90,6 @@ class ShuffleStats:
     swaps: int = 0
     real_reads: int = 0
     dummy_reads: int = 0
-    served_from_cache: int = 0
     donor_reuses: int = 0
 
 
@@ -129,7 +128,7 @@ def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
         order = fisher_yates(sources, rng)
         stream = [src for src in order if io.peek_cache(*src) is None]
         stats.real_reads = len(stream)
-        stats.dummy_reads = stats.served_from_cache = len(order) - len(stream)
+        stats.dummy_reads = len(order) - len(stream)
         # Vacated homes rejoin the pool only after the pass, so each step
         # past the pool's size reuses one.
         reuses = max(0, len(order) - fs.free_blocks)

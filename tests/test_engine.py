@@ -32,6 +32,7 @@ from oblivsim import (
 )
 import oblivsim.engine as engine_module
 from oblivsim.blockcrypto import SLOT_SIZE
+from oblivsim.shaper import SEND_QUEUE_FRAMES
 from oblivsim.shuffle import oblivious_shuffle
 
 FILE_A = bytes(range(256)) * 16 * 8
@@ -424,7 +425,7 @@ def test_shuffle_with_two_slots_of_each_kind_is_pinned(small_bundle):
     assert eng.read_file(a, 0, 4) == FILE_A[:4]
     assert eng.read_file(b, 2 * BLOCK_SIZE, 4) == FILE_B[:4]
     stats = eng.shuffle_now()
-    assert (stats.swaps, stats.served_from_cache) == (11, 3)
+    assert (stats.swaps, stats.dummy_reads) == (11, 3)
     assert eng.read_file(a, 5 * BLOCK_SIZE, 4) == b"\x5e" * 4
     assert eng.read_file(b, 0, len(FILE_B)) == FILE_B
     eng.run_rounds(2)
@@ -524,29 +525,31 @@ def test_net_writes_stay_on_the_shaper_grid(small_bundle):
     assert all(d == 60_000 for d in deltas)
 
 
-# (endpoint, link rate, burst, peer rate): mixed rates, bursts and a peer
+# (endpoint, link rate, peer rate) in bit/s: mixed rates and a peer
 # slower or faster than its link.
-MIXED_LINKS = [(0, 200_000_000, 1, 200_000_000), (1, 100_000_000, 1, 100_000_000),
-               (2, 150_000_000, 2, 150_000_000), (3, 50_000_000, 1, 80_000_000),
-               (4, 333_333_333, 1, 333_333_333), (5, 200_000_000, 3, 120_000_000),
-               (6, 75_000_000, 1, 75_000_000)]
-LATE_LINK = (7, 120_000_000, 1, 240_000_000)
-# SHA-256 of the export of ``_run_mixed_links`` and of its echo log; the
+MIXED_LINKS = [(0, 200_000_000, 200_000_000), (1, 100_000_000, 100_000_000),
+               (2, 150_000_000, 150_000_000), (3, 50_000_000, 80_000_000),
+               (4, 333_333_333, 333_333_333), (5, 200_000_000, 120_000_000),
+               (6, 75_000_000, 75_000_000)]
+LATE_LINK = (7, 120_000_000, 240_000_000)
+# SHA-256 of the export of ``_run_mixed_links`` and of its echo log. The
 # echo digest was fixed when the net loop polled every actor at every
-# instant, and the event-driven loop reproduces both byte for byte. The
-# trace pins the order of the enclave's calls; the echo log pins when each
-# payload came back, which moves if peers and links swap turns within an
-# instant. Which frames were padding is pinned from the sessions' own
-# counters: (endpoint, sent_real, sent_dummy) per link and (endpoint,
+# instant; the trace and counters were derived on the event-driven loop
+# with the token-bucket shaper at burst depth 1 on every link, and the
+# one-frame shaper reproduces them byte for byte. The trace pins the
+# order of the enclave's calls; the echo log pins when each payload came
+# back, which moves if peers and links swap turns within an instant.
+# Which frames were padding is pinned from the sessions' own counters:
+# (endpoint, sent_real, sent_dummy) per link and (endpoint,
 # received_real, received_dummy) per peer.
 MIXED_LINKS_TRACE_SHA256 = \
-    "43a077fd88558478dd7a307d973f87cfc509195dcb2569cfdb98389280a40c88"
+    "f59d4a7b52f94045ff6100f40f7c7e384139b33bbba5ea7cd42ff8d1a6c0589b"
 MIXED_LINKS_ECHO_SHA256 = \
     "04c085e935456cb27b064cfe6e604d5841297b772cb2b431f52b5e6008bb2bdd"
-MIXED_LINKS_SENT = [(0, 20, 79), (1, 20, 30), (2, 20, 55), (3, 20, 5),
-                    (4, 20, 144), (5, 20, 81), (6, 20, 17), (7, 14, 25)]
-MIXED_LINKS_RECEIVED = [(0, 20, 78), (1, 19, 30), (2, 20, 54), (3, 20, 5),
-                        (4, 20, 143), (5, 20, 81), (6, 19, 17), (7, 14, 25)]
+MIXED_LINKS_SENT = [(0, 20, 79), (1, 20, 30), (2, 20, 54), (3, 20, 5),
+                    (4, 20, 144), (5, 20, 79), (6, 20, 17), (7, 14, 25)]
+MIXED_LINKS_RECEIVED = [(0, 20, 78), (1, 19, 30), (2, 20, 53), (3, 20, 5),
+                        (4, 20, 143), (5, 20, 79), (6, 19, 17), (7, 14, 25)]
 
 
 def _run_mixed_links(bundle):
@@ -558,13 +561,13 @@ def _run_mixed_links(bundle):
     echoes = []
 
     def attach(spec, start_ns):
-        ep, rate, burst, peer_rate = spec
+        ep, rate, peer_rate = spec
         a = StaticIdentity.from_private_bytes(bytes([ep]) * 31 + b"\x01")
         b = StaticIdentity.from_private_bytes(bytes([ep]) * 31 + b"\x02")
         m.engine.add_link(ep, establish(a, PeerIdentity(b.public_bytes)),
-                          ShapingClass(rate, burst), start_ns)
+                          ShapingClass(rate_bps=rate), start_ns)
         peers[ep] = EchoPeer(m.host, ep, establish(b, PeerIdentity(a.public_bytes)),
-                             ShapingClass(peer_rate, burst), start_ns)
+                             ShapingClass(rate_bps=peer_rate), start_ns)
         m.engine.add_external_pump(peers[ep])
 
     for spec in MIXED_LINKS:
@@ -587,7 +590,7 @@ def _run_mixed_links(bundle):
 def test_mixed_link_event_order_is_pinned(small_bundle):
     m, peers, echoes = _run_mixed_links(small_bundle)
     text = m.trace.export()
-    assert len(m.trace) == 2268
+    assert len(m.trace) == 2259
     assert hashlib.sha256(text.encode()).hexdigest() == MIXED_LINKS_TRACE_SHA256
     assert [(l.endpoint, l.session.sent_real, l.session.sent_dummy)
             for l in m.engine.links] == MIXED_LINKS_SENT
@@ -659,23 +662,23 @@ def test_every_frame_sent_is_received_or_still_queued(small_bundle):
         assert peer.rx_errors == link.rx_errors == peer.dropped == 0
 
 
-def test_echo_peer_drops_a_burst_beyond_its_queue_and_keeps_echoing(small_bundle):
+def test_echo_peer_drops_payloads_beyond_its_send_queue_and_keeps_echoing(small_bundle):
     m = mount(small_bundle)
     enclave, remote = net_pair()
-    link = m.engine.add_link(7, enclave, ShapingClass(burst_frames=4))
-    peer = EchoPeer(m.host, 7, remote, ShapingClass(queue_frames=1))
-    m.engine.add_external_pump(peer)
-    for i in range(4):
-        m.engine.net_send(7, b"burst %d" % i)
-    m.engine.run_rounds(3)
-    assert peer.session.received_real == 4
+    peer = EchoPeer(m.host, 7, remote, ShapingClass())
+    for i in range(SEND_QUEUE_FRAMES + 3):
+        m.host.egress[7].append(enclave.seal_packet(b"burst %d" % i))
+    peer.pump(0)
+    assert peer.session.received_real == 4099
     assert peer.dropped == 3
-    assert list(link.inbox) == [b"burst 0"]
+    (ep, frame), = m.host.ingress
+    assert (ep, enclave.open_packet(frame)) == (7, b"burst 0")
 
-    m.engine.net_send(7, b"after")
-    m.engine.run_rounds(3)
+    m.host.egress[7].append(enclave.seal_packet(b"after"))
+    peer.pump(peer.next_due_ns())
     assert peer.dropped == 3
-    assert list(link.inbox) == [b"burst 0", b"after"]
+    assert peer.shaper.backlog == SEND_QUEUE_FRAMES - 1  # "after" was queued
+    assert enclave.open_packet(m.host.ingress[-1][1]) == b"burst 1"
 
 
 class _ScriptedPump:

@@ -15,6 +15,7 @@ from oblivsim import (
     establish,
     max_payload,
 )
+from oblivsim.shaper import SEND_QUEUE_FRAMES
 
 RATE = 200_000_000
 
@@ -42,10 +43,6 @@ def drain_due(shaper, count):
 def test_shaping_class_validation():
     with pytest.raises(ParameterError):
         ShapingClass(rate_bps=0)
-    with pytest.raises(ParameterError):
-        ShapingClass(burst_frames=0)
-    with pytest.raises(ParameterError):
-        ShapingClass(queue_frames=0)
 
 
 def test_200mbps_sits_on_a_60us_grid():
@@ -89,12 +86,6 @@ def test_idle_gaps_never_turn_into_bursts():
     assert shaper.next_due_ns() == 1_000_000_000 + 60_000
 
 
-def test_burst_depth_widens_the_window():
-    shaper, _ = make_shaper(rate_bps=RATE, burst_frames=3)
-    assert len(shaper.tick(0)) == 3
-    assert len(shaper.tick(300_000)) == 3  # refill capped at 3 either way
-
-
 def test_ticks_between_slots_emit_nothing():
     shaper, _ = make_shaper(rate_bps=RATE)
     shaper.tick(0)
@@ -103,15 +94,15 @@ def test_ticks_between_slots_emit_nothing():
 
 
 def test_queue_limits_and_payload_size():
-    shaper, _ = make_shaper(rate_bps=RATE, queue_frames=2)
+    shaper, _ = make_shaper(rate_bps=RATE)
     with pytest.raises(SizeError):
         shaper.enqueue(b"\x00" * (max_payload() + 1))
     with pytest.raises(SizeError):
         shaper.enqueue(b"")
-    shaper.enqueue(b"a")
-    shaper.enqueue(b"b")
+    for _ in range(SEND_QUEUE_FRAMES):
+        shaper.enqueue(b"a")
     with pytest.raises(BackpressureError):
-        shaper.enqueue(b"c")
+        shaper.enqueue(b"b")
 
 
 def test_clock_must_not_move_backwards():
