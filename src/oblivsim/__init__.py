@@ -20,7 +20,6 @@ from .adversary import (
 )
 from .blockcrypto import (
     BlockStore,
-    FreshnessTable,
     ProtectionMode,
     layout_for,
     new_image,

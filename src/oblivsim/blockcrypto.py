@@ -11,11 +11,14 @@ ciphertext presented at the wrong slot fails to open. The nonce's 16
 leading bytes are OS randomness, each prefix used once in the process:
 one ``os.urandom`` call fills a pool of ``_POOL_PREFIXES`` prefixes and
 a forked child starts with an empty pool, so parent and child never
-share one. The per-block write counter rides in the low 8 bytes of the
-24-byte nonce; a counter that disagrees with the in-memory freshness
-table is reported as a replay, distinct from a tag failure. Padding is
-sealed zeros: under a fresh nonce they cannot be told from sealed
-noise. A VERITY block's slot holds the SHA-256 of its plaintext instead.
+share one. The block's write counter rides in the low 8 bytes of the
+24-byte nonce. A sealed block is its 40-byte slot (nonce, then tag) and
+its ciphertext, the on-disk form and the only one. A ``BlockStore``
+holds the image's one AEAD object and one write counter per block; in
+CRYPT_INTEGRITY a slot whose counter disagrees with the store's is
+reported as a replay, distinct from a tag failure. Padding is sealed
+zeros: under a fresh nonce they cannot be told from sealed noise. A
+VERITY block's slot holds the SHA-256 of its plaintext instead.
 
 Both integrity modes rest on one trusted root, the SHA-256 of the
 header block and the whole slot region: ``persist_metadata`` returns
@@ -33,8 +36,6 @@ import hmac
 import os
 import struct
 from dataclasses import dataclass
-from itertools import compress
-from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -72,45 +73,11 @@ class ProtectionMode(enum.Enum):
         return self in (ProtectionMode.CRYPT, ProtectionMode.CRYPT_INTEGRITY)
 
 
-class EncryptedBlock(NamedTuple):
-    nonce: bytes
-    ciphertext: bytes
-    tag: bytes
-
-    def slot(self) -> bytes:
-        return self.nonce + self.tag
-
-    @property
-    def version(self) -> int:
-        return int.from_bytes(self.nonce[NONCE_RANDOM:], "big")
-
-
-class FreshnessTable:
-    """Per-physical-block write counters, kept in trusted memory."""
-
-    def __init__(self):
-        self._versions: dict[int, int] = {}
-
-    def version_of(self, phys: int) -> int:
-        return self._versions.get(phys, 0)
-
-    def bump(self, phys: int) -> int:
-        v = self._versions.get(phys, 0) + 1
-        self._versions[phys] = v
-        return v
-
-    def restore(self, versions: list[int]) -> None:
-        """Take block ``phys``'s counter from ``versions[phys]``, for
-        every block at once; a 0 (never written) leaves it as it was."""
-        self._versions.update(compress(enumerate(versions), versions))
-
-
 _aad = struct.Struct(">QQ").pack  # (phys, version) -> associated data
 _slot = struct.Struct(f"{SLOT_SIZE}s")
 _slot_version = struct.Struct(f">{NONCE_RANDOM}xQ{TAG_SIZE}x")  # the nonce's counter
 _nonce = struct.Struct(f">{NONCE_RANDOM}sQ").pack  # (prefix, version) -> nonce
 _split_prefixes = struct.Struct(f"{NONCE_RANDOM}s" * _POOL_PREFIXES).unpack
-_new_block = tuple.__new__  # EncryptedBlock without its Python-level __new__
 
 # Unused nonce prefixes. ``list.pop`` is atomic, so no prefix is handed
 # out twice, and a forked child drops what it inherited.
@@ -128,58 +95,39 @@ def _nonce_prefix() -> bytes:
         return first
 
 
-# One AEAD object per key: building ``AESGCM(key)`` costs as much as
-# sealing a block. A mount uses one key, so a few entries suffice.
-_ciphers: dict[bytes, AESGCM] = {}
+def seal_block(cipher: AESGCM, phys: int, version: int,
+               plaintext: bytes) -> tuple[bytes, bytes]:
+    """Encrypt one block for physical slot ``phys`` at write counter
+    ``version``; returns its slot (nonce ‖ tag) and its ciphertext.
 
-
-def _new_cipher(key: bytes) -> AESGCM:
-    if len(_ciphers) >= 8:
-        _ciphers.clear()
-    cipher = _ciphers[key] = AESGCM(key)
-    return cipher
-
-
-def seal_block(key: bytes, phys: int, plaintext: bytes,
-               freshness: FreshnessTable) -> EncryptedBlock:
-    """Encrypt one block for physical slot ``phys``.
-
-    Every call takes a fresh random nonce prefix from the pool and
-    advances the block's write counter, so sealing is probabilistic:
-    equal plaintexts never produce equal ciphertexts.
+    Every call takes a fresh random nonce prefix from the pool, so
+    sealing is probabilistic: equal plaintexts never produce equal
+    ciphertexts.
     """
-    if len(key) != KEY_SIZE:
-        raise ParameterError("key must be 32 bytes")
     if len(plaintext) != BLOCK_SIZE:
         raise SizeError("plaintext must be exactly one block")
-    version = freshness.bump(phys)
     nonce = _nonce(_nonce_prefix(), version)
-    sealed = (_ciphers.get(key) or _new_cipher(key)).encrypt(
-        nonce, plaintext, _aad(phys, version))
-    return _new_block(EncryptedBlock, (nonce, sealed[:-TAG_SIZE], sealed[-TAG_SIZE:]))
+    sealed = cipher.encrypt(nonce, plaintext, _aad(phys, version))
+    return nonce + sealed[-TAG_SIZE:], sealed[:-TAG_SIZE]
 
 
-def open_block(key: bytes, phys: int, enc: EncryptedBlock,
-               freshness: FreshnessTable | None = None) -> bytes:
-    """Decrypt and verify one block.
+def open_block(cipher: AESGCM, phys: int, slot: bytes, ciphertext: bytes,
+               version: int | None = None) -> bytes:
+    """Decrypt and verify one block from its slot and ciphertext.
 
-    With a freshness table the embedded write counter must equal the
-    trusted counter; a mismatch on an otherwise well-formed block means
-    the host presented stale data and raises ReplayError. Tag failures
-    raise IntegrityError.
+    Given ``version``, the write counter in the slot's nonce must equal
+    it; a mismatch on an otherwise well-formed block means the host
+    presented stale data and raises ReplayError. None skips that check
+    (CRYPT's weaker guarantee). Tag failures raise IntegrityError.
     """
-    if len(key) != KEY_SIZE:
-        raise ParameterError("key must be 32 bytes")
-    if len(enc.nonce) != NONCE_SIZE or len(enc.tag) != TAG_SIZE:
+    if len(slot) != SLOT_SIZE:
         raise SizeError("malformed sealed block")
-    nonce = enc.nonce
-    version = int.from_bytes(nonce[NONCE_RANDOM:], "big")
-    if freshness is not None and version != freshness.version_of(phys):
-        raise ReplayError(
-            f"block {phys}: version {version} != expected {freshness.version_of(phys)}")
+    (found,) = _slot_version.unpack(slot)
+    if version is not None and found != version:
+        raise ReplayError(f"block {phys}: version {found} != expected {version}")
     try:
-        return (_ciphers.get(key) or _new_cipher(key)).decrypt(
-            nonce, enc.ciphertext + enc.tag, _aad(phys, version))
+        return cipher.decrypt(slot[:NONCE_SIZE], ciphertext + slot[NONCE_SIZE:],
+                              _aad(phys, found))
     except InvalidTag as exc:
         raise IntegrityError(f"block {phys}: tag check failed") from exc
 
@@ -264,25 +212,26 @@ def parse_header(block: bytes) -> ImageLayout:
 class BlockStore:
     """A mounted image: typed block reads/writes over the host boundary.
 
-    Holds the key, the slot cache and the freshness table. All byte
-    traffic with the image goes through the host interface; per-block
-    metadata is cached in trusted memory and persisted in bulk by
-    persist_metadata(), which returns the image's trusted root.
+    Holds the image's one cipher, the slot cache and each block's write
+    counter. All byte traffic with the image goes through the host
+    interface; per-block metadata is cached in trusted memory and
+    persisted in bulk by persist_metadata(), which returns the image's
+    trusted root.
     """
 
     def __init__(self, iface: HostInterface, layout: ImageLayout,
                  key: bytes | None, sealed: bool = False):
         self.iface = iface
         self.layout = layout
-        self.key = key
         self.slots: list[bytes | None] = [None] * layout.n_blocks  # None: never written
-        self.freshness = FreshnessTable()
+        self.versions = [0] * layout.n_blocks  # write counters, kept in trusted memory
         self.sealed = sealed
-        # Fixed for the mount, so the data path works them out once.
         self._data_base = layout.data_start_block * BLOCK_SIZE
-        self._encrypted = layout.mode.encrypted
-        self._open_freshness = (
-            self.freshness if layout.mode is ProtectionMode.CRYPT_INTEGRITY else None)
+        self._cipher = None
+        if layout.mode.encrypted:
+            if key is None or len(key) != KEY_SIZE:
+                raise ParameterError("this image requires a 32-byte key")
+            self._cipher = AESGCM(key)
 
     @property
     def mode(self) -> ProtectionMode:
@@ -306,8 +255,6 @@ class BlockStore:
         """
         header = iface.disk_read(0)
         layout = parse_header(header)
-        if layout.mode.encrypted and (key is None or len(key) != KEY_SIZE):
-            raise ParameterError("this image requires a 32-byte key")
         if layout.mode is ProtectionMode.VERITY and trusted_root is None:
             raise ParameterError("verity images require the trusted root hash")
         raw = b"".join(
@@ -318,13 +265,14 @@ class BlockStore:
                 _root(header, raw), trusted_root):
             raise ReplayError(
                 "image header and slot region do not match the trusted root")
+        # Built only now: a hostile n_blocks has failed the slot-region
+        # reads above before it can size the store's lists.
         store = cls(iface, layout, key, sealed=layout.mode is ProtectionMode.VERITY)
         region = memoryview(raw)[:layout.n_blocks * SLOT_SIZE]
         store.slots = [None if slot == _ZERO_SLOT else slot
                        for (slot,) in _slot.iter_unpack(region)]
-        if store._encrypted:
-            store.freshness.restore(
-                [version for (version,) in _slot_version.iter_unpack(region)])
+        if store._cipher is not None:
+            store.versions = [version for (version,) in _slot_version.iter_unpack(region)]
         return store
 
     # Data path --------------------------------------------------------
@@ -334,11 +282,12 @@ class BlockStore:
             raise ParameterError(f"physical block {phys} out of range")
         raw = self.iface.disk_read(self._data_base + phys * BLOCK_SIZE)
         slot = self.slots[phys]
-        if self._encrypted:
+        if self._cipher is not None:
             if slot is None:
                 raise IntegrityError(f"block {phys} was never written")
-            enc = _new_block(EncryptedBlock, (slot[:NONCE_SIZE], raw, slot[NONCE_SIZE:]))
-            return open_block(self.key, phys, enc, self._open_freshness)
+            version = (self.versions[phys]
+                       if self.layout.mode is ProtectionMode.CRYPT_INTEGRITY else None)
+            return open_block(self._cipher, phys, slot, raw, version)
         if self.layout.mode is ProtectionMode.VERITY and slot != _verity_slot(raw):
             raise IntegrityError(f"block {phys}: digest does not match its slot")
         return raw
@@ -349,10 +298,12 @@ class BlockStore:
         if not 0 <= phys < self.layout.n_blocks:
             raise ParameterError(f"physical block {phys} out of range")
         offset = self._data_base + phys * BLOCK_SIZE
-        if self._encrypted:
-            nonce, ciphertext, tag = seal_block(self.key, phys, plaintext, self.freshness)
+        if self._cipher is not None:
+            version = self.versions[phys] + 1
+            slot, ciphertext = seal_block(self._cipher, phys, version, plaintext)
             self.iface.disk_write(offset, ciphertext)
-            self.slots[phys] = nonce + tag
+            self.slots[phys] = slot
+            self.versions[phys] = version
             return
         if len(plaintext) != BLOCK_SIZE:
             raise SizeError("plaintext must be exactly one block")

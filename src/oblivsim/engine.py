@@ -178,6 +178,9 @@ class EchoPeer:
 
     def __init__(self, host, endpoint: int, session: PeerSession,
                  shaping: ShapingClass, start_ns: int = 0):
+        if session.mtu != host.mtu:
+            raise ParameterError(
+                f"session MTU {session.mtu} is not the host's MTU {host.mtu}")
         self.host = host
         self.endpoint = endpoint
         self.session = session
@@ -354,6 +357,9 @@ class Engine:
         by default the current simulated time."""
         if endpoint in self._links_by_endpoint:
             raise ParameterError(f"endpoint {endpoint} already linked")
+        if session.mtu != self.iface.host.mtu:
+            raise ParameterError(
+                f"session MTU {session.mtu} is not the host's MTU {self.iface.host.mtu}")
         shaping = shaping if shaping is not None else ShapingClass()
         start_ns = self.clock.now() if start_ns is None else start_ns
         link = NetLink(endpoint, session, PeerShaper(shaping, session, start_ns))

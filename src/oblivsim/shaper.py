@@ -4,8 +4,9 @@ Each peer link emits exactly MTU-sized frames on a fixed grid, one
 frame per slot: one frame costs mtu * 8 * 1e9 bit-nanoseconds, and
 emission k opens at ceil(k * frame_cost / rate_bps). All accounting is
 exact integer arithmetic, so the grid never drifts, for any integer
-rate. A link's only setting is its rate; no two frames ever share an
-instant, so the bit rate an observer sees is constant.
+rate. A link's only setting is its rate, at most one frame per
+nanosecond (frame_cost); so no two frames ever share an instant, and
+the bit rate an observer sees is constant.
 
 When a slot opens the shaper sends the oldest queued payload if there
 is one; otherwise it sends a padding frame. Outside observers see the
@@ -44,6 +45,12 @@ class PeerShaper:
         self.session = session
         self._rate = shaping.rate_bps
         self.frame_cost = session.mtu * 8 * NS_PER_S
+        if self._rate > self.frame_cost:
+            # Two emissions would share a due nanosecond, and the tick
+            # at that instant would forfeit one of them.
+            raise ParameterError(
+                f"rate_bps {self._rate} is above one {session.mtu}-byte frame "
+                f"per nanosecond ({self.frame_cost})")
         self.last_tick_ns = start_ns
         self._epoch_ns = start_ns
         self._next_k = 0

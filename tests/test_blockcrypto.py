@@ -15,7 +15,6 @@ from oblivsim import (
     BLOCK_SIZE,
     BlockStore,
     CallKind,
-    FreshnessTable,
     Host,
     HostInterface,
     IntegrityError,
@@ -35,98 +34,82 @@ from oblivsim.blockcrypto import (
     NONCE_RANDOM,
     NONCE_SIZE,
     SLOT_SIZE,
-    EncryptedBlock,
     parse_header,
 )
 
 KEY = bytes(range(32))
 PLAIN = bytes(range(256)) * 16
+CIPHER = AESGCM(KEY)
 
 
 def test_seal_open_roundtrip():
-    fresh = FreshnessTable()
-    enc = seal_block(KEY, 5, PLAIN, fresh)
-    assert open_block(KEY, 5, enc, fresh) == PLAIN
+    slot, ciphertext = seal_block(CIPHER, 5, 1, PLAIN)
+    assert len(slot) == SLOT_SIZE and len(ciphertext) == BLOCK_SIZE
+    assert open_block(CIPHER, 5, slot, ciphertext, 1) == PLAIN
 
 
 def test_seal_matches_independent_aead_computation():
-    # Recompute the decryption with the raw primitive: the counter must
-    # sit in the nonce tail and (phys, counter) must be the AAD.
-    fresh = FreshnessTable()
-    enc = seal_block(KEY, 9, PLAIN, fresh)
-    version = int.from_bytes(enc.nonce[NONCE_RANDOM:], "big")
+    # Recompute the decryption with the raw primitive: the slot is
+    # nonce ‖ tag, the counter must sit in the nonce tail and
+    # (phys, counter) must be the AAD.
+    slot, ciphertext = seal_block(CIPHER, 9, 1, PLAIN)
+    nonce, tag = slot[:NONCE_SIZE], slot[NONCE_SIZE:]
+    version = int.from_bytes(nonce[NONCE_RANDOM:], "big")
     assert version == 1
     aad = struct.pack(">QQ", 9, version)
-    out = AESGCM(KEY).decrypt(enc.nonce, enc.ciphertext + enc.tag, aad)
+    out = AESGCM(KEY).decrypt(nonce, ciphertext + tag, aad)
     assert out == PLAIN
 
 
 def test_sealing_is_probabilistic():
-    fresh = FreshnessTable()
-    a = seal_block(KEY, 1, PLAIN, fresh)
-    b = seal_block(KEY, 1, PLAIN, fresh)
-    assert a.ciphertext != b.ciphertext
-    assert a.nonce != b.nonce
+    a_slot, a_ct = seal_block(CIPHER, 1, 1, PLAIN)
+    b_slot, b_ct = seal_block(CIPHER, 1, 1, PLAIN)
+    assert a_ct != b_ct
+    assert a_slot[:NONCE_SIZE] != b_slot[:NONCE_SIZE]
 
 
 def test_ciphertext_bound_to_physical_slot():
-    fresh = FreshnessTable()
-    enc = seal_block(KEY, 3, PLAIN, fresh)
-    fresh2 = FreshnessTable()
-    fresh2.restore([0, 0, 0, 0, enc.version])
+    slot, ciphertext = seal_block(CIPHER, 3, 1, PLAIN)
     with pytest.raises(IntegrityError):
-        open_block(KEY, 4, enc, fresh2)
+        open_block(CIPHER, 4, slot, ciphertext, 1)
 
 
 def test_version_mismatch_is_replay_not_integrity():
-    fresh = FreshnessTable()
-    old = seal_block(KEY, 2, PLAIN, fresh)
-    seal_block(KEY, 2, b"\x00" * BLOCK_SIZE, fresh)
+    old = seal_block(CIPHER, 2, 1, PLAIN)
     with pytest.raises(ReplayError):
-        open_block(KEY, 2, old, fresh)
-    # Without freshness (confidentiality-only mode) the stale block
-    # still opens; that is the documented weaker guarantee.
-    assert open_block(KEY, 2, old, None) == PLAIN
+        open_block(CIPHER, 2, *old, 2)
+    # Without an expected counter (confidentiality-only mode) the stale
+    # block still opens; that is the documented weaker guarantee.
+    assert open_block(CIPHER, 2, *old, None) == PLAIN
 
 
 @settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=SLOT_SIZE + BLOCK_SIZE - 1),
        st.integers(min_value=0, max_value=7))
 def test_any_single_bit_flip_is_detected(byte_index, bit):
-    fresh = FreshnessTable()
-    enc = seal_block(KEY, 7, PLAIN, fresh)
-    blob = bytearray(enc.slot() + enc.ciphertext)
+    slot, ciphertext = seal_block(CIPHER, 7, 1, PLAIN)
+    blob = bytearray(slot + ciphertext)
     blob[byte_index] ^= 1 << bit
-    mutated = EncryptedBlock(bytes(blob[:NONCE_SIZE]),
-                             bytes(blob[SLOT_SIZE:]),
-                             bytes(blob[NONCE_SIZE:SLOT_SIZE]))
     with pytest.raises((IntegrityError, ReplayError)):
-        open_block(KEY, 7, mutated, fresh)
+        open_block(CIPHER, 7, bytes(blob[:SLOT_SIZE]), bytes(blob[SLOT_SIZE:]), 1)
 
 
 def test_seal_open_validate_arguments():
-    fresh = FreshnessTable()
-    with pytest.raises(ParameterError):
-        seal_block(b"short", 0, PLAIN, fresh)
     with pytest.raises(SizeError):
-        seal_block(KEY, 0, b"tiny", fresh)
-    enc = seal_block(KEY, 0, PLAIN, fresh)
-    with pytest.raises(ParameterError):
-        open_block(b"short", 0, enc, fresh)
-    bad = EncryptedBlock(b"\x00" * 5, enc.ciphertext, enc.tag)
+        seal_block(CIPHER, 0, 1, b"tiny")
+    slot, ciphertext = seal_block(CIPHER, 0, 1, PLAIN)
     with pytest.raises(SizeError):
-        open_block(KEY, 0, bad, fresh)
+        open_block(CIPHER, 0, b"\x00" * 5, ciphertext, 1)
+    with pytest.raises(SizeError):
+        open_block(CIPHER, 0, slot + b"\x00", ciphertext, 1)
 
 
-def test_freshness_restore_ignores_zero():
-    fresh = FreshnessTable()
-    fresh.restore([0, 0, 0, 0])
-    assert fresh.version_of(3) == 0
-    fresh.restore([0, 0, 0, 9])
-    assert fresh.version_of(3) == 9
-    fresh.restore([0, 5, 0, 0])
-    assert fresh.version_of(3) == 9
-    assert fresh.bump(3) == 10
+def test_store_refuses_a_key_that_is_not_32_bytes():
+    for mode in (ProtectionMode.CRYPT, ProtectionMode.CRYPT_INTEGRITY):
+        iface = HostInterface(Host(new_image(16, mode), SimClock()))
+        for key in (None, b"short", bytes(16), bytes(24)):
+            with pytest.raises(ParameterError, match="requires a 32-byte key"):
+                BlockStore(iface, layout_for(16, mode), key)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +232,7 @@ def test_mount_requires_key_for_encrypted_images():
         BlockStore.mount(iface)
     again = BlockStore.mount(iface, key=KEY)
     assert again.read_block(0) == PLAIN
-    assert again.freshness.version_of(0) == 1
+    assert again.versions[0] == 1
 
 
 def test_data_rollback_without_slot_is_integrity_failure():
@@ -315,7 +298,7 @@ def test_dummy_writes_seal_zeros_under_fresh_nonces():
         seen.append((bytes(host.image[off:off + BLOCK_SIZE]), store.slots[3]))
     (first_ct, first_slot), (second_ct, second_slot) = seen
     assert first_ct != second_ct and first_slot != second_slot
-    assert store.freshness.version_of(3) == 2
+    assert store.versions[3] == 2
     assert store.read_block(3) == bytes(BLOCK_SIZE)
 
 
@@ -328,9 +311,8 @@ def test_nonce_prefixes_come_from_one_urandom_call_per_refill(monkeypatch):
 
     blockcrypto._prefix_pool.clear()  # start on a refill
     monkeypatch.setattr(blockcrypto.os, "urandom", counting)
-    fresh = FreshnessTable()
     seals = 3 * blockcrypto._POOL_PREFIXES
-    prefixes = {seal_block(KEY, 0, PLAIN, fresh).nonce[:NONCE_RANDOM]
+    prefixes = {seal_block(CIPHER, 0, 1, PLAIN)[0][:NONCE_RANDOM]
                 for _ in range(seals)}
     assert len(prefixes) == seals
     assert calls == [NONCE_RANDOM * blockcrypto._POOL_PREFIXES] * 3
@@ -338,7 +320,7 @@ def test_nonce_prefixes_come_from_one_urandom_call_per_refill(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_never_uses_a_parent_prefix():
-    seal_block(KEY, 0, PLAIN, FreshnessTable())
+    seal_block(CIPHER, 0, 1, PLAIN)
     pending = list(blockcrypto._prefix_pool)  # what the child inherits
     assert pending
     r, w = os.pipe()
@@ -346,15 +328,14 @@ def test_forked_child_never_uses_a_parent_prefix():
     if pid == 0:
         try:
             os.close(r)
-            os.write(w, seal_block(KEY, 0, PLAIN, FreshnessTable()).nonce[:NONCE_RANDOM])
+            os.write(w, seal_block(CIPHER, 0, 1, PLAIN)[0][:NONCE_RANDOM])
         finally:
             os._exit(0)
     os.close(w)
     with os.fdopen(r, "rb") as pipe:
         child = pipe.read()
     os.waitpid(pid, 0)
-    fresh = FreshnessTable()
-    parent = {seal_block(KEY, 0, PLAIN, fresh).nonce[:NONCE_RANDOM]
+    parent = {seal_block(CIPHER, 0, 1, PLAIN)[0][:NONCE_RANDOM]
               for _ in range(len(pending))}
     assert len(child) == NONCE_RANDOM
     assert child not in parent and child not in pending
@@ -368,11 +349,11 @@ def test_one_aead_object_per_key(monkeypatch):
         return AESGCM(key)
 
     monkeypatch.setattr(blockcrypto, "AESGCM", counting)
-    key = os.urandom(32)  # never used before, so nothing is cached for it
-    fresh = FreshnessTable()
+    store, _ = fresh_store(ProtectionMode.CRYPT_INTEGRITY, 50)
     for phys in range(50):
-        assert open_block(key, phys, seal_block(key, phys, PLAIN, fresh), fresh) == PLAIN
-    assert built == [key]
+        store.write_block(phys, PLAIN)
+        assert store.read_block(phys) == PLAIN
+    assert built == [KEY]
 
 
 def test_verity_seal_and_verify_cycle():

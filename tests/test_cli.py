@@ -203,6 +203,7 @@ def test_counts_must_be_positive(argv, image, tmp_path, capsys):
     (("--blocks", 64, "--blank", -5), "not a negative number"),
     (("--blocks", 64, "--max-files", -2), "max_files -2,"),
     (("--blocks", 64, "--max-file-blocks", -3), "max_file_blocks -3:"),
+    (("--blocks", 64, "--key", "abcd"), "32-byte key"),
 ])
 def test_create_image_refuses_negative_sizes(argv, message, tmp_path, capsys):
     img = tmp_path / "x.img"
@@ -228,6 +229,8 @@ def test_create_image_refuses_negative_sizes(argv, message, tmp_path, capsys):
     (("provision", "--arg", "x" * 70_000), "exec arg length"),
     (("provision", "--exec-path", "x" * 70_000), "exec path length"),
     (("provision", *["--arg", "a"] * 65_536), "exec arg count is 65536"),
+    (("run", "--image", "{image}", "--key", KEY_HEX, "--peer", 24_000_000_000_000,
+      "--workload", "idle(5)", "--out", "{out}"), "rate_bps 24000000000000"),
 ])
 def test_malformed_option_is_a_usage_error(argv, option, image, tmp_path, capsys):
     out = tmp_path / "out"
@@ -541,3 +544,14 @@ def test_provision_builds_and_delivers_a_record(tmp_path, capsys):
     assert got.peers[0].address == "hostA"
     assert got.exec_path == "/bin/svc"
     assert got.exec_args == ("a", "b")
+
+
+def test_provision_splits_a_long_record_across_frames(capsys):
+    # 40 peers make a record longer than one frame payload; delivery
+    # splits it and the endpoint installs every peer.
+    peers = [f"{(bytes([i]) * 32).hex()},host{i},100000000" for i in range(40)]
+    rc = cli("provision", *[a for spec in peers for a in ("--peer", spec)])
+    stdout = capsys.readouterr().out
+    assert rc == 0
+    assert "delivered: 1925 bytes in 2 frame(s) over the first session" in stdout
+    assert "installed: disk key no, verity root no, 40 peer(s), exec -" in stdout

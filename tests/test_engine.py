@@ -753,6 +753,20 @@ def test_pump_already_due_in_the_past_is_refused(small_bundle):
     assert pump.ran == []
 
 
+def test_link_whose_mtu_is_not_the_hosts_is_refused(small_bundle):
+    # A 1400-byte session on a 1500-byte host would make every later
+    # round raise SizeError from net_write before its disk round.
+    m = mount(small_bundle)
+    enclave, remote = net_pair(mtu=1400)
+    with pytest.raises(ParameterError, match="MTU 1400"):
+        m.engine.add_link(0, enclave)
+    with pytest.raises(ParameterError, match="MTU 1400"):
+        EchoPeer(m.host, 0, remote, ShapingClass())
+    assert m.engine.links == [] and m.engine._net_due == []
+    m.engine.run_rounds(3)
+    assert m.engine.rounds_done == 3
+
+
 def test_duplicate_endpoint_rejected(small_bundle):
     m = mount(small_bundle)
     enclave, _remote = net_pair()

@@ -64,6 +64,17 @@ def test_due_times_match_the_exact_rational_grid(rate, k):
     assert emissions[k][0] == (k * cost + rate - 1) // rate
 
 
+def test_one_frame_per_nanosecond_is_the_rate_ceiling():
+    ceiling = DEFAULT_MTU * 8 * 1_000_000_000  # 12 Tbit/s
+    shaper, _ = make_shaper(rate_bps=ceiling)
+    emissions = drain_due(shaper, 1000)
+    assert all(len(frames) == 1 for _, frames in emissions)
+    assert emissions[-1][0] - emissions[0][0] == 999
+    # One bit/s more and two emissions would share a due nanosecond.
+    with pytest.raises(ParameterError, match="per nanosecond"):
+        make_shaper(rate_bps=ceiling + 1)
+
+
 def test_queued_payloads_preempt_padding():
     shaper, rx = make_shaper(rate_bps=RATE)
     shaper.enqueue(b"first")
