@@ -1,8 +1,8 @@
 """Block protection and the image container format.
 
-Four protection modes cover the usual storage trust levels: PLAIN
-(nothing), VERITY (read-only integrity), CRYPT (confidentiality) and
-CRYPT_INTEGRITY (confidentiality plus tamper and replay detection).
+Two protection modes: PLAIN (nothing; the baseline and the
+passthrough path's negative control) and CRYPT_INTEGRITY
+(confidentiality plus tamper and replay detection).
 
 Encrypted blocks use an AEAD (AES-256-GCM) with a fresh random nonce
 per write, so two writes of the same plaintext never repeat on disk,
@@ -14,13 +14,12 @@ a forked child starts with an empty pool, so parent and child never
 share one. The block's write counter rides in the low 8 bytes of the
 24-byte nonce. A sealed block is its 40-byte slot (nonce, then tag) and
 its ciphertext, the on-disk form and the only one. A ``BlockStore``
-holds the image's one AEAD object and one write counter per block; in
-CRYPT_INTEGRITY a slot whose counter disagrees with the store's is
-reported as a replay, distinct from a tag failure. Padding is sealed
-zeros: under a fresh nonce they cannot be told from sealed noise. A
-VERITY block's slot holds the SHA-256 of its plaintext instead.
+holds the image's one AEAD object and one write counter per block; a
+slot whose counter disagrees with the store's is reported as a replay,
+distinct from a tag failure. Padding is sealed zeros: under a fresh
+nonce they cannot be told from sealed noise.
 
-Both integrity modes rest on one trusted root, the SHA-256 of the
+An encrypted image rests on one trusted root, the SHA-256 of the
 header block and the whole slot region: ``persist_metadata`` returns
 it, and a mount given it refuses any other header or slot region, so
 neither a stale slot nor another image's metadata gets past it.
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .errors import IntegrityError, ModeError, ParameterError, ReplayError, SizeError
+from .errors import IntegrityError, ParameterError, ReplayError, SizeError
 from .hostiface import BLOCK_SIZE, HostInterface
 
 MAGIC = b"OBLV1"
@@ -53,7 +52,6 @@ SLOT_SIZE = NONCE_SIZE + TAG_SIZE
 AEAD_NONE = 0
 AEAD_AES256GCM = 1
 HASH_NONE = 0
-HASH_SHA256 = 1
 
 _POOL_PREFIXES = 256  # nonce prefixes per os.urandom call
 
@@ -64,13 +62,11 @@ _ZERO_SLOT = bytes(SLOT_SIZE)
 
 class ProtectionMode(enum.Enum):
     PLAIN = 0
-    VERITY = 1
-    CRYPT = 2
-    CRYPT_INTEGRITY = 3
+    CRYPT_INTEGRITY = 3  # 1 and 2 are retired and refused
 
     @property
     def encrypted(self) -> bool:
-        return self in (ProtectionMode.CRYPT, ProtectionMode.CRYPT_INTEGRITY)
+        return self is ProtectionMode.CRYPT_INTEGRITY
 
 
 _aad = struct.Struct(">QQ").pack  # (phys, version) -> associated data
@@ -112,18 +108,17 @@ def seal_block(cipher: AESGCM, phys: int, version: int,
 
 
 def open_block(cipher: AESGCM, phys: int, slot: bytes, ciphertext: bytes,
-               version: int | None = None) -> bytes:
+               version: int) -> bytes:
     """Decrypt and verify one block from its slot and ciphertext.
 
-    Given ``version``, the write counter in the slot's nonce must equal
-    it; a mismatch on an otherwise well-formed block means the host
-    presented stale data and raises ReplayError. None skips that check
-    (CRYPT's weaker guarantee). Tag failures raise IntegrityError.
+    The write counter in the slot's nonce must equal ``version``; a
+    mismatch on an otherwise well-formed block means the host presented
+    stale data and raises ReplayError. Tag failures raise IntegrityError.
     """
     if len(slot) != SLOT_SIZE:
         raise SizeError("malformed sealed block")
     (found,) = _slot_version.unpack(slot)
-    if version is not None and found != version:
+    if found != version:
         raise ReplayError(f"block {phys}: version {found} != expected {version}")
     try:
         return cipher.decrypt(slot[:NONCE_SIZE], ciphertext + slot[NONCE_SIZE:],
@@ -145,11 +140,6 @@ def _root(header: bytes, slot_region: bytes) -> bytes:
     root = hashlib.sha256(header)
     root.update(slot_region)
     return root.digest()
-
-
-def _verity_slot(block: bytes) -> bytes:
-    """A VERITY block's slot: its SHA-256, then zeros."""
-    return hashlib.sha256(block).digest() + bytes(SLOT_SIZE - 32)
 
 
 @dataclass(frozen=True)
@@ -177,9 +167,8 @@ class ImageLayout:
     def header_block(self) -> bytes:
         """The header block exactly as written: fields, then zeros."""
         aead = AEAD_AES256GCM if self.mode.encrypted else AEAD_NONE
-        hashid = HASH_SHA256 if self.mode is ProtectionMode.VERITY else HASH_NONE
         fields = _HEADER.pack(MAGIC, BLOCK_SIZE, self.n_blocks, self.mode.value,
-                              aead, hashid)
+                              aead, HASH_NONE)
         return fields + bytes(BLOCK_SIZE - len(fields))
 
 
@@ -219,13 +208,11 @@ class BlockStore:
     trusted root.
     """
 
-    def __init__(self, iface: HostInterface, layout: ImageLayout,
-                 key: bytes | None, sealed: bool = False):
+    def __init__(self, iface: HostInterface, layout: ImageLayout, key: bytes | None):
         self.iface = iface
         self.layout = layout
         self.slots: list[bytes | None] = [None] * layout.n_blocks  # None: never written
         self.versions = [0] * layout.n_blocks  # write counters, kept in trusted memory
-        self.sealed = sealed
         self._data_base = layout.data_start_block * BLOCK_SIZE
         self._cipher = None
         if layout.mode.encrypted:
@@ -251,12 +238,10 @@ class BlockStore:
         Given ``trusted_root``, whatever mode the header claims, the
         header and the slot region must hash to it before any slot is
         used; a mismatch means the host presented other or older
-        metadata and raises ReplayError. VERITY images require a root.
+        metadata and raises ReplayError.
         """
         header = iface.disk_read(0)
         layout = parse_header(header)
-        if layout.mode is ProtectionMode.VERITY and trusted_root is None:
-            raise ParameterError("verity images require the trusted root hash")
         raw = b"".join(
             iface.disk_read(layout.slot_region_offset() + i * BLOCK_SIZE)
             for i in range(layout.slot_blocks)
@@ -267,7 +252,7 @@ class BlockStore:
                 "image header and slot region do not match the trusted root")
         # Built only now: a hostile n_blocks has failed the slot-region
         # reads above before it can size the store's lists.
-        store = cls(iface, layout, key, sealed=layout.mode is ProtectionMode.VERITY)
+        store = cls(iface, layout, key)
         region = memoryview(raw)[:layout.n_blocks * SLOT_SIZE]
         store.slots = [None if slot == _ZERO_SLOT else slot
                        for (slot,) in _slot.iter_unpack(region)]
@@ -281,20 +266,14 @@ class BlockStore:
         if not 0 <= phys < self.layout.n_blocks:
             raise ParameterError(f"physical block {phys} out of range")
         raw = self.iface.disk_read(self._data_base + phys * BLOCK_SIZE)
+        if self._cipher is None:
+            return raw
         slot = self.slots[phys]
-        if self._cipher is not None:
-            if slot is None:
-                raise IntegrityError(f"block {phys} was never written")
-            version = (self.versions[phys]
-                       if self.layout.mode is ProtectionMode.CRYPT_INTEGRITY else None)
-            return open_block(self._cipher, phys, slot, raw, version)
-        if self.layout.mode is ProtectionMode.VERITY and slot != _verity_slot(raw):
-            raise IntegrityError(f"block {phys}: digest does not match its slot")
-        return raw
+        if slot is None:
+            raise IntegrityError(f"block {phys} was never written")
+        return open_block(self._cipher, phys, slot, raw, self.versions[phys])
 
     def write_block(self, phys: int, plaintext: bytes) -> None:
-        if self.sealed:
-            raise ModeError("image is sealed read-only")
         if not 0 <= phys < self.layout.n_blocks:
             raise ParameterError(f"physical block {phys} out of range")
         offset = self._data_base + phys * BLOCK_SIZE
@@ -329,18 +308,7 @@ class BlockStore:
         """
         self.write_block(phys, _ZERO_BLOCK)
 
-    # Sealing and persistence -------------------------------------------
-
-    def seal_readonly(self) -> bytes:
-        """Record each block's SHA-256 in its slot, refuse writes from
-        now on, and persist; returns the trusted root."""
-        if self.mode is not ProtectionMode.VERITY:
-            raise ModeError("only verity images are sealed read-only")
-        for phys in range(self.n_blocks):
-            self.slots[phys] = _verity_slot(
-                self.iface.disk_read(self.layout.data_offset(phys)))
-        self.sealed = True
-        return self.persist_metadata()
+    # Persistence ------------------------------------------------------
 
     def persist_metadata(self) -> bytes:
         """Write the slot cache back whole; returns the trusted root

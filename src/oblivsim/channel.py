@@ -24,9 +24,8 @@ window moves only once a frame has authenticated.
 Provisioning: the first established session is the trust root. A
 provisioning record (disk key, verity root, peer list, command line)
 is accepted exactly once and only over that first session. The verity
-root is the image's trusted root (see ``blockcrypto``) and serves both
-integrity modes, VERITY and CRYPT_INTEGRITY. Attestation is stubbed;
-anything provisioned is marked "unverified".
+root is the crypt-integrity image's trusted root (see ``blockcrypto``).
+Attestation is stubbed; anything provisioned is marked "unverified".
 """
 
 from __future__ import annotations

@@ -55,8 +55,6 @@ from .workload import parse_workload
 
 MODE_BY_NAME = {
     "plain": ProtectionMode.PLAIN,
-    "verity": ProtectionMode.VERITY,
-    "crypt": ProtectionMode.CRYPT,
     "crypt-integrity": ProtectionMode.CRYPT_INTEGRITY,
 }
 
@@ -94,7 +92,10 @@ def _open(args, seed: int | None = None, **kw):
 # ---------------------------------------------------------------------------
 
 def cmd_create_image(args) -> int:
-    mode = MODE_BY_NAME[args.mode]
+    mode = MODE_BY_NAME.get(args.mode)
+    if mode is None:
+        raise ParameterError(
+            f"--mode takes {' or '.join(MODE_BY_NAME)}, not {args.mode!r}")
     if any(n < 0 for n in args.blank or []):
         raise ParameterError("--blank takes a byte count, not a negative number")
     sources = [(path, Path(path).read_bytes()) for path in args.add or []]
@@ -245,16 +246,14 @@ def cmd_bench(args) -> int:
 def cmd_shuffle(args) -> int:
     m = _open(args)
     if not m.store.mode.encrypted:
-        raise ModeError("shuffling re-encrypts blocks; the image must be "
-                        "crypt or crypt-integrity")
+        raise ModeError("shuffling re-encrypts blocks; the image must be crypt-integrity")
     stats = m.engine.shuffle_now()
     m.fs.persist(m.store)
     root = m.store.persist_metadata()
     out = args.out_image or args.image
     Path(out).write_bytes(bytes(m.host.image))
     print(f"image: {out}")
-    if m.store.mode is ProtectionMode.CRYPT_INTEGRITY:
-        print(f"verity root: {root.hex()}")
+    print(f"verity root: {root.hex()}")
     print(f"moved: {stats.swaps} blocks (max file {stats.plan.max_blk} blocks)")
     print(f"rounds: {m.engine.rounds_done}  vacated homes reused: {stats.donor_reuses}")
     return 0
@@ -374,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--out", required=True, help="image file to write")
     ci.add_argument("--blocks", type=int, required=True,
                     help="number of data blocks")
-    ci.add_argument("--mode", choices=sorted(MODE_BY_NAME), default="crypt-integrity")
+    ci.add_argument("--mode", default="crypt-integrity",
+                    help=f"{' or '.join(MODE_BY_NAME)} (default: crypt-integrity)")
     ci.add_argument("--key", help="32-byte key as hex (default: generated)")
     ci.add_argument("--seed", type=int, default=0, help="layout seed")
     ci.add_argument("--add", action="append", metavar="PATH",

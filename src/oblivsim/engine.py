@@ -508,13 +508,15 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     sealed zero block, a slot and a version, as padding writes do: under
     a fresh nonce it cannot be told from sealed data, while an image
     whose content distinguished data blocks from padding would leak the
-    layout before the first mount. Verity images are sealed read-only
-    instead. Both integrity modes get their trusted root in
-    ``verity_root``; others get None. The image comes back as a
-    read-only view of the buffer it was built in, not a copy. No engine
-    is built, so nothing left behind refers to that buffer once the
-    bundle is dropped.
+    layout before the first mount. They get their trusted root in
+    ``verity_root``. A plain image gets None, and refuses a key, which
+    would protect nothing. The image comes back as a read-only view of
+    the buffer it was built in, not a copy. No engine is built, so
+    nothing left behind refers to that buffer once the bundle is
+    dropped.
     """
+    if key is not None and not mode.encrypted:
+        raise ParameterError("a plain image takes no key")
     # Format first: it refuses a block count below 8 before a buffer is sized.
     fs = BlockFs.format(n_blocks, RngTree(seed).stream("layout"),
                         max_files=max_files, max_file_blocks=max_file_blocks)
@@ -523,7 +525,7 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     iface = HostInterface(host)
     if mode.encrypted and key is None:
         key = os.urandom(32)
-    store = BlockStore(iface, layout, key if mode.encrypted else None)
+    store = BlockStore(iface, layout, key)
     io = DirectIo(store, fs, host.clock)
     fds = []
     for data in files:
@@ -533,15 +535,11 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
         fds.append(fd)
     fs.persist(store)
     root = None
-    if mode is ProtectionMode.VERITY:
-        root = store.seal_readonly()
-    elif mode.encrypted:
+    if mode.encrypted:
         for phys, slot in enumerate(store.slots):
             if slot is None:
                 store.dummy_write(phys)
         root = store.persist_metadata()
-        if mode is not ProtectionMode.CRYPT_INTEGRITY:
-            root = None
     return ImageBundle(memoryview(host.image).toreadonly(), key, root, tuple(fds))
 
 

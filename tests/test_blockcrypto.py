@@ -11,6 +11,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings, strategies as st
 
+from conftest import retired_mode_header
 from oblivsim import (
     BLOCK_SIZE,
     BlockStore,
@@ -18,7 +19,6 @@ from oblivsim import (
     Host,
     HostInterface,
     IntegrityError,
-    ModeError,
     ParameterError,
     ProtectionMode,
     ReplayError,
@@ -78,9 +78,6 @@ def test_version_mismatch_is_replay_not_integrity():
     old = seal_block(CIPHER, 2, 1, PLAIN)
     with pytest.raises(ReplayError):
         open_block(CIPHER, 2, *old, 2)
-    # Without an expected counter (confidentiality-only mode) the stale
-    # block still opens; that is the documented weaker guarantee.
-    assert open_block(CIPHER, 2, *old, None) == PLAIN
 
 
 @settings(max_examples=30)
@@ -105,11 +102,11 @@ def test_seal_open_validate_arguments():
 
 
 def test_store_refuses_a_key_that_is_not_32_bytes():
-    for mode in (ProtectionMode.CRYPT, ProtectionMode.CRYPT_INTEGRITY):
-        iface = HostInterface(Host(new_image(16, mode), SimClock()))
-        for key in (None, b"short", bytes(16), bytes(24)):
-            with pytest.raises(ParameterError, match="requires a 32-byte key"):
-                BlockStore(iface, layout_for(16, mode), key)
+    mode = ProtectionMode.CRYPT_INTEGRITY
+    iface = HostInterface(Host(new_image(16, mode), SimClock()))
+    for key in (None, b"short", bytes(16), bytes(24)):
+        with pytest.raises(ParameterError, match="requires a 32-byte key"):
+            BlockStore(iface, layout_for(16, mode), key)
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +127,19 @@ def test_layout_regions_do_not_overlap():
 
 
 def test_header_roundtrip_and_rejections():
-    image = new_image(64, ProtectionMode.CRYPT)
+    image = new_image(64, ProtectionMode.CRYPT_INTEGRITY)
     lay = parse_header(bytes(image[:BLOCK_SIZE]))
-    assert lay == layout_for(64, ProtectionMode.CRYPT)
+    assert lay == layout_for(64, ProtectionMode.CRYPT_INTEGRITY)
+
+    # Mode bytes 1 and 2 are reserved: the header, and so the mount, is refused.
+    for retired in (1, 2):
+        header = retired_mode_header(64, retired)
+        with pytest.raises(ParameterError, match=f"unknown protection mode {retired}"):
+            parse_header(header)
+        old = bytearray(image)
+        old[:BLOCK_SIZE] = header
+        with pytest.raises(ParameterError, match=f"unknown protection mode {retired}"):
+            BlockStore.mount(HostInterface(Host(old, SimClock())), key=KEY)
 
     bad_magic = bytearray(image[:BLOCK_SIZE])
     bad_magic[:5] = b"WRONG"
@@ -164,8 +171,7 @@ def _oracle_root(n: int, mode: ProtectionMode, slots: list[bytes]) -> bytes:
     """SHA-256 over the header block and the zero-padded slot region,
     written from FORMATS.md alone."""
     aead = 1 if mode.encrypted else 0
-    hashid = 1 if mode is ProtectionMode.VERITY else 0
-    header = struct.pack("<5sIQBBB", b"OBLV1", BLOCK_SIZE, n, mode.value, aead, hashid)
+    header = struct.pack("<5sIQBBB", b"OBLV1", BLOCK_SIZE, n, mode.value, aead, 0)
     region = b"".join(slots)
     region_blocks = -(-n * SLOT_SIZE // BLOCK_SIZE)
     return hashlib.sha256(
@@ -174,21 +180,21 @@ def _oracle_root(n: int, mode: ProtectionMode, slots: list[bytes]) -> bytes:
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
-def test_verity_root_matches_oracle(n):
-    store, _ = fresh_store(ProtectionMode.VERITY, n)
-    blocks = [bytes([i]) * BLOCK_SIZE for i in range(n)]
-    for phys, block in enumerate(blocks):
-        store.write_block(phys, block)
-    slots = [hashlib.sha256(b).digest() + bytes(8) for b in blocks]
-    assert store.seal_readonly() == _oracle_root(n, ProtectionMode.VERITY, slots)
-
-
-def test_crypt_integrity_root_matches_oracle():
-    store, _ = fresh_store(ProtectionMode.CRYPT_INTEGRITY, 5)
-    store.write_block(1, PLAIN)
-    slots = [bytes(SLOT_SIZE), store.slots[1]] + [bytes(SLOT_SIZE)] * 3
+def test_crypt_integrity_root_matches_oracle(n):
+    store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY, n)
+    written = range(n // 2, n, 2)  # every other block of the upper half
+    for phys in written:
+        store.write_block(phys, bytes([phys]) * BLOCK_SIZE)
+    slots = [bytes(SLOT_SIZE)] * n
+    for phys in written:
+        # The slot is nonce ‖ tag of the ciphertext on disk at counter 1.
+        slot, at = store.slots[phys], store.layout.data_offset(phys)
+        ciphertext = bytes(host.image[at:at + BLOCK_SIZE])
+        assert CIPHER.decrypt(slot[:NONCE_SIZE], ciphertext + slot[NONCE_SIZE:],
+                              struct.pack(">QQ", phys, 1)) == bytes([phys]) * BLOCK_SIZE
+        slots[phys] = slot
     assert store.persist_metadata() == _oracle_root(
-        5, ProtectionMode.CRYPT_INTEGRITY, slots)
+        n, ProtectionMode.CRYPT_INTEGRITY, slots)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +209,7 @@ def fresh_store(mode: ProtectionMode, n: int = 16):
     return BlockStore(iface, layout, key), host
 
 
-@pytest.mark.parametrize("mode", [ProtectionMode.PLAIN, ProtectionMode.CRYPT,
-                                  ProtectionMode.CRYPT_INTEGRITY])
+@pytest.mark.parametrize("mode", [ProtectionMode.PLAIN, ProtectionMode.CRYPT_INTEGRITY])
 def test_store_roundtrip(mode):
     store, _ = fresh_store(mode)
     store.write_block(4, PLAIN)
@@ -218,7 +223,7 @@ def test_encrypted_store_never_holds_plaintext_on_disk():
 
 
 def test_reading_unwritten_encrypted_block_fails_closed():
-    store, _ = fresh_store(ProtectionMode.CRYPT)
+    store, _ = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
     with pytest.raises(IntegrityError):
         store.read_block(0)
 
@@ -257,19 +262,6 @@ def test_full_rollback_is_reported_as_replay():
     store.slots[2] = old_slot  # stale metadata presented alongside
     with pytest.raises(ReplayError):
         store.read_block(2)
-
-
-def test_crypt_mode_accepts_full_rollback():
-    # Same attack as above; CRYPT (no freshness) cannot see it.
-    store, host = fresh_store(ProtectionMode.CRYPT)
-    off = store.layout.data_offset(2)
-    store.write_block(2, PLAIN)
-    old_ct = bytes(host.image[off:off + BLOCK_SIZE])
-    old_slot = store.slots[2]
-    store.write_block(2, b"\x99" * BLOCK_SIZE)
-    host.image[off:off + BLOCK_SIZE] = old_ct
-    store.slots[2] = old_slot
-    assert store.read_block(2) == PLAIN
 
 
 def test_dummy_traffic_shape():
@@ -356,33 +348,6 @@ def test_one_aead_object_per_key(monkeypatch):
     assert built == [KEY]
 
 
-def test_verity_seal_and_verify_cycle():
-    store, host = fresh_store(ProtectionMode.VERITY)
-    store.write_block(0, PLAIN)
-    store.write_block(1, b"\x11" * BLOCK_SIZE)
-    root = store.seal_readonly()
-    assert store.read_block(0) == PLAIN
-    with pytest.raises(ModeError):
-        store.write_block(0, PLAIN)
-
-    # Remount from the persisted digests; then tamper with a data block.
-    iface = HostInterface(Host(bytearray(host.image), SimClock()))
-    again = BlockStore.mount(iface, trusted_root=root)
-    assert again.read_block(1) == b"\x11" * BLOCK_SIZE
-    off = again.layout.data_offset(1)
-    iface.host.image[off] ^= 0x01
-    with pytest.raises(IntegrityError):
-        again.read_block(1)
-
-
-def test_verity_mount_requires_root():
-    store, host = fresh_store(ProtectionMode.VERITY)
-    store.seal_readonly()
-    iface = HostInterface(Host(bytearray(host.image), SimClock()))
-    with pytest.raises(ParameterError):
-        BlockStore.mount(iface)
-
-
 def test_persist_metadata_survives_remount():
     store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
     for p in range(8):
@@ -419,21 +384,22 @@ def test_rollback_of_block_and_slot_is_refused_at_mount():
 
 
 def test_plain_image_mounted_with_a_verity_root_is_refused():
-    verity, _ = fresh_store(ProtectionMode.VERITY)
-    root = verity.seal_readonly()
+    sealed, _ = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
+    sealed.write_block(0, PLAIN)
+    root = sealed.persist_metadata()
     plain, host = fresh_store(ProtectionMode.PLAIN)
     plain.write_block(0, b"EVIL" * 1024)
     with pytest.raises(ReplayError):
         _remount(host.image, trusted_root=root)
 
 
-def test_verity_slot_byte_flip_fails_at_mount():
-    store, host = fresh_store(ProtectionMode.VERITY)
+def test_slot_byte_flip_under_a_root_fails_at_mount():
+    store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
     store.write_block(3, PLAIN)
-    root = store.seal_readonly()
+    root = store.persist_metadata()
     host.image[store.layout.slot_region_offset() + 3 * SLOT_SIZE] ^= 0x01
     with pytest.raises(ReplayError):
-        _remount(host.image, trusted_root=root)
+        _remount(host.image, key=KEY, trusted_root=root)
 
 
 def test_root_tracks_every_persist():

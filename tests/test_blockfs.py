@@ -387,16 +387,9 @@ def test_bulk_codecs_match_a_per_entry_reference(mode, n_blocks, max_files,
     key = bytes(range(32)) if mode.encrypted else None
     store = BlockStore(HostInterface(host), layout, key)
     fs.persist(store)
-    written = set(range(meta))
     for p in data_writes:
         if meta <= p < n_blocks:
             store.write_block(p, bytes([p % 251]) * BLOCK_SIZE)
-            written.add(p)
-    if mode is ProtectionMode.VERITY:
-        for p in written:
-            at = layout.data_offset(p)
-            store.slots[p] = (hashlib.sha256(host.image[at:at + BLOCK_SIZE]).digest()
-                              + bytes(SLOT_SIZE - 32))
     root = store.persist_metadata()
 
     mounted = BlockStore.mount(HostInterface(host), key=key, trusted_root=root)

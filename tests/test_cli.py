@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DEFAULT_KEY, mount
+from conftest import DEFAULT_KEY, mount, retired_mode_header
 from oblivsim import (
+    BLOCK_SIZE,
     ImageBundle,
     ProtectionMode,
     ProvisioningSecrets,
@@ -83,19 +84,6 @@ def test_create_image_reports_the_remounted_layout(tmp_path, capsys):
     root = bytes.fromhex(out.split("verity root: ")[1].strip())
     m = open_image(img, key=DEFAULT_KEY, root=root)
     assert m.engine.read_file(m.engine.regular_fd(0), 0, 5000) == b"hello" * 1000
-
-
-def test_create_image_verity_prints_the_root(tmp_path, capsys):
-    img = tmp_path / "v.img"
-    rc = cli("create-image", "--out", img, "--blocks", 32, "--mode", "verity",
-             "--blank", 4096)
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "verity root: " in out
-    assert "key: " not in out
-    root = out.split("verity root: ")[1].strip()
-    m = open_image(img, root=bytes.fromhex(root))
-    assert m.engine.read_file(m.engine.regular_fd(0), 0, 4096) == bytes(4096)
 
 
 def test_create_image_plain_needs_no_secrets(tmp_path, capsys):
@@ -204,6 +192,7 @@ def test_counts_must_be_positive(argv, image, tmp_path, capsys):
     (("--blocks", 64, "--max-files", -2), "max_files -2,"),
     (("--blocks", 64, "--max-file-blocks", -3), "max_file_blocks -3:"),
     (("--blocks", 64, "--key", "abcd"), "32-byte key"),
+    (("--blocks", 64, "--mode", "plain", "--key", KEY_HEX), "a plain image takes no key"),
 ])
 def test_create_image_refuses_negative_sizes(argv, message, tmp_path, capsys):
     img = tmp_path / "x.img"
@@ -231,6 +220,7 @@ def test_create_image_refuses_negative_sizes(argv, message, tmp_path, capsys):
     (("provision", *["--arg", "a"] * 65_536), "exec arg count is 65536"),
     (("run", "--image", "{image}", "--key", KEY_HEX, "--peer", 24_000_000_000_000,
       "--workload", "idle(5)", "--out", "{out}"), "rate_bps 24000000000000"),
+    (("create-image", "--out", "{out}", "--blocks", 64, "--mode", "verity"), "--mode"),
 ])
 def test_malformed_option_is_a_usage_error(argv, option, image, tmp_path, capsys):
     out = tmp_path / "out"
@@ -291,18 +281,18 @@ def test_smaller_cache_shuffles_more(image, tmp_path, capsys):
 
 
 def test_run_oblivious_rejects_weaker_images(tmp_path, capsys):
-    img = tmp_path / "c.img"
-    cli("create-image", "--out", img, "--blocks", 32, "--mode", "crypt",
-        "--key", KEY_HEX, "--blank", 4096)
+    img = tmp_path / "p.img"
+    cli("create-image", "--out", img, "--blocks", 32, "--mode", "plain",
+        "--blank", 4096)
     capsys.readouterr()
-    rc = cli("run", "--image", img, "--key", KEY_HEX,
+    rc = cli("run", "--image", img,
              "--workload", "idle(5)", "--out", tmp_path / "o")
     captured = capsys.readouterr()
     assert rc == 2
     assert "error: " in captured.err
     assert "crypt-integrity" in captured.err
 
-    rc = cli("run", "--image", img, "--key", KEY_HEX, "--mode", "passthrough",
+    rc = cli("run", "--image", img, "--mode", "passthrough",
              "--workload", "seqread(0,0)", "--out", tmp_path / "o2")
     capsys.readouterr()
     assert rc == 0
@@ -455,7 +445,21 @@ def test_shuffle_without_a_key_is_refused_at_mount(image, tmp_path, capsys):
     rc = cli("shuffle", "--image", plain)
     captured = capsys.readouterr()
     assert rc == 2
-    assert "must be crypt or crypt-integrity" in captured.err
+    assert "must be crypt-integrity" in captured.err
+
+
+@pytest.mark.parametrize("retired", [1, 2])
+def test_fsck_refuses_an_image_of_a_retired_mode(retired, image, tmp_path, capsys):
+    # Modes 1 (verity) and 2 (crypt) are reserved: an image whose header
+    # carries one is refused at mount, as a usage error.
+    old = bytearray(image.read_bytes())
+    old[:BLOCK_SIZE] = retired_mode_header(64, retired)
+    target = tmp_path / "old.img"
+    target.write_bytes(bytes(old))
+    rc = cli("fsck", "--image", target, "--key", KEY_HEX)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: unknown protection mode {retired}\n"
 
 
 def test_fsck_deep_catches_a_flipped_byte(image, tmp_path, capsys):

@@ -76,17 +76,9 @@ def test_plain_image_has_no_key_and_builds_identically():
     two = build_image(32, ProtectionMode.PLAIN, **kw)
     assert one.key is None and one.verity_root is None
     assert one.image == two.image
-
-
-def test_verity_image_is_sealed_read_only():
-    kw = dict(files=[b"v" * 4096], seed=1)
-    one = build_image(32, ProtectionMode.VERITY, **kw)
-    two = build_image(32, ProtectionMode.VERITY, **kw)
-    assert one.verity_root is not None and one.verity_root == two.verity_root
-    eng = mount(one, oblivious=False).engine
-    assert eng.read_file(eng.regular_fd(0), 0, 4096) == b"v" * 4096
-    with pytest.raises(ModeError):
-        eng.write_file(eng.regular_fd(0), 0, b"!")
+    # A key would protect nothing, so a plain image refuses one.
+    with pytest.raises(ParameterError, match="a plain image takes no key"):
+        build_image(32, ProtectionMode.PLAIN, key=DEFAULT_KEY, **kw)
 
 
 def test_encrypted_image_leaves_no_unsealed_blocks(small_bundle):

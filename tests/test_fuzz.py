@@ -93,7 +93,8 @@ def edits(limit: int):
 
 N_BLOCKS = 16
 IMAGES = {
-    mode: build_image(N_BLOCKS, mode, [b"f" * 5000], seed=1, key=DEFAULT_KEY)
+    mode: build_image(N_BLOCKS, mode, [b"f" * 5000], seed=1,
+                      key=DEFAULT_KEY if mode.encrypted else None)
     for mode in ProtectionMode
 }
 METADATA_BYTES = layout_for(N_BLOCKS, ProtectionMode.PLAIN).data_start_block * BLOCK_SIZE
