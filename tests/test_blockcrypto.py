@@ -180,7 +180,9 @@ def _oracle_root(n: int, mode: ProtectionMode, slots: list[bytes]) -> bytes:
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
-def test_crypt_integrity_root_matches_oracle(n):
+def test_verity_root_matches_oracle(n):
+    # The verity root of a crypt-integrity image, over sizes that make
+    # full, partial and single-leaf Merkle levels.
     store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY, n)
     written = range(n // 2, n, 2)  # every other block of the upper half
     for phys in written:
@@ -195,6 +197,14 @@ def test_crypt_integrity_root_matches_oracle(n):
         slots[phys] = slot
     assert store.persist_metadata() == _oracle_root(
         n, ProtectionMode.CRYPT_INTEGRITY, slots)
+
+
+def test_crypt_integrity_root_matches_oracle():
+    store, _ = fresh_store(ProtectionMode.CRYPT_INTEGRITY, 5)
+    store.write_block(1, PLAIN)
+    slots = [bytes(SLOT_SIZE), store.slots[1]] + [bytes(SLOT_SIZE)] * 3
+    assert store.persist_metadata() == _oracle_root(
+        5, ProtectionMode.CRYPT_INTEGRITY, slots)
 
 
 # ---------------------------------------------------------------------------
