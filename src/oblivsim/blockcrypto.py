@@ -219,6 +219,8 @@ class BlockStore:
             if key is None or len(key) != KEY_SIZE:
                 raise ParameterError("this image requires a 32-byte key")
             self._cipher = AESGCM(key)
+        elif key is not None:
+            raise ParameterError("a plain image takes no key")
 
     @property
     def mode(self) -> ProtectionMode:

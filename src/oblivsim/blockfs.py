@@ -10,8 +10,8 @@ Every file carries data. The blocks that padding traffic reads and
 writes (the padding domain) belong to no file: ``format`` draws
 ``DUMMY_FRACTION`` of the disk for them before any file exists, and
 ``load`` finds them again as the allocated data blocks that no file
-maps. A shuffle pass draws each block's new home like any allocation;
-the homes it vacates (its donor, a plain list with no inode) stay
+maps. A shuffle pass draws each block's new home like any allocation
+(``draw_home``); the homes it vacates (a plain list with no inode) stay
 allocated until the pass ends, so every new home comes from the pool
 as it stood at the start (``shuffle`` gives the argument).
 
@@ -137,22 +137,10 @@ class BlockFs:
 
     def allocate_block(self) -> int:
         """Uniformly random free block; this is what randomizes layout."""
-        if not self._free:
-            raise SpaceError("no free blocks")
-        free = self._free
-        i = self.rng.randbelow(len(free))
-        phys = free[i]
-        free[i] = free[-1]
-        free.pop()
-        self.bitmap[phys // 8] |= 1 << (phys % 8)
-        return phys
+        return self.draw_home(())
 
     def free_block(self, phys: int) -> None:
-        byte, mask = phys >> 3, 1 << (phys & 7)
-        if not self.bitmap[byte] & mask:
-            raise ParameterError(f"block {phys} already free")
-        self.bitmap[byte] &= ~mask
-        self._free.append(phys)
+        self.unlink_all((phys,))
 
     # Formatting and (de)serialization ----------------------------------
 
@@ -352,7 +340,7 @@ class BlockFs:
     # Shuffle support ------------------------------------------------------
 
     def create_donors(self, size_blocks: int) -> list[int]:
-        """A shuffle pass's donor: the homes it vacates, none yet. Refused
+        """A shuffle pass's list of the homes it vacates, none yet. Refused
         when the free pool cannot re-home a ``size_blocks``-block file."""
         if self.free_blocks < size_blocks:
             raise ShuffleImpossibleError(
@@ -360,26 +348,50 @@ class BlockFs:
                 f"{size_blocks}-block file")
         return []
 
-    def move_extent(self, fd: int, lblk: int, donor: list[int]) -> int:
-        """Re-home file ``fd``'s block ``lblk`` at an ``allocate_block``
-        draw or, once the pool is empty, at a random block taken out of
-        ``donor``; append the old home to ``donor``. Returns the new home."""
+    def block_map(self, fd: int) -> list[int | None]:
+        """File ``fd``'s block map itself, not a copy: a shuffle pass
+        resolves it once and re-homes blocks through it."""
+        return self._inode(fd).block_map
+
+    def draw_home(self, vacated: list[int]) -> int:
+        """A block's new home, in one draw: a uniformly random free block,
+        swapped out of the pool, or, once the pool is empty, a uniformly
+        random block taken out of ``vacated``. ``allocate_block`` passes
+        no vacated homes; a shuffle pass passes the ones it vacated."""
+        free = self._free
+        if free:
+            i = self.rng.randbelow(len(free))
+            phys = free[i]
+            free[i] = free[-1]
+            free.pop()
+            self.bitmap[phys >> 3] |= 1 << (phys & 7)
+            return phys
+        if not vacated:
+            raise SpaceError("no free blocks")
+        return vacated.pop(self.rng.randbelow(len(vacated)))
+
+    def move_extent(self, fd: int, lblk: int, vacated: list[int]) -> int:
+        """Re-home file ``fd``'s block ``lblk`` at a ``draw_home`` draw and
+        append its old home to ``vacated``. Returns the new home."""
         block_map = self._inode(fd).block_map
         old = block_map[lblk] if 0 <= lblk < self.max_file_blocks else None
         if old is None:
             raise RangeError(f"file {fd} has no block {lblk}")
-        if self._free or not donor:
-            home = self.allocate_block()
-        else:
-            home = donor.pop(self.rng.randbelow(len(donor)))
+        home = self.draw_home(vacated)
         block_map[lblk] = home
-        donor.append(old)
+        vacated.append(old)
         return home
 
-    def unlink_all(self, donor: list[int]) -> None:
-        """Free the homes a pass vacated, in the order it vacated them."""
-        for phys in donor:
-            self.free_block(phys)
+    def unlink_all(self, blocks) -> None:
+        """Free ``blocks`` in order, in one sweep over the bitmap: for a
+        shuffle pass, the homes it vacated, in the order it vacated them."""
+        bitmap, free = self.bitmap, self._free
+        for phys in blocks:
+            byte, mask = phys >> 3, 1 << (phys & 7)
+            if not bitmap[byte] & mask:
+                raise ParameterError(f"block {phys} already free")
+            bitmap[byte] &= ~mask
+            free.append(phys)
 
     # Consistency ------------------------------------------------------------
 

@@ -300,7 +300,7 @@ class Engine:
             if write is not None:
                 sched.submit_write(*write)
             raise RoundBudgetExhausted(f"round budget of {self.round_target} spent")
-        t = done * sched.config.interval_ns
+        t = done * sched.interval_ns
         heap = self._net_due
         if heap and heap[0][0] <= t:
             self._run_net_until(t)

@@ -93,23 +93,64 @@ class Rng:
         return self._take(n)
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n). Rejection sampling, no modulo bias."""
+        """Uniform integer in [0, n). Rejection sampling, no modulo bias.
+        A try of one or two bytes is read by indexing the buffer, which
+        costs less than ``int.from_bytes``."""
         if n <= 0:
             raise ValueError("randbelow needs n >= 1")
         nbytes = (n.bit_length() + 7) >> 3
         limit = ((1 << (nbytes << 3)) // n) * n
-        buf = self._buf
         while True:
-            pos = self._pos
+            buf, pos = self._buf, self._pos
             end = pos + nbytes
-            if end <= len(buf):  # in the buffer: no refill to consider
-                x = int.from_bytes(buf[pos:end], "big")
-                self._pos = end
-            else:
+            if end > len(buf):
                 x = int.from_bytes(self._take(nbytes), "big")
-                buf = self._buf
+            else:
+                self._pos = end
+                if nbytes == 1:
+                    x = buf[pos]
+                elif nbytes == 2:
+                    x = buf[pos] << 8 | buf[pos + 1]
+                else:
+                    x = int.from_bytes(buf[pos:end], "big")
             if x < limit:
                 return x % n
+
+    def randbelow_each(self, bounds) -> list[int]:
+        """``[self.randbelow(n) for n in bounds]`` in one call: the same
+        draws from the same bytes, and the stream left where those calls
+        would leave it, a failing bound included."""
+        out = []
+        append = out.append
+        buf, pos = self._buf, self._pos
+        size = len(buf)
+        for n in bounds:
+            if n <= 0:
+                self._pos = pos
+                raise ValueError("randbelow needs n >= 1")
+            nbytes = (n.bit_length() + 7) >> 3
+            limit = ((1 << (nbytes << 3)) // n) * n
+            while True:
+                end = pos + nbytes
+                if end > size:
+                    self._pos = pos
+                    x = int.from_bytes(self._take(nbytes), "big")
+                    buf, pos = self._buf, self._pos
+                    size = len(buf)
+                elif nbytes == 1:
+                    x = buf[pos]
+                    pos = end
+                elif nbytes == 2:
+                    x = buf[pos] << 8 | buf[pos + 1]
+                    pos = end
+                else:
+                    x = int.from_bytes(buf[pos:end], "big")
+                    pos = end
+                if x < limit:
+                    break
+            append(x % n)
+        self._pos = pos
+        return out
 
     def choice(self, seq):
         if not seq:

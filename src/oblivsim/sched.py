@@ -49,10 +49,10 @@ class RoundScheduler:
         self.rng = rng
         self.config = config = config if config is not None else RoundConfig()
         # Bound once: every round advances this clock over these slots.
-        self._interval_ns = config.interval_ns
+        self.interval_ns = config.interval_ns
         self._advance = store.iface.host.clock.advance_to
         self._reads_per_round = config.reads_per_round
-        self._write_slots = range(config.writes_per_round)
+        self._writes_per_round = config.writes_per_round
         # Queued write-backs, (phys, data); reads are handed to run_round.
         self._writes: deque[tuple[int, bytes]] = deque()
         self.last_round_ns: int | None = None
@@ -105,11 +105,10 @@ class RoundScheduler:
         authenticate) still runs every slot and counts, so the cadence
         holds, and then raises."""
         last = self.last_round_ns
-        if last is not None and now_ns < last + self._interval_ns:
+        if last is not None and now_ns < last + self.interval_ns:
             raise ParameterError(
                 f"round at {now_ns} before the interval elapsed")
         store, writes = self.store, self._writes
-        targets, randbelow = self.dummy_targets, self.rng.randbelow
         self._advance(now_ns)
         error: SimError | None = None
         served = None
@@ -121,17 +120,25 @@ class RoundScheduler:
             except SimError as exc:
                 error = exc
             self.real_reads += 1
-        for _ in range(padding):
-            store.dummy_read(targets[randbelow(len(targets))])
+        while padding:
+            targets = self.dummy_targets
+            store.dummy_read(targets[self.rng.randbelow(len(targets))])
             self.dummy_reads += 1
-        for _ in self._write_slots:
-            if write is not None or writes:
-                store.write_block(*(write or writes.popleft()))
-                write = None
+            padding -= 1
+        slots = self._writes_per_round
+        if write is not None:
+            store.write_block(write[0], write[1])
+            self.real_writes += 1
+            slots -= 1
+        while slots:
+            if writes:
+                store.write_block(*writes.popleft())
                 self.real_writes += 1
             else:
-                store.dummy_write(targets[randbelow(len(targets))])
+                targets = self.dummy_targets
+                store.dummy_write(targets[self.rng.randbelow(len(targets))])
                 self.dummy_writes += 1
+            slots -= 1
         self.last_round_ns = now_ns
         self.rounds += 1
         if error is not None:

@@ -29,18 +29,25 @@ A stream read never needs the write queue's ``pending_write_for``. The
 engine drains the queue before the pass, and every step's write lands
 in the round after it, so the only write not yet on the host when step
 *i* reads is the one landing in that same round, after the read. It
-targets a fresh ``allocate_block`` draw, which no file maps, or a
-vacated home, whose block was stepped, and so read if uncached, before
-now. The source read at step *i* has not been stepped before step *i*
-(its stream index is at most its step), so it still sits at its
-pre-pass home: neither free nor vacated.
+targets a fresh pool draw, which no file maps, or a vacated home, whose
+block was stepped, and so read if uncached, before now.
 
-Each step re-homes its block with ``BlockFs.move_extent``: the new home
-is an ``allocate_block`` draw, uniform over the free pool, and the old
-home joins the pass's list of vacated homes (``create_donors`` starts
-it empty). ``unlink_all`` frees the list when the pass ends, in its
-``finally``, so a pass that fails part way still returns every vacated
-block.
+The pass does its bookkeeping once, at its start: it takes the files'
+block maps from ``BlockFs.block_map``, the Fisher-Yates draws in one
+``Rng.randbelow_each`` call, and the home of every stream read from
+those maps. That last is sound because the source read at step *i* has
+not been stepped before step *i* (its stream index is at most its
+step), so it still sits at its pre-pass home: neither free nor vacated.
+
+Each step then re-homes its block through its map: the new home is one
+``BlockFs.draw_home`` draw, the rule ``move_extent`` uses too, uniform
+over the free pool, and the old home joins the pass's list of vacated
+homes (``create_donors`` starts it empty). The draw follows the step's
+round, so when a round raises, the homes drawn so far are exactly those
+of the steps whose old homes were listed. ``unlink_all`` frees the list
+in one sweep when the pass ends, in its ``finally``, so a pass cut by
+the round budget or by a block that fails to authenticate still returns
+every vacated block.
 
 Vacated homes wait for the end of the pass rather than rejoining the
 pool at once. So while the pool lasts, the *k*-th step draws uniformly
@@ -69,10 +76,11 @@ from .rng import Rng
 
 
 def fisher_yates(items, rng: Rng) -> list:
-    """Uniform random permutation (swap-down construction)."""
+    """Uniform random permutation (swap-down construction). Its draws are
+    ``rng.randbelow(i + 1)`` for i = n - 1 down to 1, taken in one call."""
     out = list(items)
-    for i in range(len(out) - 1, 0, -1):
-        j = rng.randbelow(i + 1)
+    n = len(out)
+    for i, j in zip(range(n - 1, 0, -1), rng.randbelow_each(range(n, 1, -1))):
         out[i], out[j] = out[j], out[i]
     return out
 
@@ -123,28 +131,39 @@ def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
         return stats
     vacated = fs.create_donors(plan.max_blk)
     try:
+        maps = {fd: fs.block_map(fd) for fd in plan.fds}
         sources = [(fd, b) for fd in plan.fds
                    for b in range(fs.file_blocks(fd))]
         order = fisher_yates(sources, rng)
-        stream = [src for src in order if io.peek_cache(*src) is None]
-        stats.real_reads = len(stream)
-        stats.dummy_reads = len(order) - len(stream)
+        # The blocks in hand: resident pages, peeked once since the cache
+        # does not change while the pass runs, then stream blocks as they
+        # are read, at their own step or ahead of it.
+        held: dict[tuple[int, int], bytes] = {}
+        stream = []
+        for src in order:
+            page = io.peek_cache(*src)
+            if page is None:
+                stream.append(src)
+            else:
+                held[src] = page
+        stats.real_reads, stats.dummy_reads = len(stream), len(held)
         # Vacated homes rejoin the pool only after the pass, so each step
         # past the pool's size reuses one.
         reuses = max(0, len(order) - fs.free_blocks)
-        # Stream blocks read, at their own step or ahead of it.
-        fetched: dict[tuple[int, int], bytes] = {}
-        phys_of, move_extent = fs.phys_of, fs.move_extent
-        shuffle_round, peek_cache = io.shuffle_round, io.peek_cache
+        # Step i reads stream entry i at its pre-pass home; later steps pad.
+        reads = [(src, maps[src[0]][src[1]]) for src in stream]
+        reads += [(None, None)] * len(held)
+        shuffle_round, draw_home = io.shuffle_round, fs.draw_home
         landing = None  # the previous step's (new home, block)
-        for step, (fd, b) in enumerate(order):
-            if step < len(stream):
-                src = stream[step]
-                fetched[src] = shuffle_round(phys_of(*src), landing)
-            else:
-                shuffle_round(None, landing)
-            data = fetched.pop((fd, b), None) or peek_cache(fd, b)
-            landing = (move_extent(fd, b, vacated), data)
+        for (fd, b), (src, phys) in zip(order, reads):
+            data = shuffle_round(phys, landing)
+            if src is not None:
+                held[src] = data
+            block_map = maps[fd]
+            home = draw_home(vacated)
+            vacated.append(block_map[b])
+            block_map[b] = home
+            landing = (home, held.pop((fd, b)))
         shuffle_round(None, landing)
         stats.swaps, stats.donor_reuses = len(order), reuses
     finally:

@@ -109,6 +109,15 @@ def test_store_refuses_a_key_that_is_not_32_bytes():
             BlockStore(iface, layout_for(16, mode), key)
 
 
+def test_plain_store_refuses_any_key():
+    mode = ProtectionMode.PLAIN
+    iface = HostInterface(Host(new_image(16, mode), SimClock()))
+    for key in (KEY, b"\x12\x34"):
+        with pytest.raises(ParameterError, match="a plain image takes no key"):
+            BlockStore(iface, layout_for(16, mode), key)
+    assert BlockStore(iface, layout_for(16, mode), None).mode is mode
+
+
 # ---------------------------------------------------------------------------
 # Container layout.
 # ---------------------------------------------------------------------------

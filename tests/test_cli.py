@@ -462,6 +462,17 @@ def test_fsck_refuses_an_image_of_a_retired_mode(retired, image, tmp_path, capsy
     assert captured.err == f"error: unknown protection mode {retired}\n"
 
 
+def test_fsck_refuses_a_key_for_a_plain_image(tmp_path, capsys):
+    plain = tmp_path / "plain.img"
+    assert cli("create-image", "--out", plain, "--blocks", 16, "--mode", "plain") == 0
+    capsys.readouterr()
+    rc = cli("fsck", "--image", plain, "--key", "1234")
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: a plain image takes no key\n"
+    assert cli("fsck", "--image", plain) == 0
+
+
 def test_fsck_deep_catches_a_flipped_byte(image, tmp_path, capsys):
     m = open_image(image, key=DEFAULT_KEY)
     phys = m.fs.phys_of(m.engine.regular_fd(0), 0)

@@ -102,12 +102,38 @@ def test_buffered_draws_read_the_chunked_generate_stream():
             pass
         assert rng.randbelow(n) == x % n
     assert pos > 4 * _CHUNK
+    # One- and two-byte tries are read by indexing the buffer; they read
+    # the same bytes. Two-byte tries start at an odd offset, so every
+    # chunk boundary they reach falls inside one.
+    for n, nbytes in ((200, 1), (40000, 2)):
+        if nbytes == 2 and pos % 2 == 0:
+            assert rng.random_bytes(1) == take(1)
+        limit = (256**nbytes // n) * n
+        for _ in range(1500):
+            while (x := int.from_bytes(take(nbytes), "big")) >= limit:
+                pass
+            assert rng.randbelow(n) == x % n
     # A request larger than a chunk drains the buffer, then gets one
     # generate of its own size; the chunked stream resumes after it.
     head = take(len(stream) - pos)
     big = len(head) + 2 * _CHUNK + 5
     assert rng.random_bytes(big) == head + oracle.generate(big - len(head))
     assert rng.random_bytes(9) == oracle.generate(_CHUNK)[:9]
+
+
+def test_randbelow_each_is_the_per_draw_loop():
+    # One- to six-byte bounds, each in a run long enough to cross refills.
+    bounds = [1, 2, 3, 255, 256, 257, 65535, 65536, 65537, 2**23 + 1,
+              2**40 + 3] * 60
+    one, ref = Rng(b"each"), Rng(b"each")
+    assert one.randbelow_each(bounds) == [ref.randbelow(n) for n in bounds]
+    assert one.random_bytes(7) == ref.random_bytes(7)
+    assert one.randbelow_each([]) == []
+    # A bound below 1 raises after the draws before it, as the loop does.
+    with pytest.raises(ValueError, match="n >= 1"):
+        one.randbelow_each([5, 9, 0, 4])
+    ref.randbelow(5), ref.randbelow(9)
+    assert one.random_bytes(7) == ref.random_bytes(7)
 
 
 def test_drbg_is_deterministic_and_seed_sensitive():

@@ -4,9 +4,10 @@ import dataclasses
 import hashlib
 import json
 import re
-from itertools import permutations
+from itertools import count, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
 from conftest import DEFAULT_KEY, mount
@@ -16,13 +17,18 @@ from oblivsim import (
     FLAG_REGULAR,
     IntegrityError,
     ProtectionMode,
+    RoundBudgetExhausted,
     RngTree,
     ShuffleImpossibleError,
     ShufflePlan,
+    ShuffleStats,
     build_image,
     build_plan,
+    engine,
     oblivious_shuffle,
 )
+from oblivsim.blockfs import DUMMY_FRACTION, default_geometry, metadata_block_count
+from oblivsim.rng import _CHUNK
 from oblivsim.shuffle import fisher_yates
 
 
@@ -112,6 +118,33 @@ def test_fisher_yates_is_uniform_over_permutations():
     for _ in range(3000):
         counts[index[tuple(fisher_yates(range(4), rng))]] += 1
     assert sstats.chisquare(counts).pvalue > 1e-4
+
+
+def _fisher_yates_per_draw(items, rng):
+    """The reference permutation: one ``randbelow`` call per draw."""
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+@pytest.mark.parametrize("n,prefix", [(1, 0), (2, 0), (255, 0), (256, 0),
+                                      (257, 0), (65536, 0), (65537, 0),
+                                      (700, _CHUNK - 1)])
+def test_fisher_yates_matches_the_per_draw_loop(n, prefix):
+    # One call takes the draws the per-draw loop takes, from the same
+    # bytes: the same permutation, and the stream left at the same place.
+    # With a prefix of _CHUNK - 1 bytes the first two-byte try straddles
+    # the end of the first buffered chunk.
+    ref, one = RngTree(n).stream("shuffle"), RngTree(n).stream("shuffle")
+    for rng in (ref, one):
+        rng.random_bytes(prefix)
+    if prefix:
+        assert len(one._buf) - one._pos == 1
+    assert fisher_yates(range(n), one) == _fisher_yates_per_draw(range(n), ref)
+    assert one.randbelow(2**23 + 1) == ref.randbelow(2**23 + 1)
+    assert one.random_bytes(5) == ref.random_bytes(5)
 
 
 def test_build_plan_counts_and_skips_empty_files():
@@ -223,33 +256,37 @@ def test_one_block_file_shuffles_on_a_default_geometry_image():
     assert m.fs.fsck() == []
 
 
-def _count_allocations(fs):
-    calls = []
-    allocate = fs.allocate_block
+def _count_pool_draws(fs):
+    """Per ``draw_home`` call, how many blocks it took out of the free
+    pool: 1 for a pool draw, 0 for a vacated home."""
+    taken = []
+    draw = fs.draw_home
 
-    def counted():
-        calls.append(None)
-        return allocate()
+    def counted(vacated):
+        before = fs.free_blocks
+        home = draw(vacated)
+        taken.append(before - fs.free_blocks)
+        return home
 
-    fs.allocate_block = counted
-    return calls
+    fs.draw_home = counted
+    return taken
 
 
 def test_shuffle_draws_one_home_per_swap_until_the_pool_runs_dry():
     # A reuse takes a vacated home and draws nothing from the pool.
     fs, io, fds = make_world(sizes=(4, 4), filler=41)
-    calls = _count_allocations(fs)
+    taken = _count_pool_draws(fs)
     stats = oblivious_shuffle(fs, io, RngTree(6).stream("shuffle"), fds)
     assert (stats.swaps, stats.donor_reuses) == (8, 3)
-    assert len(calls) == stats.swaps - stats.donor_reuses
+    assert taken == [1] * 5 + [0] * 3
 
     bundle = build_image(4096, ProtectionMode.CRYPT_INTEGRITY, [b"x"],
                          seed=3, key=DEFAULT_KEY)
     m = mount(bundle, seed=3)
-    calls = _count_allocations(m.fs)
+    taken = _count_pool_draws(m.fs)
     stats = m.engine.shuffle_now()
     assert (stats.swaps, stats.donor_reuses) == (1, 0)
-    assert len(calls) == 1
+    assert taken == [1]
     assert m.fs.fsck() == []
 
 
@@ -308,8 +345,8 @@ def _host_io_digest(io, fs, fds, stats=None) -> str:
 
 def test_placement_is_pinned_while_the_pool_lasts():
     # Three files of 4, 4 and 2 blocks over 14 free blocks, three sources
-    # held in the cache: the pool never runs dry, so every new home is an
-    # ``allocate_block`` draw in step order and no vacated home is reused.
+    # held in the cache: the pool never runs dry, so every new home is a
+    # pool draw in step order and no vacated home is reused.
     # The digest covers the ordered read, write and slot logs and the
     # final block maps, not the stats; the placement was fixed while
     # homes still came from a grid of donor slots, which placed every
@@ -347,3 +384,104 @@ def test_shuffle_host_io_is_pinned():
             assert io.pages[fs.phys_of(fd, b)] == token(fd, b)
     assert _host_io_digest(io, fs, fds, stats) == (
         "188d698c1246d9cf169d38b9ba7e4f3c98d1c8f009bcf4b1e5d2bcd4c345044b")
+
+
+def _reference_shuffle(fs, io, rng, fds=None):
+    """The pass as a per-step loop, kept as the oracle: ``fisher_yates``
+    through one ``randbelow`` per draw, ``phys_of`` for each stream read,
+    ``move_extent`` for each new home, ``free_block`` for each vacated
+    home at the end."""
+    if fds is None:
+        fds = fs.files_with_flag(FLAG_REGULAR)
+    plan = build_plan(fs, fds)
+    stats = ShuffleStats(plan)
+    if plan.num_shuff_blk == 0:
+        return stats
+    vacated = fs.create_donors(plan.max_blk)
+    try:
+        sources = [(fd, b) for fd in plan.fds
+                   for b in range(fs.file_blocks(fd))]
+        order = _fisher_yates_per_draw(sources, rng)
+        stream = [src for src in order if io.peek_cache(*src) is None]
+        stats.real_reads = len(stream)
+        stats.dummy_reads = len(order) - len(stream)
+        reuses = max(0, len(order) - fs.free_blocks)
+        fetched = {}
+        landing = None
+        for step, (fd, b) in enumerate(order):
+            if step < len(stream):
+                src = stream[step]
+                fetched[src] = io.shuffle_round(fs.phys_of(*src), landing)
+            else:
+                io.shuffle_round(None, landing)
+            data = fetched.pop((fd, b), None) or io.peek_cache(fd, b)
+            landing = (fs.move_extent(fd, b, vacated), data)
+        io.shuffle_round(None, landing)
+        stats.swaps, stats.donor_reuses = len(order), reuses
+    finally:
+        for phys in vacated:
+            fs.free_block(phys)
+    return stats
+
+
+def _pass_on_a_fresh_mount(bundle, touches, cut, shuffle):
+    """Mount ``bundle``, make the ``touches`` resident (read or written
+    through the cache), then run ``Engine.shuffle_now`` with ``shuffle``
+    as its pass, at most ``cut`` rounds of it if given."""
+    m = mount(bundle, seed=5)
+    fds = m.fs.files_with_flag(FLAG_REGULAR)
+    for i, b, write in touches:
+        fd = fds[i % len(fds)]
+        offset = b % m.fs.file_blocks(fd) * BLOCK_SIZE
+        if write:
+            m.engine.write_file(fd, offset, b"w%d" % b)
+        else:
+            m.engine.read_file(fd, offset, 1)
+    if cut is not None:
+        m.engine.round_target = m.engine.rounds_done + cut
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "oblivious_shuffle", shuffle)
+        try:
+            outcome = m.engine.shuffle_now()
+        except (RoundBudgetExhausted, ShuffleImpossibleError) as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+    fs, rngs = m.fs, (m.engine.rng.stream("shuffle"), m.fs.rng)
+    return {
+        "outcome": outcome,
+        "trace": list(m.trace.events),
+        "maps": [ino.block_map and list(ino.block_map) for ino in fs.inodes],
+        "free": list(fs._free),
+        "bitmap": bytes(fs.bitmap),
+        "fsck": fs.fsck(),
+        "next_draws": [rng.randbelow(2**20) for rng in rngs],
+    }
+
+
+def _blocks_for_a_pool(data_blocks: int) -> int:
+    """The smallest image with at least ``data_blocks`` blocks for files
+    and free pool together; metadata and the padding domain come first."""
+    return next(n for n in count(16)
+                if n - metadata_block_count(n, *default_geometry(n))
+                - int(n * DUMMY_FRACTION) >= data_blocks)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       slack=st.integers(0, 16),
+       touches=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 11),
+                                  st.booleans()), max_size=8),
+       cut=st.none() | st.integers(0, 40),
+       seed=st.integers(0, 2**16))
+def test_pass_matches_the_per_step_reference(sizes, slack, touches, cut, seed):
+    # The free pool holds the largest file plus ``slack`` blocks, so a
+    # pass over files of more blocks than that reuses vacated homes.
+    # Cache residency comes from reads and dirty writes, and a cut pass
+    # stops on the round budget.
+    files = [bytes([k + 1]) * (size * BLOCK_SIZE) for k, size in enumerate(sizes)]
+    bundle = build_image(_blocks_for_a_pool(sum(sizes) + max(sizes) + slack),
+                         ProtectionMode.CRYPT_INTEGRITY, files,
+                         seed=seed, key=DEFAULT_KEY)
+    new = _pass_on_a_fresh_mount(bundle, touches, cut, oblivious_shuffle)
+    ref = _pass_on_a_fresh_mount(bundle, touches, cut, _reference_shuffle)
+    assert new == ref
+    assert new["fsck"] == []

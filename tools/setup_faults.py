@@ -1,0 +1,85 @@
+"""Minor page faults and seconds of each benchmark set-up.
+
+    python3 tools/setup_faults.py CHECKOUT WORKLOAD SEED [--seconds N] [--trace 0|1]
+
+runs CHECKOUT's ``benchmarks/run.py`` in this process for one workload
+and seed, with the workload's ``build`` and ``mount`` wrapped: a set-up
+runs from the start of ``build`` to the end of the ``mount`` that
+follows it. It prints one line per set-up, its ``ru_minflt`` count and
+its seconds, then the run's result line, and exits with the run's
+status. ``setup_s`` comes in two modes that depend on whether freed
+image buffers stay in the heap: a few hundred or no faults per set-up
+when they do, several thousand when the heap was trimmed and the next
+image is faulted in again. The mode can change with the length of the
+checkout's path, so compare checkouts at paths of equal length.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import functools
+import io
+import resource
+import sys
+import time
+from pathlib import Path
+
+
+def _faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("checkout", type=Path)
+    ap.add_argument("workload")
+    ap.add_argument("seed", type=int)
+    ap.add_argument("--seconds", type=int, default=1)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = ap.parse_args(argv)
+
+    root = args.checkout.resolve()
+    bench = root / "benchmarks"
+    if not (bench / "run.py").is_file():
+        ap.error(f"no benchmarks/run.py under {root}")
+    sys.path[:0] = [str(root / "src"), str(bench)]
+    import run
+    import workloads
+
+    setups = []  # (faults, seconds) per set-up
+    started = []
+
+    def build(fn):
+        @functools.wraps(fn)
+        def wrapped(*a, **kw):
+            started.append((_faults(), time.perf_counter()))
+            return fn(*a, **kw)
+        return wrapped
+
+    def mount(fn):
+        @functools.wraps(fn)
+        def wrapped(*a, **kw):
+            m = fn(*a, **kw)
+            faults, t0 = started.pop()
+            setups.append((_faults() - faults, time.perf_counter() - t0))
+            return m
+        return wrapped
+
+    cls = workloads.WORKLOADS.get(args.workload)
+    if cls is None:
+        ap.error(f"workload must be one of {', '.join(workloads.WORKLOADS)}")
+    cls.build, cls.mount = build(cls.build), mount(cls.mount)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = run.main(["--workload", args.workload, "--seed", str(args.seed),
+                           "--seconds", str(args.seconds), "--trace", str(args.trace)])
+    for k, (faults, seconds) in enumerate(setups):
+        print(f"setup {k}: {faults} minor faults, {seconds:.6f} s")
+    lines = out.getvalue().splitlines()
+    print(lines[-1] if lines else "")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
