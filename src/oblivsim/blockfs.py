@@ -341,11 +341,10 @@ class BlockFs:
 
     def create_donors(self, size_blocks: int) -> list[int]:
         """A shuffle pass's list of the homes it vacates, none yet. Refused
-        when the free pool cannot re-home a ``size_blocks``-block file."""
+        when the free pool holds fewer than ``size_blocks`` blocks."""
         if self.free_blocks < size_blocks:
             raise ShuffleImpossibleError(
-                f"{self.free_blocks} free blocks cannot re-home a "
-                f"{size_blocks}-block file")
+                f"{self.free_blocks} free blocks; a shuffle pass needs {size_blocks}")
         return []
 
     def block_map(self, fd: int) -> list[int | None]:

@@ -29,12 +29,13 @@ its fetch per call, and a ``CachedIo`` is built per file call. So a
 dropped mount, with its image copy, is freed by reference counting
 alone, without waiting for the cyclic collector.
 
-Time is the simulated clock. Each round (``shuffle_round``, which
-``run_one_round`` calls with nothing handed over) first processes every
-network emission instant due by the round's scheduled time, then fires
-the disk round itself. Network instants live on each link's own exact
-grid derived from the token bucket, so round interval and link rate
-need not divide each other.
+Time is the simulated clock, and the engine alone moves it. Round k
+runs at k x interval (``shuffle_round``, which ``run_one_round`` calls
+with nothing handed over): the engine first processes every network
+emission instant due by then, each at its own due time, then moves the
+clock to the round's instant and fires the disk round, which takes no
+time of its own. Network instants live on each link's own exact grid,
+so round interval and link rate need not divide each other.
 
 The net loop is event-driven. Every link and every external pump sits
 in one heap keyed by (due time, pumps before links, insertion order).
@@ -52,7 +53,8 @@ after each ``pump``, never in between, so it must already be current
 then. It only moves forward: it is not before the simulated clock when
 the pump is added, after ``pump(t)`` it is later than ``t`` (both are
 refused with ``ParameterError``), or None, which retires the pump.
-Links follow the same rule through ``PeerShaper``.
+Links follow the same rule through ``PeerShaper``, whose ``tick`` also
+refuses any instant but its due one.
 
 ``EchoPeer`` models the remote end of a link: it is environment code,
 touches the untrusted ``Host`` directly (it drains its own endpoint's
@@ -194,7 +196,7 @@ class EchoPeer:
 
     def pump(self, now_ns: int) -> None:
         """Open what the enclave sent this peer, queue the echoes, then
-        emit whatever slots are due."""
+        emit the slot due at ``now_ns``."""
         queue = self._egress
         while queue:
             try:
@@ -209,8 +211,7 @@ class EchoPeer:
             except BackpressureError:
                 # A real network would drop under overload; so do we.
                 self.dropped += 1
-        for frame in self.shaper.tick(now_ns):
-            self.host.deliver_frame(self.endpoint, frame)
+        self.host.deliver_frame(self.endpoint, self.shaper.tick(now_ns))
 
 
 class Engine:
@@ -226,6 +227,7 @@ class Engine:
         self.config = config if config is not None else EngineConfig()
         self.oblivious = oblivious
         self.clock = iface.host.clock
+        self._interval_ns = self.config.round.interval_ns
         self.round_target: int | None = None
         self.shuffles = 0
         self.payload_bytes = 0
@@ -264,7 +266,7 @@ class Engine:
     @property
     def elapsed_ns(self) -> int:
         if self.oblivious:
-            return self.rounds_done * self.config.round.interval_ns
+            return self.rounds_done * self._interval_ns
         return self.clock.now()
 
     # The protected disk path: cache misses and the shuffle's rounds -----
@@ -286,10 +288,10 @@ class Engine:
 
     def shuffle_round(self, read: int | None = None,
                       write: tuple[int, bytes] | None = None) -> bytes | None:
-        """The net instants due by the next round's time, then the round,
-        with ``read`` and ``write`` in its first slots; returns ``read``'s
-        plaintext, or None. The shuffle's ``ShuffleIo`` step, and every
-        other round too. A round past the budget raises
+        """The net instants due by the next round's time, then the round
+        at that time, with ``read`` and ``write`` in its first slots;
+        returns ``read``'s plaintext, or None. The shuffle's ``ShuffleIo``
+        step, and every other round too. A round past the budget raises
         ``RoundBudgetExhausted`` and reads nothing, but ``write`` is queued
         first, so the next round that runs still lands it."""
         sched = self.sched
@@ -300,11 +302,12 @@ class Engine:
             if write is not None:
                 sched.submit_write(*write)
             raise RoundBudgetExhausted(f"round budget of {self.round_target} spent")
-        t = done * sched.interval_ns
+        t = done * self._interval_ns
         heap = self._net_due
         if heap and heap[0][0] <= t:
             self._run_net_until(t)
-        return sched.run_round(t, read, write)
+        self.clock.advance_to(t)
+        return sched.run_round(read, write)
 
     def run_one_round(self) -> None:
         """One round with nothing handed to it: queued writes or padding."""
@@ -395,8 +398,9 @@ class Engine:
     def _run_net_until(self, t_ns: int) -> None:
         """Run every emission instant due by ``t_ns``, in time order. At
         one instant the pumps due run first, then the links due, each in
-        the order they were added; ingress is drained once if a link
-        emitted. Each actor goes back on the heap at its next due time."""
+        the order they were added, each link sending one frame; ingress
+        is drained once if a link emitted. Each actor goes back on the
+        heap at its next due time."""
         heap = self._net_due
         advance_to, net_write = self.clock.advance_to, self.iface.net_write
         while heap and heap[0][0] <= t_ns:
@@ -406,8 +410,7 @@ class Engine:
             while heap and heap[0][0] == due:
                 _due, kind, order, actor = heap[0]
                 if kind == _LINK:
-                    for frame in actor.shaper.tick(due):
-                        net_write(actor.endpoint, frame)
+                    net_write(actor.endpoint, actor.shaper.tick(due))
                     emitted = True
                     next_due = actor.shaper.next_due_ns()
                 else:

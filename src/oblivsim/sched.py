@@ -9,8 +9,10 @@ the padding domain, the allocated blocks no file maps
 (``BlockFs.dummy_blocks``). An observer therefore sees the same call
 sequence, lengths and timing no matter what the workload does.
 
-Reads always run before writes within a round, and trace timestamps are
-the scheduled round time, so the recorded pattern is bit-reproducible.
+Reads always run before writes within a round. A round carries no
+time: the engine owns the interval, moves the simulated clock to round
+k's instant, k x interval, and then runs the round, so every call of
+the round is stamped there and the recorded pattern is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -48,14 +50,10 @@ class RoundScheduler:
             raise ParameterError("padding needs at least one padding block")
         self.rng = rng
         self.config = config = config if config is not None else RoundConfig()
-        # Bound once: every round advances this clock over these slots.
-        self.interval_ns = config.interval_ns
-        self._advance = store.iface.host.clock.advance_to
         self._reads_per_round = config.reads_per_round
         self._writes_per_round = config.writes_per_round
         # Queued write-backs, (phys, data); reads are handed to run_round.
         self._writes: deque[tuple[int, bytes]] = deque()
-        self.last_round_ns: int | None = None
         self.rounds = 0
         self.real_reads = 0
         self.dummy_reads = 0
@@ -92,10 +90,11 @@ class RoundScheduler:
 
     # Execution -----------------------------------------------------------
 
-    def run_round(self, now_ns: int, read: int | None = None,
+    def run_round(self, read: int | None = None,
                   write: tuple[int, bytes] | None = None) -> bytes | None:
-        """One batch at now_ns: the simulated clock moves there, then
-        reads run first and writes after, all stamped at now_ns.
+        """One batch: reads run first and writes after. It takes no time
+        and moves no clock; the engine has moved the clock to the round's
+        instant, so every call is stamped there.
 
         ``read`` (a block) takes the first read slot, and padding the
         rest. ``write`` (a block and its plaintext, one block long)
@@ -104,12 +103,7 @@ class RoundScheduler:
         plaintext, or None. A failed read (say, it does not
         authenticate) still runs every slot and counts, so the cadence
         holds, and then raises."""
-        last = self.last_round_ns
-        if last is not None and now_ns < last + self.interval_ns:
-            raise ParameterError(
-                f"round at {now_ns} before the interval elapsed")
         store, writes = self.store, self._writes
-        self._advance(now_ns)
         error: SimError | None = None
         served = None
         padding = self._reads_per_round
@@ -139,7 +133,6 @@ class RoundScheduler:
                 store.dummy_write(targets[self.rng.randbelow(len(targets))])
                 self.dummy_writes += 1
             slots -= 1
-        self.last_round_ns = now_ns
         self.rounds += 1
         if error is not None:
             raise error

@@ -8,13 +8,13 @@ rate. A link's only setting is its rate, at most one frame per
 nanosecond (frame_cost); so no two frames ever share an instant, and
 the bit rate an observer sees is constant.
 
-When a slot opens the shaper sends the oldest queued payload if there
-is one; otherwise it sends a padding frame. Outside observers see the
-same cadence either way. Slots that pass while the caller never ticks
-are forfeited, not banked: after a stall the grid restarts at the
-stall's end rather than bursting to catch up. Queued payloads beyond
-``SEND_QUEUE_FRAMES`` raise backpressure to the caller rather than
-silently stretching memory.
+The caller ticks a link exactly at ``next_due_ns()``, and each tick
+sends one frame: the oldest queued payload if there is one, otherwise a
+padding frame. Outside observers see the same cadence either way. A
+tick at any other instant is refused, so the grid has one clock, the
+caller's, and a slot is never skipped, repeated or caught up. Queued
+payloads beyond ``SEND_QUEUE_FRAMES`` raise backpressure to the caller
+rather than silently stretching memory.
 """
 
 from __future__ import annotations
@@ -46,15 +46,14 @@ class PeerShaper:
         self._rate = shaping.rate_bps
         self.frame_cost = session.mtu * 8 * NS_PER_S
         if self._rate > self.frame_cost:
-            # Two emissions would share a due nanosecond, and the tick
-            # at that instant would forfeit one of them.
+            # Two emissions would share a due nanosecond, and the net
+            # loop runs a link once per instant.
             raise ParameterError(
                 f"rate_bps {self._rate} is above one {session.mtu}-byte frame "
                 f"per nanosecond ({self.frame_cost})")
-        self.last_tick_ns = start_ns
-        self._epoch_ns = start_ns
+        self._start_ns = start_ns
         self._next_k = 0
-        self._due_ns = start_ns  # the first frame is due at the epoch
+        self._due_ns = start_ns  # the first frame is due at the start
         self.queue: deque[bytes] = deque()
 
     def enqueue(self, payload: bytes) -> None:
@@ -73,27 +72,18 @@ class PeerShaper:
         current; it only moves forward."""
         return self._due_ns
 
-    def tick(self, now_ns: int) -> list[bytes]:
-        """Emit the slot due by ``now_ns``, if any, and return its sealed
-        frame (at most one). How many were real and how many padding is
-        counted by the session (``sent_real``, ``sent_dummy``), not told
-        per frame."""
-        if now_ns < self.last_tick_ns:
-            raise ParameterError("shaper clock moved backwards")
-        self.last_tick_ns = now_ns
-        rate, k = self._rate, self._next_k
-        q = (now_ns - self._epoch_ns) * rate // self.frame_cost
-        if q < k:
-            return []
-        if q > k:
-            # Slots were skipped while nobody ticked; forfeit them and
-            # restart the grid here instead of bursting to catch up.
-            self._epoch_ns = now_ns
-            k = 0
-        k += 1
+    def tick(self, now_ns: int) -> bytes:
+        """Seal and return the frame of the slot due at ``now_ns``, which
+        must be ``next_due_ns()``. How many were real and how many padding
+        is counted by the session (``sent_real``, ``sent_dummy``), not
+        told per frame."""
+        if now_ns != self._due_ns:
+            raise ParameterError(
+                f"tick at {now_ns} ns, but the next slot is due at {self._due_ns} ns")
+        rate, k = self._rate, self._next_k + 1
         self._next_k = k
-        self._due_ns = self._epoch_ns + (k * self.frame_cost + rate - 1) // rate
+        self._due_ns = self._start_ns + (k * self.frame_cost + rate - 1) // rate
         # Oldest queued payload first; an empty queue sends padding.
         if self.queue:
-            return [self.session.seal_packet(self.queue.popleft())]
-        return [self.session.seal_dummy()]
+            return self.session.seal_packet(self.queue.popleft())
+        return self.session.seal_dummy()

@@ -42,9 +42,10 @@ step), so it still sits at its pre-pass home: neither free nor vacated.
 Each step then re-homes its block through its map: the new home is one
 ``BlockFs.draw_home`` draw, the rule ``move_extent`` uses too, uniform
 over the free pool, and the old home joins the pass's list of vacated
-homes (``create_donors`` starts it empty). The draw follows the step's
-round, so when a round raises, the homes drawn so far are exactly those
-of the steps whose old homes were listed. ``unlink_all`` frees the list
+homes (``create_donors`` starts it empty, and refuses a pass with no
+free block before any host call). The draw follows the step's round,
+so when a round raises, the homes drawn so far are exactly those of
+the steps whose old homes were listed. ``unlink_all`` frees the list
 in one sweep when the pass ends, in its ``finally``, so a pass cut by
 the round budget or by a block that fails to authenticate still returns
 every vacated block.
@@ -129,7 +130,8 @@ def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
     stats = ShuffleStats(plan)
     if plan.num_shuff_blk == 0:
         return stats
-    vacated = fs.create_donors(plan.max_blk)
+    # One free block is room enough: past the pool, steps reuse vacated homes.
+    vacated = fs.create_donors(1)
     try:
         maps = {fd: fs.block_map(fd) for fd in plan.fds}
         sources = [(fd, b) for fd in plan.fds

@@ -250,8 +250,7 @@ def _shaped_run(offer_every_ns: int | None, horizon_ns: int):
                 except BackpressureError:
                     pass
                 offer_t += offer_every_ns
-        for frame in shaper.tick(due):
-            emissions.append((due, len(frame)))
+        emissions.append((due, len(shaper.tick(due))))
 
 
 def test_shaper_rate_exact_under_all_loads():

@@ -200,6 +200,8 @@ def test_idle_rounds_sit_on_the_interval_grid(small_bundle):
         assert read.kind is CallKind.DISK_READ
         assert write.kind is CallKind.DISK_WRITE
         assert read.ts == write.ts == i * 100_000
+    # The engine moved the clock to each round's instant, and no further.
+    assert m.engine.clock.now() == 9 * 100_000
 
 
 def test_queued_write_serves_a_later_read(small_bundle):
@@ -502,19 +504,32 @@ def test_an_empty_send_is_refused_and_counts_nothing(small_bundle):
     assert enclave.sent_real == peer.session.received_real == 0
 
 
+# (link rate in bit/s, rounds run before the link is added, its start
+# past the clock in ns): rates whose frame time does not divide the
+# 100 us round, and a link added mid-run, between two rounds.
+SHAPER_GRID_CASES = [(200_000_000, 0, 0), (75_000_000, 0, 0), (333_333_333, 0, 0),
+                     (333_333_333, 3, 12_345)]
+
+
 def test_net_writes_stay_on_the_shaper_grid(small_bundle):
-    m = mount(small_bundle)
-    enclave, remote = net_pair()
-    m.engine.add_link(7, enclave)
-    m.engine.add_external_pump(EchoPeer(m.host, 7, remote, ShapingClass()))
-    m.engine.start_observation()
-    m.engine.run_rounds(6)
-    writes = m.trace.of_kind(CallKind.NET_WRITE)
-    assert len(writes) >= 9  # 200 Mbps puts a frame every 60 us
-    assert all(e.payload_len == m.host.mtu for e in writes)
-    assert all(e.ts % 60_000 == 0 for e in writes)
-    deltas = [b.ts - a.ts for a, b in zip(writes, writes[1:])]
-    assert all(d == 60_000 for d in deltas)
+    cost = 1500 * 8 * 1_000_000_000  # one frame, in bit-nanoseconds
+    for rate, first_rounds, offset in SHAPER_GRID_CASES:
+        m = mount(small_bundle)
+        m.engine.start_observation()
+        m.engine.run_rounds(first_rounds)
+        start = m.engine.clock.now() + offset
+        enclave, remote = net_pair()
+        m.engine.add_link(7, enclave, ShapingClass(rate_bps=rate), start)
+        m.engine.add_external_pump(
+            EchoPeer(m.host, 7, remote, ShapingClass(rate_bps=rate), start))
+        m.engine.run_rounds(10)
+        last_round = (first_rounds + 9) * 100_000
+        due = [start + (k * cost + rate - 1) // rate for k in range(100)]
+        writes = m.trace.of_kind(CallKind.NET_WRITE)
+        # The k-th write sits at start + ceil(k * cost / rate), and none
+        # due by the last round is missing.
+        assert [e.ts for e in writes] == [t for t in due if t <= last_round]
+        assert all(e.payload_len == m.host.mtu for e in writes)
 
 
 # (endpoint, link rate, peer rate) in bit/s: mixed rates and a peer

@@ -36,11 +36,9 @@ def make_sched(config=None, dummies=DUMMIES, n=16, seed=3):
     return store, sched
 
 
-def run_rounds(sched, count, interval=None):
-    interval = interval if interval is not None else sched.config.interval_ns
-    start = sched.rounds
-    for i in range(start, start + count):
-        sched.run_round(i * interval)
+def run_rounds(sched, count):
+    for _ in range(count):
+        sched.run_round()
 
 
 def test_config_validation():
@@ -72,18 +70,9 @@ def test_idle_rounds_emit_full_padding():
     domain = {store.layout.data_offset(p) for p in DUMMIES}
     assert {e.offset for e in trace.events} <= domain
     assert len({e.offset for e in trace.events}) > 1
-
-
-def test_events_stamped_at_round_time():
-    store, sched = make_sched()
-    run_rounds(sched, 5)
-    assert store.iface.host.clock.now() == 4 * sched.config.interval_ns
-    by_ts = {}
-    for e in store.iface.trace.events:
-        by_ts.setdefault(e.ts, []).append(e.kind)
-    assert sorted(by_ts) == [i * sched.config.interval_ns for i in range(5)]
-    for kinds in by_ts.values():
-        assert kinds == [CallKind.DISK_READ, CallKind.DISK_WRITE]
+    # A round takes no time: its calls are stamped where the clock stands.
+    assert store.iface.host.clock.now() == 0
+    assert {e.ts for e in trace.events} == {0}
 
 
 def test_reads_run_before_writes_with_wider_rounds():
@@ -101,7 +90,7 @@ def test_real_requests_take_the_slots():
     store.iface.trace.reset()
     assert sched.submit_write(6, b"\x43" * BLOCK_SIZE) is None
     assert sched.pending_writes == 1
-    assert sched.run_round(0, 5) == b"\x42" * BLOCK_SIZE
+    assert sched.run_round(5) == b"\x42" * BLOCK_SIZE
     assert sched.pending_writes == 0
     assert sched.real_reads == 1 and sched.real_writes == 1
     assert sched.dummy_reads == 0 and sched.dummy_writes == 0
@@ -118,7 +107,7 @@ def test_a_handed_read_and_write_take_the_first_slots():
         store.write_block(phys, bytes([phys]) * BLOCK_SIZE)
     sched.submit_write(7, b"\x07" * BLOCK_SIZE)
     store.iface.trace.reset()
-    assert sched.run_round(0, 5, (8, b"\x08" * BLOCK_SIZE)) == b"\x05" * BLOCK_SIZE
+    assert sched.run_round(5, (8, b"\x08" * BLOCK_SIZE)) == b"\x05" * BLOCK_SIZE
     # The handed read, padding, the handed write, then the queued one.
     offsets = [e.offset for e in store.iface.trace.events]
     assert offsets[0] == store.layout.data_offset(5)
@@ -128,7 +117,7 @@ def test_a_handed_read_and_write_take_the_first_slots():
     assert (sched.real_reads, sched.real_writes) == (1, 2)
     assert (sched.dummy_reads, sched.dummy_writes) == (1, 0)
     # Handed over alone, they leave the other slots to padding.
-    assert sched.run_round(100_000, 6, (9, b"\x09" * BLOCK_SIZE)) == b"\x06" * BLOCK_SIZE
+    assert sched.run_round(6, (9, b"\x09" * BLOCK_SIZE)) == b"\x06" * BLOCK_SIZE
     assert (sched.dummy_reads, sched.dummy_writes) == (2, 1)
     assert store.read_block(9) == b"\x09" * BLOCK_SIZE
 
@@ -140,7 +129,7 @@ def test_busy_and_idle_rounds_share_a_shape():
     store_b.iface.trace.reset()
     sched_b.submit_write(5, b"\x02" * BLOCK_SIZE)
     run_rounds(sched_a, 3)
-    assert sched_b.run_round(0, 5) == b"\x01" * BLOCK_SIZE
+    assert sched_b.run_round(5) == b"\x01" * BLOCK_SIZE
     run_rounds(sched_b, 2)
     assert (sched_b.real_reads, sched_b.real_writes) == (1, 1)
     assert store_a.iface.trace.shape() == store_b.iface.trace.shape()
@@ -154,7 +143,7 @@ def test_pending_write_lookup_sees_newest():
     assert sched.pending_write_for(5) == new
     assert sched.pending_write_for(6) is None
     assert sched.pending_writes == 2
-    sched.run_round(0)
+    sched.run_round()
     assert sched.pending_write_for(5) is None
     assert store.read_block(5) == new  # FIFO execution, newest lands last
 
@@ -170,15 +159,6 @@ def test_reads_are_handed_over_never_queued():
             sched.real_writes, sched.dummy_writes) == (0, 0, 0, 0, 0)
 
 
-def test_rounds_respect_the_interval():
-    store, sched = make_sched()
-    sched.run_round(42)  # first round may start anywhere
-    with pytest.raises(ParameterError):
-        sched.run_round(42 + sched.config.interval_ns - 1)
-    sched.run_round(42 + sched.config.interval_ns)
-    assert sched.rounds == 2
-
-
 def test_failed_read_still_completes_its_round():
     store, sched = make_sched()
     store.write_block(5, b"\x42" * BLOCK_SIZE)
@@ -186,15 +166,13 @@ def test_failed_read_still_completes_its_round():
     store.iface.trace.reset()
     sched.submit_write(6, b"\x43" * BLOCK_SIZE)
     with pytest.raises(IntegrityError):
-        sched.run_round(0, 5)
+        sched.run_round(5)
     assert sched.pending_writes == 0
     assert sched.rounds == 1 and (sched.real_reads, sched.real_writes) == (1, 1)
-    assert sched.run_round(sched.config.interval_ns) is None
+    assert sched.run_round() is None
     run_rounds(sched, 2)
-    interval = sched.config.interval_ns
-    assert [(e.ts, e.kind) for e in store.iface.trace.events] == [
-        (i * interval, kind) for i in range(4)
-        for kind in (CallKind.DISK_READ, CallKind.DISK_WRITE)]
+    assert [e.kind for e in store.iface.trace.events] == \
+        [CallKind.DISK_READ, CallKind.DISK_WRITE] * 4
     assert sched.real_reads + sched.dummy_reads == 4
     assert sched.real_writes + sched.dummy_writes == 4
     assert store.read_block(6) == b"\x43" * BLOCK_SIZE  # padding never aims at 6
@@ -211,4 +189,3 @@ def test_write_that_is_not_one_block_is_refused_before_queueing():
     assert sched.rounds == 2
     assert [e.kind for e in store.iface.trace.events] == \
         [CallKind.DISK_READ, CallKind.DISK_WRITE] * 2
-    assert [e.ts for e in store.iface.trace.events] == [0, 0, 100_000, 100_000]

@@ -32,7 +32,7 @@ def make_shaper(**kw):
 
 
 def drain_due(shaper, count):
-    """Tick exactly at due times; returns (time, frames) per emission."""
+    """Tick exactly at due times; returns (time, frame) per emission."""
     out = []
     for _ in range(count):
         t = shaper.next_due_ns()
@@ -49,8 +49,7 @@ def test_200mbps_sits_on_a_60us_grid():
     shaper, _ = make_shaper(rate_bps=RATE)
     emissions = drain_due(shaper, 50)
     assert [t for t, _ in emissions] == [k * 60_000 for k in range(50)]
-    assert all(len(frames) == 1 for _, frames in emissions)
-    assert all(len(frames[0]) == DEFAULT_MTU for _, frames in emissions)
+    assert all(len(frame) == DEFAULT_MTU for _, frame in emissions)
     assert shaper.session.sent_real + shaper.session.sent_dummy == 50
 
 
@@ -60,7 +59,7 @@ def test_due_times_match_the_exact_rational_grid(rate, k):
     shaper, _ = make_shaper(rate_bps=rate)
     cost = DEFAULT_MTU * 8 * 1_000_000_000
     emissions = drain_due(shaper, k + 1)
-    assert all(len(frames) == 1 for _, frames in emissions)
+    assert all(len(frame) == DEFAULT_MTU for _, frame in emissions)
     assert emissions[k][0] == (k * cost + rate - 1) // rate
 
 
@@ -68,8 +67,8 @@ def test_one_frame_per_nanosecond_is_the_rate_ceiling():
     ceiling = DEFAULT_MTU * 8 * 1_000_000_000  # 12 Tbit/s
     shaper, _ = make_shaper(rate_bps=ceiling)
     emissions = drain_due(shaper, 1000)
-    assert all(len(frames) == 1 for _, frames in emissions)
-    assert emissions[-1][0] - emissions[0][0] == 999
+    assert all(len(frame) == DEFAULT_MTU for _, frame in emissions)
+    assert [t for t, _ in emissions] == list(range(1000))
     # One bit/s more and two emissions would share a due nanosecond.
     with pytest.raises(ParameterError, match="per nanosecond"):
         make_shaper(rate_bps=ceiling + 1)
@@ -80,28 +79,26 @@ def test_queued_payloads_preempt_padding():
     shaper.enqueue(b"first")
     shaper.enqueue(b"second")
     opened = []
-    for _, frames in drain_due(shaper, 4):
-        frame, = frames
+    for _, frame in drain_due(shaper, 4):
         opened.append(rx.open_packet(frame))
     assert opened == [b"first", b"second", b"", b""]
     assert (shaper.session.sent_real, shaper.session.sent_dummy) == (2, 2)
     assert shaper.backlog == 0
 
 
-def test_idle_gaps_never_turn_into_bursts():
-    shaper, _ = make_shaper(rate_bps=RATE)
-    assert len(shaper.tick(0)) == 1
-    # Slots skipped during a stall are forfeited, not caught up.
-    assert len(shaper.tick(1_000_000_000)) == 1
-    assert shaper.tick(1_000_000_000) == []
-    assert shaper.next_due_ns() == 1_000_000_000 + 60_000
-
-
-def test_ticks_between_slots_emit_nothing():
-    shaper, _ = make_shaper(rate_bps=RATE)
-    shaper.tick(0)
-    assert shaper.tick(59_999) == []
-    assert len(shaper.tick(60_000)) == 1
+def test_a_tick_off_its_due_instant_is_refused():
+    # The grid keeps no clock of its own to wait on, catch up or restart:
+    # an early, a late and a repeated tick each raise and change nothing.
+    shaper, rx = make_shaper(rate_bps=RATE)
+    assert rx.open_packet(shaper.tick(0)) == b""
+    shaper.enqueue(b"payload")
+    for now in (59_999, 60_001, 0):
+        with pytest.raises(ParameterError, match="due at 60000 ns"):
+            shaper.tick(now)
+        assert (shaper.session.sent_real, shaper.session.sent_dummy) == (0, 1)
+        assert shaper.next_due_ns() == 60_000 and shaper.backlog == 1
+    assert rx.open_packet(shaper.tick(60_000)) == b"payload"
+    assert shaper.next_due_ns() == 120_000
 
 
 def test_queue_limits_and_payload_size():
@@ -114,10 +111,3 @@ def test_queue_limits_and_payload_size():
         shaper.enqueue(b"a")
     with pytest.raises(BackpressureError):
         shaper.enqueue(b"b")
-
-
-def test_clock_must_not_move_backwards():
-    shaper, _ = make_shaper(rate_bps=RATE)
-    shaper.tick(500)
-    with pytest.raises(ParameterError):
-        shaper.tick(499)

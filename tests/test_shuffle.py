@@ -222,10 +222,46 @@ def test_vacated_homes_are_reused_only_when_the_pool_runs_dry():
 
 
 def test_shuffle_without_room_fails_loudly():
-    fs, io, fds = make_world(sizes=(40,), filler=13)
-    assert fs.free_blocks < 40
-    with pytest.raises(ShuffleImpossibleError):
+    # With no free block the first step has no home to draw: the pass is
+    # refused before its first round.
+    fs, io, fds = make_world(sizes=(40,), filler=14)
+    assert fs.free_blocks == 0
+    before = placements(fs, fds)
+    with pytest.raises(ShuffleImpossibleError, match="0 free blocks; a shuffle pass needs 1"):
         oblivious_shuffle(fs, io, RngTree(0).stream("shuffle"), fds)
+    assert io.rounds == 0 and placements(fs, fds) == before
+    assert fs.fsck() == []
+
+
+def test_a_pool_smaller_than_the_largest_file_is_room_enough():
+    # One free block under a 40-block file: the first step takes it, and
+    # every later step takes a home the pass itself vacated.
+    fs, io, fds = make_world(sizes=(40,), filler=13)
+    pool, before = set(fs._free), placements(fs, fds)
+    assert len(pool) == 1
+    stats = oblivious_shuffle(fs, io, RngTree(4).stream("shuffle"), fds)
+    assert (stats.swaps, stats.donor_reuses, io.rounds) == (40, 39, 41)
+    assert set(io.write_log[:1]) == pool
+    assert set(io.write_log[1:]) <= set(before.values())
+    assert placements(fs, fds) != before
+    for b in range(40):
+        assert io.pages[fs.phys_of(fds[0], b)] == token(fds[0], b)
+    assert fs.free_blocks == 1 and fs.fsck() == []
+
+
+def test_a_file_larger_than_the_pool_survives_repeated_passes():
+    # A 49-block file beside 5 free blocks, on a protected mount: each
+    # pass reuses vacated homes, and the file reads back byte for byte.
+    data = (bytes(range(251)) * 800)[:200_000]
+    bundle = build_image(64, ProtectionMode.CRYPT_INTEGRITY, [data], seed=2)
+    m = mount(bundle, seed=1)
+    fd = m.engine.regular_fd(0)
+    assert (m.fs.file_blocks(fd), m.fs.free_blocks) == (49, 5)
+    for _ in range(3):
+        stats = m.engine.shuffle_now()
+        assert (stats.swaps, stats.donor_reuses) == (49, 44)
+    assert m.engine.read_file(fd, 0, len(data)) == data
+    assert m.fs.free_blocks == 5 and m.fs.fsck() == []
 
 
 def test_shuffle_succeeds_with_a_full_inode_table():
@@ -397,7 +433,7 @@ def _reference_shuffle(fs, io, rng, fds=None):
     stats = ShuffleStats(plan)
     if plan.num_shuff_blk == 0:
         return stats
-    vacated = fs.create_donors(plan.max_blk)
+    vacated = fs.create_donors(1)
     try:
         sources = [(fd, b) for fd in plan.fds
                    for b in range(fs.file_blocks(fd))]
