@@ -2,22 +2,28 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import mount
 from oblivsim import (
     BLOCK_SIZE,
     BlockStore,
     CallKind,
+    EngineConfig,
     Host,
     HostInterface,
     HostTrace,
     IntegrityError,
     ParameterError,
+    PeerIdentity,
     ProtectionMode,
     RngTree,
     RoundConfig,
     RoundScheduler,
+    ShapingClass,
     SimClock,
     SimError,
     SizeError,
+    StaticIdentity,
+    establish,
     layout_for,
     new_image,
 )
@@ -73,6 +79,24 @@ def test_idle_rounds_emit_full_padding():
     # A round takes no time: its calls are stamped where the clock stands.
     assert store.iface.host.clock.now() == 0
     assert {e.ts for e in trace.events} == {0}
+
+
+def test_events_stamped_at_round_time():
+    # The caller places each round; its calls are stamped at that instant,
+    # the read before the write.
+    store, sched = make_sched()
+    clock = store.iface.host.clock
+    interval = sched.config.interval_ns
+    for i in range(5):
+        clock.advance_to(i * interval)
+        sched.run_round()
+    assert clock.now() == 4 * interval
+    by_ts = {}
+    for e in store.iface.trace.events:
+        by_ts.setdefault(e.ts, []).append(e.kind)
+    assert sorted(by_ts) == [i * interval for i in range(5)]
+    for kinds in by_ts.values():
+        assert kinds == [CallKind.DISK_READ, CallKind.DISK_WRITE]
 
 
 def test_reads_run_before_writes_with_wider_rounds():
@@ -157,6 +181,25 @@ def test_reads_are_handed_over_never_queued():
     assert len(store.iface.trace.events) == 0
     assert (sched.rounds, sched.real_reads, sched.dummy_reads,
             sched.real_writes, sched.dummy_writes) == (0, 0, 0, 0, 0)
+
+
+def test_rounds_respect_the_interval(small_bundle):
+    # The engine alone places rounds: round k at k x interval, for any
+    # interval, with a link's frames sent between rounds and none of them
+    # pulling a round early or pushing it late.
+    interval = 250_000
+    m = mount(small_bundle,
+              config=EngineConfig(round=RoundConfig(interval_ns=interval)))
+    m.engine.start_observation()
+    a, b = StaticIdentity.generate(), StaticIdentity.generate()
+    link = establish(a, PeerIdentity(b.public_bytes))
+    m.engine.add_link(7, link, ShapingClass(rate_bps=200_000_000), 0)
+    m.engine.run_rounds(6)
+    disk = m.trace.of_kind(CallKind.DISK_READ, CallKind.DISK_WRITE)
+    assert [e.ts for e in disk] == [k * interval for k in range(6) for _ in "rw"]
+    writes = m.trace.of_kind(CallKind.NET_WRITE)
+    assert [e.ts for e in writes] == list(range(0, 5 * interval + 1, 60_000))
+    assert m.engine.clock.now() == 5 * interval
 
 
 def test_failed_read_still_completes_its_round():

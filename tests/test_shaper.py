@@ -86,17 +86,36 @@ def test_queued_payloads_preempt_padding():
     assert shaper.backlog == 0
 
 
-def test_a_tick_off_its_due_instant_is_refused():
-    # The grid keeps no clock of its own to wait on, catch up or restart:
-    # an early, a late and a repeated tick each raise and change nothing.
+def refused_tick(shaper, now_ns):
+    """A tick off the due instant raises and changes nothing."""
+    before = (shaper.session.sent_real, shaper.session.sent_dummy,
+              shaper.next_due_ns(), shaper.backlog)
+    with pytest.raises(ParameterError, match=f"due at {before[2]} ns"):
+        shaper.tick(now_ns)
+    assert (shaper.session.sent_real, shaper.session.sent_dummy,
+            shaper.next_due_ns(), shaper.backlog) == before
+
+
+def test_idle_gaps_never_turn_into_bursts():
+    # The grid keeps no clock of its own to catch up or restart: a late
+    # tick is refused, and the slots after a gap still open one at a time.
     shaper, rx = make_shaper(rate_bps=RATE)
     assert rx.open_packet(shaper.tick(0)) == b""
+    shaper.enqueue(b"first")
+    shaper.enqueue(b"second")
+    for late in (60_001, 1_000_000_000):
+        refused_tick(shaper, late)
+    emissions = drain_due(shaper, 2)
+    assert [t for t, _ in emissions] == [60_000, 120_000]
+    assert [rx.open_packet(f) for _, f in emissions] == [b"first", b"second"]
+    assert shaper.next_due_ns() == 180_000
+
+
+def test_ticks_between_slots_emit_nothing():
+    shaper, rx = make_shaper(rate_bps=RATE)
+    shaper.tick(0)
     shaper.enqueue(b"payload")
-    for now in (59_999, 60_001, 0):
-        with pytest.raises(ParameterError, match="due at 60000 ns"):
-            shaper.tick(now)
-        assert (shaper.session.sent_real, shaper.session.sent_dummy) == (0, 1)
-        assert shaper.next_due_ns() == 60_000 and shaper.backlog == 1
+    refused_tick(shaper, 59_999)
     assert rx.open_packet(shaper.tick(60_000)) == b"payload"
     assert shaper.next_due_ns() == 120_000
 
@@ -111,3 +130,13 @@ def test_queue_limits_and_payload_size():
         shaper.enqueue(b"a")
     with pytest.raises(BackpressureError):
         shaper.enqueue(b"b")
+
+
+def test_clock_must_not_move_backwards():
+    # A repeated or earlier tick would send a slot twice; it is refused.
+    shaper, _ = make_shaper(rate_bps=RATE)
+    shaper.tick(0)
+    shaper.tick(60_000)
+    for now in (60_000, 0, 59_999):
+        refused_tick(shaper, now)
+    assert (shaper.session.sent_real, shaper.session.sent_dummy) == (0, 2)
