@@ -19,6 +19,11 @@ slot whose counter disagrees with the store's is reported as a replay,
 distinct from a tag failure. Padding is sealed zeros: under a fresh
 nonce they cannot be told from sealed noise.
 
+A mounted image's byte traffic all goes through the host interface.
+The one exception is the owner's offline build: ``new_image`` hands the
+builder a private mapping, and ``BlockStore.seal_unwritten`` seals the
+padding straight into it in one sweep, before any host holds the image.
+
 An encrypted image rests on one trusted root, the SHA-256 of the
 header block and the whole slot region: ``persist_metadata`` returns
 it, and a mount given it refuses any other header or slot region, so
@@ -32,6 +37,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import hmac
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .errors import IntegrityError, ParameterError, ReplayError, SizeError
+from .errors import IntegrityError, ModeError, ParameterError, ReplayError, SizeError
 from .hostiface import BLOCK_SIZE, HostInterface
 
 MAGIC = b"OBLV1"
@@ -56,6 +62,7 @@ HASH_NONE = 0
 _POOL_PREFIXES = 256  # nonce prefixes per os.urandom call
 
 _HEADER = struct.Struct("<5sIQBBB")
+_POPULATE = getattr(mmap, "MAP_POPULATE", 0)  # fault a new image in at once
 _ZERO_BLOCK = bytes(BLOCK_SIZE)
 _ZERO_SLOT = bytes(SLOT_SIZE)
 
@@ -176,10 +183,13 @@ def layout_for(n_blocks: int, mode: ProtectionMode) -> ImageLayout:
     return ImageLayout(n_blocks, mode, _blocks_for(n_blocks * SLOT_SIZE))
 
 
-def new_image(n_blocks: int, mode: ProtectionMode) -> bytearray:
-    """Fresh zeroed image with a written header."""
+def new_image(n_blocks: int, mode: ProtectionMode) -> mmap.mmap:
+    """Fresh zeroed image with a written header: a private anonymous
+    mapping of the image's size, faulted in by the one call that maps
+    it where the platform can (``MAP_POPULATE``), and unmapped when the
+    last reference to it goes. It never sits in the process heap."""
     layout = layout_for(n_blocks, mode)
-    image = bytearray(layout.total_bytes)
+    image = mmap.mmap(-1, layout.total_bytes, flags=mmap.MAP_PRIVATE | _POPULATE)
     image[:BLOCK_SIZE] = layout.header_block()
     return image
 
@@ -202,10 +212,11 @@ class BlockStore:
     """A mounted image: typed block reads/writes over the host boundary.
 
     Holds the image's one cipher, the slot cache and each block's write
-    counter. All byte traffic with the image goes through the host
+    counter. All byte traffic with a mounted image goes through the host
     interface; per-block metadata is cached in trusted memory and
     persisted in bulk by persist_metadata(), which returns the image's
-    trusted root.
+    trusted root. The builder's padding sweep (``seal_unwritten``) is the
+    one exception: it writes a new image its owner still holds directly.
     """
 
     def __init__(self, iface: HostInterface, layout: ImageLayout, key: bytes | None):
@@ -301,14 +312,38 @@ class BlockStore:
         On encrypted images each seal takes a fresh nonce prefix and bumps
         the block's version, and under AES-256-GCM the sealed zeros cannot
         be told from sealed noise, so nothing is lost by skipping the
-        random plaintext. The image builder pads every block no file uses
-        this way, and a run's padding writes do the same. The host sees
+        random plaintext. A run's padding writes take this path; the image
+        builder seals the same zeros in ``seal_unwritten``. The host sees
         the same call a real write of ``phys`` makes; which writes were
         padding is counted by the caller, not recorded in the trace. On
         PLAIN images the pad block then holds zeros; PLAIN hides nothing,
         and oblivious runs refuse it.
         """
         self.write_block(phys, _ZERO_BLOCK)
+
+    def seal_unwritten(self, image: bytearray | mmap.mmap) -> int:
+        """Seal zeros into every never-written block, straight into
+        ``image``, the buffer behind this store; returns how many.
+
+        Each gets one ``seal_block`` at version 1, its slot and its
+        counter, as a first ``dummy_write`` would, but no host call: only
+        the owner's offline build of a new image, which no host observes,
+        calls this. Written blocks are left alone, so a second call seals
+        nothing.
+        """
+        cipher = self._cipher
+        if cipher is None:
+            raise ModeError("only an encrypted image has padding to seal")
+        slots, versions, base = self.slots, self.versions, self._data_base
+        sealed = 0
+        for phys, slot in enumerate(slots):
+            if slot is None:
+                slots[phys], ciphertext = seal_block(cipher, phys, 1, _ZERO_BLOCK)
+                versions[phys] = 1
+                offset = base + phys * BLOCK_SIZE
+                image[offset:offset + BLOCK_SIZE] = ciphertext
+                sealed += 1
+        return sealed
 
     # Persistence ------------------------------------------------------
 

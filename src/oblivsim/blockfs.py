@@ -339,12 +339,12 @@ class BlockFs:
 
     # Shuffle support ------------------------------------------------------
 
-    def create_donors(self, size_blocks: int) -> list[int]:
+    def create_donors(self) -> list[int]:
         """A shuffle pass's list of the homes it vacates, none yet. Refused
-        when the free pool holds fewer than ``size_blocks`` blocks."""
-        if self.free_blocks < size_blocks:
-            raise ShuffleImpossibleError(
-                f"{self.free_blocks} free blocks; a shuffle pass needs {size_blocks}")
+        when the free pool is empty: the pass's first step could draw no
+        home, and every later step can reuse one the pass vacated."""
+        if not self.free_blocks:
+            raise ShuffleImpossibleError("0 free blocks; a shuffle pass needs 1")
         return []
 
     def block_map(self, fd: int) -> list[int | None]:

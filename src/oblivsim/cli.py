@@ -254,7 +254,7 @@ def cmd_shuffle(args) -> int:
     Path(out).write_bytes(bytes(m.host.image))
     print(f"image: {out}")
     print(f"verity root: {root.hex()}")
-    print(f"moved: {stats.swaps} blocks (max file {stats.plan.max_blk} blocks)")
+    print(f"moved: {stats.swaps} blocks")
     print(f"rounds: {m.engine.rounds_done}  vacated homes reused: {stats.donor_reuses}")
     return 0
 

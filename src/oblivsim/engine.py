@@ -507,16 +507,20 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     """Format a new image in memory and store ``files`` (one bytes
     object each) as data files.
 
-    On encrypted images every block left untouched by the files gets a
-    sealed zero block, a slot and a version, as padding writes do: under
-    a fresh nonce it cannot be told from sealed data, while an image
-    whose content distinguished data blocks from padding would leak the
-    layout before the first mount. They get their trusted root in
-    ``verity_root``. A plain image gets None, and refuses a key, which
-    would protect nothing. The image comes back as a read-only view of
-    the buffer it was built in, not a copy. No engine is built, so
-    nothing left behind refers to that buffer once the bundle is
-    dropped.
+    The image is built in ``new_image``'s mapping. Files and metadata
+    are written through a ``DirectIo``, as on the passthrough path. On
+    encrypted images every block left untouched by them then gets a
+    sealed zero block, a slot and version 1, in one sweep
+    (``BlockStore.seal_unwritten``) that writes the mapping directly:
+    no host holds the image yet, so no call needs to cross the host
+    interface. Under a fresh nonce sealed zeros cannot be told from
+    sealed data, while an image whose content distinguished data blocks
+    from padding would leak the layout before the first mount. They get
+    their trusted root in ``verity_root``. A plain image gets None, and
+    refuses a key, which would protect nothing. The image comes back as
+    a read-only view of the mapping it was built in, not a copy. No
+    engine is built, so nothing left behind refers to that mapping, and
+    it is unmapped the moment the bundle is dropped.
     """
     if key is not None and not mode.encrypted:
         raise ParameterError("a plain image takes no key")
@@ -539,9 +543,7 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     fs.persist(store)
     root = None
     if mode.encrypted:
-        for phys, slot in enumerate(store.slots):
-            if slot is None:
-                store.dummy_write(phys)
+        store.seal_unwritten(host.image)
         root = store.persist_metadata()
     return ImageBundle(memoryview(host.image).toreadonly(), key, root, tuple(fds))
 

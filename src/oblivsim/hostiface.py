@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import hashlib as _hashlib
+import mmap
 import struct
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -94,6 +95,9 @@ class Host:
     and the environment helpers (frame arrival / wire pickup), which
     model the network itself rather than the enclave.
 
+    ``image`` is any writable buffer of whole blocks: a mount's own
+    ``bytearray`` copy, or the mapping ``new_image`` builds an image in.
+
     Frames arriving for the enclave share one FIFO ``ingress`` of
     (endpoint, frame) pairs, read in arrival order by ``net_read``.
     Frames the enclave writes go to one FIFO per endpoint in
@@ -103,7 +107,7 @@ class Host:
 
     def __init__(
         self,
-        image: bytearray,
+        image: bytearray | mmap.mmap,
         clock=None,
         mtu: int = DEFAULT_MTU,
         enclave_range: tuple[int, int] = (0x7000_0000_0000, 0x7100_0000_0000),

@@ -89,7 +89,6 @@ def fisher_yates(items, rng: Rng) -> list:
 @dataclass(frozen=True)
 class ShufflePlan:
     fds: tuple[int, ...]
-    max_blk: int
     num_shuff_blk: int
 
 
@@ -118,8 +117,7 @@ class ShuffleIo(Protocol):
 
 def build_plan(fs: BlockFs, fds) -> ShufflePlan:
     fds = tuple(fd for fd in fds if fs.file_blocks(fd) > 0)
-    sizes = [fs.file_blocks(fd) for fd in fds]
-    return ShufflePlan(fds, max(sizes, default=0), sum(sizes))
+    return ShufflePlan(fds, sum(fs.file_blocks(fd) for fd in fds))
 
 
 def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
@@ -130,8 +128,7 @@ def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
     stats = ShuffleStats(plan)
     if plan.num_shuff_blk == 0:
         return stats
-    # One free block is room enough: past the pool, steps reuse vacated homes.
-    vacated = fs.create_donors(1)
+    vacated = fs.create_donors()
     try:
         maps = {fd: fs.block_map(fd) for fd in plan.fds}
         sources = [(fd, b) for fd in plan.fds

@@ -18,6 +18,7 @@ Export format (one event per line, fixed field order)::
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -81,9 +82,20 @@ class HostTrace:
         return "".join(e.line() + "\n" for e in self.events)
 
 
+_NUMBER = re.compile(r"0|[1-9][0-9]*")  # as ``export`` writes ts, offset and len
+
+
+def _field(lineno: int, text: str) -> int:
+    if not _NUMBER.fullmatch(text):
+        raise ParameterError(f"trace line {lineno}: non-integer field {text!r}")
+    return int(text)
+
+
 def parse_trace(text: str, meta: dict | None = None) -> HostTrace:
-    """Parse an exported trace back into a HostTrace. A malformed line,
-    including one with a field past ``len``, raises ParameterError."""
+    """Parse an exported trace back into a HostTrace. A malformed line
+    raises ParameterError: one with a field past ``len``, or with a
+    number ``export`` would not write (signed, with ``_`` or a leading
+    zero). So every event exports back to the line it came from."""
     trace = HostTrace(meta=dict(meta or {}))
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -96,9 +108,7 @@ def parse_trace(text: str, meta: dict | None = None) -> HostTrace:
         if kind is None:
             raise ParameterError(
                 f"trace line {lineno}: unknown call kind {parts[1]!r}")
-        try:
-            ts, offset, length = int(parts[0]), int(parts[2]), int(parts[3])
-        except ValueError as exc:
-            raise ParameterError(f"trace line {lineno}: non-integer field") from exc
-        trace.events.append(HostCallEvent(ts, kind, offset, length))
+        trace.events.append(HostCallEvent(
+            _field(lineno, parts[0]), kind, _field(lineno, parts[2]),
+            _field(lineno, parts[3])))
     return trace

@@ -19,6 +19,7 @@ from oblivsim import (
     Host,
     HostInterface,
     IntegrityError,
+    ModeError,
     ParameterError,
     ProtectionMode,
     ReplayError,
@@ -311,6 +312,38 @@ def test_dummy_writes_seal_zeros_under_fresh_nonces():
     assert first_ct != second_ct and first_slot != second_slot
     assert store.versions[3] == 2
     assert store.read_block(3) == bytes(BLOCK_SIZE)
+
+
+def test_seal_unwritten_leaves_written_blocks_alone():
+    store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
+    store.write_block(2, PLAIN)
+    store.write_block(5, PLAIN)
+    store.dummy_write(5)
+    store.iface.trace.reset()
+
+    def state():
+        return bytes(host.image), list(store.slots), list(store.versions)
+
+    image, slots, versions = state()
+    assert store.seal_unwritten(host.image) == 14
+    assert len(store.iface.trace) == 0  # the sweep crosses no host call
+    for phys in (2, 5):
+        off = store.layout.data_offset(phys)
+        assert host.image[off:off + BLOCK_SIZE] == image[off:off + BLOCK_SIZE]
+        assert (store.slots[phys], store.versions[phys]) == (slots[phys], versions[phys])
+    assert store.versions == [1, 1, 1, 1, 1, 2] + [1] * 10
+    assert store.read_block(2) == PLAIN and store.read_block(5) == bytes(BLOCK_SIZE)
+    assert store.read_block(9) == bytes(BLOCK_SIZE)
+
+    sealed = state()
+    assert store.seal_unwritten(host.image) == 0
+    assert state() == sealed
+
+
+def test_a_plain_store_has_nothing_to_seal():
+    store, host = fresh_store(ProtectionMode.PLAIN)
+    with pytest.raises(ModeError):
+        store.seal_unwritten(host.image)
 
 
 def test_nonce_prefixes_come_from_one_urandom_call_per_refill(monkeypatch):

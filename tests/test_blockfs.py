@@ -192,7 +192,7 @@ def test_move_extent_swaps_physical_homes():
     io = DictIo()
     a = fs.create_file()
     fs.file_write(io, a, 0, b"\x01" * 2 * BLOCK_SIZE)
-    donor = fs.create_donors(2)
+    donor = fs.create_donors()
     free0, pool = fs.free_blocks, set(fs._free)
     pa, pb = fs.phys_of(a, 0), fs.phys_of(a, 1)
     # While the pool lasts, the new home is drawn from it and the old
@@ -223,7 +223,7 @@ def test_create_donors_and_unlink_all():
     fs.file_write(io, f, 0, b"\x03" * 2 * BLOCK_SIZE)
     free0 = fs.free_blocks
     inodes0 = [ino.used for ino in fs.inodes]
-    donor = fs.create_donors(2)
+    donor = fs.create_donors()
     assert donor == [] and fs.free_blocks == free0  # nothing allocated up front
     vacated = [fs.phys_of(f, 0), fs.phys_of(f, 1)]
     fs.move_extent(f, 1, donor)
@@ -234,11 +234,15 @@ def test_create_donors_and_unlink_all():
     fs.unlink_all(donor)
     assert fs.free_blocks == free0 and fs._free[-2:] == vacated[::-1]
     assert fs.fsck() == []
-    # The largest file must fit in the free pool.
-    assert fs.create_donors(free0) == []
-    with pytest.raises(ShuffleImpossibleError):
-        fs.create_donors(free0 + 1)
-    assert fs.free_blocks == free0
+    # One free block is room enough; an empty pool is refused.
+    held = [fs.allocate_block() for _ in range(free0 - 1)]
+    assert fs.create_donors() == []
+    held.append(fs.allocate_block())
+    with pytest.raises(ShuffleImpossibleError, match="0 free blocks; a shuffle pass needs 1"):
+        fs.create_donors()
+    for phys in held:
+        fs.free_block(phys)
+    assert fs.free_blocks == free0 and fs.fsck() == []
 
 
 def test_persist_load_roundtrip():

@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -105,6 +106,8 @@ def test_encrypted_image_leaves_no_unsealed_blocks(small_bundle):
         used.update(m.fs.phys_of(fd, i) for i in range(m.fs.file_blocks(fd)))
     padding = set(range(64)) - used
     assert padding and all(pages[p] == bytes(BLOCK_SIZE) for p in padding)
+    # Each block was sealed exactly once at build, padding included.
+    assert m.store.versions == [1] * 64
 
 
 def test_built_image_cannot_be_written_through(small_bundle):
@@ -114,21 +117,25 @@ def test_built_image_cannot_be_written_through(small_bundle):
 
 def test_dropping_a_bundle_frees_the_image_at_once():
     # Nothing build_image leaves behind may sit in a reference cycle with
-    # the image buffer: with the cyclic collector off, the buffer must go
-    # the moment the bundle does.
+    # the image mapping: with the cyclic collector off, the mapping must
+    # go the moment the bundle does. tracemalloc cannot see a mapping, so
+    # a weak reference watches it; tracemalloc bounds what the build
+    # leaves in the Python heap.
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
         bundle = build_image(4096, ProtectionMode.CRYPT_INTEGRITY,
                              [b"x" * BLOCK_SIZE], seed=1, key=DEFAULT_KEY)
-        held = tracemalloc.get_traced_memory()[0]
+        assert len(bundle.image) > 4096 * BLOCK_SIZE
+        mapping = weakref.ref(bundle.image.obj)
         del bundle
+        unmapped = mapping() is None
         left = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert held > 4096 * BLOCK_SIZE
+    assert unmapped
     assert left < 64 * BLOCK_SIZE
 
 

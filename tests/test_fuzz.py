@@ -205,6 +205,9 @@ def test_trace_decoder_only_raises_sim_errors(text):
     if trace is not None:
         again = parse_trace(trace.export())
         assert again.events == trace.events
+        # Every number is read only as export writes it.
+        assert trace.export() == "".join(
+            line.strip() + "\n" for line in text.splitlines() if line.strip())
 
 
 # ---------------------------------------------------------------------------

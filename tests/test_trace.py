@@ -110,7 +110,11 @@ def test_parse_refuses_a_fifth_field(flag):
 
 @pytest.mark.parametrize("line", [
     "x,disk_read,0,4096", "0,disk_read,0x10,4096", "0,disk_read,0,4.5",
+    # Numbers export never writes: signed, with separators or leading zeros.
+    "-5,disk_read,0,4096", "0,disk_read,-4096,4096", "0,disk_read,0,-1",
+    "1_0,disk_write,0,4096", "0,disk_write,+8192,4096", "0,disk_write,08192,4096",
+    "0,disk_read, 4096,4096", "0,disk_read,\u0664,4096", "0,net_poll,0,",
 ])
 def test_parse_rejects_non_integer_fields(line):
-    with pytest.raises(ParameterError, match="non-integer"):
+    with pytest.raises(ParameterError, match="trace line 1: non-integer field"):
         parse_trace(line + "\n")

@@ -6,12 +6,19 @@ runs CHECKOUT's ``benchmarks/run.py`` in this process for one workload
 and seed, with the workload's ``build`` and ``mount`` wrapped: a set-up
 runs from the start of ``build`` to the end of the ``mount`` that
 follows it. It prints one line per set-up, its ``ru_minflt`` count and
-its seconds, then the run's result line, and exits with the run's
-status. ``setup_s`` comes in two modes that depend on whether freed
-image buffers stay in the heap: a few hundred or no faults per set-up
-when they do, several thousand when the heap was trimmed and the next
-image is faulted in again. The mode can change with the length of the
-checkout's path, so compare checkouts at paths of equal length.
+its seconds, then a summary line (how many set-ups ran, how many after
+the first ``WARM_UP`` took fewer than ``FAST_FAULTS`` faults, the min,
+median and max faults, and the median seconds), then the run's result
+line, and exits with the run's status.
+
+Images are built in a prefaulted mapping of their own, so each set-up
+of a workload takes a fixed fault count: the mapping's pages, faulted
+in by the call that maps it. A checkout that builds images in a heap
+buffer instead shows two glibc heap modes: a few hundred or no faults
+per set-up when freed image buffers stay in the heap, several thousand
+when the heap was trimmed and the next image is faulted in again. Its
+mode can change with the length of the checkout's path, so compare
+such checkouts at paths of equal length.
 """
 
 from __future__ import annotations
@@ -21,13 +28,31 @@ import contextlib
 import functools
 import io
 import resource
+import statistics
 import sys
 import time
 from pathlib import Path
 
 
+WARM_UP = 4  # set-ups left out of the fast count: the heap is still settling
+FAST_FAULTS = 1000  # below this a set-up reused memory it did not fault in
+
+
 def _faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def summary(setups: list[tuple[int, float]]) -> str:
+    """One line over the (faults, seconds) of every set-up."""
+    if not setups:
+        return "summary: no set-up ran"
+    faults = [f for f, _s in setups]
+    late = faults[WARM_UP:]
+    fast = sum(f < FAST_FAULTS for f in late)
+    return (f"summary: {len(setups)} set-ups, {fast} of {len(late)} after the first "
+            f"{WARM_UP} under {FAST_FAULTS} faults; faults min {min(faults)} median "
+            f"{statistics.median(faults):.10g} max {max(faults)}; median "
+            f"{statistics.median(s for _f, s in setups):.6f} s")
 
 
 def main(argv=None) -> int:
@@ -76,6 +101,7 @@ def main(argv=None) -> int:
                            "--seconds", str(args.seconds), "--trace", str(args.trace)])
     for k, (faults, seconds) in enumerate(setups):
         print(f"setup {k}: {faults} minor faults, {seconds:.6f} s")
+    print(summary(setups))
     lines = out.getvalue().splitlines()
     print(lines[-1] if lines else "")
     return status
