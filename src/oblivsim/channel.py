@@ -97,6 +97,11 @@ class PeerIdentity:
     address: str = ""
     rate_bps: int = 200_000_000
 
+    def __post_init__(self):
+        if not 1 <= self.rate_bps < 2**64:
+            raise ParameterError(
+                f"peer rate_bps {self.rate_bps}: want 1 <= rate_bps < 2**64")
+
 
 def _directional_key(secret: bytes, sender_pub: bytes, receiver_pub: bytes) -> bytes:
     return HKDF(
@@ -238,9 +243,16 @@ class ProvisioningSecrets:
 
     def encode(self) -> bytes:
         """Length-prefixed binary record (versioned). Lengths and counts
-        are 16-bit; a larger one raises ParameterError."""
+        are 16-bit; a larger one raises ParameterError, and so does text
+        that cannot be written as UTF-8."""
         def lv(b: bytes, what: str) -> bytes:
             return record_u16(len(b), what) + b
+
+        def text(s: str, what: str) -> bytes:
+            try:
+                return lv(s.encode(), f"{what} length")
+            except UnicodeEncodeError as exc:
+                raise ParameterError(f"{what} is not UTF-8 text") from exc
 
         out = [PROV_MAGIC, struct.pack(">B", PROV_VERSION)]
         out.append(lv(self.disk_key or b"", "disk key length"))
@@ -250,12 +262,12 @@ class ProvisioningSecrets:
             if len(p.public_key) != 32:
                 raise ParameterError("peer public keys are 32 bytes")
             out.append(p.public_key)
-            out.append(lv(p.address.encode(), "peer address length"))
+            out.append(text(p.address, "peer address"))
             out.append(struct.pack(">Q", p.rate_bps))
-        out.append(lv(self.exec_path.encode(), "exec path length"))
+        out.append(text(self.exec_path, "exec path"))
         out.append(record_u16(len(self.exec_args), "exec arg count"))
         for a in self.exec_args:
-            out.append(lv(a.encode(), "exec arg length"))
+            out.append(text(a, "exec arg"))
         return b"".join(out)
 
     @classmethod

@@ -299,9 +299,8 @@ def _parse_peer_spec(spec: str) -> PeerIdentity:
     try:
         if len(parts) in (2, 3):
             rate = int(parts[2]) if len(parts) == 3 else 200_000_000
-            if 1 <= rate < 2**64:
-                return PeerIdentity(bytes.fromhex(parts[0]), parts[1], rate)
-    except ValueError:
+            return PeerIdentity(bytes.fromhex(parts[0]), parts[1], rate)
+    except (ValueError, ParameterError):
         pass
     raise ParameterError(
         f"--peer {spec!r}: want PUBHEX,ADDR[,RATE] with 1 <= RATE < 2**64")

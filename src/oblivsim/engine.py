@@ -10,10 +10,9 @@ Two I/O personalities implement the filesystem's block interface:
   per read. Dirty pages the cache evicts go straight to the scheduler's
   write queue.
   When the cache reports that a block would need a repeat host read
-  this epoch, the engine runs a layout shuffle and retries. The shuffle
-  lands the dirty pages itself: its pass writes every resident page to
-  the page's new home, so no flush precedes it (see
-  ``Engine.shuffle_now``).
+  this epoch, the engine runs a layout shuffle and retries. The pass
+  lands every page of every file, dirty ones included, and the cache's
+  ``end_epoch`` checks that it did (see ``Engine.shuffle_now``).
 * ``DirectIo`` is the passthrough path. Every block operation is a
   single immediate host call with a small fixed latency, no padding,
   no batching. It exists as the unprotected baseline, and
@@ -317,37 +316,24 @@ class Engine:
         for _ in range(n):
             self.run_one_round()
 
-    def _drain(self) -> None:
-        while self.sched.pending_writes:
-            self.run_one_round()
-
     # Shuffle ------------------------------------------------------------
 
     def shuffle_now(self) -> ShuffleStats:
         """Re-home every data block and start a new cache epoch.
 
-        Dirty pages are not flushed first: the pass writes every resident
-        page of the files it re-homes from the cache, at the page's new
-        home, so once the pass has run those pages are on disk and are
-        marked clean. Evictions queued before the pass land first. A
-        page still dirty after that is flushed, and ``end_epoch`` refuses
-        any left over, so none is dropped unwritten.
-
-        On the file paths here none is left over. Every dirty page lies
-        inside its file's extent, which the pass walks: ``file_write``
-        reads (and so can trigger a shuffle) only blocks below the file's
-        old end, and it allocates blocks past that end only after its
-        reads, so no page beyond the extent is dirty when a shuffle runs.
+        Evictions still queued land first. The pass then writes every
+        page of every file it walks at the page's new home, from the
+        cache where the page is resident, so no flush precedes or
+        follows it: ``end_epoch`` refuses, changing nothing, if a dirty
+        page lies outside what the pass walked.
         """
         if not self.oblivious:
             raise ModeError("the passthrough path never shuffles")
-        self._drain()
+        while self.sched.pending_writes:
+            self.run_one_round()
         stats = oblivious_shuffle(self.fs, self, self.rng.stream("shuffle"))
-        extent = {fd: self.fs.file_blocks(fd) for fd in stats.plan.fds}
-        self.cache.mark_clean(lambda fd, lblk: lblk < extent.get(fd, 0))
-        self.cache.flush()
-        self._drain()
-        self.cache.end_epoch()
+        walked, file_blocks = stats.plan.fds, self.fs.file_blocks
+        self.cache.end_epoch(lambda fd, lblk: fd in walked and lblk < file_blocks(fd))
         self.shuffles += 1
         return stats
 

@@ -70,7 +70,7 @@ class RangeError(SimError):
 
 
 class ShuffleImpossibleError(SimError):
-    """Fewer free blocks than the largest file to shuffle has."""
+    """No free block for a shuffle pass to draw its first home from."""
 
 
 class InsufficientDataError(SimError):

@@ -8,10 +8,10 @@ physical blocks it fetched this epoch; a request for a block that was
 fetched and has since been evicted cannot be served again without
 revealing a repeat, so the caller is told to reshuffle first.
 
-An epoch ends at a shuffle. The pass writes every resident page of the
-files it re-homes, from the cache, so the caller marks those pages
-clean (``mark_clean``), flushes whatever is still dirty and calls
-``end_epoch``, which refuses dirty pages: no page is dropped unwritten.
+An epoch ends at a shuffle. The pass lands every page of every file it
+re-homes straight from the cache, and ``end_epoch`` checks that it
+landed every dirty page before it forgets any: no page is dropped
+unwritten.
 
 Eviction spares what the epoch fetched. A *spare* page is a resident
 page whose block this epoch has not fetched: it was carried over from
@@ -81,9 +81,6 @@ class PageCache:
 
     def __len__(self) -> int:
         return len(self._pages)
-
-    def resident(self, fd: int, lblk: int) -> bool:
-        return (fd, lblk) in self._pages
 
     def peek(self, fd: int, lblk: int) -> bytes | None:
         """Read a resident page without touching LRU order."""
@@ -159,15 +156,15 @@ class PageCache:
             written += 1
         return written
 
-    def mark_clean(self, landed: Callable[[int, int], bool]) -> None:
-        """Forget that a page is dirty wherever ``landed(fd, lblk)``
-        holds: its current bytes reached the disk another way (the
-        shuffle pass writes every resident page it re-homes)."""
-        self._dirty = {key for key in self._dirty if not landed(*key)}
-
-    def end_epoch(self) -> None:
-        """Start a new epoch: nothing fetched yet, every page spare."""
-        if self._dirty:
-            raise ParameterError("dirty pages must be flushed before epoch end")
+    def end_epoch(self, landed: Callable[[int, int], bool]) -> None:
+        """Start a new epoch once a shuffle pass has run: nothing fetched
+        yet, nothing dirty, every page spare. ``landed(fd, lblk)`` says
+        whether the pass wrote that page; a dirty page it did not write
+        is refused with ``ParameterError``, and nothing changes."""
+        for key in self._pages:
+            if key in self._dirty and not landed(*key):
+                raise ParameterError(
+                    f"dirty page {key[1]} of file {key[0]} was not landed by the pass")
+        self._dirty.clear()
         self.epoch_fetched.clear()
         self._spare = OrderedDict.fromkeys(self._pages)

@@ -18,8 +18,7 @@ its first write slot already filled:
 
 So the pass persists every resident page of the files it walks, with
 the bytes the cache holds, dirty or not: the cache does not change while
-the pass runs. The engine therefore flushes no dirty page before a
-shuffle; once the pass has run, those pages are on disk.
+the pass runs.
 
 The stream is read no later than it is needed. Among the first *i* + 1
 steps at most *i* + 1 sources are uncached, so an uncached source at

@@ -151,8 +151,11 @@ def parse_ops(text: str) -> list[tuple]:
 
 
 def kvtrace(engine, ops_path: str) -> None:
-    with open(ops_path, "r", encoding="utf-8") as fh:
-        ops = parse_ops(fh.read())
+    try:
+        with open(ops_path, "r", encoding="utf-8") as fh:
+            ops = parse_ops(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"ops file {ops_path} is not UTF-8 text") from exc
     store = KvStore(engine, engine.regular_fd(0))
     for op in ops:
         if op[0] == "put":

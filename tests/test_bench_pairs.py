@@ -32,9 +32,11 @@ def stdout(setup_s, ops, raw, digest="aa", correct=True, failed=0):
 
 
 def test_a_run_is_parsed_from_its_lines():
-    run = bench_pairs.parse_run(stdout(0.03, 900.0, 0.0351), 0)
+    run = bench_pairs.parse_run(stdout(0.03, 900.0, 0.0351), 0, minflt=4137)
     assert run == {"metrics": {"setup_s": 0.03, "wall_ops_per_s": 900.0},
-                   "raw_setup_s": 0.0351, "trace_sha256": "aa", "problem": None}
+                   "raw_setup_s": 0.0351, "trace_sha256": "aa", "minflt": 4137,
+                   "problem": None}
+    assert bench_pairs.parse_run(stdout(0.03, 900.0, 0.0351), 0)["minflt"] is None
 
 
 @pytest.mark.parametrize("text, code, problem", [
@@ -54,8 +56,11 @@ def test_the_summary_of_five_pairs():
     # The change's set-up is in the slow heap mode: 60 % slower, beyond
     # the 25 % bound; its throughput wins three pairs and ties one.
     change = [(0.050, 1001.0), (0.052, 1010.0), (0.054, 995.0), (0.056, 1001.0), (0.058, 1000.0)]
-    pairs = [(311 + i, bench_pairs.parse_run(stdout(*p, raw=p[0] + 0.001), 0),
-              bench_pairs.parse_run(stdout(*c, raw=c[0] + 0.001, digest="aa" if i else "bb"), 0))
+    # The change's runs take ten times the parent's minor faults, as a
+    # set-up in the slow heap mode does.
+    pairs = [(311 + i, bench_pairs.parse_run(stdout(*p, raw=p[0] + 0.001), 0, minflt=900 + i),
+              bench_pairs.parse_run(stdout(*c, raw=c[0] + 0.001, digest="aa" if i else "bb"), 0,
+                                    minflt=9300 + i))
              for i, (p, c) in enumerate(zip(parent, change))]
     summary = bench_pairs.summarize(pairs, END_TO_END)
     setup, ops = summary["metrics"]["setup_s"], summary["metrics"]["wall_ops_per_s"]
@@ -68,11 +73,15 @@ def test_the_summary_of_five_pairs():
     assert ops["change_vs_parent"] == pytest.approx(0.001)
     assert (ops["change_wins"], ops["ties"], ops["within"]) == (3, 1, True)
     assert summary["raw_setup_s"]["change"] == pytest.approx([0.051, 0.053, 0.055, 0.057, 0.059])
+    assert summary["minflt"] == {"parent": [900, 901, 902, 903, 904],
+                                 "change": [9300, 9301, 9302, 9303, 9304]}
     assert summary["digests_equal"] == [False, True, True, True, True]
     assert summary["problems"] == []
     text = bench_pairs.format_summary("netecho", summary)
     assert "seeds 311-315" in text and "+58.82%" in text and " NO" in text
     assert "raw setup_s parent: 0.0310 0.0330 0.0350 0.0370 0.0390" in text
+    assert ("raw setup_s change: 0.0510 0.0530 0.0550 0.0570 0.0590\n"
+            "  minor faults change: 9300 9301 9302 9303 9304") in text
     assert "trace digests equal in 4 of 5 pairs" in text
 
 
@@ -85,4 +94,6 @@ def test_a_pair_with_a_broken_run_is_reported_and_left_out():
     assert summary["metrics"]["setup_s"]["change_vs_parent"] == 0.0
     assert summary["problems"] == ["seed 2 change: no result line (exit 2)"]
     assert summary["raw_setup_s"]["change"] == [0.03, None]
+    assert summary["minflt"]["change"] == [None, None]
+    assert "minor faults change: - -" in bench_pairs.format_summary("kv_mixed", summary)
     assert "PROBLEM seed 2 change" in bench_pairs.format_summary("kv_mixed", summary)

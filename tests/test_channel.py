@@ -256,7 +256,7 @@ peer_st = st.builds(
     PeerIdentity,
     public_key=st.binary(min_size=32, max_size=32),
     address=st.text(max_size=20),
-    rate_bps=st.integers(min_value=0, max_value=2**63),
+    rate_bps=st.integers(min_value=1, max_value=2**64 - 1),
 )
 
 
@@ -319,6 +319,29 @@ def test_provisioning_record_rejects_text_that_is_not_utf8(field):
     assert record.count(b"\xc3\xa9") == 1
     with pytest.raises(ParameterError, match="UTF-8"):
         ProvisioningSecrets.decode(record.replace(b"\xc3\xa9", b"\xff\xfe"))
+    # Text that has no UTF-8 form (a lone surrogate) is refused on encode.
+    text = {name: "\udcff" if name == field else "" for name in text}
+    what = {"address": "peer address", "exec_path": "exec path", "exec_args": "exec arg"}
+    with pytest.raises(ParameterError, match=f"{what[field]} is not UTF-8 text"):
+        ProvisioningSecrets(
+            peers=(PeerIdentity(b"\x01" * 32, text["address"]),),
+            exec_path=text["exec_path"], exec_args=(text["exec_args"],)).encode()
+
+
+def test_peer_rate_is_at_least_one_and_fits_64_bits():
+    pub = b"\x01" * 32
+    for rate in (1, 2**64 - 1):
+        record = ProvisioningSecrets(peers=(PeerIdentity(pub, "", rate),))
+        assert ProvisioningSecrets.decode(record.encode()) == record
+    for rate in (0, 2**64):
+        with pytest.raises(ParameterError, match=f"rate_bps {rate}: want 1 <= "):
+            PeerIdentity(pub, "", rate)
+    # A record whose rate field reads 0 is refused by the same check.
+    record = ProvisioningSecrets(peers=(PeerIdentity(pub, "", 1),)).encode()
+    field = (1).to_bytes(8, "big")
+    assert record.count(field) == 1
+    with pytest.raises(ParameterError, match="rate_bps 0: want 1 <= "):
+        ProvisioningSecrets.decode(record.replace(field, bytes(8)))
 
 
 def test_provisioning_only_from_the_first_peer():

@@ -221,6 +221,7 @@ def test_create_image_refuses_negative_sizes(argv, message, tmp_path, capsys):
     (("run", "--image", "{image}", "--key", KEY_HEX, "--peer", 24_000_000_000_000,
       "--workload", "idle(5)", "--out", "{out}"), "rate_bps 24000000000000"),
     (("create-image", "--out", "{out}", "--blocks", 64, "--mode", "verity"), "--mode"),
+    (("provision", "--arg", "\udcff"), "exec arg is not UTF-8"),
 ])
 def test_malformed_option_is_a_usage_error(argv, option, image, tmp_path, capsys):
     out = tmp_path / "out"
@@ -251,6 +252,17 @@ def test_negative_workload_argument_is_refused(image, tmp_path, capsys):
     assert rc == 2
     assert "error: " in captured.err and "non-negative" in captured.err
     assert "completed" not in captured.out
+
+
+def test_kv_trace_ops_file_that_is_not_utf8_is_refused(image, tmp_path, capsys):
+    ops = tmp_path / "ops.bin"
+    ops.write_bytes(b"\xff\xfe")
+    rc = cli("run", "--image", image, "--key", KEY_HEX,
+             "--workload", f"kvtrace({ops})", "--out", tmp_path / "run")
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"error: ops file {ops} is not UTF-8 text" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_round_interval_scales_the_timestamps(image, tmp_path, capsys):

@@ -288,13 +288,13 @@ def test_shuffle_lands_dirty_pages_without_a_flush(small_bundle):
     for blk in (0, 3, 5, 7):  # evicts the four pages, all clean now
         eng.read_file(fd, blk * BLOCK_SIZE, 1)
     assert eng.sched.pending_writes == 0
-    assert not any(eng.cache.resident(fd, blk) for blk in pages)
+    assert all(eng.cache.peek(fd, blk) is None for blk in pages)
     for blk, page in pages.items():
         assert eng.read_file(fd, blk * BLOCK_SIZE, BLOCK_SIZE) == page
     assert eng.shuffles == 1
 
 
-def test_dirty_page_the_pass_did_not_write_is_flushed(small_bundle, monkeypatch):
+def test_dirty_page_the_pass_did_not_write_is_refused(small_bundle, monkeypatch):
     m = mount(small_bundle, config=EngineConfig(cache_capacity=4))
     eng = m.engine
     a, b = eng.regular_fd(0), eng.regular_fd(1)
@@ -303,8 +303,14 @@ def test_dirty_page_the_pass_did_not_write_is_flushed(small_bundle, monkeypatch)
         lambda fs, io, rng: oblivious_shuffle(fs, io, rng, fds=[b]))
     eng.write_file(a, 3 * BLOCK_SIZE, b"\x33" * BLOCK_SIZE)
     eng.write_file(b, 0, b"\xb0" * BLOCK_SIZE)
-    eng.shuffle_now()
-    assert eng.cache.flush() == 0
+    with pytest.raises(ParameterError, match=f"dirty page 3 of file {a} "):
+        eng.shuffle_now()
+    assert eng.shuffles == 0
+    # Both pages are still dirty, so a flush and its rounds land them.
+    assert eng.cache.peek(a, 3) == b"\x33" * BLOCK_SIZE
+    assert eng.cache.flush() == 2
+    while eng.sched.pending_writes:
+        eng.run_one_round()
     assert m.store.read_block(m.fs.phys_of(a, 3)) == b"\x33" * BLOCK_SIZE
     assert m.store.read_block(m.fs.phys_of(b, 0)) == b"\xb0" * BLOCK_SIZE
 

@@ -60,17 +60,17 @@ def test_lru_eviction_writes_back_dirty_only():
     assert h.write_log == [1]
     h.cache.get_block(0, 3, h.fetch)  # evicts 0, the LRU page, clean
     assert h.write_log == [1]
-    assert not h.cache.resident(0, 0) and not h.cache.resident(0, 1)
+    assert h.cache.peek(0, 0) is None and h.cache.peek(0, 1) is None
 
 
 def test_carried_over_page_is_evicted_before_a_fetched_one():
     h = Harness(2)
     h.cache.get_block(0, 0, h.fetch)
-    h.cache.end_epoch()  # 0 is carried over: spare
+    h.cache.end_epoch(lambda fd, lblk: True)  # 0 is carried over: spare
     h.cache.get_block(0, 1, h.fetch)
     assert h.cache.get_block(0, 0, h.fetch)[1] is Outcome.HIT  # 1 is now LRU
     h.cache.get_block(0, 2, h.fetch)
-    assert h.cache.resident(0, 1) and not h.cache.resident(0, 0)
+    assert h.cache.peek(0, 1) is not None and h.cache.peek(0, 0) is None
     # Block 0 was not fetched this epoch, so it comes back for one read.
     assert h.cache.get_block(0, 0, h.fetch) == (bytes([0]) * PAGE, Outcome.FETCHED)
     assert h.fetch_log == [0, 1, 2, 0]
@@ -82,7 +82,7 @@ def test_put_page_never_fetched_is_evicted_before_a_fetched_one():
     h.cache.get_block(0, 0, h.fetch)
     assert h.cache.get_block(0, 1, h.fetch)[1] is Outcome.HIT  # 0 is now LRU
     h.cache.get_block(0, 2, h.fetch)
-    assert h.cache.resident(0, 0) and not h.cache.resident(0, 1)
+    assert h.cache.peek(0, 0) is not None and h.cache.peek(0, 1) is None
     assert h.write_log == [1] and h.disk[1] == b"\x11" * PAGE
 
 
@@ -92,7 +92,7 @@ def test_put_over_a_block_fetched_this_epoch_is_not_spare():
         h.cache.get_block(0, lblk, h.fetch)
     h.cache.put_block(0, 0, b"\x10" * PAGE)
     h.cache.get_block(0, 3, h.fetch)  # evicts 2, the LRU page
-    assert h.cache.resident(0, 0) and not h.cache.resident(0, 2)
+    assert h.cache.peek(0, 0) is not None and h.cache.peek(0, 2) is None
     assert h.cache.get_block(0, 0, h.fetch) == (b"\x10" * PAGE, Outcome.HIT)
 
 
@@ -103,11 +103,11 @@ def test_eviction_is_lru_once_no_page_is_spare():
     h.cache.put_block(0, 5, b"\x55" * PAGE)
     h.cache.get_block(0, 0, h.fetch)  # LRU order: 1, 5, 0
     h.cache.get_block(0, 2, h.fetch)  # evicts 5, the one spare page
-    assert not h.cache.resident(0, 5) and h.write_log == [5]
+    assert h.cache.peek(0, 5) is None and h.write_log == [5]
     h.cache.get_block(0, 3, h.fetch)  # none spare: evicts 1, the LRU page
-    assert not h.cache.resident(0, 1)
+    assert h.cache.peek(0, 1) is None
     h.cache.get_block(0, 4, h.fetch)  # then 0
-    assert [lblk for lblk in range(8) if h.cache.resident(0, lblk)] == [2, 3, 4]
+    assert [lblk for lblk in range(8) if h.cache.peek(0, lblk) is not None] == [2, 3, 4]
     assert h.write_log == [5]
 
 
@@ -146,8 +146,8 @@ def test_peek_does_not_refresh_lru():
     h.cache.get_block(0, 1, h.fetch)
     assert h.cache.peek(0, 0) == bytes([0]) * PAGE
     h.cache.get_block(0, 2, h.fetch)
-    assert not h.cache.resident(0, 0)
-    assert h.cache.resident(0, 1)
+    assert h.cache.peek(0, 0) is None
+    assert h.cache.peek(0, 1) is not None
     assert h.cache.peek(0, 7) is None
 
 
@@ -158,32 +158,37 @@ def test_refetch_within_epoch_demands_shuffle():
     data, outcome = h.cache.get_block(0, 0, h.fetch)
     assert (data, outcome) == (None, Outcome.SHUFFLE_REQUIRED)
     assert h.fetch_log == [0, 1]  # the repeat never reached the host
-    h.cache.flush()
-    h.cache.end_epoch()
+    h.cache.end_epoch(lambda fd, lblk: True)
     data, outcome = h.cache.get_block(0, 0, h.fetch)
     assert (data, outcome) == (bytes([0]) * PAGE, Outcome.FETCHED)
 
 
-def test_mark_clean_forgets_only_landed_pages():
+def test_end_epoch_forgets_only_landed_pages():
     h = Harness(4)
     for lblk in (1, 2, 3):
         h.cache.put_block(0, lblk, bytes([0x30 + lblk]) * PAGE)
-    h.cache.mark_clean(lambda fd, lblk: lblk != 2)
-    with pytest.raises(ParameterError):
-        h.cache.end_epoch()  # 2 is still dirty
-    assert h.cache.flush() == 1
-    assert h.write_log == [2] and h.disk[2] == b"\x32" * PAGE
-    h.cache.end_epoch()
+    with pytest.raises(ParameterError, match="dirty page 2 of file 0"):
+        h.cache.end_epoch(lambda fd, lblk: lblk != 2)
+    # The pass landed all three: none is written again.
+    h.cache.end_epoch(lambda fd, lblk: True)
+    assert h.cache.flush() == 0 and h.write_log == []
 
 
 def test_end_epoch_requires_clean_cache():
-    h = Harness(4)
+    h = Harness(3)
     h.cache.get_block(0, 2, h.fetch)
-    h.cache.put_block(0, 1, b"\x01" * PAGE)
-    with pytest.raises(ParameterError):
-        h.cache.end_epoch()
-    h.cache.flush()
-    h.cache.end_epoch()
+    h.cache.put_block(0, 1, b"\x01" * PAGE)  # dirty and spare
+    h.cache.get_block(0, 3, h.fetch)
+    with pytest.raises(ParameterError, match="dirty page 1 of file 0"):
+        h.cache.end_epoch(lambda fd, lblk: lblk != 1)
+    # The refusal changed nothing: the fetched set stands, and page 1 is
+    # still the one spare page and still dirty, so it goes first and is
+    # written back.
+    assert h.cache.epoch_fetched == {2, 3}
+    h.cache.get_block(0, 4, h.fetch)
+    assert h.cache.peek(0, 1) is None and h.write_log == [1]
+    assert h.disk[1] == b"\x01" * PAGE
+    h.cache.end_epoch(lambda fd, lblk: False)  # nothing dirty is left
     assert h.cache.epoch_fetched == set()
 
 
@@ -214,17 +219,19 @@ def test_cache_is_transparent(ops):
         else:
             data, outcome = h.cache.get_block(0, lblk, h.fetch)
             if outcome is Outcome.SHUFFLE_REQUIRED:
-                # The engine's hand-off at a shuffle: the pass writes the
-                # resident pages it re-homes (here blocks 0-5) from the
-                # cache, they are marked clean, the rest are flushed, and
-                # a new epoch starts.
+                # A shuffle: the pass writes the resident pages of the
+                # blocks it re-homes (here 0-5) from the cache, and the
+                # epoch ends. A dirty page outside the pass is refused,
+                # and lands only through a flush.
                 for b in range(6):
                     page = h.cache.peek(0, b)
                     if page is not None:
                         h.disk[h.placement[b]] = page
-                h.cache.mark_clean(lambda fd, b: b < 6)
-                h.cache.flush()
-                h.cache.end_epoch()
+                try:
+                    h.cache.end_epoch(lambda fd, b: b < 6)
+                except ParameterError:
+                    h.cache.flush()
+                    h.cache.end_epoch(lambda fd, b: b < 6)
                 epoch_fetches = len(h.fetch_log)
                 data, outcome = h.cache.get_block(0, lblk, h.fetch)
             assert data == expected[lblk]

@@ -238,6 +238,14 @@ def test_kv_trace_replays_against_file_zero(tmp_path):
     assert store.get(b"k2") == b"v2"
 
 
+def test_kv_trace_refuses_an_ops_file_that_is_not_utf8(tmp_path):
+    ops = tmp_path / "ops.bin"
+    ops.write_bytes(b"\xff\xfe")
+    m = kv_mount(oblivious=True)
+    with pytest.raises(ParameterError, match=f"ops file {re.escape(str(ops))} is not UTF-8"):
+        run_workload(m.engine, parse_workload(f"kvtrace({ops})"))
+
+
 # --- net and idle --------------------------------------------------------------
 
 

@@ -8,8 +8,9 @@ working directory set to that checkout. Odd seeds run the parent first,
 even seeds the change. For each end-to-end metric it prints both
 medians, the parent's interquartile range, how many pairs the change
 won, and the change's relative move against the metric's bound. It also
-prints every run's raw set-up seconds (``raw.setup_s``), so that glibc's
-two heap modes show up as two clusters, says whether each pair
+prints every run's raw set-up seconds (``raw.setup_s``) and minor page
+faults (the ``RUSAGE_CHILDREN`` ``ru_minflt`` delta around the run), so
+that glibc's two heap modes show up as two clusters, says whether each pair
 simulated the same trace, and names every run that was incorrect,
 failed operations or printed no result line; the exit status is 1 when
 there was one. ``--json`` writes the summary too.
@@ -20,17 +21,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import resource
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
-def parse_run(stdout: str, returncode: int) -> dict:
+def parse_run(stdout: str, returncode: int, minflt: int | None = None) -> dict:
     """One run of ``benchmarks/run.py``: its end-to-end metrics from the
-    last line, its raw set-up seconds, its trace digest, and ``problem``,
-    which names what went wrong, or is None."""
-    run = {"metrics": {}, "raw_setup_s": None, "trace_sha256": None, "problem": None}
+    last line, its raw set-up seconds, its trace digest, its minor page
+    faults ``minflt`` as measured around it, and ``problem``, which names
+    what went wrong, or is None."""
+    run = {"metrics": {}, "raw_setup_s": None, "trace_sha256": None,
+           "minflt": minflt, "problem": None}
     lines = stdout.strip().splitlines()
     for line in lines:
         words = line.split()
@@ -97,6 +101,8 @@ def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> di
         "metrics": metrics,
         "raw_setup_s": {"parent": [p["raw_setup_s"] for _, p, _ in pairs],
                         "change": [c["raw_setup_s"] for _, _, c in pairs]},
+        "minflt": {"parent": [p["minflt"] for _, p, _ in pairs],
+                   "change": [c["minflt"] for _, _, c in pairs]},
         "digests_equal": [p["trace_sha256"] is not None
                           and p["trace_sha256"] == c["trace_sha256"] for _, p, c in pairs],
         "problems": [f"seed {seed} {side}: {run['problem']}"
@@ -118,6 +124,8 @@ def format_summary(workload: str, summary: dict) -> str:
     for side, values in summary["raw_setup_s"].items():
         out.append(f"  raw setup_s {side}: " + " ".join(
             "-" if v is None else f"{v:.4f}" for v in values))
+        out.append(f"  minor faults {side}: " + " ".join(
+            "-" if v is None else str(v) for v in summary["minflt"][side]))
     equal = summary["digests_equal"]
     out.append(f"  trace digests equal in {sum(equal)} of {len(equal)} pairs")
     out += [f"  PROBLEM {p}" for p in summary["problems"]] or ["  problems: none"]
@@ -151,8 +159,10 @@ def main(argv=None) -> int:
         for side in order:
             cmd = bench["command"] + ["--workload", args.workload, "--seed", str(seed),
                                       "--seconds", str(args.seconds)]
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
             proc = subprocess.run(cmd, cwd=sides[side], capture_output=True, text=True)
-            runs[side] = parse_run(proc.stdout, proc.returncode)
+            minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+            runs[side] = parse_run(proc.stdout, proc.returncode, minflt)
             print(f"seed {seed} {side}: {runs[side]['problem'] or 'ok'}", file=sys.stderr)
         pairs.append((seed, runs["parent"], runs["change"]))
     summary = summarize(pairs, bench["end_to_end"])
