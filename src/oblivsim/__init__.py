@@ -83,7 +83,7 @@ from .hostiface import (
     SignalInfo,
     SimClock,
 )
-from .pagecache import Outcome, PageCache, default_capacity
+from .pagecache import BUDGET_PAGES, Outcome, PageCache, default_capacity
 from .rng import Rng, RngTree
 from .sched import DEFAULT_ROUND_INTERVAL_NS, RoundConfig, RoundScheduler
 from .shaper import PeerShaper, ShapingClass

@@ -334,8 +334,9 @@ class BlockFs:
                 page = old[:boff] + chunk + old[boff + n:]
             io.write_block(fd, lblk, page)
             pos += n
-        if end > ino.size:
-            ino.size = end
+            # Each block joins the file as it is written: a shuffle pass
+            # can run between two blocks, and walks what the size covers.
+            ino.size = max(ino.size, pos)
 
     # Shuffle support ------------------------------------------------------
 

@@ -395,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     rn.add_argument("--round-interval", type=int,
                     default=DEFAULT_ROUND_INTERVAL_NS, metavar="NS")
     rn.add_argument("--cache-k", type=int, default=None,
-                    help="page cache capacity (default: ceil(sqrt(blocks)))")
+                    help="page cache capacity, and rounds per epoch (default: "
+                         "max(ceil(sqrt(blocks)), blocks / 16), at most 256)")
     rn.add_argument("--peer", action="append", type=int, metavar="RATE_BPS",
                     help="attach a shaped echo peer at this rate (repeatable)")
     rn.add_argument("--out", default=".", help="output directory")

@@ -4,33 +4,44 @@ page cache, the shuffle and the shaped network links.
 Two I/O personalities implement the filesystem's block interface:
 
 * ``CachedIo`` is the protected path. Reads and writes go through the
-  page cache. A miss calls ``Engine.read_phys``: a block still in the
-  write queue is served from there, and otherwise it is handed to the
-  next batched round, which reads it in its first read slot, one round
-  per read. Dirty pages the cache evicts go straight to the scheduler's
-  write queue.
-  When the cache reports that a block would need a repeat host read
-  this epoch, the engine runs a layout shuffle and retries. The pass
-  lands every page of every file, dirty ones included, and the cache's
-  ``end_epoch`` checks that it did (see ``Engine.shuffle_now``).
+  page cache. A miss, and a whole-block write over a page whose block
+  this epoch has not fetched, hand the block to the next batched round
+  (``Engine.shuffle_round``), which reads it in its first read slot, one
+  round per read. No queued write can target that block: the write
+  queue holds only pages ``PageCache.flush`` wrote out, which stay
+  resident, and it drains before the next pass moves them. Before
+  either, a pass that is due or running is finished
+  (``Engine.shuffle_now``), since the pass holds a snapshot of the
+  cache. The pass lands every page of every file, dirty ones included,
+  and the cache's ``end_epoch`` checks that it did.
 * ``DirectIo`` is the passthrough path. Every block operation is a
   single immediate host call with a small fixed latency, no padding,
   no batching. It exists as the unprotected baseline, and
   ``build_image`` writes files through it. It holds the store, the
   filesystem and the clock, not an engine.
 
-The engine itself implements the shuffle's ``ShuffleIo`` protocol and
-passes itself to ``oblivious_shuffle`` for the length of one shuffle:
-each step of the pass is one ``shuffle_round`` carrying the step's read
-and the previous step's write, with no trip through the write queue.
+Epochs run on a fixed cadence. An epoch is exactly C rounds outside
+passes, where C is the page cache's capacity, and the round after the
+C-th is the first round of a shuffle pass over every data file, which
+takes L + 1 rounds for L file blocks. So every pass starts at a round
+index fixed by C and L alone, whatever the workload does, and an idle
+disk shuffles too. The one exception is a write queue left by
+``PageCache.flush``: it drains before a pass starts, and those rounds
+lengthen the epoch. ``run_one_round`` runs one round of whatever is
+next, a pass step included, so a closed loop that runs rounds one at a
+time keeps its turn during a pass. The engine implements the shuffle's
+``ShuffleIo`` protocol: each step of a pass is one ``shuffle_round``
+carrying the step's read and the previous step's write, with no trip
+through the write queue.
+
 Nothing the engine owns refers back to it: the page cache is handed
 its fetch per call, and a ``CachedIo`` is built per file call. So a
 dropped mount, with its image copy, is freed by reference counting
 alone, without waiting for the cyclic collector.
 
 Time is the simulated clock, and the engine alone moves it. Round k
-runs at k x interval (``shuffle_round``, which ``run_one_round`` calls
-with nothing handed over): the engine first processes every network
+runs at k x interval (``shuffle_round``, which every round goes
+through): the engine first processes every network
 emission instant due by then, each at its own due time, then moves the
 clock to the round's instant and fires the disk round, which takes no
 time of its own. Network instants live on each link's own exact grid,
@@ -92,11 +103,11 @@ from .errors import (
     WouldBlock,
 )
 from .hostiface import Host, HostInterface, SimClock
-from .pagecache import Outcome, PageCache, default_capacity
+from .pagecache import PageCache, default_capacity
 from .rng import RngTree
 from .sched import RoundConfig, RoundScheduler
 from .shaper import PeerShaper, ShapingClass
-from .shuffle import ShuffleStats, oblivious_shuffle
+from .shuffle import ShuffleStats, oblivious_shuffle, run_pass, shuffle_pass
 from .trace import HostTrace
 
 DEFAULT_PASSTHROUGH_LATENCY_NS = 10_000
@@ -117,7 +128,9 @@ def trace_fingerprint(round_cfg: RoundConfig, mtu: int) -> dict:
 @dataclass(frozen=True)
 class EngineConfig:
     round: RoundConfig = field(default_factory=RoundConfig)
-    cache_capacity: int | None = None  # None: ceil(sqrt(data blocks))
+    # Pages, and rounds per epoch. None: pagecache.default_capacity, the
+    # larger of ceil(sqrt(blocks)) and blocks / 16, at most 1 MiB.
+    cache_capacity: int | None = None
 
 
 class CachedIo:
@@ -129,15 +142,17 @@ class CachedIo:
 
     def read_block(self, fd: int, lblk: int) -> bytes:
         engine = self.engine
-        while True:
-            data, outcome = engine.cache.get_block(fd, lblk, engine.read_phys)
-            if outcome is not Outcome.SHUFFLE_REQUIRED:
-                return data
+        if engine.sched.rounds >= engine.pass_due:
             engine.shuffle_now()
+        return engine.cache.get_block(fd, lblk, engine.shuffle_round)[0]
 
     def write_block(self, fd: int, lblk: int, data: bytes) -> None:
-        # Whole-page install; never needs the old content.
-        self.engine.cache.put_block(fd, lblk, data)
+        # Whole-page install; never needs the old content, but spends a
+        # read slot unless this epoch fetched the block.
+        engine = self.engine
+        if engine.sched.rounds >= engine.pass_due:
+            engine.shuffle_now()
+        engine.cache.put_block(fd, lblk, data, engine.shuffle_round)
 
 
 class DirectIo:
@@ -229,6 +244,10 @@ class Engine:
         self._interval_ns = self.config.round.interval_ns
         self.round_target: int | None = None
         self.shuffles = 0
+        # The running pass, (its steps, the step it yielded last), and the
+        # round from which the next pass is due; while one runs, it is due.
+        self._pass = None
+        self.pass_due = 0
         self.payload_bytes = 0
         self.links: list[NetLink] = []
         self._links_by_endpoint: dict[int, NetLink] = {}
@@ -245,6 +264,7 @@ class Engine:
                 capacity = default_capacity(store.n_blocks)
             self.cache = PageCache(capacity, phys_of=fs.phys_of,
                                    writeback=self.sched.submit_write)
+            self.pass_due = capacity
         else:
             self.sched = None
             self.cache = None
@@ -268,22 +288,10 @@ class Engine:
             return self.rounds_done * self._interval_ns
         return self.clock.now()
 
-    # The protected disk path: cache misses and the shuffle's rounds -----
-
-    def read_phys(self, phys: int) -> bytes:
-        """A cache miss's fetch of block ``phys``: one round reads it."""
-        queued = self.sched.pending_write_for(phys)
-        if queued is not None:
-            # The freshest content is still in the write queue; rounds
-            # run reads before writes, so a host read now would return
-            # stale bytes. Serve from the queue and spend no read.
-            return queued
-        return self.shuffle_round(phys)
+    # Rounds -------------------------------------------------------------
 
     def peek_cache(self, fd: int, lblk: int) -> bytes | None:
         return self.cache.peek(fd, lblk)
-
-    # Rounds -------------------------------------------------------------
 
     def shuffle_round(self, read: int | None = None,
                       write: tuple[int, bytes] | None = None) -> bytes | None:
@@ -309,8 +317,33 @@ class Engine:
         return sched.run_round(read, write)
 
     def run_one_round(self) -> None:
-        """One round with nothing handed to it: queued writes or padding."""
-        self.shuffle_round()
+        """Exactly one round: the next step of a pass that is due or
+        running, and otherwise queued writes or padding. Queued writes
+        drain before a pass starts."""
+        sched = self.sched
+        if sched is None:
+            raise ModeError("batched rounds exist only on the protected path")
+        if self._pass is None:
+            if sched.rounds < self.pass_due or sched.pending_writes:
+                self.shuffle_round()
+                return
+            steps = shuffle_pass(self.fs, self.peek_cache, self.rng.stream("shuffle"))
+            try:
+                self._pass = steps, next(steps)
+            except StopIteration as done:  # a pass over no blocks takes no round
+                self._end_epoch(done.value)
+                self.shuffle_round()
+                return
+        steps, step = self._pass
+        try:
+            data = self.shuffle_round(*step)
+            self._pass = steps, steps.send(data)
+        except StopIteration as done:
+            self._pass = None
+            self._end_epoch(done.value)
+        except BaseException:
+            self._cut_pass()
+            raise
 
     def run_rounds(self, n: int) -> None:
         for _ in range(n):
@@ -319,23 +352,46 @@ class Engine:
     # Shuffle ------------------------------------------------------------
 
     def shuffle_now(self) -> ShuffleStats:
-        """Re-home every data block and start a new cache epoch.
+        """Finish the running pass, or else run a whole one, whether it is
+        due or not, and start a new cache epoch; the next pass is due C
+        rounds later.
 
-        Evictions still queued land first. The pass then writes every
-        page of every file it walks at the page's new home, from the
-        cache where the page is resident, so no flush precedes or
-        follows it: ``end_epoch`` refuses, changing nothing, if a dirty
-        page lies outside what the pass walked.
+        Before a pass starts, writes still queued land. The pass then
+        writes every page of every file it walks at the page's new home,
+        from the cache where the page is resident, so no flush precedes
+        or follows it: ``end_epoch`` refuses, changing nothing, if a
+        dirty page lies outside what the pass walked. A round that raises
+        closes the pass at once, and the next pass is due at once.
         """
         if not self.oblivious:
             raise ModeError("the passthrough path never shuffles")
-        while self.sched.pending_writes:
-            self.run_one_round()
-        stats = oblivious_shuffle(self.fs, self, self.rng.stream("shuffle"))
+        try:
+            if self._pass is None:
+                while self.sched.pending_writes:
+                    self.shuffle_round()
+                stats = oblivious_shuffle(self.fs, self, self.rng.stream("shuffle"))
+            else:
+                steps, step = self._pass
+                self._pass = None
+                stats = run_pass(steps, self.shuffle_round, step)
+        except BaseException:
+            self._cut_pass()
+            raise
+        self._end_epoch(stats)
+        return stats
+
+    def _end_epoch(self, stats: ShuffleStats) -> None:
         walked, file_blocks = stats.plan.fds, self.fs.file_blocks
         self.cache.end_epoch(lambda fd, lblk: fd in walked and lblk < file_blocks(fd))
         self.shuffles += 1
-        return stats
+        self.pass_due = self.sched.rounds + self.cache.capacity
+
+    def _cut_pass(self) -> None:
+        """Close a pass a round cut short; it frees its vacated homes."""
+        if self._pass is not None:
+            self._pass[0].close()
+            self._pass = None
+        self.pass_due = min(self.pass_due, self.sched.rounds)
 
     # Network ------------------------------------------------------------
 

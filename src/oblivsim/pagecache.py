@@ -1,32 +1,33 @@
-"""In-memory page cache with epoch bookkeeping.
+"""In-memory page cache with epoch bookkeeping: the shelter of the
+square-root ORAM's cadence.
 
 The cache is what makes batched rounds affordable: repeated access to a
 resident block costs nothing observable. It also carries the one rule
-the layout shuffle depends on: within an epoch each physical block may
-be fetched from the host at most once. The cache remembers which
-physical blocks it fetched this epoch; a request for a block that was
-fetched and has since been evicted cannot be served again without
-revealing a repeat, so the caller is told to reshuffle first.
+the layout shuffle depends on: within an epoch each physical block is
+fetched from the host at most once. The engine ends an epoch with a
+shuffle pass after a fixed number of rounds, as many as the cache has
+pages, so an epoch holds at most ``capacity`` fetches.
+
+Every page the epoch admits or dirties costs one fetch. A miss fetches
+its block, and ``put_block`` over a page whose block this epoch has not
+fetched first spends a fetch on the block's current home, whether the
+page is absent or carried over from before the last pass. So no more
+pages are admitted or dirtied in an epoch than the cache holds, and
+eviction never needs to drop one of them: it drops the least recently
+used page among those carried over and not yet touched by a write or a
+fetch, which are clean. Evictions write nothing, and a fetched page
+stays resident until the epoch ends, so a repeat fetch is a broken
+invariant, refused with ``ParameterError``.
 
 An epoch ends at a shuffle. The pass lands every page of every file it
 re-homes straight from the cache, and ``end_epoch`` checks that it
 landed every dirty page before it forgets any: no page is dropped
-unwritten.
+unwritten. Every resident page is then carried over, in LRU order.
 
-Eviction spares what the epoch fetched. A *spare* page is a resident
-page whose block this epoch has not fetched: it was carried over from
-before the last shuffle, or ``put_block`` installed it without a fetch
-over a block the epoch has not fetched either. Dropping a spare page costs at most one later read, while dropping a
-fetched page means the next access to it needs a shuffle, so eviction
-takes the least recently used spare page, and the least recently used
-page of all only when none is spare. ``end_epoch`` makes every resident
-page spare again, in LRU order. A second ordered map keeps the spare
-pages in LRU order, so each operation stays O(1). Evictions reach the
-host only as dirty writebacks, and the fetch rule is the same whichever
-page goes, so the order leaks nothing the writebacks did not.
-
-Capacity defaults to ceil(sqrt(n_blocks)) pages, sized so epochs and
-shuffles balance.
+Capacity defaults to max(ceil(sqrt(n)), ceil(n / 16)) pages of an
+n-block disk, capped by a trusted-memory budget of 1 MiB. The shelter
+sits in enclave memory behind a dict lookup, so its size is bounded by
+memory, not by the cost of scanning it.
 """
 
 from __future__ import annotations
@@ -37,28 +38,34 @@ from collections import OrderedDict
 from typing import Callable
 
 from .errors import ParameterError
+from .hostiface import BLOCK_SIZE
+
+BUDGET_PAGES = (1 << 20) // BLOCK_SIZE  # the shelter's trusted-memory budget
 
 
 def default_capacity(n_blocks: int) -> int:
-    return max(1, math.isqrt(n_blocks - 1) + 1 if n_blocks > 1 else 1)
+    sqrt_ceil = math.isqrt(n_blocks - 1) + 1 if n_blocks > 1 else 1
+    return min(BUDGET_PAGES, max(sqrt_ceil, -(-n_blocks // 16)))
 
 
 class Outcome(enum.Enum):
     HIT = "hit"
     FETCHED = "fetched"
+    # Kept while ``benchmarks/`` names it: no call returns it any more.
     SHUFFLE_REQUIRED = "shuffle_required"
 
 
 class PageCache:
-    """Page cache keyed by (fd, logical block) that evicts spare pages
-    first, each kind in LRU order. Pages are immutable ``bytes``;
+    """Page cache keyed by (fd, logical block) that evicts only clean
+    carried-over pages, in LRU order. Pages are immutable ``bytes``;
     installing a page replaces it.
 
     Two collaborators are injected: ``phys_of`` resolves the current
-    physical placement, ``writeback`` persists a dirty page (the engine
-    queues it for a later round). The fetch that performs a real host
-    read is passed to each ``get_block`` call instead of being stored,
-    so the cache holds no reference back to whoever fetches.
+    physical placement, ``writeback`` persists a dirty page for ``flush``
+    (the engine queues it for a later round). The fetch that performs a
+    real host read is passed to each ``get_block`` and ``put_block`` call
+    instead of being stored, so the cache holds no reference back to
+    whoever fetches.
     """
 
     def __init__(self, capacity: int,
@@ -70,8 +77,9 @@ class PageCache:
         self._phys_of = phys_of
         self._writeback = writeback
         self._pages: OrderedDict[tuple[int, int], bytes] = OrderedDict()
-        # The spare pages, in the same relative (LRU) order as _pages.
-        self._spare: OrderedDict[tuple[int, int], None] = OrderedDict()
+        # Carried-over pages this epoch has neither fetched nor written,
+        # in the same relative (LRU) order as _pages: the evictable ones.
+        self._carried: OrderedDict[tuple[int, int], None] = OrderedDict()
         self._dirty: set[tuple[int, int]] = set()
         self.epoch_fetched: set[int] = set()
         self.hits = 0
@@ -89,66 +97,66 @@ class PageCache:
     # Main entry ----------------------------------------------------------
 
     def get_block(self, fd: int, lblk: int,
-                  fetch: Callable[[int], bytes]) -> tuple[bytes | None, Outcome]:
+                  fetch: Callable[[int], bytes]) -> tuple[bytes, Outcome]:
         """The page, from the cache or else from ``fetch(phys)``, which
         costs one round when it reads the host."""
         key = (fd, lblk)
         page = self._pages.get(key)
         if page is not None:
             self._pages.move_to_end(key)
-            if key in self._spare:
-                self._spare.move_to_end(key)
+            if key in self._carried:
+                self._carried.move_to_end(key)
             self.hits += 1
             return page, Outcome.HIT
-        phys = self._phys_of(fd, lblk)
-        if phys in self.epoch_fetched:
-            # Fetched earlier this epoch and evicted since; serving it
-            # again would repeat a host read of the same block.
-            return None, Outcome.SHUFFLE_REQUIRED
-        data = fetch(phys)
-        self.epoch_fetched.add(phys)
-        self.fetches += 1
-        self._admit(key, data)
-        return data, Outcome.FETCHED
+        page = self._fetch(key, fetch)
+        self._admit(key, page)
+        return page, Outcome.FETCHED
 
-    def put_block(self, fd: int, lblk: int, page: bytes) -> None:
-        """Install a full page without reading the host (whole-block
-        overwrites and freshly allocated blocks)."""
+    def put_block(self, fd: int, lblk: int, page: bytes,
+                  fetch: Callable[[int], bytes]) -> None:
+        """Install a full page (whole-block overwrites and freshly
+        allocated blocks). Unless this epoch fetched the page's block, a
+        ``fetch`` of its current home comes first; what it reads is not
+        needed, only the read slot it spends."""
         key, page = (fd, lblk), bytes(page)  # never alias the caller's buffer
         if key in self._pages:
+            if key in self._carried:
+                self._fetch(key, fetch)
+                del self._carried[key]
             self._pages[key] = page
             self._pages.move_to_end(key)
-            if key in self._spare:
-                self._spare.move_to_end(key)
         else:
+            self._fetch(key, fetch)
             self._admit(key, page)
-            if self._phys_of(*key) not in self.epoch_fetched:
-                self._spare[key] = None
         self._dirty.add(key)
 
     # Internals -----------------------------------------------------------
 
-    def _admit(self, key: tuple[int, int], page: bytes) -> None:
-        while len(self._pages) >= self.capacity:
-            self._evict()
-        self._pages[key] = page
+    def _fetch(self, key: tuple[int, int], fetch: Callable[[int], bytes]) -> bytes:
+        phys = self._phys_of(*key)
+        if phys in self.epoch_fetched:
+            raise ParameterError(f"block {phys} would be fetched twice in one epoch")
+        page = fetch(phys)
+        self.epoch_fetched.add(phys)
+        self.fetches += 1
+        return page
 
-    def _evict(self) -> None:
-        """Drop the LRU spare page, or the LRU page if none is spare."""
-        if self._spare:
-            key, _ = self._spare.popitem(last=False)
-            page = self._pages.pop(key)
-        else:
-            key, page = self._pages.popitem(last=False)
-        if key in self._dirty:
-            self._dirty.discard(key)
-            self._writeback(self._phys_of(*key), page)
+    def _admit(self, key: tuple[int, int], page: bytes) -> None:
+        """Make room by dropping the LRU carried-over page, which is
+        clean, then install ``page``."""
+        if len(self._pages) >= self.capacity:
+            if not self._carried:
+                raise ParameterError(
+                    f"all {self.capacity} pages were fetched this epoch; it is over")
+            del self._pages[self._carried.popitem(last=False)[0]]
+        self._pages[key] = page
 
     # Flush and epochs ------------------------------------------------------
 
     def flush(self) -> int:
         """Write out all dirty pages (in LRU order, deterministic).
-        Returns the number of pages written."""
+        Returns the number of pages written. Not while a pass runs: the
+        writes go to the homes the pages have now."""
         written = 0
         for key in [k for k in self._pages if k in self._dirty]:
             self._writeback(self._phys_of(*key), self._pages[key])
@@ -158,13 +166,13 @@ class PageCache:
 
     def end_epoch(self, landed: Callable[[int, int], bool]) -> None:
         """Start a new epoch once a shuffle pass has run: nothing fetched
-        yet, nothing dirty, every page spare. ``landed(fd, lblk)`` says
-        whether the pass wrote that page; a dirty page it did not write
-        is refused with ``ParameterError``, and nothing changes."""
+        yet, nothing dirty, every page carried over. ``landed(fd, lblk)``
+        says whether the pass wrote that page; a dirty page it did not
+        write is refused with ``ParameterError``, and nothing changes."""
         for key in self._pages:
             if key in self._dirty and not landed(*key):
                 raise ParameterError(
                     f"dirty page {key[1]} of file {key[0]} was not landed by the pass")
         self._dirty.clear()
         self.epoch_fetched.clear()
-        self._spare = OrderedDict.fromkeys(self._pages)
+        self._carried = OrderedDict.fromkeys(self._pages)

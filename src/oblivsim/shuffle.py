@@ -2,9 +2,9 @@
 which blocks the workload cares about.
 
 The shuffle walks every block of the selected files in a uniformly
-random order. Each step is one round of the batched cadence, which the
-pass hands to ``ShuffleIo.shuffle_round`` with its first read slot and
-its first write slot already filled:
+random order. Each step is one round of the batched cadence. The pass
+is a generator, ``shuffle_pass``: it yields each round's first read
+slot and first write slot, and is sent the read's plaintext back:
 
 * the read slot serves the shuffle's read stream: the sources the page
   cache does not hold, in shuffle order, listed once when the shuffle
@@ -17,19 +17,23 @@ its first write slot already filled:
   step's block, so a pass of *n* steps takes *n* + 1 rounds.
 
 So the pass persists every resident page of the files it walks, with
-the bytes the cache holds, dirty or not: the cache does not change while
-the pass runs.
+the bytes the cache held when it started, dirty or not: no cache
+operation runs while the pass does.
+
+``oblivious_shuffle`` runs a whole pass through ``ShuffleIo`` rounds;
+the engine also steps a pass one round at a time, between rounds of
+its own, and ``run_pass`` finishes one from any step.
 
 The stream is read no later than it is needed. Among the first *i* + 1
 steps at most *i* + 1 sources are uncached, so an uncached source at
 step *i* sits at stream index *k* <= *i* and was read at step *k*.
 
-A stream read never needs the write queue's ``pending_write_for``. The
-engine drains the queue before the pass, and every step's write lands
-in the round after it, so the only write not yet on the host when step
-*i* reads is the one landing in that same round, after the read. It
-targets a fresh pool draw, which no file maps, or a vacated home, whose
-block was stepped, and so read if uncached, before now.
+A stream read never needs the write queue. The engine drains it
+before the pass starts, and every step's write lands in the round after
+it, so the only write not yet on the host when step *i* reads is the
+one landing in that same round, after the read. It targets a fresh pool
+draw, which no file maps, or a vacated home, whose block was stepped,
+and so read if uncached, before now.
 
 The pass does its bookkeeping once, at its start: it takes the files'
 block maps from ``BlockFs.block_map``, the Fisher-Yates draws in one
@@ -45,9 +49,10 @@ homes (``create_donors`` starts it empty, and refuses a pass with no
 free block before any host call). The draw follows the step's round,
 so when a round raises, the homes drawn so far are exactly those of
 the steps whose old homes were listed. ``unlink_all`` frees the list
-in one sweep when the pass ends, in its ``finally``, so a pass cut by
-the round budget or by a block that fails to authenticate still returns
-every vacated block.
+in one sweep when the pass ends, in its ``finally``. A round that
+raises (the round budget, a block that fails to authenticate) closes
+the pass at once, so a cut pass returns every vacated block before
+anything else runs.
 
 Vacated homes wait for the end of the pass rather than rejoining the
 pool at once. So while the pool lasts, the *k*-th step draws uniformly
@@ -69,7 +74,7 @@ file contents or of which file a block belongs to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Generator, Protocol
 
 from .blockfs import FLAG_REGULAR, BlockFs
 from .rng import Rng
@@ -119,8 +124,16 @@ def build_plan(fs: BlockFs, fds) -> ShufflePlan:
     return ShufflePlan(fds, sum(fs.file_blocks(fd) for fd in fds))
 
 
-def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
-                      fds=None) -> ShuffleStats:
+Step = tuple[int | None, tuple[int, bytes] | None]
+
+
+def shuffle_pass(fs: BlockFs, peek_cache, rng: Rng,
+                 fds=None) -> Generator[Step, bytes | None, ShuffleStats]:
+    """The pass, one round per step: yields each round's (read, write),
+    the block its first read slot reads and the (block, plaintext) its
+    first write slot lands, None for padding, and is sent the read's
+    plaintext. Returns the pass's stats. ``peek_cache(fd, lblk)`` gives
+    a resident page or None; it is read once, when the pass starts."""
     if fds is None:
         fds = fs.files_with_flag(FLAG_REGULAR)
     plan = build_plan(fs, fds)
@@ -139,7 +152,7 @@ def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
         held: dict[tuple[int, int], bytes] = {}
         stream = []
         for src in order:
-            page = io.peek_cache(*src)
+            page = peek_cache(*src)
             if page is None:
                 stream.append(src)
             else:
@@ -151,10 +164,10 @@ def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
         # Step i reads stream entry i at its pre-pass home; later steps pad.
         reads = [(src, maps[src[0]][src[1]]) for src in stream]
         reads += [(None, None)] * len(held)
-        shuffle_round, draw_home = io.shuffle_round, fs.draw_home
+        draw_home = fs.draw_home
         landing = None  # the previous step's (new home, block)
         for (fd, b), (src, phys) in zip(order, reads):
-            data = shuffle_round(phys, landing)
+            data = yield phys, landing
             if src is not None:
                 held[src] = data
             block_map = maps[fd]
@@ -162,8 +175,31 @@ def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
             vacated.append(block_map[b])
             block_map[b] = home
             landing = (home, held.pop((fd, b)))
-        shuffle_round(None, landing)
+        yield None, landing
         stats.swaps, stats.donor_reuses = len(order), reuses
     finally:
         fs.unlink_all(vacated)
     return stats
+
+
+def run_pass(steps: Generator[Step, bytes | None, ShuffleStats], shuffle_round,
+             step: Step | None = None) -> ShuffleStats:
+    """Run the rest of a pass: ``step`` is the one ``steps`` yielded
+    last, None if it has not started. A round that raises closes the
+    pass, which returns its vacated homes before the error goes on."""
+    send = steps.send
+    try:
+        if step is None:
+            step = next(steps)
+        while True:
+            step = send(shuffle_round(*step))
+    except StopIteration as done:
+        return done.value
+    finally:
+        steps.close()
+
+
+def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
+                      fds=None) -> ShuffleStats:
+    """A whole pass, its rounds run by ``io.shuffle_round``."""
+    return run_pass(shuffle_pass(fs, io.peek_cache, rng, fds), io.shuffle_round)

@@ -57,8 +57,8 @@ class _Client:
 
 
 def test_the_tracer_hooks_read_live_attributes(small_bundle):
-    # A mount that misses, refetches an evicted page (so the cache asks
-    # for a shuffle), grows a file until a pass runs its pool dry, sends
+    # A mount that misses, runs passes on the cadence of a two-page
+    # cache, grows a file until a pass runs its pool dry, sends
     # over a shaped link and runs rounds, all under the tracer. Each hook
     # and each attribute ``layer_metrics`` reads must see the live value.
     tracing = load_tracing()
@@ -89,7 +89,10 @@ def test_the_tracer_hooks_read_live_attributes(small_bundle):
     counts, sched, cache = tracer.counts, eng.sched, eng.cache
 
     assert tracer.calls["engine.oblivious_shuffle"] >= 2
-    assert counts["pagecache.shuffle_required"] >= 1  # Outcome.SHUFFLE_REQUIRED
+    # No call returns Outcome.SHUFFLE_REQUIRED now that passes run on a
+    # cadence; the hook still reads every get_block result.
+    assert counts["pagecache.shuffle_required"] == 0
+    assert tracer.calls["PageCache.get_block"] >= 4
     assert stats.donor_reuses == 6
     assert out["shuffle.donor_reuses"] == counts["shuffle.donor_reuses"] >= 6
     assert out["shaper.backlog_peak"] >= 1  # PeerShaper.backlog

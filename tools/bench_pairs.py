@@ -11,7 +11,8 @@ won, and the change's relative move against the metric's bound. It also
 prints every run's raw set-up seconds (``raw.setup_s``) and minor page
 faults (the ``RUSAGE_CHILDREN`` ``ru_minflt`` delta around the run), so
 that glibc's two heap modes show up as two clusters, says whether each pair
-simulated the same trace, and names every run that was incorrect,
+simulated the same trace, prints each run's simulated rounds and shuffle
+passes from its "simulated record" line, and names every run that was incorrect,
 failed operations or printed no result line; the exit status is 1 when
 there was one. ``--json`` writes the summary too.
 """
@@ -30,18 +31,20 @@ from pathlib import Path
 
 def parse_run(stdout: str, returncode: int, minflt: int | None = None) -> dict:
     """One run of ``benchmarks/run.py``: its end-to-end metrics from the
-    last line, its raw set-up seconds, its trace digest, its minor page
-    faults ``minflt`` as measured around it, and ``problem``, which names
-    what went wrong, or is None."""
+    last line, its raw set-up seconds, its trace digest and simulated
+    rounds and shuffles, its minor page faults ``minflt`` as measured
+    around it, and ``problem``, which names what went wrong, or is None."""
     run = {"metrics": {}, "raw_setup_s": None, "trace_sha256": None,
-           "minflt": minflt, "problem": None}
+           "rounds": None, "shuffles": None, "minflt": minflt, "problem": None}
     lines = stdout.strip().splitlines()
     for line in lines:
         words = line.split()
         if words[:1] == ["raw.setup_s"]:
             run["raw_setup_s"] = float(words[1])
         elif line.startswith("  simulated record: "):
-            run["trace_sha256"] = json.loads(line.split(": ", 1)[1]).get("trace_sha256")
+            record = json.loads(line.split(": ", 1)[1])
+            for key in ("trace_sha256", "rounds", "shuffles"):
+                run[key] = record.get(key)
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
@@ -105,6 +108,9 @@ def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> di
                    "change": [c["minflt"] for _, _, c in pairs]},
         "digests_equal": [p["trace_sha256"] is not None
                           and p["trace_sha256"] == c["trace_sha256"] for _, p, c in pairs],
+        "simulated": {side: [(run["rounds"], run["shuffles"]) for run in runs]
+                      for side, runs in (("parent", [p for _, p, _ in pairs]),
+                                         ("change", [c for _, _, c in pairs]))},
         "problems": [f"seed {seed} {side}: {run['problem']}"
                      for seed, p, c in pairs
                      for side, run in (("parent", p), ("change", c)) if run["problem"]],
@@ -128,6 +134,9 @@ def format_summary(workload: str, summary: dict) -> str:
             "-" if v is None else str(v) for v in summary["minflt"][side]))
     equal = summary["digests_equal"]
     out.append(f"  trace digests equal in {sum(equal)} of {len(equal)} pairs")
+    for side, records in summary["simulated"].items():
+        out.append(f"  rounds/shuffles {side}: " + " ".join(
+            "-" if r is None else f"{r}/{'-' if n is None else n}" for r, n in records))
     out += [f"  PROBLEM {p}" for p in summary["problems"]] or ["  problems: none"]
     return "\n".join(out)
 
