@@ -3,10 +3,10 @@
 The pieces, bottom up: a seven-call host boundary with full tracing
 (`hostiface`), authenticated encrypted block images (`blockcrypto`),
 a layout-randomizing filesystem (`blockfs`), batched padded I/O rounds
-(`sched`), a square-root-sized page cache with epoch bookkeeping
-(`pagecache`), the layout shuffle (`shuffle`), shaped peer links
-(`channel`, `shaper`), the run engine (`engine`), workloads
-(`workload`) and the observer-side analyzer (`adversary`).
+(`sched`), a page cache of min(256, max(ceil(sqrt(n)), ceil(n / 16))) pages
+with epoch bookkeeping (`pagecache`), the layout shuffle (`shuffle`),
+shaped peer links (`channel`, `shaper`), the run engine (`engine`),
+workloads (`workload`) and the observer-side analyzer (`adversary`).
 """
 
 from .adversary import (
@@ -87,7 +87,7 @@ from .pagecache import BUDGET_PAGES, Outcome, PageCache, default_capacity
 from .rng import Rng, RngTree
 from .sched import DEFAULT_ROUND_INTERVAL_NS, RoundConfig, RoundScheduler
 from .shaper import PeerShaper, ShapingClass
-from .shuffle import ShufflePlan, ShuffleStats, build_plan, oblivious_shuffle
+from .shuffle import ShufflePlan, ShuffleStats, build_plan, oblivious_shuffle, shuffle_pass
 from .trace import CallKind, HostCallEvent, HostTrace, parse_trace
 from .workload import KvStore, Workload, parse_workload
 

@@ -29,10 +29,11 @@ disk shuffles too. The one exception is a write queue left by
 ``PageCache.flush``: it drains before a pass starts, and those rounds
 lengthen the epoch. ``run_one_round`` runs one round of whatever is
 next, a pass step included, so a closed loop that runs rounds one at a
-time keeps its turn during a pass. The engine implements the shuffle's
-``ShuffleIo`` protocol: each step of a pass is one ``shuffle_round``
-carrying the step's read and the previous step's write, with no trip
-through the write queue.
+time keeps its turn during a pass. Every pass is built one way, by
+``shuffle_pass`` over the page cache's ``peek``, and run to its end one
+way, by ``oblivious_shuffle`` from whatever step it was stepped to:
+each step is one ``shuffle_round`` carrying the step's read and the
+previous step's write, with no trip through the write queue.
 
 Nothing the engine owns refers back to it: the page cache is handed
 its fetch per call, and a ``CachedIo`` is built per file call. So a
@@ -98,16 +99,18 @@ from .errors import (
     ParameterError,
     ReplayError,
     RoundBudgetExhausted,
+    ShuffleImpossibleError,
     SizeError,
+    SpaceError,
     StaleCounterError,
     WouldBlock,
 )
-from .hostiface import Host, HostInterface, SimClock
+from .hostiface import BLOCK_SIZE, Host, HostInterface, SimClock
 from .pagecache import PageCache, default_capacity
 from .rng import RngTree
 from .sched import RoundConfig, RoundScheduler
 from .shaper import PeerShaper, ShapingClass
-from .shuffle import ShuffleStats, oblivious_shuffle, run_pass, shuffle_pass
+from .shuffle import ShuffleStats, oblivious_shuffle, shuffle_pass
 from .trace import HostTrace
 
 DEFAULT_PASSTHROUGH_LATENCY_NS = 10_000
@@ -244,8 +247,8 @@ class Engine:
         self._interval_ns = self.config.round.interval_ns
         self.round_target: int | None = None
         self.shuffles = 0
-        # The running pass, (its steps, the step it yielded last), and the
-        # round from which the next pass is due; while one runs, it is due.
+        # The running pass, (its steps, the step it yielded last, or None),
+        # and the round from which the next pass is due; while one runs, it is due.
         self._pass = None
         self.pass_due = 0
         self.payload_bytes = 0
@@ -257,6 +260,9 @@ class Engine:
         self._net_order = itertools.count()
 
         if oblivious:
+            if not fs.free_blocks:
+                raise ShuffleImpossibleError(
+                    "0 free blocks; a protected mount keeps 1 for its shuffle passes")
             self.sched = RoundScheduler(
                 store, fs.dummy_blocks(), rng.stream("dummy"), self.config.round)
             capacity = self.config.cache_capacity
@@ -290,15 +296,12 @@ class Engine:
 
     # Rounds -------------------------------------------------------------
 
-    def peek_cache(self, fd: int, lblk: int) -> bytes | None:
-        return self.cache.peek(fd, lblk)
-
     def shuffle_round(self, read: int | None = None,
                       write: tuple[int, bytes] | None = None) -> bytes | None:
         """The net instants due by the next round's time, then the round
         at that time, with ``read`` and ``write`` in its first slots;
-        returns ``read``'s plaintext, or None. The shuffle's ``ShuffleIo``
-        step, and every other round too. A round past the budget raises
+        returns ``read``'s plaintext, or None. Each step of a pass, and
+        every other round too. A round past the budget raises
         ``RoundBudgetExhausted`` and reads nothing, but ``write`` is queued
         first, so the next round that runs still lands it."""
         sched = self.sched
@@ -327,20 +330,17 @@ class Engine:
             if sched.rounds < self.pass_due or sched.pending_writes:
                 self.shuffle_round()
                 return
-            steps = shuffle_pass(self.fs, self.peek_cache, self.rng.stream("shuffle"))
-            try:
-                self._pass = steps, next(steps)
-            except StopIteration as done:  # a pass over no blocks takes no round
-                self._end_epoch(done.value)
-                self.shuffle_round()
-                return
+            self._start_pass()
         steps, step = self._pass
         try:
-            data = self.shuffle_round(*step)
-            self._pass = steps, steps.send(data)
+            if step is None:
+                step = next(steps)
+            self._pass = steps, steps.send(self.shuffle_round(*step))
         except StopIteration as done:
             self._pass = None
             self._end_epoch(done.value)
+            if step is None:  # a pass over no blocks takes no round
+                self.shuffle_round()
         except BaseException:
             self._cut_pass()
             raise
@@ -369,16 +369,18 @@ class Engine:
             if self._pass is None:
                 while self.sched.pending_writes:
                     self.shuffle_round()
-                stats = oblivious_shuffle(self.fs, self, self.rng.stream("shuffle"))
-            else:
-                steps, step = self._pass
-                self._pass = None
-                stats = run_pass(steps, self.shuffle_round, step)
+                self._start_pass()
+            (steps, step), self._pass = self._pass, None
+            stats = oblivious_shuffle(steps, self.shuffle_round, step)
         except BaseException:
             self._cut_pass()
             raise
         self._end_epoch(stats)
         return stats
+
+    def _start_pass(self) -> None:
+        """A new pass over every data file, not yet stepped."""
+        self._pass = shuffle_pass(self.fs, self.cache.peek, self.rng.stream("shuffle")), None
 
     def _end_epoch(self, stats: ShuffleStats) -> None:
         walked, file_blocks = stats.plan.fds, self.fs.file_blocks
@@ -511,7 +513,19 @@ class Engine:
         return data
 
     def write_file(self, fd: int, offset: int, data: bytes) -> None:
-        self.fs.file_write(self._io(), fd, offset, data)
+        """A protected write that would take the last free block, which
+        every pass needs, is refused before it allocates or runs a round;
+        a running pass holds blocks back until it ends, so it ends first."""
+        fs = self.fs
+        if self.oblivious:
+            grow = -(-(offset + len(data)) // BLOCK_SIZE) - fs.file_blocks(fd)
+            if grow > 0:
+                if self._pass is not None:
+                    self.shuffle_now()
+                if grow >= fs.free_blocks:
+                    raise SpaceError(f"{grow} new blocks would leave none of {fs.free_blocks} "
+                                     "free; a protected mount keeps 1 for its shuffle passes")
+        fs.file_write(self._io(), fd, offset, data)
         self.payload_bytes += len(data)
 
     # Reporting -------------------------------------------------------------

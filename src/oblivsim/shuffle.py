@@ -20,9 +20,9 @@ So the pass persists every resident page of the files it walks, with
 the bytes the cache held when it started, dirty or not: no cache
 operation runs while the pass does.
 
-``oblivious_shuffle`` runs a whole pass through ``ShuffleIo`` rounds;
-the engine also steps a pass one round at a time, between rounds of
-its own, and ``run_pass`` finishes one from any step.
+``shuffle_pass`` is the one factory and ``oblivious_shuffle`` the one
+driver: it runs a pass from its start, or from any step it was stepped
+to one round at a time, through to its end.
 
 The stream is read no later than it is needed. Among the first *i* + 1
 steps at most *i* + 1 sources are uncached, so an uncached source at
@@ -74,7 +74,7 @@ file contents or of which file a block belongs to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Protocol
+from typing import Generator
 
 from .blockfs import FLAG_REGULAR, BlockFs
 from .rng import Rng
@@ -103,20 +103,6 @@ class ShuffleStats:
     real_reads: int = 0
     dummy_reads: int = 0
     donor_reuses: int = 0
-
-
-class ShuffleIo(Protocol):
-    """Host traffic needed by the shuffle: one batched round per call,
-    run by the engine so shuffle rounds look like any other."""
-
-    def shuffle_round(self, read: int | None,
-                      write: tuple[int, bytes] | None) -> bytes | None:
-        """One round whose first read slot reads block ``read`` and whose
-        first write slot lands ``write``, a (block, plaintext) pair; None
-        leaves that slot to padding. Returns ``read``'s plaintext."""
-        ...
-
-    def peek_cache(self, fd: int, lblk: int) -> bytes | None: ...
 
 
 def build_plan(fs: BlockFs, fds) -> ShufflePlan:
@@ -182,11 +168,13 @@ def shuffle_pass(fs: BlockFs, peek_cache, rng: Rng,
     return stats
 
 
-def run_pass(steps: Generator[Step, bytes | None, ShuffleStats], shuffle_round,
-             step: Step | None = None) -> ShuffleStats:
-    """Run the rest of a pass: ``step`` is the one ``steps`` yielded
-    last, None if it has not started. A round that raises closes the
-    pass, which returns its vacated homes before the error goes on."""
+def oblivious_shuffle(steps: Generator[Step, bytes | None, ShuffleStats],
+                      shuffle_round, step: Step | None = None) -> ShuffleStats:
+    """Run the rest of a pass, each step's round run by
+    ``shuffle_round(read, write)``, which returns the read's plaintext:
+    ``step`` is the one ``steps`` yielded last, None if it has not
+    started. A round that raises closes the pass, which returns its
+    vacated homes before the error goes on."""
     send = steps.send
     try:
         if step is None:
@@ -197,9 +185,3 @@ def run_pass(steps: Generator[Step, bytes | None, ShuffleStats], shuffle_round,
         return done.value
     finally:
         steps.close()
-
-
-def oblivious_shuffle(fs: BlockFs, io: ShuffleIo, rng: Rng,
-                      fds=None) -> ShuffleStats:
-    """A whole pass, its rounds run by ``io.shuffle_round``."""
-    return run_pass(shuffle_pass(fs, io.peek_cache, rng, fds), io.shuffle_round)

@@ -387,6 +387,21 @@ def test_shuffle_preserves_content_and_passes_fsck(image, tmp_path, capsys):
     assert "clean" in stdout
 
 
+def test_a_full_disk_is_reported_and_checked_but_not_run(tmp_path, capsys):
+    # One 54-block file fills a 64-block image. The passthrough mounts of
+    # create-image's report and of fsck take it; a protected run, whose
+    # passes each need a free block, refuses it.
+    img = tmp_path / "full.img"
+    rc = cli("create-image", "--out", img, "--blocks", 64, "--key", KEY_HEX,
+             "--seed", 2, "--blank", 54 * 4096)
+    assert rc == 0 and "free blocks: 0\n" in capsys.readouterr().out
+    rc = cli("fsck", "--image", img, "--key", KEY_HEX, "--deep")
+    assert rc == 0 and "clean" in capsys.readouterr().out
+    rc = cli("run", "--image", img, "--key", KEY_HEX, "--workload", "idle(20)")
+    assert rc == 2
+    assert "0 free blocks; a protected mount keeps 1" in capsys.readouterr().err
+
+
 def test_pre_shuffle_image_is_refused_under_the_new_root(image, tmp_path, capsys):
     shuffled = tmp_path / "shuffled.img"
     rc = cli("shuffle", "--image", image, "--key", KEY_HEX, "--seed", 1,

@@ -24,7 +24,9 @@ from oblivsim import (
     RoundBudgetExhausted,
     RoundConfig,
     ShapingClass,
+    ShuffleImpossibleError,
     SizeError,
+    SpaceError,
     StaticIdentity,
     build_image,
     establish,
@@ -34,7 +36,7 @@ from oblivsim import (
 import oblivsim.engine as engine_module
 from oblivsim.blockcrypto import SLOT_SIZE
 from oblivsim.shaper import SEND_QUEUE_FRAMES
-from oblivsim.shuffle import oblivious_shuffle
+from oblivsim.shuffle import shuffle_pass
 
 FILE_A = bytes(range(256)) * 16 * 8
 FILE_B = b"\xab" * 4096 * 3
@@ -315,8 +317,8 @@ def test_dirty_page_the_pass_did_not_write_is_refused(small_bundle, monkeypatch)
     eng = m.engine
     a, b = eng.regular_fd(0), eng.regular_fd(1)
     monkeypatch.setattr(  # a pass that re-homes file b only
-        engine_module, "oblivious_shuffle",
-        lambda fs, io, rng: oblivious_shuffle(fs, io, rng, fds=[b]))
+        engine_module, "shuffle_pass",
+        lambda fs, peek_cache, rng: shuffle_pass(fs, peek_cache, rng, fds=[b]))
     eng.write_file(a, 3 * BLOCK_SIZE, b"\x33" * BLOCK_SIZE)
     eng.write_file(b, 0, b"\xb0" * BLOCK_SIZE)
     with pytest.raises(ParameterError, match=f"dirty page 3 of file {a} "):
@@ -463,6 +465,79 @@ def test_a_stepped_pass_cut_by_the_budget_frees_its_vacated_homes(small_bundle):
     assert eng.shuffles == 1
     assert eng.read_file(eng.regular_fd(1), 0, len(FILE_B)) == FILE_B
     assert m.fs.free_blocks == free and m.fs.fsck() == []
+
+
+@pytest.mark.parametrize("k", [0, 1, 11])
+def test_a_pass_finished_by_a_read_matches_one_stepped_to_its_end(small_bundle, k):
+    # The pass due at round 8 is stepped k of its L + 1 = 12 rounds, and
+    # a read finishes it through shuffle_now; k = 0 leaves it to the read
+    # to start. Stepping it to its end first gives the same run.
+    def run(stepped):
+        m = mount(small_bundle, seed=3)
+        eng = m.engine
+        eng.start_observation()
+        eng.run_rounds(8 + stepped)
+        data = eng.read_file(eng.regular_fd(0), 5 * BLOCK_SIZE, 64)
+        fs = m.fs
+        return (data, eng.rounds_done, eng.shuffles, list(m.trace.events),
+                [ino.block_map and list(ino.block_map) for ino in fs.inodes],
+                list(fs._free), eng.rng.stream("shuffle").randbelow(2**20))
+
+    resumed, stepped = run(k), run(12)
+    assert resumed == stepped
+    assert resumed[0] == FILE_A[5 * BLOCK_SIZE:5 * BLOCK_SIZE + 64]
+    assert resumed[1:3] == (21, 1)
+
+
+# --- a protected mount keeps one block free for its passes -------------------
+
+
+def _one_file_image(blocks):
+    """A 64-block image with one file of ``blocks`` blocks beside
+    54 - ``blocks`` free ones."""
+    return build_image(64, ProtectionMode.CRYPT_INTEGRITY, [bytes(blocks * BLOCK_SIZE)],
+                       seed=2, key=DEFAULT_KEY)
+
+
+def test_a_protected_mount_of_a_disk_with_no_free_block_is_refused():
+    bundle = _one_file_image(54)
+    with pytest.raises(ShuffleImpossibleError, match="0 free blocks"):
+        mount(bundle)
+    m = mount(bundle, oblivious=False)
+    assert m.fs.free_blocks == 0 and m.fs.fsck() == []
+
+
+def test_a_write_that_would_take_the_last_free_block_is_refused():
+    m = mount(_one_file_image(52))
+    eng, fs = m.engine, m.fs
+    fd = eng.regular_fd(0)
+    eng.write_file(fd, 52 * BLOCK_SIZE, b"x")  # one new block of two free
+    rounds = eng.rounds_done
+    assert (fs.free_blocks, fs.file_blocks(fd)) == (1, 53)
+    with pytest.raises(SpaceError, match="a protected mount keeps 1"):
+        eng.write_file(fd, 52 * BLOCK_SIZE + 1, bytes(BLOCK_SIZE))
+    assert (fs.free_blocks, fs.file_blocks(fd)) == (1, 53)
+    assert (fs.file_size(fd), eng.rounds_done) == (52 * BLOCK_SIZE + 1, rounds)
+    # Writes inside the file still run, and so do the passes.
+    eng.write_file(fd, 52 * BLOCK_SIZE + 1, b"y")
+    eng.run_rounds(3 * 8 + 3 * 54)
+    assert eng.shuffles == 3
+    assert eng.read_file(fd, 52 * BLOCK_SIZE, 2) == b"xy"
+    assert fs.free_blocks == 1 and fs.fsck() == []
+
+
+def test_a_write_during_a_pass_counts_the_blocks_the_pass_holds():
+    # Two free blocks: five steps into the pass both are drawn as new
+    # homes, and the homes it vacated come back only when it ends.
+    m = mount(_one_file_image(52))
+    eng, fs = m.engine, m.fs
+    fd = eng.regular_fd(0)
+    eng.run_rounds(8 + 5)
+    assert fs.free_blocks == 0
+    eng.write_file(fd, 52 * BLOCK_SIZE, b"x")
+    assert (eng.shuffles, fs.free_blocks, fs.file_blocks(fd)) == (1, 1, 53)
+    assert eng.read_file(fd, 52 * BLOCK_SIZE, 1) == b"x"
+    assert fs.fsck() == []
 
 
 # Whole-block writes (w), partial writes (p) and 64-byte reads (r) by

@@ -26,6 +26,7 @@ from oblivsim import (
     build_plan,
     engine,
     oblivious_shuffle,
+    shuffle_pass,
 )
 from oblivsim.blockfs import DUMMY_FRACTION, default_geometry, metadata_block_count
 from oblivsim.rng import _CHUNK
@@ -66,6 +67,11 @@ class FakeIo:
 
     def peek_cache(self, fd, lblk):
         return self.resident.get((fd, lblk))
+
+
+def run_shuffle(fs, io, rng, fds=None):
+    """A whole pass over ``io``'s rounds and resident pages."""
+    return oblivious_shuffle(shuffle_pass(fs, io.peek_cache, rng, fds), io.shuffle_round)
 
 
 def token(fd, b):
@@ -159,7 +165,7 @@ def test_shuffle_preserves_contents_and_moves_every_block():
     fs, io, fds = make_world()
     before = placements(fs, fds)
     free_before = fs.free_blocks
-    stats = oblivious_shuffle(fs, io, RngTree(2).stream("shuffle"))
+    stats = run_shuffle(fs, io, RngTree(2).stream("shuffle"))
     after = placements(fs, fds)
     assert stats.swaps == 9
     for key, phys in after.items():
@@ -173,7 +179,7 @@ def test_shuffle_preserves_contents_and_moves_every_block():
 
 def test_every_step_spends_exactly_one_read_slot():
     fs, io, fds = make_world()
-    stats = oblivious_shuffle(fs, io, RngTree(3).stream("shuffle"))
+    stats = run_shuffle(fs, io, RngTree(3).stream("shuffle"))
     assert stats.real_reads + stats.dummy_reads == stats.swaps
     assert len(io.read_log) == stats.real_reads
     assert len(io.write_log) == stats.swaps
@@ -191,7 +197,7 @@ def test_cache_resident_blocks_skip_their_own_read():
     resident = {(fds[0], 0): token(fds[0], 0), (fds[0], 2): token(fds[0], 2)}
     io.resident = resident
     before = placements(fs, fds)
-    stats = oblivious_shuffle(fs, io, RngTree(4).stream("shuffle"))
+    stats = run_shuffle(fs, io, RngTree(4).stream("shuffle"))
     assert stats.dummy_reads == 2
     assert stats.real_reads + stats.dummy_reads == stats.swaps == 4
     # The two skipped reads were spent on prefetch or padding, and the
@@ -209,7 +215,7 @@ def test_vacated_homes_are_reused_only_when_the_pool_runs_dry():
     fs, io, fds = make_world(sizes=(4, 4), filler=41)
     pool, before = set(fs._free), placements(fs, fds)
     assert len(pool) == 5
-    stats = oblivious_shuffle(fs, io, RngTree(6).stream("shuffle"), fds)
+    stats = run_shuffle(fs, io, RngTree(6).stream("shuffle"), fds)
     assert (stats.swaps, stats.donor_reuses) == (8, 3)
     assert set(io.write_log[:5]) == pool
     assert set(io.write_log[5:]) <= set(before.values())
@@ -228,7 +234,7 @@ def test_shuffle_without_room_fails_loudly():
     assert fs.free_blocks == 0
     before = placements(fs, fds)
     with pytest.raises(ShuffleImpossibleError, match="0 free blocks; a shuffle pass needs 1"):
-        oblivious_shuffle(fs, io, RngTree(0).stream("shuffle"), fds)
+        run_shuffle(fs, io, RngTree(0).stream("shuffle"), fds)
     assert io.rounds == 0 and placements(fs, fds) == before
     assert fs.fsck() == []
 
@@ -239,7 +245,7 @@ def test_a_pool_smaller_than_the_largest_file_is_room_enough():
     fs, io, fds = make_world(sizes=(40,), filler=13)
     pool, before = set(fs._free), placements(fs, fds)
     assert len(pool) == 1
-    stats = oblivious_shuffle(fs, io, RngTree(4).stream("shuffle"), fds)
+    stats = run_shuffle(fs, io, RngTree(4).stream("shuffle"), fds)
     assert (stats.swaps, stats.donor_reuses, io.rounds) == (40, 39, 41)
     assert set(io.write_log[:1]) == pool
     assert set(io.write_log[1:]) <= set(before.values())
@@ -268,7 +274,7 @@ def test_shuffle_succeeds_with_a_full_inode_table():
     fs, io, fds = make_world(sizes=(2, 2, 2, 2), n=64, max_files=4)
     assert all(ino.used for ino in fs.inodes)
     free_before = fs.free_blocks
-    stats = oblivious_shuffle(fs, io, RngTree(0).stream("shuffle"), fds)
+    stats = run_shuffle(fs, io, RngTree(0).stream("shuffle"), fds)
     assert stats.swaps == 8
     for fd in fds:
         for b in range(2):
@@ -312,7 +318,7 @@ def test_shuffle_draws_one_home_per_swap_until_the_pool_runs_dry():
     # A reuse takes a vacated home and draws nothing from the pool.
     fs, io, fds = make_world(sizes=(4, 4), filler=41)
     taken = _count_pool_draws(fs)
-    stats = oblivious_shuffle(fs, io, RngTree(6).stream("shuffle"), fds)
+    stats = run_shuffle(fs, io, RngTree(6).stream("shuffle"), fds)
     assert (stats.swaps, stats.donor_reuses) == (8, 3)
     assert taken == [1] * 5 + [0] * 3
 
@@ -344,7 +350,7 @@ def test_tampered_read_mid_shuffle_returns_the_vacated_homes(small):
 
 def test_shuffle_of_nothing_is_a_noop():
     fs, io, _ = make_world(sizes=())
-    stats = oblivious_shuffle(fs, io, RngTree(0).stream("shuffle"))
+    stats = run_shuffle(fs, io, RngTree(0).stream("shuffle"))
     assert stats.swaps == 0 and stats.plan.num_shuff_blk == 0
     assert io.rounds == 0 and io.read_log == [] and io.write_log == []
 
@@ -353,7 +359,7 @@ def test_shuffle_is_deterministic_under_a_fixed_seed():
     runs = []
     for _ in range(2):
         fs, io, fds = make_world(seed=8)
-        stats = oblivious_shuffle(fs, io, RngTree(12).stream("shuffle"))
+        stats = run_shuffle(fs, io, RngTree(12).stream("shuffle"))
         runs.append((placements(fs, fds), io.write_log, stats))
     assert runs[0] == runs[1]
 
@@ -361,7 +367,7 @@ def test_shuffle_is_deterministic_under_a_fixed_seed():
 def test_default_selection_is_regular_files_only():
     fs, io, fds = make_world(sizes=(3,), n=32)
     dummy_before = fs.dummy_blocks()
-    oblivious_shuffle(fs, io, RngTree(9).stream("shuffle"))
+    run_shuffle(fs, io, RngTree(9).stream("shuffle"))
     assert fs.dummy_blocks() == dummy_before
 
 
@@ -396,7 +402,7 @@ def test_placement_is_pinned_while_the_pool_lasts():
     assert fs.free_blocks == 14
     io.resident = {key: token(*key) for key in
                    ((fds[0], 2), (fds[1], 0), (fds[2], 1))}
-    stats = oblivious_shuffle(fs, io, RngTree(5).stream("shuffle"), fds)
+    stats = run_shuffle(fs, io, RngTree(5).stream("shuffle"), fds)
     assert (stats.swaps, stats.dummy_reads, stats.donor_reuses) == (10, 3, 0)
     for fd in fds:
         for b in range(fs.file_blocks(fd)):
@@ -416,7 +422,7 @@ def test_shuffle_host_io_is_pinned():
     assert fs.free_blocks == 7
     io.resident = {key: token(*key) for key in
                    ((fds[0], 1), (fds[1], 3), (fds[2], 0), (fds[2], 1))}
-    stats = oblivious_shuffle(fs, io, RngTree(21).stream("shuffle"), fds)
+    stats = run_shuffle(fs, io, RngTree(21).stream("shuffle"), fds)
     assert stats.dummy_reads == 4 and stats.donor_reuses == 3
     for fd in fds:
         for b in range(fs.file_blocks(fd)):
@@ -425,11 +431,13 @@ def test_shuffle_host_io_is_pinned():
         "188d698c1246d9cf169d38b9ba7e4f3c98d1c8f009bcf4b1e5d2bcd4c345044b")
 
 
-def _reference_shuffle(fs, io, rng, fds=None):
-    """The pass as a per-step loop, kept as the oracle: ``fisher_yates``
-    through one ``randbelow`` per draw, ``phys_of`` for each stream read,
-    ``move_extent`` for each new home, ``free_block`` for each vacated
-    home at the end."""
+def _reference_shuffle(fs, peek_cache, rng, fds=None):
+    """The pass as a per-step generator, kept as the oracle: it yields
+    each round's (read, write) and is sent the read's plaintext, as
+    ``shuffle_pass`` is, but draws ``fisher_yates`` through one
+    ``randbelow`` per draw, and takes ``phys_of`` for each stream read,
+    ``move_extent`` for each new home and ``free_block`` for each
+    vacated home at the end."""
     if fds is None:
         fds = fs.files_with_flag(FLAG_REGULAR)
     plan = build_plan(fs, fds)
@@ -441,7 +449,7 @@ def _reference_shuffle(fs, io, rng, fds=None):
         sources = [(fd, b) for fd in plan.fds
                    for b in range(fs.file_blocks(fd))]
         order = _fisher_yates_per_draw(sources, rng)
-        stream = [src for src in order if io.peek_cache(*src) is None]
+        stream = [src for src in order if peek_cache(*src) is None]
         stats.real_reads = len(stream)
         stats.dummy_reads = len(order) - len(stream)
         reuses = max(0, len(order) - fs.free_blocks)
@@ -450,12 +458,12 @@ def _reference_shuffle(fs, io, rng, fds=None):
         for step, (fd, b) in enumerate(order):
             if step < len(stream):
                 src = stream[step]
-                fetched[src] = io.shuffle_round(fs.phys_of(*src), landing)
+                fetched[src] = yield fs.phys_of(*src), landing
             else:
-                io.shuffle_round(None, landing)
-            data = fetched.pop((fd, b), None) or io.peek_cache(fd, b)
+                yield None, landing
+            data = fetched.pop((fd, b), None) or peek_cache(fd, b)
             landing = (fs.move_extent(fd, b, vacated), data)
-        io.shuffle_round(None, landing)
+        yield None, landing
         stats.swaps, stats.donor_reuses = len(order), reuses
     finally:
         for phys in vacated:
@@ -465,8 +473,8 @@ def _reference_shuffle(fs, io, rng, fds=None):
 
 def _pass_on_a_fresh_mount(bundle, touches, cut, shuffle):
     """Mount ``bundle``, make the ``touches`` resident (read or written
-    through the cache), then run ``Engine.shuffle_now`` with ``shuffle``
-    as its pass, at most ``cut`` rounds of it if given."""
+    through the cache), then run ``Engine.shuffle_now`` with passes built
+    by ``shuffle``, at most ``cut`` rounds of it if given."""
     m = mount(bundle, seed=5)
     fds = m.fs.files_with_flag(FLAG_REGULAR)
     for i, b, write in touches:
@@ -479,7 +487,7 @@ def _pass_on_a_fresh_mount(bundle, touches, cut, shuffle):
     if cut is not None:
         m.engine.round_target = m.engine.rounds_done + cut
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "oblivious_shuffle", shuffle)
+        patch.setattr(engine, "shuffle_pass", shuffle)
         try:
             outcome = m.engine.shuffle_now()
         except (RoundBudgetExhausted, ShuffleImpossibleError) as exc:
@@ -520,7 +528,7 @@ def test_pass_matches_the_per_step_reference(sizes, slack, touches, cut, seed):
     bundle = build_image(_blocks_for_a_pool(sum(sizes) + max(sizes) + slack),
                          ProtectionMode.CRYPT_INTEGRITY, files,
                          seed=seed, key=DEFAULT_KEY)
-    new = _pass_on_a_fresh_mount(bundle, touches, cut, oblivious_shuffle)
+    new = _pass_on_a_fresh_mount(bundle, touches, cut, shuffle_pass)
     ref = _pass_on_a_fresh_mount(bundle, touches, cut, _reference_shuffle)
     assert new == ref
     assert new["fsck"] == []

@@ -42,6 +42,15 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
             f"{owner.__name__}.{attr}"
 
 
+def test_every_hook_names_a_wrapped_target():
+    # A hook fires only from the wrapper of the name it is keyed by, so a
+    # hook on a name nothing wraps would silently count nothing.
+    tracing = load_tracing()
+    wrapped = {f"{tracing._short(owner)}.{attr}"
+               for owner, attrs, _metric in tracing.TARGETS for attr in attrs}
+    assert set(tracing.HOOKS) <= wrapped, set(tracing.HOOKS) - wrapped
+
+
 class _Client:
     """Stands in for the benchmark's workload class, whose ``op``,
     ``finish`` and ``mount`` the tracer wraps as well."""
@@ -108,3 +117,26 @@ def test_the_tracer_hooks_read_live_attributes(small_bundle):
     assert out["channel.rx_errors"] == link.rx_errors + peer.rx_errors
     assert out["engine.peer_drops"] == peer.dropped
     assert peer.session.received_real == 3
+
+
+def test_a_pass_resumed_by_shuffle_now_is_counted(small_bundle):
+    # Rounds step a pass part of the way and shuffle_now finishes it, all
+    # under the tracer: the finish goes through oblivious_shuffle, whose
+    # hook counts the pass's vacated homes reused.
+    tracing = load_tracing()
+    m = mount(small_bundle, seed=1, config=EngineConfig(cache_capacity=2))
+    eng = m.engine
+    tracer = tracing.Tracer()
+    with tracer.installed(_Client):
+        # File b grows from 3 to 22 blocks, leaving 24 free blocks for a
+        # 30-block pass.
+        eng.write_file(eng.regular_fd(1), 3 * BLOCK_SIZE, bytes(19 * BLOCK_SIZE))
+        eng.run_rounds(max(0, eng.pass_due - eng.rounds_done) + 10)
+        calls = tracer.calls["engine.oblivious_shuffle"]
+        reuses = tracer.counts["shuffle.donor_reuses"]
+        rounds = eng.rounds_done
+        stats = eng.shuffle_now()
+    assert (stats.swaps, stats.donor_reuses) == (30, 6)
+    assert eng.rounds_done - rounds == 31 - 10  # the rest of the pass
+    assert tracer.calls["engine.oblivious_shuffle"] == calls + 1
+    assert tracer.counts["shuffle.donor_reuses"] == reuses + 6
