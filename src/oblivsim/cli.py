@@ -251,7 +251,7 @@ def cmd_shuffle(args) -> int:
     m.fs.persist(m.store)
     root = m.store.persist_metadata()
     out = args.out_image or args.image
-    Path(out).write_bytes(bytes(m.host.image))
+    Path(out).write_bytes(m.host.image)
     print(f"image: {out}")
     print(f"verity root: {root.hex()}")
     print(f"moved: {stats.swaps} blocks")

@@ -6,41 +6,33 @@ random order. Each step is one round of the batched cadence. The pass
 is a generator, ``shuffle_pass``: it yields each round's first read
 slot and first write slot, and is sent the read's plaintext back:
 
-* the read slot serves the shuffle's read stream: the sources the page
-  cache does not hold, in shuffle order, listed once when the shuffle
-  starts. Step *i* reads the stream's *i*-th entry; once the stream runs
-  out, the read slot is padding;
+* the read slot reads the step's own block at its pre-pass home, so a
+  pass reads every block it walks exactly once, in shuffle order,
+  whatever the page cache holds;
 * the write slot lands the previous step's block, freshly re-encrypted,
-  at its new home. A step's block comes from the cache if it is
-  resident there, and otherwise from the stream, read at this step or
-  ahead of it. A last round pads its read slot and lands the last
-  step's block, so a pass of *n* steps takes *n* + 1 rounds.
+  at its new home: the cache's copy if the block is resident there, so
+  dirty bytes win, and otherwise the plaintext its step read. A last
+  round pads its read slot and lands the last step's block, so a pass
+  of *n* steps takes *n* + 1 rounds.
 
 So the pass persists every resident page of the files it walks, with
-the bytes the cache held when it started, dirty or not: no cache
-operation runs while the pass does.
+the bytes the cache holds, dirty or not: no cache operation runs while
+the pass does.
 
 ``shuffle_pass`` is the one factory and ``oblivious_shuffle`` the one
 driver: it runs a pass from its start, or from any step it was stepped
 to one round at a time, through to its end.
 
-The stream is read no later than it is needed. Among the first *i* + 1
-steps at most *i* + 1 sources are uncached, so an uncached source at
-step *i* sits at stream index *k* <= *i* and was read at step *k*.
-
-A stream read never needs the write queue. The engine drains it
-before the pass starts, and every step's write lands in the round after
-it, so the only write not yet on the host when step *i* reads is the
-one landing in that same round, after the read. It targets a fresh pool
-draw, which no file maps, or a vacated home, whose block was stepped,
-and so read if uncached, before now.
+A step's read never needs the write queue. The engine drains it before
+the pass starts, and every step's write lands in the round after it, so
+the only write not yet on the host when a step reads is the one landing
+in that same round, after the read. A step reads a home that has not
+been stepped yet, so it is neither free nor vacated, and that write
+lands on a fresh pool draw or a vacated home.
 
 The pass does its bookkeeping once, at its start: it takes the files'
-block maps from ``BlockFs.block_map``, the Fisher-Yates draws in one
-``Rng.randbelow_each`` call, and the home of every stream read from
-those maps. That last is sound because the source read at step *i* has
-not been stepped before step *i* (its stream index is at most its
-step), so it still sits at its pre-pass home: neither free nor vacated.
+block maps from ``BlockFs.block_map`` and the Fisher-Yates draws in one
+``Rng.randbelow_each`` call.
 
 Each step then re-homes its block through its map: the new home is one
 ``BlockFs.draw_home`` draw, the rule ``move_extent`` uses too, uniform
@@ -66,9 +58,9 @@ on a home the pass has read, so reuse is the fallback, never the rule.
 The shuffle stream's draws do not depend on the homes, so the slot
 sequence is the same either way.
 
-Each source block is read at most once, and the observable pattern is a
-function of (num_shuff_blk, free blocks, cache occupancy) only, never of
-file contents or of which file a block belongs to.
+The observable pattern is a function of (num_shuff_blk, free blocks)
+only, never of file contents, of which file a block belongs to or of
+what the cache holds.
 """
 
 from __future__ import annotations
@@ -100,8 +92,6 @@ class ShufflePlan:
 class ShuffleStats:
     plan: ShufflePlan
     swaps: int = 0
-    real_reads: int = 0
-    dummy_reads: int = 0
     donor_reuses: int = 0
 
 
@@ -119,7 +109,8 @@ def shuffle_pass(fs: BlockFs, peek_cache, rng: Rng,
     the block its first read slot reads and the (block, plaintext) its
     first write slot lands, None for padding, and is sent the read's
     plaintext. Returns the pass's stats. ``peek_cache(fd, lblk)`` gives
-    a resident page or None; it is read once, when the pass starts."""
+    a resident page or None; the cache does not change while the pass
+    runs."""
     if fds is None:
         fds = fs.files_with_flag(FLAG_REGULAR)
     plan = build_plan(fs, fds)
@@ -129,38 +120,22 @@ def shuffle_pass(fs: BlockFs, peek_cache, rng: Rng,
     vacated = fs.create_donors()
     try:
         maps = {fd: fs.block_map(fd) for fd in plan.fds}
-        sources = [(fd, b) for fd in plan.fds
-                   for b in range(fs.file_blocks(fd))]
-        order = fisher_yates(sources, rng)
-        # The blocks in hand: resident pages, peeked once since the cache
-        # does not change while the pass runs, then stream blocks as they
-        # are read, at their own step or ahead of it.
-        held: dict[tuple[int, int], bytes] = {}
-        stream = []
-        for src in order:
-            page = peek_cache(*src)
-            if page is None:
-                stream.append(src)
-            else:
-                held[src] = page
-        stats.real_reads, stats.dummy_reads = len(stream), len(held)
+        order = fisher_yates([(fd, b) for fd in plan.fds
+                              for b in range(fs.file_blocks(fd))], rng)
         # Vacated homes rejoin the pool only after the pass, so each step
         # past the pool's size reuses one.
         reuses = max(0, len(order) - fs.free_blocks)
-        # Step i reads stream entry i at its pre-pass home; later steps pad.
-        reads = [(src, maps[src[0]][src[1]]) for src in stream]
-        reads += [(None, None)] * len(held)
         draw_home = fs.draw_home
         landing = None  # the previous step's (new home, block)
-        for (fd, b), (src, phys) in zip(order, reads):
-            data = yield phys, landing
-            if src is not None:
-                held[src] = data
+        for fd, b in order:
             block_map = maps[fd]
+            old = block_map[b]
+            data = yield old, landing
+            page = peek_cache(fd, b)
             home = draw_home(vacated)
-            vacated.append(block_map[b])
+            vacated.append(old)
             block_map[b] = home
-            landing = (home, held.pop((fd, b)))
+            landing = (home, data if page is None else page)
         yield None, landing
         stats.swaps, stats.donor_reuses = len(order), reuses
     finally:

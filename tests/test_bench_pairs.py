@@ -17,8 +17,10 @@ END_TO_END = [{"name": "setup_s", "better": "lower", "bound": 0.25},
               {"name": "wall_ops_per_s", "better": "higher", "bound": 0.25}]
 
 
-def stdout(setup_s, ops, raw, digest="aa", correct=True, failed=0, rounds=7, shuffles=0):
-    """What ``benchmarks/run.py`` prints, trimmed to the lines the tool reads."""
+def stdout(setup_s, ops, raw, digest="aa", correct=True, failed=0, rounds=7, shuffles=0,
+           **record):
+    """What ``benchmarks/run.py`` prints, trimmed to the lines the tool
+    reads; ``record`` adds fields to the simulated record."""
     result = {"correct": correct, "attempted": 100, "failed": failed,
               "metrics": {"setup_s": {"value": setup_s, "unit": "s"},
                           "wall_ops_per_s": {"value": ops, "unit": "1/s"}}}
@@ -27,7 +29,8 @@ def stdout(setup_s, ops, raw, digest="aa", correct=True, failed=0, rounds=7, shu
         f"  {'setup_s':34s} {setup_s:>16} s      host, ref, lower is better",
         f"  {'raw.setup_s':34s} {raw:>16} s      host, raw (not bounded)",
         "  simulated record: " + json.dumps({"rounds": rounds, "shuffles": shuffles,
-                                             "trace_sha256": digest}),
+                                             "trace_sha256": digest, **record},
+                                            sort_keys=True),
         "  gates: 0 of 100 ops failed, 0 cadence/rate violations",
         json.dumps(result)])
 
@@ -35,8 +38,9 @@ def stdout(setup_s, ops, raw, digest="aa", correct=True, failed=0, rounds=7, shu
 def test_a_run_is_parsed_from_its_lines():
     run = bench_pairs.parse_run(stdout(0.03, 900.0, 0.0351), 0, minflt=4137)
     assert run == {"metrics": {"setup_s": 0.03, "wall_ops_per_s": 900.0},
-                   "raw_setup_s": 0.0351, "trace_sha256": "aa", "rounds": 7,
-                   "shuffles": 0, "minflt": 4137, "problem": None}
+                   "raw_setup_s": 0.0351,
+                   "record": {"rounds": 7, "shuffles": 0, "trace_sha256": "aa"},
+                   "minflt": 4137, "problem": None}
     assert bench_pairs.parse_run(stdout(0.03, 900.0, 0.0351), 0)["minflt"] is None
 
 
@@ -105,7 +109,31 @@ def test_a_pair_with_a_broken_run_is_reported_and_left_out():
     assert summary["raw_setup_s"]["change"] == [0.03, None]
     assert summary["minflt"]["change"] == [None, None]
     assert summary["simulated"]["change"] == [(7, 0), (None, None)]
+    assert summary["record_moves"] == {}
     text = bench_pairs.format_summary("kv_mixed", summary)
+    assert "record moves: none" in text
     assert "minor faults change: - -" in text
     assert "rounds/shuffles change: 7/0 -" in text
     assert "PROBLEM seed 2 change" in bench_pairs.format_summary("kv_mixed", summary)
+
+
+def test_record_fields_that_move_are_listed_with_their_first_pair():
+    # Reads move from padding to real in the change while rounds and
+    # shuffles stay; the digests differ in every pair and are not listed.
+    def run(seed, side, real, dummy):
+        return bench_pairs.parse_run(stdout(0.03, 900.0, 0.03, digest=f"{side}{seed}",
+                                            rounds=1000, shuffles=9, real_reads=real,
+                                            dummy_reads=dummy, cache_hits=40), 0)
+    pairs = [(1, run(1, "p", 700, 300), run(1, "c", 700, 300)),
+             (2, run(2, "p", 710, 290), run(2, "c", 966, 34)),
+             (3, run(3, "p", 720, 280), run(3, "c", 976, 24)),
+             (4, run(4, "p", 730, 270), bench_pairs.parse_run("", 2))]
+    summary = bench_pairs.summarize(pairs, END_TO_END)
+    assert summary["record_moves"] == {
+        "dummy_reads": {"seed": 2, "parent": 290, "change": 34},
+        "real_reads": {"seed": 2, "parent": 710, "change": 966}}
+    assert summary["digests_equal"] == [False] * 4
+    text = bench_pairs.format_summary("randread_shuffle", summary)
+    assert ("  record dummy_reads: parent 290 change 34 (seed 2)\n"
+            "  record real_reads: parent 710 change 966 (seed 2)\n") in text
+    assert "record rounds" not in text and "record trace_sha256" not in text

@@ -356,10 +356,14 @@ def test_what_the_host_sees_at_mount_is_pinned(mode):
 # over its L = 11 file blocks takes 12. Passes start at rounds 8, 28, 48...
 
 
+def _padding_offsets(m) -> set[int]:
+    return {m.store.layout.data_offset(p) for p in m.fs.dummy_blocks()}
+
+
 def _written_outside_padding(m) -> list[int]:
     """Per round, whether its write landed outside the padding domain:
     every pass round but the first lands a block, and no other does."""
-    padding = {m.store.layout.data_offset(p) for p in m.fs.dummy_blocks()}
+    padding = _padding_offsets(m)
     return [e.offset not in padding for e in m.trace.of_kind(CallKind.DISK_WRITE)]
 
 
@@ -377,11 +381,14 @@ def test_run_rounds_gives_exactly_n_rounds_across_a_pass_boundary(small_bundle):
     assert m.fs.fsck() == []
 
 
-@pytest.mark.parametrize("spec", ["idle(104)", "randread(0,60)", "randread(1,60)"])
+@pytest.mark.parametrize("spec", ["idle(104)", "randread(0,60)", "randread(1,60)",
+                                  "reread(0,60)"])
 def test_the_record_has_a_closed_form(small_bundle, spec):
     # Passes start at rounds fixed by C and L alone. Over 104 rounds
     # that is five passes of L + 1 = 12 rounds and E = 44 rounds outside
-    # them, whatever the workload: shuffles = E // C.
+    # them, whatever the workload: shuffles = E // C. A read-only
+    # workload moves no block, so each pass reads the homes the idle
+    # run's pass reads, in the same order, whatever the cache holds.
     n, capacity, blocks = 104, 8, 11
     m = mount(small_bundle, seed=2)
     eng = m.engine
@@ -396,6 +403,15 @@ def test_the_record_has_a_closed_form(small_bundle, spec):
     idle.engine.start_observation()
     idle.engine.run_rounds(n)
     assert _written_outside_padding(m) == _written_outside_padding(idle)
+    period = capacity + blocks + 1
+    steps = [r for r in range(n) if capacity <= r % period < period - 1]
+    reads, idle_reads = (run.trace.of_kind(CallKind.DISK_READ) for run in (m, idle))
+    assert len(steps) == 55
+    assert [reads[r].offset for r in steps] == [idle_reads[r].offset for r in steps]
+    # Each pass's last round pads its read slot.
+    padding = _padding_offsets(m)
+    assert all(reads[r].offset in padding
+               for r in range(n) if r % period == period - 1)
 
 
 def test_a_write_to_a_carried_over_page_spends_one_read_slot(small_bundle):
@@ -548,8 +564,8 @@ PINNED_OPS = [("w", 0, 0), ("w", 0, 1), ("w", 1, 0), ("r", 0, 0), ("r", 0, 1),
               ("p", 1, 2), ("r", 0, 5), ("r", 0, 5), ("w", 0, 6), ("r", 0, 0),
               ("r", 1, 0), ("p", 0, 3), ("r", 0, 6), ("r", 1, 1), ("w", 0, 7),
               ("r", 0, 1)]
-PINNED_TRACE_SHA256 = "5b44cbcdfe13f584f29cd585b27b512ec84a41c088fe4a1539aaccc5085341aa"
-PINNED_COUNTERS = {"rounds": 129, "real_reads": 101, "dummy_reads": 28, "real_writes": 100,
+PINNED_TRACE_SHA256 = "27b6b2c2df5df1d988463b49243cefaa6a1d8fba7a2d5000b7d43b9a40d00082"
+PINNED_COUNTERS = {"rounds": 129, "real_reads": 119, "dummy_reads": 10, "real_writes": 100,
                    "dummy_writes": 29, "shuffles": 9, "cache_hits": 2,
                    "net_real": 0, "net_dummy": 0}
 
@@ -615,8 +631,8 @@ def test_a_pass_cut_by_the_budget_loses_no_block(small_bundle, cut):
 # and the previous step's write take the first slot of each kind, and
 # padding fills the rest. Pinned: the export's SHA-256 and the counters.
 MULTI_SLOT_SHUFFLE_SHA256 = \
-    "bbbc0264fd1a42027acaf6b7d92ed662e35973d55a50a14587f461e3f8229a95"
-MULTI_SLOT_SHUFFLE_COUNTERS = {"rounds": 19, "real_reads": 13, "dummy_reads": 25,
+    "a7a47bb4d2d401e44d8d39a37533da1ae6065fba9e7d58b9814b6e5874422ee1"
+MULTI_SLOT_SHUFFLE_COUNTERS = {"rounds": 19, "real_reads": 16, "dummy_reads": 22,
                                "real_writes": 11, "dummy_writes": 27, "shuffles": 1,
                                "cache_hits": 2, "net_real": 0, "net_dummy": 0}
 
@@ -631,8 +647,13 @@ def test_shuffle_with_two_slots_of_each_kind_is_pinned(small_bundle):
     eng.write_file(a, 5 * BLOCK_SIZE, b"\x5e" * BLOCK_SIZE)
     assert eng.read_file(a, 0, 4) == FILE_A[:4]
     assert eng.read_file(b, 2 * BLOCK_SIZE, 4) == FILE_B[:4]
+    padding = _padding_offsets(m)
+    first = len(m.trace.events)
     stats = eng.shuffle_now()
-    assert (stats.swaps, stats.dummy_reads) == (11, 3)
+    # Every step reads its own block's home, the three resident ones too.
+    homes = [e for e in m.trace.events[first:]
+             if e.kind is CallKind.DISK_READ and e.offset not in padding]
+    assert (stats.swaps, len(homes)) == (11, 11)
     assert eng.read_file(a, 5 * BLOCK_SIZE, 4) == b"\x5e" * 4
     assert eng.read_file(b, 0, len(FILE_B)) == FILE_B
     eng.run_rounds(2)
@@ -829,8 +850,8 @@ def test_mixed_link_event_order_is_pinned(small_bundle):
 # SHA-256, the engine's counters and, per session, (sent_real,
 # sent_dummy, received_real, received_dummy).
 LIVE_LINK_SHUFFLE_SHA256 = \
-    "6456c45532ba4c413056fe313528e00a927c7a757cee521bd0cb7dcf2adc2853"
-LIVE_LINK_SHUFFLE_COUNTERS = {"rounds": 39, "real_reads": 22, "dummy_reads": 17,
+    "397a6a706050ee6850afe8428ed0ae63636ff5a7efbbb7e17208ccc83a3d502d"
+LIVE_LINK_SHUFFLE_COUNTERS = {"rounds": 39, "real_reads": 24, "dummy_reads": 15,
                               "real_writes": 22, "dummy_writes": 17, "shuffles": 2,
                               "cache_hits": 1, "net_real": 5, "net_dummy": 11}
 LIVE_LINK_SHUFFLE_SESSIONS = [(5, 11, 5, 11), (5, 11, 5, 10)]

@@ -179,33 +179,35 @@ def test_shuffle_preserves_contents_and_moves_every_block():
 
 def test_every_step_spends_exactly_one_read_slot():
     fs, io, fds = make_world()
+    before = placements(fs, fds)
     stats = run_shuffle(fs, io, RngTree(3).stream("shuffle"))
-    assert stats.real_reads + stats.dummy_reads == stats.swaps
-    assert len(io.read_log) == stats.real_reads
-    assert len(io.write_log) == stats.swaps
-    # One round per step, then one that pads its read slot and lands the
-    # last step's block; each step's block rides in the next round.
-    assert io.rounds == stats.swaps + 1
-    assert io.padding_reads == stats.dummy_reads + 1
+    # Each step reads its own block's pre-pass home, once; the last round
+    # pads its read slot and lands the last step's block, and each step's
+    # block rides in the next round.
+    assert len(io.read_log) == len(io.write_log) == stats.swaps
+    assert sorted(io.read_log) == sorted(before.values())
+    assert io.rounds == stats.swaps + 1 and io.padding_reads == 1
     kinds = "".join(slot[0] for slot in io.slot_log)
-    assert re.fullmatch(r"[rp]([rp]w)*", kinds) and kinds.endswith("pw")
-    assert len(set(io.read_log)) == len(io.read_log)  # at most once each
+    assert re.fullmatch(r"r(rw)*pw", kinds)
 
 
-def test_cache_resident_blocks_skip_their_own_read():
+def test_cache_resident_blocks_read_their_own_home_and_land_the_cached_bytes():
     fs, io, fds = make_world(sizes=(4,))
-    resident = {(fds[0], 0): token(fds[0], 0), (fds[0], 2): token(fds[0], 2)}
-    io.resident = resident
+    fd = fds[0]
+    # Block 0 is resident with bytes the disk does not hold (a dirty
+    # page); block 2 is resident and clean.
+    io.resident = {(fd, 0): b"dirty", (fd, 2): token(fd, 2)}
     before = placements(fs, fds)
     stats = run_shuffle(fs, io, RngTree(4).stream("shuffle"))
-    assert stats.dummy_reads == 2
-    assert stats.real_reads + stats.dummy_reads == stats.swaps == 4
-    # The two skipped reads were spent on prefetch or padding, and the
-    # resident blocks' current bytes still landed at their new homes.
-    for b in range(4):
-        assert io.pages[fs.phys_of(fds[0], b)] == token(fds[0], b)
-    for key in resident:
-        assert before[key] not in io.read_log
+    # Step k reads the pre-pass home of the k-th block in shuffle order,
+    # resident or not.
+    order = fisher_yates([(fd, b) for b in range(4)], RngTree(4).stream("shuffle"))
+    assert io.read_log == [before[key] for key in order]
+    assert stats.swaps == 4 and io.padding_reads == 1
+    # The dirty page's cached bytes land, not the bytes its step read.
+    assert io.pages[fs.phys_of(fd, 0)] == b"dirty"
+    for b in range(1, 4):
+        assert io.pages[fs.phys_of(fd, b)] == token(fd, b)
 
 
 def test_vacated_homes_are_reused_only_when_the_pool_runs_dry():
@@ -348,6 +350,21 @@ def test_tampered_read_mid_shuffle_returns_the_vacated_homes(small):
         small.engine.shuffle_now()
 
 
+def test_a_pass_finds_a_tampered_home_behind_a_cached_page(small):
+    # The pass reads a resident block's home too, so a flipped byte there
+    # fails its tag check although the cache could have served the block.
+    fd = small.engine.regular_fd(0)
+    assert small.engine.read_file(fd, 0, 1) == b"\x00"
+    assert small.engine.cache.peek(fd, 0) is not None
+    phys = small.fs.phys_of(fd, 0)
+    small.host.image[small.store.layout.data_offset(phys)] ^= 0x01
+    free_before, fsck_before = small.fs.free_blocks, small.fs.fsck()
+    with pytest.raises(IntegrityError, match=f"block {phys}: tag check failed"):
+        small.engine.shuffle_now()
+    assert small.fs.free_blocks == free_before
+    assert small.fs.fsck() == fsck_before
+
+
 def test_shuffle_of_nothing_is_a_noop():
     fs, io, _ = make_world(sizes=())
     stats = run_shuffle(fs, io, RngTree(0).stream("shuffle"))
@@ -393,22 +410,22 @@ def test_placement_is_pinned_while_the_pool_lasts():
     # held in the cache: the pool never runs dry, so every new home is a
     # pool draw in step order and no vacated home is reused.
     # The digest covers the ordered read, write and slot logs and the
-    # final block maps, not the stats; the placement was fixed while
-    # homes still came from a grid of donor slots, which placed every
-    # block the same. The slot log is the one recorded when each step
-    # queued its own write, with every write moved into the next round
-    # and the closing round appended.
+    # final block maps, not the stats. The placement, the write log and
+    # the maps, was fixed while homes still came from a grid of donor
+    # slots, which placed every block the same; the read and slot logs
+    # are the ones recorded since each step reads its own block.
     fs, io, fds = make_world(sizes=(4, 4, 2), filler=30)
     assert fs.free_blocks == 14
     io.resident = {key: token(*key) for key in
                    ((fds[0], 2), (fds[1], 0), (fds[2], 1))}
     stats = run_shuffle(fs, io, RngTree(5).stream("shuffle"), fds)
-    assert (stats.swaps, stats.dummy_reads, stats.donor_reuses) == (10, 3, 0)
+    assert (stats.swaps, stats.donor_reuses) == (10, 0)
+    assert (len(io.read_log), io.padding_reads) == (10, 1)
     for fd in fds:
         for b in range(fs.file_blocks(fd)):
             assert io.pages[fs.phys_of(fd, b)] == token(fd, b)
     assert _host_io_digest(io, fs, fds) == (
-        "af804d5eb445f117cad6113d46e3f0a41e2b28fff732b36bd350361737845958")
+        "6f73a27c2ab887d4407d2c6679ecf5c4360367f36a33c4b87776458cd82ab5cc")
 
 
 def test_shuffle_host_io_is_pinned():
@@ -423,19 +440,20 @@ def test_shuffle_host_io_is_pinned():
     io.resident = {key: token(*key) for key in
                    ((fds[0], 1), (fds[1], 3), (fds[2], 0), (fds[2], 1))}
     stats = run_shuffle(fs, io, RngTree(21).stream("shuffle"), fds)
-    assert stats.dummy_reads == 4 and stats.donor_reuses == 3
+    assert stats.donor_reuses == 3
+    assert (len(io.read_log), io.padding_reads) == (10, 1)
     for fd in fds:
         for b in range(fs.file_blocks(fd)):
             assert io.pages[fs.phys_of(fd, b)] == token(fd, b)
     assert _host_io_digest(io, fs, fds, stats) == (
-        "188d698c1246d9cf169d38b9ba7e4f3c98d1c8f009bcf4b1e5d2bcd4c345044b")
+        "fd7c68d46bc24ccd77ed7160cece585b527f3ece5a2426e12cdeaeb04f2f470b")
 
 
 def _reference_shuffle(fs, peek_cache, rng, fds=None):
     """The pass as a per-step generator, kept as the oracle: it yields
     each round's (read, write) and is sent the read's plaintext, as
     ``shuffle_pass`` is, but draws ``fisher_yates`` through one
-    ``randbelow`` per draw, and takes ``phys_of`` for each stream read,
+    ``randbelow`` per draw, and takes ``phys_of`` for each step's read,
     ``move_extent`` for each new home and ``free_block`` for each
     vacated home at the end."""
     if fds is None:
@@ -449,20 +467,12 @@ def _reference_shuffle(fs, peek_cache, rng, fds=None):
         sources = [(fd, b) for fd in plan.fds
                    for b in range(fs.file_blocks(fd))]
         order = _fisher_yates_per_draw(sources, rng)
-        stream = [src for src in order if peek_cache(*src) is None]
-        stats.real_reads = len(stream)
-        stats.dummy_reads = len(order) - len(stream)
         reuses = max(0, len(order) - fs.free_blocks)
-        fetched = {}
         landing = None
-        for step, (fd, b) in enumerate(order):
-            if step < len(stream):
-                src = stream[step]
-                fetched[src] = yield fs.phys_of(*src), landing
-            else:
-                yield None, landing
-            data = fetched.pop((fd, b), None) or peek_cache(fd, b)
-            landing = (fs.move_extent(fd, b, vacated), data)
+        for fd, b in order:
+            data = yield fs.phys_of(fd, b), landing
+            page = peek_cache(fd, b)
+            landing = (fs.move_extent(fd, b, vacated), data if page is None else page)
         yield None, landing
         stats.swaps, stats.donor_reuses = len(order), reuses
     finally:

@@ -12,9 +12,11 @@ prints every run's raw set-up seconds (``raw.setup_s``) and minor page
 faults (the ``RUSAGE_CHILDREN`` ``ru_minflt`` delta around the run), so
 that glibc's two heap modes show up as two clusters, says whether each pair
 simulated the same trace, prints each run's simulated rounds and shuffle
-passes from its "simulated record" line, and names every run that was incorrect,
-failed operations or printed no result line; the exit status is 1 when
-there was one. ``--json`` writes the summary too.
+passes from its "simulated record" line, lists every other field of that
+record that differs between parent and change in some pair (the digest
+aside), and names every run that was incorrect, failed operations or printed
+no result line; the exit status is 1 when there was one. ``--json`` writes
+the summary too.
 """
 
 from __future__ import annotations
@@ -31,20 +33,18 @@ from pathlib import Path
 
 def parse_run(stdout: str, returncode: int, minflt: int | None = None) -> dict:
     """One run of ``benchmarks/run.py``: its end-to-end metrics from the
-    last line, its raw set-up seconds, its trace digest and simulated
-    rounds and shuffles, its minor page faults ``minflt`` as measured
+    last line, its raw set-up seconds, its whole simulated record (empty
+    if it printed none), its minor page faults ``minflt`` as measured
     around it, and ``problem``, which names what went wrong, or is None."""
-    run = {"metrics": {}, "raw_setup_s": None, "trace_sha256": None,
-           "rounds": None, "shuffles": None, "minflt": minflt, "problem": None}
+    run = {"metrics": {}, "raw_setup_s": None, "record": {},
+           "minflt": minflt, "problem": None}
     lines = stdout.strip().splitlines()
     for line in lines:
         words = line.split()
         if words[:1] == ["raw.setup_s"]:
             run["raw_setup_s"] = float(words[1])
         elif line.startswith("  simulated record: "):
-            record = json.loads(line.split(": ", 1)[1])
-            for key in ("trace_sha256", "rounds", "shuffles"):
-                run[key] = record.get(key)
+            run["record"] = json.loads(line.split(": ", 1)[1])
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
@@ -73,6 +73,21 @@ def _relative(change: float, parent: float) -> float:
     if parent == 0:
         return math.copysign(math.inf, change - parent)
     return (change - parent) / abs(parent)
+
+
+def record_moves(pairs: list[tuple[int, dict, dict]]) -> dict:
+    """Each simulated-record field but the trace digest that differs
+    between parent and change in a pair where both printed a record: the
+    seed and both values of the first such pair."""
+    moves = {}
+    for seed, p, c in pairs:
+        a, b = p["record"], c["record"]
+        if not (a and b):
+            continue
+        for key in dict.fromkeys([*a, *b]):
+            if key != "trace_sha256" and key not in moves and a.get(key) != b.get(key):
+                moves[key] = {"seed": seed, "parent": a.get(key), "change": b.get(key)}
+    return moves
 
 
 def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> dict:
@@ -106,11 +121,14 @@ def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> di
                         "change": [c["raw_setup_s"] for _, _, c in pairs]},
         "minflt": {"parent": [p["minflt"] for _, p, _ in pairs],
                    "change": [c["minflt"] for _, _, c in pairs]},
-        "digests_equal": [p["trace_sha256"] is not None
-                          and p["trace_sha256"] == c["trace_sha256"] for _, p, c in pairs],
-        "simulated": {side: [(run["rounds"], run["shuffles"]) for run in runs]
+        "digests_equal": [p["record"].get("trace_sha256") is not None
+                          and p["record"].get("trace_sha256") == c["record"].get("trace_sha256")
+                          for _, p, c in pairs],
+        "simulated": {side: [(run["record"].get("rounds"), run["record"].get("shuffles"))
+                             for run in runs]
                       for side, runs in (("parent", [p for _, p, _ in pairs]),
                                          ("change", [c for _, _, c in pairs]))},
+        "record_moves": record_moves(pairs),
         "problems": [f"seed {seed} {side}: {run['problem']}"
                      for seed, p, c in pairs
                      for side, run in (("parent", p), ("change", c)) if run["problem"]],
@@ -137,6 +155,8 @@ def format_summary(workload: str, summary: dict) -> str:
     for side, records in summary["simulated"].items():
         out.append(f"  rounds/shuffles {side}: " + " ".join(
             "-" if r is None else f"{r}/{'-' if n is None else n}" for r, n in records))
+    out += [f"  record {key}: parent {m['parent']} change {m['change']} (seed {m['seed']})"
+            for key, m in summary["record_moves"].items()] or ["  record moves: none"]
     out += [f"  PROBLEM {p}" for p in summary["problems"]] or ["  problems: none"]
     return "\n".join(out)
 
