@@ -7,13 +7,15 @@ Two I/O personalities implement the filesystem's block interface:
   page cache. A miss, and a whole-block write over a page whose block
   this epoch has not fetched, hand the block to the next batched round
   (``Engine.shuffle_round``), which reads it in its first read slot, one
-  round per read. No queued write can target that block: the write
-  queue holds only pages ``PageCache.flush`` wrote out, which stay
-  resident, and it drains before the next pass moves them. Before
-  either, a pass that is due or running is finished
-  (``Engine.shuffle_now``), since the pass holds a snapshot of the
-  cache. The pass lands every page of every file, dirty ones included,
-  and the cache's ``end_epoch`` checks that it did.
+  round per read. Before either, a pass that is due or running is
+  finished (``Engine.shuffle_now``), since the pass holds a snapshot of
+  the cache. No queued write can target the block read. The write
+  queue has two sources: pages ``PageCache.flush`` wrote out, which
+  stay resident, and the write a round refused by the round budget
+  would have carried (``Engine.shuffle_round``). The queue drains
+  before the next pass starts, and a cut pass is due at once, so both
+  land before any later read. The pass lands every page of every file,
+  dirty ones included, and the cache's ``end_epoch`` checks that it did.
 * ``DirectIo`` is the passthrough path. Every block operation is a
   single immediate host call with a small fixed latency, no padding,
   no batching. It exists as the unprotected baseline, and
@@ -25,15 +27,16 @@ passes, where C is the page cache's capacity, and the round after the
 C-th is the first round of a shuffle pass over every data file, which
 takes L + 1 rounds for L file blocks. So every pass starts at a round
 index fixed by C and L alone, whatever the workload does, and an idle
-disk shuffles too. The one exception is a write queue left by
-``PageCache.flush``: it drains before a pass starts, and those rounds
-lengthen the epoch. ``run_one_round`` runs one round of whatever is
-next, a pass step included, so a closed loop that runs rounds one at a
-time keeps its turn during a pass. Every pass is built one way, by
-``shuffle_pass`` over the page cache's ``peek``, and run to its end one
-way, by ``oblivious_shuffle`` from whatever step it was stepped to:
-each step is one ``shuffle_round`` carrying the step's read and the
-previous step's write, with no trip through the write queue.
+disk shuffles too. The one exception is the write queue, filled by
+``PageCache.flush`` or by a round the budget refused: it drains before
+a pass starts, and those rounds lengthen the epoch. ``run_one_round``
+runs one round of whatever is next, a pass step included, so a closed
+loop that runs rounds one at a time keeps its turn during a pass.
+Every pass is built one way, by ``shuffle_pass`` over the page cache's
+``peek``, and run to its end one way, by ``oblivious_shuffle`` from
+whatever step it was stepped to: each step is one ``shuffle_round``
+carrying the step's read and the previous step's write, with no trip
+through the write queue.
 
 Nothing the engine owns refers back to it: the page cache is handed
 its fetch per call, and a ``CachedIo`` is built per file call. So a

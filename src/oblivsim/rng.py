@@ -116,42 +116,6 @@ class Rng:
             if x < limit:
                 return x % n
 
-    def randbelow_each(self, bounds) -> list[int]:
-        """``[self.randbelow(n) for n in bounds]`` in one call: the same
-        draws from the same bytes, and the stream left where those calls
-        would leave it, a failing bound included."""
-        out = []
-        append = out.append
-        buf, pos = self._buf, self._pos
-        size = len(buf)
-        for n in bounds:
-            if n <= 0:
-                self._pos = pos
-                raise ValueError("randbelow needs n >= 1")
-            nbytes = (n.bit_length() + 7) >> 3
-            limit = ((1 << (nbytes << 3)) // n) * n
-            while True:
-                end = pos + nbytes
-                if end > size:
-                    self._pos = pos
-                    x = int.from_bytes(self._take(nbytes), "big")
-                    buf, pos = self._buf, self._pos
-                    size = len(buf)
-                elif nbytes == 1:
-                    x = buf[pos]
-                    pos = end
-                elif nbytes == 2:
-                    x = buf[pos] << 8 | buf[pos + 1]
-                    pos = end
-                else:
-                    x = int.from_bytes(buf[pos:end], "big")
-                    pos = end
-                if x < limit:
-                    break
-            append(x % n)
-        self._pos = pos
-        return out
-
     def choice(self, seq):
         if not seq:
             raise IndexError("choice from empty sequence")

@@ -63,26 +63,25 @@ class RoundScheduler:
     # Submission ----------------------------------------------------------
 
     # Kept only while ``benchmarks/`` names them: ``tracing.TARGETS`` wraps
-    # ``submit_read`` and the ``kv_mixed`` drain loop reads ``pending_reads``.
+    # ``submit_read`` and ``pending_write_for``, and the ``kv_mixed`` drain
+    # loop reads ``pending_reads``. Nothing in ``src/`` calls them.
     pending_reads = 0
 
     def submit_read(self, phys: int) -> None:
         raise SimError("reads are not queued: hand the read to run_round")
+
+    def pending_write_for(self, phys: int) -> bytes | None:
+        """Newest queued write aimed at ``phys``, if any."""
+        for target, data in reversed(self._writes):
+            if target == phys:
+                return data
+        return None
 
     def submit_write(self, phys: int, data: bytes) -> None:
         """Queue one block write. No bound: each was held in memory already."""
         if len(data) != BLOCK_SIZE:
             raise SizeError("a queued write must be exactly one block")
         self._writes.append((phys, bytes(data)))
-
-    def pending_write_for(self, phys: int) -> bytes | None:
-        """Newest queued write aimed at ``phys``, if any. Readers must
-        coalesce against this; a queued write has not reached the host
-        image yet and rounds run reads before writes."""
-        for target, data in reversed(self._writes):
-            if target == phys:
-                return data
-        return None
 
     @property
     def pending_writes(self) -> int:

@@ -31,8 +31,8 @@ been stepped yet, so it is neither free nor vacated, and that write
 lands on a fresh pool draw or a vacated home.
 
 The pass does its bookkeeping once, at its start: it takes the files'
-block maps from ``BlockFs.block_map`` and the Fisher-Yates draws in one
-``Rng.randbelow_each`` call.
+block maps from ``BlockFs.block_map`` and its shuffle order from
+``fisher_yates``, one ``Rng.randbelow`` draw per swap.
 
 Each step then re-homes its block through its map: the new home is one
 ``BlockFs.draw_home`` draw, the rule ``move_extent`` uses too, uniform
@@ -73,11 +73,12 @@ from .rng import Rng
 
 
 def fisher_yates(items, rng: Rng) -> list:
-    """Uniform random permutation (swap-down construction). Its draws are
-    ``rng.randbelow(i + 1)`` for i = n - 1 down to 1, taken in one call."""
+    """Uniform random permutation (swap-down construction): one
+    ``rng.randbelow(i + 1)`` per swap, for i = n - 1 down to 1."""
     out = list(items)
-    n = len(out)
-    for i, j in zip(range(n - 1, 0, -1), rng.randbelow_each(range(n, 1, -1))):
+    randbelow = rng.randbelow
+    for i in range(len(out) - 1, 0, -1):
+        j = randbelow(i + 1)
         out[i], out[j] = out[j], out[i]
     return out
 

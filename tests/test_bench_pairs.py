@@ -77,9 +77,9 @@ def test_the_summary_of_five_pairs():
     assert setup["parent_iqr"] == pytest.approx(0.006)
     assert setup["change_vs_parent"] == pytest.approx(0.02 / 0.034)
     assert (setup["change_wins"], setup["ties"], setup["pairs"]) == (0, 0, 5)
-    assert setup["within"] is False
+    assert setup["verdict"] == "NO"
     assert ops["change_vs_parent"] == pytest.approx(0.001)
-    assert (ops["change_wins"], ops["ties"], ops["within"]) == (3, 1, True)
+    assert (ops["change_wins"], ops["ties"], ops["verdict"]) == (3, 1, "within")
     assert summary["raw_setup_s"]["change"] == pytest.approx([0.051, 0.053, 0.055, 0.057, 0.059])
     assert summary["minflt"] == {"parent": [900, 901, 902, 903, 904],
                                  "change": [9300, 9301, 9302, 9303, 9304]}
@@ -96,6 +96,56 @@ def test_the_summary_of_five_pairs():
     assert ("trace digests equal in 4 of 5 pairs\n"
             "  rounds/shuffles parent: 1000/9 1000/9 1000/9 1000/9 1000/9\n"
             "  rounds/shuffles change: 1000/9 900/7 800/5 700/3 600/1") in text
+
+
+_SPREAD = [0.030 + 0.001 * i for i in range(10)]  # IQR 0.0055, median 0.0345
+_WIDE = [0.010, 0.011, 0.012, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09]  # IQR 0.061
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    # Ten of ten pairs won, medians 0.01 apart: wider than the IQR.
+    (_SPREAD, [x - 0.01 for x in _SPREAD], "gain"),
+    # Nine won and one tied is still nine tenths.
+    (_SPREAD, [x - 0.01 for x in _SPREAD[:9]] + _SPREAD[9:], "gain"),
+    # Eight won and two tied is not: ties count for neither side.
+    (_SPREAD, [x - 0.01 for x in _SPREAD[:8]] + _SPREAD[8:], "within"),
+    # Ten won, but the medians are only 0.001 apart, inside the IQR.
+    (_SPREAD, [x - 0.001 for x in _SPREAD], "within"),
+    # 20 % slower: worse, but inside the 25 % bound.
+    (_SPREAD, [x * 1.2 for x in _SPREAD], "within"),
+    # 30 % slower: beyond the bound.
+    (_SPREAD, [x * 1.3 for x in _SPREAD], "NO"),
+    # The parent's IQR (0.061) is wider than 25 % of its median
+    # (0.045): no move can be told, better or worse.
+    (_WIDE, list(reversed(_WIDE)), "unresolved"),
+    (_WIDE, [x * 2 for x in _WIDE], "unresolved"),
+    # ... unless every change run beats every parent run; the medians
+    # are still inside the IQR, so it is no gain.
+    (_WIDE, [0.009] * 10, "within"),
+])
+def test_each_verdict_follows_from_the_runs(parent, change, verdict):
+    pairs = [(i, bench_pairs.parse_run(stdout(p, 1000.0, p), 0),
+              bench_pairs.parse_run(stdout(c, 1000.0, c), 0))
+             for i, (p, c) in enumerate(zip(parent, change))]
+    summary = bench_pairs.summarize(pairs, END_TO_END)
+    assert summary["metrics"]["setup_s"]["verdict"] == verdict
+    assert summary["metrics"]["wall_ops_per_s"]["verdict"] == "within"
+    row = next(line for line in bench_pairs.format_summary("netecho", summary).splitlines()
+               if line.startswith("  setup_s"))
+    assert row.endswith(f"  {verdict}")
+
+
+def test_a_broken_pair_counts_against_a_gain():
+    # Nine pairs of ten won, but one pair broke: nine of ten pairs run
+    # still is a gain, eight of ten is not.
+    good = [(i, bench_pairs.parse_run(stdout(p, 1000.0, p), 0),
+             bench_pairs.parse_run(stdout(p - 0.01, 1000.0, p), 0))
+            for i, p in enumerate(_SPREAD)]
+    broken = bench_pairs.parse_run("", 2)
+    one = good[:9] + [(9, good[9][1], broken)]
+    two = good[:8] + [(8, good[8][1], broken), (9, good[9][1], broken)]
+    assert bench_pairs.summarize(one, END_TO_END)["metrics"]["setup_s"]["verdict"] == "gain"
+    assert bench_pairs.summarize(two, END_TO_END)["metrics"]["setup_s"]["verdict"] == "within"
 
 
 def test_a_pair_with_a_broken_run_is_reported_and_left_out():

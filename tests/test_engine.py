@@ -9,6 +9,7 @@ import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import DEFAULT_KEY, mount
 from oblivsim import (
@@ -35,6 +36,7 @@ from oblivsim import (
 )
 import oblivsim.engine as engine_module
 from oblivsim.blockcrypto import SLOT_SIZE
+from oblivsim.blockfs import FLAG_REGULAR
 from oblivsim.shaper import SEND_QUEUE_FRAMES
 from oblivsim.shuffle import shuffle_pass
 
@@ -412,6 +414,85 @@ def test_the_record_has_a_closed_form(small_bundle, spec):
     padding = _padding_offsets(m)
     assert all(reads[r].offset in padding
                for r in range(n) if r % period == period - 1)
+
+
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("read"), st.integers(0, 1), st.integers(0, 12 * BLOCK_SIZE),
+              st.integers(1, 2 * BLOCK_SIZE)),
+    st.tuples(st.just("write0"), st.integers(0, 7), st.integers(0, 255)),
+    st.tuples(st.just("write1"), st.integers(0, 12 * BLOCK_SIZE),
+              st.integers(1, BLOCK_SIZE - 1)),
+    st.tuples(st.just("append"), st.integers(1, 3 * BLOCK_SIZE), st.integers(0, 255)),
+    st.tuples(st.just("rounds"), st.integers(1, 14))), max_size=30)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(capacity=st.sampled_from([2, 4]), seed=st.integers(0, 2**16), ops=_OPS)
+def test_a_pass_reads_every_file_block_once_under_writes(small_bundle, capacity,
+                                                         seed, ops):
+    # Whatever the writes, appends and cache did before it, a pass built
+    # at round r over L file blocks reads exactly their homes at that
+    # moment, each once, in rounds r to r + L - 1, and round r + L pads.
+    m = mount(small_bundle, seed=seed, config=EngineConfig(cache_capacity=capacity))
+    eng, fs, layout = m.engine, m.fs, m.store.layout
+    files = [bytearray(FILE_A), bytearray(FILE_B)]
+    fds = (fd0, fd1) = eng.regular_fd(0), eng.regular_fd(1)
+    passes = []
+
+    def recording_pass(fs, peek_cache, rng, fds=None):
+        homes = [fs.phys_of(fd, b) for fd in fs.files_with_flag(FLAG_REGULAR)
+                 for b in range(fs.file_blocks(fd))]
+        passes.append((eng.rounds_done, homes))
+        return shuffle_pass(fs, peek_cache, rng, fds)
+
+    eng.start_observation()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "shuffle_pass", recording_pass)
+        for op, *args in ops:
+            if op == "read":
+                index, offset, length = args
+                size = len(files[index])
+                offset %= size
+                length = min(length, size - offset)
+                assert eng.read_file(fds[index], offset, length) == \
+                    files[index][offset:offset + length]
+            elif op == "write0":
+                blk, byte = args
+                data = bytes([byte]) * BLOCK_SIZE
+                eng.write_file(fd0, blk * BLOCK_SIZE, data)
+                files[0][blk * BLOCK_SIZE:(blk + 1) * BLOCK_SIZE] = data
+            elif op == "write1":
+                offset, length = args
+                offset %= len(files[1]) - length
+                data = bytes([offset & 0xFF]) * length
+                eng.write_file(fd1, offset, data)
+                files[1][offset:offset + length] = data
+            elif op == "append":
+                length, byte = args
+                length = min(length, 12 * BLOCK_SIZE - len(files[1]))
+                if length:
+                    data = bytes([byte]) * length
+                    eng.write_file(fd1, len(files[1]), data)
+                    files[1] += data
+            else:
+                for _ in range(args[0]):
+                    eng.run_one_round()
+        eng.shuffle_now()
+    assert passes
+    interval = eng.config.round.interval_ns
+    reads = {}
+    for e in m.trace.of_kind(CallKind.DISK_READ):
+        assert e.ts % interval == 0
+        reads.setdefault(e.ts // interval, []).append(e.offset)
+    padding = {layout.data_offset(p) for p in eng.sched.dummy_targets}
+    for start, homes in passes:
+        walked = [off for r in range(start, start + len(homes)) for off in reads[r]]
+        assert len(walked) == len(homes) == len(set(homes))
+        assert sorted(walked) == sorted(layout.data_offset(h) for h in homes)
+        assert all(off in padding for off in reads[start + len(homes)])
+    for fd, data in zip(fds, files):
+        assert eng.read_file(fd, 0, len(data)) == data
+    assert fs.fsck() == []
 
 
 def test_a_write_to_a_carried_over_page_spends_one_read_slot(small_bundle):

@@ -121,21 +121,6 @@ def test_buffered_draws_read_the_chunked_generate_stream():
     assert rng.random_bytes(9) == oracle.generate(_CHUNK)[:9]
 
 
-def test_randbelow_each_is_the_per_draw_loop():
-    # One- to six-byte bounds, each in a run long enough to cross refills.
-    bounds = [1, 2, 3, 255, 256, 257, 65535, 65536, 65537, 2**23 + 1,
-              2**40 + 3] * 60
-    one, ref = Rng(b"each"), Rng(b"each")
-    assert one.randbelow_each(bounds) == [ref.randbelow(n) for n in bounds]
-    assert one.random_bytes(7) == ref.random_bytes(7)
-    assert one.randbelow_each([]) == []
-    # A bound below 1 raises after the draws before it, as the loop does.
-    with pytest.raises(ValueError, match="n >= 1"):
-        one.randbelow_each([5, 9, 0, 4])
-    ref.randbelow(5), ref.randbelow(9)
-    assert one.random_bytes(7) == ref.random_bytes(7)
-
-
 def test_drbg_is_deterministic_and_seed_sensitive():
     a = HmacDrbg(b"seed-a")
     b = HmacDrbg(b"seed-a")
@@ -154,8 +139,9 @@ def test_randbelow_stays_in_range(n, seed):
 
 def test_randbelow_rejects_nonpositive():
     rng = Rng(b"x")
-    with pytest.raises(ValueError):
-        rng.randbelow(0)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            rng.randbelow(n)
 
 
 def test_randbelow_has_no_visible_modulo_bias():

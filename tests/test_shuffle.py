@@ -139,8 +139,9 @@ def _fisher_yates_per_draw(items, rng):
                                       (257, 0), (65536, 0), (65537, 0),
                                       (700, _CHUNK - 1)])
 def test_fisher_yates_matches_the_per_draw_loop(n, prefix):
-    # One call takes the draws the per-draw loop takes, from the same
-    # bytes: the same permutation, and the stream left at the same place.
+    # fisher_yates takes the draws of the reference per-draw loop, from
+    # the same bytes: the same permutation, and the stream left at the
+    # same place.
     # With a prefix of _CHUNK - 1 bytes the first two-byte try straddles
     # the end of the first buffered chunk.
     ref, one = RngTree(n).stream("shuffle"), RngTree(n).stream("shuffle")

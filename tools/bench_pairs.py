@@ -7,7 +7,8 @@ runs the benchmark's own command from PARENT's ``BENCHMARK.json``
 working directory set to that checkout. Odd seeds run the parent first,
 even seeds the change. For each end-to-end metric it prints both
 medians, the parent's interquartile range, how many pairs the change
-won, and the change's relative move against the metric's bound. It also
+won, the change's relative move against the metric's bound, and one
+verdict (see ``verdict``). It also
 prints every run's raw set-up seconds (``raw.setup_s``) and minor page
 faults (the ``RUSAGE_CHILDREN`` ``ru_minflt`` delta around the run), so
 that glibc's two heap modes show up as two clusters, says whether each pair
@@ -75,6 +76,30 @@ def _relative(change: float, parent: float) -> float:
     return (change - parent) / abs(parent)
 
 
+def verdict(m: dict, pairs: int, lower: bool) -> str:
+    """A metric's verdict from its ``summarize`` figures, over ``pairs``
+    pairs run:
+
+    * ``gain``: the change won at least nine tenths of the pairs, ties
+      counting for neither side, and the medians differ, in the better
+      direction, by more than the parent's interquartile range;
+    * ``unresolved``: the parent's interquartile range is wider than the
+      bound times its median, unless every change run reads better than
+      every parent run;
+    * ``within``: the change's median is worse than the parent's by no
+      more than the bound;
+    * ``NO`` otherwise."""
+    # Positive when the change's median is better.
+    better = (m["parent_median"] - m["change_median"]) * (1 if lower else -1)
+    if 10 * m["change_wins"] >= 9 * pairs and better > m["parent_iqr"]:
+        return "gain"
+    parent, change = m["parent_runs"], m["change_runs"]
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if m["parent_iqr"] > m["bound"] * abs(m["parent_median"]) and not beats_all:
+        return "unresolved"
+    return "within" if -better <= m["bound"] * abs(m["parent_median"]) else "NO"
+
+
 def record_moves(pairs: list[tuple[int, dict, dict]]) -> dict:
     """Each simulated-record field but the trace digest that differs
     between parent and change in a pair where both printed a record: the
@@ -93,7 +118,8 @@ def record_moves(pairs: list[tuple[int, dict, dict]]) -> dict:
 def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> dict:
     """The summary of ``(seed, parent run, change run)`` triples, runs as
     ``parse_run`` returns them, over ``BENCHMARK.json``'s ``end_to_end``
-    list. A metric's figures use the pairs in which both runs are sound."""
+    list. A metric's figures use the pairs in which both runs are sound;
+    its verdict counts the change's wins against every pair run."""
     sound = [(p, c) for _, p, c in pairs if p["problem"] is None and c["problem"] is None]
     metrics = {}
     for spec in end_to_end:
@@ -104,16 +130,16 @@ def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> di
             continue
         q1, parent_median, q3 = _quartiles([p for p, _ in both])
         change_median = statistics.median(c for _, c in both)
-        move = _relative(change_median, parent_median)
-        metrics[name] = {
+        metrics[name] = m = {
             "parent_median": parent_median, "parent_q1": q1, "parent_q3": q3,
             "parent_iqr": q3 - q1, "change_median": change_median,
-            "change_vs_parent": move,
+            "change_vs_parent": _relative(change_median, parent_median),
             "change_wins": sum(c < p if lower else c > p for p, c in both),
             "ties": sum(c == p for p, c in both), "pairs": len(both),
-            "bound": spec["bound"], "within": (move if lower else -move) <= spec["bound"],
+            "bound": spec["bound"],
             "parent_runs": [p for p, _ in both], "change_runs": [c for _, c in both],
         }
+        m["verdict"] = verdict(m, len(pairs), lower)
     return {
         "seeds": [seed for seed, _, _ in pairs],
         "metrics": metrics,
@@ -139,12 +165,12 @@ def format_summary(workload: str, summary: dict) -> str:
     out = [f"{workload}: {len(summary['seeds'])} pairs, seeds "
            f"{summary['seeds'][0]}-{summary['seeds'][-1]}, odd seeds parent first",
            f"  {'metric':20s} {'parent med':>12s} {'parent IQR':>12s} "
-           f"{'change med':>12s} {'change':>8s} {'wins':>6s} {'bound':>6s}  within"]
+           f"{'change med':>12s} {'change':>8s} {'wins':>6s} {'bound':>6s}  verdict"]
     for name, m in summary["metrics"].items():
         out.append(f"  {name:20s} {m['parent_median']:12.6g} {m['parent_iqr']:12.6g} "
                    f"{m['change_median']:12.6g} {m['change_vs_parent']:+8.2%} "
                    f"{m['change_wins']:>3d}/{m['pairs']:<2d} {m['bound']:6.0%}  "
-                   f"{'yes' if m['within'] else 'NO'}")
+                   f"{m['verdict']}")
     for side, values in summary["raw_setup_s"].items():
         out.append(f"  raw setup_s {side}: " + " ".join(
             "-" if v is None else f"{v:.4f}" for v in values))

@@ -5,11 +5,13 @@
 runs CHECKOUT's ``benchmarks/run.py`` in this process for one workload
 and seed, with the workload's ``build`` and ``mount`` wrapped: a set-up
 runs from the start of ``build`` to the end of the ``mount`` that
-follows it. It prints one line per set-up, its ``ru_minflt`` count and
-its seconds, then a summary line (how many set-ups ran, how many after
-the first ``WARM_UP`` took fewer than ``FAST_FAULTS`` faults, the min,
-median and max faults, and the median seconds), then the run's result
-line, and exits with the run's status.
+follows it, and its build from the start to the end of ``build``; the
+mount's seconds are the rest. It prints one line per set-up, its
+``ru_minflt`` count and its seconds, whole, building and mounting, then a
+summary line (how many set-ups ran, how many after the first
+``WARM_UP`` took fewer than ``FAST_FAULTS`` faults, the min, median and
+max faults, and the median seconds, whole, building and mounting), then
+the run's result line, and exits with the run's status.
 
 Images are built in a prefaulted mapping of their own, so each set-up
 of a workload takes a fixed fault count: the mapping's pages, faulted
@@ -42,17 +44,20 @@ def _faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def summary(setups: list[tuple[int, float]]) -> str:
-    """One line over the (faults, seconds) of every set-up."""
+def summary(setups: list[tuple[int, float, float]]) -> str:
+    """One line over the (faults, build seconds, mount seconds) of every
+    set-up."""
     if not setups:
         return "summary: no set-up ran"
-    faults = [f for f, _s in setups]
+    faults = [f for f, _b, _m in setups]
     late = faults[WARM_UP:]
     fast = sum(f < FAST_FAULTS for f in late)
     return (f"summary: {len(setups)} set-ups, {fast} of {len(late)} after the first "
             f"{WARM_UP} under {FAST_FAULTS} faults; faults min {min(faults)} median "
             f"{statistics.median(faults):.10g} max {max(faults)}; median "
-            f"{statistics.median(s for _f, s in setups):.6f} s")
+            f"{statistics.median(b + m for _f, b, m in setups):.6f} s (build "
+            f"{statistics.median(b for _f, b, _m in setups):.6f} s, mount "
+            f"{statistics.median(m for _f, _b, m in setups):.6f} s)")
 
 
 def main(argv=None) -> int:
@@ -72,22 +77,24 @@ def main(argv=None) -> int:
     import run
     import workloads
 
-    setups = []  # (faults, seconds) per set-up
-    started = []
+    setups = []  # (faults, build seconds, mount seconds) per set-up
+    started = []  # (faults, start, end of build) of set-ups not yet mounted
 
     def build(fn):
         @functools.wraps(fn)
         def wrapped(*a, **kw):
-            started.append((_faults(), time.perf_counter()))
-            return fn(*a, **kw)
+            faults, t0 = _faults(), time.perf_counter()
+            bundle = fn(*a, **kw)
+            started.append((faults, t0, time.perf_counter()))
+            return bundle
         return wrapped
 
     def mount(fn):
         @functools.wraps(fn)
         def wrapped(*a, **kw):
             m = fn(*a, **kw)
-            faults, t0 = started.pop()
-            setups.append((_faults() - faults, time.perf_counter() - t0))
+            faults, t0, built = started.pop()
+            setups.append((_faults() - faults, built - t0, time.perf_counter() - built))
             return m
         return wrapped
 
@@ -99,8 +106,9 @@ def main(argv=None) -> int:
     with contextlib.redirect_stdout(out):
         status = run.main(["--workload", args.workload, "--seed", str(args.seed),
                            "--seconds", str(args.seconds), "--trace", str(args.trace)])
-    for k, (faults, seconds) in enumerate(setups):
-        print(f"setup {k}: {faults} minor faults, {seconds:.6f} s")
+    for k, (faults, built, mounted) in enumerate(setups):
+        print(f"setup {k}: {faults} minor faults, {built + mounted:.6f} s "
+              f"(build {built:.6f} s, mount {mounted:.6f} s)")
     print(summary(setups))
     lines = out.getvalue().splitlines()
     print(lines[-1] if lines else "")
