@@ -49,6 +49,7 @@ from .engine import (
     run_workload,
 )
 from .errors import InsufficientDataError, ModeError, ParameterError, SimError
+from .pagecache import BUDGET_PAGES
 from .sched import DEFAULT_ROUND_INTERVAL_NS, RoundConfig
 from .shaper import ShapingClass
 from .workload import parse_workload
@@ -396,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default=DEFAULT_ROUND_INTERVAL_NS, metavar="NS")
     rn.add_argument("--cache-k", type=int, default=None,
                     help="page cache capacity, and rounds per epoch (default: "
-                         "max(ceil(sqrt(blocks)), blocks / 16), at most 256)")
+                         "max(ceil(sqrt(blocks)), blocks / 16), at most "
+                         f"{BUDGET_PAGES})")
     rn.add_argument("--peer", action="append", type=int, metavar="RATE_BPS",
                     help="attach a shaped echo peer at this rate (repeatable)")
     rn.add_argument("--out", default=".", help="output directory")

@@ -135,7 +135,7 @@ def trace_fingerprint(round_cfg: RoundConfig, mtu: int) -> dict:
 class EngineConfig:
     round: RoundConfig = field(default_factory=RoundConfig)
     # Pages, and rounds per epoch. None: pagecache.default_capacity, the
-    # larger of ceil(sqrt(blocks)) and blocks / 16, at most 1 MiB.
+    # larger of ceil(sqrt(blocks)) and blocks / 16, at most BUDGET_PAGES.
     cache_capacity: int | None = None
 
 

@@ -25,9 +25,9 @@ landed every dirty page before it forgets any: no page is dropped
 unwritten. Every resident page is then carried over, in LRU order.
 
 Capacity defaults to max(ceil(sqrt(n)), ceil(n / 16)) pages of an
-n-block disk, capped by a trusted-memory budget of 1 MiB. The shelter
-sits in enclave memory behind a dict lookup, so its size is bounded by
-memory, not by the cost of scanning it.
+n-block disk, capped by a trusted-memory budget of ``BUDGET_PAGES``
+pages, 1.5 MiB. The shelter sits in enclave memory behind a dict lookup,
+so its size is bounded by memory, not by the cost of scanning it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Callable
 from .errors import ParameterError
 from .hostiface import BLOCK_SIZE
 
-BUDGET_PAGES = (1 << 20) // BLOCK_SIZE  # the shelter's trusted-memory budget
+BUDGET_PAGES = (3 << 19) // BLOCK_SIZE  # the shelter's trusted-memory budget, 1.5 MiB
 
 
 def default_capacity(n_blocks: int) -> int:

@@ -18,10 +18,10 @@ END_TO_END = [{"name": "setup_s", "better": "lower", "bound": 0.25},
 
 
 def stdout(setup_s, ops, raw, digest="aa", correct=True, failed=0, rounds=7, shuffles=0,
-           **record):
+           attempted=100, **record):
     """What ``benchmarks/run.py`` prints, trimmed to the lines the tool
     reads; ``record`` adds fields to the simulated record."""
-    result = {"correct": correct, "attempted": 100, "failed": failed,
+    result = {"correct": correct, "attempted": attempted, "failed": failed,
               "metrics": {"setup_s": {"value": setup_s, "unit": "s"},
                           "wall_ops_per_s": {"value": ops, "unit": "1/s"}}}
     return "\n".join([
@@ -40,7 +40,7 @@ def test_a_run_is_parsed_from_its_lines():
     assert run == {"metrics": {"setup_s": 0.03, "wall_ops_per_s": 900.0},
                    "raw_setup_s": 0.0351,
                    "record": {"rounds": 7, "shuffles": 0, "trace_sha256": "aa"},
-                   "minflt": 4137, "problem": None}
+                   "minflt": 4137, "attempted": 100, "problem": None}
     assert bench_pairs.parse_run(stdout(0.03, 900.0, 0.0351), 0)["minflt"] is None
 
 
@@ -187,3 +187,42 @@ def test_record_fields_that_move_are_listed_with_their_first_pair():
     assert ("  record dummy_reads: parent 290 change 34 (seed 2)\n"
             "  record real_reads: parent 710 change 966 (seed 2)\n") in text
     assert "record rounds" not in text and "record trace_sha256" not in text
+
+
+def test_each_side_splits_its_yardstick_into_rounds_and_us_per_op():
+    # The change runs fewer rounds per op, each op a little cheaper: µs
+    # per round rises because the rounds got fewer, not dearer. Medians
+    # are over each side's sound runs; a broken run is left out.
+    parent = [bench_pairs.parse_run(stdout(0.03, ops, 0.03, rounds=rounds, attempted=1000), 0)
+              for ops, rounds in ((1000.0, 3400), (800.0, 3300), (1250.0, 3500))]
+    change = [bench_pairs.parse_run(stdout(0.03, ops, 0.03, rounds=rounds, attempted=1000), 0)
+              for ops, rounds in ((1250.0, 2100), (1000.0, 2200), (2000.0, 2000))]
+    change[2]["problem"] = "incorrect (exit 1)"
+    summary = bench_pairs.summarize(
+        [(seed, p, c) for seed, p, c in zip((1, 2, 3), parent, change)], END_TO_END)
+    assert summary["per_op"]["parent"] == pytest.approx({"rounds": 3.4, "us": 1000.0})
+    assert summary["per_op"]["change"] == pytest.approx({"rounds": 2.15, "us": 900.0})
+    assert json.loads(json.dumps(summary))["per_op"] == summary["per_op"]
+    text = bench_pairs.format_summary("kv_mixed", summary)
+    assert ("  per op parent: 3.4 rounds, 1000 us (ref)\n"
+            "  per op change: 2.15 rounds, 900 us (ref)\n"
+            "  per op change vs parent: rounds -36.76%, us -10.00%\n") in text
+
+
+def test_a_side_with_no_sound_run_has_no_per_op_split():
+    broken = bench_pairs.parse_run("", 2)
+    good = bench_pairs.parse_run(stdout(0.03, 500.0, 0.03, rounds=900, attempted=300), 0)
+    summary = bench_pairs.summarize([(1, good, broken)], END_TO_END)
+    assert summary["per_op"] == {"parent": {"rounds": 3.0, "us": 2000.0},
+                                 "change": {"rounds": None, "us": None}}
+    text = bench_pairs.format_summary("kv_mixed", summary)
+    assert "  per op change: - rounds, - us (ref)\n" in text
+    assert "per op change vs parent" not in text
+
+
+def test_the_fault_lines_say_they_count_the_whole_run():
+    run = bench_pairs.parse_run(stdout(0.03, 900.0, 0.03), 0, minflt=250_000)
+    text = bench_pairs.format_summary("kv_mixed", bench_pairs.summarize([(1, run, run)],
+                                                                       END_TO_END))
+    assert ("  minor faults parent: 250000  (whole run; per set-up: "
+            "tools/setup_faults.py)") in text

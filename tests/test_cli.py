@@ -15,6 +15,7 @@ import pytest
 from conftest import DEFAULT_KEY, mount, retired_mode_header
 from oblivsim import (
     BLOCK_SIZE,
+    BUDGET_PAGES,
     ImageBundle,
     ProtectionMode,
     ProvisioningSecrets,
@@ -65,6 +66,13 @@ def test_python_dash_m_runs_the_cli_from_a_source_checkout(tmp_path):
     # main()'s own return code comes back: 2 for an image it cannot open.
     failed = run("fsck", "--image", str(tmp_path / "missing.img"))
     assert failed.returncode == 2 and failed.stderr.startswith("error:")
+
+
+def test_the_cache_k_help_names_the_budget(capsys):
+    with pytest.raises(SystemExit):
+        cli("run", "--help")
+    shown = " ".join(capsys.readouterr().out.split())
+    assert f"blocks / 16), at most {BUDGET_PAGES})" in shown
 
 
 def test_create_image_reports_the_remounted_layout(tmp_path, capsys):

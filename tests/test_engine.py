@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import DEFAULT_KEY, mount
 from oblivsim import (
     BLOCK_SIZE,
+    BUDGET_PAGES,
     CallKind,
     DescriptorError,
     EchoPeer,
@@ -381,6 +382,33 @@ def test_run_rounds_gives_exactly_n_rounds_across_a_pass_boundary(small_bundle):
     assert [i for i, out in enumerate(landed) if out] == \
         list(range(9, 20)) + list(range(29, 40))
     assert m.fs.fsck() == []
+
+
+def test_an_image_above_4096_blocks_gets_the_whole_budget(monkeypatch):
+    # 8192 / 16 = 512 pages is over the budget, so the shelter is the
+    # budget, and an idle epoch is that many rounds: passes of L + 1
+    # rounds start at C and 2C + L + 1.
+    bundle = build_image(8192, ProtectionMode.CRYPT_INTEGRITY, [FILE_A * 2],
+                         seed=3, key=DEFAULT_KEY)
+    m = mount(bundle, seed=3)
+    eng = m.engine
+    capacity, blocks = eng.cache.capacity, m.fs.file_blocks(eng.regular_fd(0))
+    assert (capacity, blocks) == (BUDGET_PAGES, 16)
+    starts = []
+    start_pass = eng._start_pass
+
+    def record_start():
+        starts.append(eng.rounds_done)
+        start_pass()
+
+    monkeypatch.setattr(eng, "_start_pass", record_start)
+    eng.start_observation()
+    eng.run_rounds(2 * (capacity + blocks + 1))
+    assert starts == [capacity, 2 * capacity + blocks + 1]
+    assert eng.shuffles == 2
+    landed = _written_outside_padding(m)
+    assert [i for i, out in enumerate(landed) if out] == \
+        [s + 1 + k for s in starts for k in range(blocks)]
 
 
 @pytest.mark.parametrize("spec", ["idle(104)", "randread(0,60)", "randread(1,60)",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "setup_faults.py"
@@ -34,3 +35,91 @@ def test_a_fixed_fault_count_reads_as_one_value():
 
 def test_no_set_up_is_said_plainly():
     assert setup_faults.summary([]) == "summary: no set-up ran"
+
+
+def test_the_summary_adds_the_median_calibration():
+    # Kernel ns before and after each set-up, and the scale 2 * 125 000 /
+    # (before + after) that setup_s applies: the slow middle set-up has a
+    # slow kernel on both sides, so its scale is small.
+    setups = [(4137, 0.018, 0.004), (4137, 0.026, 0.006), (4137, 0.018, 0.004)]
+    calibration = [(120_000, 130_000, 1.0), (160_000, 170_000, 250 / 330),
+                   (125_000, 125_000, 1.0)]
+    assert setup_faults.summary(setups, calibration) == (
+        "summary: 3 set-ups, 0 of 0 after the first 4 under 1000 faults; "
+        "faults min 4137 median 4137 max 4137; median 0.022000 s "
+        "(build 0.018000 s, mount 0.004000 s); median kernel 125.0 us before, "
+        "130.0 us after, scale 1.0000")
+    assert setup_faults.calibration_text(160_000, 170_000, 250 / 330) == (
+        "kernel 160.0 us before, 170.0 us after, scale 0.7576")
+
+
+_FAKE_HARNESS = '''
+CAL_REF_NS = 125_000
+_POINTS = iter([100_000, 150_000, 125_000, 90_000])
+
+
+def calibration_point():
+    return next(_POINTS)
+
+
+def scale(p0, p1):
+    return 2 * CAL_REF_NS / (p0 + p1)
+
+
+def run_pass(workload, setups):
+    calibration_point()
+    for _ in range(setups):
+        workload.mount(workload.build())
+        calibration_point()
+    calibration_point()  # a point after the ops belongs to no set-up
+'''
+
+_FAKE_WORKLOADS = '''
+class Fake:
+    def build(self):
+        return bytearray(1 << 16)
+
+    def mount(self, image):
+        return bytes(image)
+
+
+WORKLOADS = {"fake": Fake}
+'''
+
+_FAKE_RUN = '''
+import harness
+from workloads import WORKLOADS
+
+
+def main(argv):
+    harness.run_pass(WORKLOADS["fake"](), setups=2)
+    print('{"correct": true}')
+    return 0
+'''
+
+
+def test_each_set_up_gets_the_points_on_either_side_of_it(tmp_path, capsys):
+    # A stand-in checkout whose harness takes a point, two set-ups with a
+    # point after each, then one after the ops, as run_pass does.
+    bench = tmp_path / "benchmarks"
+    bench.mkdir()
+    for name, text in (("harness", _FAKE_HARNESS), ("workloads", _FAKE_WORKLOADS),
+                       ("run", _FAKE_RUN)):
+        (bench / f"{name}.py").write_text(text)
+    modules = {name: sys.modules.pop(name, None) for name in ("harness", "run", "workloads")}
+    path = list(sys.path)
+    try:
+        assert setup_faults.main([str(tmp_path), "fake", "1"]) == 0
+    finally:
+        sys.path[:] = path
+        for name, module in modules.items():
+            sys.modules.pop(name, None)
+            if module is not None:
+                sys.modules[name] = module
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("setup 0: ")
+    assert lines[0].endswith("; kernel 100.0 us before, 150.0 us after, scale 1.0000")
+    assert lines[1].endswith("; kernel 150.0 us before, 125.0 us after, scale 0.9091")
+    assert lines[2].endswith("; median kernel 125.0 us before, 137.5 us after, "
+                             "scale 0.9545")
+    assert lines[3] == '{"correct": true}'

@@ -10,14 +10,19 @@ medians, the parent's interquartile range, how many pairs the change
 won, the change's relative move against the metric's bound, and one
 verdict (see ``verdict``). It also
 prints every run's raw set-up seconds (``raw.setup_s``) and minor page
-faults (the ``RUSAGE_CHILDREN`` ``ru_minflt`` delta around the run), so
-that glibc's two heap modes show up as two clusters, says whether each pair
-simulated the same trace, prints each run's simulated rounds and shuffle
-passes from its "simulated record" line, lists every other field of that
-record that differs between parent and change in some pair (the digest
-aside), and names every run that was incorrect, failed operations or printed
-no result line; the exit status is 1 when there was one. ``--json`` writes
-the summary too.
+faults (the ``RUSAGE_CHILDREN`` ``ru_minflt`` delta around the whole run,
+set-ups and ops alike; ``tools/setup_faults.py`` counts them per set-up),
+says whether each pair simulated the same trace, prints each run's
+simulated rounds and shuffle passes from its "simulated record" line,
+lists every other field of that record that differs between parent and
+change in some pair (the digest aside), and names every run that was
+incorrect, failed operations or printed no result line; the exit status
+is 1 when there was one. ``--json`` writes the summary too.
+
+It splits the yardstick, ``wall_us_per_round``, per side into the median
+simulated rounds per op (the record's rounds over the ops attempted) and
+the median µs per op (1e6 / ``wall_ops_per_s``, in reference units), so
+that a move in µs per round shows whether the rounds got fewer or dearer.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ def parse_run(stdout: str, returncode: int, minflt: int | None = None) -> dict:
     """One run of ``benchmarks/run.py``: its end-to-end metrics from the
     last line, its raw set-up seconds, its whole simulated record (empty
     if it printed none), its minor page faults ``minflt`` as measured
-    around it, and ``problem``, which names what went wrong, or is None."""
+    around it, the ops it ``attempted``, and ``problem``, which names what
+    went wrong, or is None."""
     run = {"metrics": {}, "raw_setup_s": None, "record": {},
-           "minflt": minflt, "problem": None}
+           "minflt": minflt, "attempted": None, "problem": None}
     lines = stdout.strip().splitlines()
     for line in lines:
         words = line.split()
@@ -54,6 +60,7 @@ def parse_run(stdout: str, returncode: int, minflt: int | None = None) -> dict:
         run["problem"] = f"no result line (exit {returncode})"
         return run
     run["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+    run["attempted"] = result.get("attempted")
     if returncode != 0 or result.get("correct") is not True:
         run["problem"] = f"incorrect (exit {returncode})"
     elif result.get("failed"):
@@ -115,6 +122,18 @@ def record_moves(pairs: list[tuple[int, dict, dict]]) -> dict:
     return moves
 
 
+def per_op(runs: list[dict]) -> dict:
+    """Median simulated rounds and reference µs per op over the sound
+    ``runs`` that report them; None where none does."""
+    sound = [r for r in runs if r["problem"] is None]
+    rounds = [r["record"]["rounds"] / r["attempted"] for r in sound
+              if r["attempted"] and r["record"].get("rounds") is not None]
+    us = [1e6 / r["metrics"]["wall_ops_per_s"] for r in sound
+          if r["metrics"].get("wall_ops_per_s")]
+    return {"rounds": statistics.median(rounds) if rounds else None,
+            "us": statistics.median(us) if us else None}
+
+
 def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> dict:
     """The summary of ``(seed, parent run, change run)`` triples, runs as
     ``parse_run`` returns them, over ``BENCHMARK.json``'s ``end_to_end``
@@ -154,6 +173,8 @@ def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> di
                              for run in runs]
                       for side, runs in (("parent", [p for _, p, _ in pairs]),
                                          ("change", [c for _, _, c in pairs]))},
+        "per_op": {"parent": per_op([p for _, p, _ in pairs]),
+                   "change": per_op([c for _, _, c in pairs])},
         "record_moves": record_moves(pairs),
         "problems": [f"seed {seed} {side}: {run['problem']}"
                      for seed, p, c in pairs
@@ -175,12 +196,22 @@ def format_summary(workload: str, summary: dict) -> str:
         out.append(f"  raw setup_s {side}: " + " ".join(
             "-" if v is None else f"{v:.4f}" for v in values))
         out.append(f"  minor faults {side}: " + " ".join(
-            "-" if v is None else str(v) for v in summary["minflt"][side]))
+            "-" if v is None else str(v) for v in summary["minflt"][side])
+            + "  (whole run; per set-up: tools/setup_faults.py)")
     equal = summary["digests_equal"]
     out.append(f"  trace digests equal in {sum(equal)} of {len(equal)} pairs")
     for side, records in summary["simulated"].items():
         out.append(f"  rounds/shuffles {side}: " + " ".join(
             "-" if r is None else f"{r}/{'-' if n is None else n}" for r, n in records))
+    for side, m in summary["per_op"].items():
+        out.append(f"  per op {side}: "
+                   f"{'-' if m['rounds'] is None else format(m['rounds'], '.4g')} rounds, "
+                   f"{'-' if m['us'] is None else format(m['us'], '.4g')} us (ref)")
+    parent, change = summary["per_op"]["parent"], summary["per_op"]["change"]
+    if None not in (*parent.values(), *change.values()):
+        out.append(f"  per op change vs parent: rounds "
+                   f"{_relative(change['rounds'], parent['rounds']):+.2%}, us "
+                   f"{_relative(change['us'], parent['us']):+.2%}")
     out += [f"  record {key}: parent {m['parent']} change {m['change']} (seed {m['seed']})"
             for key, m in summary["record_moves"].items()] or ["  record moves: none"]
     out += [f"  PROBLEM {p}" for p in summary["problems"]] or ["  problems: none"]

@@ -6,12 +6,19 @@ runs CHECKOUT's ``benchmarks/run.py`` in this process for one workload
 and seed, with the workload's ``build`` and ``mount`` wrapped: a set-up
 runs from the start of ``build`` to the end of the ``mount`` that
 follows it, and its build from the start to the end of ``build``; the
-mount's seconds are the rest. It prints one line per set-up, its
-``ru_minflt`` count and its seconds, whole, building and mounting, then a
-summary line (how many set-ups ran, how many after the first
-``WARM_UP`` took fewer than ``FAST_FAULTS`` faults, the min, median and
-max faults, and the median seconds, whole, building and mounting), then
-the run's result line, and exits with the run's status.
+mount's seconds are the rest. The harness's ``calibration_point`` is
+wrapped too, so each set-up also has the kernel time of the point taken
+before it and of the one taken after it, and the scale that
+``setup_s`` applies to it, ``harness.scale`` of the two. It prints one
+line per set-up, its ``ru_minflt`` count, its seconds, whole, building
+and mounting, and its calibration, then a summary line (how many set-ups
+ran, how many after the first ``WARM_UP`` took fewer than
+``FAST_FAULTS`` faults, the min, median and max faults, the median
+seconds, whole, building and mounting, and the median kernel times and
+scale), then the run's result line, and exits with the run's status.
+
+If the host slows the kernel as much as the set-up, the scale falls as
+the raw seconds rise and the set-up's reference seconds stay put.
 
 Images are built in a prefaulted mapping of their own, so each set-up
 of a workload takes a fixed fault count: the mapping's pages, faulted
@@ -44,20 +51,31 @@ def _faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def summary(setups: list[tuple[int, float, float]]) -> str:
+def calibration_text(before_ns: float, after_ns: float, scale: float) -> str:
+    return (f"kernel {before_ns / 1e3:.1f} us before, {after_ns / 1e3:.1f} us after, "
+            f"scale {scale:.4f}")
+
+
+def summary(setups: list[tuple[int, float, float]],
+            calibration: list[tuple[float, float, float]] = ()) -> str:
     """One line over the (faults, build seconds, mount seconds) of every
-    set-up."""
+    set-up, and the (kernel ns before, kernel ns after, scale) of every
+    set-up that has both calibration points."""
     if not setups:
         return "summary: no set-up ran"
     faults = [f for f, _b, _m in setups]
     late = faults[WARM_UP:]
     fast = sum(f < FAST_FAULTS for f in late)
-    return (f"summary: {len(setups)} set-ups, {fast} of {len(late)} after the first "
+    line = (f"summary: {len(setups)} set-ups, {fast} of {len(late)} after the first "
             f"{WARM_UP} under {FAST_FAULTS} faults; faults min {min(faults)} median "
             f"{statistics.median(faults):.10g} max {max(faults)}; median "
             f"{statistics.median(b + m for _f, b, m in setups):.6f} s (build "
             f"{statistics.median(b for _f, b, _m in setups):.6f} s, mount "
             f"{statistics.median(m for _f, _b, m in setups):.6f} s)")
+    if calibration:
+        line += "; median " + calibration_text(
+            *(statistics.median(c[i] for c in calibration) for i in range(3)))
+    return line
 
 
 def main(argv=None) -> int:
@@ -74,15 +92,26 @@ def main(argv=None) -> int:
     if not (bench / "run.py").is_file():
         ap.error(f"no benchmarks/run.py under {root}")
     sys.path[:0] = [str(root / "src"), str(bench)]
+    import harness
     import run
     import workloads
 
     setups = []  # (faults, build seconds, mount seconds) per set-up
     started = []  # (faults, start, end of build) of set-ups not yet mounted
+    points = []  # every calibration point's kernel ns, in order
+    before = []  # per set-up, the index in points of the last point before it
+
+    def calibration_point(fn):
+        @functools.wraps(fn)
+        def wrapped():
+            points.append(fn())
+            return points[-1]
+        return wrapped
 
     def build(fn):
         @functools.wraps(fn)
         def wrapped(*a, **kw):
+            before.append(len(points) - 1)
             faults, t0 = _faults(), time.perf_counter()
             bundle = fn(*a, **kw)
             started.append((faults, t0, time.perf_counter()))
@@ -102,14 +131,19 @@ def main(argv=None) -> int:
     if cls is None:
         ap.error(f"workload must be one of {', '.join(workloads.WORKLOADS)}")
     cls.build, cls.mount = build(cls.build), mount(cls.mount)
+    harness.calibration_point = calibration_point(harness.calibration_point)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = run.main(["--workload", args.workload, "--seed", str(args.seed),
                            "--seconds", str(args.seconds), "--trace", str(args.trace)])
+    # A set-up lies between the last point before its build and the next.
+    calibration = [(points[i], points[i + 1], harness.scale(points[i], points[i + 1]))
+                   if 0 <= i < len(points) - 1 else None for i in before]
     for k, (faults, built, mounted) in enumerate(setups):
+        cal = f"; {calibration_text(*calibration[k])}" if calibration[k] else ""
         print(f"setup {k}: {faults} minor faults, {built + mounted:.6f} s "
-              f"(build {built:.6f} s, mount {mounted:.6f} s)")
-    print(summary(setups))
+              f"(build {built:.6f} s, mount {mounted:.6f} s){cal}")
+    print(summary(setups, [c for c in calibration if c]))
     lines = out.getvalue().splitlines()
     print(lines[-1] if lines else "")
     return status
