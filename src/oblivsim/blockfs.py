@@ -348,11 +348,6 @@ class BlockFs:
             raise ShuffleImpossibleError("0 free blocks; a shuffle pass needs 1")
         return []
 
-    def block_map(self, fd: int) -> list[int | None]:
-        """File ``fd``'s block map itself, not a copy: a shuffle pass
-        resolves it once and re-homes blocks through it."""
-        return self._inode(fd).block_map
-
     def draw_home(self, vacated: list[int]) -> int:
         """A block's new home, in one draw: a uniformly random free block,
         swapped out of the pool, or, once the pool is empty, a uniformly

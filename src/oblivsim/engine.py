@@ -10,12 +10,10 @@ Two I/O personalities implement the filesystem's block interface:
   round per read. Before either, a pass that is due or running is
   finished (``Engine.shuffle_now``), since the pass holds a snapshot of
   the cache. No queued write can target the block read. The write
-  queue has two sources: pages ``PageCache.flush`` wrote out, which
-  stay resident, and the write a round refused by the round budget
-  would have carried (``Engine.shuffle_round``). The queue drains
-  before the next pass starts, and a cut pass is due at once, so both
-  land before any later read. The pass lands every page of every file,
-  dirty ones included, and the cache's ``end_epoch`` checks that it did.
+  queue has one source, the pages ``PageCache.flush`` wrote out, which
+  stay resident; it drains before the next pass starts, so they land
+  before any later read. The pass lands every page of every file, dirty
+  ones included, and the cache's ``end_epoch`` checks that it did.
 * ``DirectIo`` is the passthrough path. Every block operation is a
   single immediate host call with a small fixed latency, no padding,
   no batching. It exists as the unprotected baseline, and
@@ -25,18 +23,18 @@ Two I/O personalities implement the filesystem's block interface:
 Epochs run on a fixed cadence. An epoch is exactly C rounds outside
 passes, where C is the page cache's capacity, and the round after the
 C-th is the first round of a shuffle pass over every data file, which
-takes L + 1 rounds for L file blocks. So every pass starts at a round
-index fixed by C and L alone, whatever the workload does, and an idle
-disk shuffles too. The one exception is the write queue, filled by
-``PageCache.flush`` or by a round the budget refused: it drains before
-a pass starts, and those rounds lengthen the epoch. ``run_one_round``
-runs one round of whatever is next, a pass step included, so a closed
-loop that runs rounds one at a time keeps its turn during a pass.
-Every pass is built one way, by ``shuffle_pass`` over the page cache's
-``peek``, and run to its end one way, by ``oblivious_shuffle`` from
-whatever step it was stepped to: each step is one ``shuffle_round``
-carrying the step's read and the previous step's write, with no trip
-through the write queue.
+takes L rounds for L file blocks, each a real read and a real write. So
+every pass starts at a round index fixed by C and L alone, whatever the
+workload does, and an idle disk shuffles too. The one exception is a
+write queue that ``PageCache.flush`` filled: it drains before a pass
+starts, and those rounds lengthen the epoch. A pass the budget cuts
+queues nothing. ``run_one_round`` runs one round of whatever is next, a
+pass step included, so a closed loop that runs rounds one at a time
+keeps its turn during a pass. Every pass is built one way, by
+``shuffle_pass`` over the page cache's ``peek``, and run to its end one
+way, by ``oblivious_shuffle`` from whatever step it was stepped to: each
+step is one ``shuffle_round`` carrying the step's read and its ``land``,
+which lands the same block in the same round.
 
 Nothing the engine owns refers back to it: the page cache is handed
 its fetch per call, and a ``CachedIo`` is built per file call. So a
@@ -299,28 +297,26 @@ class Engine:
 
     # Rounds -------------------------------------------------------------
 
-    def shuffle_round(self, read: int | None = None,
-                      write: tuple[int, bytes] | None = None) -> bytes | None:
+    def shuffle_round(self, read: int | None = None, land=None) -> bytes | None:
         """The net instants due by the next round's time, then the round
-        at that time, with ``read`` and ``write`` in its first slots;
+        at that time, with ``read`` in its first read slot and what
+        ``land`` gives in its first write slot (``RoundScheduler.run_round``);
         returns ``read``'s plaintext, or None. Each step of a pass, and
         every other round too. A round past the budget raises
-        ``RoundBudgetExhausted`` and reads nothing, but ``write`` is queued
-        first, so the next round that runs still lands it."""
+        ``RoundBudgetExhausted`` and runs nothing: it reads nothing,
+        calls no ``land`` and queues nothing."""
         sched = self.sched
         if sched is None:
             raise ModeError("batched rounds exist only on the protected path")
         done = sched.rounds
         if self.round_target is not None and done >= self.round_target:
-            if write is not None:
-                sched.submit_write(*write)
             raise RoundBudgetExhausted(f"round budget of {self.round_target} spent")
         t = done * self._interval_ns
         heap = self._net_due
         if heap and heap[0][0] <= t:
             self._run_net_until(t)
         self.clock.advance_to(t)
-        return sched.run_round(read, write)
+        return sched.run_round(read, land)
 
     def run_one_round(self) -> None:
         """Exactly one round: the next step of a pass that is due or
@@ -338,7 +334,8 @@ class Engine:
         try:
             if step is None:
                 step = next(steps)
-            self._pass = steps, steps.send(self.shuffle_round(*step))
+            self.shuffle_round(*step)
+            self._pass = steps, next(steps)
         except StopIteration as done:
             self._pass = None
             self._end_epoch(done.value)
@@ -645,11 +642,13 @@ def run_workload(engine: Engine, workload, target_rounds: int | None = None) -> 
     engine.round_target = target_rounds
     completed = True
     try:
-        workload.run(engine)
-    except RoundBudgetExhausted:
-        completed = False
-    if engine.oblivious and target_rounds is not None:
-        while engine.rounds_done < target_rounds:
-            engine.run_one_round()
-    engine.round_target = None
+        try:
+            workload.run(engine)
+        except RoundBudgetExhausted:
+            completed = False
+        if engine.oblivious and target_rounds is not None:
+            while engine.rounds_done < target_rounds:
+                engine.run_one_round()
+    finally:
+        engine.round_target = None
     return completed

@@ -3,9 +3,9 @@
 All disk traffic is reshaped into rounds at a fixed interval (default
 0.1 ms of simulated time). Every round performs exactly the configured
 number of reads followed by the configured number of writes. A read
-handed to the round and the writes handed or queued take their slots;
-every other slot is padding traffic against uniformly random blocks of
-the padding domain, the allocated blocks no file maps
+handed to the round, the block its ``land`` gives and the queued writes
+take their slots; every other slot is padding traffic against uniformly
+random blocks of the padding domain, the allocated blocks no file maps
 (``BlockFs.dummy_blocks``). An observer therefore sees the same call
 sequence, lengths and timing no matter what the workload does.
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from .blockcrypto import BLOCK_SIZE, BlockStore
 from .errors import ParameterError, SimError, SizeError
@@ -62,9 +63,10 @@ class RoundScheduler:
 
     # Submission ----------------------------------------------------------
 
-    # Kept only while ``benchmarks/`` names them: ``tracing.TARGETS`` wraps
-    # ``submit_read`` and ``pending_write_for``, and the ``kv_mixed`` drain
-    # loop reads ``pending_reads``. Nothing in ``src/`` calls them.
+    # Kept only while ``benchmarks/`` names them (ROADMAP item 1): the write
+    # queue (``submit_write``, ``pending_writes``, ``pending_write_for``,
+    # ``_writes`` and its drains, here and before a pass), whose one source
+    # is ``PageCache.flush``, and ``submit_read`` and ``pending_reads``.
     pending_reads = 0
 
     def submit_read(self, phys: int) -> None:
@@ -90,18 +92,18 @@ class RoundScheduler:
     # Execution -----------------------------------------------------------
 
     def run_round(self, read: int | None = None,
-                  write: tuple[int, bytes] | None = None) -> bytes | None:
+                  land: Callable | None = None) -> bytes | None:
         """One batch: reads run first and writes after. It takes no time
         and moves no clock; the engine has moved the clock to the round's
         instant, so every call is stamped there.
 
         ``read`` (a block) takes the first read slot, and padding the
-        rest. ``write`` (a block and its plaintext, one block long)
-        takes the first write slot, ahead of the queued writes, which
-        fill the next slots before padding does. Returns ``read``'s
-        plaintext, or None. A failed read (say, it does not
-        authenticate) still runs every slot and counts, so the cadence
-        holds, and then raises."""
+        rest. ``land``, called after the reads with ``read``'s plaintext
+        (None if no read), gives the (block, plaintext) the first write
+        slot lands; queued writes fill the next slots before padding
+        does. Returns ``read``'s plaintext, or None. A failed read (say,
+        it does not authenticate) still runs every slot and counts, so
+        the cadence holds, and then raises; ``land`` is not called."""
         store, writes = self.store, self._writes
         error: SimError | None = None
         served = None
@@ -119,8 +121,8 @@ class RoundScheduler:
             self.dummy_reads += 1
             padding -= 1
         slots = self._writes_per_round
-        if write is not None:
-            store.write_block(write[0], write[1])
+        if land is not None and error is None:
+            store.write_block(*land(served))
             self.real_writes += 1
             slots -= 1
         while slots:

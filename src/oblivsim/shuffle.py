@@ -2,61 +2,53 @@
 which blocks the workload cares about.
 
 The shuffle walks every block of the selected files in a uniformly
-random order. Each step is one round of the batched cadence. The pass
-is a generator, ``shuffle_pass``: it yields each round's first read
-slot and first write slot, and is sent the read's plaintext back:
+random order. Each step is one round of the batched cadence, so a pass
+of *n* steps takes *n* rounds. The pass is a generator,
+``shuffle_pass``: it yields each step's read and its ``land``:
 
 * the read slot reads the step's own block at its pre-pass home, so a
   pass reads every block it walks exactly once, in shuffle order,
   whatever the page cache holds;
-* the write slot lands the previous step's block, freshly re-encrypted,
-  at its new home: the cache's copy if the block is resident there, so
-  dirty bytes win, and otherwise the plaintext its step read. A last
-  round pads its read slot and lands the last step's block, so a pass
-  of *n* steps takes *n* + 1 rounds.
+* after the round's reads, ``land`` re-homes the block and gives the
+  first write slot the block, freshly re-encrypted, at its new home: the
+  cache's copy if the block is resident there, so dirty bytes win, and
+  otherwise the plaintext the read returned.
 
 So the pass persists every resident page of the files it walks, with
 the bytes the cache holds, dirty or not: no cache operation runs while
-the pass does.
+the pass does. No state passes from one step to the next but the list
+of vacated homes. ``shuffle_pass`` is the one factory and
+``oblivious_shuffle`` the one driver: it runs a pass from its start, or
+from any step it was stepped to one round at a time, through to its end.
 
-``shuffle_pass`` is the one factory and ``oblivious_shuffle`` the one
-driver: it runs a pass from its start, or from any step it was stepped
-to one round at a time, through to its end.
+The pass takes its shuffle order once, at its start, from
+``fisher_yates``: one ``Rng.randbelow`` draw per swap. Each step's
+``land`` re-homes its block with ``BlockFs.move_extent``: the new home
+is one ``BlockFs.draw_home`` draw, uniform over the free pool, and the
+old home joins the pass's list of vacated homes (``create_donors``
+starts it empty, and refuses a pass with no free block before any host
+call). The round calls ``land`` only once the step's read has
+authenticated, so when a round raises, the homes drawn so far are
+exactly those of the steps whose old homes were listed, each block
+already written at its new home, and the step that raised keeps its
+old home. ``unlink_all`` frees the list in one sweep when the pass
+ends, in its ``finally``. A round that raises (the round budget, a
+block that fails to authenticate) closes the pass at once, so a cut
+pass returns every vacated block before anything else runs.
 
-A step's read never needs the write queue. The engine drains it before
-the pass starts, and every step's write lands in the round after it, so
-the only write not yet on the host when a step reads is the one landing
-in that same round, after the read. A step reads a home that has not
-been stepped yet, so it is neither free nor vacated, and that write
-lands on a fresh pool draw or a vacated home.
-
-The pass does its bookkeeping once, at its start: it takes the files'
-block maps from ``BlockFs.block_map`` and its shuffle order from
-``fisher_yates``, one ``Rng.randbelow`` draw per swap.
-
-Each step then re-homes its block through its map: the new home is one
-``BlockFs.draw_home`` draw, the rule ``move_extent`` uses too, uniform
-over the free pool, and the old home joins the pass's list of vacated
-homes (``create_donors`` starts it empty, and refuses a pass with no
-free block before any host call). The draw follows the step's round,
-so when a round raises, the homes drawn so far are exactly those of
-the steps whose old homes were listed. ``unlink_all`` frees the list
-in one sweep when the pass ends, in its ``finally``. A round that
-raises (the round budget, a block that fails to authenticate) closes
-the pass at once, so a cut pass returns every vacated block before
-anything else runs.
-
+A step's read never needs the write queue: the engine drains it before
+the pass starts, and each earlier step's write landed in its own round.
 Vacated homes wait for the end of the pass rather than rejoining the
 pool at once. So while the pool lasts, the *k*-th step draws uniformly
 from the pool as it stood at the start of the pass minus the *k* - 1
 homes already drawn: the new homes are a uniform sample without
-replacement from that pool, drawn one element at a time. They are
-independent of where the blocks lived before, and no write lands on a
-home the pass reads. Only when the pool runs dry does a step take a
-uniformly random vacated home instead (a donor reuse). That write lands
-on a home the pass has read, so reuse is the fallback, never the rule.
-The shuffle stream's draws do not depend on the homes, so the slot
-sequence is the same either way.
+replacement from that pool, drawn one element at a time, independent of
+where the blocks lived before, and no file block lives at any of them.
+Only when the pool runs dry does a step take a uniformly random vacated
+home instead (a donor reuse), one an earlier step read. So no write
+lands on a home the pass has yet to read, and reuse is the fallback,
+never the rule. The shuffle stream's draws do not depend on the homes,
+so the slot sequence is the same either way.
 
 The observable pattern is a function of (num_shuff_blk, free blocks)
 only, never of file contents, of which file a block belongs to or of
@@ -66,7 +58,7 @@ what the cache holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import Callable, Generator
 
 from .blockfs import FLAG_REGULAR, BlockFs
 from .rng import Rng
@@ -101,17 +93,18 @@ def build_plan(fs: BlockFs, fds) -> ShufflePlan:
     return ShufflePlan(fds, sum(fs.file_blocks(fd) for fd in fds))
 
 
-Step = tuple[int | None, tuple[int, bytes] | None]
+Land = Callable[[bytes | None], tuple[int, bytes]]
+Step = tuple[int, Land]
 
 
 def shuffle_pass(fs: BlockFs, peek_cache, rng: Rng,
-                 fds=None) -> Generator[Step, bytes | None, ShuffleStats]:
-    """The pass, one round per step: yields each round's (read, write),
-    the block its first read slot reads and the (block, plaintext) its
-    first write slot lands, None for padding, and is sent the read's
-    plaintext. Returns the pass's stats. ``peek_cache(fd, lblk)`` gives
-    a resident page or None; the cache does not change while the pass
-    runs."""
+                 fds=None) -> Generator[Step, None, ShuffleStats]:
+    """The pass, one round per step: yields each round's (read, land),
+    the block its first read slot reads and the callable that, handed
+    that read's plaintext, re-homes the step's block and returns the
+    (new home, plaintext) its first write slot lands. Returns the pass's
+    stats. ``peek_cache(fd, lblk)`` gives a resident page or None; the
+    cache does not change while the pass runs."""
     if fds is None:
         fds = fs.files_with_flag(FLAG_REGULAR)
     plan = build_plan(fs, fds)
@@ -120,43 +113,35 @@ def shuffle_pass(fs: BlockFs, peek_cache, rng: Rng,
         return stats
     vacated = fs.create_donors()
     try:
-        maps = {fd: fs.block_map(fd) for fd in plan.fds}
         order = fisher_yates([(fd, b) for fd in plan.fds
                               for b in range(fs.file_blocks(fd))], rng)
         # Vacated homes rejoin the pool only after the pass, so each step
         # past the pool's size reuses one.
         reuses = max(0, len(order) - fs.free_blocks)
-        draw_home = fs.draw_home
-        landing = None  # the previous step's (new home, block)
+        phys_of, move_extent = fs.phys_of, fs.move_extent
         for fd, b in order:
-            block_map = maps[fd]
-            old = block_map[b]
-            data = yield old, landing
-            page = peek_cache(fd, b)
-            home = draw_home(vacated)
-            vacated.append(old)
-            block_map[b] = home
-            landing = (home, data if page is None else page)
-        yield None, landing
+            def land(data, fd=fd, b=b):
+                page = peek_cache(fd, b)
+                return move_extent(fd, b, vacated), data if page is None else page
+            yield phys_of(fd, b), land
         stats.swaps, stats.donor_reuses = len(order), reuses
     finally:
         fs.unlink_all(vacated)
     return stats
 
 
-def oblivious_shuffle(steps: Generator[Step, bytes | None, ShuffleStats],
+def oblivious_shuffle(steps: Generator[Step, None, ShuffleStats],
                       shuffle_round, step: Step | None = None) -> ShuffleStats:
     """Run the rest of a pass, each step's round run by
-    ``shuffle_round(read, write)``, which returns the read's plaintext:
-    ``step`` is the one ``steps`` yielded last, None if it has not
-    started. A round that raises closes the pass, which returns its
-    vacated homes before the error goes on."""
-    send = steps.send
+    ``shuffle_round(read, land)``: ``step`` is the one ``steps`` yielded
+    last and has not run, None if the pass has not started. A round that
+    raises closes the pass, which returns its vacated homes before the
+    error goes on."""
     try:
-        if step is None:
-            step = next(steps)
+        if step is not None:
+            shuffle_round(*step)
         while True:
-            step = send(shuffle_round(*step))
+            shuffle_round(*next(steps))
     except StopIteration as done:
         return done.value
     finally:

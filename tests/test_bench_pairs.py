@@ -189,6 +189,24 @@ def test_record_fields_that_move_are_listed_with_their_first_pair():
     assert "record rounds" not in text and "record trace_sha256" not in text
 
 
+def test_each_runs_digest_is_kept_per_side_in_seed_order():
+    # Whole in the summary and the JSON, 8 hex digits in the text, "-" for
+    # a run that printed no record.
+    p1, c1, p2 = "12345678" + "a" * 56, "9abcdef0" + "b" * 56, "0fedcba9" + "c" * 56
+    pairs = [(1, bench_pairs.parse_run(stdout(0.03, 900.0, 0.03, digest=p1), 0),
+              bench_pairs.parse_run(stdout(0.03, 900.0, 0.03, digest=c1), 0)),
+             (2, bench_pairs.parse_run(stdout(0.03, 900.0, 0.03, digest=p2), 0),
+              bench_pairs.parse_run("", 2))]
+    summary = bench_pairs.summarize(pairs, END_TO_END)
+    assert summary["digests"] == {"parent": [p1, p2], "change": [c1, None]}
+    assert json.loads(json.dumps(summary))["digests"] == summary["digests"]
+    assert summary["digests_equal"] == [False, False]
+    text = bench_pairs.format_summary("netecho", summary)
+    assert ("  digests parent: 12345678 0fedcba9\n"
+            "  digests change: 9abcdef0 -\n"
+            "  trace digests equal in 0 of 2 pairs\n") in text
+
+
 def test_each_side_splits_its_yardstick_into_rounds_and_us_per_op():
     # The change runs fewer rounds per op, each op a little cheaper: µs
     # per round rises because the rounds got fewer, not dearer. Medians

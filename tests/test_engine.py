@@ -19,6 +19,7 @@ from oblivsim import (
     DescriptorError,
     EchoPeer,
     EngineConfig,
+    IntegrityError,
     ModeError,
     ParameterError,
     PeerIdentity,
@@ -204,14 +205,15 @@ def test_idle_rounds_sit_on_the_interval_grid(small_bundle):
     m.engine.run_rounds(10)
     disk = m.trace.of_kind(CallKind.DISK_READ, CallKind.DISK_WRITE)
     assert len(disk) == 20
-    # The epoch's 8 rounds are padding; the pass's first two rounds read
-    # two file blocks, and the second lands the first one's block.
+    # The epoch's 8 rounds are padding; the pass's first two rounds each
+    # read a file block and land it at its new home.
     assert m.engine.cache.capacity == 8
     padding = {m.store.layout.data_offset(p) for p in m.fs.dummy_blocks()}
     assert {e.offset for e in disk[:16]} <= padding
+    assert not {e.offset for e in disk[16:]} & padding
     sched = m.engine.sched
     assert (sched.dummy_reads, sched.real_reads) == (8, 2)
-    assert (sched.dummy_writes, sched.real_writes) == (9, 1)
+    assert (sched.dummy_writes, sched.real_writes) == (8, 2)
     for i in range(10):
         read, write = disk[2 * i], disk[2 * i + 1]
         assert read.kind is CallKind.DISK_READ
@@ -297,8 +299,8 @@ def test_shuffle_lands_dirty_pages_without_a_flush(small_bundle):
     eng.start_observation()
     before = eng.rounds_done
     stats = eng.shuffle_now()
-    # No flush: the pass's rounds and the one that carries its last write.
-    assert eng.rounds_done - before == stats.plan.num_shuff_blk + 1
+    # No flush: one round per step of the pass.
+    assert eng.rounds_done - before == stats.plan.num_shuff_blk
     # No block took another's old home, so a write at one is a flush.
     assert stats.donor_reuses == 0
     written = {e.offset for e in m.trace.of_kind(CallKind.DISK_WRITE)}
@@ -356,7 +358,7 @@ def test_what_the_host_sees_at_mount_is_pinned(mode):
 
 # --- the epoch cadence ------------------------------------------------------
 # small_bundle's engine: C = 8 pages, so an epoch is 8 rounds, and a pass
-# over its L = 11 file blocks takes 12. Passes start at rounds 8, 28, 48...
+# over its L = 11 file blocks takes 11. Passes start at rounds 8, 27, 46...
 
 
 def _padding_offsets(m) -> set[int]:
@@ -365,7 +367,7 @@ def _padding_offsets(m) -> set[int]:
 
 def _written_outside_padding(m) -> list[int]:
     """Per round, whether its write landed outside the padding domain:
-    every pass round but the first lands a block, and no other does."""
+    every pass round lands a block, and no other does."""
     padding = _padding_offsets(m)
     return [e.offset not in padding for e in m.trace.of_kind(CallKind.DISK_WRITE)]
 
@@ -380,14 +382,14 @@ def test_run_rounds_gives_exactly_n_rounds_across_a_pass_boundary(small_bundle):
     assert len(m.trace.of_kind(CallKind.DISK_READ)) == 40
     landed = _written_outside_padding(m)
     assert [i for i, out in enumerate(landed) if out] == \
-        list(range(9, 20)) + list(range(29, 40))
+        list(range(8, 19)) + list(range(27, 38))
     assert m.fs.fsck() == []
 
 
 def test_an_image_above_4096_blocks_gets_the_whole_budget(monkeypatch):
     # 8192 / 16 = 512 pages is over the budget, so the shelter is the
-    # budget, and an idle epoch is that many rounds: passes of L + 1
-    # rounds start at C and 2C + L + 1.
+    # budget, and an idle epoch is that many rounds: passes of L rounds
+    # start at C and 2C + L.
     bundle = build_image(8192, ProtectionMode.CRYPT_INTEGRITY, [FILE_A * 2],
                          seed=3, key=DEFAULT_KEY)
     m = mount(bundle, seed=3)
@@ -403,22 +405,25 @@ def test_an_image_above_4096_blocks_gets_the_whole_budget(monkeypatch):
 
     monkeypatch.setattr(eng, "_start_pass", record_start)
     eng.start_observation()
-    eng.run_rounds(2 * (capacity + blocks + 1))
-    assert starts == [capacity, 2 * capacity + blocks + 1]
+    eng.run_rounds(2 * (capacity + blocks))
+    assert starts == [capacity, 2 * capacity + blocks]
     assert eng.shuffles == 2
     landed = _written_outside_padding(m)
     assert [i for i, out in enumerate(landed) if out] == \
-        [s + 1 + k for s in starts for k in range(blocks)]
+        [s + k for s in starts for k in range(blocks)]
 
 
 @pytest.mark.parametrize("spec", ["idle(104)", "randread(0,60)", "randread(1,60)",
                                   "reread(0,60)"])
 def test_the_record_has_a_closed_form(small_bundle, spec):
-    # Passes start at rounds fixed by C and L alone. Over 104 rounds
-    # that is five passes of L + 1 = 12 rounds and E = 44 rounds outside
-    # them, whatever the workload: shuffles = E // C. A read-only
-    # workload moves no block, so each pass reads the homes the idle
-    # run's pass reads, in the same order, whatever the cache holds.
+    # Passes start at rounds fixed by C and L alone: C epoch rounds, then
+    # a pass of L = 11 rounds, and again. Over 104 rounds that is five
+    # passes and E = rounds - shuffles * L = 49 rounds outside them,
+    # whatever the workload: the last period is cut one round into its
+    # pass, so shuffles = rounds // (C + L), and E // C counts the cut
+    # pass too. A read-only workload moves no block, so each pass reads
+    # the homes the idle run's pass reads, in the same order, whatever
+    # the cache holds.
     n, capacity, blocks = 104, 8, 11
     m = mount(small_bundle, seed=2)
     eng = m.engine
@@ -426,22 +431,21 @@ def test_the_record_has_a_closed_form(small_bundle, spec):
     assert run_workload(eng, parse_workload(spec), target_rounds=n)
     assert (eng.cache.capacity, m.fs.file_blocks(eng.regular_fd(0))
             + m.fs.file_blocks(eng.regular_fd(1))) == (capacity, blocks)
-    outside = n - eng.shuffles * (blocks + 1)
-    assert (eng.rounds_done, eng.shuffles, outside) == (n, 5, 44)
-    assert eng.shuffles == outside // capacity
+    outside = n - eng.shuffles * blocks
+    assert (eng.rounds_done, eng.shuffles, outside) == (n, 5, 49)
+    assert eng.shuffles == n // (capacity + blocks) == outside // capacity - 1
     idle = mount(small_bundle, seed=2)
     idle.engine.start_observation()
     idle.engine.run_rounds(n)
     assert _written_outside_padding(m) == _written_outside_padding(idle)
-    period = capacity + blocks + 1
-    steps = [r for r in range(n) if capacity <= r % period < period - 1]
+    period = capacity + blocks
+    steps = [r for r in range(n) if r % period >= capacity]
     reads, idle_reads = (run.trace.of_kind(CallKind.DISK_READ) for run in (m, idle))
-    assert len(steps) == 55
+    assert len(steps) == 56
     assert [reads[r].offset for r in steps] == [idle_reads[r].offset for r in steps]
-    # Each pass's last round pads its read slot.
+    # Every pass round reads a file block's home, never padding.
     padding = _padding_offsets(m)
-    assert all(reads[r].offset in padding
-               for r in range(n) if r % period == period - 1)
+    assert not any(reads[r].offset in padding for r in steps)
 
 
 _OPS = st.lists(st.one_of(
@@ -460,7 +464,8 @@ def test_a_pass_reads_every_file_block_once_under_writes(small_bundle, capacity,
                                                          seed, ops):
     # Whatever the writes, appends and cache did before it, a pass built
     # at round r over L file blocks reads exactly their homes at that
-    # moment, each once, in rounds r to r + L - 1, and round r + L pads.
+    # moment, each once, in rounds r to r + L - 1, and each of those
+    # rounds lands a block outside the padding domain, at L distinct homes.
     m = mount(small_bundle, seed=seed, config=EngineConfig(cache_capacity=capacity))
     eng, fs, layout = m.engine, m.fs, m.store.layout
     files = [bytearray(FILE_A), bytearray(FILE_B)]
@@ -508,16 +513,19 @@ def test_a_pass_reads_every_file_block_once_under_writes(small_bundle, capacity,
         eng.shuffle_now()
     assert passes
     interval = eng.config.round.interval_ns
-    reads = {}
-    for e in m.trace.of_kind(CallKind.DISK_READ):
+    reads, writes = {}, {}
+    for e in m.trace.of_kind(CallKind.DISK_READ, CallKind.DISK_WRITE):
         assert e.ts % interval == 0
-        reads.setdefault(e.ts // interval, []).append(e.offset)
+        log = reads if e.kind is CallKind.DISK_READ else writes
+        log.setdefault(e.ts // interval, []).append(e.offset)
     padding = {layout.data_offset(p) for p in eng.sched.dummy_targets}
     for start, homes in passes:
-        walked = [off for r in range(start, start + len(homes)) for off in reads[r]]
+        rounds = range(start, start + len(homes))
+        walked = [off for r in rounds for off in reads[r]]
         assert len(walked) == len(homes) == len(set(homes))
         assert sorted(walked) == sorted(layout.data_offset(h) for h in homes)
-        assert all(off in padding for off in reads[start + len(homes)])
+        landed = [off for r in rounds for off in writes[r]]
+        assert len(set(landed)) == len(homes) and not padding & set(landed)
     for fd, data in zip(fds, files):
         assert eng.read_file(fd, 0, len(data)) == data
     assert fs.fsck() == []
@@ -592,9 +600,9 @@ def test_a_stepped_pass_cut_by_the_budget_frees_its_vacated_homes(small_bundle):
     assert m.fs.free_blocks == free and m.fs.fsck() == []
 
 
-@pytest.mark.parametrize("k", [0, 1, 11])
+@pytest.mark.parametrize("k", [0, 1, 10])
 def test_a_pass_finished_by_a_read_matches_one_stepped_to_its_end(small_bundle, k):
-    # The pass due at round 8 is stepped k of its L + 1 = 12 rounds, and
+    # The pass due at round 8 is stepped k of its L = 11 rounds, and
     # a read finishes it through shuffle_now; k = 0 leaves it to the read
     # to start. Stepping it to its end first gives the same run.
     def run(stepped):
@@ -608,10 +616,94 @@ def test_a_pass_finished_by_a_read_matches_one_stepped_to_its_end(small_bundle, 
                 [ino.block_map and list(ino.block_map) for ino in fs.inodes],
                 list(fs._free), eng.rng.stream("shuffle").randbelow(2**20))
 
-    resumed, stepped = run(k), run(12)
+    resumed, stepped = run(k), run(11)
     assert resumed == stepped
     assert resumed[0] == FILE_A[5 * BLOCK_SIZE:5 * BLOCK_SIZE + 64]
-    assert resumed[1:3] == (21, 1)
+    assert resumed[1:3] == (20, 1)
+
+
+def test_passes_start_exactly_c_plus_l_rounds_apart_under_mixed_ops(monkeypatch):
+    # Reads, whole-block and partial writes and appends, with no flush:
+    # an epoch is exactly C rounds and a pass exactly its L rounds, so
+    # each pass starts C + L rounds after the one before, with L counted
+    # when that one started.
+    bundle = build_image(256, ProtectionMode.CRYPT_INTEGRITY,
+                         [bytes(16 * BLOCK_SIZE), bytes(8 * BLOCK_SIZE)],
+                         seed=4, key=DEFAULT_KEY)
+    m = mount(bundle, seed=4)
+    eng, fs = m.engine, m.fs
+    a, b = eng.regular_fd(0), eng.regular_fd(1)
+    starts = []
+    start_pass = eng._start_pass
+
+    def record_start():
+        starts.append((eng.rounds_done, fs.file_blocks(a) + fs.file_blocks(b)))
+        start_pass()
+
+    monkeypatch.setattr(eng, "_start_pass", record_start)
+    for i in range(120):
+        fd, op = (a, b)[i % 2], i % 5
+        blk = (7 * i) % fs.file_blocks(fd)
+        if op in (0, 1):
+            eng.read_file(fd, blk * BLOCK_SIZE + i, 100)
+        elif op == 2:
+            eng.write_file(fd, blk * BLOCK_SIZE, bytes([i]) * BLOCK_SIZE)
+        elif op == 3:
+            eng.write_file(fd, blk * BLOCK_SIZE + 9, b"partial %d" % i)
+        else:
+            eng.write_file(b, fs.file_size(b), bytes([i]) * 1500)
+        if i % 17 == 0:
+            eng.run_rounds(3)
+    assert eng.cache.capacity == 16 and starts[0][0] == 16
+    assert len(starts) >= 4 and starts[-1][1] > starts[0][1] > 24
+    assert eng.sched.pending_writes == 0
+    for (start, blocks), (after, _blocks) in zip(starts, starts[1:]):
+        assert after - start == 16 + blocks
+    eng.shuffle_now()  # a running pass holds its vacated homes until it ends
+    assert fs.fsck() == []
+
+
+def test_a_pass_cut_by_the_budget_queues_nothing_and_the_next_round_restarts_it(
+        small_bundle, monkeypatch):
+    m = mount(small_bundle, seed=2)
+    eng = m.engine
+    eng.run_rounds(8)
+    eng.round_target = eng.rounds_done + 5
+    with pytest.raises(RoundBudgetExhausted):
+        eng.run_rounds(10)
+    assert eng.sched.pending_writes == 0
+    eng.round_target = None
+    starts = []
+    start_pass = eng._start_pass
+    monkeypatch.setattr(eng, "_start_pass",
+                        lambda: starts.append(eng.rounds_done) or start_pass())
+    eng.start_observation()
+    eng.run_one_round()
+    # The next round is the first step of a fresh pass: it reads a file
+    # block's home and lands that block.
+    assert starts == [13]
+    assert not {e.offset for e in m.trace.events} & _padding_offsets(m)
+    assert (eng.sched.real_reads, eng.sched.real_writes) == (5 + 1, 5 + 1)
+
+
+def test_a_tampered_home_pads_its_rounds_write_and_keeps_the_block_home(small_bundle):
+    m = mount(small_bundle, seed=3)
+    eng, fs = m.engine, m.fs
+    fd = eng.regular_fd(0)
+    home = fs.phys_of(fd, 5)
+    m.host.image[m.store.layout.data_offset(home)] ^= 0x01
+    eng.start_observation()
+    with pytest.raises(IntegrityError):
+        eng.shuffle_now()
+    read, write = m.trace.events[-2:]
+    assert (read.kind, write.kind) == (CallKind.DISK_READ, CallKind.DISK_WRITE)
+    assert read.offset == m.store.layout.data_offset(home)
+    # The block was not the pass's first step, and its round landed
+    # nothing: the write slot padded and the map kept the old home.
+    assert eng.rounds_done > 1
+    assert write.offset in _padding_offsets(m)
+    assert fs.phys_of(fd, 5) == home
+    assert fs.fsck() == []
 
 
 # --- a protected mount keeps one block free for its passes -------------------
@@ -673,9 +765,13 @@ PINNED_OPS = [("w", 0, 0), ("w", 0, 1), ("w", 1, 0), ("r", 0, 0), ("r", 0, 1),
               ("p", 1, 2), ("r", 0, 5), ("r", 0, 5), ("w", 0, 6), ("r", 0, 0),
               ("r", 1, 0), ("p", 0, 3), ("r", 0, 6), ("r", 1, 1), ("w", 0, 7),
               ("r", 0, 1)]
-PINNED_TRACE_SHA256 = "27b6b2c2df5df1d988463b49243cefaa6a1d8fba7a2d5000b7d43b9a40d00082"
-PINNED_COUNTERS = {"rounds": 129, "real_reads": 119, "dummy_reads": 10, "real_writes": 100,
-                   "dummy_writes": 29, "shuffles": 9, "cache_hits": 2,
+# The trace was re-pinned when a pass step began landing its block in
+# its own round: the reads and writes outside the padding domain and the
+# final block maps stayed as they were, in the same order, plus the one
+# landing the last, unfinished pass no longer holds back for a round.
+PINNED_TRACE_SHA256 = "76d19b4f6f55a2c96d94ecb1c11ae252cb54c7eec12d4296295c363457e78461"
+PINNED_COUNTERS = {"rounds": 120, "real_reads": 119, "dummy_reads": 1, "real_writes": 101,
+                   "dummy_writes": 19, "shuffles": 9, "cache_hits": 2,
                    "net_real": 0, "net_dummy": 0}
 
 
@@ -714,9 +810,9 @@ def test_a_miss_refused_by_the_budget_makes_no_host_call(small_bundle):
     assert eng.read_file(eng.regular_fd(0), 0, 4) == FILE_A[:4]
 
 
-# The pass over small_bundle's 11 blocks takes 12 rounds: one per step,
-# then the round that lands the last step's write.
-@pytest.mark.parametrize("cut", [0, 1, 4, 7, 10, 11])
+# The pass over small_bundle's 11 blocks takes 11 rounds, one per step:
+# a budget of ``cut`` rounds cuts it at step ``cut``.
+@pytest.mark.parametrize("cut", [0, 1, 4, 7, 10])
 def test_a_pass_cut_by_the_budget_loses_no_block(small_bundle, cut):
     m = mount(small_bundle, seed=4, config=EngineConfig(cache_capacity=4))
     eng = m.engine
@@ -726,9 +822,8 @@ def test_a_pass_cut_by_the_budget_loses_no_block(small_bundle, cut):
     eng.round_target = eng.rounds_done + cut
     with pytest.raises(RoundBudgetExhausted):
         eng.shuffle_now()
-    # Past the first round, the write the refused round would have
-    # carried is still queued.
-    assert eng.sched.pending_writes == (cut > 0)
+    # Each step that ran landed its own block, so nothing is queued.
+    assert eng.sched.pending_writes == 0
     eng.round_target = None
     expected = FILE_A[:2 * BLOCK_SIZE] + b"\x77" * BLOCK_SIZE + FILE_A[3 * BLOCK_SIZE:]
     assert eng.read_file(a, 0, len(FILE_A)) == expected
@@ -737,12 +832,14 @@ def test_a_pass_cut_by_the_budget_loses_no_block(small_bundle, cut):
 
 
 # A pass under two read and two write slots per round: each step's read
-# and the previous step's write take the first slot of each kind, and
-# padding fills the rest. Pinned: the export's SHA-256 and the counters.
+# and the landing of its block take the first slot of each kind, and
+# padding fills the rest. Pinned: the export's SHA-256 and the counters,
+# re-pinned like PINNED_TRACE_SHA256, with the same real reads, real
+# writes and block maps.
 MULTI_SLOT_SHUFFLE_SHA256 = \
-    "a7a47bb4d2d401e44d8d39a37533da1ae6065fba9e7d58b9814b6e5874422ee1"
-MULTI_SLOT_SHUFFLE_COUNTERS = {"rounds": 19, "real_reads": 16, "dummy_reads": 22,
-                               "real_writes": 11, "dummy_writes": 27, "shuffles": 1,
+    "56612b728dc58d8b839747e588a4fb1cf56c0456cc3b21a6300e5c70ec94ef42"
+MULTI_SLOT_SHUFFLE_COUNTERS = {"rounds": 18, "real_reads": 16, "dummy_reads": 20,
+                               "real_writes": 11, "dummy_writes": 25, "shuffles": 1,
                                "cache_hits": 2, "net_real": 0, "net_dummy": 0}
 
 
@@ -893,9 +990,12 @@ LATE_LINK = (7, 120_000_000, 240_000_000)
 # (endpoint, sent_real, sent_dummy) per link and (endpoint,
 # received_real, received_dummy) per peer. The trace was re-pinned when
 # idle disks started to shuffle on the epoch cadence: its disk offsets
-# moved, and the net calls and echoes stayed byte for byte.
+# moved, and the net calls and echoes stayed byte for byte. It was
+# re-pinned again when a pass step began landing its block in its own
+# round: the disk reads and writes outside the padding domain and the
+# final block maps stayed as they were.
 MIXED_LINKS_TRACE_SHA256 = \
-    "b24846289fa6e222bfc838b83d29baca491b644bcfcbf841e65cf2ed9adf93dc"
+    "20f2c7b970f665d06968da78848002692ae2a6a33f2f6d7f3b3591c717b61c1e"
 MIXED_LINKS_ECHO_SHA256 = \
     "04c085e935456cb27b064cfe6e604d5841297b772cb2b431f52b5e6008bb2bdd"
 MIXED_LINKS_SENT = [(0, 20, 79), (1, 20, 30), (2, 20, 54), (3, 20, 5),
@@ -957,11 +1057,13 @@ def test_mixed_link_event_order_is_pinned(small_bundle):
 # Mbit/s the link and its peer are due every 240 us, so some rounds
 # have net instants before them and some have none. Pinned: the export's
 # SHA-256, the engine's counters and, per session, (sent_real,
-# sent_dummy, received_real, received_dummy).
+# sent_dummy, received_real, received_dummy); re-pinned like
+# PINNED_TRACE_SHA256, with the same real reads, real writes and block
+# maps.
 LIVE_LINK_SHUFFLE_SHA256 = \
-    "397a6a706050ee6850afe8428ed0ae63636ff5a7efbbb7e17208ccc83a3d502d"
-LIVE_LINK_SHUFFLE_COUNTERS = {"rounds": 39, "real_reads": 24, "dummy_reads": 15,
-                              "real_writes": 22, "dummy_writes": 17, "shuffles": 2,
+    "184d05680b7e84d3edcb35343c1c6256264beefa3f62da5894cf45758d0288e0"
+LIVE_LINK_SHUFFLE_COUNTERS = {"rounds": 37, "real_reads": 24, "dummy_reads": 13,
+                              "real_writes": 22, "dummy_writes": 15, "shuffles": 2,
                               "cache_hits": 1, "net_real": 5, "net_dummy": 11}
 LIVE_LINK_SHUFFLE_SESSIONS = [(5, 11, 5, 11), (5, 11, 5, 10)]
 
@@ -1174,6 +1276,21 @@ def test_short_workload_padded_to_the_target(small_bundle):
     done = run_workload(eng, parse_workload("idle(2)"), target_rounds=6)
     assert done is True
     assert eng.rounds_done == 6
+
+
+class _FailsAfterThreeRounds:
+    def run(self, engine):
+        engine.run_rounds(3)
+        raise ParameterError("the workload gave up")
+
+
+def test_a_workload_that_raises_leaves_no_round_budget(small_bundle):
+    eng = mount(small_bundle).engine
+    with pytest.raises(ParameterError, match="gave up"):
+        run_workload(eng, _FailsAfterThreeRounds(), target_rounds=100)
+    assert eng.round_target is None
+    eng.run_rounds(110)
+    assert eng.rounds_done == 113
 
 
 def test_same_seed_same_trace(small_bundle):

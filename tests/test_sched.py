@@ -125,14 +125,27 @@ def test_real_requests_take_the_slots():
     assert store.read_block(6) == b"\x43" * BLOCK_SIZE
 
 
-def test_a_handed_read_and_write_take_the_first_slots():
+def _landing(store, phys, calls):
+    """A ``land`` that logs what it is handed, and how many calls the
+    host had seen by then, and lands its plaintext at ``phys``."""
+    def land(data):
+        calls.append((data, len(store.iface.trace.events)))
+        return phys, data if data is not None else b"\x0e" * BLOCK_SIZE
+    return land
+
+
+def test_land_gets_its_rounds_read_after_every_read_slot():
     store, sched = make_sched(RoundConfig(reads_per_round=2, writes_per_round=2))
     for phys in (5, 6):
         store.write_block(phys, bytes([phys]) * BLOCK_SIZE)
     sched.submit_write(7, b"\x07" * BLOCK_SIZE)
     store.iface.trace.reset()
-    assert sched.run_round(5, (8, b"\x08" * BLOCK_SIZE)) == b"\x05" * BLOCK_SIZE
-    # The handed read, padding, the handed write, then the queued one.
+    calls = []
+    assert sched.run_round(5, _landing(store, 8, calls)) == b"\x05" * BLOCK_SIZE
+    # Called once, after both read slots and before any write, with the
+    # plaintext of the round's own read.
+    assert calls == [(b"\x05" * BLOCK_SIZE, 2)]
+    # The handed read, padding, the landed block, then the queued write.
     offsets = [e.offset for e in store.iface.trace.events]
     assert offsets[0] == store.layout.data_offset(5)
     assert offsets[1] in {store.layout.data_offset(p) for p in DUMMIES}
@@ -140,10 +153,39 @@ def test_a_handed_read_and_write_take_the_first_slots():
     assert sched.pending_writes == 0
     assert (sched.real_reads, sched.real_writes) == (1, 2)
     assert (sched.dummy_reads, sched.dummy_writes) == (1, 0)
+    assert store.read_block(8) == b"\x05" * BLOCK_SIZE
     # Handed over alone, they leave the other slots to padding.
-    assert sched.run_round(6, (9, b"\x09" * BLOCK_SIZE)) == b"\x06" * BLOCK_SIZE
+    assert sched.run_round(6, _landing(store, 9, calls)) == b"\x06" * BLOCK_SIZE
     assert (sched.dummy_reads, sched.dummy_writes) == (2, 1)
-    assert store.read_block(9) == b"\x09" * BLOCK_SIZE
+    assert store.read_block(9) == b"\x06" * BLOCK_SIZE
+
+
+def test_land_handed_without_a_read_gets_none():
+    store, sched = make_sched()
+    store.iface.trace.reset()
+    calls = []
+    assert sched.run_round(None, _landing(store, 8, calls)) is None
+    assert calls == [(None, 1)]
+    assert (sched.dummy_reads, sched.real_writes, sched.dummy_writes) == (1, 1, 0)
+    assert store.iface.trace.events[1].offset == store.layout.data_offset(8)
+    assert store.read_block(8) == b"\x0e" * BLOCK_SIZE
+
+
+def test_land_is_not_called_after_a_failed_read():
+    store, sched = make_sched()
+    store.write_block(5, b"\x42" * BLOCK_SIZE)
+    store.iface.host.image[store.layout.data_offset(5)] ^= 0x01
+    store.iface.trace.reset()
+    calls = []
+    with pytest.raises(IntegrityError):
+        sched.run_round(5, _landing(store, 8, calls))
+    # The round still runs its write slot, as padding, and counts.
+    assert calls == []
+    assert sched.rounds == 1
+    assert (sched.real_reads, sched.real_writes, sched.dummy_writes) == (1, 0, 1)
+    write = store.iface.trace.events[1]
+    assert write.kind is CallKind.DISK_WRITE
+    assert write.offset in {store.layout.data_offset(p) for p in DUMMIES}
 
 
 def test_busy_and_idle_rounds_share_a_shape():

@@ -3,7 +3,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import re
 from itertools import count, permutations
 
 import pytest
@@ -34,35 +33,24 @@ from oblivsim.shuffle import fisher_yates
 
 
 class FakeIo:
-    """Shuffle rounds against a phys-keyed dict; logs every slot. A round
-    reads before it writes, as the engine's do."""
+    """Shuffle rounds against a phys-keyed dict; logs every slot. Each
+    round of a pass reads one block and then lands one, as the engine's
+    rounds do."""
 
     def __init__(self, resident=None):
         self.pages: dict[int, bytes] = {}
         self.read_log: list[int] = []
         self.write_log: list[int] = []
         self.rounds = 0
-        self.padding_reads = 0
-        # Every slot a round hands over, in order: "r<phys>" or "p" (a
-        # padding read), then "w<phys>" if the round lands a block.
-        self.slot_log: list[str] = []
         self.resident = dict(resident or {})
 
-    def shuffle_round(self, read, write):
+    def shuffle_round(self, read, land):
         self.rounds += 1
-        data = None
-        if read is None:
-            self.padding_reads += 1
-            self.slot_log.append("p")
-        else:
-            self.read_log.append(read)
-            self.slot_log.append(f"r{read}")
-            data = self.pages[read]
-        if write is not None:
-            phys, block = write
-            self.write_log.append(phys)
-            self.slot_log.append(f"w{phys}")
-            self.pages[phys] = bytes(block)
+        self.read_log.append(read)
+        data = self.pages[read]
+        phys, block = land(data)
+        self.write_log.append(phys)
+        self.pages[phys] = bytes(block)
         return data
 
     def peek_cache(self, fd, lblk):
@@ -182,14 +170,12 @@ def test_every_step_spends_exactly_one_read_slot():
     fs, io, fds = make_world()
     before = placements(fs, fds)
     stats = run_shuffle(fs, io, RngTree(3).stream("shuffle"))
-    # Each step reads its own block's pre-pass home, once; the last round
-    # pads its read slot and lands the last step's block, and each step's
-    # block rides in the next round.
-    assert len(io.read_log) == len(io.write_log) == stats.swaps
+    # Each step reads its own block's pre-pass home, once, and lands that
+    # block at its new home in the same round: a round per step.
+    assert io.rounds == len(io.read_log) == len(io.write_log) == stats.swaps
     assert sorted(io.read_log) == sorted(before.values())
-    assert io.rounds == stats.swaps + 1 and io.padding_reads == 1
-    kinds = "".join(slot[0] for slot in io.slot_log)
-    assert re.fullmatch(r"r(rw)*pw", kinds)
+    block_at, after = {phys: key for key, phys in before.items()}, placements(fs, fds)
+    assert io.write_log == [after[block_at[phys]] for phys in io.read_log]
 
 
 def test_cache_resident_blocks_read_their_own_home_and_land_the_cached_bytes():
@@ -204,7 +190,7 @@ def test_cache_resident_blocks_read_their_own_home_and_land_the_cached_bytes():
     # resident or not.
     order = fisher_yates([(fd, b) for b in range(4)], RngTree(4).stream("shuffle"))
     assert io.read_log == [before[key] for key in order]
-    assert stats.swaps == 4 and io.padding_reads == 1
+    assert stats.swaps == io.rounds == 4
     # The dirty page's cached bytes land, not the bytes its step read.
     assert io.pages[fs.phys_of(fd, 0)] == b"dirty"
     for b in range(1, 4):
@@ -249,7 +235,7 @@ def test_a_pool_smaller_than_the_largest_file_is_room_enough():
     pool, before = set(fs._free), placements(fs, fds)
     assert len(pool) == 1
     stats = run_shuffle(fs, io, RngTree(4).stream("shuffle"), fds)
-    assert (stats.swaps, stats.donor_reuses, io.rounds) == (40, 39, 41)
+    assert (stats.swaps, stats.donor_reuses, io.rounds) == (40, 39, 40)
     assert set(io.write_log[:1]) == pool
     assert set(io.write_log[1:]) <= set(before.values())
     assert placements(fs, fds) != before
@@ -395,14 +381,10 @@ def _host_io_digest(io, fs, fds, stats=None) -> str:
     index = {fd: i for i, fd in enumerate(fds)}
     maps = sorted([index[fd], b, phys]
                   for (fd, b), phys in placements(fs, fds).items())
-    record = {"reads": io.read_log, "writes": io.write_log, "slots": io.slot_log,
-              "maps": maps}
+    record = {"reads": io.read_log, "writes": io.write_log, "maps": maps}
     if stats is not None:
         record["stats"] = shape = dataclasses.asdict(stats)
         shape["plan"]["fds"] = [index[fd] for fd in stats.plan.fds]
-        # The digests were pinned while a plan also carried its largest
-        # file's size; it is put back here, so the pins stand unchanged.
-        shape["plan"]["max_blk"] = max(map(fs.file_blocks, stats.plan.fds), default=0)
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
@@ -410,53 +392,52 @@ def test_placement_is_pinned_while_the_pool_lasts():
     # Three files of 4, 4 and 2 blocks over 14 free blocks, three sources
     # held in the cache: the pool never runs dry, so every new home is a
     # pool draw in step order and no vacated home is reused.
-    # The digest covers the ordered read, write and slot logs and the
-    # final block maps, not the stats. The placement, the write log and
-    # the maps, was fixed while homes still came from a grid of donor
-    # slots, which placed every block the same; the read and slot logs
-    # are the ones recorded since each step reads its own block.
+    # The digest covers the ordered read and write logs and the final
+    # block maps, not the stats. The write log and the maps were fixed
+    # while homes still came from a grid of donor slots, which placed
+    # every block the same, and the read log since each step reads its
+    # own block; they are unchanged since a step lands its block in its
+    # own round.
     fs, io, fds = make_world(sizes=(4, 4, 2), filler=30)
     assert fs.free_blocks == 14
     io.resident = {key: token(*key) for key in
                    ((fds[0], 2), (fds[1], 0), (fds[2], 1))}
     stats = run_shuffle(fs, io, RngTree(5).stream("shuffle"), fds)
     assert (stats.swaps, stats.donor_reuses) == (10, 0)
-    assert (len(io.read_log), io.padding_reads) == (10, 1)
+    assert len(io.read_log) == io.rounds == 10
     for fd in fds:
         for b in range(fs.file_blocks(fd)):
             assert io.pages[fs.phys_of(fd, b)] == token(fd, b)
     assert _host_io_digest(io, fs, fds) == (
-        "6f73a27c2ab887d4407d2c6679ecf5c4360367f36a33c4b87776458cd82ab5cc")
+        "fe7b3ddca9524dd704412f1e013918360295b97b7bbc01b78a69e56581f4af01")
 
 
 def test_shuffle_host_io_is_pinned():
-    # Cache-resident sources, reuse of vacated homes and padding reads in
-    # one world: three files of 4, 4 and 2 blocks over 7 free blocks, so
-    # the last three steps find the pool dry, with four sources held in
-    # the cache. The digest covers the ordered read and write phys lists,
-    # the final block maps, the stats, and the order of reads, writes and
-    # padding reads among them, as the rounds hand them over.
+    # Cache-resident sources and reuse of vacated homes in one world:
+    # three files of 4, 4 and 2 blocks over 7 free blocks, so the last
+    # three steps find the pool dry, with four sources held in the cache.
+    # The digest covers the ordered read and write phys lists, one of
+    # each per round, the final block maps and the stats.
     fs, io, fds = make_world(sizes=(4, 4, 2), filler=37)
     assert fs.free_blocks == 7
     io.resident = {key: token(*key) for key in
                    ((fds[0], 1), (fds[1], 3), (fds[2], 0), (fds[2], 1))}
     stats = run_shuffle(fs, io, RngTree(21).stream("shuffle"), fds)
     assert stats.donor_reuses == 3
-    assert (len(io.read_log), io.padding_reads) == (10, 1)
+    assert len(io.read_log) == io.rounds == 10
     for fd in fds:
         for b in range(fs.file_blocks(fd)):
             assert io.pages[fs.phys_of(fd, b)] == token(fd, b)
     assert _host_io_digest(io, fs, fds, stats) == (
-        "fd7c68d46bc24ccd77ed7160cece585b527f3ece5a2426e12cdeaeb04f2f470b")
+        "f04611184b1954b07b71a0e4c62f3a4b8a5e56fb87e05994a2c58c2b0272eeab")
 
 
 def _reference_shuffle(fs, peek_cache, rng, fds=None):
     """The pass as a per-step generator, kept as the oracle: it yields
-    each round's (read, write) and is sent the read's plaintext, as
-    ``shuffle_pass`` is, but draws ``fisher_yates`` through one
-    ``randbelow`` per draw, and takes ``phys_of`` for each step's read,
-    ``move_extent`` for each new home and ``free_block`` for each
-    vacated home at the end."""
+    each round's (read, land), as ``shuffle_pass`` does, but draws
+    ``fisher_yates`` through one ``randbelow`` per draw, and takes
+    ``phys_of`` for each step's read, ``move_extent`` for each new home
+    and ``free_block`` for each vacated home at the end."""
     if fds is None:
         fds = fs.files_with_flag(FLAG_REGULAR)
     plan = build_plan(fs, fds)
@@ -469,12 +450,11 @@ def _reference_shuffle(fs, peek_cache, rng, fds=None):
                    for b in range(fs.file_blocks(fd))]
         order = _fisher_yates_per_draw(sources, rng)
         reuses = max(0, len(order) - fs.free_blocks)
-        landing = None
         for fd, b in order:
-            data = yield fs.phys_of(fd, b), landing
-            page = peek_cache(fd, b)
-            landing = (fs.move_extent(fd, b, vacated), data if page is None else page)
-        yield None, landing
+            def land(data, fd=fd, b=b):
+                page = peek_cache(fd, b)
+                return fs.move_extent(fd, b, vacated), page or data
+            yield fs.phys_of(fd, b), land
         stats.swaps, stats.donor_reuses = len(order), reuses
     finally:
         for phys in vacated:

@@ -12,7 +12,9 @@ verdict (see ``verdict``). It also
 prints every run's raw set-up seconds (``raw.setup_s``) and minor page
 faults (the ``RUSAGE_CHILDREN`` ``ru_minflt`` delta around the whole run,
 set-ups and ops alike; ``tools/setup_faults.py`` counts them per set-up),
-says whether each pair simulated the same trace, prints each run's
+prints each run's trace digest (its first 8 hex digits; ``--json`` keeps
+them whole, per side in seed order) and whether each pair simulated the
+same trace, prints each run's
 simulated rounds and shuffle passes from its "simulated record" line,
 lists every other field of that record that differs between parent and
 change in some pair (the digest aside), and names every run that was
@@ -166,6 +168,9 @@ def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> di
                         "change": [c["raw_setup_s"] for _, _, c in pairs]},
         "minflt": {"parent": [p["minflt"] for _, p, _ in pairs],
                    "change": [c["minflt"] for _, _, c in pairs]},
+        "digests": {side: [run["record"].get("trace_sha256") for run in runs]
+                    for side, runs in (("parent", [p for _, p, _ in pairs]),
+                                       ("change", [c for _, _, c in pairs]))},
         "digests_equal": [p["record"].get("trace_sha256") is not None
                           and p["record"].get("trace_sha256") == c["record"].get("trace_sha256")
                           for _, p, c in pairs],
@@ -198,6 +203,9 @@ def format_summary(workload: str, summary: dict) -> str:
         out.append(f"  minor faults {side}: " + " ".join(
             "-" if v is None else str(v) for v in summary["minflt"][side])
             + "  (whole run; per set-up: tools/setup_faults.py)")
+    for side, digests in summary["digests"].items():
+        out.append(f"  digests {side}: " + " ".join(
+            "-" if d is None else d[:8] for d in digests))
     equal = summary["digests_equal"]
     out.append(f"  trace digests equal in {sum(equal)} of {len(equal)} pairs")
     for side, records in summary["simulated"].items():
