@@ -317,7 +317,7 @@ class BlockStore:
         the same call a real write of ``phys`` makes; which writes were
         padding is counted by the caller, not recorded in the trace. On
         PLAIN images the pad block then holds zeros; PLAIN hides nothing,
-        and oblivious runs refuse it.
+        and a protected mount refuses it (``Engine``).
         """
         self.write_block(phys, _ZERO_BLOCK)
 

@@ -307,20 +307,29 @@ class BlockFs:
             pos += n
         return b"".join(chunks)
 
-    def file_write(self, io: BlockIo, fd: int, offset: int, data: bytes) -> None:
+    def check_write(self, fd: int, offset: int, length: int) -> int:
+        """The number of blocks a write of ``length`` bytes at ``offset``
+        adds to file ``fd``. A write that would leave a hole or pass the
+        per-file block limit is refused with ``RangeError``."""
         ino = self._inode(fd)
         if offset < 0 or offset > ino.size:
             raise RangeError("write would leave a hole")
-        end = offset + len(data)
+        end = offset + length
         if end > self.max_file_blocks * BLOCK_SIZE:
             raise RangeError("file would exceed the per-file block limit")
-        pos = offset
+        return max(0, _blocks_for(end) - ino.nblocks)
+
+    def file_write(self, io: BlockIo, fd: int, offset: int, data: bytes) -> None:
+        self.check_write(fd, offset, len(data))
+        ino = self.inodes[fd]
+        pos, end = offset, offset + len(data)
         while pos < end:
             lblk, boff = divmod(pos, BLOCK_SIZE)
             n = min(BLOCK_SIZE - boff, end - pos)
             chunk = data[pos - offset:pos - offset + n]
             written_bytes = ino.size - lblk * BLOCK_SIZE
-            if ino.block_map[lblk] is None:
+            fresh = ino.block_map[lblk] is None
+            if fresh:
                 ino.block_map[lblk] = self.allocate_block()
                 written_bytes = 0
             if n == BLOCK_SIZE:
@@ -332,7 +341,13 @@ class BlockFs:
             else:
                 old = io.read_block(fd, lblk)
                 page = old[:boff] + chunk + old[boff + n:]
-            io.write_block(fd, lblk, page)
+            try:
+                io.write_block(fd, lblk, page)
+            except BaseException:
+                if fresh:  # the block never joined the file
+                    self.free_block(ino.block_map[lblk])
+                    ino.block_map[lblk] = None
+                raise
             pos += n
             # Each block joins the file as it is written: a shuffle pass
             # can run between two blocks, and walks what the size covers.

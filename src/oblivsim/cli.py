@@ -48,7 +48,7 @@ from .engine import (
     mount,
     run_workload,
 )
-from .errors import InsufficientDataError, ModeError, ParameterError, SimError
+from .errors import InsufficientDataError, ParameterError, SimError
 from .pagecache import BUDGET_PAGES
 from .sched import DEFAULT_ROUND_INTERVAL_NS, RoundConfig
 from .shaper import ShapingClass
@@ -132,10 +132,6 @@ def cmd_create_image(args) -> int:
 def _run_once(args, workload_text: str, target: int | None, *, oblivious: bool,
               seed: int, config: EngineConfig | None = None, peers=()):
     m = _open(args, seed=seed, config=config, oblivious=oblivious)
-    if oblivious and m.store.mode is not ProtectionMode.CRYPT_INTEGRITY:
-        raise ModeError(
-            "the protected path needs a crypt-integrity image; "
-            f"this one is {m.store.mode.name.lower()}")
     for i, rate in enumerate(peers):
         local, remote = StaticIdentity.generate(), StaticIdentity.generate()
         shaping = ShapingClass(rate_bps=rate)
@@ -246,8 +242,6 @@ def cmd_bench(args) -> int:
 
 def cmd_shuffle(args) -> int:
     m = _open(args)
-    if not m.store.mode.encrypted:
-        raise ModeError("shuffling re-encrypts blocks; the image must be crypt-integrity")
     stats = m.engine.shuffle_now()
     m.fs.persist(m.store)
     root = m.store.persist_metadata()

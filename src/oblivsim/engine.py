@@ -28,13 +28,13 @@ every pass starts at a round index fixed by C and L alone, whatever the
 workload does, and an idle disk shuffles too. The one exception is a
 write queue that ``PageCache.flush`` filled: it drains before a pass
 starts, and those rounds lengthen the epoch. A pass the budget cuts
-queues nothing. ``run_one_round`` runs one round of whatever is next, a
-pass step included, so a closed loop that runs rounds one at a time
-keeps its turn during a pass. Every pass is built one way, by
-``shuffle_pass`` over the page cache's ``peek``, and run to its end one
-way, by ``oblivious_shuffle`` from whatever step it was stepped to: each
-step is one ``shuffle_round`` carrying the step's read and its ``land``,
-which lands the same block in the same round.
+queues nothing. One method, ``Engine._pass_round``, builds (by
+``shuffle_pass`` over the page cache's ``peek``), steps, ends and cuts
+every pass; each call runs one round, a ``shuffle_round`` carrying the
+step's read and its ``land``, which lands the same block in the same
+round. ``run_one_round`` calls it once when a pass is running or due, so
+a closed loop that runs rounds one at a time keeps its turn during a
+pass, and ``shuffle_now`` calls it until the pass ends.
 
 Nothing the engine owns refers back to it: the page cache is handed
 its fetch per call, and a ``CachedIo`` is built per file call. So a
@@ -106,7 +106,7 @@ from .errors import (
     StaleCounterError,
     WouldBlock,
 )
-from .hostiface import BLOCK_SIZE, Host, HostInterface, SimClock
+from .hostiface import Host, HostInterface, SimClock
 from .pagecache import PageCache, default_capacity
 from .rng import RngTree
 from .sched import RoundConfig, RoundScheduler
@@ -248,8 +248,8 @@ class Engine:
         self._interval_ns = self.config.round.interval_ns
         self.round_target: int | None = None
         self.shuffles = 0
-        # The running pass, (its steps, the step it yielded last, or None),
-        # and the round from which the next pass is due; while one runs, it is due.
+        # The running pass, (its steps, the next step, not yet run), and
+        # the round from which the next pass is due; while one runs, it is due.
         self._pass = None
         self.pass_due = 0
         self.payload_bytes = 0
@@ -261,6 +261,10 @@ class Engine:
         self._net_order = itertools.count()
 
         if oblivious:
+            if not store.mode.encrypted:
+                raise ModeError("the protected path re-encrypts every block it moves or "
+                                f"pads; the image must be crypt-integrity, not "
+                                f"{store.mode.name.lower()}")
             if not fs.free_blocks:
                 raise ShuffleImpossibleError(
                     "0 free blocks; a protected mount keeps 1 for its shuffle passes")
@@ -319,31 +323,18 @@ class Engine:
         return sched.run_round(read, land)
 
     def run_one_round(self) -> None:
-        """Exactly one round: the next step of a pass that is due or
-        running, and otherwise queued writes or padding. Queued writes
-        drain before a pass starts."""
+        """Exactly one round: the next round of a pass that is running or
+        due (``_pass_round``), and otherwise queued writes or padding.
+        Queued writes drain before a pass starts."""
         sched = self.sched
         if sched is None:
             raise ModeError("batched rounds exist only on the protected path")
-        if self._pass is None:
-            if sched.rounds < self.pass_due or sched.pending_writes:
-                self.shuffle_round()
+        if self._pass is not None or (sched.rounds >= self.pass_due
+                                      and not sched.pending_writes):
+            stats = self._pass_round()
+            if stats is None or stats.swaps:  # a pass round ran
                 return
-            self._start_pass()
-        steps, step = self._pass
-        try:
-            if step is None:
-                step = next(steps)
-            self.shuffle_round(*step)
-            self._pass = steps, next(steps)
-        except StopIteration as done:
-            self._pass = None
-            self._end_epoch(done.value)
-            if step is None:  # a pass over no blocks takes no round
-                self.shuffle_round()
-        except BaseException:
-            self._cut_pass()
-            raise
+        self.shuffle_round()
 
     def run_rounds(self, n: int) -> None:
         for _ in range(n):
@@ -353,47 +344,48 @@ class Engine:
 
     def shuffle_now(self) -> ShuffleStats:
         """Finish the running pass, or else run a whole one, whether it is
-        due or not, and start a new cache epoch; the next pass is due C
-        rounds later.
+        due or not, through ``_pass_round``.
 
         Before a pass starts, writes still queued land. The pass then
         writes every page of every file it walks at the page's new home,
         from the cache where the page is resident, so no flush precedes
         or follows it: ``end_epoch`` refuses, changing nothing, if a
-        dirty page lies outside what the pass walked. A round that raises
-        closes the pass at once, and the next pass is due at once.
+        dirty page lies outside what the pass walked.
         """
         if not self.oblivious:
             raise ModeError("the passthrough path never shuffles")
+        if self._pass is None:
+            while self.sched.pending_writes:
+                self.shuffle_round()
+        return oblivious_shuffle(self._pass_round)
+
+    def _pass_round(self) -> ShuffleStats | None:
+        """The next round of the running pass, or the first of a new pass
+        over every data file. The pass looks one step ahead, so it ends in
+        the call that runs its last round (at once for a pass over no
+        block): that call ends the cache epoch, makes the next pass due C
+        rounds on and returns the pass's stats; every other call returns
+        None. A round that raises closes the pass, which frees its
+        vacated homes, and the next pass is due at once."""
+        steps, step = self._pass or (
+            shuffle_pass(self.fs, self.cache.peek, self.rng.stream("shuffle")), None)
         try:
-            if self._pass is None:
-                while self.sched.pending_writes:
-                    self.shuffle_round()
-                self._start_pass()
-            (steps, step), self._pass = self._pass, None
-            stats = oblivious_shuffle(steps, self.shuffle_round, step)
+            self.shuffle_round(*(step or next(steps)))
+            self._pass = steps, next(steps)
+            return None
+        except StopIteration as done:
+            stats = done.value
         except BaseException:
-            self._cut_pass()
+            steps.close()
+            self._pass = None
+            self.pass_due = min(self.pass_due, self.sched.rounds)
             raise
-        self._end_epoch(stats)
-        return stats
-
-    def _start_pass(self) -> None:
-        """A new pass over every data file, not yet stepped."""
-        self._pass = shuffle_pass(self.fs, self.cache.peek, self.rng.stream("shuffle")), None
-
-    def _end_epoch(self, stats: ShuffleStats) -> None:
+        self._pass = None
         walked, file_blocks = stats.plan.fds, self.fs.file_blocks
         self.cache.end_epoch(lambda fd, lblk: fd in walked and lblk < file_blocks(fd))
         self.shuffles += 1
         self.pass_due = self.sched.rounds + self.cache.capacity
-
-    def _cut_pass(self) -> None:
-        """Close a pass a round cut short; it frees its vacated homes."""
-        if self._pass is not None:
-            self._pass[0].close()
-            self._pass = None
-        self.pass_due = min(self.pass_due, self.sched.rounds)
+        return stats
 
     # Network ------------------------------------------------------------
 
@@ -513,13 +505,14 @@ class Engine:
         return data
 
     def write_file(self, fd: int, offset: int, data: bytes) -> None:
-        """A protected write that would take the last free block, which
-        every pass needs, is refused before it allocates or runs a round;
-        a running pass holds blocks back until it ends, so it ends first."""
+        """A protected write that ``BlockFs.check_write`` refuses, or that
+        would take the last free block, which every pass needs, is refused
+        before it allocates or runs a round; a running pass holds blocks
+        back until it ends, so it ends first."""
         fs = self.fs
         if self.oblivious:
-            grow = -(-(offset + len(data)) // BLOCK_SIZE) - fs.file_blocks(fd)
-            if grow > 0:
+            grow = fs.check_write(fd, offset, len(data))
+            if grow:
                 if self._pass is not None:
                     self.shuffle_now()
                 if grow >= fs.free_blocks:

@@ -17,9 +17,9 @@ of *n* steps takes *n* rounds. The pass is a generator,
 So the pass persists every resident page of the files it walks, with
 the bytes the cache holds, dirty or not: no cache operation runs while
 the pass does. No state passes from one step to the next but the list
-of vacated homes. ``shuffle_pass`` is the one factory and
-``oblivious_shuffle`` the one driver: it runs a pass from its start, or
-from any step it was stepped to one round at a time, through to its end.
+of vacated homes. ``shuffle_pass`` is the one factory; the engine's
+``_pass_round`` is the one place that steps a pass, a round per call,
+and ends or cuts it.
 
 The pass takes its shuffle order once, at its start, from
 ``fisher_yates``: one ``Rng.randbelow`` draw per swap. Each step's
@@ -130,19 +130,12 @@ def shuffle_pass(fs: BlockFs, peek_cache, rng: Rng,
     return stats
 
 
-def oblivious_shuffle(steps: Generator[Step, None, ShuffleStats],
-                      shuffle_round, step: Step | None = None) -> ShuffleStats:
-    """Run the rest of a pass, each step's round run by
-    ``shuffle_round(read, land)``: ``step`` is the one ``steps`` yielded
-    last and has not run, None if the pass has not started. A round that
-    raises closes the pass, which returns its vacated homes before the
-    error goes on."""
-    try:
-        if step is not None:
-            shuffle_round(*step)
-        while True:
-            shuffle_round(*next(steps))
-    except StopIteration as done:
-        return done.value
-    finally:
-        steps.close()
+def oblivious_shuffle(pass_round) -> ShuffleStats:
+    """Call ``pass_round`` (``Engine._pass_round``) until it returns the
+    pass's stats. Kept only while ``benchmarks/`` names it (ROADMAP item
+    1): its tracer wraps it to count each finished pass and its donor
+    reuses. After that it folds into ``Engine.shuffle_now``."""
+    while True:
+        stats = pass_round()
+        if stats is not None:
+            return stats

@@ -24,6 +24,7 @@ from oblivsim import (
     ParameterError,
     PeerIdentity,
     ProtectionMode,
+    RangeError,
     RoundBudgetExhausted,
     RoundConfig,
     ShapingClass,
@@ -347,13 +348,24 @@ MOUNT_VIEW_SHA256 = "64b73f2daffea03b6c5eb179eb25fd312cc04ad3b0f6f741677d42a5199
 @pytest.mark.parametrize("mode", list(ProtectionMode))
 def test_what_the_host_sees_at_mount_is_pinned(mode):
     # However the mount decodes the metadata it reads, it reads the same
-    # offsets in the same order; the layout is the same in every mode.
+    # offsets in the same order; the layout is the same in every mode. A
+    # plain image mounts on the passthrough path only, and the engine
+    # reads nothing, so its path does not change what is pinned.
     bundle = build_image(1200, mode, [FILE_A, FILE_B], seed=7,
                          key=DEFAULT_KEY if mode.encrypted else None)
-    m = mount(bundle, seed=7)
+    m = mount(bundle, seed=7, oblivious=mode.encrypted)
     view = "".join(f"{e.kind.value},{e.offset}\n" for e in m.trace.events)
     assert len(m.trace.events) == 24
     assert hashlib.sha256(view.encode()).hexdigest() == MOUNT_VIEW_SHA256
+
+
+def test_a_protected_mount_of_a_plain_image_is_refused():
+    # Padding and passes seal what they write; over plaintext they would
+    # hide nothing, so a plain image mounts on the passthrough path only.
+    bundle = build_image(64, ProtectionMode.PLAIN, [FILE_B], seed=2)
+    with pytest.raises(ModeError, match="must be crypt-integrity, not plain"):
+        mount(bundle)
+    assert mount(bundle, oblivious=False).engine.sched is None
 
 
 # --- the epoch cadence ------------------------------------------------------
@@ -397,13 +409,12 @@ def test_an_image_above_4096_blocks_gets_the_whole_budget(monkeypatch):
     capacity, blocks = eng.cache.capacity, m.fs.file_blocks(eng.regular_fd(0))
     assert (capacity, blocks) == (BUDGET_PAGES, 16)
     starts = []
-    start_pass = eng._start_pass
 
-    def record_start():
+    def record_start(fs, peek_cache, rng):
         starts.append(eng.rounds_done)
-        start_pass()
+        return shuffle_pass(fs, peek_cache, rng)
 
-    monkeypatch.setattr(eng, "_start_pass", record_start)
+    monkeypatch.setattr(engine_module, "shuffle_pass", record_start)
     eng.start_observation()
     eng.run_rounds(2 * (capacity + blocks))
     assert starts == [capacity, 2 * capacity + blocks]
@@ -634,13 +645,12 @@ def test_passes_start_exactly_c_plus_l_rounds_apart_under_mixed_ops(monkeypatch)
     eng, fs = m.engine, m.fs
     a, b = eng.regular_fd(0), eng.regular_fd(1)
     starts = []
-    start_pass = eng._start_pass
 
-    def record_start():
+    def record_start(fs, peek_cache, rng):
         starts.append((eng.rounds_done, fs.file_blocks(a) + fs.file_blocks(b)))
-        start_pass()
+        return shuffle_pass(fs, peek_cache, rng)
 
-    monkeypatch.setattr(eng, "_start_pass", record_start)
+    monkeypatch.setattr(engine_module, "shuffle_pass", record_start)
     for i in range(120):
         fd, op = (a, b)[i % 2], i % 5
         blk = (7 * i) % fs.file_blocks(fd)
@@ -674,9 +684,8 @@ def test_a_pass_cut_by_the_budget_queues_nothing_and_the_next_round_restarts_it(
     assert eng.sched.pending_writes == 0
     eng.round_target = None
     starts = []
-    start_pass = eng._start_pass
-    monkeypatch.setattr(eng, "_start_pass",
-                        lambda: starts.append(eng.rounds_done) or start_pass())
+    monkeypatch.setattr(engine_module, "shuffle_pass", lambda fs, peek_cache, rng:
+                        starts.append(eng.rounds_done) or shuffle_pass(fs, peek_cache, rng))
     eng.start_observation()
     eng.run_one_round()
     # The next round is the first step of a fresh pass: it reads a file
@@ -755,6 +764,56 @@ def test_a_write_during_a_pass_counts_the_blocks_the_pass_holds():
     assert (eng.shuffles, fs.free_blocks, fs.file_blocks(fd)) == (1, 1, 53)
     assert eng.read_file(fd, 52 * BLOCK_SIZE, 1) == b"x"
     assert fs.fsck() == []
+
+
+@pytest.mark.parametrize("fault", ["round budget", "tampered free blocks"])
+def test_an_append_whose_block_write_raises_leaves_the_file_as_it_was(small_bundle,
+                                                                      fault):
+    # Installing the appended block spends a read slot on its new home:
+    # the budget refuses that round, or every free block fails to open.
+    # Either way the block leaves the file's map and rejoins the pool, and
+    # the image persisted afterwards mounts again.
+    m = mount(small_bundle)
+    eng, fs = m.engine, m.fs
+    fd = eng.regular_fd(1)
+    size, free = fs.file_size(fd), fs.free_blocks
+    assert (size, free) == (3 * BLOCK_SIZE, 43)
+    if fault == "round budget":
+        eng.round_target, error = eng.rounds_done, RoundBudgetExhausted
+    else:
+        for phys in fs._free:
+            m.host.image[m.store.layout.data_offset(phys)] ^= 0x01
+        error = IntegrityError
+    with pytest.raises(error):
+        eng.write_file(fd, size, b"z" * BLOCK_SIZE)
+    assert (fs.file_size(fd), fs.file_blocks(fd), fs.free_blocks) == (size, 3, free)
+    assert fs.fsck() == []
+    fs.persist(m.store)
+    root = m.store.persist_metadata()
+    again = engine_module.mount(bytes(m.host.image), key=small_bundle.key,
+                                verity_root=root, oblivious=False)
+    assert again.fs.file_size(fd) == size and again.fs.free_blocks == free
+
+
+@pytest.mark.parametrize("offset, length", [
+    (20 * BLOCK_SIZE, 1),  # a hole
+    (100 * BLOCK_SIZE, 1),  # a hole past the per-file block limit
+    (3 * BLOCK_SIZE, 62 * BLOCK_SIZE),  # an append past that limit
+])
+def test_a_write_the_file_refuses_runs_no_round_and_leaves_the_pass_running(
+        small_bundle, offset, length):
+    # Each write would grow the 3-block file, but its range is refused
+    # first: the pass the rounds were stepping is not finished for it,
+    # and the growth check's SpaceError does not hide the RangeError.
+    m = mount(small_bundle)
+    eng, fs = m.engine, m.fs
+    fd = eng.regular_fd(1)
+    eng.run_rounds(8 + 2)  # two rounds into the 11-round pass
+    with pytest.raises(RangeError):
+        eng.write_file(fd, offset, b"z" * length)
+    assert (eng.rounds_done, eng.shuffles, fs.file_blocks(fd)) == (10, 0, 3)
+    eng.run_rounds(9)  # the rest of the pass
+    assert eng.shuffles == 1 and fs.fsck() == []
 
 
 # Whole-block writes (w), partial writes (p) and 64-byte reads (r) by
@@ -926,6 +985,23 @@ def test_echo_peer_roundtrip(small_bundle):
     assert link.rx_errors == 0
     assert m.engine.counters()["net_real"] >= 1
     assert m.engine.counters()["net_dummy"] >= 1
+
+
+def test_ingress_under_a_lying_poll_delivers_each_payload_once(small_bundle):
+    # The host first says "readable" with nothing queued, then "not
+    # readable" while frames wait. Each lie ends that drain; the next one
+    # after the host tells the truth again takes every frame queued.
+    m = mount(small_bundle)
+    enclave, remote = net_pair()
+    link = m.engine.add_link(7, enclave)
+    m.engine.add_external_pump(EchoPeer(m.host, 7, remote, ShapingClass()))
+    m.host.poll_script = [(True, True)] * 3 + [(False, True)] * 5
+    m.engine.net_send(7, b"ping")
+    m.engine.run_rounds(30)
+    assert m.host.poll_script == []
+    assert list(link.inbox) == [b"ping"]
+    assert link.rx_errors == m.engine.unknown_frames == 0
+    assert not m.host.ingress
 
 
 def test_an_empty_send_is_refused_and_counts_nothing(small_bundle):

@@ -58,8 +58,21 @@ class FakeIo:
 
 
 def run_shuffle(fs, io, rng, fds=None):
-    """A whole pass over ``io``'s rounds and resident pages."""
-    return oblivious_shuffle(shuffle_pass(fs, io.peek_cache, rng, fds), io.shuffle_round)
+    """A whole pass over ``io``'s rounds and resident pages, one round
+    per ``pass_round`` call; a round that raises closes the pass."""
+    steps = shuffle_pass(fs, io.peek_cache, rng, fds)
+
+    def pass_round():
+        try:
+            io.shuffle_round(*next(steps))
+        except StopIteration as done:
+            return done.value
+        except BaseException:
+            steps.close()
+            raise
+        return None
+
+    return oblivious_shuffle(pass_round)
 
 
 def token(fd, b):

@@ -5,6 +5,7 @@ it wraps is resolved here."""
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import inspect
 import time
@@ -22,7 +23,8 @@ from oblivsim import (
     establish,
 )
 
-TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+TRACING = BENCHMARKS / "tracing.py"
 
 
 def load_tracing():
@@ -140,3 +142,36 @@ def test_a_pass_resumed_by_shuffle_now_is_counted(small_bundle):
     assert eng.rounds_done - rounds == 30 - 10  # the rest of the pass
     assert tracer.calls["engine.oblivious_shuffle"] == calls + 1
     assert tracer.counts["shuffle.donor_reuses"] == reuses + 6
+
+
+def _engine_chains(path: Path) -> set[tuple[str, ...]]:
+    """Every attribute chain in ``path`` rooted at a name ``engine`` or at
+    an attribute ``engine``: ``m.engine.cache.flush()`` gives
+    ("cache", "flush") and its prefix ("cache",)."""
+    chains = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+            if (isinstance(node, ast.Name) and node.id == "engine"
+                    or isinstance(node, ast.Attribute) and node.attr == "engine"):
+                chains.add(tuple(reversed(chain)))
+                break
+    return chains
+
+
+def test_every_engine_attribute_the_benchmark_reads_exists(small_bundle):
+    # The workloads and the harness read the live engine by name, some of
+    # those names kept in ``src/`` for them alone; each must resolve on a
+    # protected mount.
+    chains = set()
+    for name in ("workloads.py", "harness.py"):
+        chains |= _engine_chains(BENCHMARKS / name)
+    assert ("sched", "pending_writes") in chains and ("cache", "flush") in chains
+    eng = mount(small_bundle).engine
+    for chain in sorted(chains):
+        obj = eng
+        for attr in chain:
+            assert hasattr(obj, attr), ".".join(("engine",) + chain)
+            obj = getattr(obj, attr)
