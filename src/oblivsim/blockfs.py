@@ -263,9 +263,7 @@ class BlockFs:
 
     def unlink(self, fd: int) -> None:
         ino = self._inode(fd)
-        for phys in ino.block_map:
-            if phys is not None:
-                self.free_block(phys)
+        self.unlink_all([phys for phys in ino.block_map if phys is not None])
         ino.used = False
         ino.size = 0
         ino.block_map = None
@@ -380,21 +378,18 @@ class BlockFs:
             raise SpaceError("no free blocks")
         return vacated.pop(self.rng.randbelow(len(vacated)))
 
-    def move_extent(self, fd: int, lblk: int, vacated: list[int]) -> int:
-        """Re-home file ``fd``'s block ``lblk`` at a ``draw_home`` draw and
-        append its old home to ``vacated``. Returns the new home."""
-        block_map = self._inode(fd).block_map
-        old = block_map[lblk] if 0 <= lblk < self.max_file_blocks else None
-        if old is None:
-            raise RangeError(f"file {fd} has no block {lblk}")
+    def move_extent(self, block_map: list[int], lblk: int, vacated: list[int]) -> int:
+        """Re-home mapped block ``lblk`` of a used inode's ``block_map`` at
+        a ``draw_home`` draw, append its old home to ``vacated`` and return
+        the new one. The caller resolved the map, so nothing is checked."""
         home = self.draw_home(vacated)
+        vacated.append(block_map[lblk])
         block_map[lblk] = home
-        vacated.append(old)
         return home
 
     def unlink_all(self, blocks) -> None:
-        """Free ``blocks`` in order, in one sweep over the bitmap: for a
-        shuffle pass, the homes it vacated, in the order it vacated them."""
+        """Free ``blocks`` in order, in one sweep over the bitmap: an
+        unlinked file's blocks, or a pass's homes in the order it vacated them."""
         bitmap, free = self.bitmap, self._free
         for phys in blocks:
             byte, mask = phys >> 3, 1 << (phys & 7)

@@ -267,15 +267,15 @@ def cmd_fsck(args) -> int:
     problems = []
     fds = fs.files_with_flag(FLAG_REGULAR)
     if args.deep:
-        # Every file block, then the padding blocks, which no file maps.
-        targets = [(f"fd {fd} block {lblk}", fs.phys_of(fd, lblk))
-                   for fd in fds for lblk in range(fs.file_blocks(fd))]
-        targets += [(f"padding block {p}", p) for p in fs.dummy_blocks()]
-        for name, phys in targets:
+        # Every data-region block, by owner; a protected append opens free ones.
+        owner = {fs.phys_of(fd, lblk): f"fd {fd} block {lblk}"
+                 for fd in fds for lblk in range(fs.file_blocks(fd))}
+        owner.update((p, f"padding block {p}") for p in fs.dummy_blocks())
+        for phys in range(fs.metadata_blocks, fs.n_blocks):
             try:
                 store.read_block(phys)
             except SimError as exc:
-                problems.append(f"{name}: {exc}")
+                problems.append(f"{owner.get(phys, f'free block {phys}')}: {exc}")
     print(f"files: {len(fds)} data; free blocks: {fs.free_blocks}")
     if problems:
         for p in problems:

@@ -22,19 +22,23 @@ of vacated homes. ``shuffle_pass`` is the one factory; the engine's
 and ends or cuts it.
 
 The pass takes its shuffle order once, at its start, from
-``fisher_yates``: one ``Rng.randbelow`` draw per swap. Each step's
-``land`` re-homes its block with ``BlockFs.move_extent``: the new home
-is one ``BlockFs.draw_home`` draw, uniform over the free pool, and the
-old home joins the pass's list of vacated homes (``create_donors``
-starts it empty, and refuses a pass with no free block before any host
-call). The round calls ``land`` only once the step's read has
-authenticated, so when a round raises, the homes drawn so far are
-exactly those of the steps whose old homes were listed, each block
-already written at its new home, and the step that raised keeps its
-old home. ``unlink_all`` frees the list in one sweep when the pass
-ends, in its ``finally``. A round that raises (the round budget, a
-block that fails to authenticate) closes the pass at once, so a cut
-pass returns every vacated block before anything else runs.
+``fisher_yates``: one ``Rng.randbelow`` draw per swap. It resolves each
+walked file's block map there, once: a step reads ``block_map[b]``, and
+its ``land`` calls ``BlockFs.move_extent(block_map, b, vacated)``, which
+checks no descriptor or index. That holds because no file op runs while
+a pass does (``CachedIo`` and ``Engine.write_file`` finish a running
+pass first) and a used inode keeps one block-map list for its whole
+life. The new home is one ``BlockFs.draw_home`` draw, uniform over the
+free pool, and the old home joins the pass's list of vacated homes
+(``create_donors`` starts it empty, and refuses a pass with no free
+block before any host call). The round calls ``land`` only once the
+step's read has authenticated, so when a round raises, the homes drawn
+so far are exactly those of the steps whose old homes were listed, each
+block already written at its new home, and the step that raised keeps
+its old home. ``unlink_all`` frees the list in one sweep when the pass
+ends, in its ``finally``. A round that raises (the round budget, a block
+that fails to authenticate) closes the pass at once, so a cut pass
+returns every vacated block before anything else runs.
 
 A step's read never needs the write queue: the engine drains it before
 the pass starts, and each earlier step's write landed in its own round.
@@ -113,17 +117,17 @@ def shuffle_pass(fs: BlockFs, peek_cache, rng: Rng,
         return stats
     vacated = fs.create_donors()
     try:
-        order = fisher_yates([(fd, b) for fd in plan.fds
-                              for b in range(fs.file_blocks(fd))], rng)
-        # Vacated homes rejoin the pool only after the pass, so each step
-        # past the pool's size reuses one.
+        order = fisher_yates([(fd, ino.block_map, b) for fd in plan.fds
+                              for ino in (fs.inodes[fd],)
+                              for b in range(ino.nblocks)], rng)
+        # Each step past the pool's size reuses a vacated home.
         reuses = max(0, len(order) - fs.free_blocks)
-        phys_of, move_extent = fs.phys_of, fs.move_extent
-        for fd, b in order:
-            def land(data, fd=fd, b=b):
+        move_extent = fs.move_extent
+        for fd, block_map, b in order:
+            def land(data, fd=fd, block_map=block_map, b=b):
                 page = peek_cache(fd, b)
-                return move_extent(fd, b, vacated), data if page is None else page
-            yield phys_of(fd, b), land
+                return move_extent(block_map, b, vacated), data if page is None else page
+            yield block_map[b], land
         stats.swaps, stats.donor_reuses = len(order), reuses
     finally:
         fs.unlink_all(vacated)

@@ -185,6 +185,9 @@ def test_holes_and_limits_are_rejected():
     fs.file_write(io, fd, 0, b"abc")
     with pytest.raises(RangeError):
         fs.file_read(io, fd, 2, 10)  # beyond size
+    for lblk in (1, 2, -1):  # unmapped, past the per-file limit, negative
+        with pytest.raises(RangeError):
+            fs.phys_of(fd, lblk)
 
 
 def test_move_extent_swaps_physical_homes():
@@ -195,19 +198,19 @@ def test_move_extent_swaps_physical_homes():
     donor = fs.create_donors()
     free0, pool = fs.free_blocks, set(fs._free)
     pa, pb = fs.phys_of(a, 0), fs.phys_of(a, 1)
+    block_map = fs.inodes[a].block_map
     # While the pool lasts, the new home is drawn from it and the old
     # home stays allocated on the donor.
-    home = fs.move_extent(a, 0, donor)
+    home = fs.move_extent(block_map, 0, donor)
     assert home == fs.phys_of(a, 0) and home in pool and fs._bit(home)
     assert donor == [pa] and fs._bit(pa)
     assert fs.free_blocks == free0 - 1
-    with pytest.raises(RangeError):
-        fs.move_extent(a, 2, donor)  # the file has no block 2
     # Once the pool is empty, the new home is taken out of the donor.
     held = [fs.allocate_block() for _ in range(fs.free_blocks)]
     with pytest.raises(SpaceError):
-        fs.move_extent(a, 1, [])  # no free block and nothing vacated
-    assert fs.move_extent(a, 1, donor) == pa
+        fs.move_extent(block_map, 1, [])  # no free block and nothing vacated
+    assert fs.phys_of(a, 1) == pb  # the refused move changed nothing
+    assert fs.move_extent(block_map, 1, donor) == pa
     assert donor == [pb] and fs.phys_of(a, 1) == pa
     for phys in held:
         fs.free_block(phys)
@@ -226,8 +229,8 @@ def test_create_donors_and_unlink_all():
     donor = fs.create_donors()
     assert donor == [] and fs.free_blocks == free0  # nothing allocated up front
     vacated = [fs.phys_of(f, 0), fs.phys_of(f, 1)]
-    fs.move_extent(f, 1, donor)
-    fs.move_extent(f, 0, donor)
+    fs.move_extent(fs.inodes[f].block_map, 1, donor)
+    fs.move_extent(fs.inodes[f].block_map, 0, donor)
     assert donor == vacated[::-1]  # in the order the homes were vacated
     assert [ino.used for ino in fs.inodes] == inodes0  # no inode spent
     assert fs.free_blocks == free0 - 2

@@ -544,6 +544,25 @@ def test_fsck_deep_reads_the_padding_blocks(image, tmp_path, capsys):
     assert "problem: " in stdout
 
 
+def test_fsck_deep_reads_the_free_blocks(image, tmp_path, capsys):
+    # Free blocks are sealed like data, and a protected append opens the
+    # free block it takes, so a deep check opens every one and names it.
+    m = open_image(image, key=DEFAULT_KEY)
+    free = [p for p in range(m.fs.n_blocks) if not m.fs._bit(p)]
+    broken = bytearray(image.read_bytes())
+    for phys in free:
+        broken[m.store.layout.data_offset(phys) + 100] ^= 0xFF
+    target = tmp_path / "broken.img"
+    target.write_bytes(bytes(broken))
+
+    rc = cli("fsck", "--image", target, "--key", KEY_HEX, "--seed", 1, "--deep")
+    problems = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("problem: ")]
+    assert rc == 1
+    assert problems == [f"problem: free block {p}: block {p}: tag check failed"
+                        for p in free]
+
+
 def test_metadata_marked_free_is_refused_by_fsck_and_run(tmp_path, capsys):
     img = tmp_path / "p.img"
     rc = cli("create-image", "--out", img, "--blocks", 64, "--mode", "plain",

@@ -285,6 +285,22 @@ def test_shuffle_succeeds_with_a_full_inode_table():
     assert fs.fsck() == []
 
 
+def test_a_pass_reads_and_rehomes_through_the_block_maps_it_resolved(
+        small_bundle, monkeypatch):
+    # No step looks a block up by descriptor: each reads its file's block
+    # map and re-homes through it.
+    m = mount(small_bundle, seed=7)
+    calls = {"phys_of": 0, "move_extent": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(BlockFs, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(BlockFs, name, counted)
+    stats = m.engine.shuffle_now()
+    assert stats.swaps == 11
+    assert calls == {"phys_of": 0, "move_extent": 11}
+
+
 def test_one_block_file_shuffles_on_a_default_geometry_image():
     data = bytes(range(256)) * (BLOCK_SIZE // 256)
     bundle = build_image(4096, ProtectionMode.CRYPT_INTEGRITY, [data],
@@ -466,7 +482,7 @@ def _reference_shuffle(fs, peek_cache, rng, fds=None):
         for fd, b in order:
             def land(data, fd=fd, b=b):
                 page = peek_cache(fd, b)
-                return fs.move_extent(fd, b, vacated), page or data
+                return fs.move_extent(fs.inodes[fd].block_map, b, vacated), page or data
             yield fs.phys_of(fd, b), land
         stats.swaps, stats.donor_reuses = len(order), reuses
     finally:
