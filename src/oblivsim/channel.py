@@ -6,7 +6,9 @@ secret with the ordered pair of public keys, so sender and receiver
 agree without a handshake round trip. Handshake/rekey protocol
 machinery is deliberately out of scope.
 
-Every frame on the wire is exactly MTU bytes::
+Every frame on the wire is exactly ``DEFAULT_MTU`` (1500) bytes, a
+wire-format constant like the block size, so a payload holds at most
+``max_payload()`` = 1474 bytes::
 
     counter u64 BE | AEAD( inner_len u16 BE | payload | pad ) | tag[16]
 
@@ -149,15 +151,13 @@ _INNER_LEN = struct.Struct(">H")
 
 
 class PeerSession:
-    """One established link: directional keys plus replay state."""
+    """One established link: directional keys plus replay state. Its
+    frames are ``DEFAULT_MTU`` bytes and carry up to ``payload_limit``."""
 
-    def __init__(self, send_key: bytes, recv_key: bytes, mtu: int = DEFAULT_MTU):
-        if mtu < COUNTER_BYTES + LEN_BYTES + TAG_BYTES + 1:
-            raise ParameterError("MTU too small for the frame format")
+    def __init__(self, send_key: bytes, recv_key: bytes):
         self._send = AESGCM(send_key)
         self._recv = AESGCM(recv_key)
-        self.mtu = mtu
-        self.payload_limit = max_payload(mtu)
+        self.payload_limit = max_payload()
         # A padding frame's plaintext: inner_len 0 and a zero pad.
         self._zero_inner = bytes(LEN_BYTES + self.payload_limit)
         self.send_counter = 0
@@ -188,7 +188,7 @@ class PeerSession:
         return self._seal(self._zero_inner)
 
     def open_packet(self, frame: bytes) -> bytes:
-        if len(frame) != self.mtu:
+        if len(frame) != DEFAULT_MTU:
             raise SizeError("frame is not MTU-sized")
         counter = _COUNTER.unpack_from(frame)[0]
         self.window.verify(counter)
@@ -208,8 +208,7 @@ class PeerSession:
         return inner[LEN_BYTES:LEN_BYTES + inner_len]
 
 
-def establish(local: StaticIdentity, peer: PeerIdentity,
-              mtu: int = DEFAULT_MTU) -> PeerSession:
+def establish(local: StaticIdentity, peer: PeerIdentity) -> PeerSession:
     """Derive the two directional keys shared with ``peer``."""
     if len(peer.public_key) != 32:
         raise HandshakeError("peer public key must be 32 bytes")
@@ -218,7 +217,7 @@ def establish(local: StaticIdentity, peer: PeerIdentity,
     secret = local.shared_secret(peer.public_key)
     send_key = _directional_key(secret, local.public_bytes, peer.public_key)
     recv_key = _directional_key(secret, peer.public_key, local.public_bytes)
-    return PeerSession(send_key, recv_key, mtu)
+    return PeerSession(send_key, recv_key)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +322,12 @@ class Endpoint:
     always flagged unverified."""
 
     identity: StaticIdentity
-    mtu: int = DEFAULT_MTU
     sessions: list[PeerSession] = field(default_factory=list)
     provisioned: ProvisioningSecrets | None = None
     attestation: str = "unverified"
 
     def establish_with(self, peer: PeerIdentity) -> PeerSession:
-        session = establish(self.identity, peer, self.mtu)
+        session = establish(self.identity, peer)
         self.sessions.append(session)
         return session
 

@@ -37,7 +37,6 @@ from .channel import (
     ProvisioningSecrets,
     StaticIdentity,
     establish,
-    max_payload,
     record_u16,
 )
 from .engine import (
@@ -322,7 +321,7 @@ def cmd_provision(args) -> int:
         PeerIdentity(provider.public_bytes, "provider"))
     provider_session = establish(
         provider, PeerIdentity(endpoint.identity.public_bytes))
-    chunk = max_payload(provider_session.mtu)
+    chunk = provider_session.payload_limit
     frames = [provider_session.seal_packet(record[i:i + chunk])
               for i in range(0, len(record), chunk)]
     received = b"".join(enclave_session.open_packet(f) for f in frames)

@@ -8,6 +8,11 @@ actively hostile host. ``HostInterface`` is the trusted shim: it
 validates arguments, records one trace event per completed crossing,
 and sanitizes what comes back (clock clamping, signal address rules).
 
+Sizes on the boundary are wire-format constants, not settings: a disk
+call moves one ``BLOCK_SIZE`` block and a net call one ``DEFAULT_MTU``
+frame, 1500 bytes. ``Host.mtu`` names that size for the trace
+fingerprint, and a fault address is plausible inside ``ENCLAVE_RANGE``.
+
 Events record completed transfers only; a call rejected before any
 host state changed (bad alignment, would-block) leaves no event, which
 keeps the trace an exact record of backend mutations and observable
@@ -36,6 +41,7 @@ from .trace import CallKind, HostCallEvent, HostTrace
 
 BLOCK_SIZE = 4096
 DEFAULT_MTU = 1500
+ENCLAVE_RANGE = (0x7000_0000_0000, 0x7100_0000_0000)
 
 # Bound once for the disk and net paths: enum member lookups and the
 # NamedTuple's own ``__new__`` (``tuple.__new__`` skips it) each cost a
@@ -105,20 +111,14 @@ class Host:
     (``pop_egress(endpoint)``) without walking anyone else's.
     """
 
-    def __init__(
-        self,
-        image: bytearray | mmap.mmap,
-        clock=None,
-        mtu: int = DEFAULT_MTU,
-        enclave_range: tuple[int, int] = (0x7000_0000_0000, 0x7100_0000_0000),
-    ):
+    mtu = DEFAULT_MTU
+
+    def __init__(self, image: bytearray | mmap.mmap, clock=None):
         if len(image) % BLOCK_SIZE != 0:
             raise SizeError("image length must be a multiple of the block size")
         self.image = image
         self.clock = clock if clock is not None else SimClock()
-        self.mtu = mtu
-        self.enclave_range = enclave_range
-        self.current_instruction = enclave_range[0] + 0x1000
+        self.current_instruction = ENCLAVE_RANGE[0] + 0x1000
         self.realtime_epoch_ns = 1_700_000_000 * 1_000_000_000
         self.ingress: deque[tuple[int, bytes]] = deque()
         self.egress: defaultdict[int, deque[bytes]] = defaultdict(deque)
@@ -132,7 +132,7 @@ class Host:
 
     def deliver_frame(self, endpoint: int, frame: bytes) -> None:
         frame = bytes(frame)
-        if len(frame) != self.mtu:
+        if len(frame) != DEFAULT_MTU:
             raise SizeError("delivered frame must be MTU-sized")
         self.ingress.append((endpoint, frame))
 
@@ -200,12 +200,12 @@ class HostInterface:
 
     def net_write(self, endpoint: int, frame: bytes) -> None:
         host = self.host
-        if len(frame) != host.mtu:
+        if len(frame) != DEFAULT_MTU:
             raise SizeError("frames on the wire are exactly MTU-sized")
         host.egress[endpoint].append(bytes(frame))
         host.boundary_mutations += 1
         self.trace.record(_event(HostCallEvent, (
-            host.clock.now_ns, _NET_WRITE, endpoint, host.mtu)))
+            host.clock.now_ns, _NET_WRITE, endpoint, DEFAULT_MTU)))
 
     def net_read(self) -> tuple[int, bytes]:
         host = self.host
@@ -214,11 +214,11 @@ class HostInterface:
         endpoint, frame = host.ingress.popleft()
         if host.ingress_corrupter is not None:
             frame = host.ingress_corrupter(frame)
-            if len(frame) != host.mtu:
-                frame = (frame + b"\x00" * host.mtu)[:host.mtu]
+            if len(frame) != DEFAULT_MTU:
+                frame = (frame + bytes(DEFAULT_MTU))[:DEFAULT_MTU]
         host.boundary_mutations += 1
         self.trace.record(_event(HostCallEvent, (
-            host.clock.now_ns, _NET_READ, endpoint, host.mtu)))
+            host.clock.now_ns, _NET_READ, endpoint, DEFAULT_MTU)))
         return endpoint, frame
 
     def net_poll(self) -> tuple[bool, bool]:
@@ -251,7 +251,7 @@ class HostInterface:
             raise ParameterError(f"signal number {info.number} out of range")
         self.trace.record(
             HostCallEvent(self.host.clock.now(), CallKind.FORWARD_SIGNAL, 0, 0))
-        lo, hi = self.host.enclave_range
+        lo, hi = ENCLAVE_RANGE
         if info.number in SIG_MEMORY_FAULT:
             if not (lo <= info.addr < hi):
                 return SignalOutcome(

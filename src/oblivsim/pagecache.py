@@ -49,8 +49,6 @@ def default_capacity(n_blocks: int) -> int:
 
 
 class Outcome(enum.Enum):
-    HIT = "hit"
-    FETCHED = "fetched"
     # Kept while ``benchmarks/`` names it: no call returns it any more.
     SHUFFLE_REQUIRED = "shuffle_required"
 
@@ -97,7 +95,7 @@ class PageCache:
     # Main entry ----------------------------------------------------------
 
     def get_block(self, fd: int, lblk: int,
-                  fetch: Callable[[int], bytes]) -> tuple[bytes, Outcome]:
+                  fetch: Callable[[int], bytes]) -> bytes:
         """The page, from the cache or else from ``fetch(phys)``, which
         costs one round when it reads the host."""
         key = (fd, lblk)
@@ -107,10 +105,10 @@ class PageCache:
             if key in self._carried:
                 self._carried.move_to_end(key)
             self.hits += 1
-            return page, Outcome.HIT
+            return page
         page = self._fetch(key, fetch)
         self._admit(key, page)
-        return page, Outcome.FETCHED
+        return page
 
     def put_block(self, fd: int, lblk: int, page: bytes,
                   fetch: Callable[[int], bytes]) -> None:

@@ -1,12 +1,13 @@
 """Constant-rate frame emission per peer.
 
-Each peer link emits exactly MTU-sized frames on a fixed grid, one
-frame per slot: one frame costs mtu * 8 * 1e9 bit-nanoseconds, and
-emission k opens at ceil(k * frame_cost / rate_bps). All accounting is
-exact integer arithmetic, so the grid never drifts, for any integer
-rate. A link's only setting is its rate, at most one frame per
-nanosecond (frame_cost); so no two frames ever share an instant, and
-the bit rate an observer sees is constant.
+Each peer link emits ``DEFAULT_MTU``-byte frames on a fixed grid, one
+frame per slot: one frame costs FRAME_COST = 1500 * 8 * 1e9
+bit-nanoseconds, and emission k opens at ceil(k * FRAME_COST /
+rate_bps). All accounting is exact integer arithmetic, so the grid
+never drifts, for any integer rate. A link's only setting is its rate,
+at most one frame per nanosecond (FRAME_COST bit/s, 12 Tbit/s); so no
+two frames ever share an instant, and the bit rate an observer sees is
+constant.
 
 The caller ticks a link exactly at ``next_due_ns()``, and each tick
 sends one frame: the oldest queued payload if there is one, otherwise a
@@ -24,8 +25,10 @@ from dataclasses import dataclass
 
 from .channel import PeerSession
 from .errors import BackpressureError, ParameterError, SizeError
+from .hostiface import DEFAULT_MTU
 
 NS_PER_S = 1_000_000_000
+FRAME_COST = DEFAULT_MTU * 8 * NS_PER_S
 SEND_QUEUE_FRAMES = 4096
 
 
@@ -44,13 +47,12 @@ class PeerShaper:
     def __init__(self, shaping: ShapingClass, session: PeerSession, start_ns: int = 0):
         self.session = session
         self._rate = shaping.rate_bps
-        self.frame_cost = session.mtu * 8 * NS_PER_S
-        if self._rate > self.frame_cost:
+        if self._rate > FRAME_COST:
             # Two emissions would share a due nanosecond, and the net
             # loop runs a link once per instant.
             raise ParameterError(
-                f"rate_bps {self._rate} is above one {session.mtu}-byte frame "
-                f"per nanosecond ({self.frame_cost})")
+                f"rate_bps {self._rate} is above one {DEFAULT_MTU}-byte frame "
+                f"per nanosecond ({FRAME_COST})")
         self._start_ns = start_ns
         self._next_k = 0
         self._due_ns = start_ns  # the first frame is due at the start
@@ -82,7 +84,7 @@ class PeerShaper:
                 f"tick at {now_ns} ns, but the next slot is due at {self._due_ns} ns")
         rate, k = self._rate, self._next_k + 1
         self._next_k = k
-        self._due_ns = self._start_ns + (k * self.frame_cost + rate - 1) // rate
+        self._due_ns = self._start_ns + (k * FRAME_COST + rate - 1) // rate
         # Oldest queued payload first; an empty queue sends padding.
         if self.queue:
             return self.session.seal_packet(self.queue.popleft())

@@ -25,7 +25,6 @@ import hashlib
 import re
 from dataclasses import dataclass
 
-from .channel import max_payload
 from .errors import ModeError, ParameterError, RangeError
 from .hostiface import BLOCK_SIZE
 
@@ -169,7 +168,7 @@ def netecho(engine, endpoint: int, nbytes: int) -> None:
         raise ModeError("echo traffic rides the round cadence; "
                         "run it on the protected path")
     link = engine.link(endpoint)
-    chunk = max_payload(link.session.mtu)
+    chunk = link.session.payload_limit
     sent = 0
     received = 0
     while received < nbytes:

@@ -235,7 +235,7 @@ def _shaped_run(offer_every_ns: int | None, horizon_ns: int):
     a = StaticIdentity.from_private_bytes(bytes(range(32)))
     b = StaticIdentity.from_private_bytes(bytes(range(32, 64)))
     shaper = PeerShaper(ShapingClass(rate_bps=RATE),
-                        establish(a, PeerIdentity(b.public_bytes), MTU))
+                        establish(a, PeerIdentity(b.public_bytes)))
     chunk = b"\xa5" * max_payload(MTU)
     emissions = []
     offer_t = 0
@@ -286,8 +286,8 @@ def test_shaper_rate_exact_under_all_loads():
 def test_channel_rejects_replays_and_limits_provisioning():
     a = StaticIdentity.from_private_bytes(bytes(range(32)))
     b = StaticIdentity.from_private_bytes(bytes(range(32, 64)))
-    tx = establish(a, PeerIdentity(b.public_bytes), MTU)
-    rx = establish(b, PeerIdentity(a.public_bytes), MTU)
+    tx = establish(a, PeerIdentity(b.public_bytes))
+    rx = establish(b, PeerIdentity(a.public_bytes))
 
     trials = 10_000
     frames = [tx.seal_packet(f"m{i}".encode()) for i in range(trials)]

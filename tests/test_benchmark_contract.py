@@ -1,0 +1,59 @@
+"""The benchmark drives ``oblivsim`` through its constructors and calls
+(``benchmarks/workloads.py``, ``benchmarks/harness.py``), but the
+tier-1 suite does not collect ``benchmarks/``. A change in ``src/`` that
+breaks a workload's set-up or its ops would otherwise show only when the
+benchmark itself runs, so every workload runs here at the tiny sizes of
+``benchmarks/test_benchmark.py``, untraced and traced."""
+
+from __future__ import annotations
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+_MODULES = ("harness", "tracing", "workloads")
+OPS = 50
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """``harness`` and ``workloads`` from this checkout's ``benchmarks/``;
+    ``sys.path`` and the modules they replace are restored afterwards."""
+    saved = {name: sys.modules.pop(name, None) for name in _MODULES}
+    path = list(sys.path)
+    sys.path.insert(0, str(BENCHMARKS))
+    try:
+        yield importlib.import_module("harness"), importlib.import_module("workloads")
+    finally:
+        sys.path[:] = path
+        for name, module in saved.items():
+            sys.modules.pop(name, None)
+            if module is not None:
+                sys.modules[name] = module
+
+
+TINY = {
+    "randread_shuffle": lambda w, seed: w.RandReadShuffle(seed, n_blocks=256, file_blocks=64),
+    "kv_mixed": lambda w, seed: w.KvMixed(seed, n_blocks=1024, file_blocks=128, n_keys=500),
+    "netecho": lambda w, seed: w.NetEcho(seed, n_blocks=256, data_blocks=2),
+}
+
+
+def test_every_workload_is_sized_here(bench):
+    assert list(TINY) == list(bench[1].WORKLOADS)
+
+
+@pytest.mark.parametrize("name", TINY)
+def test_each_workload_runs_correctly_traced_and_untraced(bench, name, tmp_path):
+    harness, workloads = bench
+    plain = harness.run_pass(TINY[name](workloads, 1), OPS)
+    untraced, traced, _metrics, _written = harness.run_traced(
+        TINY[name](workloads, 1), OPS, tmp_path / "spans")
+    for r in (plain, untraced, traced):
+        assert r.correct, r.violations
+        assert (r.attempted, r.failed) == (OPS, 0)
+    assert plain.counters == untraced.counters == traced.counters
+    assert plain.sha256 == untraced.sha256 == traced.sha256

@@ -37,10 +37,10 @@ def identities():
             StaticIdentity.from_private_bytes(B_PRIV))
 
 
-def pair(mtu=DEFAULT_MTU):
+def pair():
     a, b = identities()
-    a2b = establish(a, PeerIdentity(b.public_bytes), mtu)
-    b2a = establish(b, PeerIdentity(a.public_bytes), mtu)
+    a2b = establish(a, PeerIdentity(b.public_bytes))
+    b2a = establish(b, PeerIdentity(a.public_bytes))
     return a2b, b2a
 
 
@@ -248,8 +248,6 @@ def test_establish_validates_its_inputs():
         establish(a, PeerIdentity(a.public_bytes))
     with pytest.raises(HandshakeError):
         StaticIdentity.from_private_bytes(b"\x01" * 31)
-    with pytest.raises(ParameterError):
-        PeerSession(b"\x00" * 32, b"\x01" * 32, mtu=26)
 
 
 peer_st = st.builds(

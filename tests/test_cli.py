@@ -16,11 +16,13 @@ from conftest import DEFAULT_KEY, mount, retired_mode_header
 from oblivsim import (
     BLOCK_SIZE,
     BUDGET_PAGES,
+    CallKind,
     ImageBundle,
     ProtectionMode,
     ProvisioningSecrets,
     StaticIdentity,
     layout_for,
+    parse_trace,
 )
 from oblivsim.cli import SUMMARY_COLUMNS, main
 
@@ -316,6 +318,25 @@ def test_run_oblivious_rejects_weaker_images(tmp_path, capsys):
              "--workload", "seqread(0,0)", "--out", tmp_path / "o2")
     capsys.readouterr()
     assert rc == 0
+
+
+@pytest.mark.parametrize("workload", ["seqread(0,0)", "seqwrite(0,9000)"])
+def test_a_passthrough_summary_counts_the_disk_calls_its_trace_holds(
+        image, tmp_path, workload, capsys):
+    out = tmp_path / "run"
+    rc = cli("run", "--image", image, "--key", KEY_HEX, "--mode", "passthrough",
+             "--workload", workload, "--out", out)
+    stdout = capsys.readouterr().out
+    assert rc == 0
+    trace = parse_trace((out / "trace.log").read_text())
+    reads = len(trace.of_kind(CallKind.DISK_READ))
+    writes = len(trace.of_kind(CallKind.DISK_WRITE))
+    assert reads + writes > 0
+    with open(out / "summary.csv") as fh:
+        row = next(csv.DictReader(fh))
+    assert (row["real_reads"], row["real_writes"]) == (str(reads), str(writes))
+    assert (row["dummy_reads"], row["dummy_writes"]) == ("0", "0")
+    assert f"disk: {reads}r+0d reads, {writes}r+0d writes" in stdout
 
 
 def test_run_with_echo_peer(image, tmp_path, capsys):

@@ -20,7 +20,7 @@ from oblivsim import (
     SizeError,
     WouldBlock,
 )
-from oblivsim.hostiface import SignalDisposition
+from oblivsim.hostiface import ENCLAVE_RANGE, SignalDisposition
 
 
 def make_iface(blocks: int = 4) -> HostInterface:
@@ -158,7 +158,7 @@ def test_sim_clock_rejects_backwards():
 
 def test_signal_memory_fault_needs_plausible_address():
     iface = make_iface()
-    lo, hi = iface.host.enclave_range
+    lo, hi = ENCLAVE_RANGE
     inside = iface.forward_signal(SignalInfo(11, 1, lo + 8))
     outside = iface.forward_signal(SignalInfo(11, 1, hi + 8))
     assert inside.disposition is SignalDisposition.DELIVERED

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oblivsim import BUDGET_PAGES, Outcome, PageCache, ParameterError, default_capacity
+from oblivsim import BUDGET_PAGES, PageCache, ParameterError, default_capacity
 
 PAGE = 4  # cache is size-agnostic; tiny pages keep the tests light
 
@@ -65,11 +65,11 @@ def test_capacity_must_be_positive():
 
 def test_resident_hits_cost_no_host_reads():
     h = Harness(4)
-    data, outcome = h.cache.get_block(0, 3, h.fetch)
-    assert (data, outcome) == (bytes([3]) * PAGE, Outcome.FETCHED)
-    for _ in range(10):
-        data, outcome = h.cache.get_block(0, 3, h.fetch)
-        assert (data, outcome) == (bytes([3]) * PAGE, Outcome.HIT)
+    assert h.cache.get_block(0, 3, h.fetch) == bytes([3]) * PAGE
+    assert (h.cache.hits, h.cache.fetches, h.fetch_log) == (0, 1, [3])
+    for i in range(10):
+        assert h.cache.get_block(0, 3, h.fetch) == bytes([3]) * PAGE
+        assert (h.cache.hits, h.cache.fetches) == (i + 1, 1)
     assert h.fetch_log == [3]
     assert (h.cache.hits, h.cache.fetches) == (10, 1)
 
@@ -91,12 +91,14 @@ def test_carried_over_page_is_evicted_before_a_fetched_one():
     h.cache.get_block(0, 3, h.fetch)
     h.cache.end_epoch(lambda fd, lblk: True)  # 0 and 3 are carried over
     h.cache.get_block(0, 1, h.fetch)
-    assert h.cache.get_block(0, 3, h.fetch)[1] is Outcome.HIT
-    assert h.cache.get_block(0, 0, h.fetch)[1] is Outcome.HIT  # 1 is now LRU
+    h.cache.get_block(0, 3, h.fetch)
+    h.cache.get_block(0, 0, h.fetch)  # 1 is now LRU
+    assert h.cache.hits == 2 and h.fetch_log == [0, 3, 1]
     h.cache.get_block(0, 2, h.fetch)  # evicts 3, the LRU carried-over page
     assert h.cache.peek(0, 1) is not None and h.cache.peek(0, 3) is None
     # Block 3 was not fetched this epoch, so it comes back for one read.
-    assert h.cache.get_block(0, 3, h.fetch) == (bytes([3]) * PAGE, Outcome.FETCHED)
+    assert h.cache.get_block(0, 3, h.fetch) == bytes([3]) * PAGE
+    assert h.cache.hits == 2
     assert h.cache.peek(0, 0) is None
     assert h.fetch_log == [0, 3, 1, 2, 3]
 
@@ -108,7 +110,8 @@ def test_put_page_never_fetched_is_evicted_before_a_fetched_one():
     h.cache.put_block(0, 1, b"\x11" * PAGE, h.fetch)
     h.cache.end_epoch(lambda fd, lblk: True)
     h.cache.get_block(0, 0, h.fetch)
-    assert h.cache.get_block(0, 1, h.fetch)[1] is Outcome.HIT  # 0 is now LRU
+    assert h.cache.get_block(0, 1, h.fetch) == b"\x11" * PAGE  # 0 is now LRU
+    assert h.cache.hits == 1
     h.cache.get_block(0, 2, h.fetch)
     assert h.cache.peek(0, 0) is not None and h.cache.peek(0, 1) is None
     assert h.write_log == [] and h.fetch_log == [1, 0, 2]
@@ -157,7 +160,8 @@ def test_put_block_keeps_no_alias_of_the_callers_buffer():
     page = bytearray(b"\xaa" * PAGE)
     h.cache.put_block(0, 5, page, h.fetch)
     page[:] = b"\xbb" * PAGE
-    assert h.cache.get_block(0, 5, h.fetch) == (b"\xaa" * PAGE, Outcome.HIT)
+    assert h.cache.get_block(0, 5, h.fetch) == b"\xaa" * PAGE
+    assert (h.cache.hits, h.fetch_log) == (1, [5])
     h.cache.flush()
     assert h.disk[5] == b"\xaa" * PAGE
 
@@ -166,8 +170,8 @@ def test_put_block_over_resident_clean_page():
     h = Harness(4)
     h.cache.get_block(0, 2, h.fetch)
     h.cache.put_block(0, 2, b"\xbb" * PAGE, h.fetch)
-    data, outcome = h.cache.get_block(0, 2, h.fetch)
-    assert (data, outcome) == (b"\xbb" * PAGE, Outcome.HIT)
+    assert h.cache.get_block(0, 2, h.fetch) == b"\xbb" * PAGE
+    assert (h.cache.hits, h.fetch_log) == (1, [2])
     assert h.cache.flush() == 1
     assert h.disk[2] == b"\xbb" * PAGE
 
@@ -197,9 +201,8 @@ def test_refetch_within_epoch_demands_shuffle():
     assert h.fetch_log == [0]  # the repeat never reached the host
     assert h.cache.peek(0, 1) is None
     h.cache.end_epoch(lambda fd, lblk: True)
-    data, outcome = h.cache.get_block(0, 1, h.fetch)
-    assert (data, outcome) == (bytes([0]) * PAGE, Outcome.FETCHED)
-    assert h.fetch_log == [0, 0]
+    assert h.cache.get_block(0, 1, h.fetch) == bytes([0]) * PAGE
+    assert (h.cache.hits, h.fetch_log) == (0, [0, 0])
 
 
 def test_end_epoch_forgets_only_landed_pages():
@@ -269,9 +272,9 @@ def test_cache_is_transparent(ops):
             h.cache.put_block(0, lblk, page, h.fetch)
             expected[lblk] = page
         else:
-            data, outcome = h.cache.get_block(0, lblk, h.fetch)
-            assert data == expected[lblk]
-            assert outcome in (Outcome.HIT, Outcome.FETCHED)
+            hits, fetches = h.cache.hits, h.cache.fetches
+            assert h.cache.get_block(0, lblk, h.fetch) == expected[lblk]
+            assert h.cache.hits + h.cache.fetches == hits + fetches + 1
         assert len(h.cache) <= 3
         fetched = h.fetch_log[epoch_fetches:]
         assert len(set(fetched)) == len(fetched)  # at most once per epoch
