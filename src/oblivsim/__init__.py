@@ -3,8 +3,8 @@
 The pieces, bottom up: a seven-call host boundary with full tracing
 (`hostiface`), authenticated encrypted block images (`blockcrypto`),
 a layout-randomizing filesystem (`blockfs`), batched padded I/O rounds
-(`sched`), a page cache of min(BUDGET_PAGES, max(ceil(sqrt(n)), ceil(n / 16)))
-pages, at most 1.5 MiB, with epoch bookkeeping (`pagecache`), the layout
+(`sched`), a page cache of min(BUDGET_PAGES, n) pages for an n-block
+disk, at most 1.5 MiB, with epoch bookkeeping (`pagecache`), the layout
 shuffle (`shuffle`), shaped peer links (`channel`, `shaper`), the run
 engine (`engine`), workloads (`workload`) and the observer-side analyzer
 (`adversary`).

@@ -156,8 +156,19 @@ def _summary_row(engine: Engine) -> dict:
 
 
 def cmd_run(args) -> int:
-    kw = dict(oblivious=args.mode == "oblivious", seed=args.seed,
-              config=EngineConfig(round=RoundConfig(interval_ns=args.round_interval),
+    oblivious = args.mode == "oblivious"
+    if not oblivious:
+        # A passthrough run has no rounds, no cache and no net loop.
+        for option, value in (("--rounds", args.rounds), ("--cache-k", args.cache_k),
+                              ("--round-interval", args.round_interval),
+                              ("--peer", args.peer)):
+            if value is not None:
+                raise ParameterError(f"{option} is refused with --mode passthrough, "
+                                     "which has no rounds, cache or net loop")
+    interval = (DEFAULT_ROUND_INTERVAL_NS if args.round_interval is None
+                else args.round_interval)
+    kw = dict(oblivious=oblivious, seed=args.seed,
+              config=EngineConfig(round=RoundConfig(interval_ns=interval),
                                   cache_capacity=args.cache_k),
               peers=args.peer or ())
     outdir = Path(args.out)
@@ -386,12 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="e.g. 'seqread(0,0)', 'randread(0,500)', 'idle(1000)'")
     rn.add_argument("--rounds", type=_positive, default=None,
                     help="run exactly this many rounds (truncate or pad)")
-    rn.add_argument("--round-interval", type=int,
-                    default=DEFAULT_ROUND_INTERVAL_NS, metavar="NS")
+    rn.add_argument("--round-interval", type=int, default=None, metavar="NS")
     rn.add_argument("--cache-k", type=int, default=None,
                     help="page cache capacity, and rounds per epoch (default: "
-                         "max(ceil(sqrt(blocks)), blocks / 16), at most "
-                         f"{BUDGET_PAGES})")
+                         f"the disk's block count, at most {BUDGET_PAGES})")
     rn.add_argument("--peer", action="append", type=int, metavar="RATE_BPS",
                     help="attach a shaped echo peer at this rate (repeatable)")
     rn.add_argument("--out", default=".", help="output directory")

@@ -133,7 +133,7 @@ def trace_fingerprint(round_cfg: RoundConfig, mtu: int) -> dict:
 class EngineConfig:
     round: RoundConfig = field(default_factory=RoundConfig)
     # Pages, and rounds per epoch. None: pagecache.default_capacity, the
-    # larger of ceil(sqrt(blocks)) and blocks / 16, at most BUDGET_PAGES.
+    # disk's block count, at most BUDGET_PAGES.
     cache_capacity: int | None = None
 
 
@@ -413,7 +413,10 @@ class Engine:
 
     def _schedule(self, due_ns: int | None, kind: int, actor) -> None:
         """Put a new actor on the heap; one due before the simulated
-        clock could never run, so it is refused."""
+        clock could never run, so it is refused, and so is every actor of
+        the passthrough path, which has no net loop."""
+        if not self.oblivious:
+            raise ModeError("the passthrough path has no net loop")
         if due_ns is None:
             return
         if due_ns < self.clock.now():

@@ -24,16 +24,18 @@ re-homes straight from the cache, and ``end_epoch`` checks that it
 landed every dirty page before it forgets any: no page is dropped
 unwritten. Every resident page is then carried over, in LRU order.
 
-Capacity defaults to max(ceil(sqrt(n)), ceil(n / 16)) pages of an
-n-block disk, capped by a trusted-memory budget of ``BUDGET_PAGES``
-pages, 1.5 MiB. The shelter sits in enclave memory behind a dict lookup,
-so its size is bounded by memory, not by the cost of scanning it.
+Capacity defaults to the whole trusted-memory budget, ``BUDGET_PAGES``
+pages (1.5 MiB), or to the whole disk when the disk has fewer blocks.
+Each miss costs 1 + L / C rounds amortised over a pass of L blocks, so
+the shelter takes all the memory it is given. The shelter sits in
+enclave memory behind a dict lookup, so its size is bounded by memory,
+not by the cost of scanning it. C is public configuration: the host
+sees it in the pass cadence whatever its value.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from collections import OrderedDict
 from typing import Callable
 
@@ -44,8 +46,7 @@ BUDGET_PAGES = (3 << 19) // BLOCK_SIZE  # the shelter's trusted-memory budget, 1
 
 
 def default_capacity(n_blocks: int) -> int:
-    sqrt_ceil = math.isqrt(n_blocks - 1) + 1 if n_blocks > 1 else 1
-    return min(BUDGET_PAGES, max(sqrt_ceil, -(-n_blocks // 16)))
+    return min(BUDGET_PAGES, n_blocks)
 
 
 class Outcome(enum.Enum):

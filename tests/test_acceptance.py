@@ -18,6 +18,7 @@ from oblivsim import (
     BackpressureError,
     CallKind,
     Endpoint,
+    EngineConfig,
     IntegrityError,
     PeerIdentity,
     PeerShaper,
@@ -56,6 +57,10 @@ WORKLOADS = [
 ]
 SEEDS = range(5)
 ROUNDS = 10_000
+# A 16-page shelter on the 256-block image, smaller than its L = 40 file
+# blocks, so every workload here misses often and each run holds about
+# 10 000 / (16 + 40) passes for the comparison to see.
+SHELTER = EngineConfig(cache_capacity=16)
 
 
 def test_disk_traces_indistinguishable_across_workloads():
@@ -71,7 +76,7 @@ def test_disk_traces_indistinguishable_across_workloads():
     domain = None
     for spec in WORKLOADS:
         for seed in SEEDS:
-            m = mount(bundle, seed=seed)
+            m = mount(bundle, seed=seed, config=SHELTER)
             m.engine.start_observation()
             run_workload(m.engine, parse_workload(spec), target_rounds=ROUNDS)
             traces[spec, seed] = m.trace

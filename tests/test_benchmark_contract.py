@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from oblivsim.blockfs import FLAG_REGULAR
+
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 _MODULES = ("harness", "tracing", "workloads")
 OPS = 50
@@ -57,3 +59,21 @@ def test_each_workload_runs_correctly_traced_and_untraced(bench, name, tmp_path)
         assert (r.attempted, r.failed) == (OPS, 0)
     assert plain.counters == untraced.counters == traced.counters
     assert plain.sha256 == untraced.sha256 == traced.sha256
+
+
+def test_an_idle_disk_under_netecho_has_a_closed_form(bench):
+    # netecho never touches the disk, so its rounds are epochs of C and
+    # passes of L, one after the other: over at least three full cycles
+    # of C + L rounds a run holds rounds // (C + L) passes, and each pass
+    # reads and writes every file block once. A pass the run's end cuts
+    # is not counted.
+    harness, workloads = bench
+    r = harness.run_pass(TINY["netecho"](workloads, 1), 520)
+    assert r.correct, r.violations
+    engine, fs = r.m.engine, r.m.engine.fs
+    capacity = engine.cache.capacity
+    blocks = sum(fs.file_blocks(fd) for fd in fs.files_with_flag(FLAG_REGULAR))
+    rounds, shuffles = r.counters["rounds"], r.counters["shuffles"]
+    assert rounds >= 3 * (capacity + blocks)
+    assert shuffles == rounds // (capacity + blocks)
+    assert r.counters["real_reads"] == r.counters["real_writes"] == shuffles * blocks

@@ -74,7 +74,7 @@ def test_the_cache_k_help_names_the_budget(capsys):
     with pytest.raises(SystemExit):
         cli("run", "--help")
     shown = " ".join(capsys.readouterr().out.split())
-    assert f"blocks / 16), at most {BUDGET_PAGES})" in shown
+    assert f"(default: the disk's block count, at most {BUDGET_PAGES})" in shown
 
 
 def test_create_image_reports_the_remounted_layout(tmp_path, capsys):
@@ -318,6 +318,23 @@ def test_run_oblivious_rejects_weaker_images(tmp_path, capsys):
              "--workload", "seqread(0,0)", "--out", tmp_path / "o2")
     capsys.readouterr()
     assert rc == 0
+
+
+@pytest.mark.parametrize("option", [("--rounds", 50), ("--cache-k", 4),
+                                    ("--round-interval", 100_000),
+                                    ("--peer", 200_000_000)], ids=lambda o: o[0])
+def test_passthrough_refuses_the_options_of_the_protected_path(image, tmp_path, option,
+                                                               capsys):
+    # It has no rounds, no cache and no net loop, so each option would
+    # change nothing; given, even at its default value, it is refused.
+    out = tmp_path / "run"
+    rc = cli("run", "--image", image, "--key", KEY_HEX, "--mode", "passthrough",
+             "--workload", "seqread(0,0)", *option, "--out", out)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (f"error: {option[0]} is refused with --mode passthrough, "
+                            "which has no rounds, cache or net loop\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workload", ["seqread(0,0)", "seqwrite(0,9000)"])

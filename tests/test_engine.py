@@ -47,6 +47,13 @@ FILE_A = bytes(range(256)) * 16 * 8
 FILE_B = b"\xab" * 4096 * 3
 
 
+# An 8-page shelter for small_bundle's 64-block disk, far below the
+# default, which is the whole disk: an epoch is 8 rounds and a pass over
+# the L = 11 file blocks 11, so the cadence tests below see passes within
+# a few dozen rounds.
+EIGHT_PAGES = EngineConfig(cache_capacity=8)
+
+
 def net_pair():
     """Enclave-side and remote-side sessions over the same link."""
     a = StaticIdentity.from_private_bytes(bytes(range(32)))
@@ -201,7 +208,7 @@ def test_regular_fd_skips_internal_files(small_bundle):
 
 
 def test_idle_rounds_sit_on_the_interval_grid(small_bundle):
-    m = mount(small_bundle)
+    m = mount(small_bundle, config=EIGHT_PAGES)
     m.engine.start_observation()
     m.engine.run_rounds(10)
     disk = m.trace.of_kind(CallKind.DISK_READ, CallKind.DISK_WRITE)
@@ -252,7 +259,7 @@ def test_a_write_run_longer_than_the_cache_loses_no_page():
     n = 1100
     bundle = build_image(2048, ProtectionMode.CRYPT_INTEGRITY, [bytes(n * BLOCK_SIZE)],
                          seed=5, key=DEFAULT_KEY, max_file_blocks=n)
-    m = mount(bundle)
+    m = mount(bundle, config=EngineConfig(cache_capacity=128))
     eng = m.engine
     assert eng.cache.capacity == 128
     fd = eng.regular_fd(0)
@@ -369,8 +376,9 @@ def test_a_protected_mount_of_a_plain_image_is_refused():
 
 
 # --- the epoch cadence ------------------------------------------------------
-# small_bundle's engine: C = 8 pages, so an epoch is 8 rounds, and a pass
-# over its L = 11 file blocks takes 11. Passes start at rounds 8, 27, 46...
+# small_bundle under EIGHT_PAGES: C = 8 pages, so an epoch is 8 rounds, and
+# a pass over its L = 11 file blocks takes 11. Passes start at rounds 8,
+# 27, 46...
 
 
 def _padding_offsets(m) -> set[int]:
@@ -385,7 +393,7 @@ def _written_outside_padding(m) -> list[int]:
 
 
 def test_run_rounds_gives_exactly_n_rounds_across_a_pass_boundary(small_bundle):
-    m = mount(small_bundle)
+    m = mount(small_bundle, config=EIGHT_PAGES)
     eng = m.engine
     eng.start_observation()
     for n, done, shuffles in ((5, 5, 0), (10, 15, 0), (20, 35, 1), (5, 40, 2)):
@@ -399,9 +407,9 @@ def test_run_rounds_gives_exactly_n_rounds_across_a_pass_boundary(small_bundle):
 
 
 def test_an_image_above_4096_blocks_gets_the_whole_budget(monkeypatch):
-    # 8192 / 16 = 512 pages is over the budget, so the shelter is the
-    # budget, and an idle epoch is that many rounds: passes of L rounds
-    # start at C and 2C + L.
+    # 8192 blocks is over the budget, so the shelter is the budget, and
+    # an idle epoch is that many rounds: passes of L rounds start at C and
+    # 2C + L.
     bundle = build_image(8192, ProtectionMode.CRYPT_INTEGRITY, [FILE_A * 2],
                          seed=3, key=DEFAULT_KEY)
     m = mount(bundle, seed=3)
@@ -424,6 +432,73 @@ def test_an_image_above_4096_blocks_gets_the_whole_budget(monkeypatch):
         [s + k for s in starts for k in range(blocks)]
 
 
+def test_a_shelter_that_holds_every_file_block_fetches_each_once(monkeypatch):
+    # Acceptance 1's image: 256 blocks, files of 24 and 16 blocks, so at
+    # the default C = 256 >= L = 40. The first epoch fetches each block
+    # file 0's random reads touch once; the pages are carried over, so
+    # later epochs serve every read from the shelter. The cadence is the
+    # same as when C < L: passes C + L rounds apart, each reading every
+    # file block's home once.
+    bundle = build_image(256, ProtectionMode.CRYPT_INTEGRITY,
+                         [bytes(range(256)) * 16 * 24, b"\x5a" * BLOCK_SIZE * 16],
+                         seed=1, key=DEFAULT_KEY)
+    m = mount(bundle, seed=1)
+    eng, fs, layout = m.engine, m.fs, m.store.layout
+    fds = fs.files_with_flag(FLAG_REGULAR)
+    capacity, blocks = eng.cache.capacity, sum(fs.file_blocks(fd) for fd in fds)
+    assert (capacity, blocks) == (256, 40)
+    passes = []
+
+    def recording_pass(fs, peek_cache, rng):
+        homes = [fs.phys_of(fd, b) for fd in fds for b in range(fs.file_blocks(fd))]
+        passes.append((eng.rounds_done, homes))
+        return shuffle_pass(fs, peek_cache, rng)
+
+    monkeypatch.setattr(engine_module, "shuffle_pass", recording_pass)
+    eng.start_observation()
+    workload = parse_workload("randread(0,120)")
+    fetches, hits = [], []
+    for _ in range(3):
+        workload.run(eng)
+        fetches.append(eng.cache.fetches)
+        hits.append(eng.cache.hits)
+        eng.run_rounds(capacity + blocks)
+    assert 0 < fetches[0] <= 24
+    assert fetches == [fetches[0]] * 3
+    assert hits == [120 - fetches[0], 240 - fetches[0], 360 - fetches[0]]
+    starts = [start for start, _homes in passes]
+    assert starts == [capacity + k * (capacity + blocks) for k in range(3)]
+    reads = [e.offset for e in m.trace.of_kind(CallKind.DISK_READ)]
+    padding = _padding_offsets(m)
+    for start, homes in passes:
+        walked = reads[start:start + blocks]
+        assert sorted(walked) == sorted(layout.data_offset(h) for h in homes)
+    # The epochs' real reads are the fetches, each of a distinct home.
+    ends = [0] + [start + blocks for start in starts]
+    for begin, end in zip(ends, starts):
+        real = [off for off in reads[begin:end] if off not in padding]
+        assert len(real) == len(set(real))
+    epoch_reads = sum(off not in padding for begin, end in zip(ends, starts)
+                      for off in reads[begin:end])
+    assert epoch_reads == fetches[0]
+    assert fs.fsck() == []
+
+
+def test_a_stream_over_a_file_larger_than_the_shelter_runs_one_pass():
+    # Acceptance 9's image: 640 blocks with one 512-block file, so C = 384
+    # and L = 512. A sequential read fetches 384 blocks in the first epoch,
+    # waits out one pass of 512 rounds, and fetches the last 128.
+    payload = bytes(range(256)) * 8192
+    bundle = build_image(640, ProtectionMode.CRYPT_INTEGRITY, [payload], seed=6,
+                         key=DEFAULT_KEY, max_files=8, max_file_blocks=512)
+    m = mount(bundle, seed=6)
+    eng = m.engine
+    assert (eng.cache.capacity, m.fs.file_blocks(eng.regular_fd(0))) == (384, 512)
+    assert run_workload(eng, parse_workload("seqread(0,0)"))
+    assert (eng.rounds_done, eng.shuffles, eng.payload_bytes) == (1024, 1, len(payload))
+    assert eng.read_file(eng.regular_fd(0), 0, len(payload)) == payload
+
+
 @pytest.mark.parametrize("spec", ["idle(104)", "randread(0,60)", "randread(1,60)",
                                   "reread(0,60)"])
 def test_the_record_has_a_closed_form(small_bundle, spec):
@@ -436,7 +511,7 @@ def test_the_record_has_a_closed_form(small_bundle, spec):
     # the homes the idle run's pass reads, in the same order, whatever
     # the cache holds.
     n, capacity, blocks = 104, 8, 11
-    m = mount(small_bundle, seed=2)
+    m = mount(small_bundle, seed=2, config=EIGHT_PAGES)
     eng = m.engine
     eng.start_observation()
     assert run_workload(eng, parse_workload(spec), target_rounds=n)
@@ -445,7 +520,7 @@ def test_the_record_has_a_closed_form(small_bundle, spec):
     outside = n - eng.shuffles * blocks
     assert (eng.rounds_done, eng.shuffles, outside) == (n, 5, 49)
     assert eng.shuffles == n // (capacity + blocks) == outside // capacity - 1
-    idle = mount(small_bundle, seed=2)
+    idle = mount(small_bundle, seed=2, config=EIGHT_PAGES)
     idle.engine.start_observation()
     idle.engine.run_rounds(n)
     assert _written_outside_padding(m) == _written_outside_padding(idle)
@@ -577,7 +652,7 @@ def test_a_write_to_a_carried_over_page_spends_one_read_slot(small_bundle):
 def test_a_whole_block_write_run_across_an_epoch_boundary_reads_back_intact(small_bundle):
     # One file_write of 10 whole blocks spends 10 read slots, so a pass
     # runs between two of its blocks and must walk the ones written.
-    m = mount(small_bundle, seed=1)
+    m = mount(small_bundle, seed=1, config=EIGHT_PAGES)
     eng = m.engine
     b = eng.regular_fd(1)
     data = bytes(range(256)) * 16 * 10
@@ -591,7 +666,7 @@ def test_a_whole_block_write_run_across_an_epoch_boundary_reads_back_intact(smal
 
 
 def test_a_stepped_pass_cut_by_the_budget_frees_its_vacated_homes(small_bundle):
-    m = mount(small_bundle, seed=2)
+    m = mount(small_bundle, seed=2, config=EIGHT_PAGES)
     eng = m.engine
     free = m.fs.free_blocks
     eng.run_rounds(8)
@@ -617,7 +692,7 @@ def test_a_pass_finished_by_a_read_matches_one_stepped_to_its_end(small_bundle, 
     # a read finishes it through shuffle_now; k = 0 leaves it to the read
     # to start. Stepping it to its end first gives the same run.
     def run(stepped):
-        m = mount(small_bundle, seed=3)
+        m = mount(small_bundle, seed=3, config=EIGHT_PAGES)
         eng = m.engine
         eng.start_observation()
         eng.run_rounds(8 + stepped)
@@ -641,7 +716,7 @@ def test_passes_start_exactly_c_plus_l_rounds_apart_under_mixed_ops(monkeypatch)
     bundle = build_image(256, ProtectionMode.CRYPT_INTEGRITY,
                          [bytes(16 * BLOCK_SIZE), bytes(8 * BLOCK_SIZE)],
                          seed=4, key=DEFAULT_KEY)
-    m = mount(bundle, seed=4)
+    m = mount(bundle, seed=4, config=EngineConfig(cache_capacity=16))
     eng, fs = m.engine, m.fs
     a, b = eng.regular_fd(0), eng.regular_fd(1)
     starts = []
@@ -675,7 +750,7 @@ def test_passes_start_exactly_c_plus_l_rounds_apart_under_mixed_ops(monkeypatch)
 
 def test_a_pass_cut_by_the_budget_queues_nothing_and_the_next_round_restarts_it(
         small_bundle, monkeypatch):
-    m = mount(small_bundle, seed=2)
+    m = mount(small_bundle, seed=2, config=EIGHT_PAGES)
     eng = m.engine
     eng.run_rounds(8)
     eng.round_target = eng.rounds_done + 5
@@ -734,7 +809,7 @@ def test_a_protected_mount_of_a_disk_with_no_free_block_is_refused():
 
 
 def test_a_write_that_would_take_the_last_free_block_is_refused():
-    m = mount(_one_file_image(52))
+    m = mount(_one_file_image(52), config=EIGHT_PAGES)
     eng, fs = m.engine, m.fs
     fd = eng.regular_fd(0)
     eng.write_file(fd, 52 * BLOCK_SIZE, b"x")  # one new block of two free
@@ -755,7 +830,7 @@ def test_a_write_that_would_take_the_last_free_block_is_refused():
 def test_a_write_during_a_pass_counts_the_blocks_the_pass_holds():
     # Two free blocks: five steps into the pass both are drawn as new
     # homes, and the homes it vacated come back only when it ends.
-    m = mount(_one_file_image(52))
+    m = mount(_one_file_image(52), config=EIGHT_PAGES)
     eng, fs = m.engine, m.fs
     fd = eng.regular_fd(0)
     eng.run_rounds(8 + 5)
@@ -805,7 +880,7 @@ def test_a_write_the_file_refuses_runs_no_round_and_leaves_the_pass_running(
     # Each write would grow the 3-block file, but its range is refused
     # first: the pass the rounds were stepping is not finished for it,
     # and the growth check's SpaceError does not hide the RangeError.
-    m = mount(small_bundle)
+    m = mount(small_bundle, config=EIGHT_PAGES)
     eng, fs = m.engine, m.fs
     fd = eng.regular_fd(1)
     eng.run_rounds(8 + 2)  # two rounds into the 11-round pass
@@ -934,6 +1009,18 @@ def test_passthrough_refuses_protected_operations(small_bundle):
         eng.run_one_round()
     with pytest.raises(ModeError):
         eng.shuffle_now()
+
+
+def test_passthrough_refuses_links_and_pumps(small_bundle):
+    # It has no net loop: a link would never emit and a pump never run.
+    m = mount(small_bundle, oblivious=False)
+    eng = m.engine
+    enclave, remote = net_pair()
+    with pytest.raises(ModeError, match="no net loop"):
+        eng.add_link(3, enclave)
+    with pytest.raises(ModeError, match="no net loop"):
+        eng.add_external_pump(EchoPeer(m.host, 3, remote, ShapingClass()))
+    assert eng.links == [] and eng.counters()["net_real"] == 0
 
 
 def test_passthrough_charges_fixed_latency(small_bundle):
@@ -1081,9 +1168,10 @@ MIXED_LINKS_RECEIVED = [(0, 20, 78), (1, 19, 30), (2, 20, 53), (3, 20, 5),
 
 def _run_mixed_links(bundle):
     """Seven links, an eighth added at round 20 mid-interval, sends on a
-    fixed schedule; 60 observed rounds. Returns the mount, the peers by
-    endpoint and one ``round,endpoint,payload`` line per echo received."""
-    m = mount(bundle, seed=3)
+    fixed schedule; 60 observed rounds, with passes every 8 + 11 rounds.
+    Returns the mount, the peers by endpoint and one
+    ``round,endpoint,payload`` line per echo received."""
+    m = mount(bundle, seed=3, config=EIGHT_PAGES)
     peers = {}
     echoes = []
 
@@ -1144,7 +1232,7 @@ LIVE_LINK_SHUFFLE_SESSIONS = [(5, 11, 5, 11), (5, 11, 5, 10)]
 
 
 def test_shuffle_with_a_live_link_is_pinned(small_bundle):
-    m = mount(small_bundle, seed=5)
+    m = mount(small_bundle, seed=5, config=EIGHT_PAGES)
     eng = m.engine
     enclave, remote = net_pair()
     shaping = ShapingClass(50_000_000)

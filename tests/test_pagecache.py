@@ -29,33 +29,12 @@ class Harness:
         self.disk[phys] = bytes(page)
 
 
-def test_default_capacity_is_sqrt_ceiling():
-    # Up to 256 blocks the square-root ceiling is the larger term.
-    for n in range(1, 257):
-        k = default_capacity(n)
-        assert k * k >= n
-        assert k == 1 or (k - 1) * (k - 1) < n
-
-
 def test_default_capacity_is_a_1_5_mib_budget():
+    # The shelter takes its whole trusted-memory budget, or the whole disk
+    # when the disk is smaller.
     assert BUDGET_PAGES * 4096 == 3 << 19
-    # The acceptance image, the randread and netecho images, kv_mixed's.
-    assert [default_capacity(n) for n in (256, 4096, 32768)] == [16, 256, 384]
-    for n in range(1, 40000, 7):
-        sqrt_ceil = next(k for k in range(1, n + 1) if k * k >= n)
-        assert default_capacity(n) == min(BUDGET_PAGES, max(sqrt_ceil, -(-n // 16)))
-
-
-def test_the_budget_moves_no_image_of_4096_blocks_or_fewer():
-    # Up to 4096 blocks the 1 MiB rule still holds, so every acceptance
-    # and test image keeps its shelter and its trace; above, n / 16 is
-    # the larger term and only the cap moved.
-    sqrt_ceil = 1
-    for n in range(1, 4097):
-        sqrt_ceil += sqrt_ceil * sqrt_ceil < n
-        assert default_capacity(n) == min(256, max(sqrt_ceil, -(-n // 16)))
-    for n in range(4097, 40000, 13):
-        assert default_capacity(n) == min(384, -(-n // 16))
+    for n in range(1, 40001):
+        assert default_capacity(n) == min(BUDGET_PAGES, n)
 
 
 def test_capacity_must_be_positive():
