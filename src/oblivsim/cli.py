@@ -215,7 +215,7 @@ def cmd_run(args) -> int:
         lines.append(
             f"INFO padding-target uniformity: p={result.p_value:.4f} "
             f"over {result.n_samples} samples, {result.n_bins} bins")
-    except InsufficientDataError as exc:
+    except (InsufficientDataError, ParameterError) as exc:  # or a 1-block domain
         lines.append(f"INFO padding-target uniformity: skipped ({exc})")
     (outdir / "verdict.txt").write_text("".join(l + "\n" for l in lines))
     for line in lines:

@@ -6,10 +6,10 @@ Two I/O personalities implement the filesystem's block interface:
 * ``CachedIo`` is the protected path. Reads and writes go through the
   page cache. A miss, and a whole-block write over a page whose block
   this epoch has not fetched, hand the block to the next batched round
-  (``Engine.shuffle_round``), which reads it in its first read slot, one
-  round per read. Before either, a pass that is due or running is
-  finished (``Engine.shuffle_now``), since the pass holds a snapshot of
-  the cache. No queued write can target the block read. The write
+  (``Engine.shuffle_round``), which reads it, one round per read.
+  Before either, a pass that is due or running is finished
+  (``Engine.shuffle_now``), since the pass holds a snapshot of the
+  cache. No queued write can target the block read. The write
   queue has one source, the pages ``PageCache.flush`` wrote out, which
   stay resident; it drains before the next pass starts, so they land
   before any later read. The pass lands every page of every file, dirty
@@ -270,8 +270,7 @@ class Engine:
             if not fs.free_blocks:
                 raise ShuffleImpossibleError(
                     "0 free blocks; a protected mount keeps 1 for its shuffle passes")
-            self.sched = RoundScheduler(
-                store, fs.dummy_blocks(), rng.stream("dummy"), self.config.round)
+            self.sched = RoundScheduler(store, fs.dummy_blocks(), rng.stream("dummy"))
             capacity = self.config.cache_capacity
             if capacity is None:
                 capacity = default_capacity(store.n_blocks)
@@ -305,8 +304,8 @@ class Engine:
 
     def shuffle_round(self, read: int | None = None, land=None) -> bytes | None:
         """The net instants due by the next round's time, then the round
-        at that time, with ``read`` in its first read slot and what
-        ``land`` gives in its first write slot (``RoundScheduler.run_round``);
+        at that time, with ``read`` as its read and what ``land`` gives as
+        its write (``RoundScheduler.run_round``);
         returns ``read``'s plaintext, or None. Each step of a pass, and
         every other round too. A round past the budget raises
         ``RoundBudgetExhausted`` and runs nothing: it reads nothing,

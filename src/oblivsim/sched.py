@@ -1,25 +1,25 @@
 """Batched, fixed-cadence disk scheduler.
 
 All disk traffic is reshaped into rounds at a fixed interval (default
-0.1 ms of simulated time). Every round performs exactly the configured
-number of reads followed by the configured number of writes. A read
-handed to the round, the block its ``land`` gives and the queued writes
-take their slots; every other slot is padding traffic against uniformly
-random blocks of the padding domain, the allocated blocks no file maps
+0.1 ms of simulated time). Every round is exactly one read followed by
+one write. A read handed to the round takes the read, and the block its
+``land`` gives, or else the oldest queued write, takes the write; a
+slot left empty is padding traffic against a uniformly random block of
+the padding domain, the allocated blocks no file maps
 (``BlockFs.dummy_blocks``). An observer therefore sees the same call
 sequence, lengths and timing no matter what the workload does.
 
-Reads always run before writes within a round. A round carries no
-time: the engine owns the interval, moves the simulated clock to round
-k's instant, k x interval, and then runs the round, so every call of
-the round is stamped there and the recorded pattern is bit-reproducible.
+A round carries no time: the engine owns the interval, moves the
+simulated clock to round k's instant, k x interval, and then runs the
+round, so both calls of the round are stamped there and the recorded
+pattern is bit-reproducible.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 from .blockcrypto import BLOCK_SIZE, BlockStore
 from .errors import ParameterError, SimError, SizeError
@@ -31,28 +31,22 @@ DEFAULT_ROUND_INTERVAL_NS = 100_000  # 0.1 ms
 @dataclass(frozen=True)
 class RoundConfig:
     interval_ns: int = DEFAULT_ROUND_INTERVAL_NS
-    reads_per_round: int = 1
-    writes_per_round: int = 1
+    # One read, then one write: constants, kept for the trace metadata.
+    reads_per_round: ClassVar[int] = 1
+    writes_per_round: ClassVar[int] = 1
 
     def __post_init__(self):
-        # Without a read slot a handed read has nowhere to go, and
-        # without a write slot the write queue would never drain.
-        if self.interval_ns <= 0 or self.reads_per_round < 1 \
-                or self.writes_per_round < 1:
+        if self.interval_ns <= 0:
             raise ParameterError("invalid round configuration")
 
 
 class RoundScheduler:
-    def __init__(self, store: BlockStore, dummy_targets: list[int], rng: Rng,
-                 config: RoundConfig | None = None):
+    def __init__(self, store: BlockStore, dummy_targets: list[int], rng: Rng):
         self.store = store
         self.dummy_targets = list(dummy_targets)
         if not self.dummy_targets:
             raise ParameterError("padding needs at least one padding block")
         self.rng = rng
-        self.config = config = config if config is not None else RoundConfig()
-        self._reads_per_round = config.reads_per_round
-        self._writes_per_round = config.writes_per_round
         # Queued write-backs, (phys, data); reads are handed to run_round.
         self._writes: deque[tuple[int, bytes]] = deque()
         self.rounds = 0
@@ -93,47 +87,40 @@ class RoundScheduler:
 
     def run_round(self, read: int | None = None,
                   land: Callable | None = None) -> bytes | None:
-        """One batch: reads run first and writes after. It takes no time
-        and moves no clock; the engine has moved the clock to the round's
-        instant, so every call is stamped there.
+        """One round: its read, then its write. It takes no time and moves
+        no clock; the engine has moved the clock to the round's instant,
+        so both calls are stamped there.
 
-        ``read`` (a block) takes the first read slot, and padding the
-        rest. ``land``, called after the reads with ``read``'s plaintext
-        (None if no read), gives the (block, plaintext) the first write
-        slot lands; queued writes fill the next slots before padding
-        does. Returns ``read``'s plaintext, or None. A failed read (say,
-        it does not authenticate) still runs every slot and counts, so
-        the cadence holds, and then raises; ``land`` is not called."""
-        store, writes = self.store, self._writes
+        ``read`` (a block) takes the read, or else padding does.
+        ``land``, called after the read with ``read``'s plaintext (None
+        if no read), gives the (block, plaintext) the write lands; without
+        it the oldest queued write, or else padding, takes the write.
+        Returns ``read``'s plaintext, or None. A failed read (say, it does
+        not authenticate) still runs the write and counts, so the cadence
+        holds, and then raises; ``land`` is not called."""
+        store = self.store
         error: SimError | None = None
         served = None
-        padding = self._reads_per_round
         if read is not None:
-            padding -= 1
             try:
                 served = store.read_block(read)
             except SimError as exc:
                 error = exc
             self.real_reads += 1
-        while padding:
+        else:
             targets = self.dummy_targets
             store.dummy_read(targets[self.rng.randbelow(len(targets))])
             self.dummy_reads += 1
-            padding -= 1
-        slots = self._writes_per_round
         if land is not None and error is None:
             store.write_block(*land(served))
             self.real_writes += 1
-            slots -= 1
-        while slots:
-            if writes:
-                store.write_block(*writes.popleft())
-                self.real_writes += 1
-            else:
-                targets = self.dummy_targets
-                store.dummy_write(targets[self.rng.randbelow(len(targets))])
-                self.dummy_writes += 1
-            slots -= 1
+        elif self._writes:
+            store.write_block(*self._writes.popleft())
+            self.real_writes += 1
+        else:
+            targets = self.dummy_targets
+            store.dummy_write(targets[self.rng.randbelow(len(targets))])
+            self.dummy_writes += 1
         self.rounds += 1
         if error is not None:
             raise error

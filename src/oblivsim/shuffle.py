@@ -9,8 +9,8 @@ of *n* steps takes *n* rounds. The pass is a generator,
 * the read slot reads the step's own block at its pre-pass home, so a
   pass reads every block it walks exactly once, in shuffle order,
   whatever the page cache holds;
-* after the round's reads, ``land`` re-homes the block and gives the
-  first write slot the block, freshly re-encrypted, at its new home: the
+* after the round's read, ``land`` re-homes the block and gives the
+  write slot the block, freshly re-encrypted, at its new home: the
   cache's copy if the block is resident there, so dirty bytes win, and
   otherwise the plaintext the read returned.
 
@@ -104,9 +104,9 @@ Step = tuple[int, Land]
 def shuffle_pass(fs: BlockFs, peek_cache, rng: Rng,
                  fds=None) -> Generator[Step, None, ShuffleStats]:
     """The pass, one round per step: yields each round's (read, land),
-    the block its first read slot reads and the callable that, handed
-    that read's plaintext, re-homes the step's block and returns the
-    (new home, plaintext) its first write slot lands. Returns the pass's
+    the block its read slot reads and the callable that, handed that
+    read's plaintext, re-homes the step's block and returns the (new
+    home, plaintext) its write slot lands. Returns the pass's
     stats. ``peek_cache(fd, lblk)`` gives a resident page or None; the
     cache does not change while the pass runs."""
     if fds is None:

@@ -3,7 +3,8 @@
 tier-1 suite does not collect ``benchmarks/``. A change in ``src/`` that
 breaks a workload's set-up or its ops would otherwise show only when the
 benchmark itself runs, so every workload runs here at the tiny sizes of
-``benchmarks/test_benchmark.py``, untraced and traced."""
+``benchmarks/test_benchmark.py``, untraced and traced, and each disk
+workload once more at sizes that hold a shuffle pass."""
 
 from __future__ import annotations
 
@@ -43,6 +44,16 @@ TINY = {
     "netecho": lambda w, seed: w.NetEcho(seed, n_blocks=256, data_blocks=2),
 }
 
+# TINY's disk files fit their shelters, so no pass runs there. These
+# files are larger than the 384-page shelter: each run holds a pass.
+PASS_SIZES = {
+    "randread_shuffle": (
+        lambda w, seed: w.RandReadShuffle(seed, n_blocks=1024, file_blocks=512), 1000),
+    "kv_mixed": (
+        lambda w, seed: w.KvMixed(seed, n_blocks=1024, file_blocks=512, n_keys=20_000),
+        1500),
+}
+
 
 def test_every_workload_is_sized_here(bench):
     assert list(TINY) == list(bench[1].WORKLOADS)
@@ -59,6 +70,24 @@ def test_each_workload_runs_correctly_traced_and_untraced(bench, name, tmp_path)
         assert (r.attempted, r.failed) == (OPS, 0)
     assert plain.counters == untraced.counters == traced.counters
     assert plain.sha256 == untraced.sha256 == traced.sha256
+
+
+@pytest.mark.parametrize("name", PASS_SIZES)
+def test_a_disk_workload_larger_than_its_shelter_runs_a_pass(bench, name, tmp_path):
+    harness, workloads = bench
+    make, ops = PASS_SIZES[name]
+    untraced, traced, metrics, _written = harness.run_traced(
+        make(workloads, 1), ops, tmp_path / "spans")
+    for r in (untraced, traced):
+        assert r.correct, r.violations
+        assert (r.attempted, r.failed) == (ops, 0)
+    fs = traced.m.engine.fs
+    blocks = sum(fs.file_blocks(fd) for fd in fs.files_with_flag(FLAG_REGULAR))
+    assert traced.m.engine.cache.capacity < blocks
+    assert untraced.counters["shuffles"] > 0
+    assert metrics["shuffle.count"] == traced.counters["shuffles"]
+    assert untraced.counters == traced.counters
+    assert untraced.sha256 == traced.sha256
 
 
 def test_an_idle_disk_under_netecho_has_a_closed_form(bench):

@@ -157,6 +157,26 @@ def test_run_assert_oblivious_passes_on_the_protected_path(image, tmp_path, caps
     assert len(baseline) == len(trace)
 
 
+def test_assert_oblivious_on_a_one_block_padding_domain_skips_uniformity(tmp_path, capsys):
+    # 16 blocks leave one padding block: uniformity has nothing to test,
+    # and the shape verdict alone sets the exit status.
+    src, img, out = tmp_path / "payload.bin", tmp_path / "disk.img", tmp_path / "run"
+    src.write_bytes(PAYLOAD)
+    assert cli("create-image", "--out", img, "--blocks", 16, "--key", KEY_HEX,
+               "--seed", 1, "--add", src) == 0
+    assert "dummy blocks: 1 " in capsys.readouterr().out
+    rc = cli("run", "--image", img, "--key", KEY_HEX, "--seed", 3,
+             "--workload", "randread(0,20)", "--rounds", 200,
+             "--assert-oblivious", "--out", out)
+    stdout = capsys.readouterr().out
+    assert rc == 0
+    assert "PASS shape: " in stdout
+    verdict = (out / "verdict.txt").read_text().splitlines()
+    assert verdict[0].startswith("PASS shape")
+    assert verdict[1] == ("INFO padding-target uniformity: skipped "
+                          "(uniformity needs a domain of at least two values)")
+
+
 def test_assert_oblivious_flags_the_passthrough_path(image, tmp_path, capsys):
     out = tmp_path / "run"
     rc = cli("run", "--image", image, "--key", KEY_HEX, "--seed", 1,

@@ -26,7 +26,6 @@ from oblivsim import (
     ProtectionMode,
     RangeError,
     RoundBudgetExhausted,
-    RoundConfig,
     ShapingClass,
     ShuffleImpossibleError,
     SizeError,
@@ -963,44 +962,6 @@ def test_a_pass_cut_by_the_budget_loses_no_block(small_bundle, cut):
     assert eng.read_file(a, 0, len(FILE_A)) == expected
     assert eng.read_file(b, 0, len(FILE_B)) == FILE_B
     assert m.fs.fsck() == []
-
-
-# A pass under two read and two write slots per round: each step's read
-# and the landing of its block take the first slot of each kind, and
-# padding fills the rest. Pinned: the export's SHA-256 and the counters,
-# re-pinned like PINNED_TRACE_SHA256, with the same real reads, real
-# writes and block maps.
-MULTI_SLOT_SHUFFLE_SHA256 = \
-    "56612b728dc58d8b839747e588a4fb1cf56c0456cc3b21a6300e5c70ec94ef42"
-MULTI_SLOT_SHUFFLE_COUNTERS = {"rounds": 18, "real_reads": 16, "dummy_reads": 20,
-                               "real_writes": 11, "dummy_writes": 25, "shuffles": 1,
-                               "cache_hits": 2, "net_real": 0, "net_dummy": 0}
-
-
-def test_shuffle_with_two_slots_of_each_kind_is_pinned(small_bundle):
-    config = EngineConfig(RoundConfig(reads_per_round=2, writes_per_round=2),
-                          cache_capacity=4)
-    m = mount(small_bundle, seed=6, config=config)
-    eng = m.engine
-    a, b = eng.regular_fd(0), eng.regular_fd(1)
-    eng.start_observation()
-    eng.write_file(a, 5 * BLOCK_SIZE, b"\x5e" * BLOCK_SIZE)
-    assert eng.read_file(a, 0, 4) == FILE_A[:4]
-    assert eng.read_file(b, 2 * BLOCK_SIZE, 4) == FILE_B[:4]
-    padding = _padding_offsets(m)
-    first = len(m.trace.events)
-    stats = eng.shuffle_now()
-    # Every step reads its own block's home, the three resident ones too.
-    homes = [e for e in m.trace.events[first:]
-             if e.kind is CallKind.DISK_READ and e.offset not in padding]
-    assert (stats.swaps, len(homes)) == (11, 11)
-    assert eng.read_file(a, 5 * BLOCK_SIZE, 4) == b"\x5e" * 4
-    assert eng.read_file(b, 0, len(FILE_B)) == FILE_B
-    eng.run_rounds(2)
-    assert m.fs.fsck() == []
-    digest = hashlib.sha256(m.trace.export().encode()).hexdigest()
-    assert (digest, eng.counters()) == (
-        MULTI_SLOT_SHUFFLE_SHA256, MULTI_SLOT_SHUFFLE_COUNTERS)
 
 
 def test_passthrough_refuses_protected_operations(small_bundle):

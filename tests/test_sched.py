@@ -5,6 +5,7 @@ import pytest
 from conftest import mount
 from oblivsim import (
     BLOCK_SIZE,
+    DEFAULT_MTU,
     BlockStore,
     CallKind,
     EngineConfig,
@@ -26,19 +27,19 @@ from oblivsim import (
     establish,
     layout_for,
     new_image,
+    trace_fingerprint,
 )
 
 KEY = bytes(range(32))
 DUMMIES = [10, 11, 12, 13]
 
 
-def make_sched(config=None, dummies=DUMMIES, n=16, seed=3):
+def make_sched(dummies=DUMMIES, n=16, seed=3):
     mode = ProtectionMode.CRYPT_INTEGRITY
     host = Host(new_image(n, mode), SimClock())
     iface = HostInterface(host, HostTrace(meta={}))
     store = BlockStore(iface, layout_for(n, mode), KEY)
-    sched = RoundScheduler(store, dummies, RngTree(seed).stream("dummy"),
-                           config)
+    sched = RoundScheduler(store, dummies, RngTree(seed).stream("dummy"))
     return store, sched
 
 
@@ -51,17 +52,18 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         RoundConfig(interval_ns=0)
     with pytest.raises(ParameterError):
-        RoundConfig(reads_per_round=-1)
-    with pytest.raises(ParameterError):
         RoundScheduler(*make_sched()[:1], [], RngTree(0).stream("dummy"))
 
 
-@pytest.mark.parametrize("slots", [dict(reads_per_round=0), dict(writes_per_round=0)])
-def test_a_round_without_a_read_or_a_write_slot_is_refused(slots):
-    # A handed read needs a read slot to land, and the write queue a
-    # write slot to drain.
-    with pytest.raises(ParameterError):
-        RoundConfig(**slots)
+def test_the_round_shape_is_fixed_and_the_trace_metadata_keeps_it():
+    # One read, then one write, is not a setting: the slot counts are
+    # class constants, and the trace metadata still records them.
+    with pytest.raises(TypeError):
+        RoundConfig(reads_per_round=2)
+    assert RoundConfig.reads_per_round == RoundConfig.writes_per_round == 1
+    assert trace_fingerprint(RoundConfig(), DEFAULT_MTU) == {
+        "interval_ns": 100_000, "reads_per_round": 1, "writes_per_round": 1,
+        "mtu": 1500}
 
 
 def test_idle_rounds_emit_full_padding():
@@ -86,7 +88,7 @@ def test_events_stamped_at_round_time():
     # the read before the write.
     store, sched = make_sched()
     clock = store.iface.host.clock
-    interval = sched.config.interval_ns
+    interval = RoundConfig().interval_ns
     for i in range(5):
         clock.advance_to(i * interval)
         sched.run_round()
@@ -97,15 +99,6 @@ def test_events_stamped_at_round_time():
     assert sorted(by_ts) == [i * interval for i in range(5)]
     for kinds in by_ts.values():
         assert kinds == [CallKind.DISK_READ, CallKind.DISK_WRITE]
-
-
-def test_reads_run_before_writes_with_wider_rounds():
-    cfg = RoundConfig(reads_per_round=3, writes_per_round=2)
-    store, sched = make_sched(cfg)
-    run_rounds(sched, 4)
-    per_round = [e.kind for e in store.iface.trace.events[:5]]
-    assert per_round == [CallKind.DISK_READ] * 3 + [CallKind.DISK_WRITE] * 2
-    assert len(store.iface.trace.events) == 4 * 5
 
 
 def test_real_requests_take_the_slots():
@@ -135,29 +128,29 @@ def _landing(store, phys, calls):
 
 
 def test_land_gets_its_rounds_read_after_every_read_slot():
-    store, sched = make_sched(RoundConfig(reads_per_round=2, writes_per_round=2))
+    store, sched = make_sched()
     for phys in (5, 6):
         store.write_block(phys, bytes([phys]) * BLOCK_SIZE)
     sched.submit_write(7, b"\x07" * BLOCK_SIZE)
     store.iface.trace.reset()
     calls = []
     assert sched.run_round(5, _landing(store, 8, calls)) == b"\x05" * BLOCK_SIZE
-    # Called once, after both read slots and before any write, with the
+    # Called once, after the read and before the write, with the
     # plaintext of the round's own read.
-    assert calls == [(b"\x05" * BLOCK_SIZE, 2)]
-    # The handed read, padding, the landed block, then the queued write.
-    offsets = [e.offset for e in store.iface.trace.events]
-    assert offsets[0] == store.layout.data_offset(5)
-    assert offsets[1] in {store.layout.data_offset(p) for p in DUMMIES}
-    assert offsets[2:] == [store.layout.data_offset(p) for p in (8, 7)]
-    assert sched.pending_writes == 0
-    assert (sched.real_reads, sched.real_writes) == (1, 2)
-    assert (sched.dummy_reads, sched.dummy_writes) == (1, 0)
+    assert calls == [(b"\x05" * BLOCK_SIZE, 1)]
+    # The handed read, then the landed block; the queued write waits.
+    assert [e.offset for e in store.iface.trace.events] == [
+        store.layout.data_offset(p) for p in (5, 8)]
+    assert sched.pending_writes == 1
+    assert (sched.real_reads, sched.real_writes) == (1, 1)
+    assert (sched.dummy_reads, sched.dummy_writes) == (0, 0)
     assert store.read_block(8) == b"\x05" * BLOCK_SIZE
-    # Handed over alone, they leave the other slots to padding.
-    assert sched.run_round(6, _landing(store, 9, calls)) == b"\x06" * BLOCK_SIZE
-    assert (sched.dummy_reads, sched.dummy_writes) == (2, 1)
-    assert store.read_block(9) == b"\x06" * BLOCK_SIZE
+    # The next round without a land writes the queued block.
+    assert sched.run_round(6) == b"\x06" * BLOCK_SIZE
+    assert store.iface.trace.events[-1].offset == store.layout.data_offset(7)
+    assert sched.pending_writes == 0
+    assert (sched.real_reads, sched.real_writes) == (2, 2)
+    assert store.read_block(7) == b"\x07" * BLOCK_SIZE
 
 
 def test_land_handed_without_a_read_gets_none():
@@ -202,13 +195,15 @@ def test_busy_and_idle_rounds_share_a_shape():
 
 
 def test_pending_write_lookup_sees_newest():
-    store, sched = make_sched(RoundConfig(writes_per_round=2))
+    store, sched = make_sched()
     old, new = b"\x0a" * BLOCK_SIZE, b"\x0b" * BLOCK_SIZE
     sched.submit_write(5, old)
     sched.submit_write(5, new)
     assert sched.pending_write_for(5) == new
     assert sched.pending_write_for(6) is None
     assert sched.pending_writes == 2
+    sched.run_round()
+    assert sched.pending_write_for(5) == new
     sched.run_round()
     assert sched.pending_write_for(5) is None
     assert store.read_block(5) == new  # FIFO execution, newest lands last
