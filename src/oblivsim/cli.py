@@ -49,7 +49,6 @@ from .engine import (
 )
 from .errors import InsufficientDataError, ParameterError, SimError
 from .pagecache import BUDGET_PAGES
-from .sched import DEFAULT_ROUND_INTERVAL_NS, RoundConfig
 from .shaper import ShapingClass
 from .workload import parse_workload
 
@@ -160,17 +159,12 @@ def cmd_run(args) -> int:
     if not oblivious:
         # A passthrough run has no rounds, no cache and no net loop.
         for option, value in (("--rounds", args.rounds), ("--cache-k", args.cache_k),
-                              ("--round-interval", args.round_interval),
                               ("--peer", args.peer)):
             if value is not None:
                 raise ParameterError(f"{option} is refused with --mode passthrough, "
                                      "which has no rounds, cache or net loop")
-    interval = (DEFAULT_ROUND_INTERVAL_NS if args.round_interval is None
-                else args.round_interval)
     kw = dict(oblivious=oblivious, seed=args.seed,
-              config=EngineConfig(round=RoundConfig(interval_ns=interval),
-                                  cache_capacity=args.cache_k),
-              peers=args.peer or ())
+              config=EngineConfig(cache_capacity=args.cache_k), peers=args.peer or ())
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -397,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="e.g. 'seqread(0,0)', 'randread(0,500)', 'idle(1000)'")
     rn.add_argument("--rounds", type=_positive, default=None,
                     help="run exactly this many rounds (truncate or pad)")
-    rn.add_argument("--round-interval", type=int, default=None, metavar="NS")
     rn.add_argument("--cache-k", type=int, default=None,
                     help="page cache capacity, and rounds per epoch (default: "
                          f"the disk's block count, at most {BUDGET_PAGES})")

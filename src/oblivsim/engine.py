@@ -42,12 +42,12 @@ dropped mount, with its image copy, is freed by reference counting
 alone, without waiting for the cyclic collector.
 
 Time is the simulated clock, and the engine alone moves it. Round k
-runs at k x interval (``shuffle_round``, which every round goes
+runs at k x 0.1 ms (``shuffle_round``, which every round goes
 through): the engine first processes every network
 emission instant due by then, each at its own due time, then moves the
 clock to the round's instant and fires the disk round, which takes no
 time of its own. Network instants live on each link's own exact grid,
-so round interval and link rate need not divide each other.
+so the round interval and a link's rate need not divide each other.
 
 The net loop is event-driven. Every link and every external pump sits
 in one heap keyed by (due time, pumps before links, insertion order).
@@ -83,6 +83,7 @@ import itertools
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .blockcrypto import (
     BlockStore,
@@ -109,7 +110,7 @@ from .errors import (
 from .hostiface import Host, HostInterface, SimClock
 from .pagecache import PageCache, default_capacity
 from .rng import RngTree
-from .sched import RoundConfig, RoundScheduler
+from .sched import DEFAULT_ROUND_INTERVAL_NS, RoundConfig, RoundScheduler
 from .shaper import PeerShaper, ShapingClass
 from .shuffle import ShuffleStats, oblivious_shuffle, shuffle_pass
 from .trace import HostTrace
@@ -131,9 +132,10 @@ def trace_fingerprint(round_cfg: RoundConfig, mtu: int) -> dict:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    round: RoundConfig = field(default_factory=RoundConfig)
-    # Pages, and rounds per epoch. None: pagecache.default_capacity, the
-    # disk's block count, at most BUDGET_PAGES.
+    # Fixed (0.1 ms, one read, one write); kept for the trace metadata.
+    round: ClassVar[RoundConfig] = RoundConfig()
+    # The one setting: pages, and rounds per epoch, resolved into the trace
+    # metadata. None: default_capacity, the block count, at most BUDGET_PAGES.
     cache_capacity: int | None = None
 
 
@@ -247,7 +249,6 @@ class Engine:
         self.config = config if config is not None else EngineConfig()
         self.oblivious = oblivious
         self.clock = iface.host.clock
-        self._interval_ns = self.config.round.interval_ns
         self.round_target: int | None = None
         self.shuffles = 0
         # The running pass, (its steps, the next step, not yet run), and
@@ -274,6 +275,7 @@ class Engine:
             capacity = self.config.cache_capacity
             if capacity is None:
                 capacity = default_capacity(store.n_blocks)
+            iface.trace.meta["cache_capacity"] = capacity
             self.cache = PageCache(capacity, phys_of=fs.phys_of,
                                    writeback=self.sched.submit_write)
             self.pass_due = capacity
@@ -297,7 +299,7 @@ class Engine:
     @property
     def elapsed_ns(self) -> int:
         if self.oblivious:
-            return self.rounds_done * self._interval_ns
+            return self.rounds_done * DEFAULT_ROUND_INTERVAL_NS
         return self.clock.now()
 
     # Rounds -------------------------------------------------------------
@@ -316,7 +318,7 @@ class Engine:
         done = sched.rounds
         if self.round_target is not None and done >= self.round_target:
             raise RoundBudgetExhausted(f"round budget of {self.round_target} spent")
-        t = done * self._interval_ns
+        t = done * DEFAULT_ROUND_INTERVAL_NS
         heap = self._net_due
         if heap and heap[0][0] <= t:
             self._run_net_until(t)

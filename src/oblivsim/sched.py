@@ -1,7 +1,7 @@
 """Batched, fixed-cadence disk scheduler.
 
-All disk traffic is reshaped into rounds at a fixed interval (default
-0.1 ms of simulated time). Every round is exactly one read followed by
+All disk traffic is reshaped into rounds at a fixed interval, 0.1 ms
+of simulated time. Every round is exactly one read followed by
 one write. A read handed to the round takes the read, and the block its
 ``land`` gives, or else the oldest queued write, takes the write; a
 slot left empty is padding traffic against a uniformly random block of
@@ -9,10 +9,9 @@ the padding domain, the allocated blocks no file maps
 (``BlockFs.dummy_blocks``). An observer therefore sees the same call
 sequence, lengths and timing no matter what the workload does.
 
-A round carries no time: the engine owns the interval, moves the
-simulated clock to round k's instant, k x interval, and then runs the
-round, so both calls of the round are stamped there and the recorded
-pattern is bit-reproducible.
+A round carries no time: the engine moves the simulated clock to round
+k's instant, k x 0.1 ms, and then runs the round, so both calls of the
+round are stamped there and the recorded pattern is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -30,14 +29,11 @@ DEFAULT_ROUND_INTERVAL_NS = 100_000  # 0.1 ms
 
 @dataclass(frozen=True)
 class RoundConfig:
-    interval_ns: int = DEFAULT_ROUND_INTERVAL_NS
-    # One read, then one write: constants, kept for the trace metadata.
+    # One read, then one write, every 0.1 ms: constants, kept for the
+    # trace metadata.
+    interval_ns: ClassVar[int] = DEFAULT_ROUND_INTERVAL_NS
     reads_per_round: ClassVar[int] = 1
     writes_per_round: ClassVar[int] = 1
-
-    def __post_init__(self):
-        if self.interval_ns <= 0:
-            raise ParameterError("invalid round configuration")
 
 
 class RoundScheduler:

@@ -52,9 +52,10 @@ class HostCallEvent(NamedTuple):
 class HostTrace:
     """Append-only event log with metadata describing the recording run.
 
-    ``meta`` holds the run configuration fingerprint: round interval,
-    the fixed one read and one write per round, MTU. Comparing traces
-    recorded under different configurations is refused by the analyzer.
+    ``meta`` holds the run configuration fingerprint: the fixed round
+    (0.1 ms, one read, one write), the MTU, and on the protected path
+    the shelter size C, ``cache_capacity``. Comparing traces recorded
+    under different configurations is refused by the analyzer.
     """
 
     meta: dict = field(default_factory=dict)

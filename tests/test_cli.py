@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -75,6 +76,7 @@ def test_the_cache_k_help_names_the_budget(capsys):
         cli("run", "--help")
     shown = " ".join(capsys.readouterr().out.split())
     assert f"(default: the disk's block count, at most {BUDGET_PAGES})" in shown
+    assert "--round-interval" not in shown  # every round is 0.1 ms
 
 
 def test_create_image_reports_the_remounted_layout(tmp_path, capsys):
@@ -177,6 +179,30 @@ def test_assert_oblivious_on_a_one_block_padding_domain_skips_uniformity(tmp_pat
                           "(uniformity needs a domain of at least two values)")
 
 
+def test_assert_oblivious_reports_the_padding_targets_p_value(tmp_path, capsys):
+    # 256 blocks leave 25 padding blocks, and 1000 rounds give the test
+    # every padding call of the run as a sample, one bin per block. The
+    # p-value is information: the shape verdict alone sets the exit status.
+    src, img, out = tmp_path / "payload.bin", tmp_path / "disk.img", tmp_path / "run"
+    src.write_bytes(bytes(40_000))
+    assert cli("create-image", "--out", img, "--blocks", 256, "--key", KEY_HEX,
+               "--seed", 1, "--add", src) == 0
+    assert "dummy blocks: 25 " in capsys.readouterr().out
+    rc = cli("run", "--image", img, "--key", KEY_HEX, "--seed", 3,
+             "--workload", "randread(0,200)", "--rounds", 1000,
+             "--assert-oblivious", "--out", out)
+    stdout = capsys.readouterr().out
+    with open(out / "summary.csv") as fh:
+        row = next(csv.DictReader(fh))
+    padding = int(row["dummy_reads"]) + int(row["dummy_writes"])
+    verdict = (out / "verdict.txt").read_text().splitlines()
+    assert rc == 0 and verdict[0] == "PASS shape: 2000 events, identical shape"
+    info = re.fullmatch(r"INFO padding-target uniformity: p=(\d\.\d{4}) "
+                        rf"over {padding} samples, 25 bins", verdict[1])
+    assert info is not None and 0 <= float(info[1]) <= 1
+    assert stdout.endswith("".join(line + "\n" for line in verdict))
+
+
 def test_assert_oblivious_flags_the_passthrough_path(image, tmp_path, capsys):
     out = tmp_path / "run"
     rc = cli("run", "--image", image, "--key", KEY_HEX, "--seed", 1,
@@ -193,6 +219,7 @@ def test_assert_oblivious_flags_the_passthrough_path(image, tmp_path, capsys):
     ("run", "--image", "{img}", "--workload", "idle(1)", "--eager-shuffle-at", 2),
     ("create-image", "--out", "{img}", "--blocks", 64, "--dummy-fraction", 0.2),
     ("bench", "--image", "{img}", "--round-interval", 200_000),
+    ("run", "--image", "{img}", "--workload", "idle(1)", "--round-interval", 200_000),
 ])
 def test_retired_options_are_refused(argv, tmp_path, capsys):
     img = tmp_path / "x.img"
@@ -295,20 +322,6 @@ def test_kv_trace_ops_file_that_is_not_utf8_is_refused(image, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_round_interval_scales_the_timestamps(image, tmp_path, capsys):
-    stamps = []
-    for interval in ([], ["--round-interval", 200_000]):
-        out = tmp_path / f"run{len(stamps)}"
-        rc = cli("run", "--image", image, "--key", KEY_HEX, "--seed", 1,
-                 "--workload", "idle(20)", *interval, "--out", out)
-        assert rc == 0
-        stamps.append([int(l.split(",")[0])
-                       for l in (out / "trace.log").read_text().splitlines()])
-    capsys.readouterr()
-    assert len(stamps[0]) == 40 and max(stamps[0]) > 0
-    assert stamps[1] == [2 * ts for ts in stamps[0]]
-
-
 def test_smaller_cache_shuffles_more(image, tmp_path, capsys):
     shuffles = []
     for cache in ([], ["--cache-k", 2]):
@@ -341,7 +354,6 @@ def test_run_oblivious_rejects_weaker_images(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option", [("--rounds", 50), ("--cache-k", 4),
-                                    ("--round-interval", 100_000),
                                     ("--peer", 200_000_000)], ids=lambda o: o[0])
 def test_passthrough_refuses_the_options_of_the_protected_path(image, tmp_path, option,
                                                                capsys):

@@ -15,6 +15,7 @@ from conftest import DEFAULT_KEY, mount
 from oblivsim import (
     BLOCK_SIZE,
     BUDGET_PAGES,
+    DEFAULT_MTU,
     CallKind,
     DescriptorError,
     EchoPeer,
@@ -26,15 +27,19 @@ from oblivsim import (
     ProtectionMode,
     RangeError,
     RoundBudgetExhausted,
+    RoundConfig,
     ShapingClass,
     ShuffleImpossibleError,
     SizeError,
     SpaceError,
     StaticIdentity,
+    TraceConfigMismatch,
     build_image,
+    compare_traces,
     establish,
     parse_workload,
     run_workload,
+    trace_fingerprint,
 )
 import oblivsim.engine as engine_module
 from oblivsim.blockcrypto import SLOT_SIZE
@@ -249,6 +254,34 @@ def test_a_flushed_page_serves_a_later_read_from_the_cache(small_bundle):
         eng.run_one_round()
     assert m.store.read_block(m.fs.phys_of(fd, 0)) == b"Q" * BLOCK_SIZE
     assert m.store.read_block(m.fs.phys_of(fd, 1)) == b"R" * BLOCK_SIZE
+
+
+def test_a_forced_pass_lands_the_queued_writes_first(small_bundle):
+    # shuffle_now drains the write queue before the pass starts: the
+    # flushed page takes the next round's write, at the home it has now,
+    # and then the pass runs its L = 11 rounds.
+    m = mount(small_bundle, config=EngineConfig(cache_capacity=16))
+    eng = m.engine
+    fd = eng.regular_fd(0)
+    page = b"Z" * BLOCK_SIZE
+    eng.write_file(fd, 2 * BLOCK_SIZE, page)
+    home = m.store.layout.data_offset(m.fs.phys_of(fd, 2))
+    assert eng.cache.flush() == 1 and eng.sched.pending_writes == 1
+    eng.start_observation()
+    before = eng.counters()
+    stats = eng.shuffle_now()
+    ran = {k: v - before[k] for k, v in eng.counters().items()}
+    assert stats.plan.num_shuff_blk == 11
+    assert ran["rounds"] == 1 + 11 and ran["shuffles"] == 1
+    assert (ran["real_reads"], ran["dummy_reads"]) == (11, 1)
+    assert (ran["real_writes"], ran["dummy_writes"]) == (1 + 11, 0)
+    read, write, *rest = m.trace.of_kind(CallKind.DISK_READ, CallKind.DISK_WRITE)
+    padding = {m.store.layout.data_offset(p) for p in m.fs.dummy_blocks()}
+    assert read.offset in padding and write.offset == home
+    assert not {e.offset for e in rest} & padding
+    assert eng.sched.pending_writes == 0
+    assert m.store.read_block(m.fs.phys_of(fd, 2)) == page
+    assert eng.read_file(fd, 2 * BLOCK_SIZE, BLOCK_SIZE) == page
 
 
 def test_a_write_run_longer_than_the_cache_loses_no_page():
@@ -797,6 +830,30 @@ def _one_file_image(blocks):
     54 - ``blocks`` free ones."""
     return build_image(64, ProtectionMode.CRYPT_INTEGRITY, [bytes(blocks * BLOCK_SIZE)],
                        seed=2, key=DEFAULT_KEY)
+
+
+def test_traces_recorded_under_different_shelters_refuse_to_compare(small_bundle):
+    # The shelter size C is public and fixes where every pass starts, so
+    # a protected trace records it, resolved, beside the round's
+    # fingerprint: idle runs at C = 8 and C = 16, the same shape event
+    # for event, are never compared.
+    def idle(config):
+        m = mount(small_bundle, config=config)
+        m.engine.start_observation()
+        run_workload(m.engine, parse_workload("idle(100)"), 100)
+        return m.trace
+
+    round_meta = trace_fingerprint(RoundConfig(), DEFAULT_MTU)
+    eight, sixteen = idle(EIGHT_PAGES), idle(EngineConfig(cache_capacity=16))
+    assert eight.meta == {**round_meta, "cache_capacity": 8}
+    assert eight.shape() == sixteen.shape()
+    with pytest.raises(TraceConfigMismatch):
+        compare_traces(eight, sixteen)
+    assert compare_traces(sixteen, idle(EngineConfig(cache_capacity=16))).shape_equal
+    # The default is recorded as what it resolves to, the 64-block disk.
+    assert idle(None).meta["cache_capacity"] == 64
+    # The passthrough path has no shelter and records none.
+    assert mount(small_bundle, oblivious=False).trace.meta == round_meta
 
 
 def test_a_protected_mount_of_a_disk_with_no_free_block_is_refused():
@@ -1368,6 +1425,33 @@ def test_undecryptable_frame_counts_as_rx_error(small_bundle):
     m.engine.run_rounds(1)
     assert link.rx_errors == 1
     assert list(link.inbox) == []
+
+
+def test_a_corrupted_frame_to_the_peer_counts_as_its_rx_error(small_bundle):
+    # A frame the host changed on its way to the peer fails to open: the
+    # peer counts it and raises nothing, the link keeps its 60 us grid,
+    # and the next payload is echoed back.
+    m = mount(small_bundle)
+    m.engine.start_observation()
+    enclave, remote = net_pair()
+    link = m.engine.add_link(7, enclave)
+    peer = EchoPeer(m.host, 7, remote, ShapingClass())
+    m.engine.add_external_pump(peer)
+    m.engine.net_send(7, b"ping")
+    m.engine.run_rounds(1)  # the link sent "ping" at 0
+    (frame,) = m.host.egress[7]
+    flipped = bytearray(frame)
+    flipped[40] ^= 0x01
+    m.host.egress[7][0] = bytes(flipped)
+    m.engine.run_rounds(4)
+    assert peer.rx_errors == 1
+    assert peer.session.received_real == 0 and list(link.inbox) == []
+    m.engine.net_send(7, b"pong")
+    m.engine.run_rounds(5)
+    assert peer.rx_errors == 1 and link.rx_errors == 0
+    assert list(link.inbox) == [b"pong"]
+    writes = m.trace.of_kind(CallKind.NET_WRITE)
+    assert [e.ts for e in writes] == list(range(0, 9 * 100_000 + 1, 60_000))
 
 
 # --- run_workload ------------------------------------------------------------

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from conftest import mount
 from oblivsim import (
     BLOCK_SIZE,
     DEFAULT_MTU,
+    DEFAULT_ROUND_INTERVAL_NS,
     BlockStore,
     CallKind,
     EngineConfig,
@@ -50,16 +53,21 @@ def run_rounds(sched, count):
 
 def test_config_validation():
     with pytest.raises(ParameterError):
-        RoundConfig(interval_ns=0)
-    with pytest.raises(ParameterError):
         RoundScheduler(*make_sched()[:1], [], RngTree(0).stream("dummy"))
 
 
 def test_the_round_shape_is_fixed_and_the_trace_metadata_keeps_it():
-    # One read, then one write, is not a setting: the slot counts are
-    # class constants, and the trace metadata still records them.
+    # One read, then one write, every 0.1 ms, is not a setting: the slot
+    # counts and the interval are class constants, the engine's one
+    # setting is its shelter size, and the trace metadata still records
+    # the round.
+    for kw in ({"reads_per_round": 2}, {"interval_ns": 200_000}):
+        with pytest.raises(TypeError):
+            RoundConfig(**kw)
     with pytest.raises(TypeError):
-        RoundConfig(reads_per_round=2)
+        EngineConfig(round=RoundConfig())
+    assert [f.name for f in dataclasses.fields(EngineConfig)] == ["cache_capacity"]
+    assert EngineConfig().round.interval_ns == DEFAULT_ROUND_INTERVAL_NS == 100_000
     assert RoundConfig.reads_per_round == RoundConfig.writes_per_round == 1
     assert trace_fingerprint(RoundConfig(), DEFAULT_MTU) == {
         "interval_ns": 100_000, "reads_per_round": 1, "writes_per_round": 1,
@@ -221,12 +229,12 @@ def test_reads_are_handed_over_never_queued():
 
 
 def test_rounds_respect_the_interval(small_bundle):
-    # The engine alone places rounds: round k at k x interval, for any
-    # interval, with a link's frames sent between rounds and none of them
-    # pulling a round early or pushing it late.
-    interval = 250_000
-    m = mount(small_bundle,
-              config=EngineConfig(round=RoundConfig(interval_ns=interval)))
+    # The engine alone places rounds: round k at k x interval, with a
+    # link's frames, on a 60 us grid the interval is no multiple of, sent
+    # between rounds and none of them pulling a round early or pushing it
+    # late.
+    interval = DEFAULT_ROUND_INTERVAL_NS
+    m = mount(small_bundle)
     m.engine.start_observation()
     a, b = StaticIdentity.generate(), StaticIdentity.generate()
     link = establish(a, PeerIdentity(b.public_bytes))
