@@ -21,8 +21,9 @@ nonce they cannot be told from sealed noise.
 
 A mounted image's byte traffic all goes through the host interface.
 The one exception is the owner's offline build: ``new_image`` hands the
-builder a private mapping, and ``BlockStore.seal_unwritten`` seals the
-padding straight into it in one sweep, before any host holds the image.
+builder a private mapping, and ``BlockStore.seal_first`` seals each
+file block, and then (``seal_unwritten``) the padding, straight into it
+as the block's first write, before any host holds the image.
 
 An encrypted image rests on one trusted root, the SHA-256 of the
 header block and the whole slot region: ``persist_metadata`` returns
@@ -34,6 +35,7 @@ The container layout (header, slot region, data) is in FORMATS.md.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import hmac
@@ -62,7 +64,8 @@ HASH_NONE = 0
 _POOL_PREFIXES = 256  # nonce prefixes per os.urandom call
 
 _HEADER = struct.Struct("<5sIQBBB")
-_POPULATE = getattr(mmap, "MAP_POPULATE", 0)  # fault a new image in at once
+_HUGEPAGE = getattr(mmap, "MADV_HUGEPAGE", None)  # where the platform has it
+_HUGE_PAGE_SIZE = 2 << 20  # a new image is faulted in one write per huge page
 _ZERO_BLOCK = bytes(BLOCK_SIZE)
 _ZERO_SLOT = bytes(SLOT_SIZE)
 
@@ -109,9 +112,13 @@ def seal_block(cipher: AESGCM, phys: int, version: int,
     """
     if len(plaintext) != BLOCK_SIZE:
         raise SizeError("plaintext must be exactly one block")
-    nonce = _nonce(_nonce_prefix(), version)
+    try:
+        prefix = _prefix_pool.pop()
+    except IndexError:
+        prefix = _nonce_prefix()
+    nonce = _nonce(prefix, version)
     sealed = cipher.encrypt(nonce, plaintext, _aad(phys, version))
-    return nonce + sealed[-TAG_SIZE:], sealed[:-TAG_SIZE]
+    return nonce + sealed[BLOCK_SIZE:], sealed[:BLOCK_SIZE]
 
 
 def open_block(cipher: AESGCM, phys: int, slot: bytes, ciphertext: bytes,
@@ -185,11 +192,18 @@ def layout_for(n_blocks: int, mode: ProtectionMode) -> ImageLayout:
 
 def new_image(n_blocks: int, mode: ProtectionMode) -> mmap.mmap:
     """Fresh zeroed image with a written header: a private anonymous
-    mapping of the image's size, faulted in by the one call that maps
-    it where the platform can (``MAP_POPULATE``), and unmapped when the
-    last reference to it goes. It never sits in the process heap."""
+    mapping of the image's size, unmapped when the last reference to it
+    goes, so it never sits in the process heap. It is advised to use huge
+    pages where the platform has them and faulted in with one write per
+    2 MiB; pages the kernel maps one at a time fault in as the builder
+    writes them."""
     layout = layout_for(n_blocks, mode)
-    image = mmap.mmap(-1, layout.total_bytes, flags=mmap.MAP_PRIVATE | _POPULATE)
+    image = mmap.mmap(-1, layout.total_bytes, flags=mmap.MAP_PRIVATE)
+    if _HUGEPAGE is not None:
+        with contextlib.suppress(OSError):  # a kernel without huge pages
+            image.madvise(_HUGEPAGE)
+    for offset in range(0, len(image), _HUGE_PAGE_SIZE):
+        image[offset] = 0
     image[:BLOCK_SIZE] = layout.header_block()
     return image
 
@@ -215,8 +229,9 @@ class BlockStore:
     counter. All byte traffic with a mounted image goes through the host
     interface; per-block metadata is cached in trusted memory and
     persisted in bulk by persist_metadata(), which returns the image's
-    trusted root. The builder's padding sweep (``seal_unwritten``) is the
-    one exception: it writes a new image its owner still holds directly.
+    trusted root. The one exception is the builder's: ``seal_first``,
+    which stores every file block and, through ``seal_unwritten``, every
+    padding block, writes a new image its owner still holds directly.
     """
 
     def __init__(self, iface: HostInterface, layout: ImageLayout, key: bytes | None):
@@ -321,27 +336,32 @@ class BlockStore:
         """
         self.write_block(phys, _ZERO_BLOCK)
 
-    def seal_unwritten(self, image: bytearray | mmap.mmap) -> int:
-        """Seal zeros into every never-written block, straight into
-        ``image``, the buffer behind this store; returns how many.
+    def seal_first(self, image: bytearray | mmap.mmap, phys: int, page) -> None:
+        """Store ``page``, any one-block buffer, as block ``phys``'s first
+        write straight into ``image``, the buffer behind this store: sealed
+        at version 1 with its slot and counter on an encrypted image, as it
+        is on a plain one. No host call is made; only the owner's offline
+        build of a new image, which no host observes, calls this."""
+        if not 0 <= phys < self.layout.n_blocks:
+            raise ParameterError(f"physical block {phys} out of range")
+        if self._cipher is not None:
+            self.slots[phys], page = seal_block(self._cipher, phys, 1, page)
+            self.versions[phys] = 1
+        elif len(page) != BLOCK_SIZE:
+            raise SizeError("plaintext must be exactly one block")
+        offset = self._data_base + phys * BLOCK_SIZE
+        image[offset:offset + BLOCK_SIZE] = page
 
-        Each gets one ``seal_block`` at version 1, its slot and its
-        counter, as a first ``dummy_write`` would, but no host call: only
-        the owner's offline build of a new image, which no host observes,
-        calls this. Written blocks are left alone, so a second call seals
-        nothing.
-        """
-        cipher = self._cipher
-        if cipher is None:
+    def seal_unwritten(self, image: bytearray | mmap.mmap) -> int:
+        """Seal zeros into every never-written block with ``seal_first``,
+        straight into ``image``; returns how many. Written blocks are left
+        alone, so a second call seals nothing."""
+        if self._cipher is None:
             raise ModeError("only an encrypted image has padding to seal")
-        slots, versions, base = self.slots, self.versions, self._data_base
-        sealed = 0
-        for phys, slot in enumerate(slots):
+        sealed = 0  # counted, not listed: a list of block numbers costs peak memory
+        for phys, slot in enumerate(self.slots):
             if slot is None:
-                slots[phys], ciphertext = seal_block(cipher, phys, 1, _ZERO_BLOCK)
-                versions[phys] = 1
-                offset = base + phys * BLOCK_SIZE
-                image[offset:offset + BLOCK_SIZE] = ciphertext
+                self.seal_first(image, phys, _ZERO_BLOCK)
                 sealed += 1
         return sealed
 

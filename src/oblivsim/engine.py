@@ -16,9 +16,8 @@ Two I/O personalities implement the filesystem's block interface:
   ones included, and the cache's ``end_epoch`` checks that it did.
 * ``DirectIo`` is the passthrough path. Every block operation is a
   single immediate host call with a small fixed latency, no padding,
-  no batching. It exists as the unprotected baseline, and
-  ``build_image`` writes files through it. It holds the store, the
-  filesystem and the clock, not an engine.
+  no batching. It exists as the unprotected baseline. It holds the
+  store, the filesystem and the clock, not an engine.
 
 Epochs run on a fixed cadence. An epoch is exactly C rounds outside
 passes, where C is the page cache's capacity, and the round after the
@@ -186,6 +185,20 @@ class DirectIo:
         self._tick()
         self.store.write_block(self.fs.phys_of(fd, lblk), data)
         self.real_writes += 1
+
+
+@dataclass
+class _BuildIo:
+    """The builder's block io: each file page goes to
+    ``BlockStore.seal_first``, straight into the new image. Files are
+    written once from offset 0, so no page is ever read back."""
+
+    store: BlockStore
+    fs: BlockFs
+    image: object
+
+    def write_block(self, fd: int, lblk: int, page) -> None:
+        self.store.seal_first(self.image, self.fs.phys_of(fd, lblk), page)
 
 
 @dataclass
@@ -559,13 +572,15 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     """Format a new image in memory and store ``files`` (one bytes
     object each) as data files.
 
-    The image is built in ``new_image``'s mapping. Files and metadata
-    are written through a ``DirectIo``, as on the passthrough path. On
-    encrypted images every block left untouched by them then gets a
-    sealed zero block, a slot and version 1, in one sweep
-    (``BlockStore.seal_unwritten``) that writes the mapping directly:
-    no host holds the image yet, so no call needs to cross the host
-    interface. Under a fresh nonce sealed zeros cannot be told from
+    The image is built in ``new_image``'s mapping. No host holds it yet,
+    so file blocks cross no host interface: each page, a ``memoryview``
+    slice of the file's bytes, is sealed as its block's first write
+    straight into the mapping (``BlockStore.seal_first``). The filesystem
+    metadata and the slot region are then written through the host
+    interface, as a mount writes them. On encrypted images every block
+    left untouched gets a sealed zero block, a slot and version 1, in one
+    sweep (``BlockStore.seal_unwritten``) that writes the mapping
+    directly too. Under a fresh nonce sealed zeros cannot be told from
     sealed data, while an image whose content distinguished data blocks
     from padding would leak the layout before the first mount. They get
     their trusted root in ``verity_root``. A plain image gets None, and
@@ -585,12 +600,12 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     if mode.encrypted and key is None:
         key = os.urandom(32)
     store = BlockStore(iface, layout, key)
-    io = DirectIo(store, fs, host.clock)
+    io = _BuildIo(store, fs, host.image)
     fds = []
     for data in files:
         fd = fs.create_file()
         if data:
-            fs.file_write(io, fd, 0, data)
+            fs.file_write(io, fd, 0, memoryview(data))
         fds.append(fd)
     fs.persist(store)
     root = None

@@ -136,6 +136,20 @@ def test_layout_regions_do_not_overlap():
         layout_for(8, ProtectionMode.PLAIN).data_offset(8)
 
 
+@pytest.mark.parametrize("mode", list(ProtectionMode))
+@pytest.mark.parametrize("n", [8, 640, 4096])
+def test_new_image_is_its_layout_long_with_a_header_and_zeros(n, mode):
+    # 8 blocks fit below one 2 MiB huge page, 640 cross into a second and
+    # 4096 span several: the one write per huge page leaves only zeros.
+    layout = layout_for(n, mode)
+    image = new_image(n, mode)
+    assert len(image) == layout.total_bytes
+    assert image[:BLOCK_SIZE] == layout.header_block()
+    view = memoryview(image)
+    assert view[BLOCK_SIZE:] == bytes(layout.total_bytes - BLOCK_SIZE)
+    view.release()
+
+
 def test_header_roundtrip_and_rejections():
     image = new_image(64, ProtectionMode.CRYPT_INTEGRITY)
     lay = parse_header(bytes(image[:BLOCK_SIZE]))
@@ -338,6 +352,27 @@ def test_seal_unwritten_leaves_written_blocks_alone():
     sealed = state()
     assert store.seal_unwritten(host.image) == 0
     assert state() == sealed
+
+
+@pytest.mark.parametrize("mode", [ProtectionMode.PLAIN, ProtectionMode.CRYPT_INTEGRITY])
+def test_seal_first_stores_a_page_straight_into_the_image(mode):
+    store, host = fresh_store(mode)
+    store.iface.trace.reset()
+    store.seal_first(host.image, 3, memoryview(PLAIN))
+    assert len(store.iface.trace) == 0  # no host call
+    off = store.layout.data_offset(3)
+    raw = bytes(host.image[off:off + BLOCK_SIZE])
+    if mode.encrypted:
+        assert store.versions[3] == 1 and raw != PLAIN
+        assert open_block(CIPHER, 3, store.slots[3], raw, 1) == PLAIN
+    else:
+        assert raw == PLAIN
+    assert store.read_block(3) == PLAIN
+    for phys in (-1, 16):
+        with pytest.raises(ParameterError):
+            store.seal_first(host.image, phys, PLAIN)
+    with pytest.raises(SizeError):
+        store.seal_first(host.image, 4, PLAIN[:-1])
 
 
 def test_a_plain_store_has_nothing_to_seal():

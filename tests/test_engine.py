@@ -20,6 +20,7 @@ from oblivsim import (
     DescriptorError,
     EchoPeer,
     EngineConfig,
+    HostInterface,
     IntegrityError,
     ModeError,
     ParameterError,
@@ -126,6 +127,66 @@ def test_encrypted_image_leaves_no_unsealed_blocks(small_bundle):
     assert padding and all(pages[p] == bytes(BLOCK_SIZE) for p in padding)
     # Each block was sealed exactly once at build, padding included.
     assert m.store.versions == [1] * 64
+
+
+def _file_pages(fs, fds, files) -> dict[int, bytes]:
+    """Each file block's physical block and its page: the file's bytes,
+    the last block's tail zero-padded."""
+    pages = {}
+    for fd, data in zip(fds, files):
+        padded = data + bytes(-len(data) % BLOCK_SIZE)
+        for i in range(fs.file_blocks(fd)):
+            pages[fs.phys_of(fd, i)] = padded[i * BLOCK_SIZE:(i + 1) * BLOCK_SIZE]
+    return pages
+
+
+PARTIAL = [bytes(range(251)) * 70, b"\x5a" * 100, b""]  # 5 blocks, the last partial; 1; 0
+
+
+def test_a_crypt_image_opens_every_block_at_version_one_as_built():
+    bundle = build_image(64, ProtectionMode.CRYPT_INTEGRITY, PARTIAL, seed=5,
+                         key=DEFAULT_KEY)
+    m = mount(bundle, oblivious=False)
+    pages = _file_pages(m.fs, bundle.data_fds, PARTIAL)
+    assert len(pages) == 6
+    assert m.store.versions == [1] * 64
+    for phys in range(m.fs.metadata_blocks, 64):
+        assert m.store.read_block(phys) == pages.get(phys, bytes(BLOCK_SIZE))
+
+
+def test_build_image_writes_no_file_block_through_the_host_interface(monkeypatch):
+    # Only the filesystem metadata and the slot region cross the host
+    # interface; file blocks are sealed straight into the new image.
+    written = []
+    disk_write = HostInterface.disk_write
+
+    def counting(self, offset, data):
+        written.append(offset)
+        return disk_write(self, offset, data)
+
+    monkeypatch.setattr(HostInterface, "disk_write", counting)
+    bundle = build_image(64, ProtectionMode.CRYPT_INTEGRITY, PARTIAL, seed=5,
+                         key=DEFAULT_KEY)
+    monkeypatch.undo()
+    m = mount(bundle, oblivious=False)
+    layout = m.store.layout
+    files = {layout.data_offset(p) for p in _file_pages(m.fs, bundle.data_fds, PARTIAL)}
+    assert len(files) == 6 and not files & set(written)
+    assert sorted(written) == sorted(
+        [layout.data_offset(p) for p in range(m.fs.metadata_blocks)]
+        + [layout.slot_region_offset() + i * BLOCK_SIZE for i in range(layout.slot_blocks)])
+
+
+def test_a_plain_image_built_with_files_reads_back_through_a_passthrough_mount():
+    bundle = build_image(64, ProtectionMode.PLAIN, PARTIAL, seed=5)
+    eng = mount(bundle, oblivious=False).engine
+    for fd, data in zip(bundle.data_fds, PARTIAL):
+        assert eng.read_file(fd, 0, len(data)) == data
+    # A plain image holds each file page as it is.
+    layout = eng.store.layout
+    for phys, page in _file_pages(eng.fs, bundle.data_fds, PARTIAL).items():
+        off = layout.data_offset(phys)
+        assert bundle.image[off:off + BLOCK_SIZE] == page
 
 
 def test_built_image_cannot_be_written_through(small_bundle):

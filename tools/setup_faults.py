@@ -6,24 +6,26 @@ runs CHECKOUT's ``benchmarks/run.py`` in this process for one workload
 and seed, with the workload's ``build`` and ``mount`` wrapped: a set-up
 runs from the start of ``build`` to the end of the ``mount`` that
 follows it, and its build from the start to the end of ``build``; the
-mount's seconds are the rest. The harness's ``calibration_point`` is
+mount's seconds and faults are the rest. The harness's ``calibration_point`` is
 wrapped too, so each set-up also has the kernel time of the point taken
 before it and of the one taken after it, and the scale that
 ``setup_s`` applies to it, ``harness.scale`` of the two. It prints one
-line per set-up, its ``ru_minflt`` count, its seconds, whole, building
-and mounting, and its calibration, then a summary line (how many set-ups
-ran, how many after the first ``WARM_UP`` took fewer than
+line per set-up, its ``ru_minflt`` count and its seconds, each whole,
+building and mounting, and its calibration, then a summary line (how
+many set-ups ran, how many after the first ``WARM_UP`` took fewer than
 ``FAST_FAULTS`` faults, the min, median and max faults, the median
-seconds, whole, building and mounting, and the median kernel times and
-scale), then the run's result line, and exits with the run's status.
+faults building and mounting, the median seconds, whole, building and
+mounting, and the median kernel times and scale), then the run's result
+line, and exits with the run's status.
 
 If the host slows the kernel as much as the set-up, the scale falls as
 the raw seconds rise and the set-up's reference seconds stay put.
 
-Images are built in a prefaulted mapping of their own, so each set-up
-of a workload takes a fixed fault count: the mapping's pages, faulted
-in by the call that maps it. A checkout that builds images in a heap
-buffer instead shows two glibc heap modes: a few hundred or no faults
+Images are built in a mapping of their own, advised to use huge pages
+and written once per 2 MiB before the build fills it, so each set-up of
+a workload takes a fixed fault count: one per huge page the kernel
+grants, and one per 4 KiB page of the rest. A checkout that builds
+images in a heap buffer instead shows two glibc heap modes: a few hundred or no faults
 per set-up when freed image buffers stay in the heap, several thousand
 when the heap was trimmed and the next image is faulted in again. Its
 mode can change with the length of the checkout's path, so compare
@@ -56,22 +58,26 @@ def calibration_text(before_ns: float, after_ns: float, scale: float) -> str:
             f"scale {scale:.4f}")
 
 
-def summary(setups: list[tuple[int, float, float]],
+def summary(setups: list[tuple[int, int, float, float]],
             calibration: list[tuple[float, float, float]] = ()) -> str:
-    """One line over the (faults, build seconds, mount seconds) of every
-    set-up, and the (kernel ns before, kernel ns after, scale) of every
-    set-up that has both calibration points."""
+    """One line over the (build faults, mount faults, build seconds,
+    mount seconds) of every set-up, and the (kernel ns before, kernel ns
+    after, scale) of every set-up that has both calibration points."""
     if not setups:
         return "summary: no set-up ran"
-    faults = [f for f, _b, _m in setups]
+    faults = [fb + fm for fb, fm, _b, _m in setups]
     late = faults[WARM_UP:]
     fast = sum(f < FAST_FAULTS for f in late)
+
+    def median(i):
+        return statistics.median(s[i] for s in setups)
+
     line = (f"summary: {len(setups)} set-ups, {fast} of {len(late)} after the first "
             f"{WARM_UP} under {FAST_FAULTS} faults; faults min {min(faults)} median "
-            f"{statistics.median(faults):.10g} max {max(faults)}; median "
-            f"{statistics.median(b + m for _f, b, m in setups):.6f} s (build "
-            f"{statistics.median(b for _f, b, _m in setups):.6f} s, mount "
-            f"{statistics.median(m for _f, _b, m in setups):.6f} s)")
+            f"{statistics.median(faults):.10g} max {max(faults)} (build median "
+            f"{median(0):.10g}, mount median {median(1):.10g}); median "
+            f"{statistics.median(b + m for _fb, _fm, b, m in setups):.6f} s (build "
+            f"{median(2):.6f} s, mount {median(3):.6f} s)")
     if calibration:
         line += "; median " + calibration_text(
             *(statistics.median(c[i] for c in calibration) for i in range(3)))
@@ -96,8 +102,8 @@ def main(argv=None) -> int:
     import run
     import workloads
 
-    setups = []  # (faults, build seconds, mount seconds) per set-up
-    started = []  # (faults, start, end of build) of set-ups not yet mounted
+    setups = []  # (build faults, mount faults, build s, mount s) per set-up
+    started = []  # (faults at start, at end of build, start, end of build) not yet mounted
     points = []  # every calibration point's kernel ns, in order
     before = []  # per set-up, the index in points of the last point before it
 
@@ -114,7 +120,7 @@ def main(argv=None) -> int:
             before.append(len(points) - 1)
             faults, t0 = _faults(), time.perf_counter()
             bundle = fn(*a, **kw)
-            started.append((faults, t0, time.perf_counter()))
+            started.append((faults, _faults(), t0, time.perf_counter()))
             return bundle
         return wrapped
 
@@ -122,8 +128,9 @@ def main(argv=None) -> int:
         @functools.wraps(fn)
         def wrapped(*a, **kw):
             m = fn(*a, **kw)
-            faults, t0, built = started.pop()
-            setups.append((_faults() - faults, built - t0, time.perf_counter() - built))
+            faults, faults_built, t0, built = started.pop()
+            setups.append((faults_built - faults, _faults() - faults_built,
+                           built - t0, time.perf_counter() - built))
             return m
         return wrapped
 
@@ -139,9 +146,10 @@ def main(argv=None) -> int:
     # A set-up lies between the last point before its build and the next.
     calibration = [(points[i], points[i + 1], harness.scale(points[i], points[i + 1]))
                    if 0 <= i < len(points) - 1 else None for i in before]
-    for k, (faults, built, mounted) in enumerate(setups):
+    for k, (f_built, f_mounted, built, mounted) in enumerate(setups):
         cal = f"; {calibration_text(*calibration[k])}" if calibration[k] else ""
-        print(f"setup {k}: {faults} minor faults, {built + mounted:.6f} s "
+        print(f"setup {k}: {f_built + f_mounted} minor faults (build {f_built}, "
+              f"mount {f_mounted}), {built + mounted:.6f} s "
               f"(build {built:.6f} s, mount {mounted:.6f} s){cal}")
     print(summary(setups, [c for c in calibration if c]))
     lines = out.getvalue().splitlines()
