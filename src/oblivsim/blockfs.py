@@ -117,15 +117,6 @@ class BlockFs:
 
     # Bitmap and allocation --------------------------------------------
 
-    def _bit(self, phys: int) -> bool:
-        return bool(self.bitmap[phys // 8] & (1 << (phys % 8)))
-
-    def _set_bit(self, phys: int, value: bool) -> None:
-        if value:
-            self.bitmap[phys // 8] |= 1 << (phys % 8)
-        else:
-            self.bitmap[phys // 8] &= ~(1 << (phys % 8))
-
     @property
     def free_blocks(self) -> int:
         return len(self._free)
@@ -161,7 +152,7 @@ class BlockFs:
         if meta >= n_blocks:
             raise SpaceError("filesystem metadata does not fit")
         for phys in range(meta):
-            fs._set_bit(phys, True)
+            fs.bitmap[phys >> 3] |= 1 << (phys & 7)
         fs._free.extend(range(meta, n_blocks))
         fs._padding = sorted(fs.allocate_block()
                              for _ in range(int(n_blocks * DUMMY_FRACTION)))

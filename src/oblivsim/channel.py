@@ -21,7 +21,9 @@ as a real one. Receivers decrypt, notice the empty payload and drop
 them. Received counters pass a 64-wide sliding replay window:
 duplicates inside the window and counters that fell off the back are
 both rejected, each with its own error, before any decryption. The
-window moves only once a frame has authenticated.
+window (``ReplayWindow``) takes two steps: ``verify`` refuses a counter
+and changes nothing, and ``accept`` records it, which ``open_packet``
+does only once the frame has authenticated.
 
 Provisioning: the first established session is the trust root. A
 provisioning record (disk key, verity root, peer list, command line)
@@ -118,11 +120,6 @@ class ReplayWindow:
     def __init__(self):
         self.max_seen = 0
         self._bits = 0
-
-    def check(self, counter: int) -> None:
-        """Accept exactly-once; mutates state only on acceptance."""
-        self.verify(counter)
-        self.accept(counter)
 
     def verify(self, counter: int) -> None:
         """Raise if ``counter`` is stale or already accepted; changes nothing."""

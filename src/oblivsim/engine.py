@@ -65,7 +65,9 @@ then. It only moves forward: it is not before the simulated clock when
 the pump is added, after ``pump(t)`` it is later than ``t`` (both are
 refused with ``ParameterError``), or None, which retires the pump.
 Links follow the same rule through ``PeerShaper``, whose ``tick`` also
-refuses any instant but its due one.
+refuses any instant but its due one. A link's grid, and an
+``EchoPeer``'s, starts at the simulated clock when it is built, so
+either can join after rounds have run.
 
 ``EchoPeer`` models the remote end of a link: it is environment code,
 touches the untrusted ``Host`` directly (it drains its own endpoint's
@@ -216,12 +218,11 @@ class EchoPeer:
     """Environment-side remote service for tests and self-contained
     runs. Shaped exactly like an enclave link; echoes real payloads."""
 
-    def __init__(self, host, endpoint: int, session: PeerSession,
-                 shaping: ShapingClass, start_ns: int = 0):
+    def __init__(self, host, endpoint: int, session: PeerSession, shaping: ShapingClass):
         self.host = host
         self.endpoint = endpoint
         self.session = session
-        self.shaper = PeerShaper(shaping, session, start_ns)
+        self.shaper = PeerShaper(shaping, session, host.clock.now())
         self._egress = host.egress[endpoint]  # what the enclave sent this peer
         self.rx_errors = 0
         self.dropped = 0
@@ -406,15 +407,12 @@ class Engine:
     # Network ------------------------------------------------------------
 
     def add_link(self, endpoint: int, session: PeerSession,
-                 shaping: ShapingClass | None = None,
-                 start_ns: int | None = None) -> NetLink:
-        """Link ``endpoint``; its emission grid starts at ``start_ns``,
-        by default the current simulated time."""
+                 shaping: ShapingClass | None = None) -> NetLink:
+        """Link ``endpoint``; its emission grid starts at the simulated clock."""
         if endpoint in self._links_by_endpoint:
             raise ParameterError(f"endpoint {endpoint} already linked")
         shaping = shaping if shaping is not None else ShapingClass()
-        start_ns = self.clock.now() if start_ns is None else start_ns
-        link = NetLink(endpoint, session, PeerShaper(shaping, session, start_ns))
+        link = NetLink(endpoint, session, PeerShaper(shaping, session, self.clock.now()))
         self._schedule(link.shaper.next_due_ns(), _LINK, link)
         self.links.append(link)
         self._links_by_endpoint[endpoint] = link
@@ -426,7 +424,7 @@ class Engine:
         self._schedule(pump.next_due_ns(), _PUMP, pump)
 
     def _schedule(self, due_ns: int | None, kind: int, actor) -> None:
-        """Put a new actor on the heap; one due before the simulated
+        """Put a new actor on the heap; a pump due before the simulated
         clock could never run, so it is refused, and so is every actor of
         the passthrough path, which has no net loop."""
         if not self.oblivious:

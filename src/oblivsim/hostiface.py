@@ -13,6 +13,17 @@ call moves one ``BLOCK_SIZE`` block and a net call one ``DEFAULT_MTU``
 frame, 1500 bytes. ``Host.mtu`` names that size for the trace
 fingerprint, and a fault address is plausible inside ``ENCLAVE_RANGE``.
 
+Signals have two dispositions. A memory fault (SIGBUS, SIGSEGV) is
+delivered only with an address inside ``ENCLAVE_RANGE`` and is rejected
+otherwise; an instruction fault (SIGILL, SIGFPE) is delivered with its
+address replaced by the point of execution. Every other number from 1
+to 64, user signals included, is delivered as the host sent it.
+
+The network side has two environment actions, which model the wire and
+cross no boundary: ``Host.deliver_frame`` queues a frame on ``ingress``
+for the enclave, and the far end of a link takes what the enclave sent
+it from ``Host.egress[endpoint]``.
+
 Events record completed transfers only; a call rejected before any
 host state changed (bad alignment, would-block) leaves no event, which
 keeps the trace an exact record of backend mutations and observable
@@ -54,7 +65,6 @@ _copy_block = struct.Struct(f"{BLOCK_SIZE}s").unpack_from
 # Signal numbers follow the usual Linux layout.
 SIG_MEMORY_FAULT = frozenset({7, 11})  # SIGBUS, SIGSEGV: address must be plausible
 SIG_INSTRUCTION_FAULT = frozenset({4, 8})  # SIGILL, SIGFPE: address is replaced
-SIG_USER_CONTROLLED = frozenset({1, 2, 15, 10, 12})  # HUP, INT, TERM, USR1, USR2
 
 
 class ClockId(enum.Enum):
@@ -63,10 +73,10 @@ class ClockId(enum.Enum):
 
 
 class SimClock:
-    """Deterministic time base the engine advances explicitly."""
+    """Deterministic time base the engine advances explicitly; it starts at 0."""
 
-    def __init__(self, start_ns: int = 0):
-        self.now_ns = start_ns
+    def __init__(self):
+        self.now_ns = 0
 
     def now(self) -> int:
         return self.now_ns
@@ -107,8 +117,8 @@ class Host:
     Frames arriving for the enclave share one FIFO ``ingress`` of
     (endpoint, frame) pairs, read in arrival order by ``net_read``.
     Frames the enclave writes go to one FIFO per endpoint in
-    ``egress``, so the far end of a link picks up its own frames
-    (``pop_egress(endpoint)``) without walking anyone else's.
+    ``egress``, so the far end of a link takes its own frames from
+    ``egress[endpoint]`` without walking anyone else's.
     """
 
     mtu = DEFAULT_MTU
@@ -136,13 +146,6 @@ class Host:
             raise SizeError("delivered frame must be MTU-sized")
         self.ingress.append((endpoint, frame))
 
-    def pop_egress(self, endpoint: int) -> bytes:
-        """Oldest frame the enclave wrote to ``endpoint``."""
-        queue = self.egress.get(endpoint)
-        if not queue:
-            raise WouldBlock(f"no frame queued for endpoint {endpoint}")
-        return queue.popleft()
-
     def raw_time(self, clock_id: ClockId) -> int:
         script = self.clock_script.get(clock_id)
         if script:
@@ -163,11 +166,9 @@ class Host:
 class HostInterface:
     """Trusted entry points. One method per host call, nothing else."""
 
-    def __init__(self, host: Host, trace: HostTrace | None = None,
-                 ignore_user_signals: bool = False):
+    def __init__(self, host: Host, trace: HostTrace | None = None):
         self.host = host
         self.trace = trace if trace is not None else HostTrace()
-        self.ignore_user_signals = ignore_user_signals
         self._last_monotonic: int | None = None
 
     # Disk ------------------------------------------------------------
@@ -263,7 +264,4 @@ class HostInterface:
             # the point of execution instead.
             fixed = SignalInfo(info.number, info.code, self.host.current_instruction)
             return SignalOutcome(SignalDisposition.DELIVERED, fixed)
-        if info.number in SIG_USER_CONTROLLED and self.ignore_user_signals:
-            return SignalOutcome(
-                SignalDisposition.REJECTED, None, "user-controlled signal ignored")
         return SignalOutcome(SignalDisposition.DELIVERED, info)

@@ -53,6 +53,11 @@ def make_fs(n_blocks=64, seed=1, **kw) -> BlockFs:
     return BlockFs.format(n_blocks, RngTree(seed).stream("layout"), **kw)
 
 
+def allocated(fs: BlockFs, phys: int) -> bool:
+    """Whether the bitmap marks ``phys`` in use."""
+    return bool(fs.bitmap[phys >> 3] >> (phys & 7) & 1)
+
+
 def test_format_reserves_metadata_and_dummy_share():
     fs = make_fs(64)
     assert fs.fsck() == []
@@ -60,7 +65,7 @@ def test_format_reserves_metadata_and_dummy_share():
     assert fs.files_with_flag(FLAG_REGULAR) == []
     assert fs.free_blocks == 64 - fs.metadata_blocks - 6
     for phys in range(fs.metadata_blocks):
-        assert fs._bit(phys)
+        assert allocated(fs, phys)
 
 
 def test_format_rejects_tiny_disks():
@@ -75,7 +80,7 @@ def test_padding_domain_ignores_the_per_file_limit():
         fs = make_fs(256, max_file_blocks=max_file_blocks)
         padding = fs.dummy_blocks()
         assert len(padding) == int(256 * 0.10) == 25
-        assert all(fs._bit(p) and p >= fs.metadata_blocks for p in padding)
+        assert all(allocated(fs, p) and p >= fs.metadata_blocks for p in padding)
         assert not any(ino.used for ino in fs.inodes)
         assert fs.fsck() == []
 
@@ -202,8 +207,8 @@ def test_move_extent_swaps_physical_homes():
     # While the pool lasts, the new home is drawn from it and the old
     # home stays allocated on the donor.
     home = fs.move_extent(block_map, 0, donor)
-    assert home == fs.phys_of(a, 0) and home in pool and fs._bit(home)
-    assert donor == [pa] and fs._bit(pa)
+    assert home == fs.phys_of(a, 0) and home in pool and allocated(fs, home)
+    assert donor == [pa] and allocated(fs, pa)
     assert fs.free_blocks == free0 - 1
     # Once the pool is empty, the new home is taken out of the donor.
     held = [fs.allocate_block() for _ in range(fs.free_blocks)]
@@ -555,9 +560,9 @@ def test_fsck_catches_corruption():
     io = DictIo()
     fs.file_write(io, fd, 0, b"\x01" * BLOCK_SIZE)
     phys = fs.phys_of(fd, 0)
-    fs._set_bit(phys, False)  # mapped but marked free
+    fs.bitmap[phys >> 3] ^= 1 << (phys & 7)  # mapped but marked free
     assert any("marks free" in p for p in fs.fsck())
-    fs._set_bit(phys, True)
+    fs.bitmap[phys >> 3] ^= 1 << (phys & 7)
     assert fs.fsck() == []
     other = fs.create_file()
     fs.file_write(io, other, 0, b"\x02" * BLOCK_SIZE)

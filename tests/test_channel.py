@@ -156,12 +156,13 @@ def test_replay_window_matches_reference_model(counters):
         else:
             expect = None
         if expect is None:
-            win.check(c)
+            win.verify(c)
+            win.accept(c)
             accepted.add(c)
             max_seen = max(max_seen, c)
         else:
             with pytest.raises(expect):
-                win.check(c)
+                win.verify(c)
         assert win.max_seen == max_seen
 
 
@@ -198,14 +199,16 @@ def test_forged_far_counter_leaves_the_window_alone(counter):
 
 def test_window_jump_past_its_width_keeps_only_the_new_counter():
     win = ReplayWindow()
-    win.check(5)
-    win.check(2**64 - 1)
+    for c in (5, 2**64 - 1):
+        win.verify(c)
+        win.accept(c)
     assert win.max_seen == 2**64 - 1
     with pytest.raises(ReplayError):
-        win.check(2**64 - 1)
-    win.check(2**64 - 2)
+        win.verify(2**64 - 1)
+    win.verify(2**64 - 2)
+    win.accept(2**64 - 2)
     with pytest.raises(StaleCounterError):
-        win.check(5)
+        win.verify(5)
 
 
 def test_frame_size_is_checked_before_anything_else():

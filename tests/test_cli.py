@@ -618,7 +618,7 @@ def test_fsck_deep_reads_the_free_blocks(image, tmp_path, capsys):
     # Free blocks are sealed like data, and a protected append opens the
     # free block it takes, so a deep check opens every one and names it.
     m = open_image(image, key=DEFAULT_KEY)
-    free = [p for p in range(m.fs.n_blocks) if not m.fs._bit(p)]
+    free = [p for p in range(m.fs.n_blocks) if not m.fs.bitmap[p >> 3] >> (p & 7) & 1]
     broken = bytearray(image.read_bytes())
     for phys in free:
         broken[m.store.layout.data_offset(phys) + 100] ^= 0xFF

@@ -236,8 +236,7 @@ def test_dropping_an_oblivious_mount_frees_the_image_at_once():
         assert eng.read_file(eng.regular_fd(0), 0, 8) == b"x" * 8
         eng.shuffle_now()
         eng.add_link(3, enclave)
-        eng.add_external_pump(EchoPeer(m.host, 3, remote, ShapingClass(),
-                                       start_ns=m.host.clock.now()))
+        eng.add_external_pump(EchoPeer(m.host, 3, remote, ShapingClass()))
         eng.run_rounds(2)
         held = tracemalloc.get_traced_memory()[0]
         del m, eng
@@ -1185,24 +1184,24 @@ def test_an_empty_send_is_refused_and_counts_nothing(small_bundle):
     assert enclave.sent_real == peer.session.received_real == 0
 
 
-# (link rate in bit/s, rounds run before the link is added, its start
-# past the clock in ns): rates whose frame time does not divide the
-# 100 us round, and a link added mid-run, between two rounds.
-SHAPER_GRID_CASES = [(200_000_000, 0, 0), (75_000_000, 0, 0), (333_333_333, 0, 0),
-                     (333_333_333, 3, 12_345)]
+# (link rate in bit/s, rounds run before the link and its peer are
+# added, both starting at the clock): rates whose frame time does not
+# divide the 100 us round, and a link added mid-run.
+SHAPER_GRID_CASES = [(200_000_000, 0), (75_000_000, 0), (333_333_333, 0),
+                     (333_333_333, 3)]
 
 
 def test_net_writes_stay_on_the_shaper_grid(small_bundle):
     cost = 1500 * 8 * 1_000_000_000  # one frame, in bit-nanoseconds
-    for rate, first_rounds, offset in SHAPER_GRID_CASES:
+    for rate, first_rounds in SHAPER_GRID_CASES:
         m = mount(small_bundle)
         m.engine.start_observation()
         m.engine.run_rounds(first_rounds)
-        start = m.engine.clock.now() + offset
+        start = m.engine.clock.now()
         enclave, remote = net_pair()
-        m.engine.add_link(7, enclave, ShapingClass(rate_bps=rate), start)
+        m.engine.add_link(7, enclave, ShapingClass(rate_bps=rate))
         m.engine.add_external_pump(
-            EchoPeer(m.host, 7, remote, ShapingClass(rate_bps=rate), start))
+            EchoPeer(m.host, 7, remote, ShapingClass(rate_bps=rate)))
         m.engine.run_rounds(10)
         last_round = (first_rounds + 9) * 100_000
         due = [start + (k * cost + rate - 1) // rate for k in range(100)]
@@ -1234,42 +1233,50 @@ LATE_LINK = (7, 120_000_000, 240_000_000)
 # moved, and the net calls and echoes stayed byte for byte. It was
 # re-pinned again when a pass step began landing its block in its own
 # round: the disk reads and writes outside the padding domain and the
-# final block maps stayed as they were.
+# final block maps stayed as they were. Everything was re-pinned when
+# links and peers began to start on the clock: the late link and its
+# peer now start at 1.9 ms, round 19's instant, not 12 345 ns past round
+# 20. Endpoint 7 sends 2 padding frames more and its peer 4 frames more,
+# the late link's instants now fall on other links' ones and share
+# their ingress drain (14 net polls fewer, 2251 events, was 2259), and
+# its last payload has not reached the peer when the run ends (151
+# echoes, was 152). The seven links from the start send and receive as
+# before.
 MIXED_LINKS_TRACE_SHA256 = \
-    "20f2c7b970f665d06968da78848002692ae2a6a33f2f6d7f3b3591c717b61c1e"
+    "835b17fb6622f225a110180575315d7e4377798f8d2070871f92f5418a310a6b"
 MIXED_LINKS_ECHO_SHA256 = \
-    "04c085e935456cb27b064cfe6e604d5841297b772cb2b431f52b5e6008bb2bdd"
+    "9f9f983c4b407bd92d6fc4580e0d80fb904b9b3468b04b7765fa53279c4144ad"
 MIXED_LINKS_SENT = [(0, 20, 79), (1, 20, 30), (2, 20, 54), (3, 20, 5),
-                    (4, 20, 144), (5, 20, 79), (6, 20, 17), (7, 14, 25)]
+                    (4, 20, 144), (5, 20, 79), (6, 20, 17), (7, 14, 27)]
 MIXED_LINKS_RECEIVED = [(0, 20, 78), (1, 19, 30), (2, 20, 53), (3, 20, 5),
-                        (4, 20, 143), (5, 20, 79), (6, 19, 17), (7, 14, 25)]
+                        (4, 20, 143), (5, 20, 79), (6, 19, 17), (7, 13, 27)]
 
 
 def _run_mixed_links(bundle):
-    """Seven links, an eighth added at round 20 mid-interval, sends on a
-    fixed schedule; 60 observed rounds, with passes every 8 + 11 rounds.
+    """Seven links, an eighth added on the clock after round 20, sends on
+    a fixed schedule; 60 observed rounds, with passes every 8 + 11 rounds.
     Returns the mount, the peers by endpoint and one
     ``round,endpoint,payload`` line per echo received."""
     m = mount(bundle, seed=3, config=EIGHT_PAGES)
     peers = {}
     echoes = []
 
-    def attach(spec, start_ns):
+    def attach(spec):
         ep, rate, peer_rate = spec
         a = StaticIdentity.from_private_bytes(bytes([ep]) * 31 + b"\x01")
         b = StaticIdentity.from_private_bytes(bytes([ep]) * 31 + b"\x02")
         m.engine.add_link(ep, establish(a, PeerIdentity(b.public_bytes)),
-                          ShapingClass(rate_bps=rate), start_ns)
+                          ShapingClass(rate_bps=rate))
         peers[ep] = EchoPeer(m.host, ep, establish(b, PeerIdentity(a.public_bytes)),
-                             ShapingClass(rate_bps=peer_rate), start_ns)
+                             ShapingClass(rate_bps=peer_rate))
         m.engine.add_external_pump(peers[ep])
 
     for spec in MIXED_LINKS:
-        attach(spec, 0)
+        attach(spec)
     m.engine.start_observation()
     for r in range(60):
         if r == 20:
-            attach(LATE_LINK, m.engine.rounds_done * 100_000 + 12_345)
+            attach(LATE_LINK)
         for link in m.engine.links:
             if (r + link.endpoint) % 3 == 0:
                 m.engine.net_send(link.endpoint,
@@ -1284,13 +1291,13 @@ def _run_mixed_links(bundle):
 def test_mixed_link_event_order_is_pinned(small_bundle):
     m, peers, echoes = _run_mixed_links(small_bundle)
     text = m.trace.export()
-    assert len(m.trace) == 2259
+    assert len(m.trace) == 2251
     assert hashlib.sha256(text.encode()).hexdigest() == MIXED_LINKS_TRACE_SHA256
     assert [(l.endpoint, l.session.sent_real, l.session.sent_dummy)
             for l in m.engine.links] == MIXED_LINKS_SENT
     assert [(ep, p.session.received_real, p.session.received_dummy)
             for ep, p in sorted(peers.items())] == MIXED_LINKS_RECEIVED
-    assert len(echoes) == 152
+    assert len(echoes) == 151
     assert hashlib.sha256("".join(echoes).encode()).hexdigest() == \
         MIXED_LINKS_ECHO_SHA256
 
@@ -1424,27 +1431,28 @@ def test_link_added_after_rounds_starts_at_the_current_time(small_bundle):
     assert writes[0].ts == now
 
 
-def test_link_starting_before_the_clock_is_refused(small_bundle):
+def test_echo_peer_added_after_rounds_starts_at_the_current_time(small_bundle):
+    # A peer built with its defaults once rounds have run starts its grid
+    # at the clock, as a link does, so the net loop takes it and it echoes.
     m = mount(small_bundle)
-    m.engine.run_rounds(5)
-    enclave, _remote = net_pair()
-    with pytest.raises(ParameterError):
-        m.engine.add_link(0, enclave, start_ns=m.engine.clock.now() - 1)
-    assert m.engine.links == []
-    m.engine.add_link(0, enclave, start_ns=m.engine.clock.now())
-    m.engine.run_rounds(2)
-    assert m.engine.rounds_done == 7
+    m.engine.run_rounds(3)
+    enclave, remote = net_pair()
+    link = m.engine.add_link(0, enclave)
+    peer = EchoPeer(m.host, 0, remote, ShapingClass())
+    m.engine.add_external_pump(peer)
+    assert peer.next_due_ns() == m.engine.clock.now() > 0
+    m.engine.net_send(0, b"late hello")
+    m.engine.run_rounds(3)
+    assert list(link.inbox) == [b"late hello"]
+    assert peer.rx_errors == link.rx_errors == 0
 
 
 def test_pump_already_due_in_the_past_is_refused(small_bundle):
     m = mount(small_bundle)
     m.engine.run_rounds(5)
-    _enclave, remote = net_pair()
     pump = _ScriptedPump([m.engine.clock.now() - 1])
     with pytest.raises(ParameterError):
         m.engine.add_external_pump(pump)
-    with pytest.raises(ParameterError):
-        m.engine.add_external_pump(EchoPeer(m.host, 0, remote, ShapingClass()))
     m.engine.run_rounds(2)
     assert m.engine.rounds_done == 7
     assert pump.ran == []

@@ -20,7 +20,7 @@ from oblivsim import (
     SizeError,
     WouldBlock,
 )
-from oblivsim.hostiface import ENCLAVE_RANGE, SignalDisposition
+from oblivsim.hostiface import ENCLAVE_RANGE, SignalDisposition, SignalOutcome
 
 
 def make_iface(blocks: int = 4) -> HostInterface:
@@ -88,15 +88,12 @@ def test_net_frames_queue_fifo():
         iface.net_write(7, bytes([0x70 + i]) * host.mtu)
         iface.net_write(8, bytes([0x80 + i]) * host.mtu)
     assert host.state_digest()[2] == 6
-    assert host.pop_egress(8) == b"\x80" * host.mtu
-    assert [host.pop_egress(7) for _ in range(3)] == \
-        [bytes([0x70 + i]) * host.mtu for i in range(3)]
-    with pytest.raises(WouldBlock):
-        host.pop_egress(7)
-    assert [host.pop_egress(8) for _ in range(2)] == \
-        [bytes([0x80 + i]) * host.mtu for i in (1, 2)]
-    with pytest.raises(WouldBlock):
-        host.pop_egress(3)
+    assert sorted(host.egress) == [7, 8]
+    assert host.egress[8].popleft() == b"\x80" * host.mtu
+    assert list(host.egress[7]) == [bytes([0x70 + i]) * host.mtu for i in range(3)]
+    assert list(host.egress[8]) == [bytes([0x80 + i]) * host.mtu for i in (1, 2)]
+    host.egress[7].clear()
+    host.egress[8].clear()
     assert host.state_digest()[2] == 0
 
 
@@ -149,7 +146,9 @@ def test_monotonic_never_runs_backwards(raw_times):
 
 
 def test_sim_clock_rejects_backwards():
-    clock = SimClock(10)
+    clock = SimClock()
+    assert clock.now() == 0
+    clock.advance_to(10)
     with pytest.raises(ParameterError):
         clock.advance_to(9)
     clock.advance_to(10)
@@ -173,13 +172,11 @@ def test_signal_instruction_fault_address_is_replaced():
     assert out.info.addr == iface.host.current_instruction
 
 
-def test_user_signals_respect_ignore_flag():
-    host = Host(bytearray(BLOCK_SIZE), SimClock())
-    accepting = HostInterface(host)
-    ignoring = HostInterface(host, ignore_user_signals=True)
-    info = SignalInfo(15, 0, 0)
-    assert accepting.forward_signal(info).disposition is SignalDisposition.DELIVERED
-    assert ignoring.forward_signal(info).disposition is SignalDisposition.REJECTED
+def test_user_signals_are_delivered_as_sent():
+    iface = make_iface()
+    for number in (1, 2, 10, 12, 15):  # HUP, INT, USR1, USR2, TERM
+        info = SignalInfo(number, 0, 0xDEAD)
+        assert iface.forward_signal(info) == SignalOutcome(SignalDisposition.DELIVERED, info)
 
 
 def test_signal_number_validated():

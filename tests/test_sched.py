@@ -238,7 +238,7 @@ def test_rounds_respect_the_interval(small_bundle):
     m.engine.start_observation()
     a, b = StaticIdentity.generate(), StaticIdentity.generate()
     link = establish(a, PeerIdentity(b.public_bytes))
-    m.engine.add_link(7, link, ShapingClass(rate_bps=200_000_000), 0)
+    m.engine.add_link(7, link, ShapingClass(rate_bps=200_000_000))
     m.engine.run_rounds(6)
     disk = m.trace.of_kind(CallKind.DISK_READ, CallKind.DISK_WRITE)
     assert [e.ts for e in disk] == [k * interval for k in range(6) for _ in "rw"]
