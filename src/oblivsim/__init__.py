@@ -78,6 +78,7 @@ from .errors import (
 from .hostiface import (
     BLOCK_SIZE,
     DEFAULT_MTU,
+    RECORD_SIZE,
     ClockId,
     Host,
     HostInterface,

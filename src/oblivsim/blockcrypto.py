@@ -4,20 +4,26 @@ Two protection modes: PLAIN (nothing; the baseline and the
 passthrough path's negative control) and CRYPT_INTEGRITY
 (confidentiality plus tamper and replay detection).
 
+Every unit of an image is one record of ``RECORD_SIZE`` bytes, and a
+disk call moves one record: a block and the 40 bytes of its seal. The
+host stores the seal beside the block, so the only per-block state the
+enclave keeps is the block's write counter.
+
 Encrypted blocks use an AEAD (AES-256-GCM) with a fresh random nonce
 per write, so two writes of the same plaintext never repeat on disk,
 and with the physical block index bound as associated data, so a
-ciphertext presented at the wrong slot fails to open. The nonce's 16
+record presented at the wrong block fails to open. The nonce's 16
 leading bytes are OS randomness, each prefix used once in the process:
 one ``os.urandom`` call fills a pool of ``_POOL_PREFIXES`` prefixes and
 a forked child starts with an empty pool, so parent and child never
 share one. The block's write counter rides in the low 8 bytes of the
-24-byte nonce. A sealed block is its 40-byte slot (nonce, then tag) and
-its ciphertext, the on-disk form and the only one. A ``BlockStore``
-holds the image's one AEAD object and one write counter per block; a
-slot whose counter disagrees with the store's is reported as a replay,
-distinct from a tag failure. Padding is sealed zeros: under a fresh
-nonce they cannot be told from sealed noise.
+24-byte nonce. A sealed record is AES-GCM's own output (ciphertext,
+then tag) followed by the nonce, the on-disk form and the only one. A
+``BlockStore`` holds the image's one AEAD object and one write counter
+per block; a record whose counter disagrees with the store's is
+reported as a replay, distinct from a tag failure, and a record never
+written fails its tag. Padding is sealed zeros: under a fresh nonce
+they cannot be told from sealed noise.
 
 A mounted image's byte traffic all goes through the host interface.
 The one exception is the owner's offline build: ``new_image`` hands the
@@ -25,12 +31,13 @@ builder a private mapping, and ``BlockStore.seal_first`` seals each
 file block, and then (``seal_unwritten``) the padding, straight into it
 as the block's first write, before any host holds the image.
 
-An encrypted image rests on one trusted root, the SHA-256 of the
-header block and the whole slot region: ``persist_metadata`` returns
-it, and a mount given it refuses any other header or slot region, so
-neither a stale slot nor another image's metadata gets past it.
+An image rests on one trusted root, the SHA-256 of the header record
+and the counter region, which holds every block's write counter:
+``persist_metadata`` returns it, and a mount given it refuses any other
+header or counter region, so neither a rolled-back record nor another
+image's metadata gets past it.
 
-The container layout (header, slot region, data) is in FORMATS.md.
+The container layout (header, counter region, data) is in FORMATS.md.
 """
 
 from __future__ import annotations
@@ -42,20 +49,23 @@ import hmac
 import mmap
 import os
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import IntegrityError, ModeError, ParameterError, ReplayError, SizeError
-from .hostiface import BLOCK_SIZE, HostInterface
+from .hostiface import BLOCK_SIZE, RECORD_SIZE, HostInterface
 
-MAGIC = b"OBLV1"
+MAGIC = b"OBLV2"
 KEY_SIZE = 32
 NONCE_SIZE = 24
 NONCE_RANDOM = 16  # leading random bytes; the rest carries the write counter
 TAG_SIZE = 16
-SLOT_SIZE = NONCE_SIZE + TAG_SIZE
+SEALED_SIZE = BLOCK_SIZE + TAG_SIZE  # AES-GCM's output, which the nonce follows
+COUNTER_SIZE = 8  # one u64 LE write counter per block in the counter region
 
 AEAD_NONE = 0
 AEAD_AES256GCM = 1
@@ -67,7 +77,8 @@ _HEADER = struct.Struct("<5sIQBBB")
 _HUGEPAGE = getattr(mmap, "MADV_HUGEPAGE", None)  # where the platform has it
 _HUGE_PAGE_SIZE = 2 << 20  # a new image is faulted in one write per huge page
 _ZERO_BLOCK = bytes(BLOCK_SIZE)
-_ZERO_SLOT = bytes(SLOT_SIZE)
+_ZERO_SEAL = bytes(RECORD_SIZE - BLOCK_SIZE)  # a plain record's tail
+_BIG_ENDIAN = sys.byteorder == "big"  # the counter region is little endian
 
 
 class ProtectionMode(enum.Enum):
@@ -80,8 +91,7 @@ class ProtectionMode(enum.Enum):
 
 
 _aad = struct.Struct(">QQ").pack  # (phys, version) -> associated data
-_slot = struct.Struct(f"{SLOT_SIZE}s")
-_slot_version = struct.Struct(f">{NONCE_RANDOM}xQ{TAG_SIZE}x")  # the nonce's counter
+_record_version = struct.Struct(f">{SEALED_SIZE + NONCE_RANDOM}xQ").unpack  # the nonce's counter
 _nonce = struct.Struct(f">{NONCE_RANDOM}sQ").pack  # (prefix, version) -> nonce
 _split_prefixes = struct.Struct(f"{NONCE_RANDOM}s" * _POOL_PREFIXES).unpack
 
@@ -101,10 +111,9 @@ def _nonce_prefix() -> bytes:
         return first
 
 
-def seal_block(cipher: AESGCM, phys: int, version: int,
-               plaintext: bytes) -> tuple[bytes, bytes]:
-    """Encrypt one block for physical slot ``phys`` at write counter
-    ``version``; returns its slot (nonce ‖ tag) and its ciphertext.
+def seal_block(cipher: AESGCM, phys: int, version: int, plaintext: bytes) -> bytes:
+    """Encrypt one block for physical block ``phys`` at write counter
+    ``version``; returns its record, ciphertext ‖ tag ‖ nonce.
 
     Every call takes a fresh random nonce prefix from the pool, so
     sealing is probabilistic: equal plaintexts never produce equal
@@ -117,25 +126,23 @@ def seal_block(cipher: AESGCM, phys: int, version: int,
     except IndexError:
         prefix = _nonce_prefix()
     nonce = _nonce(prefix, version)
-    sealed = cipher.encrypt(nonce, plaintext, _aad(phys, version))
-    return nonce + sealed[BLOCK_SIZE:], sealed[:BLOCK_SIZE]
+    return cipher.encrypt(nonce, plaintext, _aad(phys, version)) + nonce
 
 
-def open_block(cipher: AESGCM, phys: int, slot: bytes, ciphertext: bytes,
-               version: int) -> bytes:
-    """Decrypt and verify one block from its slot and ciphertext.
+def open_block(cipher: AESGCM, phys: int, record: bytes, version: int) -> bytes:
+    """Decrypt and verify one block from its record.
 
-    The write counter in the slot's nonce must equal ``version``; a
-    mismatch on an otherwise well-formed block means the host presented
+    The write counter in the record's nonce must equal ``version``; a
+    mismatch on an otherwise well-formed record means the host presented
     stale data and raises ReplayError. Tag failures raise IntegrityError.
     """
-    if len(slot) != SLOT_SIZE:
-        raise SizeError("malformed sealed block")
-    (found,) = _slot_version.unpack(slot)
+    if len(record) != RECORD_SIZE:
+        raise SizeError("malformed sealed record")
+    (found,) = _record_version(record)
     if found != version:
         raise ReplayError(f"block {phys}: version {found} != expected {version}")
     try:
-        return cipher.decrypt(slot[:NONCE_SIZE], ciphertext + slot[NONCE_SIZE:],
+        return cipher.decrypt(record[SEALED_SIZE:], record[:SEALED_SIZE],
                               _aad(phys, found))
     except InvalidTag as exc:
         raise IntegrityError(f"block {phys}: tag check failed") from exc
@@ -145,14 +152,10 @@ def open_block(cipher: AESGCM, phys: int, slot: bytes, ciphertext: bytes,
 # Image container.
 # ---------------------------------------------------------------------------
 
-def _blocks_for(nbytes: int) -> int:
-    return (nbytes + BLOCK_SIZE - 1) // BLOCK_SIZE
-
-
-def _root(header: bytes, slot_region: bytes) -> bytes:
-    """The trusted root: SHA-256 over the header block, then the slot region."""
+def _root(header: bytes, counter_region: bytes) -> bytes:
+    """The trusted root: SHA-256 over the header record, then the counter region."""
     root = hashlib.sha256(header)
-    root.update(slot_region)
+    root.update(counter_region)
     return root.digest()
 
 
@@ -160,34 +163,31 @@ def _root(header: bytes, slot_region: bytes) -> bytes:
 class ImageLayout:
     n_blocks: int
     mode: ProtectionMode
-    slot_blocks: int
+    counter_records: int
 
     @property
-    def data_start_block(self) -> int:
-        return 1 + self.slot_blocks
+    def data_start_record(self) -> int:
+        return 1 + self.counter_records
 
     @property
     def total_bytes(self) -> int:
-        return (self.data_start_block + self.n_blocks) * BLOCK_SIZE
-
-    def slot_region_offset(self) -> int:
-        return BLOCK_SIZE
+        return (self.data_start_record + self.n_blocks) * RECORD_SIZE
 
     def data_offset(self, phys: int) -> int:
         if not (0 <= phys < self.n_blocks):
             raise ParameterError(f"physical block {phys} out of range")
-        return (self.data_start_block + phys) * BLOCK_SIZE
+        return (self.data_start_record + phys) * RECORD_SIZE
 
-    def header_block(self) -> bytes:
-        """The header block exactly as written: fields, then zeros."""
+    def header_record(self) -> bytes:
+        """The header record exactly as written: fields, then zeros."""
         aead = AEAD_AES256GCM if self.mode.encrypted else AEAD_NONE
         fields = _HEADER.pack(MAGIC, BLOCK_SIZE, self.n_blocks, self.mode.value,
                               aead, HASH_NONE)
-        return fields + bytes(BLOCK_SIZE - len(fields))
+        return fields + bytes(RECORD_SIZE - len(fields))
 
 
 def layout_for(n_blocks: int, mode: ProtectionMode) -> ImageLayout:
-    return ImageLayout(n_blocks, mode, _blocks_for(n_blocks * SLOT_SIZE))
+    return ImageLayout(n_blocks, mode, -(-n_blocks * COUNTER_SIZE // RECORD_SIZE))
 
 
 def new_image(n_blocks: int, mode: ProtectionMode) -> mmap.mmap:
@@ -204,12 +204,12 @@ def new_image(n_blocks: int, mode: ProtectionMode) -> mmap.mmap:
             image.madvise(_HUGEPAGE)
     for offset in range(0, len(image), _HUGE_PAGE_SIZE):
         image[offset] = 0
-    image[:BLOCK_SIZE] = layout.header_block()
+    image[:RECORD_SIZE] = layout.header_record()
     return image
 
 
-def parse_header(block: bytes) -> ImageLayout:
-    magic, _bs, n_blocks, mode_v, _aead, _hash = _HEADER.unpack_from(block, 0)
+def parse_header(record: bytes) -> ImageLayout:
+    magic, _bs, n_blocks, mode_v, _aead, _hash = _HEADER.unpack_from(record, 0)
     if magic != MAGIC:
         raise ParameterError("not a recognized image (bad magic)")
     try:
@@ -217,7 +217,7 @@ def parse_header(block: bytes) -> ImageLayout:
     except ValueError as exc:
         raise ParameterError(f"unknown protection mode {mode_v}") from exc
     layout = layout_for(n_blocks, mode)
-    if block != layout.header_block():
+    if record != layout.header_record():
         raise ParameterError(f"header fields or padding do not fit a {mode.name} image")
     return layout
 
@@ -225,21 +225,22 @@ def parse_header(block: bytes) -> ImageLayout:
 class BlockStore:
     """A mounted image: typed block reads/writes over the host boundary.
 
-    Holds the image's one cipher, the slot cache and each block's write
-    counter. All byte traffic with a mounted image goes through the host
-    interface; per-block metadata is cached in trusted memory and
-    persisted in bulk by persist_metadata(), which returns the image's
-    trusted root. The one exception is the builder's: ``seal_first``,
-    which stores every file block and, through ``seal_unwritten``, every
-    padding block, writes a new image its owner still holds directly.
+    Holds the image's one cipher and each block's write counter, the
+    only per-block state kept in trusted memory: a block's seal travels
+    in its record. All byte traffic with a mounted image goes through the
+    host interface; the counters are persisted in bulk by
+    persist_metadata(), which returns the image's trusted root. The one
+    exception is the builder's: ``seal_first``, which stores every file
+    block and, through ``seal_unwritten``, every padding block, writes a
+    new image its owner still holds directly.
     """
 
     def __init__(self, iface: HostInterface, layout: ImageLayout, key: bytes | None):
         self.iface = iface
         self.layout = layout
-        self.slots: list[bytes | None] = [None] * layout.n_blocks  # None: never written
-        self.versions = [0] * layout.n_blocks  # write counters, kept in trusted memory
-        self._data_base = layout.data_start_block * BLOCK_SIZE
+        # Write counters, kept in trusted memory; 0: never written.
+        self.versions = array("Q", bytes(COUNTER_SIZE * layout.n_blocks))
+        self._data_base = layout.data_start_record * RECORD_SIZE
         self._cipher = None
         if layout.mode.encrypted:
             if key is None or len(key) != KEY_SIZE:
@@ -264,28 +265,24 @@ class BlockStore:
         """Mount the image behind ``iface``.
 
         Given ``trusted_root``, whatever mode the header claims, the
-        header and the slot region must hash to it before any slot is
-        used; a mismatch means the host presented other or older
+        header and the counter region must hash to it before any counter
+        is used; a mismatch means the host presented other or older
         metadata and raises ReplayError.
         """
         header = iface.disk_read(0)
         layout = parse_header(header)
-        raw = b"".join(
-            iface.disk_read(layout.slot_region_offset() + i * BLOCK_SIZE)
-            for i in range(layout.slot_blocks)
-        )
+        region = b"".join(
+            iface.disk_read((1 + i) * RECORD_SIZE) for i in range(layout.counter_records))
         if trusted_root is not None and not hmac.compare_digest(
-                _root(header, raw), trusted_root):
+                _root(header, region), trusted_root):
             raise ReplayError(
-                "image header and slot region do not match the trusted root")
-        # Built only now: a hostile n_blocks has failed the slot-region
-        # reads above before it can size the store's lists.
+                "image header and counter region do not match the trusted root")
+        # Built only now: a hostile n_blocks has failed the counter-region
+        # reads above before it can size the store's counters.
         store = cls(iface, layout, key)
-        region = memoryview(raw)[:layout.n_blocks * SLOT_SIZE]
-        store.slots = [None if slot == _ZERO_SLOT else slot
-                       for (slot,) in _slot.iter_unpack(region)]
-        if store._cipher is not None:
-            store.versions = [version for (version,) in _slot_version.iter_unpack(region)]
+        store.versions = array("Q", region[:COUNTER_SIZE * layout.n_blocks])
+        if _BIG_ENDIAN:
+            store.versions.byteswap()
         return store
 
     # Data path --------------------------------------------------------
@@ -293,28 +290,23 @@ class BlockStore:
     def read_block(self, phys: int) -> bytes:
         if not 0 <= phys < self.layout.n_blocks:
             raise ParameterError(f"physical block {phys} out of range")
-        raw = self.iface.disk_read(self._data_base + phys * BLOCK_SIZE)
+        record = self.iface.disk_read(self._data_base + phys * RECORD_SIZE)
         if self._cipher is None:
-            return raw
-        slot = self.slots[phys]
-        if slot is None:
-            raise IntegrityError(f"block {phys} was never written")
-        return open_block(self._cipher, phys, slot, raw, self.versions[phys])
+            return record[:BLOCK_SIZE]
+        return open_block(self._cipher, phys, record, self.versions[phys])
 
     def write_block(self, phys: int, plaintext: bytes) -> None:
         if not 0 <= phys < self.layout.n_blocks:
             raise ParameterError(f"physical block {phys} out of range")
-        offset = self._data_base + phys * BLOCK_SIZE
+        offset = self._data_base + phys * RECORD_SIZE
         if self._cipher is not None:
             version = self.versions[phys] + 1
-            slot, ciphertext = seal_block(self._cipher, phys, version, plaintext)
-            self.iface.disk_write(offset, ciphertext)
-            self.slots[phys] = slot
+            self.iface.disk_write(offset, seal_block(self._cipher, phys, version, plaintext))
             self.versions[phys] = version
             return
         if len(plaintext) != BLOCK_SIZE:
             raise SizeError("plaintext must be exactly one block")
-        self.iface.disk_write(offset, plaintext)
+        self.iface.disk_write(offset, b"".join((plaintext, _ZERO_SEAL)))
 
     def dummy_read(self, phys: int) -> None:
         """Fetch and discard; padding traffic never decrypts. The host
@@ -339,18 +331,19 @@ class BlockStore:
     def seal_first(self, image: bytearray | mmap.mmap, phys: int, page) -> None:
         """Store ``page``, any one-block buffer, as block ``phys``'s first
         write straight into ``image``, the buffer behind this store: sealed
-        at version 1 with its slot and counter on an encrypted image, as it
-        is on a plain one. No host call is made; only the owner's offline
-        build of a new image, which no host observes, calls this."""
+        at version 1 on an encrypted image, as it is on a plain one, whose
+        fresh record's seal is already zeros. No host call is made; only
+        the owner's offline build of a new image, which no host observes,
+        calls this."""
         if not 0 <= phys < self.layout.n_blocks:
             raise ParameterError(f"physical block {phys} out of range")
         if self._cipher is not None:
-            self.slots[phys], page = seal_block(self._cipher, phys, 1, page)
+            page = seal_block(self._cipher, phys, 1, page)
             self.versions[phys] = 1
         elif len(page) != BLOCK_SIZE:
             raise SizeError("plaintext must be exactly one block")
-        offset = self._data_base + phys * BLOCK_SIZE
-        image[offset:offset + BLOCK_SIZE] = page
+        offset = self._data_base + phys * RECORD_SIZE
+        image[offset:offset + len(page)] = page
 
     def seal_unwritten(self, image: bytearray | mmap.mmap) -> int:
         """Seal zeros into every never-written block with ``seal_first``,
@@ -359,8 +352,8 @@ class BlockStore:
         if self._cipher is None:
             raise ModeError("only an encrypted image has padding to seal")
         sealed = 0  # counted, not listed: a list of block numbers costs peak memory
-        for phys, slot in enumerate(self.slots):
-            if slot is None:
+        for phys, version in enumerate(self.versions):
+            if not version:
                 self.seal_first(image, phys, _ZERO_BLOCK)
                 sealed += 1
         return sealed
@@ -368,12 +361,14 @@ class BlockStore:
     # Persistence ------------------------------------------------------
 
     def persist_metadata(self) -> bytes:
-        """Write the slot cache back whole; returns the trusted root
-        over the header and the slot region as written."""
-        raw = b"".join([_ZERO_SLOT if s is None else s for s in self.slots])
-        raw += bytes(self.layout.slot_blocks * BLOCK_SIZE - len(raw))
-        for i in range(self.layout.slot_blocks):
+        """Write every write counter to the counter region; returns the
+        trusted root over the header and the counter region as written."""
+        counters = array("Q", self.versions)
+        if _BIG_ENDIAN:
+            counters.byteswap()
+        records = self.layout.counter_records
+        region = counters.tobytes().ljust(records * RECORD_SIZE, b"\0")
+        for i in range(records):
             self.iface.disk_write(
-                self.layout.slot_region_offset() + i * BLOCK_SIZE,
-                raw[i * BLOCK_SIZE:(i + 1) * BLOCK_SIZE])
-        return _root(self.layout.header_block(), raw)
+                (1 + i) * RECORD_SIZE, region[i * RECORD_SIZE:(i + 1) * RECORD_SIZE])
+        return _root(self.layout.header_record(), region)

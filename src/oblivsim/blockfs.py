@@ -24,6 +24,7 @@ it, because the host stores the image between mounts.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 from typing import Protocol
@@ -112,8 +113,10 @@ class BlockFs:
         self.rng = rng
         self.bitmap = bytearray((n_blocks + 7) // 8)
         self.inodes = [Inode() for _ in range(max_files)]
-        self._free: list[int] = []
-        self._padding: list[int] = []
+        # 4-byte block numbers, not lists of int objects: 4 bytes of
+        # trusted memory per free or padding block.
+        self._free = array("I")
+        self._padding = array("I")
 
     # Bitmap and allocation --------------------------------------------
 
@@ -154,8 +157,8 @@ class BlockFs:
         for phys in range(meta):
             fs.bitmap[phys >> 3] |= 1 << (phys & 7)
         fs._free.extend(range(meta, n_blocks))
-        fs._padding = sorted(fs.allocate_block()
-                             for _ in range(int(n_blocks * DUMMY_FRACTION)))
+        fs._padding = array("I", sorted(fs.allocate_block()
+                                        for _ in range(int(n_blocks * DUMMY_FRACTION))))
         return fs
 
     def persist(self, store) -> None:
@@ -219,14 +222,14 @@ class BlockFs:
                                  for p in block_map(itab, fd * entry.size + _MAP_AT)]
         # One byte per block, 1 where the bitmap marks it allocated.
         allocated = bytearray(b"".join(map(_BITS.__getitem__, fs.bitmap))[:n_blocks])
-        fs._free = list(compress(range(n_blocks), allocated.translate(_FLIP)))
+        fs._free = array("I", compress(range(n_blocks), allocated.translate(_FLIP)))
         for ino in fs.inodes:
             if ino.used:
                 for p in ino.block_map:
                     if p is not None and p < n_blocks:
                         allocated[p] = 0
         meta = fs.metadata_blocks
-        fs._padding = list(compress(range(meta, n_blocks), allocated[meta:]))
+        fs._padding = array("I", compress(range(meta, n_blocks), allocated[meta:]))
         if fs.free_blocks != free_blocks:
             raise ParameterError("superblock free count disagrees with bitmap")
         problems = fs.fsck()

@@ -574,9 +574,9 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     so file blocks cross no host interface: each page, a ``memoryview``
     slice of the file's bytes, is sealed as its block's first write
     straight into the mapping (``BlockStore.seal_first``). The filesystem
-    metadata and the slot region are then written through the host
+    metadata and the counter region are then written through the host
     interface, as a mount writes them. On encrypted images every block
-    left untouched gets a sealed zero block, a slot and version 1, in one
+    left untouched gets a sealed zero record at version 1, in one
     sweep (``BlockStore.seal_unwritten``) that writes the mapping
     directly too. Under a fresh nonce sealed zeros cannot be told from
     sealed data, while an image whose content distinguished data blocks

@@ -9,8 +9,10 @@ validates arguments, records one trace event per completed crossing,
 and sanitizes what comes back (clock clamping, signal address rules).
 
 Sizes on the boundary are wire-format constants, not settings: a disk
-call moves one ``BLOCK_SIZE`` block and a net call one ``DEFAULT_MTU``
-frame, 1500 bytes. ``Host.mtu`` names that size for the trace
+call moves one record of ``RECORD_SIZE`` bytes at a record-aligned
+offset, a ``BLOCK_SIZE`` block and the 40 bytes of its seal (a 24-byte
+nonce and a 16-byte tag), and a net call one ``DEFAULT_MTU`` frame,
+1500 bytes. ``Host.mtu`` names that size for the trace
 fingerprint, and a fault address is plausible inside ``ENCLAVE_RANGE``.
 
 Signals have two dispositions. A memory fault (SIGBUS, SIGSEGV) is
@@ -35,7 +37,6 @@ event can say which it was.
 from __future__ import annotations
 
 import enum
-import hashlib as _hashlib
 import mmap
 import struct
 from collections import defaultdict, deque
@@ -51,6 +52,7 @@ from .errors import (
 from .trace import CallKind, HostCallEvent, HostTrace
 
 BLOCK_SIZE = 4096
+RECORD_SIZE = BLOCK_SIZE + 40  # a block and its seal, the unit of every disk call
 DEFAULT_MTU = 1500
 ENCLAVE_RANGE = (0x7000_0000_0000, 0x7100_0000_0000)
 
@@ -60,7 +62,7 @@ ENCLAVE_RANGE = (0x7000_0000_0000, 0x7100_0000_0000)
 _DISK_READ, _DISK_WRITE = CallKind.DISK_READ, CallKind.DISK_WRITE
 _NET_WRITE, _NET_READ, _NET_POLL = CallKind.NET_WRITE, CallKind.NET_READ, CallKind.NET_POLL
 _event = tuple.__new__
-_copy_block = struct.Struct(f"{BLOCK_SIZE}s").unpack_from
+_copy_record = struct.Struct(f"{RECORD_SIZE}s").unpack_from
 
 # Signal numbers follow the usual Linux layout.
 SIG_MEMORY_FAULT = frozenset({7, 11})  # SIGBUS, SIGSEGV: address must be plausible
@@ -111,7 +113,7 @@ class Host:
     and the environment helpers (frame arrival / wire pickup), which
     model the network itself rather than the enclave.
 
-    ``image`` is any writable buffer of whole blocks: a mount's own
+    ``image`` is any writable buffer of whole records: a mount's own
     ``bytearray`` copy, or the mapping ``new_image`` builds an image in.
 
     Frames arriving for the enclave share one FIFO ``ingress`` of
@@ -124,8 +126,8 @@ class Host:
     mtu = DEFAULT_MTU
 
     def __init__(self, image: bytearray | mmap.mmap, clock=None):
-        if len(image) % BLOCK_SIZE != 0:
-            raise SizeError("image length must be a multiple of the block size")
+        if len(image) % RECORD_SIZE != 0:
+            raise SizeError("image length must be a multiple of the record size")
         self.image = image
         self.clock = clock if clock is not None else SimClock()
         self.current_instruction = ENCLAVE_RANGE[0] + 0x1000
@@ -155,13 +157,6 @@ class Host:
             return base + self.realtime_epoch_ns
         return base
 
-    def state_digest(self) -> tuple:
-        return (
-            _hashlib.sha256(self.image).hexdigest(),
-            len(self.ingress),
-            sum(map(len, self.egress.values())),
-        )
-
 
 class HostInterface:
     """Trusted entry points. One method per host call, nothing else."""
@@ -175,27 +170,27 @@ class HostInterface:
 
     def disk_read(self, offset: int) -> bytes:
         host = self.host
-        if offset % BLOCK_SIZE != 0:
-            raise AlignmentError(f"read offset {offset} not block-aligned")
-        if offset < 0 or offset + BLOCK_SIZE > len(host.image):
+        if offset % RECORD_SIZE != 0:
+            raise AlignmentError(f"read offset {offset} not record-aligned")
+        if offset < 0 or offset + RECORD_SIZE > len(host.image):
             raise BoundsError(f"read offset {offset} outside image")
-        data, = _copy_block(host.image, offset)  # one copy, not two
+        data, = _copy_record(host.image, offset)  # one copy, not two
         self.trace.record(_event(HostCallEvent, (
-            host.clock.now_ns, _DISK_READ, offset, BLOCK_SIZE)))
+            host.clock.now_ns, _DISK_READ, offset, RECORD_SIZE)))
         return data
 
-    def disk_write(self, offset: int, block: bytes) -> None:
+    def disk_write(self, offset: int, record: bytes) -> None:
         host = self.host
-        if offset % BLOCK_SIZE != 0:
-            raise AlignmentError(f"write offset {offset} not block-aligned")
-        if offset < 0 or offset + BLOCK_SIZE > len(host.image):
+        if offset % RECORD_SIZE != 0:
+            raise AlignmentError(f"write offset {offset} not record-aligned")
+        if offset < 0 or offset + RECORD_SIZE > len(host.image):
             raise BoundsError(f"write offset {offset} outside image")
-        if len(block) != BLOCK_SIZE:
-            raise SizeError("disk writes must be exactly one block")
-        host.image[offset:offset + BLOCK_SIZE] = block
+        if len(record) != RECORD_SIZE:
+            raise SizeError("disk writes must be exactly one record")
+        host.image[offset:offset + RECORD_SIZE] = record
         host.boundary_mutations += 1
         self.trace.record(_event(HostCallEvent, (
-            host.clock.now_ns, _DISK_WRITE, offset, BLOCK_SIZE)))
+            host.clock.now_ns, _DISK_WRITE, offset, RECORD_SIZE)))
 
     # Network ---------------------------------------------------------
 

@@ -16,6 +16,7 @@ round are stamped there and the recorded pattern is bit-reproducible.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, ClassVar
@@ -39,7 +40,7 @@ class RoundConfig:
 class RoundScheduler:
     def __init__(self, store: BlockStore, dummy_targets: list[int], rng: Rng):
         self.store = store
-        self.dummy_targets = list(dummy_targets)
+        self.dummy_targets = array("I", dummy_targets)  # 4 bytes of trusted memory each
         if not self.dummy_targets:
             raise ParameterError("padding needs at least one padding block")
         self.rng = rng

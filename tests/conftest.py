@@ -9,6 +9,7 @@ import pytest
 
 from oblivsim import (
     BLOCK_SIZE,
+    RECORD_SIZE,
     EngineConfig,
     ImageBundle,
     Mounted,
@@ -21,12 +22,13 @@ DEFAULT_KEY = bytes(range(32))
 
 
 def retired_mode_header(n_blocks: int, mode: int) -> bytes:
-    """A header block exactly as images of the retired modes wrote it:
-    verity (mode 1) had aead_id 0 and hash_id 1 (SHA-256), crypt
-    (mode 2) had aead_id 1 (AES-256-GCM) and hash_id 0."""
+    """A header record of the current layout carrying a retired mode's
+    bytes as its images wrote them: verity (mode 1) had aead_id 0 and
+    hash_id 1 (SHA-256), crypt (mode 2) had aead_id 1 (AES-256-GCM) and
+    hash_id 0."""
     aead, hashid = {1: (0, 1), 2: (1, 0)}[mode]
-    fields = struct.pack("<5sIQBBB", b"OBLV1", BLOCK_SIZE, n_blocks, mode, aead, hashid)
-    return fields.ljust(BLOCK_SIZE, b"\0")
+    fields = struct.pack("<5sIQBBB", b"OBLV2", BLOCK_SIZE, n_blocks, mode, aead, hashid)
+    return fields.ljust(RECORD_SIZE, b"\0")
 
 
 def mount(bundle: ImageBundle, *, seed: int = 0, oblivious: bool = True,

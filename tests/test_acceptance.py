@@ -15,6 +15,7 @@ import pytest
 from conftest import DEFAULT_KEY, mount, record_acceptance
 from oblivsim import (
     BLOCK_SIZE,
+    RECORD_SIZE,
     BackpressureError,
     CallKind,
     Endpoint,
@@ -194,16 +195,19 @@ def test_sealing_detects_tampering_and_replay():
     phys = m.fs.phys_of(m.engine.regular_fd(0), 0)
     off = m.store.layout.data_offset(phys)
 
+    # Flips land anywhere in the block's record, its tag and nonce
+    # included. A flip in the nonce's counter reads as a replay, any
+    # other as a tag failure; either way the read is refused.
     rng = random.Random(0xACCE55)
     detected = 0
     trials = 10_000
     for _ in range(trials):
-        pos = off + rng.randrange(BLOCK_SIZE)
+        pos = off + rng.randrange(RECORD_SIZE)
         bit = 1 << rng.randrange(8)
         m.host.image[pos] ^= bit
         try:
             m.store.read_block(phys)
-        except IntegrityError:
+        except (IntegrityError, ReplayError):
             detected += 1
         finally:
             m.host.image[pos] ^= bit
@@ -211,13 +215,11 @@ def test_sealing_detects_tampering_and_replay():
     seals = set()
     for _ in range(trials):
         m.store.write_block(phys, b"s" * BLOCK_SIZE)
-        seals.add(bytes(m.host.image[off:off + BLOCK_SIZE]))
+        seals.add(bytes(m.host.image[off:off + RECORD_SIZE]))
 
-    old_ct = bytes(m.host.image[off:off + BLOCK_SIZE])
-    old_slot = m.store.slots[phys]
+    old_record = bytes(m.host.image[off:off + RECORD_SIZE])
     m.store.write_block(phys, b"newer" * 16 + bytes(BLOCK_SIZE - 80))
-    m.host.image[off:off + BLOCK_SIZE] = old_ct
-    m.store.slots[phys] = old_slot
+    m.host.image[off:off + RECORD_SIZE] = old_record
     try:
         m.store.read_block(phys)
         replay_rejected = False

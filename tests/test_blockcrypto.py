@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import retired_mode_header
 from oblivsim import (
     BLOCK_SIZE,
+    RECORD_SIZE,
     BlockStore,
     CallKind,
     Host,
@@ -24,6 +25,7 @@ from oblivsim import (
     ProtectionMode,
     ReplayError,
     SimClock,
+    SimError,
     SizeError,
     layout_for,
     new_image,
@@ -34,7 +36,7 @@ from oblivsim import blockcrypto
 from oblivsim.blockcrypto import (
     NONCE_RANDOM,
     NONCE_SIZE,
-    SLOT_SIZE,
+    SEALED_SIZE,
     parse_header,
 )
 
@@ -44,62 +46,64 @@ CIPHER = AESGCM(KEY)
 
 
 def test_seal_open_roundtrip():
-    slot, ciphertext = seal_block(CIPHER, 5, 1, PLAIN)
-    assert len(slot) == SLOT_SIZE and len(ciphertext) == BLOCK_SIZE
-    assert open_block(CIPHER, 5, slot, ciphertext, 1) == PLAIN
+    record = seal_block(CIPHER, 5, 1, PLAIN)
+    assert len(record) == RECORD_SIZE == BLOCK_SIZE + 16 + NONCE_SIZE
+    assert open_block(CIPHER, 5, record, 1) == PLAIN
 
 
 def test_seal_matches_independent_aead_computation():
-    # Recompute the decryption with the raw primitive: the slot is
-    # nonce ‖ tag, the counter must sit in the nonce tail and
-    # (phys, counter) must be the AAD.
-    slot, ciphertext = seal_block(CIPHER, 9, 1, PLAIN)
-    nonce, tag = slot[:NONCE_SIZE], slot[NONCE_SIZE:]
+    # Recompute the decryption with the raw primitive: the record is
+    # ciphertext ‖ tag ‖ nonce, the counter must sit in the nonce tail
+    # and (phys, counter) must be the AAD.
+    record = seal_block(CIPHER, 9, 1, PLAIN)
+    sealed, nonce = record[:BLOCK_SIZE + 16], record[BLOCK_SIZE + 16:]
+    assert len(nonce) == NONCE_SIZE
     version = int.from_bytes(nonce[NONCE_RANDOM:], "big")
     assert version == 1
     aad = struct.pack(">QQ", 9, version)
-    out = AESGCM(KEY).decrypt(nonce, ciphertext + tag, aad)
+    out = AESGCM(KEY).decrypt(nonce, sealed, aad)
     assert out == PLAIN
 
 
 def test_sealing_is_probabilistic():
-    a_slot, a_ct = seal_block(CIPHER, 1, 1, PLAIN)
-    b_slot, b_ct = seal_block(CIPHER, 1, 1, PLAIN)
-    assert a_ct != b_ct
-    assert a_slot[:NONCE_SIZE] != b_slot[:NONCE_SIZE]
+    a = seal_block(CIPHER, 1, 1, PLAIN)
+    b = seal_block(CIPHER, 1, 1, PLAIN)
+    assert a[:BLOCK_SIZE] != b[:BLOCK_SIZE]
+    assert a[SEALED_SIZE:] != b[SEALED_SIZE:]
 
 
 def test_ciphertext_bound_to_physical_slot():
-    slot, ciphertext = seal_block(CIPHER, 3, 1, PLAIN)
+    record = seal_block(CIPHER, 3, 1, PLAIN)
     with pytest.raises(IntegrityError):
-        open_block(CIPHER, 4, slot, ciphertext, 1)
+        open_block(CIPHER, 4, record, 1)
 
 
 def test_version_mismatch_is_replay_not_integrity():
     old = seal_block(CIPHER, 2, 1, PLAIN)
     with pytest.raises(ReplayError):
-        open_block(CIPHER, 2, *old, 2)
+        open_block(CIPHER, 2, old, 2)
 
 
 @settings(max_examples=30)
-@given(st.integers(min_value=0, max_value=SLOT_SIZE + BLOCK_SIZE - 1),
+@given(st.integers(min_value=0, max_value=RECORD_SIZE - 1),
        st.integers(min_value=0, max_value=7))
 def test_any_single_bit_flip_is_detected(byte_index, bit):
-    slot, ciphertext = seal_block(CIPHER, 7, 1, PLAIN)
-    blob = bytearray(slot + ciphertext)
-    blob[byte_index] ^= 1 << bit
+    record = bytearray(seal_block(CIPHER, 7, 1, PLAIN))
+    record[byte_index] ^= 1 << bit
     with pytest.raises((IntegrityError, ReplayError)):
-        open_block(CIPHER, 7, bytes(blob[:SLOT_SIZE]), bytes(blob[SLOT_SIZE:]), 1)
+        open_block(CIPHER, 7, bytes(record), 1)
 
 
 def test_seal_open_validate_arguments():
     with pytest.raises(SizeError):
         seal_block(CIPHER, 0, 1, b"tiny")
-    slot, ciphertext = seal_block(CIPHER, 0, 1, PLAIN)
+    record = seal_block(CIPHER, 0, 1, PLAIN)
     with pytest.raises(SizeError):
-        open_block(CIPHER, 0, b"\x00" * 5, ciphertext, 1)
+        open_block(CIPHER, 0, b"\x00" * 5, 1)
     with pytest.raises(SizeError):
-        open_block(CIPHER, 0, slot + b"\x00", ciphertext, 1)
+        open_block(CIPHER, 0, record + b"\x00", 1)
+    with pytest.raises(SizeError):
+        open_block(CIPHER, 0, record[:-1], 1)
 
 
 def test_store_refuses_a_key_that_is_not_32_bytes():
@@ -124,14 +128,14 @@ def test_plain_store_refuses_any_key():
 # ---------------------------------------------------------------------------
 
 def test_layout_regions_do_not_overlap():
-    for n in (8, 103, 256, 1024):
+    for n in (8, 103, 256, 517, 518, 1024):
         for mode in ProtectionMode:
             lay = layout_for(n, mode)
-            assert lay.slot_region_offset() == BLOCK_SIZE
-            assert lay.data_offset(0) >= lay.slot_region_offset() \
-                + lay.slot_blocks * BLOCK_SIZE
-            assert lay.data_offset(n - 1) + BLOCK_SIZE == lay.total_bytes
-            assert lay.slot_blocks * BLOCK_SIZE >= n * SLOT_SIZE
+            # Header record, then ceil(8n / RECORD_SIZE) counter records.
+            assert lay.counter_records == -(-8 * n // RECORD_SIZE)
+            assert lay.data_offset(0) == (1 + lay.counter_records) * RECORD_SIZE
+            assert lay.data_offset(n - 1) + RECORD_SIZE == lay.total_bytes
+            assert lay.counter_records * RECORD_SIZE >= 8 * n
     with pytest.raises(ParameterError):
         layout_for(8, ProtectionMode.PLAIN).data_offset(8)
 
@@ -144,15 +148,15 @@ def test_new_image_is_its_layout_long_with_a_header_and_zeros(n, mode):
     layout = layout_for(n, mode)
     image = new_image(n, mode)
     assert len(image) == layout.total_bytes
-    assert image[:BLOCK_SIZE] == layout.header_block()
+    assert image[:RECORD_SIZE] == layout.header_record()
     view = memoryview(image)
-    assert view[BLOCK_SIZE:] == bytes(layout.total_bytes - BLOCK_SIZE)
+    assert view[RECORD_SIZE:] == bytes(layout.total_bytes - RECORD_SIZE)
     view.release()
 
 
 def test_header_roundtrip_and_rejections():
     image = new_image(64, ProtectionMode.CRYPT_INTEGRITY)
-    lay = parse_header(bytes(image[:BLOCK_SIZE]))
+    lay = parse_header(bytes(image[:RECORD_SIZE]))
     assert lay == layout_for(64, ProtectionMode.CRYPT_INTEGRITY)
 
     # Mode bytes 1 and 2 are reserved: the header, and so the mount, is refused.
@@ -161,74 +165,103 @@ def test_header_roundtrip_and_rejections():
         with pytest.raises(ParameterError, match=f"unknown protection mode {retired}"):
             parse_header(header)
         old = bytearray(image)
-        old[:BLOCK_SIZE] = header
+        old[:RECORD_SIZE] = header
         with pytest.raises(ParameterError, match=f"unknown protection mode {retired}"):
             BlockStore.mount(HostInterface(Host(old, SimClock())), key=KEY)
 
-    bad_magic = bytearray(image[:BLOCK_SIZE])
+    bad_magic = bytearray(image[:RECORD_SIZE])
     bad_magic[:5] = b"WRONG"
     with pytest.raises(ParameterError):
         parse_header(bytes(bad_magic))
 
-    bad_mode = bytearray(image[:BLOCK_SIZE])
+    bad_mode = bytearray(image[:RECORD_SIZE])
     bad_mode[17] = 9  # mode byte
     with pytest.raises(ParameterError):
         parse_header(bytes(bad_mode))
 
-    bad_aead = bytearray(image[:BLOCK_SIZE])
+    bad_aead = bytearray(image[:RECORD_SIZE])
     bad_aead[18] = 7
     with pytest.raises(ParameterError):
         parse_header(bytes(bad_aead))
 
     # Bytes past the fields are zero, so the root hashes one encoding.
-    trailing = bytearray(image[:BLOCK_SIZE])
-    trailing[BLOCK_SIZE - 1] = 1
+    trailing = bytearray(image[:RECORD_SIZE])
+    trailing[RECORD_SIZE - 1] = 1
     with pytest.raises(ParameterError):
         parse_header(bytes(trailing))
+
+
+@pytest.mark.parametrize("mode", list(ProtectionMode))
+def test_an_image_of_the_block_layout_is_refused(mode):
+    # The layout before records: an "OBLV1" header block, then a slot
+    # region of 40 bytes per block, then 4096-byte data blocks.
+    n = 1024
+    aead = 1 if mode.encrypted else 0
+    header = struct.pack("<5sIQBBB", b"OBLV1", BLOCK_SIZE, n, mode.value, aead, 0)
+    old = header.ljust((1 + -(-n * 40 // BLOCK_SIZE) + n) * BLOCK_SIZE, b"\0")
+    assert len(old) % RECORD_SIZE != 0
+    with pytest.raises(SimError, match="multiple of the record size"):
+        _remount(old, key=KEY if mode.encrypted else None)
+    # Cut or padded to whole records, its magic is still the old one.
+    whole = len(old) // RECORD_SIZE * RECORD_SIZE
+    for length in (whole, whole + RECORD_SIZE):
+        with pytest.raises(SimError, match="bad magic"):
+            _remount(old.ljust(length, b"\0")[:length],
+                     key=KEY if mode.encrypted else None)
 
 
 # ---------------------------------------------------------------------------
 # Trusted root.
 # ---------------------------------------------------------------------------
 
-def _oracle_root(n: int, mode: ProtectionMode, slots: list[bytes]) -> bytes:
-    """SHA-256 over the header block and the zero-padded slot region,
-    written from FORMATS.md alone."""
+def _oracle_root(n: int, mode: ProtectionMode, counters: list[int]) -> bytes:
+    """SHA-256 over the header record and the zero-padded counter region,
+    written from FORMATS.md alone: records of 4096 + 40 bytes, and one
+    u64 LE counter per block in ceil(8n / 4136) records."""
+    record = 4096 + 40
     aead = 1 if mode.encrypted else 0
-    header = struct.pack("<5sIQBBB", b"OBLV1", BLOCK_SIZE, n, mode.value, aead, 0)
-    region = b"".join(slots)
-    region_blocks = -(-n * SLOT_SIZE // BLOCK_SIZE)
+    header = struct.pack("<5sIQBBB", b"OBLV2", 4096, n, mode.value, aead, 0)
+    region = b"".join(struct.pack("<Q", c) for c in counters)
+    region_records = -(-8 * n // record)
     return hashlib.sha256(
-        header.ljust(BLOCK_SIZE, b"\0") + region.ljust(region_blocks * BLOCK_SIZE, b"\0")
+        header.ljust(record, b"\0") + region.ljust(region_records * record, b"\0")
     ).digest()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 517, 518, 1100])
 def test_verity_root_matches_oracle(n):
-    # The verity root of a crypt-integrity image, over sizes that make
-    # full, partial and single-leaf Merkle levels.
+    # The root of a crypt-integrity image, over sizes whose counter
+    # region fills one record exactly (517), spills into a second (518)
+    # and spans three (1100).
     store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY, n)
     written = range(n // 2, n, 2)  # every other block of the upper half
     for phys in written:
-        store.write_block(phys, bytes([phys]) * BLOCK_SIZE)
-    slots = [bytes(SLOT_SIZE)] * n
+        store.write_block(phys, bytes([phys % 256]) * BLOCK_SIZE)
+    store.write_block(n - 1, PLAIN)
+    counters = [0] * n
     for phys in written:
-        # The slot is nonce ‖ tag of the ciphertext on disk at counter 1.
-        slot, at = store.slots[phys], store.layout.data_offset(phys)
-        ciphertext = bytes(host.image[at:at + BLOCK_SIZE])
-        assert CIPHER.decrypt(slot[:NONCE_SIZE], ciphertext + slot[NONCE_SIZE:],
-                              struct.pack(">QQ", phys, 1)) == bytes([phys]) * BLOCK_SIZE
-        slots[phys] = slot
+        counters[phys] = 1
+    counters[n - 1] += 1
+    for phys in written:
+        # The record is ciphertext ‖ tag ‖ nonce, at its counter.
+        at = store.layout.data_offset(phys)
+        record = bytes(host.image[at:at + 4096 + 40])
+        assert CIPHER.decrypt(record[4096 + 16:], record[:4096 + 16],
+                              struct.pack(">QQ", phys, counters[phys])) == (
+            PLAIN if phys == n - 1 else bytes([phys % 256]) * BLOCK_SIZE)
     assert store.persist_metadata() == _oracle_root(
-        n, ProtectionMode.CRYPT_INTEGRITY, slots)
+        n, ProtectionMode.CRYPT_INTEGRITY, counters)
 
 
 def test_crypt_integrity_root_matches_oracle():
-    store, _ = fresh_store(ProtectionMode.CRYPT_INTEGRITY, 5)
+    store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY, 5)
     store.write_block(1, PLAIN)
-    slots = [bytes(SLOT_SIZE), store.slots[1]] + [bytes(SLOT_SIZE)] * 3
-    assert store.persist_metadata() == _oracle_root(
-        5, ProtectionMode.CRYPT_INTEGRITY, slots)
+    store.dummy_write(3)
+    store.dummy_write(3)
+    root = store.persist_metadata()
+    assert root == _oracle_root(5, ProtectionMode.CRYPT_INTEGRITY, [0, 1, 0, 2, 0])
+    # The counter region on disk is exactly the counters, little endian.
+    assert bytes(host.image[4136:4136 + 40]) == struct.pack("<5Q", 0, 1, 0, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +308,7 @@ def test_mount_requires_key_for_encrypted_images():
 
 
 def test_data_rollback_without_slot_is_integrity_failure():
+    # The old ciphertext under the new record's tag and nonce.
     store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
     off = store.layout.data_offset(2)
     store.write_block(2, PLAIN)
@@ -289,11 +323,9 @@ def test_full_rollback_is_reported_as_replay():
     store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
     off = store.layout.data_offset(2)
     store.write_block(2, PLAIN)
-    old_ct = bytes(host.image[off:off + BLOCK_SIZE])
-    old_slot = store.slots[2]
+    old_record = bytes(host.image[off:off + RECORD_SIZE])
     store.write_block(2, b"\x99" * BLOCK_SIZE)
-    host.image[off:off + BLOCK_SIZE] = old_ct
-    store.slots[2] = old_slot  # stale metadata presented alongside
+    host.image[off:off + RECORD_SIZE] = old_record  # its seal included
     with pytest.raises(ReplayError):
         store.read_block(2)
 
@@ -321,9 +353,10 @@ def test_dummy_writes_seal_zeros_under_fresh_nonces():
     seen = []
     for _ in range(2):
         store.dummy_write(3)
-        seen.append((bytes(host.image[off:off + BLOCK_SIZE]), store.slots[3]))
-    (first_ct, first_slot), (second_ct, second_slot) = seen
-    assert first_ct != second_ct and first_slot != second_slot
+        record = bytes(host.image[off:off + RECORD_SIZE])
+        seen.append((record[:BLOCK_SIZE], record[SEALED_SIZE:]))
+    (first_ct, first_nonce), (second_ct, second_nonce) = seen
+    assert first_ct != second_ct and first_nonce != second_nonce
     assert store.versions[3] == 2
     assert store.read_block(3) == bytes(BLOCK_SIZE)
 
@@ -336,16 +369,16 @@ def test_seal_unwritten_leaves_written_blocks_alone():
     store.iface.trace.reset()
 
     def state():
-        return bytes(host.image), list(store.slots), list(store.versions)
+        return bytes(host.image), list(store.versions)
 
-    image, slots, versions = state()
+    image, versions = state()
     assert store.seal_unwritten(host.image) == 14
     assert len(store.iface.trace) == 0  # the sweep crosses no host call
     for phys in (2, 5):
         off = store.layout.data_offset(phys)
-        assert host.image[off:off + BLOCK_SIZE] == image[off:off + BLOCK_SIZE]
-        assert (store.slots[phys], store.versions[phys]) == (slots[phys], versions[phys])
-    assert store.versions == [1, 1, 1, 1, 1, 2] + [1] * 10
+        assert host.image[off:off + RECORD_SIZE] == image[off:off + RECORD_SIZE]
+        assert store.versions[phys] == versions[phys]
+    assert list(store.versions) == [1, 1, 1, 1, 1, 2] + [1] * 10
     assert store.read_block(2) == PLAIN and store.read_block(5) == bytes(BLOCK_SIZE)
     assert store.read_block(9) == bytes(BLOCK_SIZE)
 
@@ -361,12 +394,12 @@ def test_seal_first_stores_a_page_straight_into_the_image(mode):
     store.seal_first(host.image, 3, memoryview(PLAIN))
     assert len(store.iface.trace) == 0  # no host call
     off = store.layout.data_offset(3)
-    raw = bytes(host.image[off:off + BLOCK_SIZE])
+    raw = bytes(host.image[off:off + RECORD_SIZE])
     if mode.encrypted:
-        assert store.versions[3] == 1 and raw != PLAIN
-        assert open_block(CIPHER, 3, store.slots[3], raw, 1) == PLAIN
+        assert store.versions[3] == 1 and raw[:BLOCK_SIZE] != PLAIN
+        assert open_block(CIPHER, 3, raw, 1) == PLAIN
     else:
-        assert raw == PLAIN
+        assert raw == PLAIN + bytes(40)
     assert store.read_block(3) == PLAIN
     for phys in (-1, 16):
         with pytest.raises(ParameterError):
@@ -391,7 +424,7 @@ def test_nonce_prefixes_come_from_one_urandom_call_per_refill(monkeypatch):
     blockcrypto._prefix_pool.clear()  # start on a refill
     monkeypatch.setattr(blockcrypto.os, "urandom", counting)
     seals = 3 * blockcrypto._POOL_PREFIXES
-    prefixes = {seal_block(CIPHER, 0, 1, PLAIN)[0][:NONCE_RANDOM]
+    prefixes = {seal_block(CIPHER, 0, 1, PLAIN)[SEALED_SIZE:SEALED_SIZE + NONCE_RANDOM]
                 for _ in range(seals)}
     assert len(prefixes) == seals
     assert calls == [NONCE_RANDOM * blockcrypto._POOL_PREFIXES] * 3
@@ -407,14 +440,14 @@ def test_forked_child_never_uses_a_parent_prefix():
     if pid == 0:
         try:
             os.close(r)
-            os.write(w, seal_block(CIPHER, 0, 1, PLAIN)[0][:NONCE_RANDOM])
+            os.write(w, seal_block(CIPHER, 0, 1, PLAIN)[SEALED_SIZE:SEALED_SIZE + NONCE_RANDOM])
         finally:
             os._exit(0)
     os.close(w)
     with os.fdopen(r, "rb") as pipe:
         child = pipe.read()
     os.waitpid(pid, 0)
-    parent = {seal_block(CIPHER, 0, 1, PLAIN)[0][:NONCE_RANDOM]
+    parent = {seal_block(CIPHER, 0, 1, PLAIN)[SEALED_SIZE:SEALED_SIZE + NONCE_RANDOM]
               for _ in range(len(pending))}
     assert len(child) == NONCE_RANDOM
     assert child not in parent and child not in pending
@@ -444,25 +477,28 @@ def test_persist_metadata_survives_remount():
         HostInterface(Host(bytearray(host.image), SimClock())), key=KEY)
     for p in range(8):
         assert again.read_block(p) == bytes([p]) * BLOCK_SIZE
-    assert again.slots[8:] == [None] * 8
+    assert list(again.versions) == [1] * 8 + [0] * 8
+    with pytest.raises(IntegrityError):  # never written: its record fails its tag
+        again.read_block(8)
 
 
 def _remount(image, **kw) -> BlockStore:
     return BlockStore.mount(HostInterface(Host(bytearray(image), SimClock())), **kw)
 
 
-def test_rollback_of_block_and_slot_is_refused_at_mount():
+def test_rollback_of_record_and_counter_is_refused_at_mount():
     store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
     off = store.layout.data_offset(2)
-    slot_off = store.layout.slot_region_offset() + 2 * SLOT_SIZE
+    counter_off = RECORD_SIZE + 2 * 8  # block 2's counter in the counter region
     store.write_block(2, b"AAAA" * 1024)
     store.persist_metadata()
-    old_block = bytes(host.image[off:off + BLOCK_SIZE])
-    old_slot = bytes(host.image[slot_off:slot_off + SLOT_SIZE])
+    old_record = bytes(host.image[off:off + RECORD_SIZE])
+    old_counter = bytes(host.image[counter_off:counter_off + 8])
     store.write_block(2, b"BBBB" * 1024)
     root = store.persist_metadata()
-    host.image[off:off + BLOCK_SIZE] = old_block
-    host.image[slot_off:slot_off + SLOT_SIZE] = old_slot
+    assert bytes(host.image[counter_off:counter_off + 8]) != old_counter
+    host.image[off:off + RECORD_SIZE] = old_record
+    host.image[counter_off:counter_off + 8] = old_counter
     with pytest.raises(ReplayError):
         _remount(host.image, key=KEY, trusted_root=root)
     # Without the root the stale pair is self-consistent and opens:
@@ -480,13 +516,17 @@ def test_plain_image_mounted_with_a_verity_root_is_refused():
         _remount(host.image, trusted_root=root)
 
 
-def test_slot_byte_flip_under_a_root_fails_at_mount():
+def test_counter_region_byte_flip_under_a_root_fails_at_mount():
     store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
     store.write_block(3, PLAIN)
     root = store.persist_metadata()
-    host.image[store.layout.slot_region_offset() + 3 * SLOT_SIZE] ^= 0x01
-    with pytest.raises(ReplayError):
-        _remount(host.image, key=KEY, trusted_root=root)
+    # A byte of block 3's counter, and a byte of the region's zero tail.
+    for at in (RECORD_SIZE + 3 * 8, 2 * RECORD_SIZE - 1):
+        host.image[at] ^= 0x01
+        with pytest.raises(ReplayError):
+            _remount(host.image, key=KEY, trusted_root=root)
+        host.image[at] ^= 0x01
+    assert _remount(host.image, key=KEY, trusted_root=root).read_block(3) == PLAIN
 
 
 def test_root_tracks_every_persist():

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oblivsim import (
     BLOCK_SIZE,
+    RECORD_SIZE,
     BlockFs,
     BlockStore,
     DescriptorError,
@@ -26,7 +27,6 @@ from oblivsim import (
     mount,
     new_image,
 )
-from oblivsim.blockcrypto import SLOT_SIZE
 from oblivsim.blockfs import UNMAPPED, default_geometry, metadata_block_count
 
 
@@ -240,7 +240,7 @@ def test_create_donors_and_unlink_all():
     assert [ino.used for ino in fs.inodes] == inodes0  # no inode spent
     assert fs.free_blocks == free0 - 2
     fs.unlink_all(donor)
-    assert fs.free_blocks == free0 and fs._free[-2:] == vacated[::-1]
+    assert fs.free_blocks == free0 and list(fs._free[-2:]) == vacated[::-1]
     assert fs.fsck() == []
     # One free block is room enough; an empty pool is refused.
     held = [fs.allocate_block() for _ in range(free0 - 1)]
@@ -288,8 +288,8 @@ def test_plain_image_bytes_are_pinned():
     digests = [hashlib.sha256(part).hexdigest()
                for part in (bundle.image[:cut], bundle.image[cut:])]
     assert digests == [
-        "46cad6a17815f12aea64a09387fe462eebbf09226ab524b41e5595b67e56c1a4",
-        "273ef9262e014ad6647a135f58861e3fc2ba81696418311fb0f8fc18381777e9"]
+        "ded59c0ac4d2a4dbf489c6095cfa5c788015c477c0fbd6c95ab6e76a73d7db1d",
+        "7287f750526263721cf1db86094b633bdaf813037d5dd375f847bfc4e16ddca3"]
 
 
 def test_persist_load_roundtrip_full_inode_table():
@@ -346,18 +346,11 @@ def _reference_metadata(store):
     return inodes, free, padding
 
 
-def _reference_slots(host, layout):
-    """The slot region decoded one slot at a time: each block's slot (None
-    when all zero) and its write counter (0 unless encrypted and written)."""
-    slots, versions = [], []
-    for p in range(layout.n_blocks):
-        at = layout.slot_region_offset() + p * SLOT_SIZE
-        slot = bytes(host.image[at:at + SLOT_SIZE])
-        written = slot != bytes(SLOT_SIZE)
-        slots.append(slot if written else None)
-        versions.append(int.from_bytes(slot[16:24], "big")
-                        if written and layout.mode.encrypted else 0)
-    return slots, versions
+def _reference_counters(host, layout):
+    """The counter region decoded one counter at a time: each block's
+    write counter, a u64 LE from the record after the header on."""
+    return [int.from_bytes(host.image[at:at + 8], "little")
+            for at in range(RECORD_SIZE, RECORD_SIZE + 8 * layout.n_blocks, 8)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,14 +398,13 @@ def test_bulk_codecs_match_a_per_entry_reference(mode, n_blocks, max_files,
     root = store.persist_metadata()
 
     mounted = BlockStore.mount(HostInterface(host), key=key, trusted_root=root)
-    slots, versions = _reference_slots(host, layout)
-    assert mounted.slots == slots == store.slots
-    assert mounted.versions == versions
+    versions = _reference_counters(host, layout)
+    assert list(mounted.versions) == versions == list(store.versions)
     again = BlockFs.load(mounted, RngTree(seed).stream("layout"))
     inodes, free, padding = _reference_metadata(mounted)
     assert [(i.used, i.flags, i.size, i.block_map) for i in again.inodes] == inodes
-    assert again._free == free
-    assert again._padding == padding == fs.dummy_blocks()
+    assert list(again._free) == free
+    assert list(again._padding) == padding == fs.dummy_blocks()
 
 
 def test_unused_inode_entries_keep_only_their_flag():

@@ -15,8 +15,8 @@ import pytest
 
 from conftest import DEFAULT_KEY, mount, retired_mode_header
 from oblivsim import (
-    BLOCK_SIZE,
     BUDGET_PAGES,
+    RECORD_SIZE,
     CallKind,
     ImageBundle,
     ProtectionMode,
@@ -558,7 +558,7 @@ def test_fsck_refuses_an_image_of_a_retired_mode(retired, image, tmp_path, capsy
     # Modes 1 (verity) and 2 (crypt) are reserved: an image whose header
     # carries one is refused at mount, as a usage error.
     old = bytearray(image.read_bytes())
-    old[:BLOCK_SIZE] = retired_mode_header(64, retired)
+    old[:RECORD_SIZE] = retired_mode_header(64, retired)
     target = tmp_path / "old.img"
     target.write_bytes(bytes(old))
     rc = cli("fsck", "--image", target, "--key", KEY_HEX)

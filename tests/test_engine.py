@@ -16,6 +16,7 @@ from oblivsim import (
     BLOCK_SIZE,
     BUDGET_PAGES,
     DEFAULT_MTU,
+    RECORD_SIZE,
     CallKind,
     DescriptorError,
     EchoPeer,
@@ -43,7 +44,7 @@ from oblivsim import (
     trace_fingerprint,
 )
 import oblivsim.engine as engine_module
-from oblivsim.blockcrypto import SLOT_SIZE
+from oblivsim.blockcrypto import SEALED_SIZE
 from oblivsim.blockfs import FLAG_REGULAR
 from oblivsim.shaper import SEND_QUEUE_FRAMES
 from oblivsim.shuffle import shuffle_pass
@@ -105,20 +106,17 @@ def test_encrypted_image_leaves_no_unsealed_blocks(small_bundle):
     # Blocks never touched by a file must look to the host like every
     # other block, not zeroes it could use to map the layout offline:
     # the raw image holds distinct ciphertext in every data block and a
-    # set slot for each. Inside, the padding is sealed zeros.
+    # distinct nonce in every record. Inside, the padding is sealed zeros.
     m = mount(small_bundle, oblivious=False)
-    assert all(v is not None for v in m.store.slots)
     pages = [m.store.read_block(p) for p in range(64)]
     assert all(len(p) == BLOCK_SIZE for p in pages)
 
     image, layout = small_bundle.image, m.store.layout
-    raw = [bytes(image[layout.data_offset(p):layout.data_offset(p) + BLOCK_SIZE])
-           for p in range(64)]
-    assert bytes(BLOCK_SIZE) not in raw
-    assert len(set(raw)) == 64
-    slots = image[layout.slot_region_offset():layout.data_offset(0)]
-    assert all(slots[i * SLOT_SIZE:(i + 1) * SLOT_SIZE] != bytes(SLOT_SIZE)
-               for i in range(64))
+    records = [bytes(image[layout.data_offset(p):layout.data_offset(p) + RECORD_SIZE])
+               for p in range(64)]
+    assert bytes(BLOCK_SIZE) not in [r[:BLOCK_SIZE] for r in records]
+    assert len({r[:BLOCK_SIZE] for r in records}) == 64
+    assert len({r[SEALED_SIZE:] for r in records}) == 64
 
     used = set(range(m.fs.metadata_blocks))
     for fd in small_bundle.data_fds:
@@ -126,7 +124,7 @@ def test_encrypted_image_leaves_no_unsealed_blocks(small_bundle):
     padding = set(range(64)) - used
     assert padding and all(pages[p] == bytes(BLOCK_SIZE) for p in padding)
     # Each block was sealed exactly once at build, padding included.
-    assert m.store.versions == [1] * 64
+    assert list(m.store.versions) == [1] * 64
 
 
 def _file_pages(fs, fds, files) -> dict[int, bytes]:
@@ -149,13 +147,13 @@ def test_a_crypt_image_opens_every_block_at_version_one_as_built():
     m = mount(bundle, oblivious=False)
     pages = _file_pages(m.fs, bundle.data_fds, PARTIAL)
     assert len(pages) == 6
-    assert m.store.versions == [1] * 64
+    assert list(m.store.versions) == [1] * 64
     for phys in range(m.fs.metadata_blocks, 64):
         assert m.store.read_block(phys) == pages.get(phys, bytes(BLOCK_SIZE))
 
 
 def test_build_image_writes_no_file_block_through_the_host_interface(monkeypatch):
-    # Only the filesystem metadata and the slot region cross the host
+    # Only the filesystem metadata and the counter region cross the host
     # interface; file blocks are sealed straight into the new image.
     written = []
     disk_write = HostInterface.disk_write
@@ -174,7 +172,7 @@ def test_build_image_writes_no_file_block_through_the_host_interface(monkeypatch
     assert len(files) == 6 and not files & set(written)
     assert sorted(written) == sorted(
         [layout.data_offset(p) for p in range(m.fs.metadata_blocks)]
-        + [layout.slot_region_offset() + i * BLOCK_SIZE for i in range(layout.slot_blocks)])
+        + [(1 + i) * RECORD_SIZE for i in range(layout.counter_records)])
 
 
 def test_a_plain_image_built_with_files_reads_back_through_a_passthrough_mount():
@@ -246,6 +244,25 @@ def test_dropping_an_oblivious_mount_frees_the_image_at_once():
         gc.enable()
     assert held > 4096 * BLOCK_SIZE
     assert left < 64 * BLOCK_SIZE
+
+
+def test_a_mount_holds_under_24_bytes_of_trusted_heap_per_block():
+    # The trusted state a mount keeps per block: an 8-byte write counter,
+    # a 4-byte entry for each free or padding block and the file's block
+    # map. A block's seal travels in its record, so none is held. The
+    # geometry is kv_mixed's: 32 768 blocks and one 1024-block file.
+    n = 32768
+    bundle = build_image(n, ProtectionMode.CRYPT_INTEGRITY, [bytes(1024 * BLOCK_SIZE)],
+                         seed=1, key=DEFAULT_KEY, max_file_blocks=1024)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        m = mount(bundle, seed=1)
+        held = tracemalloc.get_traced_memory()[0] - before - len(m.host.image)
+    finally:
+        tracemalloc.stop()
+    assert 8 * n < held < 24 * n
 
 
 def test_same_seed_same_layout_fresh_ciphertext():
@@ -439,9 +456,10 @@ def test_dirty_page_the_pass_did_not_write_is_refused(small_bundle, monkeypatch)
 
 
 # SHA-256 of the "kind,offset" lines a mount of the bundle below makes
-# before start_observation: the container header, the slot region, then
+# before start_observation: the container header, the counter region, then
 # the superblock, bitmap and inode table, each read once and in order.
-MOUNT_VIEW_SHA256 = "64b73f2daffea03b6c5eb179eb25fd312cc04ad3b0f6f741677d42a5199f1537"
+# Fifteen records: the header, 3 counter records and 11 metadata blocks.
+MOUNT_VIEW_SHA256 = "3ba0b4bb052215ec4429238ea442587dbcc747480a9480f13949e85270fd96f2"
 
 
 @pytest.mark.parametrize("mode", list(ProtectionMode))
@@ -454,7 +472,7 @@ def test_what_the_host_sees_at_mount_is_pinned(mode):
                          key=DEFAULT_KEY if mode.encrypted else None)
     m = mount(bundle, seed=7, oblivious=mode.encrypted)
     view = "".join(f"{e.kind.value},{e.offset}\n" for e in m.trace.events)
-    assert len(m.trace.events) == 24
+    assert len(m.trace.events) == 15
     assert hashlib.sha256(view.encode()).hexdigest() == MOUNT_VIEW_SHA256
 
 
@@ -1019,7 +1037,9 @@ PINNED_OPS = [("w", 0, 0), ("w", 0, 1), ("w", 1, 0), ("r", 0, 0), ("r", 0, 1),
 # its own round: the reads and writes outside the padding domain and the
 # final block maps stayed as they were, in the same order, plus the one
 # landing the last, unfinished pass no longer holds back for a round.
-PINNED_TRACE_SHA256 = "76d19b4f6f55a2c96d94ecb1c11ae252cb54c7eec12d4296295c363457e78461"
+# It was re-pinned when a disk call began to move a record, a block and
+# its seal: every disk event's offset and length moved, and nothing else.
+PINNED_TRACE_SHA256 = "be2126e41eae32e44dc9aebaa062608f7e7773ed2419dcb344d2c2b094e5a0ac"
 PINNED_COUNTERS = {"rounds": 120, "real_reads": 119, "dummy_reads": 1, "real_writes": 101,
                    "dummy_writes": 19, "shuffles": 9, "cache_hits": 2,
                    "net_real": 0, "net_dummy": 0}
@@ -1241,9 +1261,10 @@ LATE_LINK = (7, 120_000_000, 240_000_000)
 # their ingress drain (14 net polls fewer, 2251 events, was 2259), and
 # its last payload has not reached the peer when the run ends (151
 # echoes, was 152). The seven links from the start send and receive as
-# before.
+# before. Records moved the disk events' offsets and lengths, and
+# nothing else.
 MIXED_LINKS_TRACE_SHA256 = \
-    "835b17fb6622f225a110180575315d7e4377798f8d2070871f92f5418a310a6b"
+    "9586e361f66bfd23b1d8588c5c263e12d32d36d0a93acf2f81d93c13226c4702"
 MIXED_LINKS_ECHO_SHA256 = \
     "9f9f983c4b407bd92d6fc4580e0d80fb904b9b3468b04b7765fa53279c4144ad"
 MIXED_LINKS_SENT = [(0, 20, 79), (1, 20, 30), (2, 20, 54), (3, 20, 5),
@@ -1308,9 +1329,9 @@ def test_mixed_link_event_order_is_pinned(small_bundle):
 # SHA-256, the engine's counters and, per session, (sent_real,
 # sent_dummy, received_real, received_dummy); re-pinned like
 # PINNED_TRACE_SHA256, with the same real reads, real writes and block
-# maps.
+# maps, and again when records moved the disk events' offsets and lengths.
 LIVE_LINK_SHUFFLE_SHA256 = \
-    "184d05680b7e84d3edcb35343c1c6256264beefa3f62da5894cf45758d0288e0"
+    "e461466e0fa1cf75afb0adccf44aa3a6f25dda47e9b95c4f4becfa43a37382d3"
 LIVE_LINK_SHUFFLE_COUNTERS = {"rounds": 37, "real_reads": 24, "dummy_reads": 13,
                               "real_writes": 22, "dummy_writes": 15, "shuffles": 2,
                               "cache_hits": 1, "net_real": 5, "net_dummy": 11}

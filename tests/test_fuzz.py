@@ -18,9 +18,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import DEFAULT_KEY
 from oblivsim import (
-    BLOCK_SIZE,
     DEFAULT_MTU,
     FLAG_REGULAR,
+    RECORD_SIZE,
     BlockStore,
     Host,
     HostInterface,
@@ -88,7 +88,7 @@ def edits(limit: int):
 
 
 # ---------------------------------------------------------------------------
-# Image header and slot region.
+# Image header and counter region.
 # ---------------------------------------------------------------------------
 
 N_BLOCKS = 16
@@ -97,7 +97,8 @@ IMAGES = {
                       key=DEFAULT_KEY if mode.encrypted else None)
     for mode in ProtectionMode
 }
-METADATA_BYTES = layout_for(N_BLOCKS, ProtectionMode.PLAIN).data_start_block * BLOCK_SIZE
+# The header record and the counter records, every byte of which the fuzz edits.
+METADATA_BYTES = layout_for(N_BLOCKS, ProtectionMode.PLAIN).data_start_record * RECORD_SIZE
 
 
 @FUZZ
@@ -112,7 +113,7 @@ def test_image_metadata_decoder_only_raises_sim_errors(
     bundle = IMAGES[mode]
     image = bytearray(bundle.image)
     if header_n is not None:
-        image[:BLOCK_SIZE] = layout_for(header_n, mode).header_block()
+        image[:RECORD_SIZE] = layout_for(header_n, mode).header_record()
     image[:METADATA_BYTES] = mutate(
         mutate(bytes(image[:METADATA_BYTES]), field_edits), region_edits)
     trusted = {"none": None, "true": bundle.verity_root, "random": random_root}[root]
@@ -132,7 +133,7 @@ FS_IMAGE = build_image(64, ProtectionMode.PLAIN, [b"a" * 9000, b"b" * 100], seed
 FS_LAYOUT = layout_for(64, ProtectionMode.PLAIN)
 FS_START = FS_LAYOUT.data_offset(0)
 # superblock, bitmap and inode table
-FS_METADATA_BYTES = mount(FS_IMAGE.image, oblivious=False).fs.metadata_blocks * BLOCK_SIZE
+FS_METADATA_BYTES = mount(FS_IMAGE.image, oblivious=False).fs.metadata_blocks * RECORD_SIZE
 # (offset, struct format) of each superblock field after the magic
 SB_FIELDS = [(5, "<Q"), (13, "<I"), (17, "<I"), (21, "<I"), (25, "<I"),
              (29, "<I"), (33, "<I"), (37, "<Q")]
