@@ -31,11 +31,16 @@ builder a private mapping, and ``BlockStore.seal_first`` seals each
 file block, and then (``seal_unwritten``) the padding, straight into it
 as the block's first write, before any host holds the image.
 
+An encrypted image's header names it with 16 random bytes, and a store
+seals under a key derived from the owner's key and that id, so no two
+images share a root or a record.
+
 An image rests on one trusted root, the SHA-256 of the header record
 and the counter region, which holds every block's write counter:
 ``persist_metadata`` returns it, and a mount given it refuses any other
 header or counter region, so neither a rolled-back record nor another
-image's metadata gets past it.
+image's metadata gets past it. Two forks of one image, which seal at
+the same counters, are not told apart (FORMATS.md).
 
 The container layout (header, counter region, data) is in FORMATS.md.
 """
@@ -63,6 +68,7 @@ MAGIC = b"OBLV2"
 KEY_SIZE = 32
 NONCE_SIZE = 24
 NONCE_RANDOM = 16  # leading random bytes; the rest carries the write counter
+IMAGE_ID_SIZE = 16  # random bytes in the header naming the image
 TAG_SIZE = 16
 SEALED_SIZE = BLOCK_SIZE + TAG_SIZE  # AES-GCM's output, which the nonce follows
 COUNTER_SIZE = 8  # one u64 LE write counter per block in the counter region
@@ -73,7 +79,7 @@ HASH_NONE = 0
 
 _POOL_PREFIXES = 256  # nonce prefixes per os.urandom call
 
-_HEADER = struct.Struct("<5sIQBBB")
+_HEADER = struct.Struct(f"<5sIQBBB{IMAGE_ID_SIZE}s")
 _HUGEPAGE = getattr(mmap, "MADV_HUGEPAGE", None)  # where the platform has it
 _HUGE_PAGE_SIZE = 2 << 20  # a new image is faulted in one write per huge page
 _ZERO_BLOCK = bytes(BLOCK_SIZE)
@@ -164,6 +170,7 @@ class ImageLayout:
     n_blocks: int
     mode: ProtectionMode
     counter_records: int
+    image_id: bytes
 
     @property
     def data_start_record(self) -> int:
@@ -182,22 +189,25 @@ class ImageLayout:
         """The header record exactly as written: fields, then zeros."""
         aead = AEAD_AES256GCM if self.mode.encrypted else AEAD_NONE
         fields = _HEADER.pack(MAGIC, BLOCK_SIZE, self.n_blocks, self.mode.value,
-                              aead, HASH_NONE)
+                              aead, HASH_NONE, self.image_id)
         return fields + bytes(RECORD_SIZE - len(fields))
 
 
+def _layout(n_blocks: int, mode: ProtectionMode, image_id: bytes) -> ImageLayout:
+    if not mode.encrypted:  # no key to bind: a plain image is named by zeros
+        image_id = bytes(IMAGE_ID_SIZE)
+    return ImageLayout(n_blocks, mode, -(-n_blocks * COUNTER_SIZE // RECORD_SIZE), image_id)
+
+
 def layout_for(n_blocks: int, mode: ProtectionMode) -> ImageLayout:
-    return ImageLayout(n_blocks, mode, -(-n_blocks * COUNTER_SIZE // RECORD_SIZE))
+    """The layout of a new image; an encrypted one gets a fresh random id."""
+    return _layout(n_blocks, mode, os.urandom(IMAGE_ID_SIZE))
 
 
-def new_image(n_blocks: int, mode: ProtectionMode) -> mmap.mmap:
-    """Fresh zeroed image with a written header: a private anonymous
-    mapping of the image's size, unmapped when the last reference to it
-    goes, so it never sits in the process heap. It is advised to use huge
-    pages where the platform has them and faulted in with one write per
-    2 MiB; pages the kernel maps one at a time fault in as the builder
-    writes them."""
-    layout = layout_for(n_blocks, mode)
+def new_image(layout: ImageLayout) -> mmap.mmap:
+    """Fresh zeroed image of ``layout`` with its header written: a private
+    anonymous mapping, off the process heap and unmapped with its last
+    reference, advised to use huge pages and faulted in one write per 2 MiB."""
     image = mmap.mmap(-1, layout.total_bytes, flags=mmap.MAP_PRIVATE)
     if _HUGEPAGE is not None:
         with contextlib.suppress(OSError):  # a kernel without huge pages
@@ -209,14 +219,14 @@ def new_image(n_blocks: int, mode: ProtectionMode) -> mmap.mmap:
 
 
 def parse_header(record: bytes) -> ImageLayout:
-    magic, _bs, n_blocks, mode_v, _aead, _hash = _HEADER.unpack_from(record, 0)
+    magic, _bs, n_blocks, mode_v, _aead, _hash, image_id = _HEADER.unpack_from(record, 0)
     if magic != MAGIC:
         raise ParameterError("not a recognized image (bad magic)")
     try:
         mode = ProtectionMode(mode_v)
     except ValueError as exc:
         raise ParameterError(f"unknown protection mode {mode_v}") from exc
-    layout = layout_for(n_blocks, mode)
+    layout = _layout(n_blocks, mode, image_id)
     if record != layout.header_record():
         raise ParameterError(f"header fields or padding do not fit a {mode.name} image")
     return layout
@@ -227,25 +237,24 @@ class BlockStore:
 
     Holds the image's one cipher and each block's write counter, the
     only per-block state kept in trusted memory: a block's seal travels
-    in its record. All byte traffic with a mounted image goes through the
-    host interface; the counters are persisted in bulk by
-    persist_metadata(), which returns the image's trusted root. The one
-    exception is the builder's: ``seal_first``, which stores every file
-    block and, through ``seal_unwritten``, every padding block, writes a
-    new image its owner still holds directly.
+    in its record. Byte traffic goes through the host interface, but for
+    the builder's ``seal_first`` and ``seal_unwritten``, which write a new
+    image its owner still holds. persist_metadata() writes the counters
+    and returns the image's trusted root.
     """
 
     def __init__(self, iface: HostInterface, layout: ImageLayout, key: bytes | None):
         self.iface = iface
         self.layout = layout
         # Write counters, kept in trusted memory; 0: never written.
-        self.versions = array("Q", bytes(COUNTER_SIZE * layout.n_blocks))
+        self.versions = array("Q", [0]) * layout.n_blocks
         self._data_base = layout.data_start_record * RECORD_SIZE
         self._cipher = None
         if layout.mode.encrypted:
             if key is None or len(key) != KEY_SIZE:
                 raise ParameterError("this image requires a 32-byte key")
-            self._cipher = AESGCM(key)
+            self._cipher = AESGCM(
+                hmac.digest(key, b"oblivsim image key" + layout.image_id, "sha256"))
         elif key is not None:
             raise ParameterError("a plain image takes no key")
 
@@ -278,9 +287,10 @@ class BlockStore:
             raise ReplayError(
                 "image header and counter region do not match the trusted root")
         # Built only now: a hostile n_blocks has failed the counter-region
-        # reads above before it can size the store's counters.
+        # reads above before it can size the store's counters, filled in place.
         store = cls(iface, layout, key)
-        store.versions = array("Q", region[:COUNTER_SIZE * layout.n_blocks])
+        counters = memoryview(store.versions).cast("B")
+        counters[:] = memoryview(region)[:len(counters)]
         if _BIG_ENDIAN:
             store.versions.byteswap()
         return store
@@ -314,18 +324,11 @@ class BlockStore:
         self.iface.disk_read(self.layout.data_offset(phys))
 
     def dummy_write(self, phys: int) -> None:
-        """Overwrite a sacrificial block with a freshly sealed zero block.
-
-        On encrypted images each seal takes a fresh nonce prefix and bumps
-        the block's version, and under AES-256-GCM the sealed zeros cannot
-        be told from sealed noise, so nothing is lost by skipping the
-        random plaintext. A run's padding writes take this path; the image
-        builder seals the same zeros in ``seal_unwritten``. The host sees
-        the same call a real write of ``phys`` makes; which writes were
-        padding is counted by the caller, not recorded in the trace. On
-        PLAIN images the pad block then holds zeros; PLAIN hides nothing,
-        and a protected mount refuses it (``Engine``).
-        """
+        """Overwrite a padding block with sealed zeros, which under a fresh
+        nonce cannot be told from sealed noise (``seal_unwritten`` seals the
+        same at build). The host sees the call a real write of ``phys``
+        makes; the caller counts which were padding. A PLAIN pad block holds
+        zeros: PLAIN hides nothing, and a protected mount refuses it."""
         self.write_block(phys, _ZERO_BLOCK)
 
     def seal_first(self, image: bytearray | mmap.mmap, phys: int, page) -> None:
@@ -363,8 +366,9 @@ class BlockStore:
     def persist_metadata(self) -> bytes:
         """Write every write counter to the counter region; returns the
         trusted root over the header and the counter region as written."""
-        counters = array("Q", self.versions)
-        if _BIG_ENDIAN:
+        counters = self.versions
+        if _BIG_ENDIAN:  # a byteswapped copy; the region is little endian
+            counters = array("Q", counters)
             counters.byteswap()
         records = self.layout.counter_records
         region = counters.tobytes().ljust(records * RECORD_SIZE, b"\0")

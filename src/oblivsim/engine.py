@@ -593,7 +593,7 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     fs = BlockFs.format(n_blocks, RngTree(seed).stream("layout"),
                         max_files=max_files, max_file_blocks=max_file_blocks)
     layout = layout_for(n_blocks, mode)
-    host = Host(new_image(n_blocks, mode), SimClock())
+    host = Host(new_image(layout), SimClock())
     iface = HostInterface(host)
     if mode.encrypted and key is None:
         key = os.urandom(32)

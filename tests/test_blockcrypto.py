@@ -4,8 +4,10 @@ independently computed ciphertexts and digests."""
 from __future__ import annotations
 
 import hashlib
+import hmac
 import os
 import struct
+import sys
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -34,6 +36,7 @@ from oblivsim import (
 )
 from oblivsim import blockcrypto
 from oblivsim.blockcrypto import (
+    IMAGE_ID_SIZE,
     NONCE_RANDOM,
     NONCE_SIZE,
     SEALED_SIZE,
@@ -43,6 +46,12 @@ from oblivsim.blockcrypto import (
 KEY = bytes(range(32))
 PLAIN = bytes(range(256)) * 16
 CIPHER = AESGCM(KEY)
+
+
+def image_cipher(image_id: bytes) -> AESGCM:
+    """The AEAD a store of image ``image_id`` seals under, from FORMATS.md:
+    its key is HMAC-SHA256(KEY, "oblivsim image key" || image id)."""
+    return AESGCM(hmac.digest(KEY, b"oblivsim image key" + image_id, "sha256"))
 
 
 def test_seal_open_roundtrip():
@@ -107,20 +116,20 @@ def test_seal_open_validate_arguments():
 
 
 def test_store_refuses_a_key_that_is_not_32_bytes():
-    mode = ProtectionMode.CRYPT_INTEGRITY
-    iface = HostInterface(Host(new_image(16, mode), SimClock()))
+    layout = layout_for(16, ProtectionMode.CRYPT_INTEGRITY)
+    iface = HostInterface(Host(new_image(layout), SimClock()))
     for key in (None, b"short", bytes(16), bytes(24)):
         with pytest.raises(ParameterError, match="requires a 32-byte key"):
-            BlockStore(iface, layout_for(16, mode), key)
+            BlockStore(iface, layout, key)
 
 
 def test_plain_store_refuses_any_key():
-    mode = ProtectionMode.PLAIN
-    iface = HostInterface(Host(new_image(16, mode), SimClock()))
+    layout = layout_for(16, ProtectionMode.PLAIN)
+    iface = HostInterface(Host(new_image(layout), SimClock()))
     for key in (KEY, b"\x12\x34"):
         with pytest.raises(ParameterError, match="a plain image takes no key"):
-            BlockStore(iface, layout_for(16, mode), key)
-    assert BlockStore(iface, layout_for(16, mode), None).mode is mode
+            BlockStore(iface, layout, key)
+    assert BlockStore(iface, layout, None).mode is ProtectionMode.PLAIN
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +155,7 @@ def test_new_image_is_its_layout_long_with_a_header_and_zeros(n, mode):
     # 8 blocks fit below one 2 MiB huge page, 640 cross into a second and
     # 4096 span several: the one write per huge page leaves only zeros.
     layout = layout_for(n, mode)
-    image = new_image(n, mode)
+    image = new_image(layout)
     assert len(image) == layout.total_bytes
     assert image[:RECORD_SIZE] == layout.header_record()
     view = memoryview(image)
@@ -155,9 +164,12 @@ def test_new_image_is_its_layout_long_with_a_header_and_zeros(n, mode):
 
 
 def test_header_roundtrip_and_rejections():
-    image = new_image(64, ProtectionMode.CRYPT_INTEGRITY)
-    lay = parse_header(bytes(image[:RECORD_SIZE]))
-    assert lay == layout_for(64, ProtectionMode.CRYPT_INTEGRITY)
+    layout = layout_for(64, ProtectionMode.CRYPT_INTEGRITY)
+    image = new_image(layout)
+    assert parse_header(bytes(image[:RECORD_SIZE])) == layout
+    # Each new layout names its image with fresh random bytes.
+    assert len(layout.image_id) == IMAGE_ID_SIZE
+    assert layout_for(64, ProtectionMode.CRYPT_INTEGRITY).image_id != layout.image_id
 
     # Mode bytes 1 and 2 are reserved: the header, and so the mount, is refused.
     for retired in (1, 2):
@@ -183,6 +195,13 @@ def test_header_roundtrip_and_rejections():
     bad_aead[18] = 7
     with pytest.raises(ParameterError):
         parse_header(bytes(bad_aead))
+
+    # A plain image's id is zeros; any other id is refused.
+    plain = bytearray(new_image(layout_for(64, ProtectionMode.PLAIN))[:RECORD_SIZE])
+    assert parse_header(bytes(plain)).image_id == bytes(IMAGE_ID_SIZE)
+    plain[20] = 1  # first byte of the image id
+    with pytest.raises(ParameterError):
+        parse_header(bytes(plain))
 
     # Bytes past the fields are zero, so the root hashes one encoding.
     trailing = bytearray(image[:RECORD_SIZE])
@@ -214,13 +233,15 @@ def test_an_image_of_the_block_layout_is_refused(mode):
 # Trusted root.
 # ---------------------------------------------------------------------------
 
-def _oracle_root(n: int, mode: ProtectionMode, counters: list[int]) -> bytes:
+def _oracle_root(n: int, mode: ProtectionMode, image_id: bytes,
+                 counters: list[int]) -> bytes:
     """SHA-256 over the header record and the zero-padded counter region,
-    written from FORMATS.md alone: records of 4096 + 40 bytes, and one
-    u64 LE counter per block in ceil(8n / 4136) records."""
+    written from FORMATS.md alone: records of 4096 + 40 bytes, a header
+    that ends in the 16-byte image id, and one u64 LE counter per block
+    in ceil(8n / 4136) records."""
     record = 4096 + 40
     aead = 1 if mode.encrypted else 0
-    header = struct.pack("<5sIQBBB", b"OBLV2", 4096, n, mode.value, aead, 0)
+    header = struct.pack("<5sIQBBB16s", b"OBLV2", 4096, n, mode.value, aead, 0, image_id)
     region = b"".join(struct.pack("<Q", c) for c in counters)
     region_records = -(-8 * n // record)
     return hashlib.sha256(
@@ -242,15 +263,17 @@ def test_verity_root_matches_oracle(n):
     for phys in written:
         counters[phys] = 1
     counters[n - 1] += 1
+    cipher = image_cipher(store.layout.image_id)
     for phys in written:
-        # The record is ciphertext ‖ tag ‖ nonce, at its counter.
+        # The record is ciphertext ‖ tag ‖ nonce, at its counter, under
+        # the image's own key.
         at = store.layout.data_offset(phys)
         record = bytes(host.image[at:at + 4096 + 40])
-        assert CIPHER.decrypt(record[4096 + 16:], record[:4096 + 16],
+        assert cipher.decrypt(record[4096 + 16:], record[:4096 + 16],
                               struct.pack(">QQ", phys, counters[phys])) == (
             PLAIN if phys == n - 1 else bytes([phys % 256]) * BLOCK_SIZE)
     assert store.persist_metadata() == _oracle_root(
-        n, ProtectionMode.CRYPT_INTEGRITY, counters)
+        n, ProtectionMode.CRYPT_INTEGRITY, store.layout.image_id, counters)
 
 
 def test_crypt_integrity_root_matches_oracle():
@@ -259,7 +282,8 @@ def test_crypt_integrity_root_matches_oracle():
     store.dummy_write(3)
     store.dummy_write(3)
     root = store.persist_metadata()
-    assert root == _oracle_root(5, ProtectionMode.CRYPT_INTEGRITY, [0, 1, 0, 2, 0])
+    assert root == _oracle_root(5, ProtectionMode.CRYPT_INTEGRITY, store.layout.image_id,
+                                [0, 1, 0, 2, 0])
     # The counter region on disk is exactly the counters, little endian.
     assert bytes(host.image[4136:4136 + 40]) == struct.pack("<5Q", 0, 1, 0, 2, 0)
 
@@ -270,7 +294,7 @@ def test_crypt_integrity_root_matches_oracle():
 
 def fresh_store(mode: ProtectionMode, n: int = 16):
     layout = layout_for(n, mode)
-    host = Host(new_image(n, mode), SimClock())
+    host = Host(new_image(layout), SimClock())
     iface = HostInterface(host)
     key = KEY if mode.encrypted else None
     return BlockStore(iface, layout, key), host
@@ -397,7 +421,7 @@ def test_seal_first_stores_a_page_straight_into_the_image(mode):
     raw = bytes(host.image[off:off + RECORD_SIZE])
     if mode.encrypted:
         assert store.versions[3] == 1 and raw[:BLOCK_SIZE] != PLAIN
-        assert open_block(CIPHER, 3, raw, 1) == PLAIN
+        assert open_block(image_cipher(store.layout.image_id), 3, raw, 1) == PLAIN
     else:
         assert raw == PLAIN + bytes(40)
     assert store.read_block(3) == PLAIN
@@ -465,7 +489,8 @@ def test_one_aead_object_per_key(monkeypatch):
     for phys in range(50):
         store.write_block(phys, PLAIN)
         assert store.read_block(phys) == PLAIN
-    assert built == [KEY]
+    assert built == [hmac.digest(KEY, b"oblivsim image key" + store.layout.image_id,
+                                 "sha256")]
 
 
 def test_persist_metadata_survives_remount():
@@ -538,3 +563,43 @@ def test_root_tracks_every_persist():
     with pytest.raises(ReplayError):
         _remount(host.image, key=KEY, trusted_root=first)
     assert _remount(host.image, key=KEY, trusted_root=second).read_block(0) == PLAIN
+
+
+def test_two_images_under_one_key_never_share_a_root_or_a_record():
+    # Same key, same geometry, the same writes: only the image ids differ.
+    a, a_host = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
+    b, b_host = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
+    for store in (a, b):
+        store.write_block(2, PLAIN)
+        store.write_block(4, b"\x33" * BLOCK_SIZE)
+    assert a.versions == b.versions
+    a_root, b_root = a.persist_metadata(), b.persist_metadata()
+    assert a_root != b_root
+    # B's whole image under A's root is refused at mount.
+    with pytest.raises(ReplayError):
+        _remount(b_host.image, key=KEY, trusted_root=a_root)
+    # A record of A at the counter B expects fails B's tag.
+    off = a.layout.data_offset(4)
+    b_host.image[off:off + RECORD_SIZE] = a_host.image[off:off + RECORD_SIZE]
+    with pytest.raises(IntegrityError):
+        b.read_block(4)
+    with pytest.raises(IntegrityError):
+        _remount(b_host.image, key=KEY, trusted_root=b_root).read_block(4)
+    assert b.read_block(2) == PLAIN
+
+
+@pytest.mark.parametrize("big_endian", [False, True])
+def test_counters_roundtrip_through_the_region_on_either_byte_order(monkeypatch, big_endian):
+    # The region is u64 LE, so a big-endian host swaps on the way out and
+    # in. Forcing the flag on this host swaps here too: the region then
+    # holds the other byte order, and a mount reads the same counters back.
+    monkeypatch.setattr(blockcrypto, "_BIG_ENDIAN", big_endian)
+    store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
+    store.versions[1], store.versions[2] = 2 ** 40 + 3, 2 ** 64 - 1
+    counters = list(store.versions)
+    store.persist_metadata()
+    assert list(store.versions) == counters  # swapped in a copy, if at all
+    order = "little" if big_endian == (sys.byteorder == "big") else "big"
+    assert bytes(host.image[RECORD_SIZE:RECORD_SIZE + 8 * 16]) == b"".join(
+        c.to_bytes(8, order) for c in counters)
+    assert list(_remount(host.image, key=KEY).versions) == counters

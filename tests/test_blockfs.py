@@ -255,7 +255,7 @@ def test_create_donors_and_unlink_all():
 
 def test_persist_load_roundtrip():
     layout = layout_for(64, ProtectionMode.PLAIN)
-    host = Host(new_image(64, ProtectionMode.PLAIN), SimClock())
+    host = Host(new_image(layout), SimClock())
     store = BlockStore(HostInterface(host), layout, None)
     fs = make_fs(64, seed=5)
     fd = fs.create_file()
@@ -294,7 +294,7 @@ def test_plain_image_bytes_are_pinned():
 
 def test_persist_load_roundtrip_full_inode_table():
     layout = layout_for(256, ProtectionMode.PLAIN)
-    host = Host(new_image(256, ProtectionMode.PLAIN), SimClock())
+    host = Host(new_image(layout), SimClock())
     store = BlockStore(HostInterface(host), layout, None)
     fs = make_fs(256, seed=9, max_files=8, max_file_blocks=6)
     io = DictIo()
@@ -388,7 +388,7 @@ def test_bulk_codecs_match_a_per_entry_reference(mode, n_blocks, max_files,
             fs.inodes[fd].flags = pick % 3 + 1  # a stale flag survives unlink
             fs.unlink(fd)
     layout = layout_for(n_blocks, mode)
-    host = Host(new_image(n_blocks, mode), SimClock())
+    host = Host(new_image(layout), SimClock())
     key = bytes(range(32)) if mode.encrypted else None
     store = BlockStore(HostInterface(host), layout, key)
     fs.persist(store)
@@ -539,7 +539,7 @@ def test_mount_rejects_hostile_bitmap(target, reason):
 
 def test_load_rejects_foreign_contents():
     layout = layout_for(64, ProtectionMode.PLAIN)
-    host = Host(new_image(64, ProtectionMode.PLAIN), SimClock())
+    host = Host(new_image(layout), SimClock())
     store = BlockStore(HostInterface(host), layout, None)
     store.write_block(0, b"\x00" * BLOCK_SIZE)
     with pytest.raises(ParameterError):

@@ -274,6 +274,7 @@ def test_same_seed_same_layout_fresh_ciphertext():
            [fs2.phys_of(two.data_fds[0], i) for i in range(3)]
     assert fs1.dummy_blocks() == fs2.dummy_blocks()
     assert one.image != two.image
+    assert one.verity_root != two.verity_root  # each image has its own id
 
 
 def test_regular_fd_skips_internal_files(small_bundle):

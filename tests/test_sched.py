@@ -39,9 +39,10 @@ DUMMIES = [10, 11, 12, 13]
 
 def make_sched(dummies=DUMMIES, n=16, seed=3):
     mode = ProtectionMode.CRYPT_INTEGRITY
-    host = Host(new_image(n, mode), SimClock())
+    layout = layout_for(n, mode)
+    host = Host(new_image(layout), SimClock())
     iface = HostInterface(host, HostTrace(meta={}))
-    store = BlockStore(iface, layout_for(n, mode), KEY)
+    store = BlockStore(iface, layout, KEY)
     sched = RoundScheduler(store, dummies, RngTree(seed).stream("dummy"))
     return store, sched
 
