@@ -26,10 +26,10 @@ written fails its tag. Padding is sealed zeros: under a fresh nonce
 they cannot be told from sealed noise.
 
 A mounted image's byte traffic all goes through the host interface.
-The one exception is the owner's offline build: ``new_image`` hands the
-builder a private mapping, and ``BlockStore.seal_first`` seals each
-file block, and then (``seal_unwritten``) the padding, straight into it
-as the block's first write, before any host holds the image.
+The owner's offline build makes no host call: ``seal_new_image`` seals
+every block of a new image at version 1, in one sweep in block order
+straight into ``new_image``'s private mapping, and writes the counter
+region there too, before any host holds the image.
 
 An encrypted image's header names it with 16 random bytes, and a store
 seals under a key derived from the owner's key and that id, so no two
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .errors import IntegrityError, ModeError, ParameterError, ReplayError, SizeError
+from .errors import IntegrityError, ParameterError, ReplayError, SizeError
 from .hostiface import BLOCK_SIZE, RECORD_SIZE, HostInterface
 
 MAGIC = b"OBLV2"
@@ -117,6 +117,26 @@ def _nonce_prefix() -> bytes:
         return first
 
 
+def _seal(cipher: AESGCM, phys: int, version: int, plaintext, record):
+    """The record rule: ``plaintext`` sealed as block ``phys`` at write
+    counter ``version``, under the nonce fresh pool prefix ‖ version and
+    with (phys, version) as associated data, is the record
+    ciphertext ‖ tag ‖ nonce. Returned when ``record`` is None, else
+    written into ``record``, a writable one-record buffer."""
+    if len(plaintext) != BLOCK_SIZE:
+        raise SizeError("plaintext must be exactly one block")
+    try:
+        prefix = _prefix_pool.pop()
+    except IndexError:
+        prefix = _nonce_prefix()
+    nonce = _nonce(prefix, version)
+    if record is None:
+        return cipher.encrypt(nonce, plaintext, _aad(phys, version)) + nonce
+    cipher.encrypt_into(nonce, plaintext, _aad(phys, version), record[:SEALED_SIZE])
+    record[SEALED_SIZE:] = nonce
+    return None
+
+
 def seal_block(cipher: AESGCM, phys: int, version: int, plaintext: bytes) -> bytes:
     """Encrypt one block for physical block ``phys`` at write counter
     ``version``; returns its record, ciphertext ‖ tag ‖ nonce.
@@ -125,14 +145,7 @@ def seal_block(cipher: AESGCM, phys: int, version: int, plaintext: bytes) -> byt
     sealing is probabilistic: equal plaintexts never produce equal
     ciphertexts.
     """
-    if len(plaintext) != BLOCK_SIZE:
-        raise SizeError("plaintext must be exactly one block")
-    try:
-        prefix = _prefix_pool.pop()
-    except IndexError:
-        prefix = _nonce_prefix()
-    nonce = _nonce(prefix, version)
-    return cipher.encrypt(nonce, plaintext, _aad(phys, version)) + nonce
+    return _seal(cipher, phys, version, plaintext, None)
 
 
 def open_block(cipher: AESGCM, phys: int, record: bytes, version: int) -> bytes:
@@ -163,6 +176,27 @@ def _root(header: bytes, counter_region: bytes) -> bytes:
     root = hashlib.sha256(header)
     root.update(counter_region)
     return root.digest()
+
+
+def _counter_region(counters: array, records: int) -> bytes:
+    """The counter region as written: one u64 LE per block, then zeros
+    to the end of its ``records`` records."""
+    if _BIG_ENDIAN:  # a byteswapped copy; the region is little endian
+        counters = array("Q", counters)
+        counters.byteswap()
+    return counters.tobytes().ljust(records * RECORD_SIZE, b"\0")
+
+
+def _image_cipher(layout: ImageLayout, key: bytes | None) -> AESGCM | None:
+    """The AEAD an encrypted image seals under, keyed by the owner's key
+    and the image id; None for a plain image, which takes no key."""
+    if not layout.mode.encrypted:
+        if key is not None:
+            raise ParameterError("a plain image takes no key")
+        return None
+    if key is None or len(key) != KEY_SIZE:
+        raise ParameterError("this image requires a 32-byte key")
+    return AESGCM(hmac.digest(key, b"oblivsim image key" + layout.image_id, "sha256"))
 
 
 @dataclass(frozen=True)
@@ -218,6 +252,39 @@ def new_image(layout: ImageLayout) -> mmap.mmap:
     return image
 
 
+def seal_new_image(layout: ImageLayout, key: bytes | None,
+                   pages: list) -> tuple[mmap.mmap, bytes | None]:
+    """A new image of ``layout`` in ``new_image``'s mapping, and its root:
+    ``pages`` holds each block's plaintext, a one-block buffer or None
+    for zeros. One sweep in block order writes every record straight
+    into the mapping, with no host call. An encrypted image seals each
+    block at version 1 and gets the counter region ``persist_metadata``
+    would write, every counter 1; a plain one holds each page as it is,
+    beside a zero seal, and gets no root.
+    """
+    cipher = _image_cipher(layout, key)
+    if len(pages) != layout.n_blocks:
+        raise ParameterError(f"{len(pages)} pages for {layout.n_blocks} blocks")
+    image = new_image(layout)
+    at = layout.data_start_record * RECORD_SIZE
+    if cipher is None:
+        for page in pages:
+            if page is not None:
+                if len(page) != BLOCK_SIZE:
+                    raise SizeError("plaintext must be exactly one block")
+                image[at:at + BLOCK_SIZE] = page
+            at += RECORD_SIZE
+        return image, None
+    view = memoryview(image)
+    for phys, page in enumerate(pages):
+        _seal(cipher, phys, 1, _ZERO_BLOCK if page is None else page,
+              view[at:at + RECORD_SIZE])
+        at += RECORD_SIZE
+    region = _counter_region(array("Q", [1]) * layout.n_blocks, layout.counter_records)
+    image[RECORD_SIZE:RECORD_SIZE + len(region)] = region
+    return image, _root(layout.header_record(), region)
+
+
 def parse_header(record: bytes) -> ImageLayout:
     magic, _bs, n_blocks, mode_v, _aead, _hash, image_id = _HEADER.unpack_from(record, 0)
     if magic != MAGIC:
@@ -237,10 +304,9 @@ class BlockStore:
 
     Holds the image's one cipher and each block's write counter, the
     only per-block state kept in trusted memory: a block's seal travels
-    in its record. Byte traffic goes through the host interface, but for
-    the builder's ``seal_first`` and ``seal_unwritten``, which write a new
-    image its owner still holds. persist_metadata() writes the counters
-    and returns the image's trusted root.
+    in its record. All byte traffic goes through the host interface.
+    persist_metadata() writes the counters and returns the image's
+    trusted root.
     """
 
     def __init__(self, iface: HostInterface, layout: ImageLayout, key: bytes | None):
@@ -249,14 +315,7 @@ class BlockStore:
         # Write counters, kept in trusted memory; 0: never written.
         self.versions = array("Q", [0]) * layout.n_blocks
         self._data_base = layout.data_start_record * RECORD_SIZE
-        self._cipher = None
-        if layout.mode.encrypted:
-            if key is None or len(key) != KEY_SIZE:
-                raise ParameterError("this image requires a 32-byte key")
-            self._cipher = AESGCM(
-                hmac.digest(key, b"oblivsim image key" + layout.image_id, "sha256"))
-        elif key is not None:
-            raise ParameterError("a plain image takes no key")
+        self._cipher = _image_cipher(layout, key)
 
     @property
     def mode(self) -> ProtectionMode:
@@ -321,57 +380,26 @@ class BlockStore:
     def dummy_read(self, phys: int) -> None:
         """Fetch and discard; padding traffic never decrypts. The host
         sees the same call a real read of ``phys`` makes."""
-        self.iface.disk_read(self.layout.data_offset(phys))
+        if not 0 <= phys < self.layout.n_blocks:
+            raise ParameterError(f"physical block {phys} out of range")
+        self.iface.disk_read(self._data_base + phys * RECORD_SIZE)
 
     def dummy_write(self, phys: int) -> None:
         """Overwrite a padding block with sealed zeros, which under a fresh
-        nonce cannot be told from sealed noise (``seal_unwritten`` seals the
-        same at build). The host sees the call a real write of ``phys``
-        makes; the caller counts which were padding. A PLAIN pad block holds
-        zeros: PLAIN hides nothing, and a protected mount refuses it."""
+        nonce cannot be told from sealed noise (a new image holds the same,
+        from ``seal_new_image``). The host sees the call a real write of
+        ``phys`` makes; the caller counts which were padding. A PLAIN pad
+        block holds zeros: PLAIN hides nothing, and a protected mount
+        refuses it."""
         self.write_block(phys, _ZERO_BLOCK)
-
-    def seal_first(self, image: bytearray | mmap.mmap, phys: int, page) -> None:
-        """Store ``page``, any one-block buffer, as block ``phys``'s first
-        write straight into ``image``, the buffer behind this store: sealed
-        at version 1 on an encrypted image, as it is on a plain one, whose
-        fresh record's seal is already zeros. No host call is made; only
-        the owner's offline build of a new image, which no host observes,
-        calls this."""
-        if not 0 <= phys < self.layout.n_blocks:
-            raise ParameterError(f"physical block {phys} out of range")
-        if self._cipher is not None:
-            page = seal_block(self._cipher, phys, 1, page)
-            self.versions[phys] = 1
-        elif len(page) != BLOCK_SIZE:
-            raise SizeError("plaintext must be exactly one block")
-        offset = self._data_base + phys * RECORD_SIZE
-        image[offset:offset + len(page)] = page
-
-    def seal_unwritten(self, image: bytearray | mmap.mmap) -> int:
-        """Seal zeros into every never-written block with ``seal_first``,
-        straight into ``image``; returns how many. Written blocks are left
-        alone, so a second call seals nothing."""
-        if self._cipher is None:
-            raise ModeError("only an encrypted image has padding to seal")
-        sealed = 0  # counted, not listed: a list of block numbers costs peak memory
-        for phys, version in enumerate(self.versions):
-            if not version:
-                self.seal_first(image, phys, _ZERO_BLOCK)
-                sealed += 1
-        return sealed
 
     # Persistence ------------------------------------------------------
 
     def persist_metadata(self) -> bytes:
         """Write every write counter to the counter region; returns the
         trusted root over the header and the counter region as written."""
-        counters = self.versions
-        if _BIG_ENDIAN:  # a byteswapped copy; the region is little endian
-            counters = array("Q", counters)
-            counters.byteswap()
         records = self.layout.counter_records
-        region = counters.tobytes().ljust(records * RECORD_SIZE, b"\0")
+        region = _counter_region(self.versions, records)
         for i in range(records):
             self.iface.disk_write(
                 (1 + i) * RECORD_SIZE, region[i * RECORD_SIZE:(i + 1) * RECORD_SIZE])

@@ -40,6 +40,10 @@ its fetch per call, and a ``CachedIo`` is built per file call. So a
 dropped mount, with its image copy, is freed by reference counting
 alone, without waiting for the cyclic collector.
 
+``build_image``, the owner's offline build, makes no host call: the
+filesystem lays out the files and its metadata as plaintext by block,
+and ``seal_new_image`` writes every record in one sweep.
+
 Time is the simulated clock, and the engine alone moves it. Round k
 runs at k x 0.1 ms (``shuffle_round``, which every round goes
 through): the engine first processes every network
@@ -90,7 +94,7 @@ from .blockcrypto import (
     BlockStore,
     ProtectionMode,
     layout_for,
-    new_image,
+    seal_new_image,
 )
 from .blockfs import FLAG_REGULAR, BlockFs
 from .channel import PeerSession
@@ -189,18 +193,25 @@ class DirectIo:
         self.real_writes += 1
 
 
+class _Pages(list):
+    """A new image's plaintext by block, None where it is zeros;
+    ``BlockFs.persist`` writes the metadata pages here."""
+
+    write_block = list.__setitem__
+
+
 @dataclass
 class _BuildIo:
-    """The builder's block io: each file page goes to
-    ``BlockStore.seal_first``, straight into the new image. Files are
-    written once from offset 0, so no page is ever read back."""
+    """The builder's block io: each file page is kept as its block's
+    plaintext, a ``memoryview`` slice of the file's bytes where it is
+    whole. Files are written once from offset 0, so no page is ever
+    read back."""
 
-    store: BlockStore
     fs: BlockFs
-    image: object
+    pages: _Pages
 
     def write_block(self, fd: int, lblk: int, page) -> None:
-        self.store.seal_first(self.image, self.fs.phys_of(fd, lblk), page)
+        self.pages[self.fs.phys_of(fd, lblk)] = page
 
 
 @dataclass
@@ -570,47 +581,37 @@ def build_image(n_blocks: int, mode: ProtectionMode, files=(), *,
     """Format a new image in memory and store ``files`` (one bytes
     object each) as data files.
 
-    The image is built in ``new_image``'s mapping. No host holds it yet,
-    so file blocks cross no host interface: each page, a ``memoryview``
-    slice of the file's bytes, is sealed as its block's first write
-    straight into the mapping (``BlockStore.seal_first``). The filesystem
-    metadata and the counter region are then written through the host
-    interface, as a mount writes them. On encrypted images every block
-    left untouched gets a sealed zero record at version 1, in one
-    sweep (``BlockStore.seal_unwritten``) that writes the mapping
-    directly too. Under a fresh nonce sealed zeros cannot be told from
-    sealed data, while an image whose content distinguished data blocks
-    from padding would leak the layout before the first mount. They get
-    their trusted root in ``verity_root``. A plain image gets None, and
-    refuses a key, which would protect nothing. The image comes back as
-    a read-only view of the mapping it was built in, not a copy. No
-    engine is built, so nothing left behind refers to that mapping, and
-    it is unmapped the moment the bundle is dropped.
+    No host holds the image yet, and the build makes no host call. The
+    filesystem draws its layout and takes each file page, a
+    ``memoryview`` slice of the file's bytes, then encodes its metadata
+    (``BlockFs.persist``); ``seal_new_image`` then seals every block at
+    version 1, in one sweep straight into a new mapping: its file page,
+    its metadata page or zeros. Under a fresh nonce sealed zeros cannot
+    be told from sealed data, while an image whose content distinguished
+    data blocks from padding would leak the layout before the first
+    mount. An encrypted image gets its trusted root in ``verity_root``. A
+    plain image holds its pages as they are, gets None, and refuses a
+    key, which would protect nothing. The image comes back as a
+    read-only view of the mapping it was built in, not a copy. Nothing
+    left behind refers to that mapping, so it is unmapped the moment the
+    bundle is dropped.
     """
-    if key is not None and not mode.encrypted:
-        raise ParameterError("a plain image takes no key")
     # Format first: it refuses a block count below 8 before a buffer is sized.
     fs = BlockFs.format(n_blocks, RngTree(seed).stream("layout"),
                         max_files=max_files, max_file_blocks=max_file_blocks)
-    layout = layout_for(n_blocks, mode)
-    host = Host(new_image(layout), SimClock())
-    iface = HostInterface(host)
-    if mode.encrypted and key is None:
-        key = os.urandom(32)
-    store = BlockStore(iface, layout, key)
-    io = _BuildIo(store, fs, host.image)
+    pages = _Pages([None] * n_blocks)
+    io = _BuildIo(fs, pages)
     fds = []
     for data in files:
         fd = fs.create_file()
         if data:
             fs.file_write(io, fd, 0, memoryview(data))
         fds.append(fd)
-    fs.persist(store)
-    root = None
-    if mode.encrypted:
-        store.seal_unwritten(host.image)
-        root = store.persist_metadata()
-    return ImageBundle(memoryview(host.image).toreadonly(), key, root, tuple(fds))
+    fs.persist(pages)
+    if mode.encrypted and key is None:
+        key = os.urandom(32)
+    image, root = seal_new_image(layout_for(n_blocks, mode), key, pages)
+    return ImageBundle(memoryview(image).toreadonly(), key, root, tuple(fds))
 
 
 @dataclass

@@ -113,8 +113,8 @@ class Host:
     and the environment helpers (frame arrival / wire pickup), which
     model the network itself rather than the enclave.
 
-    ``image`` is any writable buffer of whole records: a mount's own
-    ``bytearray`` copy, or the mapping ``new_image`` builds an image in.
+    ``image`` is any writable buffer of whole records, such as a mount's
+    own ``bytearray`` copy.
 
     Frames arriving for the enclave share one FIFO ``ingress`` of
     (endpoint, frame) pairs, read in arrival order by ``net_read``.

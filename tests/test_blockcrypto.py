@@ -22,7 +22,6 @@ from oblivsim import (
     Host,
     HostInterface,
     IntegrityError,
-    ModeError,
     ParameterError,
     ProtectionMode,
     ReplayError,
@@ -41,6 +40,7 @@ from oblivsim.blockcrypto import (
     NONCE_SIZE,
     SEALED_SIZE,
     parse_header,
+    seal_new_image,
 )
 
 KEY = bytes(range(32))
@@ -371,6 +371,14 @@ def test_dummy_traffic_shape():
     assert [e[1:] for e in store.iface.trace.events] == padding
 
 
+def test_a_dummy_read_out_of_range_is_refused_before_any_host_call():
+    store, _ = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
+    for phys in (-1, 16):
+        with pytest.raises(ParameterError, match="out of range"):
+            store.dummy_read(phys)
+    assert len(store.iface.trace) == 0
+
+
 def test_dummy_writes_seal_zeros_under_fresh_nonces():
     store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
     off = store.layout.data_offset(3)
@@ -385,57 +393,61 @@ def test_dummy_writes_seal_zeros_under_fresh_nonces():
     assert store.read_block(3) == bytes(BLOCK_SIZE)
 
 
-def test_seal_unwritten_leaves_written_blocks_alone():
-    store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
-    store.write_block(2, PLAIN)
-    store.write_block(5, PLAIN)
-    store.dummy_write(5)
-    store.iface.trace.reset()
-
-    def state():
-        return bytes(host.image), list(store.versions)
-
-    image, versions = state()
-    assert store.seal_unwritten(host.image) == 14
-    assert len(store.iface.trace) == 0  # the sweep crosses no host call
-    for phys in (2, 5):
-        off = store.layout.data_offset(phys)
-        assert host.image[off:off + RECORD_SIZE] == image[off:off + RECORD_SIZE]
-        assert store.versions[phys] == versions[phys]
-    assert list(store.versions) == [1, 1, 1, 1, 1, 2] + [1] * 10
-    assert store.read_block(2) == PLAIN and store.read_block(5) == bytes(BLOCK_SIZE)
+def test_the_sweep_seals_every_block_once_each_page_in_its_own_record():
+    # A new image's every block is sealed at version 1 in one sweep: a
+    # page in its own block and nowhere else, zeros in every other, each
+    # under its own nonce, every counter 1, with no host anywhere.
+    layout = layout_for(16, ProtectionMode.CRYPT_INTEGRITY)
+    pages = [None] * 16
+    pages[2], pages[5] = PLAIN, memoryview(b"\x5a" * BLOCK_SIZE)
+    image, root = seal_new_image(layout, KEY, pages)
+    cipher = image_cipher(layout.image_id)
+    nonces = set()
+    for phys in range(16):
+        at = layout.data_offset(phys)
+        record = bytes(image[at:at + RECORD_SIZE])
+        nonces.add(record[SEALED_SIZE:])
+        assert open_block(cipher, phys, record, 1) == (
+            bytes(BLOCK_SIZE) if pages[phys] is None else pages[phys])
+    assert len(nonces) == 16
+    assert bytes(image[RECORD_SIZE:RECORD_SIZE + 16 * 8]) == struct.pack("<16Q", *[1] * 16)
+    assert root == _oracle_root(16, ProtectionMode.CRYPT_INTEGRITY, layout.image_id, [1] * 16)
+    store = BlockStore.mount(HostInterface(Host(image, SimClock())), key=KEY,
+                             trusted_root=root)
+    assert list(store.versions) == [1] * 16
+    assert store.read_block(2) == PLAIN and store.read_block(5) == b"\x5a" * BLOCK_SIZE
     assert store.read_block(9) == bytes(BLOCK_SIZE)
-
-    sealed = state()
-    assert store.seal_unwritten(host.image) == 0
-    assert state() == sealed
 
 
 @pytest.mark.parametrize("mode", [ProtectionMode.PLAIN, ProtectionMode.CRYPT_INTEGRITY])
-def test_seal_first_stores_a_page_straight_into_the_image(mode):
-    store, host = fresh_store(mode)
-    store.iface.trace.reset()
-    store.seal_first(host.image, 3, memoryview(PLAIN))
-    assert len(store.iface.trace) == 0  # no host call
-    off = store.layout.data_offset(3)
-    raw = bytes(host.image[off:off + RECORD_SIZE])
+def test_the_sweep_stores_a_page_straight_into_the_image(mode):
+    layout = layout_for(16, mode)
+    key = KEY if mode.encrypted else None
+    pages = [None] * 16
+    pages[3] = memoryview(PLAIN)
+    image, root = seal_new_image(layout, key, pages)
+    off = layout.data_offset(3)
+    raw = bytes(image[off:off + RECORD_SIZE])
     if mode.encrypted:
-        assert store.versions[3] == 1 and raw[:BLOCK_SIZE] != PLAIN
-        assert open_block(image_cipher(store.layout.image_id), 3, raw, 1) == PLAIN
+        assert raw[:BLOCK_SIZE] != PLAIN
+        assert open_block(image_cipher(layout.image_id), 3, raw, 1) == PLAIN
     else:
-        assert raw == PLAIN + bytes(40)
+        # A plain image holds the page as it is, beside a zero seal, and
+        # every other record and every counter stays zero.
+        assert root is None and raw == PLAIN + bytes(40)
+        assert bytes(image[RECORD_SIZE:off]) == bytes(off - RECORD_SIZE)
+        assert bytes(image[off + RECORD_SIZE:]) == bytes(len(image) - off - RECORD_SIZE)
+    store = BlockStore.mount(HostInterface(Host(image, SimClock())), key=key,
+                             trusted_root=root)
     assert store.read_block(3) == PLAIN
-    for phys in (-1, 16):
-        with pytest.raises(ParameterError):
-            store.seal_first(host.image, phys, PLAIN)
+    with pytest.raises(ParameterError):  # a page for block 16, past the last
+        seal_new_image(layout, key, pages + [PLAIN])
+    pages[4] = PLAIN[:-1]
     with pytest.raises(SizeError):
-        store.seal_first(host.image, 4, PLAIN[:-1])
-
-
-def test_a_plain_store_has_nothing_to_seal():
-    store, host = fresh_store(ProtectionMode.PLAIN)
-    with pytest.raises(ModeError):
-        store.seal_unwritten(host.image)
+        seal_new_image(layout, key, pages)
+    if not mode.encrypted:
+        with pytest.raises(ParameterError, match="a plain image takes no key"):
+            seal_new_image(layout, KEY, [None] * 16)
 
 
 def test_nonce_prefixes_come_from_one_urandom_call_per_refill(monkeypatch):

@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import hmac
+import struct
 import tracemalloc
 import weakref
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings, strategies as st
 
 from conftest import DEFAULT_KEY, mount
@@ -152,27 +155,99 @@ def test_a_crypt_image_opens_every_block_at_version_one_as_built():
         assert m.store.read_block(phys) == pages.get(phys, bytes(BLOCK_SIZE))
 
 
-def test_build_image_writes_no_file_block_through_the_host_interface(monkeypatch):
-    # Only the filesystem metadata and the counter region cross the host
-    # interface; file blocks are sealed straight into the new image.
-    written = []
-    disk_write = HostInterface.disk_write
+HOST_CALLS = ("disk_read", "disk_write", "net_write", "net_read", "net_poll",
+              "time_read", "forward_signal")
 
-    def counting(self, offset, data):
-        written.append(offset)
-        return disk_write(self, offset, data)
 
-    monkeypatch.setattr(HostInterface, "disk_write", counting)
-    bundle = build_image(64, ProtectionMode.CRYPT_INTEGRITY, PARTIAL, seed=5,
-                         key=DEFAULT_KEY)
+@pytest.mark.parametrize("mode", [ProtectionMode.PLAIN, ProtectionMode.CRYPT_INTEGRITY])
+def test_build_image_makes_no_host_call(monkeypatch, mode):
+    # The owner's offline build writes every record, the counter region
+    # too, straight into the new image: not one of the seven calls runs.
+    def refuse(*args):
+        raise AssertionError("build_image made a host call")
+
+    for name in HOST_CALLS:
+        monkeypatch.setattr(HostInterface, name, refuse)
+    key = DEFAULT_KEY if mode.encrypted else None
+    bundle = build_image(64, mode, PARTIAL, seed=5, key=key)
     monkeypatch.undo()
-    m = mount(bundle, oblivious=False)
-    layout = m.store.layout
-    files = {layout.data_offset(p) for p in _file_pages(m.fs, bundle.data_fds, PARTIAL)}
-    assert len(files) == 6 and not files & set(written)
-    assert sorted(written) == sorted(
-        [layout.data_offset(p) for p in range(m.fs.metadata_blocks)]
-        + [(1 + i) * RECORD_SIZE for i in range(layout.counter_records)])
+    eng = mount(bundle, oblivious=False).engine
+    for fd, data in zip(bundle.data_fds, PARTIAL):
+        assert eng.read_file(fd, 0, len(data)) == data
+
+
+class _PageSink(dict):
+    """The pages ``BlockFs.persist`` writes, by block."""
+
+    write_block = dict.__setitem__
+
+
+@pytest.mark.parametrize("n", [64, 517, 518])
+def test_a_fresh_build_matches_formats_md(n):
+    # Every byte of a freshly built image, checked from FORMATS.md alone:
+    # records of 4096 + 40 bytes; a header ending in the 16-byte image
+    # id; one u64 LE counter per block in ceil(8n / 4136) records, each 1;
+    # the root SHA-256 over header and counter region; every data record
+    # AES-256-GCM under HMAC-SHA256(key, "oblivsim image key" || id), with
+    # nonce prefix || counter (BE) and AAD pack(">QQ", phys, counter). At
+    # n = 517 the counter region fills one record exactly, at 518 it spills.
+    record, regions = 4096 + 40, -(-8 * n // (4096 + 40))
+    bundle = build_image(n, ProtectionMode.CRYPT_INTEGRITY, PARTIAL, seed=5, key=DEFAULT_KEY)
+    image = bytes(bundle.image)
+    assert len(image) == (1 + regions + n) * record
+    header, counters = image[:record], image[record:(1 + regions) * record]
+    image_id = header[20:36]
+    assert header == struct.pack("<5sIQBBB16s", b"OBLV2", 4096, n, 3, 1, 0,
+                                 image_id).ljust(record, b"\0")
+    assert counters == struct.pack(f"<{n}Q", *[1] * n).ljust(regions * record, b"\0")
+    assert bundle.verity_root == hashlib.sha256(header + counters).digest()
+
+    fs = mount(bundle, oblivious=False).fs
+    metadata = _PageSink()
+    fs.persist(metadata)
+    assert sorted(metadata) == list(range(fs.metadata_blocks))
+    pages = _file_pages(fs, bundle.data_fds, PARTIAL)
+    cipher = AESGCM(hmac.digest(DEFAULT_KEY, b"oblivsim image key" + image_id, "sha256"))
+    nonces = set()
+    for phys in range(n):
+        at = (1 + regions + phys) * record
+        sealed, nonce = image[at:at + 4112], image[at + 4112:at + record]
+        assert int.from_bytes(nonce[16:], "big") == 1
+        nonces.add(nonce)
+        want = metadata.get(phys, pages.get(phys, bytes(4096)))
+        assert cipher.decrypt(nonce, sealed, struct.pack(">QQ", phys, 1)) == want
+    assert len(nonces) == n
+
+    # A plain build of the same files holds each page as it is beside a
+    # zero seal, and every counter stays 0.
+    plain = build_image(n, ProtectionMode.PLAIN, PARTIAL, seed=5)
+    image = bytes(plain.image)
+    assert plain.verity_root is None
+    assert image[record:(1 + regions) * record] == bytes(regions * record)
+    for phys in range(n):
+        at = (1 + regions + phys) * record
+        assert image[at:at + record] == metadata.get(
+            phys, pages.get(phys, bytes(4096))) + bytes(40)
+
+
+def test_the_layout_draws_of_a_build_are_pinned():
+    # build_image draws the padding domain, then each file page's block
+    # in order, and these draws decide every trace digest of the
+    # benchmark. Digests of the file's block map, then the padding
+    # domain, on the randread_shuffle geometry (4096 blocks, one
+    # 1024-block file) for seeds 1-3.
+    pinned = {
+        1: "8f6a8943b7965417cc6f1b01fe01c707627186b8b72179c2a5c351939f5bfe69",
+        2: "9872200bd74393f8f741a5ae41aa99ad68582ddbe25299340c46800c7fb537de",
+        3: "52f64d78c3facfca16c26c65f532f510776560ea15a44537c6c48cea347f9b91",
+    }
+    for seed, digest in pinned.items():
+        bundle = build_image(4096, ProtectionMode.CRYPT_INTEGRITY,
+                             [bytes(1024 * BLOCK_SIZE)], seed=seed, key=DEFAULT_KEY,
+                             max_file_blocks=1024)
+        fs = mount(bundle, oblivious=False).fs
+        blocks = [fs.phys_of(bundle.data_fds[0], i) for i in range(1024)] + fs.dummy_blocks()
+        assert hashlib.sha256(struct.pack(f"<{len(blocks)}I", *blocks)).hexdigest() == digest
 
 
 def test_a_plain_image_built_with_files_reads_back_through_a_passthrough_mount():

@@ -47,7 +47,7 @@ SETTINGS = {
     "engine.mount(config)": "run --cache-k",
     "engine.mount(oblivious)": "run --mode passthrough",
     "engine.run_workload(target_rounds)": "run --rounds",
-    "hostiface.Host.__init__(clock)": "engine.mount and build_image pass a SimClock",
+    "hostiface.Host.__init__(clock)": "engine.mount passes a SimClock",
     "hostiface.HostInterface.__init__(trace)":
         "engine.mount passes the trace that records the fingerprint",
     "sched.RoundScheduler.run_round(read)": "Engine.shuffle_round passes its read",
