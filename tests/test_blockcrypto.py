@@ -420,7 +420,9 @@ def test_the_sweep_seals_every_block_once_each_page_in_its_own_record():
 
 
 @pytest.mark.parametrize("mode", [ProtectionMode.PLAIN, ProtectionMode.CRYPT_INTEGRITY])
-def test_the_sweep_stores_a_page_straight_into_the_image(mode):
+def test_seal_first_stores_a_page_straight_into_the_image(mode):
+    # A block's first seal, the build's sweep, stores its page straight
+    # into the new image's record, with no copy through the host.
     layout = layout_for(16, mode)
     key = KEY if mode.encrypted else None
     pages = [None] * 16
@@ -445,9 +447,21 @@ def test_the_sweep_stores_a_page_straight_into_the_image(mode):
     pages[4] = PLAIN[:-1]
     with pytest.raises(SizeError):
         seal_new_image(layout, key, pages)
-    if not mode.encrypted:
-        with pytest.raises(ParameterError, match="a plain image takes no key"):
-            seal_new_image(layout, KEY, [None] * 16)
+
+
+def test_a_plain_store_has_nothing_to_seal():
+    # The sweep over a plain image refuses a key, gives no root, and leaves
+    # every seal beside its page and every counter zero.
+    layout = layout_for(16, ProtectionMode.PLAIN)
+    with pytest.raises(ParameterError, match="a plain image takes no key"):
+        seal_new_image(layout, KEY, [None] * 16)
+    image, root = seal_new_image(layout, None, [PLAIN] * 16)
+    assert root is None
+    start = layout.data_offset(0)
+    assert bytes(image[RECORD_SIZE:start]) == bytes(start - RECORD_SIZE)
+    for phys in range(16):
+        at = layout.data_offset(phys)
+        assert bytes(image[at:at + RECORD_SIZE]) == PLAIN + bytes(RECORD_SIZE - BLOCK_SIZE)
 
 
 def test_nonce_prefixes_come_from_one_urandom_call_per_refill(monkeypatch):
