@@ -22,8 +22,12 @@ then tag) followed by the nonce, the on-disk form and the only one. A
 ``BlockStore`` holds the image's one AEAD object and one write counter
 per block; a record whose counter disagrees with the store's is
 reported as a replay, distinct from a tag failure, and a record never
-written fails its tag. Padding is sealed zeros: under a fresh nonce
-they cannot be told from sealed noise.
+written fails its tag. A counter names a write and orders nothing: each
+store draws a random start below 2**63 at its first write, and each of
+its writes takes the next value from there, so two stores mounted from one image
+seal at counters of their own and refuse each other's records. Padding
+is sealed zeros: under a fresh nonce they cannot be told from sealed
+noise.
 
 A mounted image's byte traffic all goes through the host interface.
 The owner's offline build makes no host call: ``seal_new_image`` seals
@@ -39,8 +43,8 @@ An image rests on one trusted root, the SHA-256 of the header record
 and the counter region, which holds every block's write counter:
 ``persist_metadata`` returns it, and a mount given it refuses any other
 header or counter region, so neither a rolled-back record nor another
-image's metadata gets past it. Two forks of one image, which seal at
-the same counters, are not told apart (FORMATS.md).
+image's metadata gets past it. Two forks of one image write at counters
+drawn apart, so neither's record opens in the other (FORMATS.md).
 
 The container layout (header, counter region, data) is in FORMATS.md.
 """
@@ -314,6 +318,9 @@ class BlockStore:
         self.layout = layout
         # Write counters, kept in trusted memory; 0: never written.
         self.versions = array("Q", [0]) * layout.n_blocks
+        # This store's writes take counters from a random start on, which
+        # its first write draws: a mount allocates nothing for it.
+        self._next_version: int | None = None
         self._data_base = layout.data_start_record * RECORD_SIZE
         self._cipher = _image_cipher(layout, key)
 
@@ -369,9 +376,12 @@ class BlockStore:
             raise ParameterError(f"physical block {phys} out of range")
         offset = self._data_base + phys * RECORD_SIZE
         if self._cipher is not None:
-            version = self.versions[phys] + 1
+            version = self._next_version
+            if version is None:
+                version = int.from_bytes(os.urandom(COUNTER_SIZE), "big") >> 1
             self.iface.disk_write(offset, seal_block(self._cipher, phys, version, plaintext))
             self.versions[phys] = version
+            self._next_version = version + 1
             return
         if len(plaintext) != BLOCK_SIZE:
             raise SizeError("plaintext must be exactly one block")

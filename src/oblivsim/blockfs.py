@@ -272,9 +272,10 @@ class BlockFs:
         return [fd for fd, ino in enumerate(self.inodes)
                 if ino.used and ino.flags == flags]
 
-    def dummy_blocks(self) -> list[int]:
-        """The padding domain, in ascending block order."""
-        return list(self._padding)
+    def dummy_blocks(self) -> memoryview:
+        """The padding domain, in ascending block order: a read-only view
+        of the filesystem's own array, so the domain is held once."""
+        return memoryview(self._padding).toreadonly()
 
     # Data path ----------------------------------------------------------
 

@@ -9,11 +9,10 @@ Two I/O personalities implement the filesystem's block interface:
   (``Engine.shuffle_round``), which reads it, one round per read.
   Before either, a pass that is due or running is finished
   (``Engine.shuffle_now``), since the pass holds a snapshot of the
-  cache. No queued write can target the block read. The write
-  queue has one source, the pages ``PageCache.flush`` wrote out, which
-  stay resident; it drains before the next pass starts, so they land
-  before any later read. The pass lands every page of every file, dirty
-  ones included, and the cache's ``end_epoch`` checks that it did.
+  cache. Nothing is queued: the pass lands every page of every file,
+  dirty ones included, and the cache's ``end_epoch`` checks that it did.
+  ``PageCache.flush`` lands the dirty pages the same way, through
+  ``shuffle_now``.
 * ``DirectIo`` is the passthrough path. Every block operation is a
   single immediate host call with a small fixed latency, no padding,
   no batching. It exists as the unprotected baseline. It holds the
@@ -24,10 +23,9 @@ passes, where C is the page cache's capacity, and the round after the
 C-th is the first round of a shuffle pass over every data file, which
 takes L rounds for L file blocks, each a real read and a real write. So
 every pass starts at a round index fixed by C and L alone, whatever the
-workload does, and an idle disk shuffles too. The one exception is a
-write queue that ``PageCache.flush`` filled: it drains before a pass
-starts, and those rounds lengthen the epoch. A pass the budget cuts
-queues nothing. One method, ``Engine._pass_round``, builds (by
+workload does, and an idle disk shuffles too, except where
+``shuffle_now`` (or ``PageCache.flush``, which calls it) runs a pass
+early. One method, ``Engine._pass_round``, builds (by
 ``shuffle_pass`` over the page cache's ``peek``), steps, ends and cuts
 every pass; each call runs one round, a ``shuffle_round`` carrying the
 step's read and its ``land``, which lands the same block in the same
@@ -36,9 +34,10 @@ a closed loop that runs rounds one at a time keeps its turn during a
 pass, and ``shuffle_now`` calls it until the pass ends.
 
 Nothing the engine owns refers back to it: the page cache is handed
-its fetch per call, and a ``CachedIo`` is built per file call. So a
-dropped mount, with its image copy, is freed by reference counting
-alone, without waiting for the cyclic collector.
+its fetch per call and holds ``shuffle_now`` weakly, and a ``CachedIo``
+is built per file call. So a dropped mount, with its image copy, is
+freed by reference counting alone, without waiting for the cyclic
+collector.
 
 ``build_image``, the owner's offline build, makes no host call: the
 filesystem lays out the files and its metadata as plaintext by block,
@@ -302,7 +301,7 @@ class Engine:
                 capacity = default_capacity(store.n_blocks)
             iface.trace.meta["cache_capacity"] = capacity
             self.cache = PageCache(capacity, phys_of=fs.phys_of,
-                                   writeback=self.sched.submit_write)
+                                   shuffle_now=self.shuffle_now)
             self.pass_due = capacity
         else:
             self.sched = None
@@ -335,8 +334,8 @@ class Engine:
         its write (``RoundScheduler.run_round``);
         returns ``read``'s plaintext, or None. Each step of a pass, and
         every other round too. A round past the budget raises
-        ``RoundBudgetExhausted`` and runs nothing: it reads nothing,
-        calls no ``land`` and queues nothing."""
+        ``RoundBudgetExhausted`` and runs nothing: it reads nothing and
+        calls no ``land``."""
         sched = self.sched
         if sched is None:
             raise ModeError("batched rounds exist only on the protected path")
@@ -352,13 +351,11 @@ class Engine:
 
     def run_one_round(self) -> None:
         """Exactly one round: the next round of a pass that is running or
-        due (``_pass_round``), and otherwise queued writes or padding.
-        Queued writes drain before a pass starts."""
+        due (``_pass_round``), and otherwise padding."""
         sched = self.sched
         if sched is None:
             raise ModeError("batched rounds exist only on the protected path")
-        if self._pass is not None or (sched.rounds >= self.pass_due
-                                      and not sched.pending_writes):
+        if self._pass is not None or sched.rounds >= self.pass_due:
             stats = self._pass_round()
             if stats is None or stats.swaps:  # a pass round ran
                 return
@@ -374,17 +371,14 @@ class Engine:
         """Finish the running pass, or else run a whole one, whether it is
         due or not, through ``_pass_round``.
 
-        Before a pass starts, writes still queued land. The pass then
-        writes every page of every file it walks at the page's new home,
-        from the cache where the page is resident, so no flush precedes
-        or follows it: ``end_epoch`` refuses, changing nothing, if a
-        dirty page lies outside what the pass walked.
+        The pass writes every page of every file it walks at the page's
+        new home, from the cache where the page is resident: it is the
+        one way a dirty page reaches the host. ``end_epoch`` refuses,
+        changing nothing, if a dirty page lies outside what the pass
+        walked.
         """
         if not self.oblivious:
             raise ModeError("the passthrough path never shuffles")
-        if self._pass is None:
-            while self.sched.pending_writes:
-                self.shuffle_round()
         return oblivious_shuffle(self._pass_round)
 
     def _pass_round(self) -> ShuffleStats | None:

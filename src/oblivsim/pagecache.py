@@ -22,7 +22,8 @@ invariant, refused with ``ParameterError``.
 An epoch ends at a shuffle. The pass lands every page of every file it
 re-homes straight from the cache, and ``end_epoch`` checks that it
 landed every dirty page before it forgets any: no page is dropped
-unwritten. Every resident page is then carried over, in LRU order.
+unwritten. Every resident page is then carried over, in LRU order. A
+pass is the only way a dirty page reaches the host: ``flush`` runs one.
 
 Capacity defaults to the whole trusted-memory budget, ``BUDGET_PAGES``
 pages (1.5 MiB), or to the whole disk when the disk has fewer blocks.
@@ -36,10 +37,11 @@ sees it in the pass cadence whatever its value.
 from __future__ import annotations
 
 import enum
+import weakref
 from collections import OrderedDict
 from typing import Callable
 
-from .errors import ParameterError
+from .errors import ParameterError, SimError
 from .hostiface import BLOCK_SIZE
 
 BUDGET_PAGES = (3 << 19) // BLOCK_SIZE  # the shelter's trusted-memory budget, 1.5 MiB
@@ -60,21 +62,21 @@ class PageCache:
     installing a page replaces it.
 
     Two collaborators are injected: ``phys_of`` resolves the current
-    physical placement, ``writeback`` persists a dirty page for ``flush``
-    (the engine queues it for a later round). The fetch that performs a
-    real host read is passed to each ``get_block`` and ``put_block`` call
-    instead of being stored, so the cache holds no reference back to
-    whoever fetches.
+    physical placement, and ``shuffle_now``, a bound method, runs the
+    whole pass that ``flush`` lands the dirty pages through; the cache
+    holds it weakly, so it keeps no reference back to the engine. The
+    fetch that performs a real host read is passed to each ``get_block``
+    and ``put_block`` call instead of being stored, for the same reason.
     """
 
     def __init__(self, capacity: int,
                  phys_of: Callable[[int, int], int],
-                 writeback: Callable[[int, bytes], None]):
+                 shuffle_now: Callable[[], object]):
         if capacity < 1:
             raise ParameterError("cache needs at least one page")
         self.capacity = capacity
         self._phys_of = phys_of
-        self._writeback = writeback
+        self._shuffle_now = weakref.WeakMethod(shuffle_now)
         self._pages: OrderedDict[tuple[int, int], bytes] = OrderedDict()
         # Carried-over pages this epoch has neither fetched nor written,
         # in the same relative (LRU) order as _pages: the evictable ones.
@@ -153,15 +155,14 @@ class PageCache:
     # Flush and epochs ------------------------------------------------------
 
     def flush(self) -> int:
-        """Write out all dirty pages (in LRU order, deterministic).
-        Returns the number of pages written. Not while a pass runs: the
-        writes go to the homes the pages have now."""
-        written = 0
-        for key in [k for k in self._pages if k in self._dirty]:
-            self._writeback(self._phys_of(*key), self._pages[key])
-            self._dirty.discard(key)
-            written += 1
-        return written
+        """Land every dirty page through one whole pass, at the new homes
+        it draws; returns the number of pages that were dirty."""
+        shuffle_now = self._shuffle_now()
+        if shuffle_now is None:
+            raise SimError("the engine that ran this cache's passes is gone")
+        dirty = len(self._dirty)
+        shuffle_now()
+        return dirty
 
     def end_epoch(self, landed: Callable[[int, int], bool]) -> None:
         """Start a new epoch once a shuffle pass has run: nothing fetched

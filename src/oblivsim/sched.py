@@ -3,11 +3,12 @@
 All disk traffic is reshaped into rounds at a fixed interval, 0.1 ms
 of simulated time. Every round is exactly one read followed by
 one write. A read handed to the round takes the read, and the block its
-``land`` gives, or else the oldest queued write, takes the write; a
-slot left empty is padding traffic against a uniformly random block of
-the padding domain, the allocated blocks no file maps
-(``BlockFs.dummy_blocks``). An observer therefore sees the same call
-sequence, lengths and timing no matter what the workload does.
+``land`` gives takes the write; a slot left empty is padding traffic
+against a uniformly random block of the padding domain, the allocated
+blocks no file maps (``BlockFs.dummy_blocks``). Nothing is queued: a
+dirty page lands only in a shuffle pass, as a step's ``land``. An
+observer therefore sees the same call sequence, lengths and timing no
+matter what the workload does.
 
 A round carries no time: the engine moves the simulated clock to round
 k's instant, k x 0.1 ms, and then runs the round, so both calls of the
@@ -16,13 +17,11 @@ round are stamped there and the recorded pattern is bit-reproducible.
 
 from __future__ import annotations
 
-from array import array
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
-from .blockcrypto import BLOCK_SIZE, BlockStore
-from .errors import ParameterError, SimError, SizeError
+from .blockcrypto import BlockStore
+from .errors import ParameterError, SimError
 from .rng import Rng
 
 DEFAULT_ROUND_INTERVAL_NS = 100_000  # 0.1 ms
@@ -38,47 +37,33 @@ class RoundConfig:
 
 
 class RoundScheduler:
-    def __init__(self, store: BlockStore, dummy_targets: list[int], rng: Rng):
+    def __init__(self, store: BlockStore, dummy_targets, rng: Rng):
         self.store = store
-        self.dummy_targets = array("I", dummy_targets)  # 4 bytes of trusted memory each
-        if not self.dummy_targets:
+        # The filesystem's padding domain as it hands it over, a read-only
+        # view of its one array, never copied.
+        self.dummy_targets = dummy_targets
+        if not dummy_targets:
             raise ParameterError("padding needs at least one padding block")
         self.rng = rng
-        # Queued write-backs, (phys, data); reads are handed to run_round.
-        self._writes: deque[tuple[int, bytes]] = deque()
         self.rounds = 0
         self.real_reads = 0
         self.dummy_reads = 0
         self.real_writes = 0
         self.dummy_writes = 0
 
-    # Submission ----------------------------------------------------------
-
-    # Kept only while ``benchmarks/`` names them (ROADMAP item 1): the write
-    # queue (``submit_write``, ``pending_writes``, ``pending_write_for``,
-    # ``_writes`` and its drains, here and before a pass), whose one source
-    # is ``PageCache.flush``, and ``submit_read`` and ``pending_reads``.
-    pending_reads = 0
+    # Kept only while ``benchmarks/`` names them (ROADMAP item 1), inert:
+    # nothing is queued, a read is handed to ``run_round`` and a dirty page
+    # lands in a pass.
+    pending_reads = pending_writes = 0
 
     def submit_read(self, phys: int) -> None:
         raise SimError("reads are not queued: hand the read to run_round")
 
-    def pending_write_for(self, phys: int) -> bytes | None:
-        """Newest queued write aimed at ``phys``, if any."""
-        for target, data in reversed(self._writes):
-            if target == phys:
-                return data
-        return None
-
     def submit_write(self, phys: int, data: bytes) -> None:
-        """Queue one block write. No bound: each was held in memory already."""
-        if len(data) != BLOCK_SIZE:
-            raise SizeError("a queued write must be exactly one block")
-        self._writes.append((phys, bytes(data)))
+        raise SimError("writes are not queued: a dirty page lands in a pass")
 
-    @property
-    def pending_writes(self) -> int:
-        return len(self._writes)
+    def pending_write_for(self, phys: int) -> None:
+        raise SimError("writes are not queued: a dirty page lands in a pass")
 
     # Execution -----------------------------------------------------------
 
@@ -91,7 +76,7 @@ class RoundScheduler:
         ``read`` (a block) takes the read, or else padding does.
         ``land``, called after the read with ``read``'s plaintext (None
         if no read), gives the (block, plaintext) the write lands; without
-        it the oldest queued write, or else padding, takes the write.
+        it padding takes the write.
         Returns ``read``'s plaintext, or None. A failed read (say, it does
         not authenticate) still runs the write and counts, so the cadence
         holds, and then raises; ``land`` is not called."""
@@ -110,9 +95,6 @@ class RoundScheduler:
             self.dummy_reads += 1
         if land is not None and error is None:
             store.write_block(*land(served))
-            self.real_writes += 1
-        elif self._writes:
-            store.write_block(*self._writes.popleft())
             self.real_writes += 1
         else:
             targets = self.dummy_targets

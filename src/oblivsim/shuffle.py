@@ -40,10 +40,10 @@ ends, in its ``finally``. A round that raises (the round budget, a block
 that fails to authenticate) closes the pass at once, so a cut pass
 returns every vacated block before anything else runs.
 
-A step's read never needs the write queue: the engine drains it before
-the pass starts, and each earlier step's write landed in its own round.
-Vacated homes wait for the end of the pass rather than rejoining the
-pool at once. So while the pool lasts, the *k*-th step draws uniformly
+A step's read finds its block's latest bytes at its home: each earlier
+step's write landed in its own round, and nothing else writes a file
+block. Vacated homes wait for the end of the pass rather than rejoining
+the pool at once. So while the pool lasts, the *k*-th step draws uniformly
 from the pool as it stood at the start of the pass minus the *k* - 1
 homes already drawn: the new homes are a uniform sample without
 replacement from that pool, drawn one element at a time, independent of

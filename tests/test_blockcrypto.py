@@ -233,6 +233,13 @@ def test_an_image_of_the_block_layout_is_refused(mode):
 # Trusted root.
 # ---------------------------------------------------------------------------
 
+def _record_counter(host, layout, phys: int) -> int:
+    """Block ``phys``'s write counter as FORMATS.md places it: the low 8
+    bytes (u64 BE) of the nonce that ends its record."""
+    at = layout.data_offset(phys) + 4096 + 40
+    return int.from_bytes(host.image[at - 8:at], "big")
+
+
 def _oracle_root(n: int, mode: ProtectionMode, image_id: bytes,
                  counters: list[int]) -> bytes:
     """SHA-256 over the header record and the zero-padded counter region,
@@ -259,10 +266,13 @@ def test_verity_root_matches_oracle(n):
     for phys in written:
         store.write_block(phys, bytes([phys % 256]) * BLOCK_SIZE)
     store.write_block(n - 1, PLAIN)
+    touched = {*written, n - 1}
     counters = [0] * n
-    for phys in written:
-        counters[phys] = 1
-    counters[n - 1] += 1
+    for phys in touched:
+        counters[phys] = _record_counter(host, store.layout, phys)
+    # Each block's last write took a counter of its own, none of them 0.
+    assert 0 not in {counters[phys] for phys in touched}
+    assert len({counters[phys] for phys in touched}) == len(touched)
     cipher = image_cipher(store.layout.image_id)
     for phys in written:
         # The record is ciphertext ‖ tag ‖ nonce, at its counter, under
@@ -282,10 +292,13 @@ def test_crypt_integrity_root_matches_oracle():
     store.dummy_write(3)
     store.dummy_write(3)
     root = store.persist_metadata()
+    counters = [0, _record_counter(host, store.layout, 1), 0,
+                _record_counter(host, store.layout, 3), 0]
+    assert counters[1] != counters[3] and 0 not in counters[1::2]
     assert root == _oracle_root(5, ProtectionMode.CRYPT_INTEGRITY, store.layout.image_id,
-                                [0, 1, 0, 2, 0])
+                                counters)
     # The counter region on disk is exactly the counters, little endian.
-    assert bytes(host.image[4136:4136 + 40]) == struct.pack("<5Q", 0, 1, 0, 2, 0)
+    assert bytes(host.image[4136:4136 + 40]) == struct.pack("<5Q", *counters)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +341,7 @@ def test_mount_requires_key_for_encrypted_images():
         BlockStore.mount(iface)
     again = BlockStore.mount(iface, key=KEY)
     assert again.read_block(0) == PLAIN
-    assert again.versions[0] == 1
+    assert again.versions[0] == store.versions[0] != 0
 
 
 def test_data_rollback_without_slot_is_integrity_failure():
@@ -389,7 +402,9 @@ def test_dummy_writes_seal_zeros_under_fresh_nonces():
         seen.append((record[:BLOCK_SIZE], record[SEALED_SIZE:]))
     (first_ct, first_nonce), (second_ct, second_nonce) = seen
     assert first_ct != second_ct and first_nonce != second_nonce
-    assert store.versions[3] == 2
+    # Each write named by a counter of its own, carried in its nonce.
+    assert first_nonce[NONCE_RANDOM:] != second_nonce[NONCE_RANDOM:]
+    assert store.versions[3] == int.from_bytes(second_nonce[NONCE_RANDOM:], "big")
     assert store.read_block(3) == bytes(BLOCK_SIZE)
 
 
@@ -528,7 +543,8 @@ def test_persist_metadata_survives_remount():
         HostInterface(Host(bytearray(host.image), SimClock())), key=KEY)
     for p in range(8):
         assert again.read_block(p) == bytes([p]) * BLOCK_SIZE
-    assert list(again.versions) == [1] * 8 + [0] * 8
+    assert again.versions == store.versions
+    assert len(set(again.versions[:8])) == 8 and list(again.versions[8:]) == [0] * 8
     with pytest.raises(IntegrityError):  # never written: its record fails its tag
         again.read_block(8)
 
@@ -598,7 +614,9 @@ def test_two_images_under_one_key_never_share_a_root_or_a_record():
     for store in (a, b):
         store.write_block(2, PLAIN)
         store.write_block(4, b"\x33" * BLOCK_SIZE)
-    assert a.versions == b.versions
+    # Let block 4's counters agree, as they would in two stores counting
+    # from one start: only the image key keeps A's record out of B.
+    b.versions[4] = a.versions[4]
     a_root, b_root = a.persist_metadata(), b.persist_metadata()
     assert a_root != b_root
     # B's whole image under A's root is refused at mount.
@@ -612,6 +630,28 @@ def test_two_images_under_one_key_never_share_a_root_or_a_record():
     with pytest.raises(IntegrityError):
         _remount(b_host.image, key=KEY, trusted_root=b_root).read_block(4)
     assert b.read_block(2) == PLAIN
+
+
+def test_two_forks_of_one_image_refuse_each_others_records():
+    # Two stores mounted from one image under its root each rewrite block
+    # 2. Each write names itself by a counter from its store's own random
+    # start, so a host that serves one fork's record to the other is
+    # caught as a replay, both ways.
+    store, host = fresh_store(ProtectionMode.CRYPT_INTEGRITY)
+    store.write_block(2, PLAIN)
+    root = store.persist_metadata()
+    forks = [_remount(host.image, key=KEY, trusted_root=root) for _ in range(2)]
+    for i, fork in enumerate(forks):
+        fork.write_block(2, bytes([i]) * BLOCK_SIZE)
+    assert forks[0].versions[2] != forks[1].versions[2]
+    off = store.layout.data_offset(2)
+    records = [bytes(fork.iface.host.image[off:off + RECORD_SIZE]) for fork in forks]
+    for i, fork in enumerate(forks):
+        fork.iface.host.image[off:off + RECORD_SIZE] = records[1 - i]
+        with pytest.raises(ReplayError):
+            fork.read_block(2)
+        fork.iface.host.image[off:off + RECORD_SIZE] = records[i]
+        assert fork.read_block(2) == bytes([i]) * BLOCK_SIZE
 
 
 @pytest.mark.parametrize("big_endian", [False, True])

@@ -527,6 +527,26 @@ def test_shuffle_of_a_superseded_image_is_refused_under_the_new_root(tmp_path, c
     assert a.read_bytes() == before
 
 
+def test_two_shuffles_of_one_image_end_with_different_roots(tmp_path, capsys):
+    # Two forks of one image, at one seed, move every block alike; their
+    # writes still take counters of their own, so neither fork's image
+    # passes under the other's root.
+    a = tmp_path / "a.img"
+    rc = cli("create-image", "--out", a, "--blocks", 64, "--key", KEY_HEX,
+             "--seed", 1, "--blank", BLANK_LEN)
+    root_a = capsys.readouterr().out.split("verity root: ")[1].split()[0]
+    assert rc == 0
+    forks, roots = [tmp_path / "b1.img", tmp_path / "b2.img"], []
+    for fork in forks:
+        rc = cli("shuffle", "--image", a, "--key", KEY_HEX, "--verity-root", root_a,
+                 "--seed", 1, "--out-image", fork)
+        roots.append(capsys.readouterr().out.split("verity root: ")[1].split()[0])
+        assert rc == 0
+    assert roots[0] != roots[1]
+    rc = cli("fsck", "--image", forks[1], "--key", KEY_HEX, "--verity-root", roots[0])
+    assert rc == 2 and "trusted root" in capsys.readouterr().err
+
+
 def test_shuffle_refuses_plain_images(tmp_path, capsys):
     img = tmp_path / "p.img"
     cli("create-image", "--out", img, "--blocks", 16, "--mode", "plain")

@@ -246,7 +246,8 @@ def test_the_layout_draws_of_a_build_are_pinned():
                              [bytes(1024 * BLOCK_SIZE)], seed=seed, key=DEFAULT_KEY,
                              max_file_blocks=1024)
         fs = mount(bundle, oblivious=False).fs
-        blocks = [fs.phys_of(bundle.data_fds[0], i) for i in range(1024)] + fs.dummy_blocks()
+        blocks = [fs.phys_of(bundle.data_fds[0], i) for i in range(1024)]
+        blocks += fs.dummy_blocks()
         assert hashlib.sha256(struct.pack(f"<{len(blocks)}I", *blocks)).hexdigest() == digest
 
 
@@ -311,6 +312,8 @@ def test_dropping_an_oblivious_mount_frees_the_image_at_once():
         eng.add_link(3, enclave)
         eng.add_external_pump(EchoPeer(m.host, 3, remote, ShapingClass()))
         eng.run_rounds(2)
+        eng.write_file(eng.regular_fd(0), 0, b"y" * BLOCK_SIZE)
+        assert eng.cache.flush() == 1
         held = tracemalloc.get_traced_memory()[0]
         del m, eng
         left = tracemalloc.get_traced_memory()[0]
@@ -395,46 +398,63 @@ def test_a_flushed_page_serves_a_later_read_from_the_cache(small_bundle):
     eng.write_file(fd, 0, b"Q" * BLOCK_SIZE)
     eng.write_file(fd, BLOCK_SIZE, b"R" * BLOCK_SIZE)
     assert eng.sched.real_reads == 2  # each write spent its read slot
-    assert eng.cache.flush() == 2 and eng.sched.pending_writes == 2
-
-    # The flushed pages stay resident until the epoch ends, so reading
-    # them back touches no disk, which still holds the stale bytes.
-    assert eng.read_file(fd, 0, 16) == b"Q" * 16
-    assert eng.read_file(fd, BLOCK_SIZE, 16) == b"R" * 16
-    assert eng.sched.real_reads == 2
-
-    while eng.sched.pending_writes:
-        eng.run_one_round()
+    # The flush's pass landed both pages at their new homes.
+    assert eng.cache.flush() == 2 and eng.shuffles == 1
     assert m.store.read_block(m.fs.phys_of(fd, 0)) == b"Q" * BLOCK_SIZE
     assert m.store.read_block(m.fs.phys_of(fd, 1)) == b"R" * BLOCK_SIZE
 
+    # The flushed pages stay resident, so reading them back touches no disk.
+    reads = eng.sched.real_reads
+    assert eng.read_file(fd, 0, 16) == b"Q" * 16
+    assert eng.read_file(fd, BLOCK_SIZE, 16) == b"R" * 16
+    assert eng.sched.real_reads == reads
 
-def test_a_forced_pass_lands_the_queued_writes_first(small_bundle):
-    # shuffle_now drains the write queue before the pass starts: the
-    # flushed page takes the next round's write, at the home it has now,
-    # and then the pass runs its L = 11 rounds.
+
+def test_a_flush_lands_a_dirty_page_in_one_pass_and_nowhere_else(small_bundle):
+    # A flush is one whole pass of L = 11 rounds: the dirty page lands at
+    # the new home its step draws, never at the home it had, and no round
+    # pads.
     m = mount(small_bundle, config=EngineConfig(cache_capacity=16))
     eng = m.engine
     fd = eng.regular_fd(0)
     page = b"Z" * BLOCK_SIZE
     eng.write_file(fd, 2 * BLOCK_SIZE, page)
     home = m.store.layout.data_offset(m.fs.phys_of(fd, 2))
-    assert eng.cache.flush() == 1 and eng.sched.pending_writes == 1
     eng.start_observation()
     before = eng.counters()
-    stats = eng.shuffle_now()
+    assert eng.cache.flush() == 1
     ran = {k: v - before[k] for k, v in eng.counters().items()}
-    assert stats.plan.num_shuff_blk == 11
-    assert ran["rounds"] == 1 + 11 and ran["shuffles"] == 1
-    assert (ran["real_reads"], ran["dummy_reads"]) == (11, 1)
-    assert (ran["real_writes"], ran["dummy_writes"]) == (1 + 11, 0)
-    read, write, *rest = m.trace.of_kind(CallKind.DISK_READ, CallKind.DISK_WRITE)
+    assert ran["rounds"] == 11 and ran["shuffles"] == 1
+    assert (ran["real_reads"], ran["dummy_reads"]) == (11, 0)
+    assert (ran["real_writes"], ran["dummy_writes"]) == (11, 0)
+    writes = m.trace.of_kind(CallKind.DISK_WRITE)
     padding = {m.store.layout.data_offset(p) for p in m.fs.dummy_blocks()}
-    assert read.offset in padding and write.offset == home
-    assert not {e.offset for e in rest} & padding
-    assert eng.sched.pending_writes == 0
+    assert home not in {e.offset for e in writes}
+    assert not {e.offset for e in m.trace.events} & padding
     assert m.store.read_block(m.fs.phys_of(fd, 2)) == page
     assert eng.read_file(fd, 2 * BLOCK_SIZE, BLOCK_SIZE) == page
+
+
+def test_a_flush_shows_the_host_nothing_of_which_page_was_dirty(small_bundle):
+    # Two mounts at one seed fetch blocks 0 and 1; one dirties block 0,
+    # the other block 1, with no round spent, since both were fetched.
+    # Their flushes make byte-identical traces, offsets included.
+    exports = []
+    for dirty in (0, 1):
+        m = mount(small_bundle, seed=5)
+        eng = m.engine
+        eng.start_observation()
+        fd = eng.regular_fd(0)
+        eng.read_file(fd, 0, 2 * BLOCK_SIZE)
+        rounds = eng.rounds_done
+        eng.write_file(fd, dirty * BLOCK_SIZE, b"D" * BLOCK_SIZE)
+        assert eng.rounds_done == rounds
+        assert eng.cache.flush() == 1
+        while eng.sched.pending_writes:
+            eng.run_one_round()
+        assert eng.read_file(fd, dirty * BLOCK_SIZE, 4) == b"DDDD"
+        exports.append(m.trace.export())
+    assert exports[0] == exports[1]
 
 
 def test_a_write_run_longer_than_the_cache_loses_no_page():
@@ -498,7 +518,7 @@ def test_shuffle_lands_dirty_pages_without_a_flush(small_bundle):
     assert stats.donor_reuses == 0
     written = {e.offset for e in m.trace.of_kind(CallKind.DISK_WRITE)}
     assert written.isdisjoint(homes)
-    assert eng.cache.flush() == 0  # no page is left dirty
+    eng.cache.end_epoch(lambda fd, lblk: False)  # no page is left dirty
     for blk in (0, 3, 5, 7):  # evicts the four pages, all clean now
         eng.read_file(fd, blk * BLOCK_SIZE, 1)
     assert eng.sched.pending_writes == 0
@@ -522,11 +542,11 @@ def test_dirty_page_the_pass_did_not_write_is_refused(small_bundle, monkeypatch)
     with pytest.raises(ParameterError, match=f"dirty page 3 of file {a} "):
         eng.shuffle_now()
     assert eng.shuffles == 0
-    # Both pages are still dirty, so a flush and its rounds land them.
+    # Both pages are still dirty, so a flush's pass over both files lands
+    # them.
     assert eng.cache.peek(a, 3) == b"\x33" * BLOCK_SIZE
-    assert eng.cache.flush() == 2
-    while eng.sched.pending_writes:
-        eng.run_one_round()
+    monkeypatch.undo()
+    assert eng.cache.flush() == 2 and eng.shuffles == 1
     assert m.store.read_block(m.fs.phys_of(a, 3)) == b"\x33" * BLOCK_SIZE
     assert m.store.read_block(m.fs.phys_of(b, 0)) == b"\xb0" * BLOCK_SIZE
 
@@ -1121,10 +1141,8 @@ PINNED_COUNTERS = {"rounds": 120, "real_reads": 119, "dummy_reads": 1, "real_wri
                    "net_real": 0, "net_dummy": 0}
 
 
-def test_protected_disk_path_is_pinned(small_bundle):
-    m = mount(small_bundle, seed=3, config=EngineConfig(cache_capacity=2))
-    eng = m.engine
-    eng.start_observation()
+def _run_pinned_ops(eng):
+    """Run ``PINNED_OPS``; returns the last op's (descriptor, block)."""
     for kind, index, blk in PINNED_OPS:
         fd = eng.regular_fd(index)
         if kind == "w":
@@ -1133,6 +1151,14 @@ def test_protected_disk_path_is_pinned(small_bundle):
             eng.write_file(fd, blk * BLOCK_SIZE + 100, b"partial")
         else:
             eng.read_file(fd, blk * BLOCK_SIZE, 64)
+    return fd, blk
+
+
+def test_protected_disk_path_is_pinned(small_bundle):
+    m = mount(small_bundle, seed=3, config=EngineConfig(cache_capacity=2))
+    eng = m.engine
+    eng.start_observation()
+    _run_pinned_ops(eng)
     eng.shuffle_now()
     a, b = eng.regular_fd(0), eng.regular_fd(1)
     assert eng.read_file(a, 7 * BLOCK_SIZE, 4) == b"\x07" * 4
@@ -1141,6 +1167,35 @@ def test_protected_disk_path_is_pinned(small_bundle):
     assert eng.sched.pending_writes == 0
     digest = hashlib.sha256(m.trace.export().encode()).hexdigest()
     assert (digest, eng.counters()) == (PINNED_TRACE_SHA256, PINNED_COUNTERS)
+
+
+def test_every_disk_write_outside_a_pass_is_padding(small_bundle):
+    # The pinned ops, a whole-block write over the page the last one
+    # fetched, then a flush: a write outside a pass round lands in the
+    # padding domain, so only a pass writes a file block.
+    m = mount(small_bundle, seed=3, config=EngineConfig(cache_capacity=2))
+    eng = m.engine
+    pass_rounds = set()
+    step = eng._pass_round
+
+    def pass_round():
+        k = eng.rounds_done
+        try:
+            return step()
+        finally:
+            pass_rounds.update(range(k, eng.rounds_done))
+
+    eng._pass_round = pass_round
+    eng.start_observation()
+    fd, blk = _run_pinned_ops(eng)
+    eng.write_file(fd, blk * BLOCK_SIZE, b"\xff" * BLOCK_SIZE)
+    assert eng.cache.flush() == 1
+    while eng.sched.pending_writes:
+        eng.run_one_round()
+    padding = {m.store.layout.data_offset(p) for p in m.fs.dummy_blocks()}
+    outside = [e for e in m.trace.of_kind(CallKind.DISK_WRITE)
+               if e.ts // RoundConfig.interval_ns not in pass_rounds]
+    assert outside and all(e.offset in padding for e in outside)
 
 
 def test_a_miss_refused_by_the_budget_makes_no_host_call(small_bundle):

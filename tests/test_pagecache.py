@@ -3,30 +3,38 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oblivsim import BUDGET_PAGES, PageCache, ParameterError, default_capacity
+from oblivsim import BUDGET_PAGES, PageCache, ParameterError, SimError, default_capacity
 
 PAGE = 4  # cache is size-agnostic; tiny pages keep the tests light
 
 
 class Harness:
-    """Cache over a dict-backed disk with a mutable placement map."""
+    """Cache over a dict-backed disk with a mutable placement map. Its
+    pass, which ``flush`` runs, lands every resident page of file 0 at
+    its block's home and ends the epoch."""
 
     def __init__(self, capacity, n_blocks=16):
         self.disk = {p: bytes([p]) * PAGE for p in range(n_blocks)}
         self.placement = {lblk: lblk for lblk in range(n_blocks)}
         self.fetch_log: list[int] = []
         self.write_log: list[int] = []
+        self.passes = 0
         self.cache = PageCache(capacity,
                                lambda fd, lblk: self.placement[lblk],
-                               self._writeback)
+                               self.shuffle_now)
 
     def fetch(self, phys):
         self.fetch_log.append(phys)
         return self.disk[phys]
 
-    def _writeback(self, phys, page):
-        self.write_log.append(phys)
-        self.disk[phys] = bytes(page)
+    def shuffle_now(self):
+        for lblk, phys in self.placement.items():
+            page = self.cache.peek(0, lblk)
+            if page is not None:
+                self.write_log.append(phys)
+                self.disk[phys] = page
+        self.cache.end_epoch(lambda fd, lblk: True)
+        self.passes += 1
 
 
 def test_default_capacity_is_a_1_5_mib_budget():
@@ -39,7 +47,36 @@ def test_default_capacity_is_a_1_5_mib_budget():
 
 def test_capacity_must_be_positive():
     with pytest.raises(ParameterError):
-        PageCache(0, lambda fd, lblk: lblk, lambda p, d: None)
+        PageCache(0, lambda fd, lblk: lblk, Harness(1).shuffle_now)
+
+
+def test_flush_runs_one_pass_and_counts_the_dirty_pages():
+    h = Harness(4)
+    h.cache.get_block(0, 2, h.fetch)
+    for lblk in (1, 3):
+        h.cache.put_block(0, lblk, bytes([0x30 + lblk]) * PAGE, h.fetch)
+    assert h.cache.flush() == 2 and h.passes == 1
+    assert h.disk[1] == b"\x31" * PAGE and h.disk[3] == b"\x33" * PAGE
+    # The pass ended the epoch: nothing is dirty, and a flush runs a pass
+    # all the same.
+    h.cache.end_epoch(lambda fd, lblk: False)
+    assert h.cache.flush() == 0 and h.passes == 2
+
+
+def test_flush_refuses_once_its_pass_owner_is_gone():
+    # The cache holds its pass weakly, so it keeps its owner alive by no
+    # reference; once the owner is gone a flush is refused.
+    class Owner:
+        def shuffle_now(self):
+            raise AssertionError("no pass runs")
+
+    owner = Owner()
+    cache = PageCache(2, lambda fd, lblk: lblk, owner.shuffle_now)
+    cache.put_block(0, 1, b"\x01" * PAGE, lambda phys: bytes(PAGE))
+    del owner
+    with pytest.raises(SimError, match="is gone"):
+        cache.flush()
+    assert cache.peek(0, 1) == b"\x01" * PAGE
 
 
 def test_resident_hits_cost_no_host_reads():
@@ -190,9 +227,9 @@ def test_end_epoch_forgets_only_landed_pages():
         h.cache.put_block(0, lblk, bytes([0x30 + lblk]) * PAGE, h.fetch)
     with pytest.raises(ParameterError, match="dirty page 2 of file 0"):
         h.cache.end_epoch(lambda fd, lblk: lblk != 2)
-    # The pass landed all three: none is written again.
+    # The pass landed all three: none is dirty any more.
     h.cache.end_epoch(lambda fd, lblk: True)
-    assert h.cache.flush() == 0 and h.write_log == []
+    assert h.cache.flush() == 0
 
 
 def test_end_epoch_requires_clean_cache():
@@ -203,16 +240,16 @@ def test_end_epoch_requires_clean_cache():
     with pytest.raises(ParameterError, match="dirty page 1 of file 0"):
         h.cache.end_epoch(lambda fd, lblk: lblk != 1)
     # The refusal changed nothing: the fetched set stands, and page 1 is
-    # still dirty, so a flush writes it back.
+    # still dirty, so a flush's pass lands it and ends the epoch.
     assert h.cache.epoch_fetched == {1, 2, 3}
-    assert h.cache.flush() == 1 and h.write_log == [1]
-    assert h.disk[1] == b"\x01" * PAGE
-    h.cache.end_epoch(lambda fd, lblk: False)  # nothing dirty is left
+    assert h.cache.flush() == 1 and h.disk[1] == b"\x01" * PAGE
     assert h.cache.epoch_fetched == set()
+    h.cache.end_epoch(lambda fd, lblk: False)  # nothing dirty is left
 
 
 def test_writeback_targets_current_placement():
-    # A page dirtied before its block moved must land at the new home.
+    # A page dirtied before its block moved lands where the flush's pass
+    # finds the block, not where it was when the page was dirtied.
     h = Harness(1)
     h.cache.put_block(0, 0, bytes([0]) * PAGE, h.fetch)
     h.placement[0] = 7
@@ -235,7 +272,8 @@ def test_cache_is_transparent(ops):
             # The epoch's three fetches are spent, so a shuffle runs: the
             # pass writes the resident pages of the blocks it re-homes
             # (here 0-5) from the cache, and the epoch ends. A dirty page
-            # outside the pass is refused, and lands only through a flush.
+            # outside the pass is refused, and lands only through a flush,
+            # whose pass re-homes every block.
             for b in range(6):
                 page = h.cache.peek(0, b)
                 if page is not None:
@@ -244,7 +282,6 @@ def test_cache_is_transparent(ops):
                 h.cache.end_epoch(lambda fd, b: b < 6)
             except ParameterError:
                 h.cache.flush()
-                h.cache.end_epoch(lambda fd, b: b < 6)
             epoch_fetches = len(h.fetch_log)
         if op == "put":
             page = bytes([v]) * PAGE

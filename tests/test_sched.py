@@ -25,7 +25,6 @@ from oblivsim import (
     ShapingClass,
     SimClock,
     SimError,
-    SizeError,
     StaticIdentity,
     establish,
     layout_for,
@@ -114,10 +113,7 @@ def test_real_requests_take_the_slots():
     store, sched = make_sched()
     store.write_block(5, b"\x42" * BLOCK_SIZE)
     store.iface.trace.reset()
-    assert sched.submit_write(6, b"\x43" * BLOCK_SIZE) is None
-    assert sched.pending_writes == 1
-    assert sched.run_round(5) == b"\x42" * BLOCK_SIZE
-    assert sched.pending_writes == 0
+    assert sched.run_round(5, lambda data: (6, b"\x43" * BLOCK_SIZE)) == b"\x42" * BLOCK_SIZE
     assert sched.real_reads == 1 and sched.real_writes == 1
     assert sched.dummy_reads == 0 and sched.dummy_writes == 0
     events = store.iface.trace.events
@@ -140,26 +136,24 @@ def test_land_gets_its_rounds_read_after_every_read_slot():
     store, sched = make_sched()
     for phys in (5, 6):
         store.write_block(phys, bytes([phys]) * BLOCK_SIZE)
-    sched.submit_write(7, b"\x07" * BLOCK_SIZE)
     store.iface.trace.reset()
     calls = []
     assert sched.run_round(5, _landing(store, 8, calls)) == b"\x05" * BLOCK_SIZE
     # Called once, after the read and before the write, with the
     # plaintext of the round's own read.
     assert calls == [(b"\x05" * BLOCK_SIZE, 1)]
-    # The handed read, then the landed block; the queued write waits.
+    # The handed read, then the landed block.
     assert [e.offset for e in store.iface.trace.events] == [
         store.layout.data_offset(p) for p in (5, 8)]
-    assert sched.pending_writes == 1
     assert (sched.real_reads, sched.real_writes) == (1, 1)
     assert (sched.dummy_reads, sched.dummy_writes) == (0, 0)
     assert store.read_block(8) == b"\x05" * BLOCK_SIZE
-    # The next round without a land writes the queued block.
+    # The next round without a land pads its write.
     assert sched.run_round(6) == b"\x06" * BLOCK_SIZE
-    assert store.iface.trace.events[-1].offset == store.layout.data_offset(7)
-    assert sched.pending_writes == 0
-    assert (sched.real_reads, sched.real_writes) == (2, 2)
-    assert store.read_block(7) == b"\x07" * BLOCK_SIZE
+    padding = {store.layout.data_offset(p) for p in DUMMIES}
+    assert store.iface.trace.events[-1].offset in padding
+    assert (sched.real_reads, sched.real_writes) == (2, 1)
+    assert sched.dummy_writes == 1
 
 
 def test_land_handed_without_a_read_gets_none():
@@ -195,27 +189,12 @@ def test_busy_and_idle_rounds_share_a_shape():
     store_b, sched_b = make_sched(seed=9)
     store_b.write_block(5, b"\x01" * BLOCK_SIZE)
     store_b.iface.trace.reset()
-    sched_b.submit_write(5, b"\x02" * BLOCK_SIZE)
     run_rounds(sched_a, 3)
-    assert sched_b.run_round(5) == b"\x01" * BLOCK_SIZE
+    land = sched_b.run_round(5, lambda data: (5, b"\x02" * BLOCK_SIZE))
+    assert land == b"\x01" * BLOCK_SIZE
     run_rounds(sched_b, 2)
     assert (sched_b.real_reads, sched_b.real_writes) == (1, 1)
     assert store_a.iface.trace.shape() == store_b.iface.trace.shape()
-
-
-def test_pending_write_lookup_sees_newest():
-    store, sched = make_sched()
-    old, new = b"\x0a" * BLOCK_SIZE, b"\x0b" * BLOCK_SIZE
-    sched.submit_write(5, old)
-    sched.submit_write(5, new)
-    assert sched.pending_write_for(5) == new
-    assert sched.pending_write_for(6) is None
-    assert sched.pending_writes == 2
-    sched.run_round()
-    assert sched.pending_write_for(5) == new
-    sched.run_round()
-    assert sched.pending_write_for(5) is None
-    assert store.read_block(5) == new  # FIFO execution, newest lands last
 
 
 def test_reads_are_handed_over_never_queued():
@@ -253,28 +232,32 @@ def test_failed_read_still_completes_its_round():
     store.write_block(5, b"\x42" * BLOCK_SIZE)
     store.iface.host.image[store.layout.data_offset(5)] ^= 0x01
     store.iface.trace.reset()
-    sched.submit_write(6, b"\x43" * BLOCK_SIZE)
     with pytest.raises(IntegrityError):
         sched.run_round(5)
-    assert sched.pending_writes == 0
-    assert sched.rounds == 1 and (sched.real_reads, sched.real_writes) == (1, 1)
+    assert sched.rounds == 1 and (sched.real_reads, sched.dummy_writes) == (1, 1)
     assert sched.run_round() is None
     run_rounds(sched, 2)
     assert [e.kind for e in store.iface.trace.events] == \
         [CallKind.DISK_READ, CallKind.DISK_WRITE] * 4
     assert sched.real_reads + sched.dummy_reads == 4
     assert sched.real_writes + sched.dummy_writes == 4
-    assert store.read_block(6) == b"\x43" * BLOCK_SIZE  # padding never aims at 6
+    padding = {store.layout.data_offset(p) for p in DUMMIES}
+    assert {e.offset for e in store.iface.trace.events[1:]} <= padding
 
 
 def test_write_that_is_not_one_block_is_refused_before_queueing():
+    # Nothing is queued at all: a round writes only what its land gives,
+    # so the submission names refuse every write, one block or not, and
+    # the rounds after them pad.
     store, sched = make_sched()
-    for payload in (b"short", b"\x00" * (BLOCK_SIZE + 1)):
-        with pytest.raises(SizeError):
-            sched.submit_write(5, payload)
-    assert sched.pending_writes == 0
     store.iface.trace.reset()
+    for payload in (b"\x43" * BLOCK_SIZE, b"short", b"\x00" * (BLOCK_SIZE + 1)):
+        with pytest.raises(SimError, match="lands in a pass"):
+            sched.submit_write(5, payload)
+    with pytest.raises(SimError, match="lands in a pass"):
+        sched.pending_write_for(5)
+    assert sched.pending_writes == 0 and store.iface.trace.events == []
     run_rounds(sched, 2)
-    assert sched.rounds == 2
+    assert (sched.rounds, sched.dummy_writes) == (2, 2)
     assert [e.kind for e in store.iface.trace.events] == \
         [CallKind.DISK_READ, CallKind.DISK_WRITE] * 2
